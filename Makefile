@@ -36,9 +36,11 @@ staticcheck:
 bench-yield:
 	sh scripts/bench_yield.sh
 
-# Short coverage-guided run of the Liberty parser fuzzer (CI smoke).
+# Short coverage-guided runs of the Liberty parser and shard wire-format
+# fuzzers (CI smoke).
 fuzz:
 	$(GO) test -fuzz=FuzzParseLibrary -fuzztime=10s -run FuzzParseLibrary ./internal/liberty
+	$(GO) test -fuzz=FuzzMergePartials -fuzztime=10s -run FuzzMergePartials ./internal/variation
 
 # Run the hardened HTTP serving layer on the default address.
 serve:

@@ -10,7 +10,7 @@
 //	      [-sampler ziggurat|box-muller]
 //	      [-is] [-relerr 0.05] [-abserr 0.001] [-yield 0.99]
 //	      [-candidates 8:10,12:8,16:6] [-style swss|shielded|staggered]
-//	      [-weight 0.5] [-sigma-scale 1] [-no-surface]
+//	      [-weight 0.5] [-sigma-scale 1]
 //	      [-timeout 30s] [-metrics] [-debug-addr localhost:6060]
 //
 // With -candidates, the listed size:count buffering solutions are
@@ -97,7 +97,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	candFlag := fs.String("candidates", "", "score these size:count buffering solutions on shared samples, e.g. 8:10,12:8")
 	weightFlag := fs.Float64("weight", predint.DefaultPowerWeight, "power weight of the buffering objective")
 	sigmaFlag := fs.Float64("sigma-scale", 1, "scale on the default variation sigmas")
-	noSurfaceFlag := fs.Bool("no-surface", false, "bypass the yield-response-surface cache: always run the full Monte Carlo pipeline")
 	timeoutFlag := fs.Duration("timeout", 0, "abort the run after this long (0 = no deadline; SIGINT/SIGTERM always cancel)")
 	metricsFlag := fs.Bool("metrics", false, "dump the observability counters as JSON to stderr after the run")
 	debugAddr := fs.String("debug-addr", "", "serve /metrics and /debug/pprof/ on this address for the run's duration")
@@ -126,7 +125,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		Estimator:          *estFlag,
 		Sampler:            *samplerFlag,
 		SigmaScale:         predint.Float(*sigmaFlag),
-		NoSurface:          *noSurfaceFlag,
 	}
 	if *sigmaLevelFlag != 0 {
 		// Explicit values — including invalid ones — reach the facade

@@ -203,9 +203,16 @@ func stopRule(o Options, shifted bool, n int, mean, m2 float64) bool {
 	if n < o.MinSamples || n < 2 || (o.RelErr <= 0 && o.AbsErr <= 0) {
 		return false
 	}
-	if mean > 0 {
-		se := math.Sqrt(m2 / float64(n-1) / float64(n))
-		if o.RelErr > 0 && se/mean <= o.RelErr {
+	return errStop(o, n, mean, math.Sqrt(m2/float64(n-1)/float64(n)), shifted)
+}
+
+// errStop is the tail every stopping rule shares once its own
+// preconditions hold: the relative and absolute rules on an estimate p
+// with standard error se when failures were observed, the rule-of-three
+// escape (unshifted runs only) when none were.
+func errStop(o Options, n int, p, se float64, shifted bool) bool {
+	if p > 0 {
+		if o.RelErr > 0 && se/p <= o.RelErr {
 			metStopRelErr.Inc()
 			return true
 		}
@@ -224,6 +231,89 @@ func stopRule(o Options, shifted bool, n int, mean, m2 float64) bool {
 		return true
 	}
 	return false
+}
+
+// checkpoint reports whether the stopping rule is consulted after
+// sample i: at every batch boundary and at the end of the budget.
+func checkpoint(o Options, i int) bool {
+	return (i+1)%o.Batch == 0 || i+1 == o.Samples
+}
+
+// fold is one candidate's streaming accumulator over its per-sample
+// contributions x_i = w_i·1[fail_i], fed in sample-index order: Welford
+// mean and variance for mc/isle, per-replicate sums for qmc (sample i
+// lands in replicate i mod qmcReplicates). Local runs, shard merges and
+// RunBatchCtx all fold through it and consult stop at the same
+// checkpoints, so a sharded merge is the local computation itself.
+type fold struct {
+	qmc, shifted bool
+	n            int
+	mean, m2     float64
+	rn           [qmcReplicates]int
+	rsum         [qmcReplicates]float64
+}
+
+// add folds the contributions of samples base, base+1, …, base+n−1,
+// sample base+k's read from xs[k*stride].
+func (f *fold) add(base, n int, xs []float64, stride int) {
+	if f.qmc {
+		for k := 0; k < n; k++ {
+			r := (base + k) % qmcReplicates
+			f.rn[r]++
+			f.rsum[r] += xs[k*stride]
+		}
+		f.n += n
+		return
+	}
+	// Locals keep the recurrence in registers across samples.
+	cnt, mean, m2 := f.n, f.mean, f.m2
+	for k := 0; k < n; k++ {
+		x := xs[k*stride]
+		cnt++
+		d := x - mean
+		mean += d / float64(cnt)
+		m2 += d * (x - mean)
+	}
+	f.n, f.mean, f.m2 = cnt, mean, m2
+}
+
+// stop reports whether the fold so far may end sampling: stopRule for
+// Welford folds; for qmc the same tail on the replicate-mean estimate,
+// once two replicates have data (the rule-of-three escape is valid
+// there — QMC indicators are unshifted Bernoulli contributions).
+func (f *fold) stop(o Options) bool {
+	if !f.qmc {
+		return stopRule(o, f.shifted, f.n, f.mean, f.m2)
+	}
+	p, se, reps := qmcStats(f)
+	if f.n < o.MinSamples || reps < 2 || (o.RelErr <= 0 && o.AbsErr <= 0) {
+		return false
+	}
+	return errStop(o, f.n, p, se, false)
+}
+
+func (f *fold) estimate() Estimate {
+	if f.qmc {
+		p, se, _ := qmcStats(f)
+		e := Estimate{FailProb: p, Yield: 1 - p, StdErr: se, Samples: f.n, VarianceReduction: 1, Estimator: estimator.QMC}
+		if p > 0 && p < 1 && se > 0 && f.n > 0 {
+			e.VarianceReduction = p * (1 - p) / float64(f.n) / (se * se)
+		}
+		return e
+	}
+	kind := estimator.MC
+	if f.shifted {
+		kind = estimator.ISLE
+	}
+	e := Estimate{FailProb: f.mean, Yield: 1 - f.mean, Samples: f.n, Shifted: f.shifted, VarianceReduction: 1, Estimator: kind}
+	if f.n > 1 {
+		sampleVar := f.m2 / float64(f.n-1)
+		e.StdErr = math.Sqrt(sampleVar / float64(f.n))
+		if sampleVar > 0 && f.mean > 0 && f.mean < 1 {
+			e.VarianceReduction = f.mean * (1 - f.mean) / sampleVar
+		}
+	}
+	return e
 }
 
 // Run estimates the failure probability of trial under the options.
@@ -282,10 +372,7 @@ func RunBatchCtx(ctx context.Context, o Options, trial BatchTrial) (Estimate, er
 		metRunsPlain.Inc()
 	}
 
-	// Streaming (Welford) accumulator over the per-sample
-	// contributions x_i = w_i·1[fail_i].
-	var n int
-	var mean, m2 float64
+	f := fold{shifted: shifted}
 
 	// Per-worker scratch: one stream and one draw buffer per worker
 	// id, allocated once for the whole run. A worker id is held by
@@ -342,31 +429,12 @@ func RunBatchCtx(ctx context.Context, o Options, trial BatchTrial) (Estimate, er
 		if err != nil {
 			return Estimate{}, err
 		}
-		for k := 0; k < batch; k++ {
-			x := contrib[k]
-			n++
-			d := x - mean
-			mean += d / float64(n)
-			m2 += d * (x - mean)
-		}
+		f.add(start, batch, contrib, 1)
 		done += batch
 		metSamples.Add(int64(batch))
-		if stop := stopRule(o, shifted, n, mean, m2); stop {
+		if f.stop(o) {
 			break
 		}
 	}
-
-	kind := estimator.MC
-	if shifted {
-		kind = estimator.ISLE
-	}
-	est := Estimate{FailProb: mean, Yield: 1 - mean, Samples: n, Shifted: shifted, VarianceReduction: 1, Estimator: kind}
-	if n > 1 {
-		sampleVar := m2 / float64(n-1)
-		est.StdErr = math.Sqrt(sampleVar / float64(n))
-		if sampleVar > 0 && mean > 0 && mean < 1 {
-			est.VarianceReduction = mean * (1 - mean) / sampleVar
-		}
-	}
-	return est, nil
+	return f.estimate(), nil
 }

@@ -11,36 +11,38 @@ import (
 	"repro/internal/wire"
 )
 
-// This file is the structure-of-arrays batch-lane sampling kernel: the
-// hot per-sample path of the mc/isle/qmc rungs restructured to process
-// a lane of up to laneSize samples per call over contiguous float64
-// slices. The scalar path (evalShared/evalShifted) walks one sample at
-// a time through Space.ApplyInto → Coefficients.ScaleInto →
-// perturbSegment → LineDelayRC, copying a full Technology and
-// Coefficients per sample and re-deriving quantities the delay never
-// reads (leakage exponentials, the unused repeater kind, the unused
-// routing layers). The lane kernel compiles everything sample-invariant
-// once per run — the per-space apply program, the nominal drive
-// resistances, the per-candidate stage constants — and then runs flat
-// loops over the lane arrays: draw, apply, rescale, extract, score.
+// This file is the structure-of-arrays batch-lane sampling kernel, the
+// one evaluation path of the mc/isle/qmc sampling driver (multi.go): it
+// scores a lane of up to laneSize samples per call over contiguous
+// float64 slices. The scalar evaluator (evalShared/evalShifted) it
+// replaced walks one sample at a time through Space.ApplyInto →
+// Coefficients.ScaleInto → perturbSegment → LineDelayRC, copying a full
+// Technology and Coefficients per sample and re-deriving quantities the
+// delay never reads (leakage exponentials, the unused repeater kind, the
+// unused routing layers). The lane kernel compiles everything
+// sample-invariant once per run — the per-space apply program, the
+// nominal drive resistances, the per-candidate stage constants — and
+// then runs flat loops over the lane arrays: draw, apply, rescale,
+// extract, score.
 //
 // Bit-identity contract: for every sample the lane kernel evaluates
-// exactly the floating-point expressions of the scalar path, with the
-// same operand values in the same association order, so contributions
-// are bit-identical to evalShared/evalShifted. Quantities the scalar
-// path computes but the delay comparison never consumes are skipped —
-// skipping arithmetic whose result is unused cannot change the bits of
-// what remains. Lane partitioning itself cannot affect results either:
-// contributions are folded by the caller in sample-index order
-// regardless of which lane (or worker) produced them, which also means
-// the lane width may adapt to the worker count freely.
+// exactly the floating-point expressions of the scalar evaluator, with
+// the same operand values in the same association order, so
+// contributions are bit-identical to evalShared/evalShifted. Quantities
+// the scalar evaluator computes but the delay comparison never consumes
+// are skipped — skipping arithmetic whose result is unused cannot change
+// the bits of what remains. Lane partitioning itself cannot affect
+// results either: contributions are folded by the caller in
+// sample-index order regardless of which lane (or worker) produced them,
+// which also means the lane width may adapt to the worker count freely.
 //
-// The one per-sample branch the scalar path takes that the lane cannot
-// precompute is LineSpec.Validate's perturbed-width check (a shrunken
-// line can lose its copper core when width·0.6 ≤ 2·barrier). The lane
-// flags those rare samples and replays them through the scalar
-// evaluator, reproducing the exact error (and error selection order)
-// the scalar kernel would surface.
+// The scalar evaluator stays as the lane's validation fallback and as
+// the tests' oracle. The one per-sample branch it takes that the lane
+// cannot precompute is LineSpec.Validate's perturbed-width check (a
+// shrunken line can lose its copper core when width·0.6 ≤ 2·barrier):
+// the lane flags those rare samples and replays them through the scalar
+// evaluator, reproducing its exact error (and error selection order).
+// Under the laneKernelDisabled test hook every sample takes that replay.
 
 const (
 	// laneSize is the maximum samples one lane evaluates per call —
@@ -53,9 +55,9 @@ const (
 	laneMin = 16
 )
 
-// laneKernelDisabled routes the sampling kernels through the scalar
-// per-sample path instead of the lane kernel. Test hook only: the
-// bit-identity matrix runs both paths and compares estimates.
+// laneKernelDisabled makes eval flag every sample for the scalar
+// replay instead of running the lane phases. Test hook only: the
+// bit-identity matrix runs both and compares estimates.
 var laneKernelDisabled = false
 
 // laneChunk picks the lane width for a batch: full lanes when serial,
@@ -312,12 +314,16 @@ type laneKernel struct {
 	qshifts [][]uint64
 }
 
-func newLaneKernel(ms *MultiScenario, ro Options, sharedSeg bool, shifts [][]float64, shiftedC []bool, shiftSq []float64, anyShift bool, qshifts [][]uint64) *laneKernel {
+// newLaneKernel compiles the kernel for one run. shifts holds the
+// per-candidate ISLE mean shifts (nil, or nil entries, for plain
+// sampling); qshifts the Sobol scrambles of a QMC run (nil otherwise).
+func newLaneKernel(ms *MultiScenario, ro Options, shifts [][]float64, qshifts [][]uint64) *laneKernel {
+	K := len(ms.Specs)
 	lk := &laneKernel{
 		ms:        ms,
 		prog:      compileApplyProg(ms.Space, ms.Base),
 		scale:     laneScaleFor(ms.Base),
-		sharedSeg: sharedSeg,
+		sharedSeg: true,
 		target:    ms.Target,
 		seed:      ro.Seed,
 		sampler:   resolveSampler(ro.Sampler),
@@ -326,16 +332,28 @@ func newLaneKernel(ms *MultiScenario, ro Options, sharedSeg bool, shifts [][]flo
 		scmfp:     ms.Base.ScatterCoeff * ms.Base.MeanFreePath,
 		rho0:      ms.Base.RhoBulk,
 		shifts:    shifts,
-		shiftedC:  shiftedC,
-		shiftSq:   shiftSq,
-		anyShift:  anyShift,
+		shiftedC:  make([]bool, K),
+		shiftSq:   make([]float64, K),
+		halfSq:    make([]float64, K),
 		qshifts:   qshifts,
 		qmc:       qshifts != nil,
 	}
-	if shiftSq != nil {
-		lk.halfSq = make([]float64, len(shiftSq))
-		for c, s := range shiftSq {
-			lk.halfSq[c] = s / 2
+	for c, sh := range shifts {
+		for _, t := range sh {
+			if t != 0 {
+				lk.shiftedC[c] = true
+			}
+			lk.shiftSq[c] += t * t
+		}
+		lk.halfSq[c] = lk.shiftSq[c] / 2
+		lk.anyShift = lk.anyShift || lk.shiftedC[c]
+	}
+	// Candidates of a sizing sweep share the wire: detect it so the
+	// per-sample extraction (the math.Pow-heavy part) runs once.
+	for c := 1; c < K; c++ {
+		if ms.Specs[c].Segment != ms.Specs[0].Segment {
+			lk.sharedSeg = false
+			break
 		}
 	}
 	lk.segs = make([]laneSeg, len(ms.Specs))
@@ -433,8 +451,8 @@ func putLaneScratch(ls *laneScratch) { laneScratchPool.Put(ls) }
 
 // drawPhase fills the transposed base-draw arrays for global sample
 // indices [start, start+n): per-sample PRNG streams in dimension order
-// (exactly the order the scalar path fills its draw buffer), or Sobol
-// points in QMC mode.
+// (exactly the order the scalar evaluator fills its draw buffer), or
+// Sobol points in QMC mode.
 func (lk *laneKernel) drawPhase(ls *laneScratch, start, n int) {
 	if lk.qmc {
 		buf := ls.scalar.eps
@@ -703,7 +721,7 @@ func (lk *laneKernel) edgePass(ls *laneScratch, cd *laneCand, startRising bool, 
 
 // fallback replays flagged samples through the scalar evaluator —
 // same draws, same eval — overwriting their contribution rows and
-// surfacing the exact error the scalar kernel would (lowest flagged
+// surfacing the exact error the scalar evaluator would (lowest flagged
 // sample first, matching the pool's lowest-index error selection).
 func (lk *laneKernel) fallback(ls *laneScratch, start, n int, contrib []float64, K int, active []bool) error {
 	s := &ls.scalar
@@ -736,8 +754,14 @@ func (lk *laneKernel) fallback(ls *laneScratch, start, n int, contrib []float64,
 // contribution rows contrib[k*K+c]. Only active candidates are
 // written, mirroring the scalar evaluators.
 func (lk *laneKernel) eval(ls *laneScratch, start, n int, contrib []float64, K int, active []bool) error {
-	lk.drawPhase(ls, start, n)
 	fb := ls.fb[:n]
+	if laneKernelDisabled {
+		for k := range fb {
+			fb[k] = true
+		}
+		return lk.fallback(ls, start, n, contrib, K, active)
+	}
+	lk.drawPhase(ls, start, n)
 	for k := range fb {
 		fb[k] = false
 	}

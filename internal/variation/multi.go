@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/estimator"
 	"repro/internal/faultinject"
@@ -17,13 +18,21 @@ import (
 // same variation space, and almost all of the per-sample cost — the
 // normal draw, the technology perturbation, the closed-form
 // coefficient rescale, the wire per-meter extraction — depends only on
-// the draw, not on the candidate. EstimateYieldsShared therefore does
-// that work once per sample and scores every still-active candidate
-// against it (common random numbers, which is also what makes the
-// candidates statistically comparable), with per-candidate Welford
-// accumulators and a per-candidate stopping rule. Each candidate's
-// estimate is bit-identical to the estimate a standalone
-// EstimateLinkYield run with the same options would produce.
+// the draw, not on the candidate. The kernel therefore does that work
+// once per sample and scores every still-active candidate against it
+// (common random numbers, which is also what makes the candidates
+// statistically comparable).
+//
+// One driver serves the mc/isle/qmc rungs: it evaluates a contiguous
+// range of global sample indices through the lane kernel (lane.go) and
+// hands each batch's contribution rows to a callback. The local run
+// (runSharedCtx) folds the rows per candidate and retires a candidate
+// once its stopping rule fires; a coordinator shard (CollectPartialCtx,
+// partial.go) keeps the sparse failures for MergePartials. Both fold
+// through the one fold type, consulting the stopping rule at the same
+// checkpoints, so each candidate's estimate is bit-identical to a
+// standalone EstimateLinkYield run with the same options and to a merge
+// of its shards.
 
 // MultiScenario binds K candidate implementations (specs) of one link
 // to a shared variation space and delay target.
@@ -112,7 +121,10 @@ func (ms *MultiScenario) FindShiftsCtx(ctx context.Context) ([][]float64, error)
 	return shifts, nil
 }
 
-// multiScratch is one worker's reusable per-sample state.
+// multiScratch is the per-sample state of the scalar evaluator
+// (evalShared/evalShifted), the one-sample-at-a-time reference the lane
+// kernel replays for its validation fallback and the tests' oracle.
+// Each lane scratch carries one.
 type multiScratch struct {
 	stream Stream
 	// eps is the sample's base standard-normal draw; z is the shifted
@@ -252,204 +264,189 @@ func EstimateYieldsSharedCtx(ctx context.Context, ms *MultiScenario, o YieldOpti
 	if o.Estimator == estimator.Auto && o.TargetSigma >= wcdPrefilterSigma {
 		return cascadeCtx(ctx, ms, o, ro, kind)
 	}
-	return sampleEstimatesCtx(ctx, ms, o, ro, kind)
+	return sampleEstimatesCtx(ctx, ms, ro, kind)
 }
 
 // sampleEstimatesCtx runs the resolved sampling rung over all
 // candidates.
-func sampleEstimatesCtx(ctx context.Context, ms *MultiScenario, o YieldOptions, ro Options, kind estimator.Kind) ([]Estimate, error) {
-	switch kind {
-	case estimator.QMC:
-		return runQMCSharedCtx(ctx, ms, ro)
-	case estimator.AIS:
+func sampleEstimatesCtx(ctx context.Context, ms *MultiScenario, ro Options, kind estimator.Kind) ([]Estimate, error) {
+	if kind == estimator.AIS {
 		return runAISAllCtx(ctx, ms, ro)
 	}
-	return runMCSharedCtx(ctx, ms, o, ro, kind)
+	return runSharedCtx(ctx, ms, ro, kind)
 }
 
-// runMCSharedCtx is the historical shared-sample kernel: plain Monte
-// Carlo or ISLE mean-shift importance sampling on common random
-// numbers.
-func runMCSharedCtx(ctx context.Context, ms *MultiScenario, o YieldOptions, ro Options, kind estimator.Kind) ([]Estimate, error) {
-	K := len(ms.Specs)
+// contribPool recycles the driver's contribution rows across runs: a
+// server answering successive queries, or a coordinator worker serving
+// successive shard waves, reuses one buffer instead of allocating a
+// batch-sized slice per run (the laneScratch pool does the same for the
+// per-worker scratch).
+var contribPool sync.Pool
 
-	shifts := ms.Shifts
-	if shifts == nil && kind == estimator.ISLE {
+func getContrib(n int) []float64 {
+	if v := contribPool.Get(); v != nil {
+		if b := v.(*[]float64); cap(*b) >= n {
+			return (*b)[:n]
+		}
+	}
+	return make([]float64, n)
+}
+
+func putContrib(b []float64) {
+	contribPool.Put(&b)
+}
+
+// driver is the sampling driver of the mc/isle/qmc rungs. It is built
+// once per run, which settles every per-run decision: the ISLE shift
+// search, the QMC Sobol scrambles, the compiled lane kernel and the
+// per-worker lane scratch. It then evaluates any contiguous range of
+// global sample indices, so the local kernel and a coordinator shard
+// are the same evaluation over different ranges.
+type driver struct {
+	ro    Options
+	lk    *laneKernel
+	lsc   []*laneScratch
+	chunk int
+	// rows holds one step's contributions, row k for sample base+k
+	// with one entry per candidate.
+	rows []float64
+	// active marks candidates still sampling. Callbacks retire
+	// candidates between steps, never during one, so worker reads race
+	// with nothing.
+	active []bool
+}
+
+func newDriver(ctx context.Context, ms *MultiScenario, ro Options, kind estimator.Kind) (*driver, error) {
+	var shifts [][]float64
+	var qshifts [][]uint64
+	switch {
+	case kind == estimator.QMC:
+		qshifts = make([][]uint64, qmcReplicates)
+		for r := range qshifts {
+			qshifts[r] = estimator.SobolShift(ro.Seed, uint64(r), Dims)
+		}
+	case ms.Shifts != nil:
+		shifts = ms.Shifts
+	case kind == estimator.ISLE:
 		var err error
 		if shifts, err = ms.FindShiftsCtx(ctx); err != nil {
 			return nil, err
 		}
 	}
-	if shifts == nil {
-		shifts = make([][]float64, K)
+	K := len(ms.Specs)
+	d := &driver{
+		ro:     ro,
+		lk:     newLaneKernel(ms, ro, shifts, qshifts),
+		chunk:  laneChunk(ro.Batch, pool.Workers(ro.Workers, ro.Batch)),
+		rows:   getContrib(ro.Batch * K),
+		active: make([]bool, K),
 	}
+	for c := range d.active {
+		d.active[c] = true
+	}
+	d.lsc = make([]*laneScratch, pool.Workers(ro.Workers, (ro.Batch+d.chunk-1)/d.chunk))
+	for w := range d.lsc {
+		d.lsc[w] = getLaneScratch()
+	}
+	return d, nil
+}
 
-	shiftedC := make([]bool, K)
-	shiftSq := make([]float64, K)
-	anyShift := false
-	for c, sh := range shifts {
-		for _, t := range sh {
-			if t != 0 {
-				shiftedC[c] = true
+// close returns the driver's pooled buffers.
+func (d *driver) close() {
+	for _, s := range d.lsc {
+		putLaneScratch(s)
+	}
+	putContrib(d.rows)
+}
+
+// run evaluates global sample indices [start, start+count) in
+// Batch-sized steps and hands each step's rows to fn, in index order.
+// It ends early once fn has retired every candidate.
+func (d *driver) run(ctx context.Context, start, count int, fn func(base, n int, rows []float64)) error {
+	K := len(d.active)
+	for done := 0; done < count; {
+		left := 0
+		for _, a := range d.active {
+			if a {
+				left++
 			}
-			shiftSq[c] += t * t
 		}
-		if shiftedC[c] {
-			anyShift = true
-			metRunsShifted.Inc()
-		} else {
-			metRunsPlain.Inc()
+		if left == 0 {
+			return nil
 		}
-	}
-
-	// Candidates of a sizing sweep share the wire: detect it so the
-	// per-sample extraction (the math.Pow-heavy part) runs once.
-	sharedSeg := true
-	for c := 1; c < K; c++ {
-		if ms.Specs[c].Segment != ms.Specs[0].Segment {
-			sharedSeg = false
-			break
-		}
-	}
-
-	// Per-candidate streaming (Welford) accumulators over the
-	// contributions x_i = w_i·1[fail_i].
-	type welford struct {
-		n        int
-		mean, m2 float64
-	}
-	accs := make([]welford, K)
-	// active[c] marks candidates still sampling. It is only written
-	// between pool runs (fold + stop check), never inside one, so
-	// worker reads race with nothing.
-	active := make([]bool, K)
-	for c := range active {
-		active[c] = true
-	}
-	left := K
-
-	// The lane kernel is the default evaluation path; the scalar
-	// per-sample path stays behind the test hook (and serves as the
-	// lane's validation fallback). Both produce bit-identical
-	// contribution rows, and the fold below never knows which ran.
-	useLane := !laneKernelDisabled
-	var lk *laneKernel
-	var lsc []*laneScratch
-	chunk := 1
-	if useLane {
-		lk = newLaneKernel(ms, ro, sharedSeg, shifts, shiftedC, shiftSq, anyShift, nil)
-		chunk = laneChunk(ro.Batch, pool.Workers(ro.Workers, ro.Batch))
-		lanesMax := (ro.Batch + chunk - 1) / chunk
-		lsc = make([]*laneScratch, pool.Workers(ro.Workers, lanesMax))
-		for w := range lsc {
-			lsc[w] = getLaneScratch()
-		}
-		defer func() {
-			for _, s := range lsc {
-				putLaneScratch(s)
-			}
-		}()
-	}
-	var scratch []multiScratch
-	if !useLane {
-		maxW := pool.Workers(ro.Workers, ro.Batch)
-		scratch = make([]multiScratch, maxW)
-		draws := make([]float64, 2*maxW*Dims)
-		for w := range scratch {
-			scratch[w].eps = draws[2*w*Dims : (2*w+1)*Dims]
-			scratch[w].z = draws[(2*w+1)*Dims : (2*w+2)*Dims]
-		}
-	}
-
-	// contrib row k holds sample (start+k)'s K candidate
-	// contributions; the fold walks rows in index order so no
-	// floating-point reassociation depends on scheduling.
-	contrib := make([]float64, ro.Batch*K)
-	for done := 0; done < ro.Samples && left > 0; {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
 		// Fault point at the batch boundary, as in RunBatchCtx.
 		if err := faultinject.Hit("variation.batch"); err != nil {
-			return nil, err
+			return err
 		}
-		batch := ro.Batch
-		if rem := ro.Samples - done; rem < batch {
-			batch = rem
-		}
-		start := done
-		var err error
-		if useLane {
-			// Lane-granular dispatch: each pool item is one lane of
-			// up to chunk samples, amortizing the per-item handoff
-			// that made per-sample dispatch slower in parallel than
-			// serial. Errors still resolve to the lowest failing
-			// sample: lanes cover ascending index ranges and the
-			// kernel reports a lane's lowest-index error.
-			lanes := (batch + chunk - 1) / chunk
-			err = pool.ForEachWorkerCtx(ctx, ro.Workers, lanes, func(l, worker int) error {
-				off := l * chunk
-				n := chunk
-				if off+n > batch {
-					n = batch - off
-				}
-				return lk.eval(lsc[worker], start+off, n, contrib[off*K:(off+n)*K], K, active)
-			})
-		} else {
-			err = pool.ForEachWorkerCtx(ctx, ro.Workers, batch, func(k, worker int) error {
-				s := &scratch[worker]
-				s.stream.Reset(ro.Seed, uint64(start+k))
-				s.stream.normsInto(s.eps, ro.Sampler)
-				row := contrib[k*K : (k+1)*K]
-				if !anyShift {
-					return ms.evalShared(s, row, active, sharedSeg)
-				}
-				return ms.evalShifted(s, row, active, shifts, shiftedC, shiftSq)
-			})
-		}
+		n := min(d.ro.Batch, count-done)
+		base := start + done
+		// Lane-granular dispatch: each pool item is one lane of up to
+		// chunk samples, amortizing the per-item handoff. Errors still
+		// resolve to the lowest failing sample: lanes cover ascending
+		// index ranges and the kernel reports a lane's lowest-index
+		// error.
+		lanes := (n + d.chunk - 1) / d.chunk
+		err := pool.ForEachWorkerCtx(ctx, d.ro.Workers, lanes, func(l, worker int) error {
+			off := l * d.chunk
+			m := min(d.chunk, n-off)
+			return d.lk.eval(d.lsc[worker], base+off, m, d.rows[off*K:(off+m)*K], K, d.active)
+		})
 		if err != nil {
-			return nil, err
+			return err
 		}
-		for k := 0; k < batch; k++ {
-			row := contrib[k*K : (k+1)*K]
-			for c := 0; c < K; c++ {
-				if !active[c] {
-					continue
-				}
-				a := &accs[c]
-				x := row[c]
-				a.n++
-				d := x - a.mean
-				a.mean += d / float64(a.n)
-				a.m2 += d * (x - a.mean)
-			}
-		}
-		done += batch
-		metSamples.Add(int64(batch) * int64(left))
-		for c := 0; c < K; c++ {
-			if active[c] && stopRule(ro, shiftedC[c], accs[c].n, accs[c].mean, accs[c].m2) {
-				active[c] = false
-				left--
-			}
+		metSamples.Add(int64(n) * int64(left))
+		fn(base, n, d.rows[:n*K])
+		done += n
+	}
+	return nil
+}
+
+// runSharedCtx is the local run of the mc/isle/qmc rungs: the driver
+// over [0, Samples), each candidate's contributions folded in index
+// order and the candidate retired once its stopping rule fires at a
+// checkpoint — the fold MergePartials replays over shards.
+func runSharedCtx(ctx context.Context, ms *MultiScenario, ro Options, kind estimator.Kind) ([]Estimate, error) {
+	d, err := newDriver(ctx, ms, ro, kind)
+	if err != nil {
+		return nil, err
+	}
+	defer d.close()
+	folds := make([]fold, len(ms.Specs))
+	for c := range folds {
+		folds[c] = fold{qmc: kind == estimator.QMC, shifted: d.lk.shiftedC[c]}
+		switch {
+		case folds[c].qmc:
+			metRunsQMC.Inc()
+		case folds[c].shifted:
+			metRunsShifted.Inc()
+		default:
+			metRunsPlain.Inc()
 		}
 	}
-
-	ests := make([]Estimate, K)
-	for c := range ests {
-		a := accs[c]
-		ck := estimator.MC
-		if shiftedC[c] {
-			ck = estimator.ISLE
-		}
-		e := Estimate{FailProb: a.mean, Yield: 1 - a.mean, Samples: a.n, Shifted: shiftedC[c], VarianceReduction: 1, Estimator: ck}
-		if a.n > 1 {
-			sampleVar := a.m2 / float64(a.n-1)
-			e.StdErr = math.Sqrt(sampleVar / float64(a.n))
-			if sampleVar > 0 && a.mean > 0 && a.mean < 1 {
-				e.VarianceReduction = a.mean * (1 - a.mean) / sampleVar
+	K := len(folds)
+	// Steps run Batch samples from 0 (the last one clamped to the
+	// budget), so a step's last sample is its one checkpoint.
+	err = d.run(ctx, 0, ro.Samples, func(base, n int, rows []float64) {
+		last := base + n - 1
+		for c := range folds {
+			if !d.active[c] {
+				continue
+			}
+			folds[c].add(base, n, rows[c:], K)
+			if checkpoint(ro, last) && folds[c].stop(ro) {
+				d.active[c] = false
 			}
 		}
-		ests[c] = e
+	})
+	if err != nil {
+		return nil, err
+	}
+	ests := make([]Estimate, K)
+	for c := range folds {
+		ests[c] = folds[c].estimate()
 	}
 	return ests, nil
 }

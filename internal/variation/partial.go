@@ -7,13 +7,10 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"sync"
 
 	"repro/internal/estimator"
-	"repro/internal/faultinject"
 	"repro/internal/model"
 	"repro/internal/obs"
-	"repro/internal/pool"
 )
 
 // This file is the distributed half of the sampling kernel: a yield
@@ -22,21 +19,21 @@ import (
 // by (Seed, index), never by worker or host), and the shards merged
 // back into the exact Estimate a single-process run produces.
 //
-// Welford accumulators do not merge associatively in floating point, so
-// a shard does not return a folded accumulator. It returns the sparse
-// raw contributions instead — the global indices that failed and, under
-// importance sampling, their likelihood-ratio weights — and the merge
-// replays the canonical serial fold over the contiguous prefix, zeros
-// implied for every index between failures. Five flops per sample makes
-// the replay ~1000× cheaper than the evaluation it summarizes, and the
-// result is bit-identical to the single-process kernel because it IS
-// the single-process fold, fed the same numbers in the same order.
+// A shard runs the local kernel's driver over its own index range. Folds
+// do not merge associatively in floating point, so instead of folding
+// the contribution rows the shard keeps the sparse raw contributions —
+// the global indices that failed and, under importance sampling, their
+// likelihood-ratio weights. MergePartials feeds them, zeros implied for
+// every index between failures, through the same fold the local run
+// uses, in index order. Five flops per sample makes the replay ~1000×
+// cheaper than the evaluation it summarizes, and the result is
+// bit-identical to the local run because it is the same fold fed the
+// same numbers in the same order.
 //
 // The global stopping rule lives in the merge, not the shards: a shard
-// always evaluates its full range, and MergePartials re-applies
-// stopRule at exactly the batch boundaries the local kernel would have
-// checked, truncating the fold at the same sample the local run would
-// have stopped at.
+// always evaluates its full range, and MergePartials consults the fold's
+// stopping rule at the checkpoints the local run consults it at,
+// truncating at the sample the local run would have stopped at.
 
 // ErrNotShardable marks an estimation whose rung cannot be partitioned
 // by sample index: AIS (the adapted proposal depends on all prior
@@ -46,26 +43,6 @@ import (
 var ErrNotShardable = errors.New("variation: estimator rung cannot be sharded by sample index")
 
 var metShardsCollected = obs.NewCounter("variation.shards_collected")
-
-// contribPool recycles the batch-contribution row across shard
-// collections: a coordinator worker serving successive shard waves
-// reuses one row instead of allocating a fresh batch-sized slice per
-// RPC (the laneScratch pool already does the same for the kernel's
-// per-worker scratch).
-var contribPool sync.Pool
-
-func getContrib(n int) []float64 {
-	if v := contribPool.Get(); v != nil {
-		if b := v.(*[]float64); cap(*b) >= n {
-			return (*b)[:n]
-		}
-	}
-	return make([]float64, n)
-}
-
-func putContrib(b []float64) {
-	contribPool.Put(&b)
-}
 
 // Partial is one contiguous shard's contribution to an estimation:
 // the sparse nonzero sample contributions over global sample indices
@@ -104,13 +81,23 @@ func (p Partial) Sums() (failures int, sumW, sumW2 float64) {
 	return failures, sumW, sumW2
 }
 
-// validate checks internal consistency against a total sample budget.
-func (p Partial) validate(samples int) error {
-	if p.Start < 0 || p.Count < 0 || p.Start+p.Count > samples {
+// validate checks internal consistency against a total sample budget
+// and the merge's shifted flag: only an importance-sampled merge
+// carries weights, one finite positive likelihood ratio per failure.
+func (p Partial) validate(samples int, shifted bool) error {
+	if p.Start < 0 || p.Count < 0 || p.Count > samples-p.Start {
 		return fmt.Errorf("variation: partial range [%d,%d) outside sample budget %d", p.Start, p.Start+p.Count, samples)
 	}
-	if p.Weights != nil && len(p.Weights) != len(p.FailIdx) {
+	if !shifted && p.Weights != nil {
+		return fmt.Errorf("variation: unshifted partial carries %d importance weights", len(p.Weights))
+	}
+	if shifted && len(p.Weights) != len(p.FailIdx) {
 		return fmt.Errorf("variation: partial carries %d weights for %d failures", len(p.Weights), len(p.FailIdx))
+	}
+	for _, w := range p.Weights {
+		if !(w > 0) || math.IsInf(w, 1) {
+			return fmt.Errorf("variation: partial weight %g is not a finite positive likelihood ratio", w)
+		}
 	}
 	prev := p.Start - 1
 	for _, i := range p.FailIdx {
@@ -155,9 +142,9 @@ func (o YieldOptions) ResolvedSampling() (samples, batch int) {
 // CollectPartialCtx evaluates the scenario over global sample indices
 // [start, start+count) and returns the shard's sparse contributions,
 // the resolved estimator rung, and whether importance sampling was in
-// effect. The evaluation is the shared kernel's own per-sample path
-// (same draws, same eval, same shift search), so a set of shards
-// covering [0, Samples) reproduces a local run's contributions exactly.
+// effect. The evaluation is the local run's driver (same draws, same
+// kernel, same shift search), so a set of shards covering [0, Samples)
+// reproduces a local run's contributions exactly.
 // The shard never applies the stopping rule — that is global and
 // belongs to MergePartials.
 func CollectPartialCtx(ctx context.Context, sc *LinkScenario, o YieldOptions, start, count int) (Partial, estimator.Kind, bool, error) {
@@ -175,7 +162,7 @@ func CollectPartialCtx(ctx context.Context, sc *LinkScenario, o YieldOptions, st
 	if !ok {
 		return Partial{}, kind, false, fmt.Errorf("%w: %s", ErrNotShardable, kind)
 	}
-	if start < 0 || count < 0 || start+count > ro.Samples {
+	if start < 0 || count < 0 || count > ro.Samples-start {
 		return Partial{}, kind, false, fmt.Errorf("variation: shard range [%d,%d) outside sample budget %d", start, start+count, ro.Samples)
 	}
 
@@ -186,145 +173,45 @@ func CollectPartialCtx(ctx context.Context, sc *LinkScenario, o YieldOptions, st
 		Specs:  []model.LineSpec{sc.Spec},
 		Target: sc.Target,
 	}
-
 	// ISLE: the deterministic shift search runs on every shard —
 	// redundant work, but it is what makes replicas interchangeable
 	// (any replica computes the identical shift from the scenario).
-	var shifts [][]float64
-	shifted := false
-	var shiftSq []float64
-	var shiftedC []bool
-	if kind == estimator.ISLE {
-		if shifts, err = ms.FindShiftsCtx(ctx); err != nil {
-			return Partial{}, kind, false, err
-		}
+	d, err := newDriver(ctx, ms, ro, kind)
+	if err != nil {
+		return Partial{}, kind, false, err
 	}
-	if shifts == nil {
-		shifts = make([][]float64, 1)
-	}
-	shiftedC = make([]bool, 1)
-	shiftSq = make([]float64, 1)
-	for _, t := range shifts[0] {
-		if t != 0 {
-			shiftedC[0] = true
-		}
-		shiftSq[0] += t * t
-	}
-	shifted = shiftedC[0]
-
-	var qshifts [][]uint64
-	if kind == estimator.QMC {
-		qshifts = make([][]uint64, qmcReplicates)
-		for r := range qshifts {
-			qshifts[r] = estimator.SobolShift(ro.Seed, uint64(r), Dims)
-		}
-	}
-
-	// Lane kernel by default, scalar per-sample path behind the test
-	// hook — see runMCSharedCtx. The per-worker lane scratch comes from
-	// a process-wide pool, so a coordinator worker serving successive
-	// shard waves reuses the same buffers instead of reallocating per
-	// request.
-	useLane := !laneKernelDisabled
-	var lk *laneKernel
-	var lsc []*laneScratch
-	chunk := 1
-	if useLane {
-		lk = newLaneKernel(ms, ro, true, shifts, shiftedC, shiftSq, shifted, qshifts)
-		chunk = laneChunk(ro.Batch, pool.Workers(ro.Workers, ro.Batch))
-		lanesMax := (ro.Batch + chunk - 1) / chunk
-		lsc = make([]*laneScratch, pool.Workers(ro.Workers, lanesMax))
-		for w := range lsc {
-			lsc[w] = getLaneScratch()
-		}
-		defer func() {
-			for _, s := range lsc {
-				putLaneScratch(s)
-			}
-		}()
-	}
-	var scratch []multiScratch
-	if !useLane {
-		maxW := pool.Workers(ro.Workers, ro.Batch)
-		scratch = make([]multiScratch, maxW)
-		draws := make([]float64, 2*maxW*Dims)
-		for w := range scratch {
-			scratch[w].eps = draws[2*w*Dims : (2*w+1)*Dims]
-			scratch[w].z = draws[(2*w+1)*Dims : (2*w+2)*Dims]
-		}
-	}
-	active := []bool{true}
+	defer d.close()
+	shifted := d.lk.shiftedC[0]
 
 	var failIdx []int
 	var wts []float64
-	contrib := getContrib(ro.Batch)
-	defer putContrib(contrib)
-	for done := 0; done < count; {
-		if err := ctx.Err(); err != nil {
-			return Partial{}, kind, shifted, err
-		}
-		if err := faultinject.Hit("variation.batch"); err != nil {
-			return Partial{}, kind, shifted, err
-		}
-		batch := ro.Batch
-		if rem := count - done; rem < batch {
-			batch = rem
-		}
-		base := start + done
-		var err error
-		if useLane {
-			lanes := (batch + chunk - 1) / chunk
-			err = pool.ForEachWorkerCtx(ctx, ro.Workers, lanes, func(l, worker int) error {
-				off := l * chunk
-				n := chunk
-				if off+n > batch {
-					n = batch - off
-				}
-				return lk.eval(lsc[worker], base+off, n, contrib[off:off+n], 1, active)
-			})
-		} else {
-			err = pool.ForEachWorkerCtx(ctx, ro.Workers, batch, func(k, worker int) error {
-				s := &scratch[worker]
-				i := base + k
-				if kind == estimator.QMC {
-					estimator.SobolNormal(uint64(i/qmcReplicates), qshifts[i%qmcReplicates], s.eps)
-					return ms.evalShared(s, contrib[k:k+1], active, true)
-				}
-				s.stream.Reset(ro.Seed, uint64(i))
-				s.stream.normsInto(s.eps, ro.Sampler)
-				if !shifted {
-					return ms.evalShared(s, contrib[k:k+1], active, true)
-				}
-				return ms.evalShifted(s, contrib[k:k+1], active, shifts, shiftedC, shiftSq)
-			})
-		}
-		if err != nil {
-			return Partial{}, kind, shifted, err
-		}
+	err = d.run(ctx, start, count, func(base, n int, rows []float64) {
 		// Count first, grow exactly: the retained fail lists take one
 		// allocation per batch at most instead of append's doubling walk.
 		nf := 0
-		for k := 0; k < batch; k++ {
-			if contrib[k] != 0 {
+		for _, x := range rows {
+			if x != 0 {
 				nf++
 			}
 		}
-		if nf > 0 {
-			failIdx = slices.Grow(failIdx, nf)
-			if shifted {
-				wts = slices.Grow(wts, nf)
-			}
-			for k := 0; k < batch; k++ {
-				if x := contrib[k]; x != 0 {
-					failIdx = append(failIdx, base+k)
-					if shifted {
-						wts = append(wts, x)
-					}
+		if nf == 0 {
+			return
+		}
+		failIdx = slices.Grow(failIdx, nf)
+		if shifted {
+			wts = slices.Grow(wts, nf)
+		}
+		for k, x := range rows {
+			if x != 0 {
+				failIdx = append(failIdx, base+k)
+				if shifted {
+					wts = append(wts, x)
 				}
 			}
 		}
-		done += batch
-		metSamples.Add(int64(batch))
+	})
+	if err != nil {
+		return Partial{}, kind, shifted, err
 	}
 	metShardsCollected.Inc()
 	return Partial{Start: start, Count: count, FailIdx: failIdx, Weights: wts}, kind, shifted, nil
@@ -338,11 +225,12 @@ func CollectPartialCtx(ctx context.Context, sc *LinkScenario, o YieldOptions, st
 // the returned Estimate summarizes the prefix and the caller must keep
 // extending it.
 //
-// The fold is the kernel's own: Welford in index order (per-replicate
-// index-ordered sums for QMC), with the stopping rule evaluated at
-// exactly the batch boundaries the local run checks, so the final
-// Estimate — including Samples, StdErr, and VarianceReduction — is
-// bit-identical to EstimateLinkYield at any shard count.
+// The fold is the local run's own (Welford in index order, per-replicate
+// sums for QMC), with the stopping rule consulted at the same
+// checkpoints, so the final Estimate — including Samples, StdErr, and
+// VarianceReduction — is bit-identical to EstimateLinkYield at any shard
+// count. Partials whose weights disagree with shifted, or that fold to a
+// non-finite standard error, are rejected.
 func MergePartials(o YieldOptions, kind estimator.Kind, shifted bool, parts []Partial) (Estimate, bool, error) {
 	ro := o.runOptions().withDefaults()
 	if err := ro.validate(); err != nil {
@@ -357,9 +245,12 @@ func MergePartials(o YieldOptions, kind estimator.Kind, shifted bool, parts []Pa
 	if sorted[0].Start != 0 {
 		return Estimate{}, false, fmt.Errorf("variation: partials start at %d, want a contiguous prefix from 0", sorted[0].Start)
 	}
+	if kind == estimator.QMC && shifted {
+		return Estimate{}, false, errors.New("variation: QMC partials cannot be importance-sampled")
+	}
 	next := 0
 	for _, p := range sorted {
-		if err := p.validate(ro.Samples); err != nil {
+		if err := p.validate(ro.Samples, shifted); err != nil {
 			return Estimate{}, false, err
 		}
 		if p.Start != next {
@@ -367,99 +258,37 @@ func MergePartials(o YieldOptions, kind estimator.Kind, shifted bool, parts []Pa
 		}
 		next = p.Start + p.Count
 	}
-	if kind == estimator.QMC {
-		if shifted {
-			return Estimate{}, false, errors.New("variation: QMC partials cannot be importance-sampled")
-		}
-		return mergeQMC(ro, sorted)
-	}
-	return mergeWelford(ro, shifted, sorted)
-}
-
-// mergeWelford replays the MC/ISLE serial fold over the contiguous
-// prefix, truncating at the stopping rule exactly as RunBatchCtx does.
-func mergeWelford(ro Options, shifted bool, parts []Partial) (Estimate, bool, error) {
-	var n int
-	var mean, m2 float64
+	// Expand each partial into dense contributions one stretch at a
+	// time, cut at batch boundaries so every checkpoint ends a stretch.
+	f := fold{qmc: kind == estimator.QMC, shifted: shifted}
+	xs := make([]float64, min(ro.Batch, ro.Samples))
 	stopped := false
 outer:
-	for _, p := range parts {
+	for _, p := range sorted {
 		fi := 0
-		for k := 0; k < p.Count; k++ {
-			i := p.Start + k
-			x := 0.0
-			if fi < len(p.FailIdx) && p.FailIdx[fi] == i {
-				x = 1.0
-				if p.Weights != nil {
+		for lo, end := p.Start, p.Start+p.Count; lo < end; {
+			hi := min(end, (lo/ro.Batch+1)*ro.Batch)
+			row := xs[:hi-lo]
+			clear(row)
+			for ; fi < len(p.FailIdx) && p.FailIdx[fi] < hi; fi++ {
+				x := 1.0
+				if shifted {
 					x = p.Weights[fi]
 				}
-				fi++
+				row[p.FailIdx[fi]-lo] = x
 			}
-			n++
-			d := x - mean
-			mean += d / float64(n)
-			m2 += d * (x - mean)
-			if (i+1)%ro.Batch == 0 || i+1 == ro.Samples {
-				if stopRule(ro, shifted, n, mean, m2) {
-					stopped = true
-					break outer
-				}
+			f.add(lo, hi-lo, row, 1)
+			if checkpoint(ro, hi-1) && f.stop(ro) {
+				stopped = true
+				break outer
 			}
+			lo = hi
 		}
 	}
-
-	ck := estimator.MC
-	if shifted {
-		ck = estimator.ISLE
+	est := f.estimate()
+	// Finite weights near the float64 limit still overflow the variance.
+	if math.IsInf(est.StdErr, 0) {
+		return Estimate{}, false, errors.New("variation: partials fold to a non-finite estimate")
 	}
-	est := Estimate{FailProb: mean, Yield: 1 - mean, Samples: n, Shifted: shifted, VarianceReduction: 1, Estimator: ck}
-	if n > 1 {
-		sampleVar := m2 / float64(n-1)
-		est.StdErr = math.Sqrt(sampleVar / float64(n))
-		if sampleVar > 0 && mean > 0 && mean < 1 {
-			est.VarianceReduction = mean * (1 - mean) / sampleVar
-		}
-	}
-	return est, stopped || n >= ro.Samples, nil
-}
-
-// mergeQMC replays the per-replicate index-ordered sums and the
-// replicate-mean stopping rule of runQMCSharedCtx.
-func mergeQMC(ro Options, parts []Partial) (Estimate, bool, error) {
-	var acc qmcAcc
-	folded := 0
-	stopped := false
-outer:
-	for _, p := range parts {
-		if p.Weights != nil {
-			return Estimate{}, false, errors.New("variation: QMC partial carries importance weights")
-		}
-		fi := 0
-		for k := 0; k < p.Count; k++ {
-			i := p.Start + k
-			x := 0.0
-			if fi < len(p.FailIdx) && p.FailIdx[fi] == i {
-				x = 1.0
-				fi++
-			}
-			r := i % qmcReplicates
-			acc.n[r]++
-			acc.sum[r] += x
-			folded++
-			if (i+1)%ro.Batch == 0 || i+1 == ro.Samples {
-				pHat, se, nTot, reps := qmcStats(&acc)
-				if qmcStop(ro, nTot, reps, pHat, se) {
-					stopped = true
-					break outer
-				}
-			}
-		}
-	}
-
-	p, se, n, _ := qmcStats(&acc)
-	est := Estimate{FailProb: p, Yield: 1 - p, StdErr: se, Samples: n, VarianceReduction: 1, Estimator: estimator.QMC}
-	if p > 0 && p < 1 && se > 0 && n > 0 {
-		est.VarianceReduction = p * (1 - p) / float64(n) / (se * se)
-	}
-	return est, stopped || folded >= ro.Samples, nil
+	return est, stopped || f.n >= ro.Samples, nil
 }

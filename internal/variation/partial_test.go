@@ -3,6 +3,7 @@ package variation
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/estimator"
@@ -50,11 +51,19 @@ func TestPartialMergeBitIdentity(t *testing.T) {
 	cases := []struct {
 		name string
 		o    YieldOptions
+		// stopsEarly marks cases whose local run must stop before the
+		// budget, so the merge's in-fold stop is exercised.
+		stopsEarly bool
 	}{
-		{"mc", YieldOptions{Samples: 4096, Seed: 11}},
-		{"isle", YieldOptions{Samples: 4096, Seed: 11, Estimator: estimator.ISLE}},
-		{"qmc", YieldOptions{Samples: 4096, Seed: 11, Estimator: estimator.QMC}},
-		{"mc-relerr", YieldOptions{Samples: 4096, Seed: 11, RelErr: 0.2}},
+		{"mc", YieldOptions{Samples: 4096, Seed: 11}, false},
+		{"isle", YieldOptions{Samples: 4096, Seed: 11, Estimator: estimator.ISLE}, false},
+		{"qmc", YieldOptions{Samples: 4096, Seed: 11, Estimator: estimator.QMC}, false},
+		{"mc-relerr", YieldOptions{Samples: 4096, Seed: 11, RelErr: 0.2}, false},
+		// 3000 is not a multiple of the 256-sample batch: qmc stops at a
+		// late batch boundary inside the merge, and isle runs to the
+		// budget, whose unaligned end is the final checkpoint.
+		{"qmc-relerr", YieldOptions{Samples: 3000, Seed: 11, Estimator: estimator.QMC, RelErr: 0.05}, true},
+		{"isle-relerr", YieldOptions{Samples: 3000, Seed: 11, Estimator: estimator.ISLE, RelErr: 0.02}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -62,6 +71,9 @@ func TestPartialMergeBitIdentity(t *testing.T) {
 			want, err := EstimateLinkYield(sc, tc.o)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if tc.stopsEarly && want.Samples >= tc.o.Samples {
+				t.Fatalf("local run burned the whole budget (%d) — the case needs an early stop", want.Samples)
 			}
 			kind, ok, err := tc.o.ShardableKind()
 			if err != nil || !ok {
@@ -160,6 +172,13 @@ func TestShardableKind(t *testing.T) {
 			t.Errorf("%s: kind %q, want %q", tc.name, kind, tc.want)
 		}
 	}
+	// A count whose end overflows int is outside the budget, not a
+	// near-endless shard.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, _, err := CollectPartialCtx(ctx, testScenario(t, 480e-12), YieldOptions{}, 1, math.MaxInt); err == nil || errors.Is(err, context.Canceled) {
+		t.Errorf("overflowing shard range: err %v, want a range error", err)
+	}
 	if _, _, _, err := CollectPartialCtx(context.Background(), testScenario(t, 480e-12), YieldOptions{Estimator: estimator.AIS}, 0, 64); err == nil {
 		t.Error("collecting an AIS shard succeeded, want ErrNotShardable")
 	} else if !errors.Is(err, ErrNotShardable) {
@@ -168,25 +187,34 @@ func TestShardableKind(t *testing.T) {
 }
 
 // TestMergePartialsRejectsMalformedSets: gaps, overlaps, non-zero
-// starts, and out-of-range shards are protocol violations, not silent
-// mis-merges.
+// starts, out-of-range shards, and weights inconsistent with the merge's
+// shifted flag are protocol violations, not silent mis-merges.
 func TestMergePartialsRejectsMalformedSets(t *testing.T) {
 	o := YieldOptions{Samples: 1024}
 	bad := []struct {
-		name  string
-		parts []Partial
+		name    string
+		shifted bool
+		parts   []Partial
 	}{
-		{"empty", nil},
-		{"gap", []Partial{{Start: 0, Count: 256}, {Start: 512, Count: 512}}},
-		{"overlap", []Partial{{Start: 0, Count: 512}, {Start: 256, Count: 512}}},
-		{"nonzero-start", []Partial{{Start: 256, Count: 256}}},
-		{"past-budget", []Partial{{Start: 0, Count: 2048}}},
-		{"descending-failures", []Partial{{Start: 0, Count: 256, FailIdx: []int{5, 3}}}},
-		{"foreign-failure", []Partial{{Start: 0, Count: 256, FailIdx: []int{300}}}},
-		{"weight-mismatch", []Partial{{Start: 0, Count: 256, FailIdx: []int{1}, Weights: []float64{1, 2}}}},
+		{"empty", false, nil},
+		{"gap", false, []Partial{{Start: 0, Count: 256}, {Start: 512, Count: 512}}},
+		{"overlap", false, []Partial{{Start: 0, Count: 512}, {Start: 256, Count: 512}}},
+		{"nonzero-start", false, []Partial{{Start: 256, Count: 256}}},
+		{"past-budget", false, []Partial{{Start: 0, Count: 2048}}},
+		{"descending-failures", false, []Partial{{Start: 0, Count: 256, FailIdx: []int{5, 3}}}},
+		{"foreign-failure", false, []Partial{{Start: 0, Count: 256, FailIdx: []int{300}}}},
+		{"weight-mismatch", false, []Partial{{Start: 0, Count: 256, FailIdx: []int{1}, Weights: []float64{1, 2}}}},
+		{"weights-on-unshifted", false, []Partial{{Start: 0, Count: 256, FailIdx: []int{3}, Weights: []float64{500}}}},
+		{"shifted-without-weights", true, []Partial{{Start: 0, Count: 256, FailIdx: []int{3}}}},
+		{"negative-weight", true, []Partial{{Start: 0, Count: 256, FailIdx: []int{3}, Weights: []float64{-2}}}},
+		{"overflowing-range", false, []Partial{{Start: 0, Count: 512}, {Start: 512, Count: math.MaxInt}}},
 	}
 	for _, tc := range bad {
-		if _, _, err := MergePartials(o, estimator.MC, false, tc.parts); err == nil {
+		kind := estimator.MC
+		if tc.shifted {
+			kind = estimator.ISLE
+		}
+		if _, _, err := MergePartials(o, kind, tc.shifted, tc.parts); err == nil {
 			t.Errorf("%s: merge succeeded, want error", tc.name)
 		}
 	}

@@ -1,13 +1,9 @@
 package variation
 
 import (
-	"context"
 	"math"
 
-	"repro/internal/estimator"
-	"repro/internal/faultinject"
 	"repro/internal/obs"
-	"repro/internal/pool"
 )
 
 // Quasi-Monte Carlo rung of the estimator ladder: the shared-sample
@@ -34,165 +30,26 @@ const qmcReplicates = 8
 
 var metRunsQMC = obs.NewCounter("variation.runs_qmc")
 
-// qmcAcc holds one candidate's per-replicate indicator sums.
-type qmcAcc struct {
-	n   [qmcReplicates]int
-	sum [qmcReplicates]float64
-}
-
-// runQMCSharedCtx mirrors runMCSharedCtx's batching, per-candidate
-// stopping, and index-ordered folds, with Sobol points and
-// replicate-mean error bars.
-func runQMCSharedCtx(ctx context.Context, ms *MultiScenario, ro Options) ([]Estimate, error) {
-	K := len(ms.Specs)
-	metRunsQMC.Add(int64(K))
-
-	shifts := make([][]uint64, qmcReplicates)
-	for r := range shifts {
-		shifts[r] = estimator.SobolShift(ro.Seed, uint64(r), Dims)
-	}
-
-	sharedSeg := true
-	for c := 1; c < K; c++ {
-		if ms.Specs[c].Segment != ms.Specs[0].Segment {
-			sharedSeg = false
-			break
-		}
-	}
-
-	// Per-candidate, per-replicate indicator sums. Replicate means are
-	// the estimator; their spread is the error bar.
-	accs := make([]qmcAcc, K)
-	active := make([]bool, K)
-	for c := range active {
-		active[c] = true
-	}
-	left := K
-
-	// Lane kernel by default, scalar per-sample path behind the test
-	// hook — see runMCSharedCtx.
-	useLane := !laneKernelDisabled
-	var lk *laneKernel
-	var lsc []*laneScratch
-	chunk := 1
-	if useLane {
-		lk = newLaneKernel(ms, ro, sharedSeg, nil, nil, nil, false, shifts)
-		chunk = laneChunk(ro.Batch, pool.Workers(ro.Workers, ro.Batch))
-		lanesMax := (ro.Batch + chunk - 1) / chunk
-		lsc = make([]*laneScratch, pool.Workers(ro.Workers, lanesMax))
-		for w := range lsc {
-			lsc[w] = getLaneScratch()
-		}
-		defer func() {
-			for _, s := range lsc {
-				putLaneScratch(s)
-			}
-		}()
-	}
-	var scratch []multiScratch
-	if !useLane {
-		maxW := pool.Workers(ro.Workers, ro.Batch)
-		scratch = make([]multiScratch, maxW)
-		draws := make([]float64, maxW*Dims)
-		for w := range scratch {
-			scratch[w].eps = draws[w*Dims : (w+1)*Dims]
-		}
-	}
-
-	contrib := make([]float64, ro.Batch*K)
-	for done := 0; done < ro.Samples && left > 0; {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if err := faultinject.Hit("variation.batch"); err != nil {
-			return nil, err
-		}
-		batch := ro.Batch
-		if rem := ro.Samples - done; rem < batch {
-			batch = rem
-		}
-		start := done
-		var err error
-		if useLane {
-			lanes := (batch + chunk - 1) / chunk
-			err = pool.ForEachWorkerCtx(ctx, ro.Workers, lanes, func(l, worker int) error {
-				off := l * chunk
-				n := chunk
-				if off+n > batch {
-					n = batch - off
-				}
-				return lk.eval(lsc[worker], start+off, n, contrib[off*K:(off+n)*K], K, active)
-			})
-		} else {
-			err = pool.ForEachWorkerCtx(ctx, ro.Workers, batch, func(k, worker int) error {
-				i := start + k
-				s := &scratch[worker]
-				estimator.SobolNormal(uint64(i/qmcReplicates), shifts[i%qmcReplicates], s.eps)
-				row := contrib[k*K : (k+1)*K]
-				return ms.evalShared(s, row, active, sharedSeg)
-			})
-		}
-		if err != nil {
-			return nil, err
-		}
-		for k := 0; k < batch; k++ {
-			r := (start + k) % qmcReplicates
-			row := contrib[k*K : (k+1)*K]
-			for c := 0; c < K; c++ {
-				if !active[c] {
-					continue
-				}
-				accs[c].n[r]++
-				accs[c].sum[r] += row[c]
-			}
-		}
-		done += batch
-		metSamples.Add(int64(batch) * int64(left))
-		for c := 0; c < K; c++ {
-			if !active[c] {
-				continue
-			}
-			p, se, n, reps := qmcStats(&accs[c])
-			if qmcStop(ro, n, reps, p, se) {
-				active[c] = false
-				left--
-			}
-		}
-	}
-
-	ests := make([]Estimate, K)
-	for c := range ests {
-		p, se, n, _ := qmcStats(&accs[c])
-		e := Estimate{FailProb: p, Yield: 1 - p, StdErr: se, Samples: n, VarianceReduction: 1, Estimator: estimator.QMC}
-		if p > 0 && p < 1 && se > 0 && n > 0 {
-			e.VarianceReduction = p * (1 - p) / float64(n) / (se * se)
-		}
-		ests[c] = e
-	}
-	return ests, nil
-}
-
-// qmcStats reduces one candidate's accumulator: the mean of replicate
-// means and its standard error (0 while fewer than two replicates have
-// data — the caller treats that as "not yet resolvable").
-func qmcStats(a *qmcAcc) (p, se float64, n, reps int) {
+// qmcStats reduces a qmc fold: the mean of replicate means and its
+// standard error (0 while fewer than two replicates have data — the
+// caller treats that as "not yet resolvable").
+func qmcStats(f *fold) (p, se float64, reps int) {
 	var means [qmcReplicates]float64
 	var sum float64
-	for r := range a.n {
-		n += a.n[r]
-		if a.n[r] == 0 {
+	for r, n := range f.rn {
+		if n == 0 {
 			continue
 		}
-		means[reps] = a.sum[r] / float64(a.n[r])
+		means[reps] = f.rsum[r] / float64(n)
 		sum += means[reps]
 		reps++
 	}
 	if reps == 0 {
-		return 0, 0, n, reps
+		return 0, 0, reps
 	}
 	p = sum / float64(reps)
 	if reps < 2 {
-		return p, 0, n, reps
+		return p, 0, reps
 	}
 	var ss float64
 	for i := 0; i < reps; i++ {
@@ -200,32 +57,5 @@ func qmcStats(a *qmcAcc) (p, se float64, n, reps int) {
 		ss += d * d
 	}
 	se = math.Sqrt(ss / float64(reps*(reps-1)))
-	return p, se, n, reps
-}
-
-// qmcStop is stopRule for replicate-mean error bars: the relative and
-// absolute rules when failures were observed, the rule-of-three escape
-// when none were (valid here — QMC indicators are unshifted Bernoulli
-// contributions, exactly the regime the bound assumes).
-func qmcStop(o Options, n, reps int, p, se float64) bool {
-	if n < o.MinSamples || reps < 2 || (o.RelErr <= 0 && o.AbsErr <= 0) {
-		return false
-	}
-	if p > 0 {
-		if o.RelErr > 0 && se/p <= o.RelErr {
-			metStopRelErr.Inc()
-			return true
-		}
-		if o.AbsErr > 0 && se <= o.AbsErr {
-			metStopAbsErr.Inc()
-			return true
-		}
-		return false
-	}
-	bound := 3 / float64(n)
-	if (o.RelErr > 0 && bound <= o.RelErr) || (o.AbsErr > 0 && bound <= o.AbsErr) {
-		metStopZeroFail.Inc()
-		return true
-	}
-	return false
+	return p, se, reps
 }

@@ -123,7 +123,7 @@ func cascadeCtx(ctx context.Context, ms *MultiScenario, o YieldOptions, ro Optio
 			sub.Shifts[i] = ms.Shifts[c]
 		}
 	}
-	sampled, err := sampleEstimatesCtx(ctx, sub, o, ro, kind)
+	sampled, err := sampleEstimatesCtx(ctx, sub, ro, kind)
 	if err != nil {
 		return nil, err
 	}
