@@ -25,6 +25,8 @@ const DefensiveWeight = 0.1
 // Mixture is a diagonal-covariance Gaussian mixture over the
 // standardized space plus the defensive φ component. The zero value
 // is not usable; StandardProposal and FitMixture construct valid ones.
+// The fields are read-only once constructed: construction caches the
+// logarithms of the parameters, which every density evaluation reads.
 type Mixture struct {
 	// Defense is the weight of the N(0, I) defensive component.
 	Defense float64
@@ -33,11 +35,45 @@ type Mixture struct {
 	Weight []float64
 	Mean   [][]float64
 	Sigma  [][]float64
+
+	// log Defense, log Weight[k] and log Sigma[k][d], set by cacheLogs.
+	logDefense float64
+	logWeight  []float64
+	logSigma   [][]float64
+}
+
+// log2Pi is log 2π, the normalizing constant of every Gaussian log
+// density here.
+var log2Pi = math.Log(2 * math.Pi)
+
+// cacheLogs computes the logarithms of the mixture's parameters once,
+// so density evaluations read them instead of recomputing ~20
+// logarithms per call.
+func (m *Mixture) cacheLogs() {
+	m.logDefense = math.Log(m.Defense)
+	m.logWeight = make([]float64, len(m.Weight))
+	logsInto(m.logWeight, m.Weight)
+	m.logSigma = make([][]float64, len(m.Sigma))
+	for k, sg := range m.Sigma {
+		m.logSigma[k] = make([]float64, len(sg))
+		logsInto(m.logSigma[k], sg)
+	}
+}
+
+// logsInto writes log x[d] into dst[d].
+func logsInto(dst, x []float64) {
+	for d, v := range x {
+		dst[d] = math.Log(v)
+	}
 }
 
 // StandardProposal is the stage-0 proposal: the standard normal alone
 // (equivalently, a pure defensive component).
-func StandardProposal() Mixture { return Mixture{Defense: 1} }
+func StandardProposal() Mixture {
+	m := Mixture{Defense: 1}
+	m.cacheLogs()
+	return m
+}
 
 // Adapted reports whether the mixture carries any fitted component
 // (false for StandardProposal).
@@ -68,35 +104,46 @@ func (m *Mixture) SampleInto(u float64, eps, z []float64) {
 	copy(z, eps) // no adapted components: defensive draw
 }
 
-// logNormal is the log density of a diagonal Gaussian at z.
-func logNormal(z, mu, sigma []float64) float64 {
-	s := -0.5 * float64(len(z)) * math.Log(2*math.Pi)
+// logNormal is the log density of a diagonal Gaussian at z, given
+// logSigma[d] = log sigma[d].
+func logNormal(z, mu, sigma, logSigma []float64) float64 {
+	s := -0.5 * float64(len(z)) * log2Pi
 	for d := range z {
 		r := (z[d] - mu[d]) / sigma[d]
-		s -= math.Log(sigma[d]) + 0.5*r*r
+		s -= logSigma[d] + 0.5*r*r
 	}
 	return s
+}
+
+// sqNorm is |z|².
+func sqNorm(z []float64) float64 {
+	var sq float64
+	for _, v := range z {
+		sq += v * v
+	}
+	return sq
 }
 
 // LogDensity is log q(z), evaluated by a streaming log-sum-exp over
 // the defensive and adapted components (no scratch — this sits on the
 // per-sample path of the zero-allocation sampling contract).
 func (m *Mixture) LogDensity(z []float64) float64 {
-	var sq float64
-	for _, v := range z {
-		sq += v * v
-	}
+	return m.logDensity(z, sqNorm(z))
+}
+
+// logDensity is LogDensity given sq = |z|².
+func (m *Mixture) logDensity(z []float64, sq float64) float64 {
 	best := math.Inf(-1)
 	sum := 0.0
 	if m.Defense > 0 {
-		best = math.Log(m.Defense) + logPhiDensity(len(z), sq)
+		best = m.logDefense + logPhiDensity(len(z), sq)
 		sum = 1
 	}
 	for k := range m.Weight {
 		if m.Weight[k] <= 0 {
 			continue
 		}
-		l := math.Log(m.Weight[k]) + logNormal(z, m.Mean[k], m.Sigma[k])
+		l := m.logWeight[k] + logNormal(z, m.Mean[k], m.Sigma[k], m.logSigma[k])
 		switch {
 		case math.IsInf(best, -1):
 			best, sum = l, 1
@@ -116,11 +163,8 @@ func (m *Mixture) LogDensity(z []float64) float64 {
 // Weight01 returns the importance weight φ(z)/q(z) of a proposal draw.
 // With a defensive component it is bounded by 1/Defense.
 func (m *Mixture) Weight01(z []float64) float64 {
-	var sq float64
-	for _, v := range z {
-		sq += v * v
-	}
-	return math.Exp(logPhiDensity(len(z), sq) - m.LogDensity(z))
+	sq := sqNorm(z)
+	return math.Exp(logPhiDensity(len(z), sq) - m.logDensity(z, sq))
 }
 
 // FitOptions tunes FitMixture. The zero value selects the documented
@@ -208,23 +252,28 @@ func FitMixture(k int, pts [][]float64, w []float64, opts FitOptions) Mixture {
 	}
 	normalizeWeights(m.Weight, 1-m.Defense)
 	if k == 1 {
+		m.cacheLogs()
 		return m
 	}
 
 	// Weighted EM, fixed iterations. Responsibilities are computed in
 	// log space; a component that loses all responsibility keeps its
-	// parameters and a floor weight instead of going degenerate.
+	// parameters and a floor weight instead of going degenerate. The
+	// sigmas are fixed through an E-step, so their logarithms are taken
+	// once per iteration, not once per point.
 	resp := make([]float64, n*k)
 	logw := make([]float64, k)
+	logSig := make([]float64, k*dims)
 	for it := 0; it < opts.Iters; it++ {
 		for c := 0; c < k; c++ {
 			logw[c] = math.Log(math.Max(m.Weight[c], 1e-12))
+			logsInto(logSig[c*dims:(c+1)*dims], m.Sigma[c])
 		}
 		for i, z := range pts {
 			best := math.Inf(-1)
 			row := resp[i*k : (i+1)*k]
 			for c := 0; c < k; c++ {
-				row[c] = logw[c] + logNormal(z, m.Mean[c], m.Sigma[c])
+				row[c] = logw[c] + logNormal(z, m.Mean[c], m.Sigma[c], logSig[c*dims:(c+1)*dims])
 				if row[c] > best {
 					best = row[c]
 				}
@@ -268,6 +317,7 @@ func FitMixture(k int, pts [][]float64, w []float64, opts FitOptions) Mixture {
 		}
 		normalizeWeights(m.Weight, 1-m.Defense)
 	}
+	m.cacheLogs()
 	return m
 }
 

@@ -2,6 +2,7 @@ package estimator
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -30,6 +31,7 @@ func TestSampleIntoDeterministicTransform(t *testing.T) {
 		Mean:    [][]float64{{2, 0}, {-1, 3}},
 		Sigma:   [][]float64{{1, 0.5}, {0.25, 1}},
 	}
+	m.cacheLogs()
 	eps := []float64{0.7, -0.3}
 	za := make([]float64, 2)
 	zb := make([]float64, 2)
@@ -61,6 +63,7 @@ func TestWeightBoundedByDefense(t *testing.T) {
 		Mean:    [][]float64{{6, 6, 6}},
 		Sigma:   [][]float64{{0.25, 0.25, 0.25}},
 	}
+	m.cacheLogs()
 	limit := 1/DefensiveWeight + 1e-9
 	for _, z := range [][]float64{{0, 0, 0}, {-3, 2, 1}, {6, 6, 6}, {8, -8, 0}} {
 		if w := m.Weight01(z); w > limit || w < 0 || math.IsNaN(w) {
@@ -164,5 +167,223 @@ func TestESS(t *testing.T) {
 	}
 	if got := ESS(0, 0); got != 0 {
 		t.Fatalf("ESS(0,0) = %g, want 0", got)
+	}
+}
+
+// refLogNormal, refLogDensity, refWeight01 and refFitMixture evaluate
+// the mixture formulas with every logarithm taken at its point of use.
+// The cached-logarithm implementation must reproduce them bit for bit.
+func refLogNormal(z, mu, sigma []float64) float64 {
+	s := -0.5 * float64(len(z)) * math.Log(2*math.Pi)
+	for d := range z {
+		r := (z[d] - mu[d]) / sigma[d]
+		s -= math.Log(sigma[d]) + 0.5*r*r
+	}
+	return s
+}
+
+func refLogPhi(dims int, sq float64) float64 {
+	return -0.5*float64(dims)*math.Log(2*math.Pi) - 0.5*sq
+}
+
+func refLogDensity(m *Mixture, z []float64) float64 {
+	var sq float64
+	for _, v := range z {
+		sq += v * v
+	}
+	best := math.Inf(-1)
+	sum := 0.0
+	if m.Defense > 0 {
+		best = math.Log(m.Defense) + refLogPhi(len(z), sq)
+		sum = 1
+	}
+	for k := range m.Weight {
+		if m.Weight[k] <= 0 {
+			continue
+		}
+		l := math.Log(m.Weight[k]) + refLogNormal(z, m.Mean[k], m.Sigma[k])
+		switch {
+		case math.IsInf(best, -1):
+			best, sum = l, 1
+		case l <= best:
+			sum += math.Exp(l - best)
+		default:
+			sum = sum*math.Exp(best-l) + 1
+			best = l
+		}
+	}
+	if math.IsInf(best, -1) {
+		return best
+	}
+	return best + math.Log(sum)
+}
+
+func refWeight01(m *Mixture, z []float64) float64 {
+	var sq float64
+	for _, v := range z {
+		sq += v * v
+	}
+	return math.Exp(refLogPhi(len(z), sq) - refLogDensity(m, z))
+}
+
+func refFitMixture(k int, pts [][]float64, w []float64, opts FitOptions) Mixture {
+	opts = opts.withDefaults()
+	n := len(pts)
+	dims := len(pts[0])
+	if k > n {
+		k = n
+	}
+	if k < 1 {
+		k = 1
+	}
+	cw := make([]float64, n)
+	var total float64
+	for i, wi := range w {
+		if wi > 0 {
+			cw[i] = wi
+			total += wi
+		}
+	}
+	if total == 0 {
+		for i := range cw {
+			cw[i] = 1
+		}
+		total = float64(n)
+	}
+	m := Mixture{
+		Defense: DefensiveWeight,
+		Weight:  make([]float64, k),
+		Mean:    make([][]float64, k),
+		Sigma:   make([][]float64, k),
+	}
+	for c := 0; c < k; c++ {
+		lo, hi := c*n/k, (c+1)*n/k
+		if hi == lo {
+			hi = lo + 1
+		}
+		m.Mean[c], m.Sigma[c] = weightedMoments(pts[lo:hi], cw[lo:hi], dims, opts)
+		var chunkW float64
+		for _, wi := range cw[lo:hi] {
+			chunkW += wi
+		}
+		m.Weight[c] = chunkW
+	}
+	normalizeWeights(m.Weight, 1-m.Defense)
+	if k == 1 {
+		return m
+	}
+	resp := make([]float64, n*k)
+	logw := make([]float64, k)
+	for it := 0; it < opts.Iters; it++ {
+		for c := 0; c < k; c++ {
+			logw[c] = math.Log(math.Max(m.Weight[c], 1e-12))
+		}
+		for i, z := range pts {
+			best := math.Inf(-1)
+			row := resp[i*k : (i+1)*k]
+			for c := 0; c < k; c++ {
+				row[c] = logw[c] + refLogNormal(z, m.Mean[c], m.Sigma[c])
+				if row[c] > best {
+					best = row[c]
+				}
+			}
+			var s float64
+			for c := range row {
+				row[c] = math.Exp(row[c] - best)
+				s += row[c]
+			}
+			for c := range row {
+				row[c] *= cw[i] / s
+			}
+		}
+		for c := 0; c < k; c++ {
+			var rw float64
+			for i := 0; i < n; i++ {
+				rw += resp[i*k+c]
+			}
+			if rw <= 1e-12*total {
+				m.Weight[c] = 1e-3
+				continue
+			}
+			m.Weight[c] = rw
+			mu, sg := m.Mean[c], m.Sigma[c]
+			for d := 0; d < dims; d++ {
+				var s float64
+				for i := 0; i < n; i++ {
+					s += resp[i*k+c] * pts[i][d]
+				}
+				mu[d] = s / rw
+			}
+			capNorm(mu, opts.MaxMeanNorm)
+			for d := 0; d < dims; d++ {
+				var s float64
+				for i := 0; i < n; i++ {
+					r := pts[i][d] - mu[d]
+					s += resp[i*k+c] * r * r
+				}
+				sg[d] = math.Max(math.Sqrt(s/rw), opts.SigmaFloor)
+			}
+		}
+		normalizeWeights(m.Weight, 1-m.Defense)
+	}
+	return m
+}
+
+// TestCachedLogsMatchReferenceFormulas pins the cached logarithms as a
+// pure speed-up: on a fixed 7-dimensional point set, FitMixture's
+// parameters and the fitted mixture's LogDensity and Weight01 equal the
+// reference formulas bit for bit.
+func TestCachedLogsMatchReferenceFormulas(t *testing.T) {
+	const n, dims = 64, 7
+	rng := rand.New(rand.NewSource(1))
+	pts := make([][]float64, n)
+	w := make([]float64, n)
+	for i := range pts {
+		pts[i] = make([]float64, dims)
+		for d := range pts[i] {
+			pts[i][d] = 1.5*rng.NormFloat64() + float64(i%3)
+		}
+		w[i] = rng.Float64()
+	}
+	probes := append([][]float64{make([]float64, dims), {6, -6, 0, 1, 2, 3, -4}}, pts...)
+	same := func(a, b []float64) bool {
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return false
+			}
+		}
+		return len(a) == len(b)
+	}
+	check := func(name string, got, want Mixture) {
+		if !same(got.Weight, want.Weight) || got.Defense != want.Defense {
+			t.Fatalf("%s: weights %v/%g, reference %v/%g", name, got.Weight, got.Defense, want.Weight, want.Defense)
+		}
+		for c := range want.Mean {
+			if !same(got.Mean[c], want.Mean[c]) || !same(got.Sigma[c], want.Sigma[c]) {
+				t.Fatalf("%s: component %d differs from the reference fit", name, c)
+			}
+		}
+		for _, z := range probes {
+			if g, r := got.LogDensity(z), refLogDensity(&want, z); math.Float64bits(g) != math.Float64bits(r) {
+				t.Fatalf("%s: LogDensity(%v) = %v, reference %v", name, z, g, r)
+			}
+			if g, r := got.Weight01(z), refWeight01(&want, z); math.Float64bits(g) != math.Float64bits(r) {
+				t.Fatalf("%s: Weight01(%v) = %v, reference %v", name, z, g, r)
+			}
+		}
+	}
+	check("standard", StandardProposal(), Mixture{Defense: 1})
+	for _, c := range []struct {
+		name string
+		k    int
+		w    []float64
+		opts FitOptions
+	}{
+		{"k2-weighted", 2, w, FitOptions{}},
+		{"k2-unweighted-wide", 2, nil, FitOptions{SigmaFloor: 1}},
+		{"k3-weighted", 3, w, FitOptions{}},
+		{"k1", 1, w, FitOptions{}},
+	} {
+		check(c.name, FitMixture(c.k, pts, c.w, c.opts), refFitMixture(c.k, pts, c.w, c.opts))
 	}
 }

@@ -81,6 +81,6 @@ func PhiInv(p float64) float64 {
 // logPhiDensity is the log of the standard normal density in d
 // dimensions at squared radius r² (the -d/2·log(2π) − r²/2 form the
 // importance-sampling weights need).
-func logPhiDensity(dims int, sqNorm float64) float64 {
-	return -0.5*float64(dims)*math.Log(2*math.Pi) - 0.5*sqNorm
+func logPhiDensity(dims int, sq float64) float64 {
+	return -0.5*float64(dims)*log2Pi - 0.5*sq
 }

@@ -3,12 +3,11 @@ package variation
 import (
 	"context"
 	"math"
-	"sort"
+	"slices"
+	"sync"
 
 	"repro/internal/estimator"
-	"repro/internal/faultinject"
 	"repro/internal/obs"
-	"repro/internal/pool"
 )
 
 // Adaptive importance sampling: the deep-tail (≳4σ) rung of the
@@ -23,6 +22,10 @@ import (
 // final stage draws from the adapted mixture and estimates with
 // self-normalized likelihood-ratio weights, with the effective sample
 // size guarding against a proposal that secretly missed the region.
+//
+// Every stage runs through the sampling driver (multi.go) with the lane
+// kernel in its AIS mode: the draw phase draws each sample from the
+// stage's proposal and weighs it, and the lane's delay phase scores it.
 //
 // Determinism contract: stage budgets are fixed up front (never
 // data-dependent), sample i of a run draws from the stream keyed
@@ -63,6 +66,61 @@ const (
 
 var metRunsAIS = obs.NewCounter("variation.runs_ais")
 
+// aisState is the lane kernel's AIS mode: the current stage's proposal
+// and the run's index-addressed per-sample results, slot j holding
+// global sample base+j — the draw (kept for refitting), its delay and
+// its importance weight. The run refits prop and moves base between
+// driver runs, never during one, so worker reads race with nothing.
+// States are pooled across runs with their buffers.
+type aisState struct {
+	prop                estimator.Mixture
+	base                int
+	zs, delays, weights []float64
+	// idx, pts and eliteW are refit's ranking and elite-set scratch.
+	idx    []int
+	pts    [][]float64
+	eliteW []float64
+	// sc is the link the scalar fallback evaluates.
+	sc LinkScenario
+	// metric, when set, scores a lane of transposed draws into out in
+	// place of the link's delay phases: the closed-form cross-checks
+	// substitute a linear metric here.
+	metric func(z *[Dims][]float64, n int, out []float64)
+}
+
+var aisStatePool = sync.Pool{New: func() any { return new(aisState) }}
+
+// getAISState checks out a state for a run of up to samples draws on
+// the link sc, starting from the standard proposal.
+func getAISState(sc *LinkScenario, samples int) *aisState {
+	a := aisStatePool.Get().(*aisState)
+	if cap(a.delays) < samples {
+		a.zs = make([]float64, samples*Dims)
+		a.delays = make([]float64, samples)
+		a.weights = make([]float64, samples)
+	}
+	a.prop = estimator.StandardProposal()
+	a.base = 0
+	a.sc = *sc
+	a.metric = nil
+	return a
+}
+
+// draw draws global sample i from the stage proposal into its slot and
+// records its importance weight: the component selector first, then
+// Box–Muller normals — the rung's draw sequence, kept so its estimates
+// stay bit-stable. st and eps are the caller's scratch.
+func (a *aisState) draw(st *Stream, eps []float64, seed uint64, i int) []float64 {
+	j := i - a.base
+	st.Reset(seed, uint64(i))
+	u := st.Float64()
+	st.NormsInto(eps)
+	z := a.zs[j*Dims : (j+1)*Dims]
+	a.prop.SampleInto(u, eps, z)
+	a.weights[j] = a.prop.Weight01(z)
+	return z
+}
+
 // runAISAllCtx runs per-candidate AIS. Unlike the MC/QMC kernels there
 // is no cross-candidate sample sharing: each candidate adapts its own
 // proposal, so draws are candidate-specific by construction. Each
@@ -71,11 +129,15 @@ var metRunsAIS = obs.NewCounter("variation.runs_ais")
 func runAISAllCtx(ctx context.Context, ms *MultiScenario, ro Options) ([]Estimate, error) {
 	ests := make([]Estimate, len(ms.Specs))
 	for c := range ms.Specs {
-		e, err := runAISCtx(ctx, ms.scenario(c), ro)
+		d, err := newDriver(ctx, ms.single(c), ro, estimator.AIS)
 		if err != nil {
 			return nil, err
 		}
-		ests[c] = e
+		ests[c], err = d.runAIS(ctx)
+		d.close()
+		if err != nil {
+			return nil, err
+		}
 	}
 	return ests, nil
 }
@@ -96,28 +158,20 @@ func aisBudget(total int) (adapt int) {
 	return adapt
 }
 
-func runAISCtx(ctx context.Context, sc *LinkScenario, ro Options) (Estimate, error) {
-	maxW := pool.Workers(ro.Workers, ro.Batch)
-	scratch := make([]Scratch, maxW)
-	return runAISMetricCtx(ctx, ro, sc.Target, func(worker int, z []float64) (float64, error) {
-		return sc.DelayScratch(&scratch[worker], z)
-	})
-}
-
-// runAISMetricCtx is the scenario-independent AIS core: estimate
-// P[metric(z) > target] over the standardized space. metric receives
-// the worker id for per-worker scratch, like BatchTrial.
-func runAISMetricCtx(ctx context.Context, ro Options, target float64, metric func(worker int, z []float64) (float64, error)) (Estimate, error) {
+// runAIS is the AIS run over the driver's single candidate, estimating
+// P[delay > Target].
+func (d *driver) runAIS(ctx context.Context) (Estimate, error) {
 	metRunsAIS.Inc()
-	adapt := aisBudget(ro.Samples)
-
-	// Index-addressed per-sample results of the current stage: the
-	// draw (kept for refitting), its delay, its importance weight.
-	// Sized for the worst case (no adaptation: the whole budget is one
-	// estimation stage).
-	zs := make([]float64, ro.Samples*Dims)
-	delays := make([]float64, ro.Samples)
-	weights := make([]float64, ro.Samples)
+	ro, a, target := d.ro, d.lk.ais, d.lk.target
+	// stage draws n samples from global index offset, filling slots
+	// [0, n); after each Batch step, fn sees the filled slot count.
+	stage := func(offset, n int, fn func(filled int)) error {
+		a.base = offset
+		return d.run(ctx, offset, n, func(base, m int, rows []float64) {
+			copy(a.delays[base-offset:], rows)
+			fn(base - offset + m)
+		})
+	}
 
 	// Adaptation: draw a stage, refit, repeat until the proposal lands
 	// in the failure region (enough draws actually fail) or the stage
@@ -127,203 +181,98 @@ func runAISMetricCtx(ctx context.Context, ro Options, target float64, metric fun
 	// conditional failure distribution the estimator wants to draw
 	// from. The stage count depends only on the (deterministic) draws,
 	// never on scheduling, so the contract holds.
-	prop := estimator.StandardProposal()
+	adapt := aisBudget(ro.Samples)
 	offset := 0
 	if adapt > 0 {
-		for stage := 1; ; stage++ {
-			if err := aisStage(ctx, ro, &prop, offset, adapt, zs, delays, weights, metric); err != nil {
+		for s := 1; ; s++ {
+			if err := stage(offset, adapt, func(int) {}); err != nil {
 				return Estimate{}, err
 			}
 			offset += adapt
 			nFail := 0
-			for i := 0; i < adapt; i++ {
-				if delays[i] > target {
+			for _, dl := range a.delays[:adapt] {
+				if dl > target {
 					nFail++
 				}
 			}
-			if nFail >= aisMinElites || stage == aisMaxStages {
-				prop = aisRefit(zs, delays, weights, adapt, target, true, estimator.FitOptions{})
+			if nFail >= aisMinElites || s == aisMaxStages {
+				a.prop = a.refit(adapt, target, true, estimator.FitOptions{})
 				break
 			}
-			prop = aisRefit(zs, delays, weights, adapt, target, false, estimator.FitOptions{SigmaFloor: aisExploreSigmaFloor})
+			a.prop = a.refit(adapt, target, false, estimator.FitOptions{SigmaFloor: aisExploreSigmaFloor})
 		}
 	}
 	// Estimation: the final stage draws from the adapted proposal in
-	// stopping-rule batches, re-deriving the self-normalized estimate
-	// over the prefix between batches and stopping once RelErr/AbsErr
-	// is met (with the ESS guard widening the error bar first, so a
-	// degenerate weight set cannot stop early). It used to ignore the
-	// stopping rule entirely and burn the full budget even once the
-	// estimate was resolved. Every quantity the rule reads is a pure
-	// function of the index-addressed prefix, so the early stop
-	// preserves the any-worker-count bit-identity contract.
-	budget := ro.Samples - offset
+	// Batch steps, re-deriving the self-normalized estimate over the
+	// prefix after each and stopping once RelErr/AbsErr is met (with the
+	// ESS guard widening the error bar first, so a degenerate weight set
+	// cannot stop early). There is no rule-of-three escape — the bound
+	// assumes Bernoulli indicators, and AIS contributions are
+	// likelihood-ratio weights — and the floor is MinSamples of
+	// *estimation* draws (adaptation stages inform the proposal, not the
+	// estimate). Every quantity the rule reads is a pure function of the
+	// index-addressed prefix, so the early stop preserves the
+	// any-worker-count bit-identity contract.
 	final := 0
-	for final < budget {
-		chunk := ro.Batch
-		if rem := budget - final; rem < chunk {
-			chunk = rem
+	err := stage(offset, ro.Samples-offset, func(n int) {
+		final = n
+		if (ro.RelErr > 0 || ro.AbsErr > 0) && n >= ro.MinSamples && n >= 2 {
+			p, se := aisSelfNormalized(a.delays[:n], a.weights[:n], target)
+			if errStop(ro, n, p, se, true) {
+				d.active[0] = false
+			}
 		}
-		if err := aisStage(ctx, ro, &prop, offset+final, chunk, zs[final*Dims:], delays[final:], weights[final:], metric); err != nil {
-			return Estimate{}, err
-		}
-		final += chunk
-		if aisStop(ro, final, delays[:final], weights[:final], target) {
-			break
-		}
+	})
+	if err != nil {
+		return Estimate{}, err
 	}
-	evals := offset + final
-
-	// Self-normalized ratio estimate over the final stage, folded in
-	// index order: p̂ = Σ wᵢ·1[failᵢ] / Σ wᵢ.
-	var sumW, sumW2, sumWI float64
-	for i := 0; i < final; i++ {
-		w := weights[i]
-		sumW += w
-		sumW2 += w * w
-		if delays[i] > target {
-			sumWI += w
-		}
-	}
-	est := Estimate{Yield: 1, Samples: evals, Shifted: true, VarianceReduction: 1, Estimator: estimator.AIS}
-	if sumW <= 0 {
-		return est, nil
-	}
-	p := sumWI / sumW
-	// Delta-method standard error of the self-normalized ratio:
-	// se² = Σ (wᵢ(1[failᵢ] − p̂))² / (Σ wᵢ)².
-	var ss float64
-	for i := 0; i < final; i++ {
-		ind := 0.0
-		if delays[i] > target {
-			ind = 1
-		}
-		d := weights[i] * (ind - p)
-		ss += d * d
-	}
-	se := math.Sqrt(ss) / sumW
-	// ESS guard: n draws whose weights concentrate on a few samples
-	// carry far less information than n; widen the error bar by the
-	// shortfall instead of reporting phantom precision.
-	if ess := estimator.ESS(sumW, sumW2); ess > 0 {
-		if floor := aisMinESSFrac * float64(final); ess < floor {
-			se *= math.Sqrt(floor / ess)
-		}
-	}
-	est.FailProb = p
-	est.Yield = 1 - p
-	est.StdErr = se
+	p, se := aisSelfNormalized(a.delays[:final], a.weights[:final], target)
+	est := Estimate{FailProb: p, Yield: 1 - p, StdErr: se, Samples: offset + final, Shifted: true, VarianceReduction: 1, Estimator: estimator.AIS}
 	if p > 0 && p < 1 && se > 0 && final > 0 {
 		est.VarianceReduction = p * (1 - p) / float64(final) / (se * se)
 	}
 	return est, nil
 }
 
-// aisStop is the stopping rule of the AIS estimation stage, evaluated
-// over the stage's prefix [0, n): the self-normalized estimate, its
-// delta-method standard error, and the ESS widening — exactly the
-// quantities the final Estimate reports — checked against RelErr /
-// AbsErr. There is no rule-of-three escape: the bound assumes Bernoulli
-// indicators, and AIS contributions are likelihood-ratio weights. The
-// floor is MinSamples of *estimation* draws (adaptation stages inform
-// the proposal, not the estimate).
-func aisStop(ro Options, n int, delays, weights []float64, target float64) bool {
-	if ro.RelErr <= 0 && ro.AbsErr <= 0 {
-		return false
-	}
-	if n < ro.MinSamples || n < 2 {
-		return false
-	}
+// aisSelfNormalized is the estimate over the estimation stage's draws:
+// the self-normalized ratio p̂ = Σ wᵢ·1[failᵢ] / Σ wᵢ, folded in index
+// order, and its delta-method standard error
+// se² = Σ (wᵢ(1[failᵢ] − p̂))² / (Σ wᵢ)², widened by the ESS guard —
+// n draws whose weights concentrate on a few samples carry far less
+// information than n, so the error bar grows by the shortfall instead
+// of reporting phantom precision. With no weight mass it is (0, 0).
+func aisSelfNormalized(delays, weights []float64, target float64) (p, se float64) {
 	var sumW, sumW2, sumWI float64
-	for i := 0; i < n; i++ {
-		w := weights[i]
+	for i, w := range weights {
 		sumW += w
 		sumW2 += w * w
 		if delays[i] > target {
 			sumWI += w
 		}
 	}
-	if sumW <= 0 || sumWI <= 0 {
-		return false
+	if sumW <= 0 {
+		return 0, 0
 	}
-	p := sumWI / sumW
+	p = sumWI / sumW
 	var ss float64
-	for i := 0; i < n; i++ {
+	for i, w := range weights {
 		ind := 0.0
 		if delays[i] > target {
 			ind = 1
 		}
-		d := weights[i] * (ind - p)
+		d := w * (ind - p)
 		ss += d * d
 	}
-	se := math.Sqrt(ss) / sumW
+	se = math.Sqrt(ss) / sumW
 	if ess := estimator.ESS(sumW, sumW2); ess > 0 {
-		if floor := aisMinESSFrac * float64(n); ess < floor {
+		if floor := aisMinESSFrac * float64(len(weights)); ess < floor {
 			se *= math.Sqrt(floor / ess)
 		}
 	}
-	if ro.RelErr > 0 && se/p <= ro.RelErr {
-		metStopRelErr.Inc()
-		return true
-	}
-	if ro.AbsErr > 0 && se <= ro.AbsErr {
-		metStopAbsErr.Inc()
-		return true
-	}
-	return false
+	return p, se
 }
 
-// aisStage evaluates n proposal draws with global sample indices
-// [offset, offset+n), filling the index-addressed zs/delays/weights
-// slots. Sample i's draw is a pure function of (Seed, offset+i) and
-// the (stage-constant) proposal, so worker scheduling cannot influence
-// any result.
-func aisStage(ctx context.Context, ro Options, prop *estimator.Mixture, offset, n int, zs, delays, weights []float64, metric func(worker int, z []float64) (float64, error)) error {
-	if n == 0 {
-		return nil
-	}
-	maxW := pool.Workers(ro.Workers, ro.Batch)
-	streams := make([]Stream, maxW)
-	epsBuf := make([]float64, maxW*Dims)
-	for done := 0; done < n; {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if err := faultinject.Hit("variation.batch"); err != nil {
-			return err
-		}
-		batch := ro.Batch
-		if rem := n - done; rem < batch {
-			batch = rem
-		}
-		start := done
-		err := pool.ForEachWorkerCtx(ctx, ro.Workers, batch, func(k, worker int) error {
-			i := start + k
-			st := &streams[worker]
-			st.Reset(ro.Seed, uint64(offset+i))
-			u := st.Float64() // component selector, drawn before the normals
-			eps := epsBuf[worker*Dims : (worker+1)*Dims]
-			st.NormsInto(eps)
-			z := zs[i*Dims : (i+1)*Dims]
-			prop.SampleInto(u, eps, z)
-			d, err := metric(worker, z)
-			if err != nil {
-				return err
-			}
-			delays[i] = d
-			weights[i] = prop.Weight01(z)
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		done += batch
-		metSamples.Add(int64(batch))
-	}
-	return nil
-}
-
-// aisRefit selects the elite set of a stage — the deepest tenth by
+// refit selects the elite set of a stage — the deepest tenth by
 // delay, extended to cover every failing draw — and fits the next
 // proposal on it. With weighted set, each elite carries its
 // likelihood ratio (the cross-entropy weighting that makes the fitted
@@ -333,16 +282,21 @@ func aisStage(ctx context.Context, ro Options, prop *estimator.Mixture, offset, 
 // the shallowest elites dominate and the proposal creep, so the
 // exploration refits fit unweighted. Ties break by sample index,
 // keeping the ranking deterministic.
-func aisRefit(zs, delays, weights []float64, n int, target float64, weighted bool, fit estimator.FitOptions) estimator.Mixture {
-	idx := make([]int, n)
+func (a *aisState) refit(n int, target float64, weighted bool, fit estimator.FitOptions) estimator.Mixture {
+	delays := a.delays
+	a.idx = slices.Grow(a.idx[:0], n)[:n]
+	idx := a.idx
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		if delays[idx[a]] != delays[idx[b]] {
-			return delays[idx[a]] > delays[idx[b]]
+	slices.SortFunc(idx, func(x, y int) int {
+		if delays[x] != delays[y] {
+			if delays[x] > delays[y] {
+				return -1
+			}
+			return 1
 		}
-		return idx[a] < idx[b]
+		return x - y
 	})
 	elite := n / aisEliteDivisor
 	if elite < aisMinElites {
@@ -354,16 +308,17 @@ func aisRefit(zs, delays, weights []float64, n int, target float64, weighted boo
 	for elite < n && delays[idx[elite]] > target {
 		elite++
 	}
-	pts := make([][]float64, elite)
+	a.pts = slices.Grow(a.pts[:0], elite)[:elite]
+	a.eliteW = slices.Grow(a.eliteW[:0], elite)[:elite]
 	var w []float64
 	if weighted {
-		w = make([]float64, elite)
+		w = a.eliteW
 	}
 	for j, id := range idx[:elite] {
-		pts[j] = zs[id*Dims : (id+1)*Dims]
+		a.pts[j] = a.zs[id*Dims : (id+1)*Dims]
 		if weighted {
-			w[j] = weights[id]
+			w[j] = a.weights[id]
 		}
 	}
-	return estimator.FitMixture(aisComponents, pts, w, fit)
+	return estimator.FitMixture(aisComponents, a.pts, w, fit)
 }

@@ -7,19 +7,36 @@ import (
 	"testing"
 
 	"repro/internal/estimator"
+	"repro/internal/model"
 )
 
-// linearWorkerMetric adapts a linear form a·z to the AIS core's
-// worker-aware metric signature. P[a·z > t] = Φ(−t/‖a‖) exactly, so
-// the estimate can be checked against a closed form.
-func linearWorkerMetric(a []float64) func(worker int, z []float64) (float64, error) {
-	return func(_ int, z []float64) (float64, error) {
-		var s float64
-		for d := range a {
-			s += a[d] * z[d]
-		}
-		return s, nil
+// runAISLinear runs AIS with the link's delay replaced by the linear
+// form a·z over the lane's transposed draws, failing above target.
+// P[a·z > t] = Φ(−t/‖a‖) exactly, so the estimate can be checked
+// against a closed form.
+func runAISLinear(t *testing.T, ro Options, target float64, a []float64) Estimate {
+	t.Helper()
+	sc := testScenario(t, target)
+	ms := &MultiScenario{Base: sc.Base, Coeffs: sc.Coeffs, Space: sc.Space, Specs: []model.LineSpec{sc.Spec}, Target: target}
+	d, err := newDriver(context.Background(), ms, ro, estimator.AIS)
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer d.close()
+	d.lk.ais.metric = func(z *[Dims][]float64, n int, out []float64) {
+		for k := 0; k < n; k++ {
+			var s float64
+			for i := range a {
+				s += a[i] * z[i][k]
+			}
+			out[k] = s
+		}
+	}
+	est, err := d.runAIS(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return est
 }
 
 // TestAISLinearCrossCheck is the satellite cross-check: AIS against
@@ -36,10 +53,7 @@ func TestAISLinearCrossCheck(t *testing.T) {
 	nrm := math.Sqrt(norm)
 	for _, sigma := range []float64{2, 3, 4} {
 		ro := (Options{Samples: 16384, Seed: 11}).withDefaults()
-		est, err := runAISMetricCtx(context.Background(), ro, sigma*nrm, linearWorkerMetric(a))
-		if err != nil {
-			t.Fatal(err)
-		}
+		est := runAISLinear(t, ro, sigma*nrm, a)
 		want := estimator.Phi(-sigma)
 		if est.FailProb <= 0 {
 			t.Fatalf("σ=%g: AIS found no failures (want p=%g)", sigma, want)
@@ -63,10 +77,7 @@ func TestAISDeepTailLinear(t *testing.T) {
 	a := make([]float64, Dims)
 	a[0] = 1
 	ro := (Options{Samples: 16384, Seed: 7}).withDefaults()
-	est, err := runAISMetricCtx(context.Background(), ro, 6, linearWorkerMetric(a))
-	if err != nil {
-		t.Fatal(err)
-	}
+	est := runAISLinear(t, ro, 6, a)
 	want := estimator.Phi(-6)
 	if est.FailProb <= 0 {
 		t.Fatalf("6σ: AIS found no failures (want p=%g)", want)

@@ -12,10 +12,11 @@ import (
 )
 
 // This file is the structure-of-arrays batch-lane sampling kernel, the
-// one evaluation path of the mc/isle/qmc sampling driver (multi.go): it
-// scores a lane of up to laneSize samples per call over contiguous
-// float64 slices. The scalar evaluator (evalShared/evalShifted) it
-// replaced walks one sample at a time through Space.ApplyInto →
+// one evaluation path of the mc/isle/qmc/ais sampling driver
+// (multi.go): it scores a lane of up to laneSize samples per call over
+// contiguous float64 slices. The scalar evaluator
+// (evalShared/evalShifted) it replaced walks one sample at a time
+// through Space.ApplyInto →
 // Coefficients.ScaleInto → perturbSegment → LineDelayRC, copying a full
 // Technology and Coefficients per sample and re-deriving quantities the
 // delay never reads (leakage exponentials, the unused repeater kind, the
@@ -28,7 +29,8 @@ import (
 // Bit-identity contract: for every sample the lane kernel evaluates
 // exactly the floating-point expressions of the scalar evaluator, with
 // the same operand values in the same association order, so
-// contributions are bit-identical to evalShared/evalShifted. Quantities
+// contributions are bit-identical to evalShared/evalShifted (and, in
+// AIS mode, delays to LinkScenario.DelayScratch's). Quantities
 // the scalar evaluator computes but the delay comparison never consumes
 // are skipped — skipping arithmetic whose result is unused cannot change
 // the bits of what remains. Lane partitioning itself cannot affect
@@ -312,6 +314,11 @@ type laneKernel struct {
 	// QMC mode.
 	qmc     bool
 	qshifts [][]uint64
+
+	// AIS mode (single candidate): the draw phase samples the stage
+	// proposal and the lane writes each sample's delay, not a
+	// contribution.
+	ais *aisState
 }
 
 // newLaneKernel compiles the kernel for one run. shifts holds the
@@ -451,9 +458,18 @@ func putLaneScratch(ls *laneScratch) { laneScratchPool.Put(ls) }
 
 // drawPhase fills the transposed base-draw arrays for global sample
 // indices [start, start+n): per-sample PRNG streams in dimension order
-// (exactly the order the scalar evaluator fills its draw buffer), or
-// Sobol points in QMC mode.
+// (exactly the order the scalar evaluator fills its draw buffer), Sobol
+// points in QMC mode, or weighted proposal draws in AIS mode.
 func (lk *laneKernel) drawPhase(ls *laneScratch, start, n int) {
+	if lk.ais != nil {
+		for k := 0; k < n; k++ {
+			z := lk.ais.draw(&ls.scalar.stream, ls.scalar.eps, lk.seed, start+k)
+			for d := 0; d < Dims; d++ {
+				ls.epsT[d][k] = z[d]
+			}
+		}
+		return
+	}
 	if lk.qmc {
 		buf := ls.scalar.eps
 		for k := 0; k < n; k++ {
@@ -612,11 +628,10 @@ func (lk *laneKernel) flagFallback(ls *laneScratch, n int) bool {
 	return any
 }
 
-// candPhase scores candidate c across the lane: load and wire-delay
-// arrays, both edge polarities, worst edge against the target. wts is
-// nil for unit contributions (plain MC/QMC) or the likelihood-ratio
-// weights (ISLE).
-func (lk *laneKernel) candPhase(ls *laneScratch, c, n int, contrib []float64, K int, wts []float64) {
+// delayPhase writes candidate c's delay across the lane into out: load
+// and wire-delay arrays, both edge polarities, the worst edge (rise on
+// a tie, as LineDelayRC picks it). out may be ls.tot.
+func (lk *laneKernel) delayPhase(ls *laneScratch, c, n int, out []float64) {
 	cd := &lk.cands[c]
 	rCap := ls.rCap[:n]
 	gp := ls.gPerM[:n]
@@ -640,14 +655,26 @@ func (lk *laneKernel) candPhase(ls *laneScratch, c, n int, contrib []float64, K 
 	lk.edgePass(ls, cd, false, ls.tot2, ls.slw2, n)
 	tR := ls.tot[:n]
 	tF := ls.tot2[:n]
+	out = out[:n]
+	for k := range out {
+		d := tR[k]
+		if !(tR[k] >= tF[k]) {
+			d = tF[k]
+		}
+		out[k] = d
+	}
+}
+
+// candPhase scores candidate c across the lane: its delay against the
+// target. wts is nil for unit contributions (plain MC/QMC) or the
+// likelihood-ratio weights (ISLE).
+func (lk *laneKernel) candPhase(ls *laneScratch, c, n int, contrib []float64, K int, wts []float64) {
+	lk.delayPhase(ls, c, n, ls.tot)
+	dl := ls.tot[:n]
 	tgt := lk.target
 	if wts == nil {
-		for k := range tR {
-			d := tR[k]
-			if !(tR[k] >= tF[k]) {
-				d = tF[k]
-			}
-			if d > tgt {
+		for k := range dl {
+			if dl[k] > tgt {
 				contrib[k*K+c] = 1
 			} else {
 				contrib[k*K+c] = 0
@@ -656,12 +683,8 @@ func (lk *laneKernel) candPhase(ls *laneScratch, c, n int, contrib []float64, K 
 		return
 	}
 	w := wts[:n]
-	for k := range tR {
-		d := tR[k]
-		if !(tR[k] >= tF[k]) {
-			d = tF[k]
-		}
-		if d > tgt {
+	for k := range dl {
+		if dl[k] > tgt {
 			contrib[k*K+c] = w[k]
 		} else {
 			contrib[k*K+c] = 0
@@ -720,9 +743,10 @@ func (lk *laneKernel) edgePass(ls *laneScratch, cd *laneCand, startRising bool, 
 }
 
 // fallback replays flagged samples through the scalar evaluator —
-// same draws, same eval — overwriting their contribution rows and
-// surfacing the exact error the scalar evaluator would (lowest flagged
-// sample first, matching the pool's lowest-index error selection).
+// same draws, same eval (in AIS mode, LinkScenario.DelayScratch on the
+// proposal draw) — overwriting their contribution rows and surfacing
+// the exact error the scalar evaluator would (lowest flagged sample
+// first, matching the pool's lowest-index error selection).
 func (lk *laneKernel) fallback(ls *laneScratch, start, n int, contrib []float64, K int, active []bool) error {
 	s := &ls.scalar
 	for k := 0; k < n; k++ {
@@ -730,6 +754,14 @@ func (lk *laneKernel) fallback(ls *laneScratch, start, n int, contrib []float64,
 			continue
 		}
 		i := start + k
+		if lk.ais != nil {
+			d, err := lk.ais.sc.DelayScratch(&s.Scratch, lk.ais.draw(&s.stream, s.eps, lk.seed, i))
+			if err != nil {
+				return err
+			}
+			contrib[k] = d
+			continue
+		}
 		if lk.qmc {
 			estimator.SobolNormal(uint64(i/qmcReplicates), lk.qshifts[i%qmcReplicates], s.eps)
 		} else {
@@ -751,8 +783,9 @@ func (lk *laneKernel) fallback(ls *laneScratch, start, n int, contrib []float64,
 }
 
 // eval scores one lane: global sample indices [start, start+n) into
-// contribution rows contrib[k*K+c]. Only active candidates are
-// written, mirroring the scalar evaluators.
+// contribution rows contrib[k*K+c] (in AIS mode, K = 1 and the row is
+// the sample's delay). Only active candidates are written, mirroring
+// the scalar evaluators.
 func (lk *laneKernel) eval(ls *laneScratch, start, n int, contrib []float64, K int, active []bool) error {
 	fb := ls.fb[:n]
 	if laneKernelDisabled {
@@ -766,7 +799,16 @@ func (lk *laneKernel) eval(ls *laneScratch, start, n int, contrib []float64, K i
 		fb[k] = false
 	}
 	anyFB := false
-	if !lk.anyShift {
+	switch {
+	case lk.ais != nil && lk.ais.metric != nil:
+		lk.ais.metric(&ls.epsT, n, contrib)
+	case lk.ais != nil:
+		lk.prog.run(&ls.epsT, &ls.fac, n)
+		lk.scalePhase(ls, n)
+		lk.wirePhase(ls, &lk.segs[0], n)
+		anyFB = lk.flagFallback(ls, n)
+		lk.delayPhase(ls, 0, n, contrib)
+	case !lk.anyShift:
 		lk.prog.run(&ls.epsT, &ls.fac, n)
 		lk.scalePhase(ls, n)
 		if lk.sharedSeg {
@@ -790,7 +832,7 @@ func (lk *laneKernel) eval(ls *laneScratch, start, n int, contrib []float64, K i
 				lk.candPhase(ls, c, n, contrib, K, nil)
 			}
 		}
-	} else {
+	default:
 		for c := range lk.cands {
 			if !active[c] {
 				continue

@@ -22,7 +22,7 @@ func withScalarKernel(f func()) {
 }
 
 // TestLaneBitIdenticalToScalar is the tentpole acceptance matrix: for
-// every sampling rung (mc, isle, qmc), both samplers, shared and
+// every sampling rung (mc, isle, qmc, ais), both samplers, shared and
 // per-candidate segments, and workers 1/4/GOMAXPROCS, the lane kernel
 // returns Estimates bit-identical to the scalar per-sample kernel. No
 // tolerance anywhere: the lane preserves the scalar path's expression
@@ -43,10 +43,10 @@ func TestLaneBitIdenticalToScalar(t *testing.T) {
 		name  string
 		specs []model.LineSpec
 	}{{"shared-seg", shared}, {"mixed-seg", mixed}} {
-		for _, est := range []estimator.Kind{estimator.MC, estimator.ISLE, estimator.QMC} {
+		for _, est := range []estimator.Kind{estimator.MC, estimator.ISLE, estimator.QMC, estimator.AIS} {
 			for _, sampler := range []Sampler{SamplerBoxMuller, SamplerZiggurat} {
-				if est == estimator.QMC && sampler == SamplerZiggurat {
-					continue // QMC draws Sobol points; the sampler is inert
+				if (est == estimator.QMC || est == estimator.AIS) && sampler == SamplerZiggurat {
+					continue // Sobol points and AIS proposal draws ignore the sampler
 				}
 				o := YieldOptions{
 					Samples: 2048, Seed: 11, RelErr: 0.15,
@@ -130,7 +130,8 @@ func TestLaneLegacySamplerMatchesHistoricalKernel(t *testing.T) {
 // TestLaneValidationFallback forces the one per-sample branch the lane
 // cannot precompute — a perturbed width thin enough to lose its copper
 // core — and checks the lane surfaces the identical error the scalar
-// kernel does.
+// kernel does: for AIS, the error LinkScenario.DelayScratch returns on
+// the first failing draw.
 func TestLaneValidationFallback(t *testing.T) {
 	sc := testScenario(t, 480e-12)
 	// Nominal width just above the validity floor (2·barrier), with a
@@ -140,25 +141,54 @@ func TestLaneValidationFallback(t *testing.T) {
 	sc.Spec.Segment.Spacing += sc.Spec.Segment.Width
 	sc.Space.WireWidthSigma = 0.3
 
-	o := YieldOptions{Samples: 512, Seed: 2}
-	var wantErr error
-	withScalarKernel(func() {
-		_, err := EstimateLinkYield(sc, o)
-		if err == nil {
-			t.Fatal("scalar kernel accepted a sub-barrier width; fixture is broken")
+	for _, est := range []estimator.Kind{estimator.MC, estimator.AIS} {
+		o := YieldOptions{Samples: 512, Seed: 2, Estimator: est}
+		var wantErr error
+		withScalarKernel(func() {
+			_, err := EstimateLinkYield(sc, o)
+			if err == nil {
+				t.Fatalf("%s: scalar kernel accepted a sub-barrier width; fixture is broken", est)
+			}
+			wantErr = err
+		})
+		if est == estimator.AIS {
+			if err := firstAISDelayError(sc, o); err == nil || err.Error() != wantErr.Error() {
+				t.Fatalf("scalar AIS error %q != DelayScratch error %v", wantErr, err)
+			}
 		}
-		wantErr = err
-	})
-	for _, workers := range []int{1, 4} {
-		o.Workers = workers
-		_, err := EstimateLinkYield(sc, o)
-		if err == nil {
-			t.Fatalf("workers=%d: lane kernel missed the validation failure", workers)
-		}
-		if err.Error() != wantErr.Error() {
-			t.Fatalf("workers=%d: lane error %q != scalar error %q", workers, err, wantErr)
+		for _, workers := range []int{1, 4} {
+			o.Workers = workers
+			_, err := EstimateLinkYield(sc, o)
+			if err == nil {
+				t.Fatalf("%s workers=%d: lane kernel missed the validation failure", est, workers)
+			}
+			if err.Error() != wantErr.Error() {
+				t.Fatalf("%s workers=%d: lane error %q != scalar error %q", est, workers, err, wantErr)
+			}
 		}
 	}
+}
+
+// firstAISDelayError draws o's samples from the standard proposal in
+// index order, as an AIS run too small to adapt does, and returns the
+// first error LinkScenario.DelayScratch reports (nil if none does).
+func firstAISDelayError(sc *LinkScenario, o YieldOptions) error {
+	ro := o.runOptions().withDefaults()
+	prop := estimator.StandardProposal()
+	var st Stream
+	var s Scratch
+	eps := make([]float64, Dims)
+	z := make([]float64, Dims)
+	for i := 0; i < ro.Samples; i++ {
+		st.Reset(ro.Seed, uint64(i))
+		u := st.Float64()
+		st.NormsInto(eps)
+		prop.SampleInto(u, eps, z)
+		if _, err := sc.DelayScratch(&s, z); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // TestLaneChunk pins the lane scheduling policy: full lanes serial,

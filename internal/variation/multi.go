@@ -23,12 +23,14 @@ import (
 // (common random numbers, which is also what makes the candidates
 // statistically comparable).
 //
-// One driver serves the mc/isle/qmc rungs: it evaluates a contiguous
-// range of global sample indices through the lane kernel (lane.go) and
-// hands each batch's contribution rows to a callback. The local run
-// (runSharedCtx) folds the rows per candidate and retires a candidate
-// once its stopping rule fires; a coordinator shard (CollectPartialCtx,
-// partial.go) keeps the sparse failures for MergePartials. Both fold
+// One driver serves the mc/isle/qmc/ais rungs: it evaluates a
+// contiguous range of global sample indices through the lane kernel
+// (lane.go) and hands each batch's contribution rows to a callback. The
+// local run (runSharedCtx) folds the rows per candidate and retires a
+// candidate once its stopping rule fires; a coordinator shard
+// (CollectPartialCtx, partial.go) keeps the sparse failures for
+// MergePartials; an AIS run (ais.go) drives one range per stage and
+// keeps each sample's delay. The local run and the shard fold
 // through the one fold type, consulting the stopping rule at the same
 // checkpoints, so each candidate's estimate is bit-identical to a
 // standalone EstimateLinkYield run with the same options and to a merge
@@ -88,6 +90,11 @@ func (ms *MultiScenario) Validate() error {
 	return nil
 }
 
+// single returns candidate c alone as a one-candidate multi-scenario.
+func (ms *MultiScenario) single(c int) *MultiScenario {
+	return &MultiScenario{Base: ms.Base, Coeffs: ms.Coeffs, Space: ms.Space, Specs: ms.Specs[c : c+1], Target: ms.Target}
+}
+
 // scenario returns candidate c's single-candidate view.
 func (ms *MultiScenario) scenario(c int) *LinkScenario {
 	return &LinkScenario{
@@ -131,8 +138,7 @@ type multiScratch struct {
 	// draw of the candidate currently being scored (importance
 	// sampling only).
 	eps, z []float64
-	tech   tech.Technology
-	coeffs model.Coefficients
+	Scratch
 }
 
 // evalShared scores every active candidate against one unshifted
@@ -296,24 +302,29 @@ func putContrib(b []float64) {
 	contribPool.Put(&b)
 }
 
-// driver is the sampling driver of the mc/isle/qmc rungs. It is built
-// once per run, which settles every per-run decision: the ISLE shift
-// search, the QMC Sobol scrambles, the compiled lane kernel and the
-// per-worker lane scratch. It then evaluates any contiguous range of
-// global sample indices, so the local kernel and a coordinator shard
-// are the same evaluation over different ranges.
+// driver is the sampling driver of the mc/isle/qmc/ais rungs. It is
+// built once per run, which settles every per-run decision: the ISLE
+// shift search, the QMC Sobol scrambles, the AIS state, the compiled
+// lane kernel and the per-worker lane scratch. It then evaluates any
+// contiguous range of global sample indices, so the local kernel, a
+// coordinator shard and an AIS stage are the same evaluation over
+// different ranges.
 type driver struct {
 	ro    Options
 	lk    *laneKernel
 	lsc   []*laneScratch
 	chunk int
 	// rows holds one step's contributions, row k for sample base+k
-	// with one entry per candidate.
+	// with one entry per candidate (in AIS mode, the sample's delay).
 	rows []float64
 	// active marks candidates still sampling. Callbacks retire
 	// candidates between steps, never during one, so worker reads race
 	// with nothing.
 	active []bool
+	// base and n are the current step's first sample and size, and lane
+	// (d.evalLane, bound once per run) its pool item.
+	base, n int
+	lane    func(l, worker int) error
 }
 
 func newDriver(ctx context.Context, ms *MultiScenario, ro Options, kind estimator.Kind) (*driver, error) {
@@ -344,6 +355,11 @@ func newDriver(ctx context.Context, ms *MultiScenario, ro Options, kind estimato
 	for c := range d.active {
 		d.active[c] = true
 	}
+	d.lane = d.evalLane
+	if kind == estimator.AIS {
+		// An AIS driver serves one candidate: ms is a single() view.
+		d.lk.ais = getAISState(ms.scenario(0), ro.Samples)
+	}
 	d.lsc = make([]*laneScratch, pool.Workers(ro.Workers, (ro.Batch+d.chunk-1)/d.chunk))
 	for w := range d.lsc {
 		d.lsc[w] = getLaneScratch()
@@ -357,13 +373,15 @@ func (d *driver) close() {
 		putLaneScratch(s)
 	}
 	putContrib(d.rows)
+	if d.lk.ais != nil {
+		aisStatePool.Put(d.lk.ais)
+	}
 }
 
 // run evaluates global sample indices [start, start+count) in
 // Batch-sized steps and hands each step's rows to fn, in index order.
 // It ends early once fn has retired every candidate.
 func (d *driver) run(ctx context.Context, start, count int, fn func(base, n int, rows []float64)) error {
-	K := len(d.active)
 	for done := 0; done < count; {
 		left := 0
 		for _, a := range d.active {
@@ -382,26 +400,28 @@ func (d *driver) run(ctx context.Context, start, count int, fn func(base, n int,
 			return err
 		}
 		n := min(d.ro.Batch, count-done)
-		base := start + done
+		d.base, d.n = start+done, n
 		// Lane-granular dispatch: each pool item is one lane of up to
 		// chunk samples, amortizing the per-item handoff. Errors still
 		// resolve to the lowest failing sample: lanes cover ascending
 		// index ranges and the kernel reports a lane's lowest-index
 		// error.
-		lanes := (n + d.chunk - 1) / d.chunk
-		err := pool.ForEachWorkerCtx(ctx, d.ro.Workers, lanes, func(l, worker int) error {
-			off := l * d.chunk
-			m := min(d.chunk, n-off)
-			return d.lk.eval(d.lsc[worker], base+off, m, d.rows[off*K:(off+m)*K], K, d.active)
-		})
-		if err != nil {
+		if err := pool.ForEachWorkerCtx(ctx, d.ro.Workers, (n+d.chunk-1)/d.chunk, d.lane); err != nil {
 			return err
 		}
 		metSamples.Add(int64(n) * int64(left))
-		fn(base, n, d.rows[:n*K])
+		fn(d.base, n, d.rows[:n*len(d.active)])
 		done += n
 	}
 	return nil
+}
+
+// evalLane evaluates lane l of the current step on worker's scratch.
+func (d *driver) evalLane(l, worker int) error {
+	K := len(d.active)
+	off := l * d.chunk
+	m := min(d.chunk, d.n-off)
+	return d.lk.eval(d.lsc[worker], d.base+off, m, d.rows[off*K:(off+m)*K], K, d.active)
 }
 
 // runSharedCtx is the local run of the mc/isle/qmc rungs: the driver

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/estimator"
 	"repro/internal/liberty"
 	"repro/internal/model"
 	"repro/internal/tech"
@@ -214,6 +215,30 @@ func TestSharedKernelSteadyStateAllocs(t *testing.T) {
 			t.Errorf("%s: %.0f allocations over %d candidate-samples (%.3f/sample) — the steady path is allocating",
 				c.name, allocs, samples*len(c.specs), perSample)
 		}
+	}
+}
+
+// TestAISRunAllocs guards the AIS rung's per-run allocations: its
+// per-sample buffers and per-worker scratch come from pools, so a run
+// allocates only its per-stage refits and the driver's fixed setup.
+func TestAISRunAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; counts are meaningless under -race")
+	}
+	// A run measures ~45 allocations; per-stage draw buffers and
+	// per-run sample buffers would push it past 80.
+	const ceiling = 60
+	sc := testScenario(t, 520e-12)
+	o := YieldOptions{Samples: 4096, Seed: 1, Workers: 1, Estimator: estimator.AIS}
+	var runErr error
+	allocs := testing.AllocsPerRun(3, func() {
+		_, runErr = EstimateLinkYield(sc, o)
+	})
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	if allocs > ceiling {
+		t.Errorf("%.0f allocations per AIS run, want at most %d", allocs, ceiling)
 	}
 }
 

@@ -130,11 +130,12 @@ type YieldOptions struct {
 	TargetSigma float64
 	// Sampler selects the normal sampler for the mc/isle rungs:
 	// SamplerZiggurat (default when empty) or SamplerBoxMuller (the
-	// pinned legacy sequence). qmc (Sobol points), ais (its own
-	// proposal sampling), and wcd (no sampling) ignore it. Estimates
-	// stay bit-identical across worker counts and shard layouts under
-	// either sampler; the two samplers produce different draw
-	// sequences at the same seed.
+	// pinned legacy sequence). qmc (Sobol points), ais, and wcd (no
+	// sampling) ignore it: ais always draws its proposal's normals by
+	// Box–Muller, so its estimates keep the same bits whichever sampler
+	// is set. Estimates stay bit-identical across worker counts and
+	// shard layouts under either sampler; the two samplers produce
+	// different draw sequences at the same seed.
 	Sampler Sampler
 }
 
