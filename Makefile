@@ -11,9 +11,8 @@ build:
 build-prod:
 	$(GO) build -tags prod ./...
 
-# -shuffle=on randomizes test order, catching hidden inter-test state
-# (the warm-surface cache is process-global; every test that enables it
-# must clean up after itself).
+# -shuffle=on randomizes test order, so a test that leans on state
+# another test left behind fails instead of passing by luck.
 test:
 	$(GO) test -shuffle=on ./...
 
@@ -36,11 +35,12 @@ staticcheck:
 bench-yield:
 	sh scripts/bench_yield.sh
 
-# Short coverage-guided runs of the Liberty parser and shard wire-format
-# fuzzers (CI smoke).
+# Short coverage-guided runs of the Liberty parser, shard wire-format
+# and predintd yield request-body fuzzers (CI smoke).
 fuzz:
 	$(GO) test -fuzz=FuzzParseLibrary -fuzztime=10s -run FuzzParseLibrary ./internal/liberty
 	$(GO) test -fuzz=FuzzMergePartials -fuzztime=10s -run FuzzMergePartials ./internal/variation
+	$(GO) test -fuzz=FuzzYieldRequestBody -fuzztime=10s -run FuzzYieldRequestBody ./cmd/predintd
 
 # Run the hardened HTTP serving layer on the default address.
 serve:

@@ -34,7 +34,7 @@ func coordinatorBenchRequest() predint.YieldRequest {
 
 func BenchmarkLinkYieldCoordinator(b *testing.B) {
 	req := coordinatorBenchRequest()
-	want, err := predint.LinkYield(req)
+	want, err := predint.Surfaced{}.LinkYieldCtx(context.Background(), req)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func BenchmarkLinkYieldCoordinator(b *testing.B) {
 	b.Run("direct", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			res, err := predint.LinkYield(req)
+			res, err := predint.Surfaced{}.LinkYieldCtx(context.Background(), req)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -8,6 +8,7 @@ package predint
 // `go test -bench=. -benchmem` reproduces the entire evaluation.
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -18,6 +19,7 @@ import (
 	"repro/internal/liberty"
 	"repro/internal/model"
 	"repro/internal/sta"
+	"repro/internal/surface"
 	"repro/internal/tech"
 	"repro/internal/variation"
 	"repro/internal/wire"
@@ -372,28 +374,28 @@ func BenchmarkSynthesizeNoCVPROC(b *testing.B) {
 // perturb → rescale → evaluate path.
 func BenchmarkLinkYield(b *testing.B) {
 	for _, bc := range []struct {
-		name    string
-		is      bool
-		workers int
+		name      string
+		estimator string
+		workers   int
 	}{
-		{"mc-serial", false, 1},
-		{"mc-parallel", false, 0},
-		{"is-serial", true, 1},
-		{"is-parallel", true, 0},
+		{"mc-serial", "", 1},
+		{"mc-parallel", "", 0},
+		{"is-serial", "isle", 1},
+		{"is-parallel", "isle", 0},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			req := YieldRequest{
 				Tech: "90nm", LengthMM: 5,
 				Samples: Int(2048), Seed: 1,
-				TargetPS:           Float(520),
-				Workers:            bc.workers,
-				ImportanceSampling: bc.is,
+				TargetPS:  Float(520),
+				Workers:   bc.workers,
+				Estimator: bc.estimator,
 			}
 			var res YieldResult
 			var err error
 			for i := 0; i < b.N; i++ {
-				res, err = LinkYield(req)
+				res, err = uncached.LinkYieldCtx(context.Background(), req)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -401,7 +403,7 @@ func BenchmarkLinkYield(b *testing.B) {
 			b.ReportMetric(res.Yield, "yield")
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/2048, "ns/sample")
 			b.ReportMetric(2048, "samples/op")
-			if bc.is {
+			if bc.estimator == "isle" {
 				b.ReportMetric(res.VarianceReduction, "var-reduction-x")
 			}
 		})
@@ -489,7 +491,7 @@ func BenchmarkLinkYieldAIS(b *testing.B) {
 	var res YieldResult
 	var err error
 	for i := 0; i < b.N; i++ {
-		res, err = LinkYield(req)
+		res, err = uncached.LinkYieldCtx(context.Background(), req)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -514,7 +516,7 @@ func BenchmarkLinkYieldQMC(b *testing.B) {
 	var res YieldResult
 	var err error
 	for i := 0; i < b.N; i++ {
-		res, err = LinkYield(req)
+		res, err = uncached.LinkYieldCtx(context.Background(), req)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -602,17 +604,17 @@ func BenchmarkLinkYieldWCDPrefilter(b *testing.B) {
 // per-op time is the warm-query latency the serving layer's <10 µs
 // budget gates in CI (scripts/bench_yield.sh's surface ceiling).
 func BenchmarkLinkYieldSurfaceWarm(b *testing.B) {
-	EnableSurface()
-	b.Cleanup(DisableSurface)
+	ctx := context.Background()
+	sf := Surfaced{Cache: surface.New(surface.Options{})}
 	req := YieldRequest{
 		Tech: "90nm", LengthMM: 5,
 		Samples: Int(2048), Seed: 1,
 		TargetPS: Float(520),
 	}
-	if _, err := LinkYield(req); err != nil { // cold run: samples and records
+	if _, err := sf.LinkYieldCtx(ctx, req); err != nil { // cold run: samples and records
 		b.Fatal(err)
 	}
-	warm, err := LinkYield(req)
+	warm, err := sf.LinkYieldCtx(ctx, req)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -622,7 +624,7 @@ func BenchmarkLinkYieldSurfaceWarm(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := LinkYield(req)
+		res, err := sf.LinkYieldCtx(ctx, req)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -76,7 +76,7 @@ func TestCoordinatorBitIdentity(t *testing.T) {
 	for _, est := range []string{"mc", "isle", "qmc"} {
 		t.Run(est, func(t *testing.T) {
 			req := coordReq(est, 4096)
-			want, err := predint.LinkYield(req)
+			want, err := predint.Surfaced{}.LinkYieldCtx(context.Background(), req)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -104,7 +104,7 @@ func TestCoordinatorGlobalStop(t *testing.T) {
 	relErr := 0.2
 	req := coordReq("mc", 16384)
 	req.RelErr = &relErr
-	want, err := predint.LinkYield(req)
+	want, err := predint.Surfaced{}.LinkYieldCtx(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestCoordinatorEndToEnd(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	req := coordReq("mc", 4096)
-	want, err := predint.LinkYield(req)
+	want, err := predint.Surfaced{}.LinkYieldCtx(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestCoordinatorEndToEnd(t *testing.T) {
 // to local execution, never to a different answer.
 func TestCoordinatorFaultMatrix(t *testing.T) {
 	req := coordReq("mc", 4096)
-	want, err := predint.LinkYield(req)
+	want, err := predint.Surfaced{}.LinkYieldCtx(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -77,7 +78,7 @@ func postJSON(t *testing.T, url, body string) (int, http.Header, []byte) {
 // phases: (a) saturation — the admission queue fills and excess
 // requests are shed with 503 + Retry-After; (b) degradation — a
 // /v1/yield request over the cost ceiling is answered with the marked
-// closed-form nominal estimate, bit-identical to LinkYieldNominal
+// closed-form nominal estimate, bit-identical to LinkYieldNominalCtx
 // (model.ScaledFor at the nominal corner); (c) drain — SIGTERM
 // finishes the in-flight request with a complete response, rejects new
 // work, and run() exits nil.
@@ -154,12 +155,12 @@ func TestServerEndToEnd(t *testing.T) {
 	if deg.Samples != 1 || deg.FailProbBound != 1 {
 		t.Errorf("degraded contract violated: samples=%d bound=%g, want 1 and 1", deg.Samples, deg.FailProbBound)
 	}
-	want, err := predint.LinkYieldNominal(yieldReq)
+	want, err := predint.LinkYieldNominalCtx(context.Background(), yieldReq)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if deg.NominalDelayS != want.NominalDelay {
-		t.Errorf("degraded nominal delay %g != LinkYieldNominal's %g (model.ScaledFor at the nominal corner)",
+		t.Errorf("degraded nominal delay %g != LinkYieldNominalCtx's %g (model.ScaledFor at the nominal corner)",
 			deg.NominalDelayS, want.NominalDelay)
 	}
 	if deg.Yield != want.Yield {

@@ -218,7 +218,7 @@ func TestWorkerEvictionAndReadmission(t *testing.T) {
 	t.Cleanup(coord.Close)
 
 	req := coordReq("mc", 4096)
-	want, err := predint.LinkYield(req)
+	want, err := predint.Surfaced{}.LinkYieldCtx(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +369,7 @@ func TestHedgedHungReplica(t *testing.T) {
 	t.Cleanup(coord.Close)
 
 	req := coordReq("mc", 4096) // 8 shards over 3 replicas: 3 waves, each with one hung-primary shard
-	want, err := predint.LinkYield(req)
+	want, err := predint.Surfaced{}.LinkYieldCtx(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +420,7 @@ func TestHedgeLoserNoLeak(t *testing.T) {
 	}
 
 	req := coordReq("mc", 1024)
-	want, err := predint.LinkYield(req)
+	want, err := predint.Surfaced{}.LinkYieldCtx(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -474,7 +474,7 @@ func TestRetryAfterHonored(t *testing.T) {
 	t.Cleanup(coord.Close)
 
 	req := coordReq("mc", 2048)
-	want, err := predint.LinkYield(req)
+	want, err := predint.Surfaced{}.LinkYieldCtx(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -524,7 +524,7 @@ func TestChaosSoakMembership(t *testing.T) {
 	t.Cleanup(coord.Close)
 
 	req := coordReq("mc", 2048)
-	want, err := predint.LinkYield(req)
+	want, err := predint.Surfaced{}.LinkYieldCtx(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -360,24 +360,22 @@ func (s *server) handleLink(ctx context.Context, r *http.Request) (any, error) {
 // ---- /v1/yield ----
 
 type yieldRequestDTO struct {
-	Tech               string   `json:"tech"`
-	LengthMM           float64  `json:"length_mm"`
-	Style              string   `json:"style,omitempty"`
-	PowerWeight        *float64 `json:"power_weight,omitempty"`
-	InputSlewPS        *float64 `json:"input_slew_ps,omitempty"`
-	TargetPS           *float64 `json:"target_ps,omitempty"`
-	Samples            *int     `json:"samples,omitempty"`
-	RelErr             *float64 `json:"rel_err,omitempty"`
-	AbsErr             *float64 `json:"abs_err,omitempty"`
-	Seed               uint64   `json:"seed,omitempty"`
-	Workers            int      `json:"workers,omitempty"`
-	ImportanceSampling bool     `json:"importance_sampling,omitempty"`
-	Estimator          string   `json:"estimator,omitempty"`
-	TargetSigma        *float64 `json:"target_sigma,omitempty"`
-	Sampler            string   `json:"sampler,omitempty"`
-	SigmaScale         *float64 `json:"sigma_scale,omitempty"`
-	YieldTarget        *float64 `json:"yield_target,omitempty"`
-	NoSurface          bool     `json:"no_surface,omitempty"`
+	Tech        string   `json:"tech"`
+	LengthMM    float64  `json:"length_mm"`
+	Style       string   `json:"style,omitempty"`
+	PowerWeight *float64 `json:"power_weight,omitempty"`
+	InputSlewPS *float64 `json:"input_slew_ps,omitempty"`
+	TargetPS    *float64 `json:"target_ps,omitempty"`
+	Samples     *int     `json:"samples,omitempty"`
+	RelErr      *float64 `json:"rel_err,omitempty"`
+	AbsErr      *float64 `json:"abs_err,omitempty"`
+	Seed        uint64   `json:"seed,omitempty"`
+	Workers     int      `json:"workers,omitempty"`
+	Estimator   string   `json:"estimator,omitempty"`
+	TargetSigma *float64 `json:"target_sigma,omitempty"`
+	SigmaScale  *float64 `json:"sigma_scale,omitempty"`
+	YieldTarget *float64 `json:"yield_target,omitempty"`
+	NoSurface   bool     `json:"no_surface,omitempty"`
 }
 
 type yieldResultDTO struct {
@@ -402,24 +400,22 @@ type yieldResultDTO struct {
 // yieldRequest maps the wire DTO onto the facade request.
 func (dto yieldRequestDTO) yieldRequest() predint.YieldRequest {
 	return predint.YieldRequest{
-		Tech:               dto.Tech,
-		LengthMM:           dto.LengthMM,
-		Style:              predint.Style(dto.Style),
-		PowerWeight:        dto.PowerWeight,
-		InputSlewPS:        dto.InputSlewPS,
-		TargetPS:           dto.TargetPS,
-		Samples:            dto.Samples,
-		RelErr:             dto.RelErr,
-		AbsErr:             dto.AbsErr,
-		Seed:               dto.Seed,
-		Workers:            dto.Workers,
-		ImportanceSampling: dto.ImportanceSampling,
-		Estimator:          dto.Estimator,
-		TargetSigma:        dto.TargetSigma,
-		Sampler:            dto.Sampler,
-		SigmaScale:         dto.SigmaScale,
-		YieldTarget:        dto.YieldTarget,
-		NoSurface:          dto.NoSurface,
+		Tech:        dto.Tech,
+		LengthMM:    dto.LengthMM,
+		Style:       predint.Style(dto.Style),
+		PowerWeight: dto.PowerWeight,
+		InputSlewPS: dto.InputSlewPS,
+		TargetPS:    dto.TargetPS,
+		Samples:     dto.Samples,
+		RelErr:      dto.RelErr,
+		AbsErr:      dto.AbsErr,
+		Seed:        dto.Seed,
+		Workers:     dto.Workers,
+		Estimator:   dto.Estimator,
+		TargetSigma: dto.TargetSigma,
+		SigmaScale:  dto.SigmaScale,
+		YieldTarget: dto.YieldTarget,
+		NoSurface:   dto.NoSurface,
 	}
 }
 
@@ -528,7 +524,7 @@ type yieldBatchResultDTO struct {
 }
 
 // handleYieldBatch scores explicit candidate buffering solutions of
-// one link on common random numbers (predint.LinkYieldBatch): one
+// one link on common random numbers (Surfaced.LinkYieldBatchCtx): one
 // sample stream and one per-sample technology perturbation serve every
 // candidate. The same degradation rule as /v1/yield applies — past the
 // cost ceiling or under queue pressure every candidate gets the

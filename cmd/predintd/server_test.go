@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -168,6 +169,33 @@ func TestYieldBatchBadRequests(t *testing.T) {
 		code, _, resp := postJSON(t, ts.URL+"/v1/yield/batch", body)
 		if code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400 (body %s)", name, code, resp)
+		}
+	}
+}
+
+// TestRemovedYieldFieldsRejected pins that the retired "sampler" and
+// "importance_sampling" inputs get a 400 on both yield endpoints
+// (decodeBody disallows unknown fields) instead of being silently
+// accepted and ignored. The same bodies without the field are served.
+func TestRemovedYieldFieldsRejected(t *testing.T) {
+	_, ts := testServer(t, 4, 16, 1<<20, 10*time.Second)
+	bodies := map[string]string{
+		"/v1/yield":       `{"tech": "90nm", "length_mm": 5, "samples": 64%s}`,
+		"/v1/yield/batch": `{"tech": "90nm", "length_mm": 5, "samples": 64, "candidates": [{"repeater_size": 8, "repeaters": 10}]%s}`,
+	}
+	for path, body := range bodies {
+		if code, _, resp := postJSON(t, ts.URL+path, fmt.Sprintf(body, "")); code != http.StatusOK {
+			t.Fatalf("%s control: status %d, want 200 (body %s)", path, code, resp)
+		}
+		for _, field := range []string{"sampler", "importance_sampling"} {
+			extra := `, "sampler": "box-muller"`
+			if field == "importance_sampling" {
+				extra = `, "importance_sampling": true`
+			}
+			code, _, resp := postJSON(t, ts.URL+path, fmt.Sprintf(body, extra))
+			if code != http.StatusBadRequest || !strings.Contains(string(resp), field) {
+				t.Errorf("%s with %q: status %d, want a 400 naming the field (body %s)", path, field, code, resp)
+			}
 		}
 	}
 }

@@ -7,8 +7,7 @@
 //
 //	yield -tech 65nm -length 5 [-n 4096] [-seed 1] [-j 0]
 //	      [-target 444] [-estimator auto|mc|qmc|isle|ais|wcd] [-sigma 6]
-//	      [-sampler ziggurat|box-muller]
-//	      [-is] [-relerr 0.05] [-abserr 0.001] [-yield 0.99]
+//	      [-relerr 0.05] [-abserr 0.001] [-yield 0.99]
 //	      [-candidates 8:10,12:8,16:6] [-style swss|shielded|staggered]
 //	      [-weight 0.5] [-sigma-scale 1]
 //	      [-timeout 30s] [-metrics] [-debug-addr localhost:6060]
@@ -20,7 +19,9 @@
 // -sigma declares the sigma level the query must resolve: the engine
 // routes the cheapest estimator whose regime covers it (a 6σ query
 // lands on adaptive importance sampling behind the worst-case-distance
-// pre-filter), while -estimator pins a specific rung.
+// pre-filter), while -estimator pins a specific rung (-estimator isle
+// is the ISLE-style importance sampler for small failure
+// probabilities).
 package main
 
 import (
@@ -88,9 +89,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	jobsFlag := fs.Int("j", 0, "parallel sampling workers (0 = all cores, 1 = serial)")
 	targetFlag := fs.Float64("target", 0, "delay target in ps (0 = the node's clock period)")
 	estFlag := fs.String("estimator", "auto", "estimator rung: auto, mc, qmc, isle, ais, wcd")
-	samplerFlag := fs.String("sampler", "", "normal sampler for the mc/isle rungs: ziggurat (default) or box-muller (pinned legacy sequence)")
 	sigmaLevelFlag := fs.Float64("sigma", 0, "target sigma level the query must resolve, e.g. 6 (0 = none; routes the estimator)")
-	isFlag := fs.Bool("is", false, "importance-sampling estimator (for small failure probabilities)")
 	relErrFlag := fs.Float64("relerr", 0, "stop early at this relative standard error (0 = run all samples)")
 	absErrFlag := fs.Float64("abserr", 0, "stop early at this absolute standard error (0 = disabled)")
 	yieldFlag := fs.Float64("yield", 0, "yield target in (0,1): resize the buffering to meet it (0 = estimate only)")
@@ -114,17 +113,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 	defer cliutil.DumpMetrics(*metricsFlag, stderr)
 
 	req := predint.YieldRequest{
-		Tech:               *techFlag,
-		LengthMM:           *lengthFlag,
-		Style:              predint.Style(*styleFlag),
-		PowerWeight:        predint.Float(*weightFlag),
-		Samples:            predint.Int(*samplesFlag),
-		Seed:               *seedFlag,
-		Workers:            *jobsFlag,
-		ImportanceSampling: *isFlag,
-		Estimator:          *estFlag,
-		Sampler:            *samplerFlag,
-		SigmaScale:         predint.Float(*sigmaFlag),
+		Tech:        *techFlag,
+		LengthMM:    *lengthFlag,
+		Style:       predint.Style(*styleFlag),
+		PowerWeight: predint.Float(*weightFlag),
+		Samples:     predint.Int(*samplesFlag),
+		Seed:        *seedFlag,
+		Workers:     *jobsFlag,
+		Estimator:   *estFlag,
+		SigmaScale:  predint.Float(*sigmaFlag),
 	}
 	if *sigmaLevelFlag != 0 {
 		// Explicit values — including invalid ones — reach the facade
@@ -149,7 +146,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		batch, err := predint.LinkYieldBatchCtx(ctx, predint.YieldBatchRequest{
+		batch, err := predint.Surfaced{}.LinkYieldBatchCtx(ctx, predint.YieldBatchRequest{
 			YieldRequest: req,
 			Candidates:   cands,
 		})
@@ -165,7 +162,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return nil
 	}
 
-	res, err := predint.LinkYieldCtx(ctx, req)
+	res, err := predint.Surfaced{}.LinkYieldCtx(ctx, req)
 	if err != nil {
 		return err
 	}

@@ -40,14 +40,16 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestRunImportanceSamplingFlag: the ISLE-style importance sampler is
+// asked for by rung name and the report names it.
 func TestRunImportanceSamplingFlag(t *testing.T) {
 	var out, errOut bytes.Buffer
-	err := run([]string{"-tech", "90nm", "-length", "5", "-n", "512", "-is", "-target", "520"}, &out, &errOut)
+	err := run([]string{"-tech", "90nm", "-length", "5", "-n", "512", "-estimator", "isle", "-target", "520"}, &out, &errOut)
 	if err != nil {
 		t.Fatalf("run failed: %v", err)
 	}
 	if !strings.Contains(out.String(), "importance sampling") {
-		t.Errorf("-is report does not name the estimator:\n%s", out.String())
+		t.Errorf("-estimator isle report does not name the estimator:\n%s", out.String())
 	}
 }
 
@@ -100,10 +102,19 @@ func TestRunBadCandidates(t *testing.T) {
 	}
 }
 
+// TestRunBadFlag: a malformed value and the retired -sampler and -is
+// flags are flag errors, not silently ignored (the sampler is not a
+// user choice; the ISLE rung is -estimator isle).
 func TestRunBadFlag(t *testing.T) {
-	var out, errOut bytes.Buffer
-	if err := run([]string{"-n", "not-a-number"}, &out, &errOut); err == nil {
-		t.Fatal("malformed flag accepted")
+	for _, args := range [][]string{
+		{"-n", "not-a-number"},
+		{"-sampler", "box-muller"},
+		{"-is"},
+	} {
+		var out, errOut bytes.Buffer
+		if err := run(append([]string{"-tech", "90nm", "-n", "64"}, args...), &out, &errOut); err == nil || out.Len() != 0 {
+			t.Errorf("%v: err = %v, want a flag error before any run (stdout %q)", args, err, out.String())
+		}
 	}
 }
 

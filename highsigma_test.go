@@ -1,6 +1,7 @@
 package predint
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -34,12 +35,11 @@ func TestYieldValidationSentinels(t *testing.T) {
 		{"sigma scale +inf", func(r *YieldRequest) { r.SigmaScale = Float(math.Inf(1)) }, ErrInvalidSigma},
 		{"sigma scale negative", func(r *YieldRequest) { r.SigmaScale = Float(-0.5) }, ErrInvalidSigma},
 		{"unknown estimator", func(r *YieldRequest) { r.Estimator = "bogus" }, ErrUnknownEstimator},
-		{"unknown sampler", func(r *YieldRequest) { r.Sampler = "gaussian-ish" }, ErrUnknownSampler},
 	}
 	for _, tc := range cases {
 		req := base
 		tc.mut(&req)
-		_, err := LinkYield(req)
+		_, err := uncached.LinkYieldCtx(context.Background(), req)
 		if err == nil {
 			t.Errorf("%s: accepted", tc.name)
 			continue
@@ -58,7 +58,7 @@ func TestYieldEstimatorThreading(t *testing.T) {
 	for _, kind := range []string{"mc", "qmc", "isle", "ais", "wcd"} {
 		req := base
 		req.Estimator = kind
-		res, err := LinkYield(req)
+		res, err := uncached.LinkYieldCtx(context.Background(), req)
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
@@ -72,7 +72,7 @@ func TestYieldEstimatorThreading(t *testing.T) {
 
 	req := YieldBatchRequest{YieldRequest: base, Candidates: []YieldCandidate{{RepeaterSize: 8, Repeaters: 10}, {RepeaterSize: 12, Repeaters: 8}}}
 	req.Estimator = "qmc"
-	batch, err := LinkYieldBatch(req)
+	batch, err := uncached.LinkYieldBatchCtx(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,53 +80,6 @@ func TestYieldEstimatorThreading(t *testing.T) {
 		if r.Estimator != "qmc" {
 			t.Fatalf("batch candidate %d labeled %q, want qmc", c, r.Estimator)
 		}
-	}
-}
-
-// TestYieldSamplerThreading: a pinned sampler reaches the engine. The
-// two samplers draw different (individually deterministic) sequences at
-// the same seed, so on this fixture their realized fail counts differ —
-// a fixed-seed comparison, not a statistical one — while each sampler
-// on its own keeps the any-worker-count determinism contract, and the
-// empty name resolves to the ziggurat default. The unknown-sampler
-// rejection is also checked on the nominal (non-sampling) path, pinning
-// that validation lives in the shared plan, not the sampling kernel.
-func TestYieldSamplerThreading(t *testing.T) {
-	base := YieldRequest{Tech: "90nm", LengthMM: 5, Samples: Int(2048), Seed: 7, TargetPS: Float(470), Estimator: "mc", NoSurface: true}
-	results := map[string]YieldResult{}
-	for _, s := range []string{"ziggurat", "box-muller"} {
-		req := base
-		req.Sampler = s
-		req.Workers = 1
-		serial, err := LinkYield(req)
-		if err != nil {
-			t.Fatalf("%s serial: %v", s, err)
-		}
-		req.Workers = 4
-		parallel, err := LinkYield(req)
-		if err != nil {
-			t.Fatalf("%s parallel: %v", s, err)
-		}
-		if serial != parallel {
-			t.Fatalf("%s: workers changed the result:\n serial   %+v\n parallel %+v", s, serial, parallel)
-		}
-		results[s] = serial
-	}
-	if results["ziggurat"].FailProb == results["box-muller"].FailProb {
-		t.Fatalf("samplers produced identical fail probs (%g) — the Sampler field is not reaching the engine", results["ziggurat"].FailProb)
-	}
-	def, err := LinkYield(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if def != results["ziggurat"] {
-		t.Fatalf("empty sampler did not resolve to ziggurat:\n got  %+v\n want %+v", def, results["ziggurat"])
-	}
-
-	bad := base
-	bad.Sampler = "bogus"
-	if _, err := LinkYieldNominal(bad); !errors.Is(err, ErrUnknownSampler) {
-		t.Fatalf("nominal path with bad sampler: err = %v, want ErrUnknownSampler", err)
 	}
 }
 
@@ -146,7 +99,7 @@ func TestYieldDeepSigmaAcceptance(t *testing.T) {
 		var res YieldResult
 		for i := 0; i < 2; i++ {
 			start := time.Now()
-			r, err := LinkYield(req)
+			r, err := uncached.LinkYieldCtx(context.Background(), req)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -64,7 +64,7 @@ func TestZeroFailureEscapeGatedOnPlainMC(t *testing.T) {
 	never := func(i int, z []float64) (bool, error) { return false, nil }
 	const budget = 4096
 
-	shifted, err := Run(Options{Dims: 2, Samples: budget, RelErr: 0.05, Seed: 3,
+	shifted, err := runOracle(Options{Dims: 2, Samples: budget, RelErr: 0.05, Seed: 3,
 		Shift: []float64{2, 0}}, never)
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +77,7 @@ func TestZeroFailureEscapeGatedOnPlainMC(t *testing.T) {
 			"which is invalid under importance weights", shifted.Samples, budget)
 	}
 
-	plain, err := Run(Options{Dims: 2, Samples: budget, RelErr: 0.05, Seed: 3}, never)
+	plain, err := runOracle(Options{Dims: 2, Samples: budget, RelErr: 0.05, Seed: 3}, never)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,21 +1,18 @@
 package variation
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
 
 	"repro/internal/estimator"
-	"repro/internal/faultinject"
 	"repro/internal/obs"
-	"repro/internal/pool"
 )
 
 // Sentinel errors for malformed sampling budgets. A negative Batch is
-// the dangerous one: it used to slip through validation and send RunCtx
-// into an infinite loop (done += batch moved backwards), so these are
-// rejected up front and tests pin the rejection.
+// the dangerous one: it used to slip through validation and send the
+// sampling loop into an infinite loop (done += batch moved backwards),
+// so these are rejected up front and tests pin the rejection.
 var (
 	ErrNegativeBatch      = errors.New("variation: negative batch size")
 	ErrNegativeMinSamples = errors.New("variation: negative minimum sample count")
@@ -35,29 +32,23 @@ var (
 	metStopZeroFail = obs.NewCounter("variation.stop_rule_zero_failure")
 )
 
-// This file holds the sampling engine shared by the plain Monte Carlo
-// and importance-sampling estimators. Both estimate a failure
-// probability p = P[trial fails] over the standardized normal space:
+// This file holds the options, stopping rules and fold shared by the
+// plain Monte Carlo and importance-sampling estimators; the sampling
+// driver in multi.go runs them. Both estimate a failure probability
+// p = P[sample fails] over the standardized normal space:
 // plain MC averages the failure indicator; importance sampling draws
 // from a mean-shifted normal and averages the indicator times the
 // likelihood ratio, which is unbiased for any shift and dramatically
 // lower-variance when the shift centers sampling on the failure
 // region (the ISLE construction for small p).
 //
-// Determinism contract: for a fixed (Options, trial) the returned
-// Estimate is bit-identical for every Workers value. Each sample's
+// Determinism contract: for fixed options the returned Estimate is
+// bit-identical for every Workers value. Each sample's
 // draw comes from its own Stream keyed by (Seed, index); batches fan
 // out over internal/pool into an index-addressed buffer; and the
 // streaming mean/variance accumulator folds that buffer serially in
 // index order, so no floating-point reassociation ever depends on
 // scheduling.
-
-// Trial evaluates one sample given its standardized draw z (length
-// Options.Dims) and reports whether the sample fails the constraint
-// under estimation. It must be safe for concurrent invocation. z is a
-// reusable kernel-owned buffer: it is valid only for the duration of
-// the call and must not be retained.
-type Trial func(i int, z []float64) (fail bool, err error)
 
 // Options configures one estimation run.
 type Options struct {
@@ -242,9 +233,9 @@ func checkpoint(o Options, i int) bool {
 // fold is one candidate's streaming accumulator over its per-sample
 // contributions x_i = w_i·1[fail_i], fed in sample-index order: Welford
 // mean and variance for mc/isle, per-replicate sums for qmc (sample i
-// lands in replicate i mod qmcReplicates). Local runs, shard merges and
-// RunBatchCtx all fold through it and consult stop at the same
-// checkpoints, so a sharded merge is the local computation itself.
+// lands in replicate i mod qmcReplicates). Local runs and shard merges
+// both fold through it and consult stop at the same checkpoints, so a
+// sharded merge is the local computation itself.
 type fold struct {
 	qmc, shifted bool
 	n            int
@@ -314,127 +305,4 @@ func (f *fold) estimate() Estimate {
 		}
 	}
 	return e
-}
-
-// Run estimates the failure probability of trial under the options.
-// See the package comment for the determinism contract.
-func Run(o Options, trial Trial) (Estimate, error) {
-	return RunCtx(context.Background(), o, trial)
-}
-
-// RunCtx is Run under a context. Cancellation is cooperative, checked
-// at batch boundaries (and at each sample claim inside a batch's
-// fan-out): a cancelled run returns ctx.Err() promptly and discards
-// its partial accumulation. A run that completes under a live context
-// is bit-identical to Run — the context never influences which samples
-// are drawn or the order they are folded.
-func RunCtx(ctx context.Context, o Options, trial Trial) (Estimate, error) {
-	return RunBatchCtx(ctx, o, func(i, _ int, z []float64) (bool, error) {
-		return trial(i, z)
-	})
-}
-
-// BatchTrial is Trial for the zero-allocation kernel: it additionally
-// receives the worker id (see pool.ForEachWorkerCtx) so the trial can
-// index per-worker scratch state without locking. z is a per-worker
-// buffer owned by the kernel and is valid only for the duration of
-// the call — a trial must not retain it.
-type BatchTrial func(i, worker int, z []float64) (fail bool, err error)
-
-// RunBatch estimates with a BatchTrial; see RunBatchCtx.
-func RunBatch(o Options, trial BatchTrial) (Estimate, error) {
-	return RunBatchCtx(context.Background(), o, trial)
-}
-
-// RunBatchCtx is the batched zero-steady-state-allocation sampling
-// kernel: each worker owns a reusable Stream and draw buffer (reseeded
-// per sample with Stream.Reset, filled by the options' Sampler), so
-// after the one-time setup the kernel performs no per-sample heap
-// allocation.
-// Draw sequences, fold order, and stopping behaviour are bit-identical
-// to the historical per-sample path for every Workers value.
-func RunBatchCtx(ctx context.Context, o Options, trial BatchTrial) (Estimate, error) {
-	o = o.withDefaults()
-	if err := o.validate(); err != nil {
-		return Estimate{}, err
-	}
-	shifted := false
-	var shiftSq float64
-	for _, t := range o.Shift {
-		if t != 0 {
-			shifted = true
-		}
-		shiftSq += t * t
-	}
-	if shifted {
-		metRunsShifted.Inc()
-	} else {
-		metRunsPlain.Inc()
-	}
-
-	f := fold{shifted: shifted}
-
-	// Per-worker scratch: one stream and one draw buffer per worker
-	// id, allocated once for the whole run. A worker id is held by
-	// exactly one goroutine at a time and batches are separated by the
-	// pool's join, so reuse is race-free.
-	maxW := pool.Workers(o.Workers, o.Batch)
-	streams := make([]Stream, maxW)
-	zbuf := make([]float64, maxW*o.Dims)
-
-	contrib := make([]float64, o.Batch)
-	for done := 0; done < o.Samples; {
-		if err := ctx.Err(); err != nil {
-			return Estimate{}, err
-		}
-		// Fault point at the batch boundary: robustness tests inject
-		// errors/delays here to prove a failing estimator surfaces
-		// promptly instead of burning the remaining budget.
-		if err := faultinject.Hit("variation.batch"); err != nil {
-			return Estimate{}, err
-		}
-		batch := o.Batch
-		if rem := o.Samples - done; rem < batch {
-			batch = rem
-		}
-		start := done
-		err := pool.ForEachWorkerCtx(ctx, o.Workers, batch, func(k, worker int) error {
-			i := start + k
-			st := &streams[worker]
-			st.Reset(o.Seed, uint64(i))
-			z := zbuf[worker*o.Dims : (worker+1)*o.Dims]
-			st.normsInto(z, o.Sampler)
-			w := 1.0
-			if shifted {
-				// z ← θ + ε with likelihood ratio
-				// φ(z)/φ(z−θ) = exp(−⟨θ,z⟩ + |θ|²/2).
-				var dot float64
-				for d, t := range o.Shift {
-					z[d] += t
-					dot += t * z[d]
-				}
-				w = math.Exp(-dot + shiftSq/2)
-			}
-			fail, err := trial(i, worker, z)
-			if err != nil {
-				return err
-			}
-			if fail {
-				contrib[k] = w
-			} else {
-				contrib[k] = 0
-			}
-			return nil
-		})
-		if err != nil {
-			return Estimate{}, err
-		}
-		f.add(start, batch, contrib, 1)
-		done += batch
-		metSamples.Add(int64(batch))
-		if f.stop(o) {
-			break
-		}
-	}
-	return f.estimate(), nil
 }

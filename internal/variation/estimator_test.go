@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync/atomic"
 	"testing"
+	"time"
+
+	"repro/internal/estimator"
 )
 
 // The estimator tests work on an analytically known problem: a sample
@@ -17,7 +19,7 @@ func normalTail(threshold float64) float64 {
 	return math.Erfc(threshold/math.Sqrt2) / 2
 }
 
-func tailTrial(threshold float64) Trial {
+func tailTrial(threshold float64) trial {
 	return func(i int, z []float64) (bool, error) {
 		return z[0] > threshold, nil
 	}
@@ -25,7 +27,7 @@ func tailTrial(threshold float64) Trial {
 
 func TestPlainMCMatchesExact(t *testing.T) {
 	exact := normalTail(1) // ≈ 0.1587, cheap to resolve
-	est, err := Run(Options{Dims: 3, Samples: 100000, Seed: 5}, tailTrial(1))
+	est, err := runOracle(Options{Dims: 3, Samples: 100000, Seed: 5}, tailTrial(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +50,7 @@ func TestImportanceSamplingTail(t *testing.T) {
 	const threshold = 3 // exact tail ≈ 1.35e-3
 	exact := normalTail(threshold)
 	shift := []float64{threshold, 0, 0}
-	est, err := Run(Options{Dims: 3, Samples: 4096, Seed: 5, Shift: shift}, tailTrial(threshold))
+	est, err := runOracle(Options{Dims: 3, Samples: 4096, Seed: 5, Shift: shift}, tailTrial(threshold))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +85,7 @@ func TestEstimatorWorkerDeterminism(t *testing.T) {
 		for wi, workers := range []int{1, 8} {
 			o := opts
 			o.Workers = workers
-			est, err := Run(o, tailTrial(2))
+			est, err := runOracle(o, tailTrial(2))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -101,7 +103,7 @@ func TestEstimatorWorkerDeterminism(t *testing.T) {
 func TestStoppingRule(t *testing.T) {
 	// p ≈ 0.5 resolves to 5% relative error almost immediately; the
 	// run must stop well before the budget.
-	est, err := Run(Options{Dims: 2, Samples: 200000, RelErr: 0.05, Seed: 3}, tailTrial(0))
+	est, err := runOracle(Options{Dims: 2, Samples: 200000, RelErr: 0.05, Seed: 3}, tailTrial(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +125,7 @@ func TestStoppingRule(t *testing.T) {
 // below the MinSamples floor of 512, so the floor governs).
 func TestStoppingRuleZeroFailureEscape(t *testing.T) {
 	never := func(i int, z []float64) (bool, error) { return false, nil }
-	est, err := Run(Options{Dims: 2, Samples: 200000, RelErr: 0.05, Seed: 3}, never)
+	est, err := runOracle(Options{Dims: 2, Samples: 200000, RelErr: 0.05, Seed: 3}, never)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +151,7 @@ func TestStoppingRuleZeroFailureEscape(t *testing.T) {
 func TestStoppingRuleZeroFailureKeepsSamplingUnderTightTolerance(t *testing.T) {
 	never := func(i int, z []float64) (bool, error) { return false, nil }
 	const tol = 1e-3 // needs n >= 3000
-	est, err := Run(Options{Dims: 2, Samples: 8192, RelErr: tol, Seed: 3}, never)
+	est, err := runOracle(Options{Dims: 2, Samples: 8192, RelErr: tol, Seed: 3}, never)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +167,7 @@ func TestStoppingRuleZeroFailureKeepsSamplingUnderTightTolerance(t *testing.T) {
 // relative rule still governs runs that do observe failures: the
 // mean > 0 branch is bit-identical to the pre-escape estimator.
 func TestStoppingRuleWithFailuresUnchanged(t *testing.T) {
-	withEscape, err := Run(Options{Dims: 2, Samples: 200000, RelErr: 0.05, Seed: 3}, tailTrial(0))
+	withEscape, err := runOracle(Options{Dims: 2, Samples: 200000, RelErr: 0.05, Seed: 3}, tailTrial(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +178,7 @@ func TestStoppingRuleWithFailuresUnchanged(t *testing.T) {
 
 func TestAbsErrStopping(t *testing.T) {
 	// p ≈ 0.5: stderr ≈ 0.5/√n, so AbsErr 0.02 needs n ≈ 625.
-	est, err := Run(Options{Dims: 2, Samples: 200000, AbsErr: 0.02, Seed: 3}, tailTrial(0))
+	est, err := runOracle(Options{Dims: 2, Samples: 200000, AbsErr: 0.02, Seed: 3}, tailTrial(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,38 +190,34 @@ func TestAbsErrStopping(t *testing.T) {
 	}
 }
 
+// TestRunCtxCancellation: the sampling driver checks ctx at batch
+// boundaries. A dead context draws no sample, and a deadline on a huge
+// budget returns promptly instead of burning it.
 func TestRunCtxCancellation(t *testing.T) {
-	// Pre-cancelled: no samples drawn.
+	sc := testScenario(t, 480e-12)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	var ran atomic.Int32
-	_, err := RunCtx(ctx, Options{Dims: 2, Samples: 100000}, func(i int, z []float64) (bool, error) {
-		ran.Add(1)
-		return false, nil
-	})
+	before := metSamples.Value()
+	_, err := EstimateLinkYieldCtx(ctx, sc, YieldOptions{Samples: 100000})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
-	if ran.Load() != 0 {
-		t.Fatalf("dead context still evaluated %d samples", ran.Load())
+	if drawn := metSamples.Value() - before; drawn != 0 {
+		t.Fatalf("dead context still evaluated %d samples", drawn)
 	}
 
-	// Cancelled mid-run: returns promptly at a batch boundary without
-	// burning the rest of the budget.
-	ctx2, cancel2 := context.WithCancel(context.Background())
+	// Cancelled mid-run: returns at a batch boundary without burning
+	// the rest of the budget.
+	const budget = 1 << 26
+	ctx2, cancel2 := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel2()
-	ran.Store(0)
-	_, err = RunCtx(ctx2, Options{Dims: 2, Samples: 1 << 20}, func(i int, z []float64) (bool, error) {
-		if ran.Add(1) == 300 {
-			cancel2()
-		}
-		return false, nil
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("mid-run cancel: got %v, want context.Canceled", err)
+	before = metSamples.Value()
+	_, err = EstimateLinkYieldCtx(ctx2, sc, YieldOptions{Samples: budget})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("mid-run cancel: got %v, want context.DeadlineExceeded", err)
 	}
-	if got := ran.Load(); got >= 1<<20 {
-		t.Fatalf("cancellation never stopped sampling (%d samples ran)", got)
+	if drawn := metSamples.Value() - before; drawn >= budget {
+		t.Fatalf("cancellation never stopped sampling (%d samples ran)", drawn)
 	}
 }
 
@@ -229,28 +227,32 @@ func TestRunCtxCancellation(t *testing.T) {
 func TestRunCtxLiveMatchesRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	for _, opts := range []Options{
-		{Dims: 4, Samples: 20000, Seed: 11},
-		{Dims: 4, Samples: 20000, Seed: 11, RelErr: 0.05},
-		{Dims: 4, Samples: 8192, Seed: 11, Shift: []float64{2, 0, 0, 0}},
+	for _, c := range []struct {
+		target float64
+		o      YieldOptions
+	}{
+		{480e-12, YieldOptions{Samples: 4096, Seed: 11}},
+		{480e-12, YieldOptions{Samples: 8192, Seed: 11, RelErr: 0.2}},
+		{545e-12, YieldOptions{Samples: 2048, Seed: 11, Estimator: estimator.ISLE}},
 	} {
-		ref, err := Run(opts, tailTrial(2))
+		sc := testScenario(t, c.target)
+		ref, err := EstimateLinkYield(sc, c.o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := RunCtx(ctx, opts, tailTrial(2))
+		got, err := EstimateLinkYieldCtx(ctx, sc, c.o)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got != ref {
-			t.Fatalf("live-ctx run diverged: %+v vs %+v (opts %+v)", got, ref, opts)
+			t.Fatalf("live-ctx run diverged: %+v vs %+v (opts %+v)", got, ref, c.o)
 		}
 	}
 }
 
 func TestRunPropagatesTrialError(t *testing.T) {
 	boom := fmt.Errorf("boom")
-	_, err := Run(Options{Dims: 1, Samples: 100}, func(i int, z []float64) (bool, error) {
+	_, err := runOracle(Options{Dims: 1, Samples: 100}, func(i int, z []float64) (bool, error) {
 		if i == 37 {
 			return false, boom
 		}
@@ -270,7 +272,7 @@ func TestRunValidation(t *testing.T) {
 		"bad-abserr":     {Dims: 2, AbsErr: -0.1},
 		"shift-mismatch": {Dims: 2, Shift: []float64{1}},
 	} {
-		if _, err := Run(o, ok); err == nil {
+		if _, err := runOracle(o, ok); err == nil {
 			t.Errorf("%s: invalid options accepted", name)
 		}
 	}
@@ -293,7 +295,7 @@ func TestRunRejectsNegativeBudgets(t *testing.T) {
 		{"negative-min-samples", Options{Dims: 2, Samples: 100, MinSamples: -1}, ErrNegativeMinSamples},
 		{"negative-workers", Options{Dims: 2, Samples: 100, Workers: -2}, ErrNegativeWorkers},
 	} {
-		_, err := Run(c.o, ok)
+		_, err := runOracle(c.o, ok)
 		if !errors.Is(err, c.want) {
 			t.Errorf("%s: got %v, want %v", c.name, err, c.want)
 		}

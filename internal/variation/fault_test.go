@@ -7,43 +7,39 @@ import (
 	"repro/internal/faultinject"
 )
 
-// TestRunBatchFaultSurfacesPromptly: a fault at the batch boundary
-// aborts the estimation with the injected error instead of burning the
-// remaining budget.
+// TestRunBatchFaultSurfacesPromptly: a fault at the sampling driver's
+// first batch boundary aborts the estimation with the injected error
+// before a single sample is drawn, instead of burning the budget.
 func TestRunBatchFaultSurfacesPromptly(t *testing.T) {
 	defer faultinject.Activate(faultinject.Plan{Points: map[string]faultinject.Point{
 		"variation.batch": {Kind: faultinject.Error, Times: 1},
 	}})()
-	trials := 0
-	_, err := Run(Options{Dims: 2, Samples: 1 << 20, Batch: 64}, func(i int, z []float64) (bool, error) {
-		trials++
-		return false, nil
-	})
+	sc := testScenario(t, 480e-12)
+	before := metSamples.Value()
+	_, err := EstimateLinkYield(sc, YieldOptions{Samples: 1 << 20, Batch: 64})
 	if !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("got %v, want the injected error", err)
 	}
-	if trials != 0 {
-		t.Fatalf("%d trials ran after the first-batch fault", trials)
+	if drawn := metSamples.Value() - before; drawn != 0 {
+		t.Fatalf("%d samples ran after the first-batch fault", drawn)
 	}
 }
 
 // TestRunLaterBatchFaultDiscardsPartial: a fault firing between
 // batches (After skips the first boundary) aborts the run with the
 // error and discards the partial accumulation — exactly one batch of
-// trials has run when the second boundary fires.
+// samples has run when the second boundary fires.
 func TestRunLaterBatchFaultDiscardsPartial(t *testing.T) {
 	defer faultinject.Activate(faultinject.Plan{Points: map[string]faultinject.Point{
 		"variation.batch": {Kind: faultinject.Error, After: 1, Times: 1},
 	}})()
-	trials := 0
-	_, err := Run(Options{Dims: 2, Samples: 64, Batch: 16, Workers: 1}, func(i int, z []float64) (bool, error) {
-		trials++
-		return false, nil
-	})
+	sc := testScenario(t, 480e-12)
+	before := metSamples.Value()
+	_, err := EstimateLinkYield(sc, YieldOptions{Samples: 64, Batch: 16, Workers: 1})
 	if !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("got %v, want the injected error", err)
 	}
-	if trials != 16 {
-		t.Fatalf("%d trials ran, want exactly the first batch (16)", trials)
+	if drawn := metSamples.Value() - before; drawn != 16 {
+		t.Fatalf("%d samples ran, want exactly the first batch (16)", drawn)
 	}
 }

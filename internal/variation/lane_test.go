@@ -109,7 +109,7 @@ func TestLanePartialBitIdentity(t *testing.T) {
 // TestLaneLegacySamplerMatchesHistoricalKernel pins that the pinned
 // legacy sampler really is the historical sequence: the lane kernel
 // under SamplerBoxMuller reproduces the pre-lane per-sample kernel
-// (RunCtx over LinkScenario.Delay) bit-exactly — the same fixture
+// (runOracle over LinkScenario.Delay) bit-exactly — the same fixture
 // TestSharedKernelBitIdenticalToLegacy uses.
 func TestLaneLegacySamplerMatchesHistoricalKernel(t *testing.T) {
 	sc := testScenario(t, 480e-12)

@@ -395,7 +395,9 @@ func (d *driver) run(ctx context.Context, start, count int, fn func(base, n int,
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		// Fault point at the batch boundary, as in RunBatchCtx.
+		// Fault point at the batch boundary: robustness tests inject
+		// errors here to prove a failing estimator surfaces promptly
+		// instead of burning the remaining budget.
 		if err := faultinject.Hit("variation.batch"); err != nil {
 			return err
 		}

@@ -13,8 +13,9 @@ import (
 
 // legacyLinkYield re-implements the historical one-sample-at-a-time
 // estimator exactly as EstimateLinkYield computed it before the shared
-// batched kernel: RunCtx over LinkScenario.Delay, with the
-// importance-sampling shift searched by FindShift on the same metric.
+// batched kernel: runOracle over LinkScenario.Delay, with the
+// importance-sampling shift searched by FindShift on the same metric
+// when the isle rung is pinned.
 // The kernel tests pin bit-identity against this reference.
 func legacyLinkYield(t *testing.T, sc *LinkScenario, o YieldOptions) Estimate {
 	t.Helper()
@@ -22,14 +23,14 @@ func legacyLinkYield(t *testing.T, sc *LinkScenario, o YieldOptions) Estimate {
 		t.Fatal(err)
 	}
 	ro := o.runOptions()
-	if o.ImportanceSampling {
+	if o.Estimator == estimator.ISLE {
 		shift, err := FindShift(Dims, sc.Target, sc.Delay)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ro.Shift = shift
 	}
-	est, err := Run(ro, func(i int, z []float64) (bool, error) {
+	est, err := runOracle(ro, func(i int, z []float64) (bool, error) {
 		d, err := sc.Delay(z)
 		if err != nil {
 			return false, err
@@ -55,7 +56,7 @@ func TestSharedKernelBitIdenticalToLegacy(t *testing.T) {
 	}{
 		{"mc", 480e-12, YieldOptions{Samples: 2048, Seed: 3}},
 		{"mc-relerr", 480e-12, YieldOptions{Samples: 8192, Seed: 3, RelErr: 0.2}},
-		{"is", 545e-12, YieldOptions{Samples: 2048, Seed: 3, ImportanceSampling: true}},
+		{"is", 545e-12, YieldOptions{Samples: 2048, Seed: 3, Estimator: estimator.ISLE}},
 	} {
 		sc := testScenario(t, c.target)
 		want := legacyLinkYield(t, sc, c.opts)
@@ -101,9 +102,9 @@ func TestSharedSweepMatchesPerCandidate(t *testing.T) {
 	seg := wire.NewSegment(tc, 5e-3, wire.SWSS)
 	specs := sweepSpecs(seg)
 	const target = 500e-12
-	for _, is := range []bool{false, true} {
+	for _, kind := range []estimator.Kind{estimator.Auto, estimator.ISLE} {
 		for _, workers := range []int{1, 8} {
-			o := YieldOptions{Samples: 2048, Seed: 1, Workers: workers, RelErr: 0.1, ImportanceSampling: is}
+			o := YieldOptions{Samples: 2048, Seed: 1, Workers: workers, RelErr: 0.1, Estimator: kind}
 			ms := &MultiScenario{Base: tc, Coeffs: coeffs, Space: DefaultSpace(), Specs: specs, Target: target}
 			ests, err := EstimateYieldsShared(ms, o)
 			if err != nil {
@@ -119,7 +120,7 @@ func TestSharedSweepMatchesPerCandidate(t *testing.T) {
 					t.Fatal(err)
 				}
 				if ests[c] != want {
-					t.Errorf("is=%v workers=%d candidate %d: shared %+v != standalone %+v", is, workers, c, ests[c], want)
+					t.Errorf("%q workers=%d candidate %d: shared %+v != standalone %+v", kind, workers, c, ests[c], want)
 				}
 			}
 		}
@@ -242,19 +243,19 @@ func TestAISRunAllocs(t *testing.T) {
 	}
 }
 
-// TestRunBatchSteadyStateAllocs guards the generic batched kernel the
-// same way: a trivial trial over per-worker scratch must amortize to
-// (far) less than one allocation per sample.
+// TestRunBatchSteadyStateAllocs guards the oracle the same way: the
+// production fold and samplers it drives over per-worker scratch must
+// amortize to (far) less than one allocation per sample.
 func TestRunBatchSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; counts are meaningless under -race")
 	}
 	const samples = 8192
 	o := Options{Dims: Dims, Samples: samples, Seed: 1, Workers: 1}
-	trial := func(i, worker int, z []float64) (bool, error) { return z[0] > 2, nil }
+	tr := func(i int, z []float64) (bool, error) { return z[0] > 2, nil }
 	var runErr error
 	allocs := testing.AllocsPerRun(1, func() {
-		_, runErr = RunBatch(o, trial)
+		_, runErr = runOracle(o, tr)
 	})
 	if runErr != nil {
 		t.Fatal(runErr)

@@ -35,12 +35,14 @@ import (
 // stopping rule at the checkpoints the local run consults it at,
 // truncating at the sample the local run would have stopped at.
 
-// ErrNotShardable marks an estimation whose rung cannot be partitioned
-// by sample index: AIS (the adapted proposal depends on all prior
-// stages), WCD (no sampling at all), and the auto-routed ≥3σ cascade
-// (the worst-case-distance pre-filter may answer without drawing a
-// single sample). Callers run these locally through the normal ladder.
-var ErrNotShardable = errors.New("variation: estimator rung cannot be sharded by sample index")
+// ErrNotShardable marks a yield request that cannot be partitioned by
+// sample index: AIS (the adapted proposal depends on all prior
+// stages), WCD (no sampling at all), the auto-routed ≥3σ cascade (the
+// worst-case-distance pre-filter may answer without drawing a single
+// sample), and sizing runs (the candidate search drives sampling
+// adaptively; the predint facade refuses those with this same value).
+// Callers run these locally through the normal ladder.
+var ErrNotShardable = errors.New("variation: request cannot be sharded by sample index")
 
 var metShardsCollected = obs.NewCounter("variation.shards_collected")
 

@@ -151,7 +151,6 @@ func TestShardableKind(t *testing.T) {
 		ok   bool
 	}{
 		{"mc", YieldOptions{}, estimator.MC, true},
-		{"legacy-is", YieldOptions{ImportanceSampling: true}, estimator.ISLE, true},
 		{"qmc", YieldOptions{Estimator: estimator.QMC}, estimator.QMC, true},
 		{"explicit-isle", YieldOptions{Estimator: estimator.ISLE}, estimator.ISLE, true},
 		{"ais", YieldOptions{Estimator: estimator.AIS}, estimator.AIS, false},

@@ -91,15 +91,8 @@ func (s *Stream) Norm() float64 {
 	return r * math.Cos(theta)
 }
 
-// Norms fills a fresh slice with n standard normal draws.
-func (s *Stream) Norms(n int) []float64 {
-	out := make([]float64, n)
-	s.NormsInto(out)
-	return out
-}
-
 // NormsInto fills the caller-owned dst with len(dst) standard normal
-// draws, consuming uniforms exactly as Norms would. The batched kernel
+// Box–Muller draws, one Norm per element. The batched kernel
 // uses it with a per-worker buffer to keep the steady path free of
 // per-sample allocation.
 func (s *Stream) NormsInto(dst []float64) {

@@ -110,17 +110,12 @@ type YieldOptions struct {
 	RelErr, AbsErr             float64
 	Workers                    int
 	Seed                       uint64
-	// ImportanceSampling selects the ISLE-style estimator: the
-	// sampling distribution is shifted to the most probable failure
-	// point and samples carry likelihood-ratio weights. Recommended
-	// for failure probabilities below ~1e-2. Superseded by Estimator
-	// and TargetSigma: the flag is kept as the historical hint and
-	// maps to the ISLE rung when neither newer field is set.
-	ImportanceSampling bool
 	// Estimator pins a specific rung of the estimator ladder (mc,
-	// qmc, isle, ais, wcd). Empty (estimator.Auto) routes by
-	// TargetSigma when set and falls back to the historical default
-	// otherwise (plain MC, or ISLE when ImportanceSampling is set).
+	// qmc, isle, ais, wcd). isle is the ISLE-style estimator: the
+	// sampling distribution is shifted to the most probable failure
+	// point and samples carry likelihood-ratio weights, for failure
+	// probabilities below ~1e-2. Empty (estimator.Auto) routes by
+	// TargetSigma when set and falls back to plain MC otherwise.
 	Estimator estimator.Kind
 	// TargetSigma is the sigma level the query must resolve (a 6σ
 	// query cares about failure probabilities near Φ(−6) ≈ 1e-9).
@@ -141,7 +136,7 @@ type YieldOptions struct {
 
 // resolveKind maps the options' estimator hints to the concrete rung
 // that will run: an explicit Estimator wins, then TargetSigma routing,
-// then the historical default.
+// then plain MC.
 func (o YieldOptions) resolveKind() (estimator.Kind, error) {
 	if o.TargetSigma < 0 || math.IsNaN(o.TargetSigma) || math.IsInf(o.TargetSigma, 0) {
 		return estimator.Auto, fmt.Errorf("variation: invalid target sigma %g", o.TargetSigma)
@@ -156,9 +151,6 @@ func (o YieldOptions) resolveKind() (estimator.Kind, error) {
 		if k := estimator.RouteSigma(o.TargetSigma); k != estimator.Auto {
 			return k, nil
 		}
-	}
-	if o.ImportanceSampling {
-		return estimator.ISLE, nil
 	}
 	return estimator.MC, nil
 }
@@ -196,10 +188,10 @@ func EstimateLinkYieldCtx(ctx context.Context, sc *LinkScenario, o YieldOptions)
 	}
 	// Single-candidate view of the shared kernel: same draws, same
 	// fold order, same stopping rule — bit-identical to the historical
-	// per-sample implementation (RunCtx over sc.Delay), but with the
-	// per-worker scratch keeping the steady path allocation-free. The
-	// shared kernel owns estimator dispatch (including the shift
-	// search when the ISLE rung runs).
+	// per-sample implementation (the tests' oracle over sc.Delay), but
+	// with the per-worker scratch keeping the steady path
+	// allocation-free. The shared kernel owns estimator dispatch
+	// (including the shift search when the ISLE rung runs).
 	ms := &MultiScenario{
 		Base:   sc.Base,
 		Coeffs: sc.Coeffs,

@@ -143,23 +143,13 @@ func relFactor(sigma, z float64) float64 {
 	return f
 }
 
-// Apply perturbs a technology with one standardized draw z (length
-// Dims) and returns the perturbed private copy together with the wire
-// factors of the draw. The base descriptor is never mutated. The
-// threshold voltages are clamped below the supply so the perturbed
-// descriptor stays evaluable.
-func (s Space) Apply(base *tech.Technology, z []float64) (*tech.Technology, Factors) {
-	t := new(tech.Technology)
-	f := s.ApplyInto(t, base, z)
-	return t, f
-}
-
-// ApplyInto is Apply writing the perturbed descriptor into a
-// caller-owned destination instead of allocating one, producing a
-// bit-identical result. The sampling kernel keeps one Technology per
-// worker and perturbs into it per sample, keeping the steady path
-// allocation-free. dst may not alias base; base is never mutated and
-// z is only read.
+// ApplyInto perturbs a technology with one standardized draw z (length
+// Dims) into the caller-owned dst and returns the wire factors of the
+// draw. The threshold voltages are clamped below the supply so the
+// perturbed descriptor stays evaluable. The sampling kernel keeps one
+// Technology per worker and perturbs into it per sample, keeping the
+// steady path allocation-free. dst may not alias base; base is never
+// mutated and z is only read.
 func (s Space) ApplyInto(dst *tech.Technology, base *tech.Technology, z []float64) Factors {
 	*dst = *base
 

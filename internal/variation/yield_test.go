@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/buffering"
+	"repro/internal/estimator"
 	"repro/internal/model"
 	"repro/internal/tech"
 	"repro/internal/wire"
@@ -104,17 +105,17 @@ func TestScenarioDelayRespondsToVariation(t *testing.T) {
 // concurrent sampling path.
 func TestLinkYieldWorkerDeterminism(t *testing.T) {
 	sc := testScenario(t, 480e-12)
-	for _, is := range []bool{false, true} {
-		serial, err := EstimateLinkYield(sc, YieldOptions{Samples: 4096, Seed: 1, Workers: 1, ImportanceSampling: is})
+	for _, kind := range []estimator.Kind{estimator.Auto, estimator.ISLE} {
+		serial, err := EstimateLinkYield(sc, YieldOptions{Samples: 4096, Seed: 1, Workers: 1, Estimator: kind})
 		if err != nil {
 			t.Fatal(err)
 		}
-		parallel, err := EstimateLinkYield(sc, YieldOptions{Samples: 4096, Seed: 1, Workers: 8, ImportanceSampling: is})
+		parallel, err := EstimateLinkYield(sc, YieldOptions{Samples: 4096, Seed: 1, Workers: 8, Estimator: kind})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if serial != parallel {
-			t.Fatalf("is=%v: workers=8 diverged: %+v vs %+v", is, parallel, serial)
+			t.Fatalf("%q: workers=8 diverged: %+v vs %+v", kind, parallel, serial)
 		}
 	}
 }
@@ -133,7 +134,7 @@ func TestImportanceSamplingAgreesWithPlainMC(t *testing.T) {
 	if ref.FailProb <= 0 || ref.FailProb > 2e-3 {
 		t.Fatalf("reference failure probability %g not in the intended tail regime", ref.FailProb)
 	}
-	is, err := EstimateLinkYield(sc, YieldOptions{Samples: 4096, Seed: 1, ImportanceSampling: true})
+	is, err := EstimateLinkYield(sc, YieldOptions{Samples: 4096, Seed: 1, Estimator: estimator.ISLE})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestImportanceSamplingAgreesWithPlainMC(t *testing.T) {
 // fall back to plain MC rather than chase a shift.
 func TestImportanceSamplingFallsBackWhenFailing(t *testing.T) {
 	sc := testScenario(t, 300e-12) // well below the ~434 ps nominal delay
-	est, err := EstimateLinkYield(sc, YieldOptions{Samples: 1024, Seed: 1, ImportanceSampling: true})
+	est, err := EstimateLinkYield(sc, YieldOptions{Samples: 1024, Seed: 1, Estimator: estimator.ISLE})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +211,7 @@ func TestSizeForYield(t *testing.T) {
 		Space:       DefaultSpace(),
 		Target:      target,
 		YieldTarget: yieldTarget,
-		MC:          YieldOptions{Samples: 4096, Seed: 1, ImportanceSampling: true},
+		MC:          YieldOptions{Samples: 4096, Seed: 1, Estimator: estimator.ISLE},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -232,7 +233,7 @@ func TestSizeForYield(t *testing.T) {
 		Spec:   lineSpec(sized.Design, seg, bufOpts),
 		Target: target,
 	}
-	check, err := EstimateLinkYield(sc, YieldOptions{Samples: 8192, Seed: 99, ImportanceSampling: true})
+	check, err := EstimateLinkYield(sc, YieldOptions{Samples: 8192, Seed: 99, Estimator: estimator.ISLE})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,6 @@
 package variation
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // This file is the engine's fast normal sampler: the Marsaglia–Tsang
 // ziggurat method over 128 layers. Box–Muller (Stream.Norm) costs a
@@ -57,20 +54,6 @@ func validSampler(s Sampler) bool {
 		return true
 	}
 	return false
-}
-
-// ParseSampler validates a sampler name arriving from an external
-// request (facade, CLI, wire DTO): empty selects the default, unknown
-// names are rejected wrapping ErrUnknownSampler. The empty name is
-// returned as-is — resolution to the default happens in option
-// normalization, so a caller echoing the parsed value back preserves
-// "unset".
-func ParseSampler(name string) (Sampler, error) {
-	s := Sampler(name)
-	if !validSampler(s) {
-		return "", fmt.Errorf("%w %q", ErrUnknownSampler, name)
-	}
-	return s, nil
 }
 
 // zigR is the ziggurat tail cutoff: layer 0 hands |z| > zigR to the

@@ -99,12 +99,12 @@ func TestLinkYieldConcurrent(t *testing.T) {
 	reqs := []YieldRequest{
 		{Tech: "90nm", LengthMM: 5, Samples: Int(1024), Seed: 1},
 		{Tech: "90nm", LengthMM: 5, Samples: Int(1024), Seed: 2, TargetPS: Float(470)},
-		{Tech: "90nm", LengthMM: 5, Samples: Int(1024), Seed: 1, TargetPS: Float(520), ImportanceSampling: true},
+		{Tech: "90nm", LengthMM: 5, Samples: Int(1024), Seed: 1, TargetPS: Float(520), Estimator: "isle"},
 		{Tech: "65nm", LengthMM: 3, Samples: Int(1024), Seed: 3, Workers: 4},
 	}
 	want := make([]YieldResult, len(reqs))
 	for i, req := range reqs {
-		res, err := LinkYield(req)
+		res, err := uncached.LinkYieldCtx(context.Background(), req)
 		if err != nil {
 			t.Fatalf("serial reference %d: %v", i, err)
 		}
@@ -119,7 +119,7 @@ func TestLinkYieldConcurrent(t *testing.T) {
 			defer wg.Done()
 			for k := 0; k < 2*len(reqs); k++ {
 				i := (g + k) % len(reqs)
-				res, err := LinkYield(reqs[i])
+				res, err := uncached.LinkYieldCtx(context.Background(), reqs[i])
 				if err != nil {
 					t.Errorf("goroutine %d req %d: %v", g, i, err)
 					return
@@ -142,14 +142,14 @@ func TestLinkYieldConcurrent(t *testing.T) {
 // cache must not have memoized the cancellation).
 func TestLinkYieldCtxCancellation(t *testing.T) {
 	req := YieldRequest{Tech: "90nm", LengthMM: 5, Samples: Int(1024), Seed: 1}
-	ref, err := LinkYield(req)
+	ref, err := uncached.LinkYieldCtx(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	dead, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := LinkYieldCtx(dead, req); !errors.Is(err, context.Canceled) {
+	if _, err := uncached.LinkYieldCtx(dead, req); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled context: got %v, want context.Canceled", err)
 	}
 
@@ -161,7 +161,7 @@ func TestLinkYieldCtxCancellation(t *testing.T) {
 		cancel2()
 	}()
 	start := time.Now()
-	_, err = LinkYieldCtx(ctx, big)
+	_, err = uncached.LinkYieldCtx(ctx, big)
 	if elapsed := time.Since(start); elapsed > 30*time.Second {
 		t.Fatalf("mid-run cancel took %v, want prompt return", elapsed)
 	}
@@ -170,7 +170,7 @@ func TestLinkYieldCtxCancellation(t *testing.T) {
 		t.Fatalf("mid-run cancel: got %v, want context.Canceled", err)
 	}
 
-	after, err := LinkYield(req)
+	after, err := uncached.LinkYieldCtx(context.Background(), req)
 	if err != nil {
 		t.Fatalf("post-cancel run failed (poisoned cache?): %v", err)
 	}
@@ -181,16 +181,16 @@ func TestLinkYieldCtxCancellation(t *testing.T) {
 
 // TestLinkYieldCtxLiveMatchesNoCtx pins that a live context is free:
 // the facade result under a never-expiring deadline is bit-identical
-// to the context-free call.
+// to the same call under context.Background().
 func TestLinkYieldCtxLiveMatchesNoCtx(t *testing.T) {
 	req := YieldRequest{Tech: "90nm", LengthMM: 5, Samples: Int(1024), Seed: 7, Workers: 4}
-	ref, err := LinkYield(req)
+	ref, err := uncached.LinkYieldCtx(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
 	defer cancel()
-	got, err := LinkYieldCtx(ctx, req)
+	got, err := uncached.LinkYieldCtx(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestSynthesizeNoCCtxCancellation(t *testing.T) {
 // be bit-identical to the serial reference. Run under `go test -race`.
 func TestLinkYieldCtxCancelConcurrent(t *testing.T) {
 	req := YieldRequest{Tech: "90nm", LengthMM: 5, Samples: Int(2048), Seed: 9}
-	ref, err := LinkYield(req)
+	ref, err := uncached.LinkYieldCtx(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestLinkYieldCtxCancelConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			if g%2 == 0 {
-				res, err := LinkYield(req)
+				res, err := uncached.LinkYieldCtx(context.Background(), req)
 				if err != nil {
 					t.Errorf("live goroutine %d: %v", g, err)
 					return
@@ -277,7 +277,7 @@ func TestLinkYieldCtxCancelConcurrent(t *testing.T) {
 			big.Samples = Int(50_000_000)
 			ctx, cancel := context.WithTimeout(context.Background(), time.Duration(g)*time.Millisecond)
 			defer cancel()
-			if _, err := LinkYieldCtx(ctx, big); err != nil && !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, context.Canceled) {
+			if _, err := uncached.LinkYieldCtx(ctx, big); err != nil && !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, context.Canceled) {
 				t.Errorf("cancelled goroutine %d: unexpected error %v", g, err)
 			}
 		}(g)
@@ -286,7 +286,7 @@ func TestLinkYieldCtxCancelConcurrent(t *testing.T) {
 
 	// The shared caches must still hand every later caller the
 	// reference answer.
-	after, err := LinkYield(req)
+	after, err := uncached.LinkYieldCtx(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package predint
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"hash/fnv"
 
@@ -24,8 +23,9 @@ import (
 // drives sampling adaptively), AIS (stage proposals depend on all prior
 // draws), WCD (no sampling at all), and auto-routed deep-sigma requests
 // (the pre-filter cascade may answer analytically with zero samples).
-// The serving layer falls back to local execution for these.
-var ErrNotShardable = errors.New("predint: request cannot be sharded by sample index")
+// The serving layer falls back to local execution for these. It is the
+// engine's own sentinel, so a refusal from either layer matches it.
+var ErrNotShardable = variation.ErrNotShardable
 
 // YieldShardPlan is a validated yield request bound to its designed
 // link, ready to collect or merge sample-index shards. Every replica
@@ -62,7 +62,7 @@ func YieldShardPlanFor(req YieldRequest) (*YieldShardPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &YieldShardPlan{p: p, des: des, sc: p.scenario(des), kind: kind}, nil
+	return &YieldShardPlan{p: p, des: des, sc: p.scenario(p.line(des)), kind: kind}, nil
 }
 
 // Kind names the resolved estimator rung the shards will run.
@@ -121,19 +121,5 @@ func (pl *YieldShardPlan) Merge(parts []variation.Partial, shifted bool) (variat
 // Result assembles the externally served YieldResult from a merged
 // estimate, exactly as the local full-sampling path would.
 func (pl *YieldShardPlan) Result(est variation.Estimate) YieldResult {
-	return YieldResult{
-		Repeaters:         pl.des.N,
-		RepeaterSize:      pl.des.Size,
-		NominalDelay:      pl.des.Delay,
-		Target:            pl.p.target,
-		Yield:             est.Yield,
-		FailProb:          est.FailProb,
-		StdErr:            est.StdErr,
-		CI95:              est.CI95(),
-		Samples:           est.Samples,
-		ImportanceSampled: est.Shifted,
-		Estimator:         string(est.Estimator),
-		VarianceReduction: est.VarianceReduction,
-		Source:            SourceMC,
-	}
+	return pl.p.result(pl.des, est, SourceMC)
 }

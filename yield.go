@@ -16,13 +16,15 @@ import (
 )
 
 // This file is the facade over the process-variation engine
-// (internal/variation): Monte Carlo timing-yield estimation for a
-// designed link, optionally with the ISLE-style importance-sampling
-// estimator for deep-tail failure probabilities, and yield-aware
+// (internal/variation): timing-yield estimation for a designed link on
+// the estimator ladder (mc, qmc, isle, ais, wcd), and yield-aware
 // buffering that resizes the repeaters until a yield target holds.
-// LinkYieldNominal is the graceful-degradation path the serving layer
-// (cmd/predintd) falls back to when a cost budget or queue pressure
-// won't allow sampling.
+// Every entry takes a context. The sampling entries are methods of
+// Surfaced: a zero Surfaced{} is the uncached path, and
+// Surfaced{Cache: surface.New(...)} answers from a warm surface too.
+// LinkYieldNominalCtx is the graceful-degradation path the serving
+// layer (cmd/predintd) falls back to when a cost budget or queue
+// pressure won't allow sampling.
 
 // Defaults applied to unset (nil) optional YieldRequest fields.
 const (
@@ -45,9 +47,6 @@ var (
 	// ErrUnknownEstimator rejects an Estimator name outside the
 	// registered ladder (see internal/estimator).
 	ErrUnknownEstimator = errors.New("predint: unknown estimator")
-	// ErrUnknownSampler rejects a Sampler name outside the known set
-	// ("ziggurat", "box-muller").
-	ErrUnknownSampler = errors.New("predint: unknown sampler")
 )
 
 // YieldRequest describes a timing-yield estimation for a buffered
@@ -90,21 +89,14 @@ type YieldRequest struct {
 	// Workers bounds the sampling goroutines: 0 means every core, 1
 	// forces serial evaluation. The estimate is identical either way.
 	Workers int
-	// ImportanceSampling selects the ISLE-style estimator (shifted
-	// sampling distribution + likelihood-ratio weights). Use it when
-	// the expected failure probability is small (≲ 1e-2); for common
-	// failures plain Monte Carlo is already efficient and the engine
-	// falls back to it automatically when shifting cannot help.
-	//
-	// Estimator and TargetSigma below subsume this switch; it remains
-	// for compatibility and is equivalent to Estimator "isle".
-	ImportanceSampling bool
 	// Estimator pins a rung of the high-sigma estimator ladder by
-	// name: "mc", "qmc", "isle", "ais", or "wcd" (the analytic
+	// name: "mc", "qmc", "isle" (the ISLE-style importance sampler:
+	// shifted sampling distribution plus likelihood-ratio weights,
+	// for failure probabilities ≲ 1e-2; it falls back to plain Monte
+	// Carlo when shifting cannot help), "ais", or "wcd" (the analytic
 	// worst-case-distance bound — no sampling). Empty or "auto" lets
-	// the engine route from TargetSigma (or fall back to the
-	// historical default). Unknown names are rejected with
-	// ErrUnknownEstimator.
+	// the engine route from TargetSigma (or fall back to plain Monte
+	// Carlo). Unknown names are rejected with ErrUnknownEstimator.
 	Estimator string
 	// TargetSigma declares the sigma level the query must resolve
 	// (e.g. 6 for a 6σ sign-off): the router picks the cheapest
@@ -114,16 +106,6 @@ type YieldRequest struct {
 	// nil means no declared level; explicit negative, NaN, or infinite
 	// values are rejected with ErrInvalidSigma.
 	TargetSigma *float64
-	// Sampler pins the normal sampler behind the mc and isle rungs:
-	// "ziggurat" (the default fast sampler) or "box-muller" (the
-	// pinned legacy sequence — every estimate produced before the
-	// ziggurat landed used it, so historical fixtures replay
-	// bit-exactly under it). The qmc rung draws scrambled Sobol points
-	// and ais keeps its own legacy stream, so both ignore the setting;
-	// wcd does not sample at all. Unknown names are rejected with
-	// ErrUnknownSampler. Like Seed, the sampler changes the realized
-	// draws but not the estimated quantity.
-	Sampler string
 	// SigmaScale multiplies every sigma of the default variation
 	// space; nil means 1. An explicit Float(0) is honored: it
 	// disables variation, collapsing yield to a 0/1 step around the
@@ -135,8 +117,8 @@ type YieldRequest struct {
 	// estimated yield reaches the target. Must lie in (0,1).
 	YieldTarget *float64
 	// NoSurface bypasses the yield-response-surface cache entirely —
-	// neither consulted nor refreshed — forcing the full Monte Carlo
-	// path even while EnableSurface is in effect.
+	// neither consulted nor refreshed — forcing the full sampling path
+	// even through a Surfaced handle with a bound cache.
 	NoSurface bool
 }
 
@@ -158,9 +140,9 @@ type YieldResult struct {
 	StdErr, CI95 float64
 	// Samples is the number of Monte Carlo samples evaluated.
 	Samples int
-	// ImportanceSampled reports whether the shifted estimator was in
-	// effect (false when ImportanceSampling was requested but the
-	// engine fell back to plain Monte Carlo).
+	// ImportanceSampled reports whether a shifted estimator was in
+	// effect (false when the isle rung was requested but the engine
+	// fell back to plain Monte Carlo).
 	ImportanceSampled bool
 	// Estimator names the ladder rung that produced the estimate
 	// ("mc", "qmc", "isle", "ais", "wcd") — the routed choice for
@@ -174,7 +156,7 @@ type YieldResult struct {
 	// Resized reports whether YieldTarget moved the design away from
 	// the nominal weighted-objective solution.
 	Resized bool
-	// Degraded reports that this result came from LinkYieldNominal —
+	// Degraded reports that this result came from LinkYieldNominalCtx —
 	// the closed-form nominal-corner evaluation (model.ScaledFor with
 	// no perturbation), not a Monte Carlo estimation. Yield is then a
 	// 0/1 step around the target.
@@ -282,10 +264,6 @@ func (req YieldRequest) plan() (*yieldPlan, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %q (known: auto, mc, qmc, isle, ais, wcd)", ErrUnknownEstimator, req.Estimator)
 	}
-	sampler, err := variation.ParseSampler(req.Sampler)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %q (known: ziggurat, box-muller)", ErrUnknownSampler, req.Sampler)
-	}
 	targetSigma := 0.0
 	if req.TargetSigma != nil {
 		targetSigma = *req.TargetSigma
@@ -311,15 +289,13 @@ func (req YieldRequest) plan() (*yieldPlan, error) {
 		},
 		space: variation.DefaultSpace().Scaled(sigma),
 		mc: variation.YieldOptions{
-			Samples:            samples,
-			RelErr:             relErr,
-			AbsErr:             absErr,
-			Workers:            req.Workers,
-			Seed:               req.Seed,
-			ImportanceSampling: req.ImportanceSampling,
-			Estimator:          kind,
-			TargetSigma:        targetSigma,
-			Sampler:            sampler,
+			Samples:     samples,
+			RelErr:      relErr,
+			AbsErr:      absErr,
+			Workers:     req.Workers,
+			Seed:        req.Seed,
+			Estimator:   kind,
+			TargetSigma: targetSigma,
 		},
 		target: target,
 		slew:   slew,
@@ -327,42 +303,94 @@ func (req YieldRequest) plan() (*yieldPlan, error) {
 	}, nil
 }
 
-// scenario binds a designed line to the plan's variation space.
-func (p *yieldPlan) scenario(des buffering.Design) *variation.LinkScenario {
+// line is the buffered-line spec of design des on the plan's link.
+func (p *yieldPlan) line(des buffering.Design) model.LineSpec {
+	return model.LineSpec{Kind: des.Kind, Size: des.Size, N: des.N, Segment: p.seg, InputSlew: p.slew}
+}
+
+// scenario binds a buffered line to the plan's variation space.
+func (p *yieldPlan) scenario(spec model.LineSpec) *variation.LinkScenario {
 	return &variation.LinkScenario{
 		Base:   p.tc,
 		Coeffs: p.coeffs,
 		Space:  p.space,
-		Spec:   model.LineSpec{Kind: des.Kind, Size: des.Size, N: des.N, Segment: p.seg, InputSlew: p.slew},
+		Spec:   spec,
 		Target: p.target,
 	}
 }
 
-// LinkYield estimates the timing yield of a buffered link under
+// result assembles the served answer for design des (des.Delay is its
+// nominal delay) from a sampled estimate (SourceMC) or a surface recall
+// (SourceSurface). Every sampling and surface path builds its
+// YieldResult here, so a local, sharded, batch or warm answer carries
+// the same fields.
+func (p *yieldPlan) result(des buffering.Design, est variation.Estimate, source string) YieldResult {
+	return YieldResult{
+		Repeaters:         des.N,
+		RepeaterSize:      des.Size,
+		NominalDelay:      des.Delay,
+		Target:            p.target,
+		Yield:             est.Yield,
+		FailProb:          est.FailProb,
+		StdErr:            est.StdErr,
+		CI95:              est.CI95(),
+		Samples:           est.Samples,
+		ImportanceSampled: est.Shifted,
+		Estimator:         string(est.Estimator),
+		VarianceReduction: est.VarianceReduction,
+		Source:            source,
+	}
+}
+
+// nominalResult is the degraded answer for one buffered line: a single
+// closed-form evaluation at the nominal process corner (model.ScaledFor
+// against an unperturbed technology). Yield is a 0/1 step around the
+// target and FailProbBound the rule-of-three bound min(1, 3/n) at
+// n = 1 — vacuous, and therefore honest.
+func (p *yieldPlan) nominalResult(spec model.LineSpec) (YieldResult, error) {
+	nominal, err := p.scenario(spec).NominalDelay()
+	if err != nil {
+		return YieldResult{}, err
+	}
+	fail := 0.0
+	if nominal > p.target {
+		fail = 1
+	}
+	return YieldResult{
+		Repeaters:     spec.N,
+		RepeaterSize:  spec.Size,
+		NominalDelay:  nominal,
+		Target:        p.target,
+		Yield:         1 - fail,
+		FailProb:      fail,
+		Samples:       1,
+		Degraded:      true,
+		FailProbBound: 1,
+		Source:        SourceNominal,
+	}, nil
+}
+
+// LinkYieldCtx estimates the timing yield of a buffered link under
 // process variation: the link is designed exactly as DesignLink would
 // (same objective, same models), then evaluated against the delay
-// target over a population of perturbed technologies.
+// target over a population of perturbed technologies. With a
+// YieldTarget the repeaters are resized until the target holds.
 //
 // Determinism guarantee: for a fixed request (including Seed), the
 // result is bit-identical for every Workers value — per-sample PRNG
 // streams are keyed by (seed ⊕ sample index) and accumulated in index
-// order, the same contract PR 1 established for synthesis.
-func LinkYield(req YieldRequest) (YieldResult, error) {
-	return LinkYieldCtx(context.Background(), req)
-}
-
-// LinkYieldCtx is LinkYield under a context: the Monte Carlo sampling
-// (and, with YieldTarget, the candidate search driving it) checks for
-// cancellation at batch boundaries, so a large-budget estimation can
+// order, the same contract NoC synthesis keeps.
+//
+// The sampling (and, with YieldTarget, the candidate search driving
+// it) checks ctx at batch boundaries, so a large-budget estimation can
 // be interrupted by a signal or bounded by a deadline — it returns
-// ctx.Err() promptly and discards the partial accumulation. A run
-// that completes under a live context is bit-identical to LinkYield.
-func LinkYieldCtx(ctx context.Context, req YieldRequest) (YieldResult, error) {
-	return Surfaced{Cache: surfaceCache.Load()}.LinkYieldCtx(ctx, req)
-}
-
-// LinkYieldCtx runs the full estimation path against the bound cache;
-// see the package-level LinkYieldCtx.
+// ctx.Err() promptly and discards the partial accumulation. A run that
+// completes under a live context is bit-identical to one under
+// context.Background().
+//
+// With a bound cache the warm surface is consulted first (plain
+// requests only) and refreshed from the completed run; a query it
+// cannot answer is bit-identical to the uncached path.
 func (sf Surfaced) LinkYieldCtx(ctx context.Context, req YieldRequest) (YieldResult, error) {
 	p, err := req.plan()
 	if err != nil {
@@ -370,7 +398,7 @@ func (sf Surfaced) LinkYieldCtx(ctx context.Context, req YieldRequest) (YieldRes
 	}
 
 	// Warm-surface consult: answered entirely from memoized estimates
-	// when the cache is enabled, the request hasn't opted out, and the
+	// when a cache is bound, the request hasn't opted out, and the
 	// conservative band meets the request's tolerance. Sizing requests
 	// (YieldTarget) always sample — the chosen design depends on the
 	// target, which a memoized curve cannot re-decide.
@@ -402,7 +430,7 @@ func (sf Surfaced) LinkYieldCtx(ctx context.Context, req YieldRequest) (YieldRes
 		if err != nil {
 			return YieldResult{}, err
 		}
-		est, err = variation.EstimateLinkYieldCtx(ctx, p.scenario(des), p.mc)
+		est, err = variation.EstimateLinkYieldCtx(ctx, p.scenario(p.line(des)), p.mc)
 		if err != nil {
 			return YieldResult{}, err
 		}
@@ -416,44 +444,24 @@ func (sf Surfaced) LinkYieldCtx(ctx context.Context, req YieldRequest) (YieldRes
 		p.surfaceRecord(cache, des, est, p.yt == nil)
 	}
 
-	return YieldResult{
-		Repeaters:         des.N,
-		RepeaterSize:      des.Size,
-		NominalDelay:      des.Delay,
-		Target:            p.target,
-		Yield:             est.Yield,
-		FailProb:          est.FailProb,
-		StdErr:            est.StdErr,
-		CI95:              est.CI95(),
-		Samples:           est.Samples,
-		ImportanceSampled: est.Shifted,
-		Estimator:         string(est.Estimator),
-		VarianceReduction: est.VarianceReduction,
-		Resized:           resized,
-		Source:            SourceMC,
-	}, nil
+	res := p.result(des, est, SourceMC)
+	res.Resized = resized
+	return res, nil
 }
 
-// LinkYieldNominal is the graceful-degradation fallback for LinkYield:
-// it validates the request identically, designs the link identically,
-// but replaces the Monte Carlo estimation with a single closed-form
-// evaluation at the nominal process corner (model.ScaledFor against an
-// unperturbed technology — microseconds, not milliseconds). The
-// result is marked Degraded, its Yield collapses to a 0/1 step around
-// the target, and FailProbBound carries the (vacuous, and therefore
-// honest) rule-of-three bound for the single evaluation performed.
-// A YieldTarget is validated but not acted on — resizing needs
-// sampling — so Resized is always false.
+// LinkYieldNominalCtx is the graceful-degradation fallback for
+// Surfaced.LinkYieldCtx: it validates the request identically, designs
+// the link identically, but replaces the estimation with a single
+// closed-form evaluation at the nominal process corner — microseconds,
+// not milliseconds. The result is marked Degraded, its Yield collapses
+// to a 0/1 step around the target, and FailProbBound carries the
+// (vacuous, and therefore honest) rule-of-three bound for the single
+// evaluation performed. A YieldTarget is validated but not acted on —
+// resizing needs sampling — so Resized is always false. Only an
+// up-front ctx check applies.
 //
 // cmd/predintd serves this path when a request's cost budget or the
 // admission-queue pressure won't allow sampling.
-func LinkYieldNominal(req YieldRequest) (YieldResult, error) {
-	return LinkYieldNominalCtx(context.Background(), req)
-}
-
-// LinkYieldNominalCtx is LinkYieldNominal under a context; only an
-// up-front check applies, as the evaluation itself is a handful of
-// closed-form model calls.
 func LinkYieldNominalCtx(ctx context.Context, req YieldRequest) (YieldResult, error) {
 	if err := ctx.Err(); err != nil {
 		return YieldResult{}, err
@@ -466,26 +474,7 @@ func LinkYieldNominalCtx(ctx context.Context, req YieldRequest) (YieldResult, er
 	if err != nil {
 		return YieldResult{}, err
 	}
-	nominal, err := p.scenario(des).NominalDelay()
-	if err != nil {
-		return YieldResult{}, err
-	}
-	fail := 0.0
-	if nominal > p.target {
-		fail = 1
-	}
-	return YieldResult{
-		Repeaters:     des.N,
-		RepeaterSize:  des.Size,
-		NominalDelay:  nominal,
-		Target:        p.target,
-		Yield:         1 - fail,
-		FailProb:      fail,
-		Samples:       1,
-		Degraded:      true,
-		FailProbBound: 1, // min(1, 3/n) at n = 1
-		Source:        SourceNominal,
-	}, nil
+	return p.nominalResult(p.line(des))
 }
 
 // YieldCandidate names one explicit buffering solution of a batch
@@ -504,8 +493,8 @@ type YieldCandidate struct {
 // on common random numbers — the same per-sample technology
 // perturbation serves every candidate — so the per-candidate estimates
 // are directly comparable (and each is bit-identical to what a
-// standalone LinkYield of that candidate would report), at a fraction
-// of K independent estimations' cost.
+// standalone LinkYieldCtx of that candidate would report), at a
+// fraction of K independent estimations' cost.
 //
 // The embedded YieldRequest supplies the link geometry, target, and
 // sampling budget; its YieldTarget must be nil (the candidates are
@@ -537,13 +526,7 @@ func (p *yieldPlan) batchSpecs(cands []YieldCandidate) ([]model.LineSpec, []floa
 		if cand.Repeaters < 1 {
 			return nil, nil, fmt.Errorf("predint: candidate %d: need at least one repeater, got %d", c, cand.Repeaters)
 		}
-		specs[c] = model.LineSpec{
-			Kind:      liberty.Inverter,
-			Size:      cand.RepeaterSize,
-			N:         cand.Repeaters,
-			Segment:   p.seg,
-			InputSlew: p.slew,
-		}
+		specs[c] = p.line(buffering.Design{Kind: liberty.Inverter, Size: cand.RepeaterSize, N: cand.Repeaters})
 		t, err := p.coeffs.LineDelay(specs[c])
 		if err != nil {
 			return nil, nil, fmt.Errorf("predint: candidate %d: %w", c, err)
@@ -564,21 +547,11 @@ func (req YieldBatchRequest) validateBatch() error {
 	return nil
 }
 
-// LinkYieldBatch estimates the timing yield of every candidate in one
-// shared-sample pass; see YieldBatchRequest. The determinism guarantee
-// of LinkYield applies per candidate.
-func LinkYieldBatch(req YieldBatchRequest) (YieldBatchResult, error) {
-	return LinkYieldBatchCtx(context.Background(), req)
-}
-
-// LinkYieldBatchCtx is LinkYieldBatch under a context, with the same
-// batch-boundary cancellation contract as LinkYieldCtx.
-func LinkYieldBatchCtx(ctx context.Context, req YieldBatchRequest) (YieldBatchResult, error) {
-	return Surfaced{Cache: surfaceCache.Load()}.LinkYieldBatchCtx(ctx, req)
-}
-
-// LinkYieldBatchCtx runs the batch estimation path against the bound
-// cache; see the package-level LinkYieldBatchCtx.
+// LinkYieldBatchCtx estimates the timing yield of every candidate in
+// one shared-sample pass; see YieldBatchRequest. The determinism
+// guarantee and the cancellation contract of LinkYieldCtx apply per
+// candidate. With a bound cache the batch is answered from the warm
+// surface only when every candidate is warm.
 func (sf Surfaced) LinkYieldBatchCtx(ctx context.Context, req YieldBatchRequest) (YieldBatchResult, error) {
 	if err := req.validateBatch(); err != nil {
 		return YieldBatchResult{}, err
@@ -615,42 +588,21 @@ func (sf Surfaced) LinkYieldBatchCtx(ctx context.Context, req YieldBatchRequest)
 	}
 	out := YieldBatchResult{Target: p.target, Results: make([]YieldResult, len(ests))}
 	for c, e := range ests {
+		des := buffering.Design{Size: req.Candidates[c].RepeaterSize, N: req.Candidates[c].Repeaters, Delay: noms[c]}
 		if consult {
-			p.surfaceRecord(cache, buffering.Design{
-				Size: req.Candidates[c].RepeaterSize,
-				N:    req.Candidates[c].Repeaters,
-			}, e, false)
+			p.surfaceRecord(cache, des, e, false)
 		}
-		out.Results[c] = YieldResult{
-			Repeaters:         req.Candidates[c].Repeaters,
-			RepeaterSize:      req.Candidates[c].RepeaterSize,
-			NominalDelay:      noms[c],
-			Target:            p.target,
-			Yield:             e.Yield,
-			FailProb:          e.FailProb,
-			StdErr:            e.StdErr,
-			CI95:              e.CI95(),
-			Samples:           e.Samples,
-			ImportanceSampled: e.Shifted,
-			Estimator:         string(e.Estimator),
-			VarianceReduction: e.VarianceReduction,
-			Source:            SourceMC,
-		}
+		out.Results[c] = p.result(des, e, SourceMC)
 	}
 	return out, nil
 }
 
-// LinkYieldBatchNominal is the graceful-degradation fallback for
-// LinkYieldBatch, mirroring LinkYieldNominal: identical validation,
-// but each candidate gets a single closed-form evaluation at the
-// nominal process corner instead of a Monte Carlo estimation. Every
-// result is marked Degraded with the vacuous rule-of-three bound.
-func LinkYieldBatchNominal(req YieldBatchRequest) (YieldBatchResult, error) {
-	return LinkYieldBatchNominalCtx(context.Background(), req)
-}
-
-// LinkYieldBatchNominalCtx is LinkYieldBatchNominal under a context;
-// only an up-front check applies.
+// LinkYieldBatchNominalCtx is the graceful-degradation fallback for
+// Surfaced.LinkYieldBatchCtx, mirroring LinkYieldNominalCtx: identical
+// validation, but each candidate gets a single closed-form evaluation
+// at the nominal process corner instead of an estimation. Every result
+// is marked Degraded with the vacuous rule-of-three bound. Only an
+// up-front ctx check applies.
 func LinkYieldBatchNominalCtx(ctx context.Context, req YieldBatchRequest) (YieldBatchResult, error) {
 	if err := ctx.Err(); err != nil {
 		return YieldBatchResult{}, err
@@ -667,33 +619,9 @@ func LinkYieldBatchNominalCtx(ctx context.Context, req YieldBatchRequest) (Yield
 		return YieldBatchResult{}, err
 	}
 	out := YieldBatchResult{Target: p.target, Results: make([]YieldResult, len(specs))}
-	for c := range specs {
-		sc := &variation.LinkScenario{
-			Base:   p.tc,
-			Coeffs: p.coeffs,
-			Space:  p.space,
-			Spec:   specs[c],
-			Target: p.target,
-		}
-		nominal, err := sc.NominalDelay()
-		if err != nil {
+	for c, spec := range specs {
+		if out.Results[c], err = p.nominalResult(spec); err != nil {
 			return YieldBatchResult{}, err
-		}
-		fail := 0.0
-		if nominal > p.target {
-			fail = 1
-		}
-		out.Results[c] = YieldResult{
-			Repeaters:     req.Candidates[c].Repeaters,
-			RepeaterSize:  req.Candidates[c].RepeaterSize,
-			NominalDelay:  nominal,
-			Target:        p.target,
-			Yield:         1 - fail,
-			FailProb:      fail,
-			Samples:       1,
-			Degraded:      true,
-			FailProbBound: 1, // min(1, 3/n) at n = 1
-			Source:        SourceNominal,
 		}
 	}
 	return out, nil

@@ -1,12 +1,17 @@
 package predint
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
 
+// uncached is the facade with no surface cache bound: every query
+// samples and nothing is recorded, as for a one-shot caller.
+var uncached Surfaced
+
 func TestLinkYieldBasic(t *testing.T) {
-	res, err := LinkYield(YieldRequest{Tech: "90nm", LengthMM: 5, Samples: Int(2048), Seed: 1})
+	res, err := uncached.LinkYieldCtx(context.Background(), YieldRequest{Tech: "90nm", LengthMM: 5, Samples: Int(2048), Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,21 +37,21 @@ func TestLinkYieldBasic(t *testing.T) {
 // results.
 func TestLinkYieldWorkerDeterminism(t *testing.T) {
 	base := YieldRequest{Tech: "90nm", LengthMM: 5, Samples: Int(2048), Seed: 1, TargetPS: Float(470)}
-	for _, is := range []bool{false, true} {
+	for _, est := range []string{"", "isle"} {
 		req := base
-		req.ImportanceSampling = is
+		req.Estimator = est
 		req.Workers = 1
-		serial, err := LinkYield(req)
+		serial, err := uncached.LinkYieldCtx(context.Background(), req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		req.Workers = 8
-		parallel, err := LinkYield(req)
+		parallel, err := uncached.LinkYieldCtx(context.Background(), req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if serial != parallel {
-			t.Fatalf("is=%v: Workers=8 diverged: %+v vs %+v", is, parallel, serial)
+			t.Fatalf("estimator %q: Workers=8 diverged: %+v vs %+v", est, parallel, serial)
 		}
 	}
 }
@@ -57,12 +62,12 @@ func TestLinkYieldWorkerDeterminism(t *testing.T) {
 func TestLinkYieldSeedSensitivity(t *testing.T) {
 	req := YieldRequest{Tech: "90nm", LengthMM: 5, Samples: Int(2048), TargetPS: Float(470)}
 	req.Seed = 1
-	a, err := LinkYield(req)
+	a, err := uncached.LinkYieldCtx(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	req.Seed = 2
-	b, err := LinkYield(req)
+	b, err := uncached.LinkYieldCtx(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +81,7 @@ func TestLinkYieldSeedSensitivity(t *testing.T) {
 // 0/1 step around the target.
 func TestLinkYieldExplicitZeroSigma(t *testing.T) {
 	req := YieldRequest{Tech: "90nm", LengthMM: 5, Samples: Int(256), Seed: 1, SigmaScale: Float(0)}
-	res, err := LinkYield(req) // target = clock period, comfortably met
+	res, err := uncached.LinkYieldCtx(context.Background(), req) // target = clock period, comfortably met
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +89,7 @@ func TestLinkYieldExplicitZeroSigma(t *testing.T) {
 		t.Fatalf("zero-sigma yield %g with a met target, want exactly 1", res.Yield)
 	}
 	req.TargetPS = Float(res.NominalDelay*1e12 - 1)
-	res, err = LinkYield(req)
+	res, err = uncached.LinkYieldCtx(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,19 +99,19 @@ func TestLinkYieldExplicitZeroSigma(t *testing.T) {
 }
 
 func TestLinkYieldResizesForTarget(t *testing.T) {
-	nominal, err := LinkYield(YieldRequest{
+	nominal, err := uncached.LinkYieldCtx(context.Background(), YieldRequest{
 		Tech: "90nm", LengthMM: 5, Samples: Int(2048), Seed: 1,
 		PowerWeight: Float(0.8), TargetPS: Float(510),
-		ImportanceSampling: true,
+		Estimator: "isle",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sized, err := LinkYield(YieldRequest{
+	sized, err := uncached.LinkYieldCtx(context.Background(), YieldRequest{
 		Tech: "90nm", LengthMM: 5, Samples: Int(2048), Seed: 1,
 		PowerWeight: Float(0.8), TargetPS: Float(510),
-		YieldTarget:        Float(0.95),
-		ImportanceSampling: true,
+		YieldTarget: Float(0.95),
+		Estimator:   "isle",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -142,14 +147,14 @@ func TestLinkYieldValidation(t *testing.T) {
 	} {
 		req := ok
 		mutate(&req)
-		if _, err := LinkYield(req); err == nil {
+		if _, err := uncached.LinkYieldCtx(context.Background(), req); err == nil {
 			t.Errorf("%s: invalid request accepted", name)
 		} else if !strings.Contains(err.Error(), ":") {
 			t.Errorf("%s: error %q lacks a package prefix", name, err)
 		}
 		// The degraded path shares the plan, so it must reject the
 		// same requests.
-		if _, err := LinkYieldNominal(req); err == nil {
+		if _, err := LinkYieldNominalCtx(context.Background(), req); err == nil {
 			t.Errorf("%s: degraded path accepted an invalid request", name)
 		}
 	}
@@ -162,11 +167,11 @@ func TestLinkYieldValidation(t *testing.T) {
 // identity).
 func TestLinkYieldNominalMatchesFullPath(t *testing.T) {
 	req := YieldRequest{Tech: "90nm", LengthMM: 5, Samples: Int(256), Seed: 1}
-	full, err := LinkYield(req)
+	full, err := uncached.LinkYieldCtx(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	deg, err := LinkYieldNominal(req)
+	deg, err := LinkYieldNominalCtx(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,13 +193,13 @@ func TestLinkYieldNominalMatchesFullPath(t *testing.T) {
 // samples — returns the bit-identical estimate the standalone request
 // produced, for both estimators.
 func TestLinkYieldBatchMatchesSingle(t *testing.T) {
-	for _, is := range []bool{false, true} {
-		req := YieldRequest{Tech: "90nm", LengthMM: 5, Samples: Int(1024), Seed: 1, TargetPS: Float(470), ImportanceSampling: is}
-		single, err := LinkYield(req)
+	for _, est := range []string{"", "isle"} {
+		req := YieldRequest{Tech: "90nm", LengthMM: 5, Samples: Int(1024), Seed: 1, TargetPS: Float(470), Estimator: est}
+		single, err := uncached.LinkYieldCtx(context.Background(), req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		batch, err := LinkYieldBatch(YieldBatchRequest{
+		batch, err := uncached.LinkYieldBatchCtx(context.Background(), YieldBatchRequest{
 			YieldRequest: req,
 			Candidates: []YieldCandidate{
 				{RepeaterSize: single.RepeaterSize, Repeaters: single.Repeaters},
@@ -205,15 +210,15 @@ func TestLinkYieldBatchMatchesSingle(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(batch.Results) != 2 {
-			t.Fatalf("is=%v: %d results for 2 candidates", is, len(batch.Results))
+			t.Fatalf("estimator %q: %d results for 2 candidates", est, len(batch.Results))
 		}
 		got := batch.Results[0]
 		if got.Yield != single.Yield || got.FailProb != single.FailProb || got.StdErr != single.StdErr ||
 			got.Samples != single.Samples || got.NominalDelay != single.NominalDelay || got.Target != single.Target {
-			t.Fatalf("is=%v: batch candidate 0 diverged from the standalone run:\n got %+v\nwant %+v", is, got, single)
+			t.Fatalf("estimator %q: batch candidate 0 diverged from the standalone run:\n got %+v\nwant %+v", est, got, single)
 		}
 		if got.ImportanceSampled != single.ImportanceSampled {
-			t.Fatalf("is=%v: estimator markers diverged: batch %v, single %v", is, got.ImportanceSampled, single.ImportanceSampled)
+			t.Fatalf("estimator %q: markers diverged: batch %v, single %v", est, got.ImportanceSampled, single.ImportanceSampled)
 		}
 	}
 }
@@ -226,12 +231,12 @@ func TestLinkYieldBatchWorkerDeterminism(t *testing.T) {
 		Candidates:   []YieldCandidate{{RepeaterSize: 8, Repeaters: 10}, {RepeaterSize: 12, Repeaters: 8}},
 	}
 	req.Workers = 1
-	serial, err := LinkYieldBatch(req)
+	serial, err := uncached.LinkYieldBatchCtx(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	req.Workers = 8
-	parallel, err := LinkYieldBatch(req)
+	parallel, err := uncached.LinkYieldBatchCtx(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,18 +261,18 @@ func TestLinkYieldBatchValidation(t *testing.T) {
 	} {
 		req := ok
 		mutate(&req)
-		if _, err := LinkYieldBatch(req); err == nil {
+		if _, err := uncached.LinkYieldBatchCtx(context.Background(), req); err == nil {
 			t.Errorf("%s: invalid batch request accepted", name)
 		}
 		// The degraded path shares the validation.
-		if _, err := LinkYieldBatchNominal(req); err == nil {
+		if _, err := LinkYieldBatchNominalCtx(context.Background(), req); err == nil {
 			t.Errorf("%s: degraded batch path accepted an invalid request", name)
 		}
 	}
 	// Candidate errors name the offending candidate.
 	req := ok
 	req.Candidates = []YieldCandidate{{RepeaterSize: 8, Repeaters: 10}, {RepeaterSize: -1, Repeaters: 10}}
-	if _, err := LinkYieldBatch(req); err == nil || !strings.Contains(err.Error(), "candidate 1") {
+	if _, err := uncached.LinkYieldBatchCtx(context.Background(), req); err == nil || !strings.Contains(err.Error(), "candidate 1") {
 		t.Errorf("bad second candidate: error %v does not name candidate 1", err)
 	}
 }
@@ -280,11 +285,11 @@ func TestLinkYieldBatchNominalContract(t *testing.T) {
 		YieldRequest: YieldRequest{Tech: "90nm", LengthMM: 5},
 		Candidates:   []YieldCandidate{{RepeaterSize: 60, Repeaters: 2}, {RepeaterSize: 4, Repeaters: 1}},
 	}
-	res, err := LinkYieldBatchNominal(req)
+	res, err := LinkYieldBatchNominalCtx(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := LinkYieldBatch(req)
+	full, err := uncached.LinkYieldBatchCtx(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +316,7 @@ func TestLinkYieldBatchNominalContract(t *testing.T) {
 // single evaluation, and the vacuous rule-of-three bound.
 func TestLinkYieldNominalContract(t *testing.T) {
 	req := YieldRequest{Tech: "90nm", LengthMM: 5} // target = clock period, comfortably met
-	res, err := LinkYieldNominal(req)
+	res, err := LinkYieldNominalCtx(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +334,7 @@ func TestLinkYieldNominalContract(t *testing.T) {
 	}
 
 	req.TargetPS = Float(res.NominalDelay*1e12 - 1)
-	miss, err := LinkYieldNominal(req)
+	miss, err := LinkYieldNominalCtx(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}

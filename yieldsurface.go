@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/buffering"
 	"repro/internal/estimator"
@@ -16,10 +15,11 @@ import (
 // into the facade: completed Monte Carlo estimations are memoized per
 // link class, and later queries on the same class at nearby targets are
 // answered by interpolation with a conservative confidence band instead
-// of burning a fresh sample budget. The cache is strictly opt-in
-// (EnableSurface) and strictly an acceleration: a query the surface
-// cannot answer within tolerance runs the full Monte Carlo kernel and
-// is bit-identical to what it would have been with the surface off.
+// of burning a fresh sample budget. The cache is strictly opt-in (a
+// Surfaced handle with a bound Cache) and strictly an acceleration: a
+// query the surface cannot answer within tolerance runs the full
+// sampling kernel and is bit-identical to what it would have been with
+// no cache bound.
 
 // YieldResult.Source values, naming the tier that produced the answer.
 const (
@@ -32,41 +32,12 @@ const (
 	SourceSurface = "surface"
 )
 
-// surfaceCache is the process-wide surface, nil while disabled. The
-// pointer is swapped atomically so enable/disable is safe against
-// concurrent queries (in-flight requests finish against the cache they
-// loaded).
-var surfaceCache atomic.Pointer[surface.Cache]
-
-// EnableSurface installs a fresh yield-response-surface cache with the
-// default sizing and tolerances, replacing any previous one, and
-// returns it (for stats, invalidation, or warm-up). The surface starts
-// disabled: long-lived servers opt in, one-shot estimations and
-// determinism-sensitive tests keep the exact historical behavior.
-func EnableSurface() *surface.Cache {
-	c := surface.New(surface.Options{})
-	surfaceCache.Store(c)
-	return c
-}
-
-// DisableSurface removes the installed cache; subsequent queries run
-// the full kernel unconditionally.
-func DisableSurface() { surfaceCache.Store(nil) }
-
-// SurfaceEnabled reports whether a surface cache is installed.
-func SurfaceEnabled() bool { return surfaceCache.Load() != nil }
-
-// ActiveSurface returns the installed cache, or nil while disabled.
-func ActiveSurface() *surface.Cache { return surfaceCache.Load() }
-
-// Surfaced binds the yield facade to an explicit surface cache instead
-// of the process-wide one: each method behaves exactly like its
-// package-level namesake with Cache installed (or, with a nil Cache,
-// like the surface-off path). Multi-replica deployments need this —
-// every predintd replica owns its own cache so invalidation and
-// version counters are per-replica state the coordinator can compare,
-// not hidden process globals. The package-level functions delegate
-// here with whatever EnableSurface installed.
+// Surfaced binds the yield facade to a surface cache. A zero
+// Surfaced{} is the uncached path: every query samples and nothing is
+// recorded. Surfaced{Cache: surface.New(surface.Options{})} consults
+// and refreshes that cache. Each predintd replica owns its own cache,
+// so invalidation and version counters are per-replica state the
+// coordinator can compare, not hidden process globals.
 type Surfaced struct {
 	Cache *surface.Cache
 }
@@ -116,8 +87,8 @@ func (sf Surfaced) RecordYield(req YieldRequest, res YieldResult) error {
 // that changes the estimated quantity is in it — the technology (by
 // descriptor hash), the routed geometry and style, the slew and power
 // weight shaping the buffering, and the scaled variation space. Seed
-// and Sampler stay out: both change the realized draws, not the
-// estimand, and the band gate already bounds a warm answer's error.
+// stays out: it changes the realized draws, not the estimand, and the
+// band gate already bounds a warm answer's error.
 func (p *yieldPlan) surfaceKey() surface.Key {
 	return surface.Key{
 		TechHash:    surface.TechHash(p.tc),
@@ -163,20 +134,20 @@ func (p *yieldPlan) surfaceAnswer(c *surface.Cache) (YieldResult, bool) {
 	if !ok {
 		return YieldResult{}, false
 	}
-	return YieldResult{
-		Repeaters:         d.N,
-		RepeaterSize:      d.Size,
-		NominalDelay:      d.Delay,
-		Target:            p.target,
-		Yield:             1 - est.FailProb,
-		FailProb:          est.FailProb,
-		StdErr:            est.StdErr,
-		CI95:              est.CI95(),
-		Samples:           est.Samples,
-		ImportanceSampled: est.Shifted,
-		Estimator:         string(est.Estimator),
-		Source:            SourceSurface,
-	}, true
+	return p.result(buffering.Design{Size: d.Size, N: d.N, Delay: d.Delay}, recalled(est), SourceSurface), true
+}
+
+// recalled views a surface answer as an estimate. VarianceReduction
+// stays zero: a recall, not one estimator run, produced the number.
+func recalled(est surface.Estimate) variation.Estimate {
+	return variation.Estimate{
+		FailProb:  est.FailProb,
+		Yield:     1 - est.FailProb,
+		StdErr:    est.StdErr,
+		Samples:   est.Samples,
+		Shifted:   est.Shifted,
+		Estimator: est.Estimator,
+	}
 }
 
 // surfaceRecord refreshes the surface from a completed Monte Carlo
@@ -199,26 +170,15 @@ func (p *yieldPlan) surfaceRecord(c *surface.Cache, des buffering.Design, est va
 	})
 }
 
-// LinkYieldSurface probes the warm surface alone: ok reports whether
+// LinkYieldSurfaceCtx probes the bound cache alone: ok reports whether
 // the request could be answered from the cache within tolerance, with
 // no sampling fallback. The serving layer uses it as the first tier of
 // its degradation ladder — a warm answer is cheaper than even the
 // closed-form nominal evaluation, so it is consulted before any
 // cost-ceiling or queue-pressure decision. Requests with a YieldTarget
-// (sizing) always miss; so does everything while the surface is
-// disabled or the request opts out.
-func LinkYieldSurface(req YieldRequest) (YieldResult, bool, error) {
-	return LinkYieldSurfaceCtx(context.Background(), req)
-}
-
-// LinkYieldSurfaceCtx is LinkYieldSurface under a context; only an
-// up-front check applies, as a probe never samples.
-func LinkYieldSurfaceCtx(ctx context.Context, req YieldRequest) (YieldResult, bool, error) {
-	return Surfaced{Cache: surfaceCache.Load()}.LinkYieldSurfaceCtx(ctx, req)
-}
-
-// LinkYieldSurfaceCtx probes the bound cache; see the package-level
-// LinkYieldSurface for the miss conditions.
+// (sizing) always miss; so does everything with no cache bound or when
+// the request opts out. Only an up-front ctx check applies, as a probe
+// never samples.
 func (sf Surfaced) LinkYieldSurfaceCtx(ctx context.Context, req YieldRequest) (YieldResult, bool, error) {
 	if err := ctx.Err(); err != nil {
 		return YieldResult{}, false, err
@@ -234,22 +194,11 @@ func (sf Surfaced) LinkYieldSurfaceCtx(ctx context.Context, req YieldRequest) (Y
 	return res, ok, nil
 }
 
-// LinkYieldBatchSurface is the batch probe, all-or-nothing: it answers
-// only when every candidate's curve is warm at the target within
-// tolerance, so a batch response never silently mixes cached and
-// freshly sampled estimates (whose common-random-numbers comparability
-// would differ).
-func LinkYieldBatchSurface(req YieldBatchRequest) (YieldBatchResult, bool, error) {
-	return LinkYieldBatchSurfaceCtx(context.Background(), req)
-}
-
-// LinkYieldBatchSurfaceCtx is LinkYieldBatchSurface under a context.
-func LinkYieldBatchSurfaceCtx(ctx context.Context, req YieldBatchRequest) (YieldBatchResult, bool, error) {
-	return Surfaced{Cache: surfaceCache.Load()}.LinkYieldBatchSurfaceCtx(ctx, req)
-}
-
-// LinkYieldBatchSurfaceCtx probes the bound cache for a whole batch,
-// all-or-nothing; see the package-level LinkYieldBatchSurface.
+// LinkYieldBatchSurfaceCtx is the batch probe, all-or-nothing: it
+// answers only when every candidate's curve is warm at the target
+// within tolerance, so a batch response never silently mixes cached
+// and freshly sampled estimates (whose common-random-numbers
+// comparability would differ).
 func (sf Surfaced) LinkYieldBatchSurfaceCtx(ctx context.Context, req YieldBatchRequest) (YieldBatchResult, bool, error) {
 	if err := ctx.Err(); err != nil {
 		return YieldBatchResult{}, false, err
@@ -285,20 +234,8 @@ func (p *yieldPlan) surfaceBatchAnswer(cache *surface.Cache, cands []YieldCandid
 		if !ok {
 			return YieldBatchResult{}, false
 		}
-		out.Results[c] = YieldResult{
-			Repeaters:         cand.Repeaters,
-			RepeaterSize:      cand.RepeaterSize,
-			NominalDelay:      noms[c],
-			Target:            p.target,
-			Yield:             1 - est.FailProb,
-			FailProb:          est.FailProb,
-			StdErr:            est.StdErr,
-			CI95:              est.CI95(),
-			Samples:           est.Samples,
-			ImportanceSampled: est.Shifted,
-			Estimator:         string(est.Estimator),
-			Source:            SourceSurface,
-		}
+		des := buffering.Design{Size: cand.RepeaterSize, N: cand.Repeaters, Delay: noms[c]}
+		out.Results[c] = p.result(des, recalled(est), SourceSurface)
 	}
 	return out, true
 }

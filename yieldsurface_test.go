@@ -1,19 +1,22 @@
 package predint
 
 import (
+	"context"
 	"math"
 	"testing"
+
+	"repro/internal/surface"
 )
 
 // TestSurfaceOffVsMissBitIdentical pins the cache's strict-acceleration
-// contract: a cold (miss) query with the surface enabled, and a
-// NoSurface query, are both bit-identical — every field — to the same
-// request with the surface disabled. Only repeated warm queries change
+// contract: a cold (miss) query through a bound cache, and a NoSurface
+// query through it, are both bit-identical — every field — to the same
+// request with no cache bound. Only repeated warm queries change
 // behavior, and those are exact-target hits returning the memoized
 // estimate unchanged.
 func TestSurfaceOffVsMissBitIdentical(t *testing.T) {
 	req := YieldRequest{Tech: "65nm", LengthMM: 3, Samples: Int(256), Seed: 11}
-	base, err := LinkYield(req) // surface disabled: the historical path
+	base, err := uncached.LinkYieldCtx(context.Background(), req) // no cache bound: the uncached path
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,10 +24,9 @@ func TestSurfaceOffVsMissBitIdentical(t *testing.T) {
 		t.Fatalf("MC result labeled %q, want %q", base.Source, SourceMC)
 	}
 
-	EnableSurface()
-	t.Cleanup(DisableSurface)
+	sf := Surfaced{Cache: surface.New(surface.Options{})}
 
-	miss, err := LinkYield(req) // cold cache: consult misses, full MC runs
+	miss, err := sf.LinkYieldCtx(context.Background(), req) // cold cache: consult misses, full MC runs
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +34,7 @@ func TestSurfaceOffVsMissBitIdentical(t *testing.T) {
 		t.Fatalf("surface-miss result differs from surface-off:\n  off:  %+v\n  miss: %+v", base, miss)
 	}
 
-	warm, err := LinkYield(req) // exact-target warm hit
+	warm, err := sf.LinkYieldCtx(context.Background(), req) // exact-target warm hit
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +49,7 @@ func TestSurfaceOffVsMissBitIdentical(t *testing.T) {
 
 	nos := req
 	nos.NoSurface = true
-	off, err := LinkYield(nos) // escape hatch: bypasses the warm cache
+	off, err := sf.LinkYieldCtx(context.Background(), nos) // escape hatch: bypasses the warm cache
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,14 +63,13 @@ func TestSurfaceOffVsMissBitIdentical(t *testing.T) {
 // curve cannot re-decide — even when the plain estimate of the same
 // link is warm.
 func TestSurfaceSizingNeverConsults(t *testing.T) {
-	EnableSurface()
-	t.Cleanup(DisableSurface)
+	sf := Surfaced{Cache: surface.New(surface.Options{})}
 	req := YieldRequest{Tech: "65nm", LengthMM: 3, Samples: Int(256), Seed: 11}
-	if _, err := LinkYield(req); err != nil { // warm the plain curve
+	if _, err := sf.LinkYieldCtx(context.Background(), req); err != nil { // warm the plain curve
 		t.Fatal(err)
 	}
 	req.YieldTarget = Float(0.5)
-	sized, err := LinkYield(req)
+	sized, err := sf.LinkYieldCtx(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,13 +82,12 @@ func TestSurfaceSizingNeverConsults(t *testing.T) {
 // only when every candidate is warm; a fresh candidate sends the whole
 // batch back to the shared-sample kernel.
 func TestSurfaceBatchAllOrNothing(t *testing.T) {
-	EnableSurface()
-	t.Cleanup(DisableSurface)
+	sf := Surfaced{Cache: surface.New(surface.Options{})}
 	breq := YieldBatchRequest{
 		YieldRequest: YieldRequest{Tech: "90nm", LengthMM: 5, Samples: Int(256), Seed: 3, TargetPS: Float(520)},
 		Candidates:   []YieldCandidate{{RepeaterSize: 8, Repeaters: 10}, {RepeaterSize: 12, Repeaters: 8}},
 	}
-	first, err := LinkYieldBatch(breq)
+	first, err := sf.LinkYieldBatchCtx(context.Background(), breq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestSurfaceBatchAllOrNothing(t *testing.T) {
 			t.Fatalf("cold batch candidate %d labeled %q", c, r.Source)
 		}
 	}
-	warm, err := LinkYieldBatch(breq)
+	warm, err := sf.LinkYieldBatchCtx(context.Background(), breq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestSurfaceBatchAllOrNothing(t *testing.T) {
 		}
 	}
 	breq.Candidates = append(breq.Candidates, YieldCandidate{RepeaterSize: 16, Repeaters: 6})
-	mixed, err := LinkYieldBatch(breq)
+	mixed, err := sf.LinkYieldBatchCtx(context.Background(), breq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,11 +126,10 @@ func TestSurfaceBatchAllOrNothing(t *testing.T) {
 // with the fresh run's own, must cover a full Monte Carlo estimate at
 // the interpolated target.
 func TestSurfaceInterpolationBandCoversMC(t *testing.T) {
-	EnableSurface()
-	t.Cleanup(DisableSurface)
+	sf := Surfaced{Cache: surface.New(surface.Options{})}
 	mk := func(targetPS float64, noSurface bool) YieldResult {
 		t.Helper()
-		res, err := LinkYield(YieldRequest{
+		res, err := sf.LinkYieldCtx(context.Background(), YieldRequest{
 			Tech: "90nm", LengthMM: 5, Samples: Int(2048), Seed: 5,
 			TargetPS: Float(targetPS), NoSurface: noSurface,
 			// A loose acceptance band so the interpolated answer is
