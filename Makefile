@@ -35,11 +35,13 @@ staticcheck:
 bench-yield:
 	sh scripts/bench_yield.sh
 
-# Short coverage-guided runs of the Liberty parser, shard wire-format
-# and predintd yield request-body fuzzers (CI smoke).
+# Short coverage-guided runs of the Liberty parser, shard wire-format,
+# sizing rejection-bound and predintd yield request-body fuzzers (CI
+# smoke).
 fuzz:
 	$(GO) test -fuzz=FuzzParseLibrary -fuzztime=10s -run FuzzParseLibrary ./internal/liberty
 	$(GO) test -fuzz=FuzzMergePartials -fuzztime=10s -run FuzzMergePartials ./internal/variation
+	$(GO) test -fuzz=FuzzSizingReject -fuzztime=10s -run FuzzSizingReject ./internal/variation
 	$(GO) test -fuzz=FuzzYieldRequestBody -fuzztime=10s -run FuzzYieldRequestBody ./cmd/predintd
 
 # Run the hardened HTTP serving layer on the default address.

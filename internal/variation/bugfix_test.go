@@ -1,6 +1,7 @@
 package variation
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -32,7 +33,7 @@ func TestSizeForYieldUnreachableNotMisreportedAsInfeasible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = SizeForYield(tc, seg, SizingOptions{
+	_, err = SizeForYieldCtx(context.Background(), tc, seg, SizingOptions{
 		Buffering: buffering.Options{
 			Coeffs: model.MustDefault("90nm"),
 			Power:  model.PowerParams{Activity: 0.15, Freq: tc.Clock},

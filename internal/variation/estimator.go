@@ -283,6 +283,21 @@ func (f *fold) stop(o Options) bool {
 	return errStop(o, f.n, p, se, false)
 }
 
+// retire reports, at the end of a step whose last sample is last,
+// whether the candidate stops sampling: its stopping rule fires at the
+// checkpoint, or, with budget left, a Welford fold's contributions so
+// far sum past maxFail (rejected). maxFail is +Inf outside sizing; see
+// rejectBound.
+func (f *fold) retire(o Options, last int, maxFail float64) (stop, rejected bool) {
+	if checkpoint(o, last) && f.stop(o) {
+		return true, false
+	}
+	if last+1 < o.Samples && !f.qmc && f.mean*float64(f.n) > maxFail {
+		return true, true
+	}
+	return false, false
+}
+
 func (f *fold) estimate() Estimate {
 	if f.qmc {
 		p, se, _ := qmcStats(f)

@@ -253,6 +253,15 @@ func EstimateYieldsShared(ms *MultiScenario, o YieldOptions) ([]Estimate, error)
 // certifies either way are answered without sampling, and only the
 // inconclusive remainder pays for draws.
 func EstimateYieldsSharedCtx(ctx context.Context, ms *MultiScenario, o YieldOptions) ([]Estimate, error) {
+	return estimateYieldsCtx(ctx, ms, o, math.Inf(1))
+}
+
+// estimateYieldsCtx is EstimateYieldsSharedCtx with a rejection bound
+// for the directly dispatched mc/isle rungs: a candidate whose
+// contributions sum past maxFail stops sampling (see fold.retire), so
+// its estimate is cut short. The sizing walk is the one caller with a
+// finite bound.
+func estimateYieldsCtx(ctx context.Context, ms *MultiScenario, o YieldOptions, maxFail float64) ([]Estimate, error) {
 	if err := ms.Validate(); err != nil {
 		return nil, err
 	}
@@ -270,16 +279,16 @@ func EstimateYieldsSharedCtx(ctx context.Context, ms *MultiScenario, o YieldOpti
 	if o.Estimator == estimator.Auto && o.TargetSigma >= wcdPrefilterSigma {
 		return cascadeCtx(ctx, ms, o, ro, kind)
 	}
-	return sampleEstimatesCtx(ctx, ms, ro, kind)
+	return sampleEstimatesCtx(ctx, ms, ro, kind, maxFail)
 }
 
 // sampleEstimatesCtx runs the resolved sampling rung over all
-// candidates.
-func sampleEstimatesCtx(ctx context.Context, ms *MultiScenario, ro Options, kind estimator.Kind) ([]Estimate, error) {
+// candidates; maxFail bounds the mc/isle runs (see fold.retire).
+func sampleEstimatesCtx(ctx context.Context, ms *MultiScenario, ro Options, kind estimator.Kind, maxFail float64) ([]Estimate, error) {
 	if kind == estimator.AIS {
 		return runAISAllCtx(ctx, ms, ro)
 	}
-	return runSharedCtx(ctx, ms, ro, kind)
+	return runSharedCtx(ctx, ms, ro, kind, maxFail)
 }
 
 // contribPool recycles the driver's contribution rows across runs: a
@@ -429,8 +438,9 @@ func (d *driver) evalLane(l, worker int) error {
 // runSharedCtx is the local run of the mc/isle/qmc rungs: the driver
 // over [0, Samples), each candidate's contributions folded in index
 // order and the candidate retired once its stopping rule fires at a
-// checkpoint — the fold MergePartials replays over shards.
-func runSharedCtx(ctx context.Context, ms *MultiScenario, ro Options, kind estimator.Kind) ([]Estimate, error) {
+// checkpoint — the fold MergePartials replays over shards — or, at a
+// step end, once its contributions sum past maxFail.
+func runSharedCtx(ctx context.Context, ms *MultiScenario, ro Options, kind estimator.Kind, maxFail float64) ([]Estimate, error) {
 	d, err := newDriver(ctx, ms, ro, kind)
 	if err != nil {
 		return nil, err
@@ -458,9 +468,11 @@ func runSharedCtx(ctx context.Context, ms *MultiScenario, ro Options, kind estim
 				continue
 			}
 			folds[c].add(base, n, rows[c:], K)
-			if checkpoint(ro, last) && folds[c].stop(ro) {
-				d.active[c] = false
+			stop, rejected := folds[c].retire(ro, last, maxFail)
+			if rejected {
+				metSizingRejected.Inc()
 			}
+			d.active[c] = !stop
 		}
 	})
 	if err != nil {

@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/buffering"
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/tech"
 	"repro/internal/wire"
 )
@@ -57,20 +59,40 @@ type SizedDesign struct {
 	Resized bool
 }
 
-// SizeForYield selects the cheapest (repeater size, count) whose
+// Sizing observability: how much of each sweep the walk never paid
+// for. A rejected candidate stopped sampling mid-run under the
+// rejection bound; an unvisited one is feasible but was never sampled —
+// a cheaper group passed first, or it is the nominal design's twin.
+var (
+	metSizingRejected  = obs.NewCounter("variation.sizing_rejected")
+	metSizingUnvisited = obs.NewCounter("variation.sizing_unvisited")
+)
+
+// sizingGroup is how many feasible candidates one sampling pass of the
+// walk carries. A pass shares each sample's draw, perturbation and
+// rescale across its group, and the walk ends at the first group
+// holding a passing candidate: small groups draw fewer
+// candidate-samples, large ones share more per-sample work.
+// EXPERIMENTS.md records the sizes tried.
+const sizingGroup = 4
+
+// SizeForYieldCtx selects the cheapest (repeater size, count) whose
 // estimated timing yield reaches the target. The nominal
 // weighted-objective design is evaluated first; only if it misses the
-// target does the search walk the cost-ordered candidate grid.
-func SizeForYield(base *tech.Technology, seg wire.Segment, o SizingOptions) (SizedDesign, error) {
-	return SizeForYieldCtx(context.Background(), base, seg, o)
-}
-
-// SizeForYieldCtx is SizeForYield under a context: the per-candidate
-// Monte Carlo evaluations check for cancellation at batch boundaries
-// and the candidate walk checks between candidates, so a search that
-// submits dozens of designs to the estimator can be interrupted or
-// deadline-bound. A search that completes under a live context is
-// bit-identical to SizeForYield.
+// target does the search walk the cost-ordered candidate grid: the
+// first MaxCandidates candidates whose nominal delay meets the target,
+// sizingGroup at a time on common random numbers, up to the first
+// group holding a candidate whose estimate reaches the yield target.
+//
+// An mc or isle run, the nominal's included, stops sampling at the step
+// end where its failures so far prove that its yield must end below
+// the target (rejectBound), since such a candidate is never selected.
+// Every returned design, estimate and error is therefore the one a full
+// sweep — every feasible candidate sampled to its budget — selects, at
+// every Workers value. ctx is checked at every sampling step and
+// between groups, so a search can be interrupted or deadline-bound; a
+// search that completes under a live context is bit-identical to one
+// under context.Background().
 func SizeForYieldCtx(ctx context.Context, base *tech.Technology, seg wire.Segment, o SizingOptions) (SizedDesign, error) {
 	if o.Target <= 0 {
 		return SizedDesign{}, fmt.Errorf("variation: non-positive delay target %g", o.Target)
@@ -89,30 +111,41 @@ func SizeForYieldCtx(ctx context.Context, base *tech.Technology, seg wire.Segmen
 	if err != nil {
 		return SizedDesign{}, err
 	}
-	est, err := EstimateLinkYieldCtx(ctx, &LinkScenario{
+	sc := &LinkScenario{
 		Base:   base,
 		Coeffs: o.Buffering.Coeffs,
 		Space:  o.Space,
 		Spec:   lineSpec(nominal, seg, o.Buffering),
 		Target: o.Target,
-	}, o.MC)
+	}
+	if err := sc.Validate(); err != nil {
+		return SizedDesign{}, err
+	}
+	// A sample that leaves the line no copper core fails with a
+	// validation error, and retiring candidates early could skip the
+	// sample that raises it. relFactor clamps the width factor at 0.6,
+	// so where that narrowest width (perturbSegment's arithmetic) keeps
+	// the core no sample can fail and the bound is on; otherwise the
+	// walk is one pass of every candidate, exactly the full sweep.
+	maxFail := math.Inf(1)
+	if f := 0.6; seg.Width+seg.Width*(f-1) > 2*base.Barrier {
+		maxFail = rejectBound(o.YieldTarget, o.MC.runOptions().withDefaults().Samples)
+	}
+	scenario := func(specs ...model.LineSpec) *MultiScenario {
+		return &MultiScenario{Base: base, Coeffs: o.Buffering.Coeffs, Space: o.Space, Specs: specs, Target: o.Target}
+	}
+	est, err := estimateYieldsCtx(ctx, scenario(sc.Spec), o.MC, maxFail)
 	if err != nil {
 		return SizedDesign{}, err
 	}
-	if est.Yield >= o.YieldTarget {
-		return SizedDesign{Design: nominal, Estimate: est, Nominal: nominal}, nil
+	if est[0].Yield >= o.YieldTarget {
+		return SizedDesign{Design: nominal, Estimate: est[0], Nominal: nominal}, nil
 	}
 
-	// The nominal design missed the target: sweep the cost-ordered
+	// The nominal design missed the target: walk the cost-ordered
 	// candidate grid. Candidates that cannot meet the target even at
 	// the nominal corner never meet it under variation, so they are
-	// skipped without charging the Monte Carlo budget; the first
-	// MaxCandidates feasible candidates are then evaluated in one
-	// shared-sample kernel pass (common random numbers — the same
-	// draws the one-at-a-time walk would have burned per candidate,
-	// paid once), and the cheapest candidate whose estimate reaches
-	// the yield target wins. Estimates, selection, and error cases
-	// match the historical sequential walk exactly.
+	// skipped without charging the Monte Carlo budget.
 	if err := ctx.Err(); err != nil {
 		return SizedDesign{}, err
 	}
@@ -135,25 +168,49 @@ func SizeForYieldCtx(ctx context.Context, base *tech.Technology, seg wire.Segmen
 	if len(feasible) == 0 {
 		return SizedDesign{}, fmt.Errorf("%w (searched %d candidates)", buffering.ErrNoFeasibleDesign, len(cands))
 	}
+	// Validate every feasible spec before sampling any, so a bad spec is
+	// reported whichever group would have passed first.
 	specs := make([]model.LineSpec, len(feasible))
 	for c, d := range feasible {
 		specs[c] = lineSpec(d, seg, o.Buffering)
 	}
-	ests, err := EstimateYieldsSharedCtx(ctx, &MultiScenario{
-		Base:   base,
-		Coeffs: o.Buffering.Coeffs,
-		Space:  o.Space,
-		Specs:  specs,
-		Target: o.Target,
-	}, o.MC)
-	if err != nil {
+	if err := scenario(specs...).Validate(); err != nil {
 		return SizedDesign{}, err
 	}
-	for c, e := range ests {
-		if e.Yield >= o.YieldTarget {
-			des := feasible[c]
-			resized := des.Size != nominal.Size || des.N != nominal.N || des.Kind != nominal.Kind
-			return SizedDesign{Design: des, Estimate: e, Nominal: nominal, Resized: resized}, nil
+	// The nominal's twin (same kind, size and count) would reproduce the
+	// nominal's missing estimate bit for bit, so it is never sampled.
+	walk := make([]int, 0, len(feasible))
+	for c, d := range feasible {
+		if d.Kind != nominal.Kind || d.Size != nominal.Size || d.N != nominal.N {
+			walk = append(walk, c)
+		}
+	}
+	step := sizingGroup
+	if math.IsInf(maxFail, 1) {
+		step = max(len(walk), 1)
+	}
+	sampled := 0
+	defer func() { metSizingUnvisited.Add(int64(len(feasible) - sampled)) }()
+	for lo := 0; lo < len(walk); lo += step {
+		if err := ctx.Err(); err != nil {
+			return SizedDesign{}, err
+		}
+		idx := walk[lo:min(lo+step, len(walk))]
+		group := make([]model.LineSpec, len(idx))
+		for i, c := range idx {
+			group[i] = specs[c]
+		}
+		ests, err := estimateYieldsCtx(ctx, scenario(group...), o.MC, maxFail)
+		if err != nil {
+			return SizedDesign{}, err
+		}
+		sampled += len(idx)
+		for i, e := range ests {
+			if e.Yield >= o.YieldTarget {
+				des := feasible[idx[i]]
+				resized := des.Size != nominal.Size || des.N != nominal.N || des.Kind != nominal.Kind
+				return SizedDesign{Design: des, Estimate: e, Nominal: nominal, Resized: resized}, nil
+			}
 		}
 	}
 	if overBudget {
@@ -164,6 +221,21 @@ func SizeForYieldCtx(ctx context.Context, base *tech.Technology, seg wire.Segmen
 	// met — report ErrYieldUnreachable, not a feasibility failure.
 	return SizedDesign{}, fmt.Errorf("%w (none of %d feasible candidates reaches yield %g)",
 		ErrYieldUnreachable, len(feasible), o.YieldTarget)
+}
+
+// rejectBound returns the contribution sum past which a Welford fold
+// with a budget of samples can no longer end at a yield of yieldTarget
+// or more. Contributions are non-negative and a run ends at or before
+// its budget, so a fold whose contributions so far sum to S ends with a
+// failure probability of at least S/samples; once S exceeds
+// (1 − yieldTarget)·samples its yield must end below the target. The
+// relative margin — 1e-9, plus the budget's share of worst-case Welford
+// rounding — and the absolute 2⁻⁵⁰ keep the rounding of the fold and of
+// the final 1 − p from ever turning that into a passing yield; they can
+// only delay a rejection, never change an answer.
+func rejectBound(yieldTarget float64, samples int) float64 {
+	n := float64(samples)
+	return (1 - yieldTarget + 0x1p-50) * n * (1 + 1e-9 + n*0x1p-50)
 }
 
 // lineSpec assembles the model spec for one buffering design on a

@@ -2,6 +2,7 @@ package variation
 
 import (
 	"context"
+	"math"
 
 	"repro/internal/estimator"
 	"repro/internal/model"
@@ -123,7 +124,7 @@ func cascadeCtx(ctx context.Context, ms *MultiScenario, o YieldOptions, ro Optio
 			sub.Shifts[i] = ms.Shifts[c]
 		}
 	}
-	sampled, err := sampleEstimatesCtx(ctx, sub, ro, kind)
+	sampled, err := sampleEstimatesCtx(ctx, sub, ro, kind, math.Inf(1))
 	if err != nil {
 		return nil, err
 	}

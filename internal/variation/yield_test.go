@@ -1,6 +1,7 @@
 package variation
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -206,7 +207,7 @@ func TestSizeForYield(t *testing.T) {
 		target      = 510e-12
 		yieldTarget = 0.95
 	)
-	sized, err := SizeForYield(tc, seg, SizingOptions{
+	sized, err := SizeForYieldCtx(context.Background(), tc, seg, SizingOptions{
 		Buffering:   bufOpts,
 		Space:       DefaultSpace(),
 		Target:      target,
@@ -245,7 +246,7 @@ func TestSizeForYield(t *testing.T) {
 func TestSizeForYieldKeepsFeasibleNominal(t *testing.T) {
 	tc := tech.MustLookup("90nm")
 	seg := wire.NewSegment(tc, 5e-3, wire.SWSS)
-	sized, err := SizeForYield(tc, seg, SizingOptions{
+	sized, err := SizeForYieldCtx(context.Background(), tc, seg, SizingOptions{
 		Buffering: buffering.Options{
 			Coeffs: model.MustDefault("90nm"),
 			Power:  model.PowerParams{Activity: 0.15, Freq: tc.Clock},
