@@ -1,11 +1,15 @@
 package main
 
 import (
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/coordinator"
+	"repro/internal/surface"
 )
 
 // FuzzYieldRequestBody sends arbitrary bodies through the /v1/yield and
@@ -41,6 +45,52 @@ func FuzzYieldRequestBody(f *testing.F) {
 			default:
 				t.Fatalf("POST %s %q: status %d, want 200, 400 or 413: %s", path, body, rec.Code, rec.Body)
 			}
+		}
+	})
+}
+
+// FuzzShardRequestBody sends arbitrary bodies to the coordinator
+// protocol's /v1/internal/shard handler on a worker with a warm-start
+// surface, so every op is reachable: a sample op replans the request
+// (decoding, routing and the buffering search on whatever link the body
+// describes) and collects its range, a probe op consults the surface,
+// and a record op writes to it. Sample ranges longer than shardFuzzCap
+// are skipped to keep each input cheap. Whatever the body, the answer
+// must be a 200, a 400 or a 413.
+func FuzzShardRequestBody(f *testing.F) {
+	const shardFuzzCap = 256
+	for _, seed := range []string{
+		`{"op": "sample", "req": {"Tech": "90nm", "LengthMM": 5, "Seed": 3}, "start": 0, "count": 64}`,
+		`{"op": "sample", "req": {"Tech": "65nm", "LengthMM": 3, "Estimator": "isle", "TargetSigma": 4, "Samples": 512}, "start": 448, "count": 64}`,
+		`{"op": "sample", "req": {"Tech": "45nm", "LengthMM": 8, "Estimator": "qmc", "Style": "staggered", "PowerWeight": 0.7}, "start": 32, "count": 32}`,
+		`{"op": "sample", "req": {"Tech": "90nm", "LengthMM": 5, "Estimator": "ais"}, "start": 0, "count": 8}`,
+		`{"op": "sample", "req": {"Tech": "90nm", "LengthMM": 5, "YieldTarget": 0.99}, "start": 0, "count": 8}`,
+		`{"op": "sample", "req": {"Tech": "90nm", "LengthMM": 5, "Samples": 16}, "start": 8, "count": 9}`,
+		`{"op": "sample", "req": {"Tech": "90nm", "LengthMM": 5}, "start": -1, "count": 4}`,
+		`{"op": "sample", "req": {"Tech": "90nm", "LengthMM": 1e9, "InputSlewPS": 1e-300, "TargetPS": 1e308}, "start": 0, "count": 1}`,
+		`{"op": "probe", "req": {"Tech": "90nm", "LengthMM": 5}, "surface_version": 0}`,
+		`{"op": "record", "req": {"Tech": "90nm", "LengthMM": 5}, "surface_version": 0, "result": {"Yield": 0.5, "FailProb": 0.5, "Samples": 64, "Estimator": "mc", "Source": "mc"}}`,
+		`{"op": "bogus"}`,
+		`{"op": "sample", "req": {"Tech": "90nm", "LengthMM": 5}, "extra": 1}`,
+		`{"op": "sample",`,
+		``,
+	} {
+		f.Add(seed)
+	}
+	s := newServer(4, 16, 0, time.Minute, time.Second)
+	s.surf = surface.New(surface.Options{})
+	h := s.routes()
+	f.Fuzz(func(t *testing.T, body string) {
+		var sr coordinator.ShardRequest
+		if json.Unmarshal([]byte(body), &sr) == nil && sr.Op == coordinator.OpSample && sr.Count > shardFuzzCap {
+			t.Skip("sample range over the fuzz cap")
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/internal/shard", strings.NewReader(body)))
+		switch rec.Code {
+		case http.StatusOK, http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+		default:
+			t.Fatalf("POST /v1/internal/shard %q: status %d, want 200, 400 or 413: %s", body, rec.Code, rec.Body)
 		}
 	})
 }

@@ -17,7 +17,7 @@ package buffering
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/liberty"
 	"repro/internal/model"
@@ -98,44 +98,97 @@ func (o Options) validate() error {
 	return nil
 }
 
-// evaluate runs the model for one candidate.
-func evaluate(seg wire.Segment, o Options, kind liberty.CellKind, size float64, n int) (Design, error) {
-	spec := model.LineSpec{Kind: kind, Size: size, N: n, Segment: seg, InputSlew: o.InputSlew}
-	timing, err := o.Coeffs.LineDelay(spec)
-	if err != nil {
-		return Design{}, err
+// Search is one buffering search over a segment: the (kind, size,
+// count) grid of candidate designs, filled lazily. Each cell is
+// evaluated at most once, so the delay-optimal pass, Optimize and
+// Candidates on one Search share every evaluation they have in common,
+// and the wire's per-meter parameters are extracted once for all of
+// them. A Search keeps nothing beyond its own lifetime and is not safe
+// for concurrent use.
+type Search struct {
+	seg wire.Segment
+	o   Options
+	rc  model.LineRC
+	pp  model.PowerParams
+	// at maps grid cell (k·len(Sizes) + size)·MaxN + n−1 to one plus
+	// the cell's position in cells; zero means not yet evaluated.
+	at    []int32
+	cells []Design
+	// ref is the delay-optimal design.
+	ref Design
+}
+
+// NewSearch validates the options and the segment and runs the
+// delay-optimal pass, whose design normalizes the weighted objective of
+// Optimize and Candidates.
+func NewSearch(seg wire.Segment, opts Options) (*Search, error) {
+	o := opts.withDefaults()
+	if err := o.validate(); err != nil {
+		return nil, err
 	}
-	d := Design{Kind: kind, Size: size, N: n, Delay: timing.Delay, OutputSlew: timing.OutputSlew}
+	if err := seg.Validate(); err != nil {
+		return nil, err
+	}
 	pp := o.Power
 	if pp.Freq <= 0 {
 		// Delay-only searches still report power at a nominal
 		// operating point for the caller's information.
 		pp = model.PowerParams{Activity: 0.15, Freq: seg.Tech.Clock}
 	}
-	p, err := o.Coeffs.LinePower(spec, pp)
-	if err != nil {
-		return Design{}, err
+	s := &Search{
+		seg: seg, o: o, rc: model.SegmentRC(seg), pp: pp,
+		at: make([]int32, max(len(o.Kinds)*len(o.Sizes)*o.MaxN, 0)),
 	}
-	d.Power = p
-	return d, nil
+	// Room for a quarter of the grid: at the default MaxN, Optimize's
+	// two passes probe about a fifth of it (160–177 of 832 cells on
+	// 90 nm links), so an Optimize-only caller neither regrows the slice
+	// nor reserves the whole grid.
+	s.cells = make([]Design, 0, len(s.at)/4)
+	ref, err := s.delayOptimal()
+	if err != nil {
+		return nil, err
+	}
+	s.ref = ref
+	return s, nil
 }
 
-// searchN finds the repeater count in [1, maxN] minimizing cost for a
-// fixed repeater, using the binary (ternary-style) search the paper
-// describes: the objective is unimodal in N for buffered lines —
-// too few repeaters leave quadratic wire delay, too many pay gate
-// delay and power. A final local sweep guards against plateau
-// round-off.
-func searchN(seg wire.Segment, o Options, kind liberty.CellKind, size float64, maxN int,
-	cost func(Design) float64) (Design, error) {
+// cell returns the position in s.cells of the design with kind
+// o.Kinds[k], size o.Sizes[si] and n repeaters, evaluating it on first
+// use.
+func (s *Search) cell(k, si, n int) (int, error) {
+	idx := (k*len(s.o.Sizes)+si)*s.o.MaxN + n - 1
+	if s.at[idx] != 0 {
+		return int(s.at[idx]) - 1, nil
+	}
+	kind, size := s.o.Kinds[k], s.o.Sizes[si]
+	spec := model.LineSpec{Kind: kind, Size: size, N: n, Segment: s.seg, InputSlew: s.o.InputSlew}
+	timing, err := s.o.Coeffs.LineDelayRC(spec, s.rc)
+	if err != nil {
+		return 0, err
+	}
+	p, err := s.o.Coeffs.LinePowerRC(spec, s.rc, s.pp)
+	if err != nil {
+		return 0, err
+	}
+	s.cells = append(s.cells, Design{Kind: kind, Size: size, N: n, Delay: timing.Delay, Power: p, OutputSlew: timing.OutputSlew})
+	s.at[idx] = int32(len(s.cells))
+	return len(s.cells) - 1, nil
+}
 
-	lo, hi := 1, maxN
+// searchN finds the repeater count in [1, MaxN] minimizing cost for
+// the repeater (o.Kinds[k], o.Sizes[si]), using the binary
+// (ternary-style) search the paper describes: the objective is
+// unimodal in N for buffered lines — too few repeaters leave quadratic
+// wire delay, too many pay gate delay and power. A final local sweep
+// guards against plateau round-off.
+func (s *Search) searchN(k, si int, cost func(Design) float64) (Design, error) {
+	lo, hi := 1, s.o.MaxN
 	eval := func(n int) (Design, float64, error) {
-		d, err := evaluate(seg, o, kind, size, n)
+		j, err := s.cell(k, si, n)
 		if err != nil {
 			return Design{}, 0, err
 		}
-		return d, cost(d), nil
+		return s.cells[j], cost(s.cells[j]), nil
 	}
 	for hi-lo > 3 {
 		m1 := lo + (hi-lo)/3
@@ -171,21 +224,14 @@ func searchN(seg wire.Segment, o Options, kind liberty.CellKind, size float64, m
 	return best, nil
 }
 
-// DelayOptimal returns the pure delay-optimal design over the
+// delayOptimal returns the pure delay-optimal design over the
 // candidate repeaters.
-func DelayOptimal(seg wire.Segment, opts Options) (Design, error) {
-	o := opts.withDefaults()
-	if err := o.validate(); err != nil {
-		return Design{}, err
-	}
-	if err := seg.Validate(); err != nil {
-		return Design{}, err
-	}
+func (s *Search) delayOptimal() (Design, error) {
 	best := Design{}
 	bestDelay := math.Inf(1)
-	for _, kind := range o.Kinds {
-		for _, size := range o.Sizes {
-			d, err := searchN(seg, o, kind, size, o.MaxN, func(d Design) float64 { return d.Delay })
+	for k := range s.o.Kinds {
+		for si := range s.o.Sizes {
+			d, err := s.searchN(k, si, func(d Design) float64 { return d.Delay })
 			if err != nil {
 				return Design{}, err
 			}
@@ -197,34 +243,36 @@ func DelayOptimal(seg wire.Segment, opts Options) (Design, error) {
 	return best, nil
 }
 
+// weighted returns the objective (1−w)·delay/delay* + w·power/power*,
+// normalized by the delay-optimal design.
+func (s *Search) weighted() (func(Design) float64, error) {
+	dRef, pRef := s.ref.Delay, s.ref.Power.Total()
+	if dRef <= 0 || pRef <= 0 {
+		return nil, fmt.Errorf("buffering: degenerate reference design")
+	}
+	w := s.o.PowerWeight
+	return func(d Design) float64 {
+		return (1-w)*d.Delay/dRef + w*d.Power.Total()/pRef
+	}, nil
+}
+
 // Optimize returns the design minimizing the weighted objective
 // (1−w)·delay/delay* + w·power/power*, where the starred quantities
 // come from the delay-optimal design. With w = 0 it reduces to
 // DelayOptimal.
-func Optimize(seg wire.Segment, opts Options) (Design, error) {
-	o := opts.withDefaults()
-	if err := o.validate(); err != nil {
-		return Design{}, err
+func (s *Search) Optimize() (Design, error) {
+	if s.o.PowerWeight == 0 {
+		return s.ref, nil
 	}
-	ref, err := DelayOptimal(seg, o)
+	cost, err := s.weighted()
 	if err != nil {
 		return Design{}, err
 	}
-	if o.PowerWeight == 0 {
-		return ref, nil
-	}
-	dRef, pRef := ref.Delay, ref.Power.Total()
-	if dRef <= 0 || pRef <= 0 {
-		return Design{}, fmt.Errorf("buffering: degenerate reference design")
-	}
-	cost := func(d Design) float64 {
-		return (1-o.PowerWeight)*d.Delay/dRef + o.PowerWeight*d.Power.Total()/pRef
-	}
 	best := Design{}
 	bestCost := math.Inf(1)
-	for _, kind := range o.Kinds {
-		for _, size := range o.Sizes {
-			d, err := searchN(seg, o, kind, size, o.MaxN, cost)
+	for k := range s.o.Kinds {
+		for si := range s.o.Sizes {
+			d, err := s.searchN(k, si, cost)
 			if err != nil {
 				return Design{}, err
 			}
@@ -236,102 +284,100 @@ func Optimize(seg wire.Segment, opts Options) (Design, error) {
 	return best, nil
 }
 
-// ErrNoFeasibleDesign reports that no candidate satisfied a
-// Constrained search's acceptance predicate.
+// ErrNoFeasibleDesign reports that no candidate design satisfies a
+// caller's constraint, such as a delay target no candidate of the
+// grid meets.
 var ErrNoFeasibleDesign = fmt.Errorf("buffering: no candidate design satisfies the constraint")
 
-// Constrained returns the lowest-cost design (under the same weighted
-// delay–power objective Optimize minimizes) whose acceptance predicate
-// holds. The full (kind, size, count) candidate grid is evaluated with
-// the closed-form models — cheap — then candidates are offered to
-// accept in ascending cost order, so an expensive predicate (a Monte
-// Carlo yield estimate, a golden re-analysis) runs as few times as
-// possible: the first accepted candidate is the answer. This is the
-// titled paper's sizing-for-yield move expressed over the repeater
-// (size, count) space: back away from the unconstrained optimum by the
-// minimum cost that restores feasibility.
-//
-// The candidate order is deterministic: cost ties break toward smaller
-// size, then fewer repeaters. Returns ErrNoFeasibleDesign (wrapped)
-// when every candidate is rejected.
-func Constrained(seg wire.Segment, opts Options, accept func(Design) (bool, error)) (Design, error) {
-	o := opts.withDefaults()
-	if err := o.validate(); err != nil {
-		return Design{}, err
-	}
-	if accept == nil {
-		return Design{}, fmt.Errorf("buffering: nil acceptance predicate")
-	}
-	cands, err := Candidates(seg, o)
-	if err != nil {
-		return Design{}, err
-	}
-	for _, cand := range cands {
-		ok, err := accept(cand)
-		if err != nil {
-			return Design{}, err
-		}
-		if ok {
-			return cand, nil
-		}
-	}
-	return Design{}, fmt.Errorf("%w (searched %d candidates)", ErrNoFeasibleDesign, len(cands))
-}
-
-// Candidates evaluates the full (kind, size, count) candidate grid
-// with the closed-form models and returns it in ascending cost order
-// under the same weighted delay–power objective Optimize minimizes
-// (cost ties break toward smaller size, then fewer repeaters — the
-// deterministic order Constrained offers candidates in). Callers that
-// evaluate many candidates at once (the shared-sample yield sweep)
-// consume the grid directly instead of going through the one-at-a-time
-// acceptance walk.
-func Candidates(seg wire.Segment, opts Options) ([]Design, error) {
-	o := opts.withDefaults()
-	if err := o.validate(); err != nil {
-		return nil, err
-	}
-	ref, err := DelayOptimal(seg, o)
+// Candidates returns the full (kind, size, count) candidate grid in
+// ascending cost order under the same weighted delay–power objective
+// Optimize minimizes; cost ties break toward smaller size, then fewer
+// repeaters, then grid order. It evaluates only the cells the
+// delay-optimal pass and earlier calls on s left untouched. Callers
+// that put an expensive check behind each candidate (the sizing loop's
+// Monte Carlo yield walk) consume it in order.
+func (s *Search) Candidates() ([]Design, error) {
+	cost, err := s.weighted()
 	if err != nil {
 		return nil, err
 	}
-	dRef, pRef := ref.Delay, ref.Power.Total()
-	if dRef <= 0 || pRef <= 0 {
-		return nil, fmt.Errorf("buffering: degenerate reference design")
-	}
-	cost := func(d Design) float64 {
-		return (1-o.PowerWeight)*d.Delay/dRef + o.PowerWeight*d.Power.Total()/pRef
-	}
-
-	type candidate struct {
-		d Design
-		c float64
-	}
-	cands := make([]candidate, 0, len(o.Kinds)*len(o.Sizes)*o.MaxN)
-	for _, kind := range o.Kinds {
-		for _, size := range o.Sizes {
-			for n := 1; n <= o.MaxN; n++ {
-				d, err := evaluate(seg, o, kind, size, n)
+	s.cells = slices.Grow(s.cells, len(s.at)-len(s.cells))
+	rank := make([]ranked, 0, len(s.at))
+	for k := range s.o.Kinds {
+		for si := range s.o.Sizes {
+			for n := 1; n <= s.o.MaxN; n++ {
+				j, err := s.cell(k, si, n)
 				if err != nil {
 					return nil, err
 				}
-				cands = append(cands, candidate{d, cost(d)})
+				rank = append(rank, ranked{cost(s.cells[j]), j})
 			}
 		}
 	}
-	sort.SliceStable(cands, func(i, j int) bool {
-		a, b := cands[i], cands[j]
-		if a.c != b.c {
-			return a.c < b.c
+	// Cost, then size, then count, each compared with < alone, so a NaN
+	// sorts neither before nor after anything. The stable sort moves
+	// (cost, position) pairs instead of whole designs; it is the same
+	// algorithm as sort.SliceStable and asks only whether cmp < 0, so
+	// it makes the same moves and yields the same order.
+	less := func(x, y ranked) bool {
+		if x.c != y.c {
+			return x.c < y.c
 		}
-		if a.d.Size != b.d.Size {
-			return a.d.Size < b.d.Size
+		dx, dy := &s.cells[x.j], &s.cells[y.j]
+		if dx.Size != dy.Size {
+			return dx.Size < dy.Size
 		}
-		return a.d.N < b.d.N
+		return dx.N < dy.N
+	}
+	slices.SortStableFunc(rank, func(x, y ranked) int {
+		switch {
+		case less(x, y):
+			return -1
+		case less(y, x):
+			return 1
+		}
+		return 0
 	})
-	out := make([]Design, len(cands))
-	for i, cand := range cands {
-		out[i] = cand.d
+	out := make([]Design, len(rank))
+	for i, r := range rank {
+		out[i] = s.cells[r.j]
 	}
 	return out, nil
+}
+
+// ranked is one grid cell in Candidates' sort: its cost and its
+// position in the search's cells.
+type ranked struct {
+	c float64
+	j int
+}
+
+// DelayOptimal returns the pure delay-optimal design over the
+// candidate repeaters.
+func DelayOptimal(seg wire.Segment, opts Options) (Design, error) {
+	s, err := NewSearch(seg, opts)
+	if err != nil {
+		return Design{}, err
+	}
+	return s.ref, nil
+}
+
+// Optimize returns the design minimizing the weighted objective
+// (1−w)·delay/delay* + w·power/power*; see Search.Optimize.
+func Optimize(seg wire.Segment, opts Options) (Design, error) {
+	s, err := NewSearch(seg, opts)
+	if err != nil {
+		return Design{}, err
+	}
+	return s.Optimize()
+}
+
+// Candidates returns the full candidate grid in ascending cost order;
+// see Search.Candidates.
+func Candidates(seg wire.Segment, opts Options) ([]Design, error) {
+	s, err := NewSearch(seg, opts)
+	if err != nil {
+		return nil, err
+	}
+	return s.Candidates()
 }

@@ -1,7 +1,6 @@
 package buffering
 
 import (
-	"errors"
 	"math"
 	"testing"
 
@@ -248,14 +247,15 @@ func TestConstrainedAcceptAllMatchesOptimize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Constrained(seg, o, func(Design) (bool, error) { return true, nil })
+	cands, err := Candidates(seg, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Accepting everything must hand back the unconstrained optimum:
-	// the candidate ordering and the optimizer agree on cost.
+	// The cheapest candidate must be the unconstrained optimum: the
+	// candidate ordering and the optimizer agree on cost.
+	got := cands[0]
 	if got.Kind != want.Kind || got.Size != want.Size || got.N != want.N {
-		t.Fatalf("accept-all Constrained picked %v×INVD%g n=%d, Optimize picked %v×INVD%g n=%d",
+		t.Fatalf("cheapest candidate %v×INVD%g n=%d, Optimize picked %v×INVD%g n=%d",
 			got.Kind, got.Size, got.N, want.Kind, want.Size, want.N)
 	}
 }
@@ -265,52 +265,37 @@ func TestConstrainedVisitsInCostOrder(t *testing.T) {
 	seg := wire.NewSegment(tc, 5e-3, wire.SWSS)
 	o := opts90()
 	o.PowerWeight = 0.5
-	// Accept the third candidate seen: the result must be exactly the
-	// third-cheapest design, proving the predicate runs in cost order
-	// (what lets callers put an expensive Monte Carlo check behind it).
-	seen := 0
-	var firstTwo []Design
-	got, err := Constrained(seg, o, func(d Design) (bool, error) {
-		seen++
-		if seen < 3 {
-			firstTwo = append(firstTwo, d)
-			return false, nil
-		}
-		return true, nil
-	})
+	// Candidates must come in ascending cost, ties toward smaller
+	// size then fewer repeaters, so a caller can put an expensive Monte
+	// Carlo check behind each one and stop at the first that passes.
+	cands, err := Candidates(seg, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(firstTwo) != 2 {
-		t.Fatalf("predicate saw %d rejections before accepting", len(firstTwo))
+	ref, err := DelayOptimal(seg, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cost := func(d Design) float64 {
+		return 0.5*d.Delay/ref.Delay + 0.5*d.Power.Total()/ref.Power.Total()
+	}
+	od := o.withDefaults()
+	if want := len(od.Sizes) * od.MaxN; len(cands) != want {
+		t.Fatalf("%d candidates, want the whole %d-cell grid", len(cands), want)
+	}
+	for i := 1; i < len(cands); i++ {
+		a, b := cands[i-1], cands[i]
+		ca, cb := cost(a), cost(b)
+		if ca > cb || ca == cb && (a.Size > b.Size || a.Size == b.Size && a.N >= b.N) {
+			t.Fatalf("candidate %d (size %g n=%d cost %g) after candidate %d (size %g n=%d cost %g)",
+				i, b.Size, b.N, cb, i-1, a.Size, a.N, ca)
+		}
 	}
 	opt, err := Optimize(seg, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if firstTwo[0].Size != opt.Size || firstTwo[0].N != opt.N {
-		t.Fatalf("first candidate %+v is not the unconstrained optimum %+v", firstTwo[0], opt)
-	}
-	if got == firstTwo[0] || got == firstTwo[1] {
-		t.Fatal("accepted design repeats a rejected candidate")
-	}
-}
-
-func TestConstrainedNoFeasible(t *testing.T) {
-	tc := tech.MustLookup("90nm")
-	seg := wire.NewSegment(tc, 5e-3, wire.SWSS)
-	_, err := Constrained(seg, opts90(), func(Design) (bool, error) { return false, nil })
-	if !errors.Is(err, ErrNoFeasibleDesign) {
-		t.Fatalf("want ErrNoFeasibleDesign, got %v", err)
-	}
-}
-
-func TestConstrainedPropagatesPredicateError(t *testing.T) {
-	tc := tech.MustLookup("90nm")
-	seg := wire.NewSegment(tc, 5e-3, wire.SWSS)
-	boom := errors.New("mc exploded")
-	_, err := Constrained(seg, opts90(), func(Design) (bool, error) { return false, boom })
-	if !errors.Is(err, boom) {
-		t.Fatalf("predicate error lost: %v", err)
+	if cands[0].Size != opt.Size || cands[0].N != opt.N {
+		t.Fatalf("first candidate %+v is not the unconstrained optimum %+v", cands[0], opt)
 	}
 }

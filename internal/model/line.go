@@ -100,6 +100,18 @@ func (rc LineRC) stageCaps(style wire.Style, length float64) (quiet, coupled flo
 	}
 }
 
+// totalCap mirrors wire.Segment.TotalCap for a run of the given
+// length: GroundCap's perMeter·length plus CouplingCap's, which is zero
+// for the shielded style.
+func (rc LineRC) totalCap(style wire.Style, length float64) float64 {
+	ground := rc.GroundPerM * length
+	coupling := 0.0
+	if style != wire.Shielded {
+		coupling = rc.CouplingPerM * length
+	}
+	return ground + coupling
+}
+
 // LineDelay predicts the delay of the line: the sum over stages of the
 // repeater delay (intrinsic + drive resistance × load) and the
 // enhanced Pamunuwa wire delay, with the model's own output-slew
@@ -128,42 +140,101 @@ func (c *Coefficients) LineDelayRC(spec LineSpec, rc LineRC) (LineTiming, error)
 	lambda := spec.Segment.Style.MillerFactor()
 	dWire := rc.RPerM * stageLen * (0.4*quiet + (lambda/2)*coupled + 0.7*ci)
 
-	rise, riseSlew := c.lineEdge(spec, true, wn, wp, cl, dWire)
-	fall, fallSlew := c.lineEdge(spec, false, wn, wp, cl, dWire)
-	t := LineTiming{RiseDelay: rise, FallDelay: fall}
-	if rise >= fall {
-		t.Delay, t.OutputSlew = rise, riseSlew
+	// Both starting polarities walk the stages in one loop, as two
+	// independent dependency chains. A stage's output edge alternates
+	// for an inverter and holds for a buffer, so chain a (rising input)
+	// starts on the rising-output stage model for a buffer and on the
+	// falling one for an inverter; chain b starts on the other.
+	k := c.kindCoeffs(spec.Kind)
+	up, down := newStageModel(&k.Rise, wp, cl), newStageModel(&k.Fall, wn, cl)
+	inverter := spec.Kind == liberty.Inverter
+	ma, mb := &up, &down
+	if inverter {
+		ma, mb = mb, ma
+	}
+	a := edgeChain{slew: spec.InputSlew}
+	b := edgeChain{slew: spec.InputSlew}
+	i := 0
+	for ; i < spec.N && !(a.settled && b.settled); i++ {
+		a.stage(i, ma, dWire)
+		b.stage(i, mb, dWire)
+		if inverter {
+			ma, mb = mb, ma
+		}
+	}
+	// Once both chains have settled, stage i repeats stage i−2: only
+	// the ordered additions remain, and each chain's output slew is the
+	// stored input slew of stage N's parity.
+	for ; i < spec.N; i++ {
+		p := i & 1
+		a.total += a.delay[p]
+		a.total += dWire
+		b.total += b.delay[p]
+		b.total += dWire
+	}
+	if a.settled && b.settled {
+		a.slew, b.slew = a.inSlew[spec.N&1], b.inSlew[spec.N&1]
+	}
+	t := LineTiming{RiseDelay: a.total, FallDelay: b.total}
+	if a.total >= b.total {
+		t.Delay, t.OutputSlew = a.total, a.slew
 	} else {
-		t.Delay, t.OutputSlew = fall, fallSlew
+		t.Delay, t.OutputSlew = b.total, b.slew
 	}
 	return t, nil
 }
 
-// lineEdge evaluates one starting polarity. The stage load cl and wire
-// delay dWire are identical for both polarities and supplied by the
-// caller so they are computed once per line instead of once per edge.
-func (c *Coefficients) lineEdge(spec LineSpec, startRising bool, wn, wp, cl, dWire float64) (total, outSlew float64) {
-	slew := spec.InputSlew
-	outRising := startRising
-	if spec.Kind == liberty.Inverter {
-		outRising = !startRising
+// stageModel is one output edge's stage delay and slew at a fixed
+// pulling-device width and load. It hoists only the quotients
+// Beta0/wr and Beta1/wr, which RepeaterDelay computes before using
+// them, so every expression keeps RepeaterDelay's and
+// RepeaterOutSlew's shape and multiply-add fusion cannot tell the two
+// apart.
+type stageModel struct {
+	e              *EdgeCoeffs
+	wr, cl, b0, b1 float64
+}
+
+func newStageModel(e *EdgeCoeffs, wr, cl float64) stageModel {
+	return stageModel{e: e, wr: wr, cl: cl, b0: e.Beta0 / wr, b1: e.Beta1 / wr}
+}
+
+// edgeChain is one starting polarity's walk down the line. A stage's
+// delay and output slew depend only on its edge and input slew, and
+// the edge repeats every two stages, so once a stage's input slew
+// equals the one two stages earlier every later stage repeats the
+// stage two before it: the chain then replays its stored delays and
+// slews instead of re-evaluating the stage model. The running total
+// still adds each stage's delay and wire delay in order, so the sum
+// keeps its bits.
+type edgeChain struct {
+	total, slew float64
+	// inSlew and delay hold the last two stages' input slew and
+	// delay, indexed by stage parity.
+	inSlew, delay [2]float64
+	settled       bool
+}
+
+func (ch *edgeChain) stage(i int, m *stageModel, dWire float64) {
+	p := i & 1
+	if !ch.settled && i >= 2 && ch.slew == ch.inSlew[p] {
+		ch.settled = true
 	}
-	for i := 0; i < spec.N; i++ {
-		wr := wn
-		if outRising {
-			wr = wp
+	var d, next float64
+	if ch.settled {
+		d, next = ch.delay[p], ch.inSlew[p^1]
+	} else {
+		e, s := m.e, ch.slew
+		d = (e.A0 + e.A1*s + e.A2*s*s) + (m.b0+m.b1*s)*m.cl
+		next = e.Gamma0 + e.Gamma1*s/m.wr + e.Gamma2*m.cl
+		if next < 1e-15 {
+			next = 1e-15 // numerical floor; extrapolation can undershoot
 		}
-		total += c.RepeaterDelay(spec.Kind, outRising, wr, slew, cl)
-		total += dWire
-		slew = c.RepeaterOutSlew(spec.Kind, outRising, wr, slew, cl)
-		if slew < 1e-15 {
-			slew = 1e-15 // numerical floor; extrapolation can undershoot
-		}
-		if spec.Kind == liberty.Inverter {
-			outRising = !outRising
-		}
+		ch.inSlew[p], ch.delay[p] = s, d
 	}
-	return total, slew
+	ch.total += d
+	ch.total += dWire
+	ch.slew = next
 }
 
 // PowerParams supplies the dynamic-power operating point.
@@ -190,6 +261,19 @@ func (p LinePower) Total() float64 { return p.Dynamic + p.Leakage }
 // delivered per transition does not care about Miller timing) plus the
 // next repeater's input capacitance.
 func (c *Coefficients) LinePower(spec LineSpec, pp PowerParams) (LinePower, error) {
+	// Validate before extracting: SegmentRC reads the technology.
+	if err := spec.Validate(); err != nil {
+		return LinePower{}, err
+	}
+	return c.LinePowerRC(spec, SegmentRC(spec.Segment), pp)
+}
+
+// LinePowerRC is LinePower with the wire's per-meter parameters
+// supplied by the caller: a stage's wire capacitance is
+// wire.Segment.TotalCap's perMeter·length products, taken from rc
+// instead of re-derived from the geometry. A buffering search extracts
+// rc once and prices every candidate against it.
+func (c *Coefficients) LinePowerRC(spec LineSpec, rc LineRC, pp PowerParams) (LinePower, error) {
 	if err := spec.Validate(); err != nil {
 		return LinePower{}, err
 	}
@@ -200,9 +284,7 @@ func (c *Coefficients) LinePower(spec LineSpec, pp PowerParams) (LinePower, erro
 	wn, wp := tc.InverterWidths(spec.Size)
 	ci := c.InputCap(spec.Kind, wn, wp)
 
-	stageSeg := spec.Segment
-	stageSeg.Length = spec.Segment.Length / float64(spec.N)
-	clPower := stageSeg.TotalCap() + ci
+	clPower := rc.totalCap(spec.Segment.Style, spec.Segment.Length/float64(spec.N)) + ci
 
 	var p LinePower
 	p.Dynamic = float64(spec.N) * DynamicPower(pp.Activity, clPower, tc.Vdd, pp.Freq)

@@ -2,6 +2,7 @@ package variation
 
 import (
 	"math"
+	"runtime"
 	"sync"
 
 	"repro/internal/estimator"
@@ -212,6 +213,7 @@ type laneScale struct {
 	vdd            float64
 	kN, kP         float64
 	alphaN, alphaP float64
+	powN, powP     lanePow // od^alphaN, od^alphaP
 	rNomN, rNomP   float64
 	odNPos, odPPos bool
 	cgN, cgP       float64
@@ -239,9 +241,72 @@ func laneScaleFor(base *tech.Technology) laneScale {
 		sc.odPPos = true
 		sc.rNomP = sc.vdd / (sc.kP * math.Pow(od, sc.alphaP))
 	}
+	sc.powN, sc.powP = newLanePow(sc.alphaN), newLanePow(sc.alphaP)
 	sc.cgSum = sc.cgN + sc.cgP
 	sc.cgPos = sc.cgSum > 0
 	return sc
+}
+
+// lanePow is x^y for one constant exponent y, bit-identical to
+// math.Pow(x, y) and decomposed once per run instead of once per call.
+// Go's pow splits y with Modf into an integer part yi and a fraction yf,
+// moves a fraction above one half to yf−1 (and yi+1), and returns
+// Exp(yf·Log x) times x^yi, applying x^yi to x's mantissa and restoring
+// the exponent with Ldexp. For a positive normal x whose powers stay
+// normal that power-of-two scaling is exact, so Exp(yf·Log x)·x^yi, with
+// x^yi = 1, x or x·x, rounds to pow's bits while skipping its special
+// cases, Modf, Frexp and Ldexp. applyProg's clamps keep every operand
+// the kernel raises (the Vth overdrive, the thickness/ILD ratio) inside
+// the short form's range; anything else takes math.Pow.
+type lanePow struct {
+	y, yf float64
+	yi    int
+	short bool // y takes the short form for operands in [powMin, powMax]
+}
+
+// powMin and powMax bound the short form's operands: positive normal
+// with room to spare, so x·x, Exp(yf·Log x) and their product all stay
+// normal for yi ≤ 2 and |yf| ≤ 1/2.
+const (
+	powMin = 0x1p-256
+	powMax = 0x1p256
+)
+
+func newLanePow(y float64) lanePow {
+	p := lanePow{y: y}
+	// The short form covers finite y > 0 but 0.5, which pow answers
+	// with Sqrt. s390x's math.Pow is an assembly routine of its own.
+	if !(y > 0) || y == 0.5 || math.IsInf(y, 1) || runtime.GOARCH == "s390x" {
+		return p
+	}
+	yi, yf := math.Modf(y)
+	if yf > 0.5 {
+		yf--
+		yi++
+	}
+	if yi > 2 {
+		return p
+	}
+	p.yi, p.yf, p.short = int(yi), yf, true
+	return p
+}
+
+// pow returns math.Pow(x, p.y).
+func (p *lanePow) pow(x float64) float64 {
+	if !p.short || !(x >= powMin && x <= powMax) {
+		return math.Pow(x, p.y)
+	}
+	e := 1.0
+	if p.yf != 0 {
+		e = math.Exp(p.yf * math.Log(x))
+	}
+	switch p.yi {
+	case 1:
+		return e * x
+	case 2:
+		return e * (x * x)
+	}
+	return e
 }
 
 // laneSeg holds one segment geometry's sample-invariant constants for
@@ -303,6 +368,7 @@ type laneKernel struct {
 	bar, bar2 float64
 	scmfp     float64
 	rho0      float64
+	capPow    lanePow // (th/ild)^0.222, GroundCapPerMeter's fringe term
 
 	// Shifted (ISLE) mode.
 	shifts   [][]float64
@@ -338,6 +404,7 @@ func newLaneKernel(ms *MultiScenario, ro Options, shifts [][]float64, qshifts []
 		bar2:      2 * ms.Base.Barrier,
 		scmfp:     ms.Base.ScatterCoeff * ms.Base.MeanFreePath,
 		rho0:      ms.Base.RhoBulk,
+		capPow:    newLanePow(0.222),
 		shifts:    shifts,
 		shiftedC:  make([]bool, K),
 		shiftSq:   make([]float64, K),
@@ -529,8 +596,8 @@ func (lk *laneKernel) shiftCand(ls *laneScratch, c, n int) {
 // the subset of ScaleInto the delay path consumes — from the apply
 // program's outputs. The expressions mirror model.driveRatio and
 // ScaleInto exactly (perturbed K is nominal/fL, perturbed CGate is
-// nominal·fL, same association order); only the nominal halves are
-// precomputed.
+// nominal·fL, same association order); only the nominal halves and the
+// exponent's decomposition (lanePow) are precomputed.
 func (lk *laneKernel) scalePhase(ls *laneScratch, n int) {
 	sc := &lk.scale
 	fL := ls.fac[facL][:n]
@@ -543,14 +610,14 @@ func (lk *laneKernel) scalePhase(ls *laneScratch, n int) {
 		r := 1.0
 		if sc.odNPos {
 			if od := sc.vdd - vthN[k]; od > 0 {
-				r = (sc.vdd / ((sc.kN / fL[k]) * math.Pow(od, sc.alphaN))) / sc.rNomN
+				r = (sc.vdd / ((sc.kN / fL[k]) * sc.powN.pow(od))) / sc.rNomN
 			}
 		}
 		rdN[k] = r
 		r = 1.0
 		if sc.odPPos {
 			if od := sc.vdd - vthP[k]; od > 0 {
-				r = (sc.vdd / ((sc.kP / fL[k]) * math.Pow(od, sc.alphaP))) / sc.rNomP
+				r = (sc.vdd / ((sc.kP / fL[k]) * sc.powP.pow(od))) / sc.rNomP
 			}
 		}
 		rdP[k] = r
@@ -566,7 +633,8 @@ func (lk *laneKernel) scalePhase(ls *laneScratch, n int) {
 // drawn geometry (width at constant pitch, clamped spacing, thickness
 // and ILD factors) and extract the corrected per-meter resistance and
 // the style-resolved capacitances, mirroring wire.ResistancePerMeter /
-// GroundCapPerMeter / CouplingCapPerMeter operation for operation.
+// GroundCapPerMeter / CouplingCapPerMeter operation for operation (the
+// fringe term's power through lanePow).
 func (lk *laneKernel) wirePhase(ls *laneScratch, sg *laneSeg, n int) {
 	fW := ls.fac[facW][:n]
 	fT := ls.fac[facT][:n]
@@ -599,7 +667,7 @@ func (lk *laneKernel) wirePhase(ls *laneScratch, sg *laneSeg, n int) {
 			rp[k] = rho * (1 + lk.scmfp/core) / (coreW * coreH)
 		}
 
-		g := sg.twoEps * (1.15*(w/ild) + 2.80*math.Pow(th/ild, 0.222))
+		g := sg.twoEps * (1.15*(w/ild) + 2.80*lk.capPow.pow(th/ild))
 		cc := sg.c12eps * th / sp
 		if sg.shielded {
 			gp[k] = g + 2*cc
@@ -693,8 +761,10 @@ func (lk *laneKernel) candPhase(ls *laneScratch, c, n int, contrib []float64, K 
 }
 
 // edgePass evaluates one starting polarity across the lane, mirroring
-// Coefficients.lineEdge with the coefficient scaling (scaleEdge's
-// rd·rc products) fused into the stage loop.
+// that polarity's chain in Coefficients.LineDelayRC with the
+// coefficient scaling (scaleEdge's rd·rc products) fused into the stage
+// loop. It evaluates every stage: the scalar loop's replay of settled
+// stages changes no bit.
 func (lk *laneKernel) edgePass(ls *laneScratch, cd *laneCand, startRising bool, tot, slw []float64, n int) {
 	tot = tot[:n]
 	slw = slw[:n]

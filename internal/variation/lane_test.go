@@ -2,6 +2,7 @@ package variation
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -208,5 +209,64 @@ func TestLaneChunk(t *testing.T) {
 		if got := laneChunk(c.batch, c.workers); got != c.want {
 			t.Fatalf("laneChunk(%d, %d) = %d, want %d", c.batch, c.workers, got, c.want)
 		}
+	}
+}
+
+// TestLanePowMatchesMathPow holds the precompiled lane power to
+// math.Pow bit for bit: every built-in technology's α plus 1, 1.5, 1.6
+// and 2 across the whole clamped Vth-overdrive range (both clamp ends
+// and one ulp either side), the 0.222 fringe exponent across the
+// clamped thickness/ILD ratio, and the math.Pow fallback — exponents
+// pow special-cases or the short form does not take, and operands
+// outside its range.
+func TestLanePowMatchesMathPow(t *testing.T) {
+	check := func(p lanePow, x float64) {
+		t.Helper()
+		if got, want := p.pow(x), math.Pow(x, p.y); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("pow(%v, %v) = %v, math.Pow %v", x, p.y, got, want)
+		}
+	}
+	sweep := func(p lanePow, lo, hi float64) {
+		t.Helper()
+		for _, x := range []float64{lo, hi, math.Nextafter(lo, 0), math.Nextafter(lo, 1), math.Nextafter(hi, 0), math.Nextafter(hi, 2)} {
+			check(p, x)
+		}
+		const steps = 20000
+		for i := 0; i <= steps; i++ {
+			check(p, lo+(hi-lo)*float64(i)/steps)
+		}
+	}
+	for _, tc := range tech.All() {
+		// applyProg clamps Vth to [0.05, Vdd−0.05], so the overdrive
+		// Vdd − Vth spans [Vdd − (Vdd−0.05), Vdd − 0.05].
+		vthMax := tc.Vdd - 0.05
+		lo, hi := tc.Vdd-vthMax, tc.Vdd-0.05
+		for _, y := range []float64{tc.NMOS.Alpha, tc.PMOS.Alpha, 1, 1.5, 1.6, 2} {
+			p := newLanePow(y)
+			if runtime.GOARCH != "s390x" && !p.short {
+				t.Fatalf("%s: exponent %v does not take the short form", tc.Name, y)
+			}
+			sweep(p, lo, hi)
+		}
+		// The fringe term raises th/ild with both factors clamped to
+		// [0.6, 1.4].
+		for _, l := range []tech.WireLayer{tc.Global, tc.Intermediate} {
+			sweep(newLanePow(0.222), l.Thickness*0.6/(l.ILD*1.4), l.Thickness*1.4/(l.ILD*0.6))
+		}
+	}
+	// The fallback: exponents pow answers before its decomposition or
+	// whose integer part exceeds two, and operands outside the short
+	// form's range.
+	for _, y := range []float64{0.5, 2.6, 3, -1.3, 0, math.Inf(1), math.NaN()} {
+		p := newLanePow(y)
+		if p.short {
+			t.Fatalf("exponent %v takes the short form", y)
+		}
+		sweep(p, 0.05, 1.2)
+	}
+	p := newLanePow(1.35)
+	for _, x := range []float64{0, math.Copysign(0, -1), -0.3, 5e-324, 0x1p-1022, powMin, math.Nextafter(powMin, 0),
+		powMax, math.Nextafter(powMax, math.Inf(1)), 1e300, math.Inf(1), math.NaN(), 1} {
+		check(p, x)
 	}
 }

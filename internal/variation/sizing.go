@@ -17,8 +17,9 @@ import (
 // whatever (repeater size, count) the nominal weighted objective
 // picks, it searches for the cheapest design whose Monte Carlo timing
 // yield meets a target — the titled paper's sizing-for-yield loop,
-// with buffering.Constrained supplying the cost-ordered candidate walk
-// and this package supplying the statistical feasibility check.
+// with one buffering.Search supplying the nominal design and the
+// cost-ordered candidate grid, and this package supplying the walk and
+// its statistical feasibility check.
 
 // SizingOptions configures a yield-constrained buffering search.
 type SizingOptions struct {
@@ -107,7 +108,13 @@ func SizeForYieldCtx(ctx context.Context, base *tech.Technology, seg wire.Segmen
 		o.MaxCandidates = 48
 	}
 
-	nominal, err := buffering.Optimize(seg, o.Buffering)
+	// One search serves the nominal design and, on a miss, the candidate
+	// grid, so the grid evaluates only the cells Optimize left untouched.
+	bs, err := buffering.NewSearch(seg, o.Buffering)
+	if err != nil {
+		return SizedDesign{}, err
+	}
+	nominal, err := bs.Optimize()
 	if err != nil {
 		return SizedDesign{}, err
 	}
@@ -149,7 +156,7 @@ func SizeForYieldCtx(ctx context.Context, base *tech.Technology, seg wire.Segmen
 	if err := ctx.Err(); err != nil {
 		return SizedDesign{}, err
 	}
-	cands, err := buffering.Candidates(seg, o.Buffering)
+	cands, err := bs.Candidates()
 	if err != nil {
 		return SizedDesign{}, err
 	}
