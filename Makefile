@@ -36,14 +36,16 @@ bench-yield:
 	sh scripts/bench_yield.sh
 
 # Short coverage-guided runs of the Liberty parser, shard wire-format,
-# sizing rejection-bound, predintd yield and shard request-body, and
-# model stage-loop fuzzers (CI smoke).
+# sizing rejection-bound, predintd yield, shard, link and NoC
+# request-body, and model stage-loop fuzzers (CI smoke).
 fuzz:
 	$(GO) test -fuzz=FuzzParseLibrary -fuzztime=10s -run FuzzParseLibrary ./internal/liberty
 	$(GO) test -fuzz=FuzzMergePartials -fuzztime=10s -run FuzzMergePartials ./internal/variation
 	$(GO) test -fuzz=FuzzSizingReject -fuzztime=10s -run FuzzSizingReject ./internal/variation
 	$(GO) test -fuzz=FuzzYieldRequestBody -fuzztime=10s -run FuzzYieldRequestBody ./cmd/predintd
 	$(GO) test -fuzz=FuzzShardRequestBody -fuzztime=10s -run FuzzShardRequestBody ./cmd/predintd
+	$(GO) test -fuzz=FuzzLinkRequestBody -fuzztime=10s -run FuzzLinkRequestBody ./cmd/predintd
+	$(GO) test -fuzz=FuzzNoCRequestBody -fuzztime=10s -run FuzzNoCRequestBody ./cmd/predintd
 	$(GO) test -fuzz=FuzzLineDelayRC -fuzztime=10s -run FuzzLineDelayRC ./internal/model
 
 # Run the hardened HTTP serving layer on the default address.

@@ -412,7 +412,7 @@ func BenchmarkLinkYield(b *testing.B) {
 
 // BenchmarkLinkYieldSweep measures the cross-candidate sampling kernel
 // on a 16-candidate sizing sweep of the 90nm 5mm link. "shared" scores
-// every candidate in one EstimateYieldsShared pass — one draw, one
+// every candidate in one EstimateYieldsSharedCtx pass — one draw, one
 // perturbed technology, one rescaled coefficient set, and one wire
 // extraction per sample serve all 16 candidates (common random
 // numbers). "per-candidate" is the baseline that runs the single-link
@@ -448,7 +448,7 @@ func BenchmarkLinkYieldSweep(b *testing.B) {
 			Specs: specs, Target: target,
 		}
 		for i := 0; i < b.N; i++ {
-			if _, err := variation.EstimateYieldsShared(ms, opts); err != nil {
+			if _, err := variation.EstimateYieldsSharedCtx(context.Background(), ms, opts); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -463,7 +463,7 @@ func BenchmarkLinkYieldSweep(b *testing.B) {
 					Base: tc, Coeffs: coeffs, Space: variation.DefaultSpace(),
 					Spec: spec, Target: target,
 				}
-				if _, err := variation.EstimateLinkYield(sc, opts); err != nil {
+				if _, err := variation.EstimateLinkYieldCtx(context.Background(), sc, opts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -562,7 +562,7 @@ func BenchmarkLinkYieldWCDSearch(b *testing.B) {
 	var bound estimator.Bound
 	var err error
 	for i := 0; i < b.N; i++ {
-		bound, err = variation.WCDForScenario(sc)
+		bound, err = variation.WCDForScenarioCtx(context.Background(), sc)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -579,7 +579,7 @@ func BenchmarkLinkYieldWCDSearch(b *testing.B) {
 // free, and scripts/bench_yield.sh gates it under 1 µs in CI.
 func BenchmarkLinkYieldWCDPrefilter(b *testing.B) {
 	sc := wcdBenchScenario(b)
-	bound, err := variation.WCDForScenario(sc)
+	bound, err := variation.WCDForScenarioCtx(context.Background(), sc)
 	if err != nil {
 		b.Fatal(err)
 	}

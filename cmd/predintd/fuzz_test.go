@@ -38,13 +38,7 @@ func FuzzYieldRequestBody(f *testing.F) {
 	h := newServer(4, 16, 0, time.Minute, time.Second).routes()
 	f.Fuzz(func(t *testing.T, body string) {
 		for _, path := range []string{"/v1/yield", "/v1/yield/batch"} {
-			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
-			switch rec.Code {
-			case http.StatusOK, http.StatusBadRequest, http.StatusRequestEntityTooLarge:
-			default:
-				t.Fatalf("POST %s %q: status %d, want 200, 400 or 413: %s", path, body, rec.Code, rec.Body)
-			}
+			postFuzzBody(t, h, path, body)
 		}
 	})
 }
@@ -85,12 +79,72 @@ func FuzzShardRequestBody(f *testing.F) {
 		if json.Unmarshal([]byte(body), &sr) == nil && sr.Op == coordinator.OpSample && sr.Count > shardFuzzCap {
 			t.Skip("sample range over the fuzz cap")
 		}
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/internal/shard", strings.NewReader(body)))
-		switch rec.Code {
-		case http.StatusOK, http.StatusBadRequest, http.StatusRequestEntityTooLarge:
-		default:
-			t.Fatalf("POST /v1/internal/shard %q: status %d, want 200, 400 or 413: %s", body, rec.Code, rec.Body)
-		}
+		postFuzzBody(t, h, "/v1/internal/shard", body)
 	})
+}
+
+// FuzzLinkRequestBody sends arbitrary bodies through the /v1/link
+// handler: every decodable body runs the full link design (the
+// buffering search, and the geometry search when asked for). Whatever
+// the body, the answer must be a 200, a 400 or a 413.
+func FuzzLinkRequestBody(f *testing.F) {
+	for _, seed := range []string{
+		`{"tech": "90nm", "length_mm": 5}`,
+		`{"tech": "65nm", "length_mm": 3, "bits": 32, "style": "shielded", "power_weight": 0.7, "input_slew_ps": 80}`,
+		`{"tech": "45nm", "length_mm": 8, "style": "staggered", "delay_optimal": true, "library_sizes_only": true}`,
+		`{"tech": "90nm", "length_mm": 5, "optimize_geometry": true, "max_pitch_mult": 3, "activity_factor": 0.3}`,
+		`{"tech": "90nm", "length_mm": -1, "bits": 0, "power_weight": 2, "activity_factor": -1}`,
+		`{"tech": "90nm", "length_mm": 1e9, "input_slew_ps": 1e-300, "max_pitch_mult": 1e308}`,
+		`{"tech": "3nm", "length_mm": 5, "style": "diagonal"}`,
+		`{"tech": "90nm", "length_mm": 5, "extra": 1}`,
+		`{"tech": "90nm",`,
+		`[]`,
+		``,
+	} {
+		f.Add(seed)
+	}
+	h := newServer(4, 16, 0, time.Minute, time.Second).routes()
+	f.Fuzz(func(t *testing.T, body string) {
+		postFuzzBody(t, h, "/v1/link", body)
+	})
+}
+
+// FuzzNoCRequestBody sends arbitrary bodies through the /v1/noc
+// handler: every decodable body with a known case and technology runs
+// the NoC synthesis, with the traffic simulation when asked for.
+// Whatever the body, the answer must be a 200, a 400 or a 413.
+func FuzzNoCRequestBody(f *testing.F) {
+	for _, seed := range []string{
+		`{"case": "VPROC", "tech": "90nm"}`,
+		`{"case": "DVOPD", "tech": "65nm", "style": "shielded", "workers": 2}`,
+		`{"case": "VPROC", "tech": "45nm", "use_original_model": true, "simulate_traffic": true}`,
+		`{"case": "VPROC", "tech": "90nm", "workers": -3}`,
+		`{"case": "MPEG4", "tech": "90nm"}`,
+		`{"case": "VPROC", "tech": "3nm", "style": "diagonal"}`,
+		`{"case": "VPROC", "tech": "90nm", "extra": 1}`,
+		`{"case": "VPROC",`,
+		`[]`,
+		``,
+	} {
+		f.Add(seed)
+	}
+	h := newServer(4, 16, 0, time.Minute, time.Second).routes()
+	f.Fuzz(func(t *testing.T, body string) {
+		postFuzzBody(t, h, "/v1/noc", body)
+	})
+}
+
+// postFuzzBody posts body to path on h and fails unless the answer is
+// a 200, a 400 or a 413: a 500 (a handler panic or an unclassified
+// engine failure) or any other status is a hole in the request
+// boundary.
+func postFuzzBody(t *testing.T, h http.Handler, path, body string) {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+	switch rec.Code {
+	case http.StatusOK, http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+	default:
+		t.Fatalf("POST %s %q: status %d, want 200, 400 or 413: %s", path, body, rec.Code, rec.Body)
+	}
 }

@@ -2,8 +2,8 @@
 // design, timing-yield estimation, and NoC synthesis as a hardened
 // service:
 //
-//   - POST /v1/link, /v1/yield, /v1/noc — the facade entry points,
-//     snake_case JSON in and out
+//   - POST /v1/link, /v1/yield, /v1/yield/batch, /v1/noc — the facade
+//     entry points, snake_case JSON in and out
 //   - GET /healthz, /metrics — liveness and the observability snapshot
 //
 // Hardening, in request order: every request runs under a deadline
@@ -103,6 +103,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if *queueFlag < 1 {
 		return fmt.Errorf("predintd: -queue %d, need at least 1", *queueFlag)
+	}
+	if *reqTimeoutFlag <= 0 {
+		return fmt.Errorf("predintd: -request-timeout %v, need a positive duration", *reqTimeoutFlag)
+	}
+	if *retryAfterFlag < 0 {
+		return fmt.Errorf("predintd: -retry-after %v, need a non-negative duration", *retryAfterFlag)
 	}
 	if *maxYieldCostFlag < 1 {
 		return fmt.Errorf("predintd: -max-yield-cost %d, need at least 1", *maxYieldCostFlag)

@@ -254,6 +254,9 @@ func TestFlagValidation(t *testing.T) {
 		{"-inflight", "0"},
 		{"-queue", "0"},
 		{"-max-yield-cost", "0"},
+		{"-request-timeout", "0"},
+		{"-request-timeout", "-1s"},
+		{"-retry-after", "-5s"},
 	} {
 		var stderr syncBuf
 		if err := run(args, io.Discard, &stderr); err == nil {

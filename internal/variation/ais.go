@@ -80,8 +80,6 @@ type aisState struct {
 	idx    []int
 	pts    [][]float64
 	eliteW []float64
-	// sc is the link the scalar fallback evaluates.
-	sc LinkScenario
 	// metric, when set, scores a lane of transposed draws into out in
 	// place of the link's delay phases: the closed-form cross-checks
 	// substitute a linear metric here.
@@ -90,9 +88,9 @@ type aisState struct {
 
 var aisStatePool = sync.Pool{New: func() any { return new(aisState) }}
 
-// getAISState checks out a state for a run of up to samples draws on
-// the link sc, starting from the standard proposal.
-func getAISState(sc *LinkScenario, samples int) *aisState {
+// getAISState checks out a state for a run of up to samples draws,
+// starting from the standard proposal.
+func getAISState(samples int) *aisState {
 	a := aisStatePool.Get().(*aisState)
 	if cap(a.delays) < samples {
 		a.zs = make([]float64, samples*Dims)
@@ -101,7 +99,6 @@ func getAISState(sc *LinkScenario, samples int) *aisState {
 	}
 	a.prop = estimator.StandardProposal()
 	a.base = 0
-	a.sc = *sc
 	a.metric = nil
 	return a
 }

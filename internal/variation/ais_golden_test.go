@@ -1,6 +1,7 @@
 package variation
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -20,12 +21,12 @@ type aisGoldenCase struct {
 // aisGoldenCases are the queries aisGolden pins: the testScenario link
 // at the delay targets whose worst-case distance is ≈4σ, 5σ and 6σ,
 // each at two seeds; a RelErr run that stops early; and a
-// three-candidate EstimateYieldsShared batch.
+// three-candidate EstimateYieldsSharedCtx batch.
 func aisGoldenCases(t testing.TB) []aisGoldenCase {
 	single := func(sc *LinkScenario, o YieldOptions) func(int) ([]Estimate, error) {
 		return func(workers int) ([]Estimate, error) {
 			o.Workers = workers
-			e, err := EstimateLinkYield(sc, o)
+			e, err := EstimateLinkYieldCtx(context.Background(), sc, o)
 			return []Estimate{e}, err
 		}
 	}
@@ -51,7 +52,7 @@ func aisGoldenCases(t testing.TB) []aisGoldenCase {
 	ms.Specs[1].Size *= 0.8
 	ms.Specs[2].N++
 	cases = append(cases, aisGoldenCase{"sigma5-batch3", func(workers int) ([]Estimate, error) {
-		return EstimateYieldsShared(ms, YieldOptions{Samples: 4096, Seed: 1, Estimator: estimator.AIS, Workers: workers})
+		return EstimateYieldsSharedCtx(context.Background(), ms, YieldOptions{Samples: 4096, Seed: 1, Estimator: estimator.AIS, Workers: workers})
 	}})
 	return cases
 }
@@ -92,33 +93,24 @@ var aisGolden = map[string][]Estimate{
 }
 
 // TestAISGolden pins AIS estimates against aisGolden at workers 1, 4
-// and GOMAXPROCS, on the lane kernel and through the scalar fallback.
+// and GOMAXPROCS.
 func TestAISGolden(t *testing.T) {
 	for _, c := range aisGoldenCases(t) {
 		want, ok := aisGolden[c.name]
 		if !ok {
 			t.Fatalf("%s: no golden estimates", c.name)
 		}
-		for _, scalar := range []bool{false, true} {
-			for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-				var got []Estimate
-				var err error
-				run := func() { got, err = c.run(workers) }
-				if scalar {
-					withScalarKernel(run)
-				} else {
-					run()
-				}
-				if err != nil {
-					t.Fatalf("%s: %v", c.name, err)
-				}
-				if len(got) != len(want) {
-					t.Fatalf("%s: %d estimates, want %d", c.name, len(got), len(want))
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("%s scalar=%v workers=%d candidate %d:\n got %+v\nwant %+v", c.name, scalar, workers, i, got[i], want[i])
-					}
+		for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
+			got, err := c.run(workers)
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s: %d estimates, want %d", c.name, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s workers=%d candidate %d:\n got %+v\nwant %+v", c.name, workers, i, got[i], want[i])
 				}
 			}
 		}

@@ -105,7 +105,7 @@ func TestZeroFailureEscapeGatedPerCandidateInSharedKernel(t *testing.T) {
 		Shifts: [][]float64{nil, {2, 0, 0, 0, 0, 0, 0}},
 	}
 	const budget = 2048
-	ests, err := EstimateYieldsShared(ms, YieldOptions{Samples: budget, RelErr: 0.05, Seed: 3})
+	ests, err := EstimateYieldsSharedCtx(context.Background(), ms, YieldOptions{Samples: budget, RelErr: 0.05, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,6 @@ var (
 	ErrNegativeBatch      = errors.New("variation: negative batch size")
 	ErrNegativeMinSamples = errors.New("variation: negative minimum sample count")
 	ErrNegativeWorkers    = errors.New("variation: negative worker count")
-	ErrUnknownSampler     = errors.New("variation: unknown sampler")
 )
 
 // Estimator observability (see internal/obs): how many samples the
@@ -91,13 +90,6 @@ type Options struct {
 	// the likelihood ratio φ(z)/φ(z−θ). Nil selects plain Monte
 	// Carlo.
 	Shift []float64
-	// Sampler selects the normal sampler: SamplerZiggurat (the
-	// default when empty) or SamplerBoxMuller (the pinned legacy
-	// sequence). The two produce different, individually deterministic
-	// draw sequences at the same seed; every other determinism
-	// guarantee (bit-identity across worker counts and shard layouts)
-	// holds under either.
-	Sampler Sampler
 }
 
 func (o Options) withDefaults() Options {
@@ -113,7 +105,6 @@ func (o Options) withDefaults() Options {
 	if o.Batch == 0 {
 		o.Batch = 256
 	}
-	o.Sampler = resolveSampler(o.Sampler)
 	return o
 }
 
@@ -141,9 +132,6 @@ func (o Options) validate() error {
 	}
 	if o.Shift != nil && len(o.Shift) != o.Dims {
 		return fmt.Errorf("variation: shift has %d dims, want %d", len(o.Shift), o.Dims)
-	}
-	if !validSampler(o.Sampler) {
-		return fmt.Errorf("%w %q", ErrUnknownSampler, o.Sampler)
 	}
 	return nil
 }

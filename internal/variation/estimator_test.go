@@ -236,7 +236,7 @@ func TestRunCtxLiveMatchesRun(t *testing.T) {
 		{545e-12, YieldOptions{Samples: 2048, Seed: 11, Estimator: estimator.ISLE}},
 	} {
 		sc := testScenario(t, c.target)
-		ref, err := EstimateLinkYield(sc, c.o)
+		ref, err := EstimateLinkYieldCtx(context.Background(), sc, c.o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -302,7 +302,7 @@ func TestRunRejectsNegativeBudgets(t *testing.T) {
 	}
 	// The yield-level options funnel through the same validation.
 	sc := testScenario(t, 480e-12)
-	if _, err := EstimateLinkYield(sc, YieldOptions{Samples: 100, Batch: -8}); !errors.Is(err, ErrNegativeBatch) {
+	if _, err := EstimateLinkYieldCtx(context.Background(), sc, YieldOptions{Samples: 100, Batch: -8}); !errors.Is(err, ErrNegativeBatch) {
 		t.Errorf("yield options: got %v, want ErrNegativeBatch", err)
 	}
 }

@@ -1,6 +1,7 @@
 package variation
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -16,7 +17,7 @@ func TestRunBatchFaultSurfacesPromptly(t *testing.T) {
 	}})()
 	sc := testScenario(t, 480e-12)
 	before := metSamples.Value()
-	_, err := EstimateLinkYield(sc, YieldOptions{Samples: 1 << 20, Batch: 64})
+	_, err := EstimateLinkYieldCtx(context.Background(), sc, YieldOptions{Samples: 1 << 20, Batch: 64})
 	if !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("got %v, want the injected error", err)
 	}
@@ -35,7 +36,7 @@ func TestRunLaterBatchFaultDiscardsPartial(t *testing.T) {
 	}})()
 	sc := testScenario(t, 480e-12)
 	before := metSamples.Value()
-	_, err := EstimateLinkYield(sc, YieldOptions{Samples: 64, Batch: 16, Workers: 1})
+	_, err := EstimateLinkYieldCtx(context.Background(), sc, YieldOptions{Samples: 64, Batch: 16, Workers: 1})
 	if !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("got %v, want the injected error", err)
 	}

@@ -93,14 +93,14 @@ func TestAISDeepTailLinear(t *testing.T) {
 // certification margin the cascade relies on.
 func TestWCDScenarioAgainstMC(t *testing.T) {
 	sc := testScenario(t, 520e-12)
-	b, err := WCDForScenario(sc)
+	b, err := WCDForScenarioCtx(context.Background(), sc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !b.Reached || b.Beta <= 0 {
 		t.Fatalf("bound not reached: %+v", b)
 	}
-	mc, err := EstimateLinkYield(sc, YieldOptions{Samples: 65536, Seed: 5})
+	mc, err := EstimateLinkYieldCtx(context.Background(), sc, YieldOptions{Samples: 65536, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestRungDeterminismAcrossWorkers(t *testing.T) {
 	for _, kind := range []estimator.Kind{estimator.AIS, estimator.QMC} {
 		sc := testScenario(t, 520e-12)
 		base := YieldOptions{Samples: 4096, Seed: 3, Estimator: kind}
-		want, err := EstimateLinkYield(sc, base)
+		want, err := EstimateLinkYieldCtx(context.Background(), sc, base)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +130,7 @@ func TestRungDeterminismAcrossWorkers(t *testing.T) {
 		for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 			o := base
 			o.Workers = workers
-			got, err := EstimateLinkYield(sc, o)
+			got, err := EstimateLinkYieldCtx(context.Background(), sc, o)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -145,11 +145,11 @@ func TestRungDeterminismAcrossWorkers(t *testing.T) {
 // plain MC must agree within their combined error bars.
 func TestQMCAgreesWithMC(t *testing.T) {
 	sc := testScenario(t, 500e-12)
-	mc, err := EstimateLinkYield(sc, YieldOptions{Samples: 32768, Seed: 5})
+	mc, err := EstimateLinkYieldCtx(context.Background(), sc, YieldOptions{Samples: 32768, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	qmc, err := EstimateLinkYield(sc, YieldOptions{Samples: 32768, Seed: 5, Estimator: estimator.QMC})
+	qmc, err := EstimateLinkYieldCtx(context.Background(), sc, YieldOptions{Samples: 32768, Seed: 5, Estimator: estimator.QMC})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestQMCAgreesWithMC(t *testing.T) {
 func TestDispatchRespectsExplicitKind(t *testing.T) {
 	sc := testScenario(t, 520e-12)
 	for _, kind := range []estimator.Kind{estimator.MC, estimator.ISLE, estimator.QMC, estimator.AIS, estimator.WCD} {
-		est, err := EstimateLinkYield(sc, YieldOptions{Samples: 1024, Seed: 1, Estimator: kind})
+		est, err := EstimateLinkYieldCtx(context.Background(), sc, YieldOptions{Samples: 1024, Seed: 1, Estimator: kind})
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
@@ -175,13 +175,13 @@ func TestDispatchRespectsExplicitKind(t *testing.T) {
 			t.Fatalf("requested %q, estimate labeled %q", kind, est.Estimator)
 		}
 	}
-	if _, err := EstimateLinkYield(sc, YieldOptions{Estimator: estimator.Kind("bogus")}); err == nil {
+	if _, err := EstimateLinkYieldCtx(context.Background(), sc, YieldOptions{Estimator: estimator.Kind("bogus")}); err == nil {
 		t.Fatal("unknown estimator accepted")
 	}
-	if _, err := EstimateLinkYield(sc, YieldOptions{TargetSigma: -1}); err == nil {
+	if _, err := EstimateLinkYieldCtx(context.Background(), sc, YieldOptions{TargetSigma: -1}); err == nil {
 		t.Fatal("negative target sigma accepted")
 	}
-	if _, err := EstimateLinkYield(sc, YieldOptions{TargetSigma: math.NaN()}); err == nil {
+	if _, err := EstimateLinkYieldCtx(context.Background(), sc, YieldOptions{TargetSigma: math.NaN()}); err == nil {
 		t.Fatal("NaN target sigma accepted")
 	}
 }
@@ -191,7 +191,7 @@ func TestDispatchRespectsExplicitKind(t *testing.T) {
 // against the oracle by the legacy comparison test).
 func TestHistoricalDefaultsUnchanged(t *testing.T) {
 	sc := testScenario(t, 520e-12)
-	mc, err := EstimateLinkYield(sc, YieldOptions{Samples: 2048, Seed: 3})
+	mc, err := EstimateLinkYieldCtx(context.Background(), sc, YieldOptions{Samples: 2048, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestCascadeCertifiesWithoutSampling(t *testing.T) {
 	// Generous target: the failure region is beyond the search cap, so
 	// a 6σ query is certified-yield analytically.
 	easy := testScenario(t, 900e-12)
-	est, err := EstimateLinkYield(easy, YieldOptions{Samples: 4096, Seed: 1, TargetSigma: 6})
+	est, err := EstimateLinkYieldCtx(context.Background(), easy, YieldOptions{Samples: 4096, Seed: 1, TargetSigma: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestCascadeCertifiesWithoutSampling(t *testing.T) {
 		t.Fatal(err)
 	}
 	hard := testScenario(t, nom*0.9)
-	est, err = EstimateLinkYield(hard, YieldOptions{Samples: 4096, Seed: 1, TargetSigma: 6})
+	est, err = EstimateLinkYieldCtx(context.Background(), hard, YieldOptions{Samples: 4096, Seed: 1, TargetSigma: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,14 +243,14 @@ func TestCascadeCertifiesWithoutSampling(t *testing.T) {
 // cascade must hand the query to the routed sampling rung.
 func TestCascadeInconclusiveFallsThrough(t *testing.T) {
 	sc := testScenario(t, 560e-12)
-	b, err := WCDForScenario(sc)
+	b, err := WCDForScenarioCtx(context.Background(), sc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !b.Reached || b.Beta < wcdPrefilterSigma {
 		t.Skipf("scenario bound β=%.2f below the pre-filter threshold; pick a deeper target", b.Beta)
 	}
-	est, err := EstimateLinkYield(sc, YieldOptions{Samples: 2048, Seed: 1, TargetSigma: b.Beta})
+	est, err := EstimateLinkYieldCtx(context.Background(), sc, YieldOptions{Samples: 2048, Seed: 1, TargetSigma: b.Beta})
 	if err != nil {
 		t.Fatal(err)
 	}

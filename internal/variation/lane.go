@@ -15,37 +15,37 @@ import (
 // This file is the structure-of-arrays batch-lane sampling kernel, the
 // one evaluation path of the mc/isle/qmc/ais sampling driver
 // (multi.go): it scores a lane of up to laneSize samples per call over
-// contiguous float64 slices. The scalar evaluator
-// (evalShared/evalShifted) it replaced walks one sample at a time
-// through Space.ApplyInto →
-// Coefficients.ScaleInto → perturbSegment → LineDelayRC, copying a full
-// Technology and Coefficients per sample and re-deriving quantities the
-// delay never reads (leakage exponentials, the unused repeater kind, the
-// unused routing layers). The lane kernel compiles everything
-// sample-invariant once per run — the per-space apply program, the
-// nominal drive resistances, the per-candidate stage constants — and
-// then runs flat loops over the lane arrays: draw, apply, rescale,
-// extract, score.
+// contiguous float64 slices. The scalar evaluator,
+// LinkScenario.DelayScratch, walks one sample at a time through
+// Space.ApplyInto → Coefficients.ScaleInto → perturbSegment →
+// LineDelay, copying a full Technology and Coefficients per sample and
+// re-deriving quantities the delay never reads (leakage exponentials,
+// the unused repeater kind, the unused routing layers). The lane kernel
+// compiles everything sample-invariant once per run — the per-space
+// apply program, the nominal drive resistances, the per-candidate stage
+// constants — and then runs flat loops over the lane arrays: draw,
+// apply, rescale, extract, score.
 //
-// Bit-identity contract: for every sample the lane kernel evaluates
-// exactly the floating-point expressions of the scalar evaluator, with
-// the same operand values in the same association order, so
-// contributions are bit-identical to evalShared/evalShifted (and, in
-// AIS mode, delays to LinkScenario.DelayScratch's). Quantities
-// the scalar evaluator computes but the delay comparison never consumes
-// are skipped — skipping arithmetic whose result is unused cannot change
-// the bits of what remains. Lane partitioning itself cannot affect
-// results either: contributions are folded by the caller in
-// sample-index order regardless of which lane (or worker) produced them,
-// which also means the lane width may adapt to the worker count freely.
+// Bit-identity contract: for every sample and candidate the lane kernel
+// evaluates exactly the floating-point expressions of DelayScratch on
+// the same draw, with the same operand values in the same association
+// order, so each delay, and hence each contribution, is bit-identical
+// to it. Quantities the scalar evaluator computes but the delay
+// comparison never consumes are skipped — skipping arithmetic whose
+// result is unused cannot change the bits of what remains. Lane
+// partitioning itself cannot affect results either: contributions are
+// folded by the caller in sample-index order regardless of which lane
+// (or worker) produced them, which also means the lane width may adapt
+// to the worker count freely.
 //
-// The scalar evaluator stays as the lane's validation fallback and as
-// the tests' oracle. The one per-sample branch it takes that the lane
+// The one per-sample branch of the scalar evaluator that the lane
 // cannot precompute is LineSpec.Validate's perturbed-width check (a
-// shrunken line can lose its copper core when width·0.6 ≤ 2·barrier):
-// the lane flags those rare samples and replays them through the scalar
-// evaluator, reproducing its exact error (and error selection order).
-// Under the laneKernelDisabled test hook every sample takes that replay.
+// shrunken line loses its copper core when its width falls to
+// 2·barrier). The lane checks every width it extracts and raises the
+// error wire.Segment.Validate gives for the lowest such sample and,
+// within it, the lowest active candidate: the error the scalar
+// evaluator meets first when it walks the samples in index order and
+// each sample's candidates in order.
 
 const (
 	// laneSize is the maximum samples one lane evaluates per call —
@@ -57,11 +57,6 @@ const (
 	// laneMin is the floor when shrinking lanes to feed many workers.
 	laneMin = 16
 )
-
-// laneKernelDisabled makes eval flag every sample for the scalar
-// replay instead of running the lane phases. Test hook only: the
-// bit-identity matrix runs both and compares estimates.
-var laneKernelDisabled = false
 
 // laneChunk picks the lane width for a batch: full lanes when serial,
 // shrunk (but never below laneMin) so a batch splits across the worker
@@ -362,7 +357,6 @@ type laneKernel struct {
 	sharedSeg bool
 	target    float64
 	seed      uint64
-	sampler   Sampler
 
 	// Tech-level wire constants (identical for every segment).
 	bar, bar2 float64
@@ -373,8 +367,7 @@ type laneKernel struct {
 	// Shifted (ISLE) mode.
 	shifts   [][]float64
 	shiftedC []bool
-	shiftSq  []float64
-	halfSq   []float64
+	halfSq   []float64 // |θ|²/2
 	anyShift bool
 
 	// QMC mode.
@@ -399,7 +392,6 @@ func newLaneKernel(ms *MultiScenario, ro Options, shifts [][]float64, qshifts []
 		sharedSeg: true,
 		target:    ms.Target,
 		seed:      ro.Seed,
-		sampler:   resolveSampler(ro.Sampler),
 		bar:       ms.Base.Barrier,
 		bar2:      2 * ms.Base.Barrier,
 		scmfp:     ms.Base.ScatterCoeff * ms.Base.MeanFreePath,
@@ -407,19 +399,19 @@ func newLaneKernel(ms *MultiScenario, ro Options, shifts [][]float64, qshifts []
 		capPow:    newLanePow(0.222),
 		shifts:    shifts,
 		shiftedC:  make([]bool, K),
-		shiftSq:   make([]float64, K),
 		halfSq:    make([]float64, K),
 		qshifts:   qshifts,
 		qmc:       qshifts != nil,
 	}
 	for c, sh := range shifts {
+		var sq float64
 		for _, t := range sh {
 			if t != 0 {
 				lk.shiftedC[c] = true
 			}
-			lk.shiftSq[c] += t * t
+			sq += t * t
 		}
-		lk.halfSq[c] = lk.shiftSq[c] / 2
+		lk.halfSq[c] = sq / 2
 		lk.anyShift = lk.anyShift || lk.shiftedC[c]
 	}
 	// Candidates of a sizing sweep share the wire: detect it so the
@@ -459,10 +451,10 @@ func newLaneKernel(ms *MultiScenario, ro Options, shifts [][]float64, qshifts []
 }
 
 // laneScratch is one worker's lane state: fixed-shape arrays of
-// laneSize entries carved from one backing slice, plus a scalar
-// multiScratch for the rare validation-fallback samples. The shape is
-// scenario-independent, so scratches are pooled across runs (and
-// across the coordinator's shard waves).
+// laneSize entries carved from one backing slice, plus the per-sample
+// stream and draw buffer of the draw phase. The shape is
+// scenario-independent, so scratches are pooled across runs (and across
+// the coordinator's shard waves).
 type laneScratch struct {
 	backing []float64
 	epsT    [Dims][]float64     // transposed base draws
@@ -483,8 +475,8 @@ type laneScratch struct {
 	tot2    []float64
 	slw     []float64
 	slw2    []float64
-	fb      []bool
-	scalar  multiScratch
+	stream  Stream
+	eps     [Dims]float64 // one sample's draw (QMC, AIS)
 }
 
 const laneArrays = Dims + Dims + facCount + 15
@@ -513,10 +505,6 @@ var laneScratchPool = sync.Pool{New: func() any {
 	ls.cl, ls.dw = carve(), carve()
 	ls.tot, ls.tot2 = carve(), carve()
 	ls.slw, ls.slw2 = carve(), carve()
-	ls.fb = make([]bool, laneSize)
-	draws := make([]float64, 2*Dims)
-	ls.scalar.eps = draws[:Dims]
-	ls.scalar.z = draws[Dims:]
 	return ls
 }}
 
@@ -524,13 +512,13 @@ func getLaneScratch() *laneScratch   { return laneScratchPool.Get().(*laneScratc
 func putLaneScratch(ls *laneScratch) { laneScratchPool.Put(ls) }
 
 // drawPhase fills the transposed base-draw arrays for global sample
-// indices [start, start+n): per-sample PRNG streams in dimension order
-// (exactly the order the scalar evaluator fills its draw buffer), Sobol
-// points in QMC mode, or weighted proposal draws in AIS mode.
+// indices [start, start+n): per-sample ziggurat streams in dimension
+// order, Sobol points in QMC mode, or weighted proposal draws in AIS
+// mode.
 func (lk *laneKernel) drawPhase(ls *laneScratch, start, n int) {
 	if lk.ais != nil {
 		for k := 0; k < n; k++ {
-			z := lk.ais.draw(&ls.scalar.stream, ls.scalar.eps, lk.seed, start+k)
+			z := lk.ais.draw(&ls.stream, ls.eps[:], lk.seed, start+k)
 			for d := 0; d < Dims; d++ {
 				ls.epsT[d][k] = z[d]
 			}
@@ -538,7 +526,7 @@ func (lk *laneKernel) drawPhase(ls *laneScratch, start, n int) {
 		return
 	}
 	if lk.qmc {
-		buf := ls.scalar.eps
+		buf := ls.eps[:]
 		for k := 0; k < n; k++ {
 			i := start + k
 			estimator.SobolNormal(uint64(i/qmcReplicates), lk.qshifts[i%qmcReplicates], buf)
@@ -548,16 +536,7 @@ func (lk *laneKernel) drawPhase(ls *laneScratch, start, n int) {
 		}
 		return
 	}
-	st := &ls.scalar.stream
-	if lk.sampler == SamplerBoxMuller {
-		for k := 0; k < n; k++ {
-			st.Reset(lk.seed, uint64(start+k))
-			for d := 0; d < Dims; d++ {
-				ls.epsT[d][k] = st.Norm()
-			}
-		}
-		return
-	}
+	st := &ls.stream
 	for k := 0; k < n; k++ {
 		st.Reset(lk.seed, uint64(start+k))
 		for d := 0; d < Dims; d++ {
@@ -568,7 +547,7 @@ func (lk *laneKernel) drawPhase(ls *laneScratch, start, n int) {
 
 // shiftCand prepares candidate c's shifted draws and likelihood-ratio
 // weights: z ← ε + θ with w = exp(−⟨θ,z⟩ + |θ|²/2), the dot product
-// accumulated in dimension order exactly as evalShifted does.
+// accumulated in dimension order.
 func (lk *laneKernel) shiftCand(ls *laneScratch, c, n int) {
 	dot := ls.dot[:n]
 	for k := range dot {
@@ -680,20 +659,38 @@ func (lk *laneKernel) wirePhase(ls *laneScratch, sg *laneSeg, n int) {
 	}
 }
 
-// flagFallback marks samples whose perturbed width fails the scalar
-// path's per-sample validation (no copper core left after the
-// barrier); those replay through the scalar evaluator to surface the
-// identical error.
-func (lk *laneKernel) flagFallback(ls *laneScratch, n int) bool {
-	wid := ls.wid[:n]
-	any := false
-	for k := range wid {
-		if wid[k] <= lk.bar2 {
-			ls.fb[k] = true
-			any = true
+// thinSample is a lane's lowest sample whose perturbed width leaves no
+// copper core, with the candidate and width it was found at; k < 0
+// means none.
+type thinSample struct {
+	k, c int
+	w    float64
+}
+
+// checkWidths records in t the lowest sample at which candidate c's
+// extracted width is at or below 2·barrier, the bound
+// wire.Segment.Validate rejects, unless t already holds a lower one.
+// Called with candidates in ascending order, t ends on the lowest such
+// sample and, within it, the lowest candidate.
+func (lk *laneKernel) checkWidths(ls *laneScratch, c, n int, t *thinSample) {
+	for k, w := range ls.wid[:n] {
+		if w <= lk.bar2 {
+			if t.k < 0 || k < t.k {
+				*t = thinSample{k: k, c: c, w: w}
+			}
+			return
 		}
 	}
-	return any
+}
+
+// widthErr is the error DelayScratch returns for t's sample: candidate
+// t.c's segment, perturbed to width t.w on the perturbed technology
+// (whose barrier is the base's), fails validation.
+func (lk *laneKernel) widthErr(t thinSample) error {
+	seg := lk.ms.Specs[t.c].Segment
+	seg.Tech = lk.ms.Base
+	seg.Width = t.w
+	return seg.Validate()
 }
 
 // delayPhase writes candidate c's delay across the lane into out: load
@@ -812,63 +809,15 @@ func (lk *laneKernel) edgePass(ls *laneScratch, cd *laneCand, startRising bool, 
 	}
 }
 
-// fallback replays flagged samples through the scalar evaluator —
-// same draws, same eval (in AIS mode, LinkScenario.DelayScratch on the
-// proposal draw) — overwriting their contribution rows and surfacing
-// the exact error the scalar evaluator would (lowest flagged sample
-// first, matching the pool's lowest-index error selection).
-func (lk *laneKernel) fallback(ls *laneScratch, start, n int, contrib []float64, K int, active []bool) error {
-	s := &ls.scalar
-	for k := 0; k < n; k++ {
-		if !ls.fb[k] {
-			continue
-		}
-		i := start + k
-		if lk.ais != nil {
-			d, err := lk.ais.sc.DelayScratch(&s.Scratch, lk.ais.draw(&s.stream, s.eps, lk.seed, i))
-			if err != nil {
-				return err
-			}
-			contrib[k] = d
-			continue
-		}
-		if lk.qmc {
-			estimator.SobolNormal(uint64(i/qmcReplicates), lk.qshifts[i%qmcReplicates], s.eps)
-		} else {
-			s.stream.Reset(lk.seed, uint64(i))
-			s.stream.normsInto(s.eps, lk.sampler)
-		}
-		row := contrib[k*K : (k+1)*K]
-		var err error
-		if lk.anyShift {
-			err = lk.ms.evalShifted(s, row, active, lk.shifts, lk.shiftedC, lk.shiftSq)
-		} else {
-			err = lk.ms.evalShared(s, row, active, lk.sharedSeg)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // eval scores one lane: global sample indices [start, start+n) into
 // contribution rows contrib[k*K+c] (in AIS mode, K = 1 and the row is
-// the sample's delay). Only active candidates are written, mirroring
-// the scalar evaluators.
+// the sample's delay). Only active candidates are written. A sample
+// whose perturbed width leaves no copper core fails the lane with the
+// error DelayScratch gives for it (see widthErr), lowest sample first,
+// then lowest active candidate.
 func (lk *laneKernel) eval(ls *laneScratch, start, n int, contrib []float64, K int, active []bool) error {
-	fb := ls.fb[:n]
-	if laneKernelDisabled {
-		for k := range fb {
-			fb[k] = true
-		}
-		return lk.fallback(ls, start, n, contrib, K, active)
-	}
 	lk.drawPhase(ls, start, n)
-	for k := range fb {
-		fb[k] = false
-	}
-	anyFB := false
+	thin := thinSample{k: -1}
 	switch {
 	case lk.ais != nil && lk.ais.metric != nil:
 		lk.ais.metric(&ls.epsT, n, contrib)
@@ -876,14 +825,16 @@ func (lk *laneKernel) eval(ls *laneScratch, start, n int, contrib []float64, K i
 		lk.prog.run(&ls.epsT, &ls.fac, n)
 		lk.scalePhase(ls, n)
 		lk.wirePhase(ls, &lk.segs[0], n)
-		anyFB = lk.flagFallback(ls, n)
+		lk.checkWidths(ls, 0, n, &thin)
 		lk.delayPhase(ls, 0, n, contrib)
 	case !lk.anyShift:
 		lk.prog.run(&ls.epsT, &ls.fac, n)
 		lk.scalePhase(ls, n)
 		if lk.sharedSeg {
 			lk.wirePhase(ls, &lk.segs[0], n)
-			anyFB = lk.flagFallback(ls, n)
+			// Every candidate holds the same segment, so candidate 0's
+			// error is the lowest active candidate's.
+			lk.checkWidths(ls, 0, n, &thin)
 			for c := range lk.cands {
 				if !active[c] {
 					continue
@@ -896,9 +847,7 @@ func (lk *laneKernel) eval(ls *laneScratch, start, n int, contrib []float64, K i
 					continue
 				}
 				lk.wirePhase(ls, &lk.segs[c], n)
-				if lk.flagFallback(ls, n) {
-					anyFB = true
-				}
+				lk.checkWidths(ls, c, n, &thin)
 				lk.candPhase(ls, c, n, contrib, K, nil)
 			}
 		}
@@ -917,14 +866,12 @@ func (lk *laneKernel) eval(ls *laneScratch, start, n int, contrib []float64, K i
 			}
 			lk.scalePhase(ls, n)
 			lk.wirePhase(ls, &lk.segs[c], n)
-			if lk.flagFallback(ls, n) {
-				anyFB = true
-			}
+			lk.checkWidths(ls, c, n, &thin)
 			lk.candPhase(ls, c, n, contrib, K, wts)
 		}
 	}
-	if anyFB {
-		return lk.fallback(ls, start, n, contrib, K, active)
+	if thin.k >= 0 {
+		return lk.widthErr(thin)
 	}
 	return nil
 }

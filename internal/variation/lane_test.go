@@ -13,183 +13,426 @@ import (
 	"repro/internal/wire"
 )
 
-// withScalarKernel runs f with the lane kernel disabled, restoring the
-// default afterwards. The hook is package-internal and only flipped
-// between estimations, never during one.
-func withScalarKernel(f func()) {
-	laneKernelDisabled = true
-	defer func() { laneKernelDisabled = false }()
-	f()
+// scalarRef is the lane kernel's per-sample reference: sample i's draw,
+// re-derived from the Stream, Sobol and mixture primitives rather than
+// from drawPhase, and each candidate scored by the scalar evaluator,
+// LinkScenario.DelayScratch, on that draw. kind selects the draw:
+// ziggurat normals (mc, isle), scrambled Sobol points (qmc) or a draw
+// from the AIS proposal prop (ais, whose row is the delay itself).
+type scalarRef struct {
+	ms     *MultiScenario
+	kind   estimator.Kind
+	seed   uint64
+	shifts [][]float64 // per-candidate ISLE mean shifts; nil entries are unshifted
+	prop   estimator.Mixture
+	qshift [qmcReplicates][]uint64
+	st     Stream
+	s      Scratch
+	eps, z [Dims]float64
 }
 
-// TestLaneBitIdenticalToScalar is the tentpole acceptance matrix: for
-// every sampling rung (mc, isle, qmc, ais), both samplers, shared and
-// per-candidate segments, and workers 1/4/GOMAXPROCS, the lane kernel
-// returns Estimates bit-identical to the scalar per-sample kernel. No
-// tolerance anywhere: the lane preserves the scalar path's expression
-// association and the caller's fold order, so the comparison is ==.
+func newScalarRef(ms *MultiScenario, kind estimator.Kind, seed uint64, shifts [][]float64) *scalarRef {
+	r := &scalarRef{ms: ms, kind: kind, seed: seed, shifts: shifts, prop: estimator.StandardProposal()}
+	for q := range r.qshift {
+		r.qshift[q] = estimator.SobolShift(seed, uint64(q), Dims)
+	}
+	return r
+}
+
+// draw returns sample i's base draw (for AIS, the proposal draw).
+func (r *scalarRef) draw(i int) []float64 {
+	switch r.kind {
+	case estimator.QMC:
+		estimator.SobolNormal(uint64(i/qmcReplicates), r.qshift[i%qmcReplicates], r.eps[:])
+	case estimator.AIS:
+		r.st.Reset(r.seed, uint64(i))
+		u := r.st.Float64()
+		r.st.NormsInto(r.eps[:])
+		r.prop.SampleInto(u, r.eps[:], r.z[:])
+		return r.z[:]
+	default:
+		r.st.Reset(r.seed, uint64(i))
+		for d := range r.eps {
+			r.eps[d] = r.st.NormZig()
+		}
+	}
+	return r.eps[:]
+}
+
+// row returns candidate c's contribution at sample i — its failure
+// indicator, weighted by the likelihood ratio under an ISLE shift, or
+// for AIS the delay — and the error DelayScratch raises there.
+func (r *scalarRef) row(i, c int) (float64, error) {
+	z := r.draw(i)
+	w := 1.0
+	if r.shifts != nil && r.shifts[c] != nil {
+		// z ← ε + θ, w = φ(z)/φ(z−θ) = exp(−⟨θ,z⟩ + |θ|²/2).
+		var dot, sq float64
+		for d, t := range r.shifts[c] {
+			r.z[d] = z[d] + t
+			dot += t * r.z[d]
+			sq += t * t
+		}
+		w = math.Exp(-dot + sq/2)
+		z = r.z[:]
+	}
+	d, err := r.ms.scenario(c).DelayScratch(&r.s, z)
+	if err != nil || r.kind == estimator.AIS {
+		return d, err
+	}
+	if d > r.ms.Target {
+		return w, nil
+	}
+	return 0, nil
+}
+
+// refFail is one (sample, candidate) pair the reference rejects.
+type refFail struct {
+	i, c int
+	err  error
+}
+
+// fails walks samples [start, start+n) in index order and each sample's
+// active candidates in order, and returns every error DelayScratch
+// raises, in that order: the first is the one a lane must report.
+func (r *scalarRef) fails(start, n int, active []bool) []refFail {
+	var out []refFail
+	for i := start; i < start+n; i++ {
+		for c := range r.ms.Specs {
+			if !active[c] {
+				continue
+			}
+			if _, err := r.row(i, c); err != nil {
+				out = append(out, refFail{i, c, err})
+			}
+		}
+	}
+	return out
+}
+
+// laneShift is a fixed mean-shift direction scaled by s.
+func laneShift(s float64) []float64 {
+	th := []float64{0.5, -0.3, 0.8, -0.6, 0.2, 0.4, -0.1}
+	for d := range th {
+		th[d] *= s
+	}
+	return th
+}
+
+// mixedSweep is sweepSpecs with candidates 1 and 3 on a shielded
+// intermediate-layer segment, so no wire extraction is shared.
+func mixedSweep(tc *tech.Technology, seg wire.Segment) []model.LineSpec {
+	specs := sweepSpecs(seg)
+	segB := wire.NewSegmentOn(tc, tc.Intermediate, 3e-3, wire.Shielded)
+	specs[1].Segment = segB
+	specs[3].Segment = segB
+	specs[3].N = 9
+	return specs
+}
+
+// allActive marks k candidates active.
+func allActive(k int) []bool {
+	a := make([]bool, k)
+	for c := range a {
+		a[c] = true
+	}
+	return a
+}
+
+// TestLaneBitIdenticalToScalar drives laneKernel.eval directly in every
+// mode — plain sampling on a shared and on a mixed segment, ISLE with a
+// shift per candidate (one unshifted, one inactive), QMC with candidate
+// 0 inactive, and AIS drawing from an adapted mixture — over lane ranges
+// that neither start nor end on a lane boundary, and holds every
+// contribution row to the scalar evaluator, LinkScenario.DelayScratch,
+// on the same draw, bit for bit. In AIS mode the stored draw and its
+// importance weight are held to the reference too, and rows of inactive
+// candidates must stay untouched.
 func TestLaneBitIdenticalToScalar(t *testing.T) {
 	tc := tech.MustLookup("90nm")
 	coeffs := model.MustDefault("90nm")
 	seg := wire.NewSegment(tc, 5e-3, wire.SWSS)
+	multi := func(specs []model.LineSpec, shifts [][]float64) *MultiScenario {
+		return &MultiScenario{Base: tc, Coeffs: coeffs, Space: DefaultSpace(), Specs: specs, Target: 940e-12, Shifts: shifts}
+	}
+	sc := testScenario(t, 520e-12)
+	single := &MultiScenario{Base: sc.Base, Coeffs: sc.Coeffs, Space: sc.Space, Specs: []model.LineSpec{sc.Spec}, Target: sc.Target}
 
-	shared := sweepSpecs(seg)
-	mixed := sweepSpecs(seg)
-	segB := wire.NewSegmentOn(tc, tc.Intermediate, 3e-3, wire.Shielded)
-	mixed[1].Segment = segB
-	mixed[3].Segment = segB
-	mixed[3].N = 9
+	// An adapted AIS proposal: a mixture fitted to points around a
+	// shifted mean, so draws come from the defensive and the fitted
+	// components.
+	var st Stream
+	pts := make([][]float64, 64)
+	for j := range pts {
+		st.Reset(9, uint64(j))
+		pts[j] = laneShift(1.5)
+		for d := range pts[j] {
+			pts[j][d] += 0.3 * st.NormZig()
+		}
+	}
+	adapted := estimator.FitMixture(aisComponents, pts, nil, estimator.FitOptions{})
+	if !adapted.Adapted() {
+		t.Fatal("fitted proposal carries no adapted component")
+	}
 
-	for _, geom := range []struct {
-		name  string
-		specs []model.LineSpec
-	}{{"shared-seg", shared}, {"mixed-seg", mixed}} {
-		for _, est := range []estimator.Kind{estimator.MC, estimator.ISLE, estimator.QMC, estimator.AIS} {
-			for _, sampler := range []Sampler{SamplerBoxMuller, SamplerZiggurat} {
-				if (est == estimator.QMC || est == estimator.AIS) && sampler == SamplerZiggurat {
-					continue // Sobol points and AIS proposal draws ignore the sampler
-				}
-				o := YieldOptions{
-					Samples: 2048, Seed: 11, RelErr: 0.15,
-					Estimator: est, Sampler: sampler,
-				}
-				ms := &MultiScenario{Base: tc, Coeffs: coeffs, Space: DefaultSpace(), Specs: geom.specs, Target: 500e-12}
-				var want []Estimate
-				withScalarKernel(func() {
-					var err error
-					want, err = EstimateYieldsShared(ms, o)
-					if err != nil {
-						t.Fatal(err)
+	const samples = 2048
+	sentinel := math.Float64frombits(0x7ff8dead0000beef)
+	for _, m := range []struct {
+		name   string
+		ms     *MultiScenario
+		kind   estimator.Kind
+		active []bool
+		prop   *estimator.Mixture
+	}{
+		{"mc-shared", multi(sweepSpecs(seg), nil), estimator.MC, allActive(4), nil},
+		{"mc-mixed", multi(mixedSweep(tc, seg), nil), estimator.MC, []bool{true, true, false, true}, nil},
+		{"isle-mixed", multi(mixedSweep(tc, seg), [][]float64{laneShift(0.6), laneShift(-0.4), nil, laneShift(1.1)}), estimator.ISLE, []bool{true, false, true, true}, nil},
+		{"qmc-shared", multi(sweepSpecs(seg), nil), estimator.QMC, []bool{false, true, true, true}, nil},
+		{"ais", single, estimator.AIS, allActive(1), &adapted},
+	} {
+		ro := YieldOptions{Samples: samples, Seed: 11, Estimator: m.kind}.runOptions().withDefaults()
+		d, err := newDriver(context.Background(), m.ms, ro, m.kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := newScalarRef(m.ms, m.kind, ro.Seed, m.ms.Shifts)
+		if m.prop != nil {
+			d.lk.ais.prop, ref.prop = *m.prop, *m.prop
+		}
+		K := len(m.ms.Specs)
+		fails, passes := 0, 0
+		for _, r := range []struct{ start, n int }{{5, 1}, {37, 50}, {69, laneSize}, {1000, laneSize}, {samples - 13, 13}} {
+			rows := make([]float64, r.n*K)
+			for j := range rows {
+				rows[j] = sentinel
+			}
+			if err := d.lk.eval(d.lsc[0], r.start, r.n, rows, K, m.active); err != nil {
+				t.Fatalf("%s [%d,%d): %v", m.name, r.start, r.start+r.n, err)
+			}
+			for k := 0; k < r.n; k++ {
+				i := r.start + k
+				if a := d.lk.ais; a != nil {
+					z := ref.draw(i)
+					if !reflect.DeepEqual(a.zs[i*Dims:(i+1)*Dims], z) {
+						t.Fatalf("%s sample %d: lane draw %v, reference %v", m.name, i, a.zs[i*Dims:(i+1)*Dims], z)
 					}
-				})
-				for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-					o.Workers = workers
-					got, err := EstimateYieldsShared(ms, o)
-					if err != nil {
-						t.Fatal(err)
+					if w := ref.prop.Weight01(z); math.Float64bits(a.weights[i]) != math.Float64bits(w) {
+						t.Fatalf("%s sample %d: lane weight %v, reference %v", m.name, i, a.weights[i], w)
 					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s/%s/%s workers=%d: lane diverged from scalar:\n got %+v\nwant %+v",
-							geom.name, est, resolveSampler(sampler), workers, got, want)
+				}
+				for c := 0; c < K; c++ {
+					got := rows[k*K+c]
+					if !m.active[c] {
+						if math.Float64bits(got) != math.Float64bits(sentinel) {
+							t.Fatalf("%s sample %d: inactive candidate %d written (%v)", m.name, i, c, got)
+						}
+						continue
+					}
+					want, err := ref.row(i, c)
+					if err != nil {
+						t.Fatalf("%s sample %d candidate %d: reference error %v", m.name, i, c, err)
+					}
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s sample %d candidate %d: lane %v (%#016x), DelayScratch %v (%#016x)",
+							m.name, i, c, got, math.Float64bits(got), want, math.Float64bits(want))
+					}
+					if want != 0 {
+						fails++
+					} else {
+						passes++
 					}
 				}
 			}
+		}
+		d.close()
+		if m.kind != estimator.AIS && (fails == 0 || passes == 0) {
+			t.Fatalf("%s: %d failing and %d passing rows; the target no longer splits the samples", m.name, fails, passes)
 		}
 	}
 }
 
 // TestLanePartialBitIdentity covers the coordinator shard path: a
-// shard's sparse contributions from the lane kernel must equal the
-// scalar kernel's exactly, for every shardable rung, at shard
+// shard's sparse contributions must be exactly the nonzero rows of the
+// scalar reference over its range, for every shardable rung, at shard
 // boundaries that are not lane- or batch-aligned.
 func TestLanePartialBitIdentity(t *testing.T) {
 	sc := testScenario(t, 520e-12)
+	ms := &MultiScenario{Base: sc.Base, Coeffs: sc.Coeffs, Space: sc.Space, Specs: []model.LineSpec{sc.Spec}, Target: sc.Target}
 	for _, est := range []estimator.Kind{estimator.MC, estimator.ISLE, estimator.QMC} {
 		o := YieldOptions{Samples: 2048, Seed: 5, Estimator: est, Workers: 3}
+		var shifts [][]float64
+		if est == estimator.ISLE {
+			shift, err := FindShift(Dims, sc.Target, sc.Delay)
+			if err != nil || shift == nil {
+				t.Fatalf("no ISLE shift found (%v); the fixture lost its teeth", err)
+			}
+			shifts = [][]float64{shift}
+		}
+		ref := newScalarRef(ms, est, o.Seed, shifts)
 		for _, shard := range []struct{ start, count int }{{0, 700}, {700, 1348}} {
-			var want Partial
-			withScalarKernel(func() {
-				var err error
-				want, _, _, err = CollectPartialCtx(context.Background(), sc, o, shard.start, shard.count)
-				if err != nil {
-					t.Fatal(err)
-				}
-			})
-			got, _, _, err := CollectPartialCtx(context.Background(), sc, o, shard.start, shard.count)
+			got, _, shifted, err := CollectPartialCtx(context.Background(), sc, o, shard.start, shard.count)
 			if err != nil {
 				t.Fatal(err)
 			}
+			if shifted != (shifts != nil) {
+				t.Fatalf("%s: shard reports shifted=%v", est, shifted)
+			}
+			want := Partial{Start: shard.start, Count: shard.count}
+			for i := shard.start; i < shard.start+shard.count; i++ {
+				x, err := ref.row(i, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if x != 0 {
+					want.FailIdx = append(want.FailIdx, i)
+					if shifted {
+						want.Weights = append(want.Weights, x)
+					}
+				}
+			}
+			if len(want.FailIdx) == 0 {
+				t.Fatalf("%s shard [%d,%d): no failing sample; the fixture lost its teeth", est, shard.start, shard.start+shard.count)
+			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s shard [%d,%d): lane partial diverged from scalar:\n got %+v\nwant %+v",
+				t.Fatalf("%s shard [%d,%d): lane partial diverged from DelayScratch:\n got %+v\nwant %+v",
 					est, shard.start, shard.start+shard.count, got, want)
 			}
 		}
 	}
 }
 
-// TestLaneLegacySamplerMatchesHistoricalKernel pins that the pinned
-// legacy sampler really is the historical sequence: the lane kernel
-// under SamplerBoxMuller reproduces the pre-lane per-sample kernel
-// (runOracle over LinkScenario.Delay) bit-exactly — the same fixture
-// TestSharedKernelBitIdenticalToLegacy uses.
-func TestLaneLegacySamplerMatchesHistoricalKernel(t *testing.T) {
-	sc := testScenario(t, 480e-12)
-	o := YieldOptions{Samples: 2048, Seed: 3, Sampler: SamplerBoxMuller}
-	want := legacyLinkYield(t, sc, o)
-	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-		o.Workers = workers
-		got, err := EstimateLinkYield(sc, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("workers=%d: lane+box-muller diverged from historical kernel:\n got %+v\nwant %+v", workers, got, want)
-		}
-	}
-}
-
 // TestLaneValidationFallback forces the one per-sample branch the lane
-// cannot precompute — a perturbed width thin enough to lose its copper
-// core — and checks the lane surfaces the identical error the scalar
-// kernel does: for AIS, the error LinkScenario.DelayScratch returns on
-// the first failing draw.
+// cannot precompute — perturbed widths thin enough to lose their copper
+// core, at several samples and candidates — and checks that every path
+// raises the error the scalar evaluator meets first: the one
+// DelayScratch gives on the lowest thin sample and, within it, the
+// lowest active candidate. Cases: a single candidate under mc and AIS,
+// mixed segments, ISLE with a shift per candidate (each candidate's own
+// draw, so its own width), QMC, a direct lane evaluation with inactive
+// candidates, and a CollectPartialCtx shard that starts mid-lane. Over
+// the cases, the lowest thin sample must once hold two candidates with
+// different errors, and once come before the first thin sample of the
+// lowest thin candidate, so both halves of the order are exercised.
 func TestLaneValidationFallback(t *testing.T) {
 	sc := testScenario(t, 480e-12)
-	// Nominal width just above the validity floor (2·barrier), with a
-	// wide width sigma: a one-sided draw shrinks the line below the
-	// floor, which the scalar path rejects per sample.
-	sc.Spec.Segment.Width = 2.5 * sc.Base.Barrier
-	sc.Spec.Segment.Spacing += sc.Spec.Segment.Width
-	sc.Space.WireWidthSigma = 0.3
+	tc := sc.Base
+	// Nominal widths just above the validity floor (2·barrier), with a
+	// wide width sigma: a one-sided draw shrinks a line below the floor,
+	// which the scalar path rejects per sample.
+	thin := func(mult float64, layer tech.WireLayer, style wire.Style, length float64) wire.Segment {
+		s := wire.NewSegmentOn(tc, layer, length, style)
+		s.Spacing += s.Width - mult*tc.Barrier
+		s.Width = mult * tc.Barrier
+		return s
+	}
+	space := sc.Space
+	space.WireWidthSigma = 0.3
+	lone := *sc
+	lone.Space = space
+	lone.Spec.Segment = thin(2.5, tc.Global, wire.SWSS, sc.Spec.Segment.Length)
+	// Bound to a copy of the technology with a thinner barrier: a
+	// sample's perturbed segment lives on the perturbed base technology,
+	// so its error names the base's barrier, not this one.
+	own := *tc
+	own.Barrier *= 0.9
+	lone.Spec.Segment.Tech = &own
+	mixed := sweepSpecs(thin(3.3, tc.Global, wire.SWSS, 5e-3))
+	mixed[1].Segment = thin(2.6, tc.Intermediate, wire.Shielded, 3e-3)
+	mixed[2].Segment = thin(2.62, tc.Global, wire.Staggered, 5e-3)
+	mixed[3].Segment = thin(2.7, tc.Global, wire.SWSS, 4e-3)
+	multi := func(shifts [][]float64) *MultiScenario {
+		return &MultiScenario{Base: tc, Coeffs: sc.Coeffs, Space: space, Specs: mixed, Target: sc.Target, Shifts: shifts}
+	}
+	loneMulti := &MultiScenario{Base: tc, Coeffs: sc.Coeffs, Space: space, Specs: []model.LineSpec{lone.Spec}, Target: lone.Target}
 
-	for _, est := range []estimator.Kind{estimator.MC, estimator.AIS} {
-		o := YieldOptions{Samples: 512, Seed: 2, Estimator: est}
-		var wantErr error
-		withScalarKernel(func() {
-			_, err := EstimateLinkYield(sc, o)
-			if err == nil {
-				t.Fatalf("%s: scalar kernel accepted a sub-barrier width; fixture is broken", est)
+	const samples = 512 // small enough that AIS skips adaptation
+	candOrder, sampleOrder := false, false
+	check := func(name string, ref *scalarRef, start, n int, active []bool, run func(workers int) error) error {
+		t.Helper()
+		fs := ref.fails(start, n, active)
+		if len(fs) == 0 || fs[len(fs)-1].i == fs[0].i {
+			t.Fatalf("%s: thin widths at %d samples; the fixture lost its teeth", name, len(fs))
+		}
+		want := fs[0]
+		lowest := fs[0]
+		for _, f := range fs {
+			if f.i == want.i && f.err.Error() != want.err.Error() {
+				candOrder = true
 			}
-			wantErr = err
-		})
-		if est == estimator.AIS {
-			if err := firstAISDelayError(sc, o); err == nil || err.Error() != wantErr.Error() {
-				t.Fatalf("scalar AIS error %q != DelayScratch error %v", wantErr, err)
+			if f.c < lowest.c {
+				lowest = f
 			}
+		}
+		if lowest.i > want.i {
+			sampleOrder = true
 		}
 		for _, workers := range []int{1, 4} {
-			o.Workers = workers
-			_, err := EstimateLinkYield(sc, o)
+			err := run(workers)
 			if err == nil {
-				t.Fatalf("%s workers=%d: lane kernel missed the validation failure", est, workers)
+				t.Fatalf("%s workers=%d: the lane missed the validation failure", name, workers)
 			}
-			if err.Error() != wantErr.Error() {
-				t.Fatalf("%s workers=%d: lane error %q != scalar error %q", est, workers, err, wantErr)
+			if err.Error() != want.err.Error() {
+				t.Fatalf("%s workers=%d: lane error %q, want DelayScratch's at sample %d candidate %d: %q",
+					name, workers, err, want.i, want.c, want.err)
 			}
 		}
+		return want.err
 	}
-}
-
-// firstAISDelayError draws o's samples from the standard proposal in
-// index order, as an AIS run too small to adapt does, and returns the
-// first error LinkScenario.DelayScratch reports (nil if none does).
-func firstAISDelayError(sc *LinkScenario, o YieldOptions) error {
-	ro := o.runOptions().withDefaults()
-	prop := estimator.StandardProposal()
-	var st Stream
-	var s Scratch
-	eps := make([]float64, Dims)
-	z := make([]float64, Dims)
-	for i := 0; i < ro.Samples; i++ {
-		st.Reset(ro.Seed, uint64(i))
-		u := st.Float64()
-		st.NormsInto(eps)
-		prop.SampleInto(u, eps, z)
-		if _, err := sc.DelayScratch(&s, z); err != nil {
+	estimate := func(ms *MultiScenario, o YieldOptions) func(int) error {
+		return func(workers int) error {
+			o.Workers = workers
+			_, err := EstimateYieldsSharedCtx(context.Background(), ms, o)
 			return err
 		}
 	}
-	return nil
+
+	for _, est := range []estimator.Kind{estimator.MC, estimator.AIS} {
+		o := YieldOptions{Samples: samples, Seed: 2, Estimator: est}
+		check("single-"+string(est), newScalarRef(loneMulti, est, o.Seed, nil), 0, samples, allActive(1), estimate(loneMulti, o))
+	}
+	for _, est := range []estimator.Kind{estimator.MC, estimator.QMC} {
+		o := YieldOptions{Samples: samples, Seed: 3, Estimator: est}
+		check("mixed-"+string(est), newScalarRef(multi(nil), est, o.Seed, nil), 0, samples, allActive(4), estimate(multi(nil), o))
+	}
+	shifts := [][]float64{laneShift(-0.5), laneShift(0.9), nil, laneShift(1.4)}
+	o := YieldOptions{Samples: samples, Seed: 4, Estimator: estimator.ISLE}
+	check("mixed-isle", newScalarRef(multi(shifts), estimator.ISLE, o.Seed, shifts), 0, samples, allActive(4), estimate(multi(shifts), o))
+
+	// A direct lane evaluation over a mid-lane range with candidates 0
+	// and 2 inactive.
+	active := []bool{false, true, false, true}
+	ro := YieldOptions{Samples: samples, Seed: 5}.runOptions().withDefaults()
+	check("lane-inactive", newScalarRef(multi(nil), estimator.MC, ro.Seed, nil), 37, 50, active, func(int) error {
+		d, err := newDriver(context.Background(), multi(nil), ro, estimator.MC)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.close()
+		return d.lk.eval(d.lsc[0], 37, 50, make([]float64, 50*len(mixed)), len(mixed), active)
+	})
+
+	// A shard starting past the run's first thin sample, off the lane
+	// grid: its error is the first thin sample inside its own range.
+	for _, est := range []estimator.Kind{estimator.MC, estimator.QMC} {
+		o := YieldOptions{Samples: samples, Seed: 6, Estimator: est}
+		ref := newScalarRef(loneMulti, est, o.Seed, nil)
+		first := ref.fails(0, samples, allActive(1))[0]
+		start := first.i + 1
+		if start%laneSize == 0 {
+			start++
+		}
+		shardErr := check("shard-"+string(est), ref, start, samples-start, allActive(1), func(workers int) error {
+			o.Workers = workers
+			_, _, _, err := CollectPartialCtx(context.Background(), &lone, o, start, samples-start)
+			return err
+		})
+		if shardErr.Error() == first.err.Error() {
+			t.Fatalf("shard-%s: the shard's error is the whole run's; the fixture lost its teeth", est)
+		}
+	}
+	if !candOrder || !sampleOrder {
+		t.Fatalf("no case where candidate order (%v) or sample order (%v) decides the error; the fixtures lost their teeth", candOrder, sampleOrder)
+	}
 }
 
 // TestLaneChunk pins the lane scheduling policy: full lanes serial,

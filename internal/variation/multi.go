@@ -25,7 +25,9 @@ import (
 //
 // One driver serves the mc/isle/qmc/ais rungs: it evaluates a
 // contiguous range of global sample indices through the lane kernel
-// (lane.go) and hands each batch's contribution rows to a callback. The
+// (lane.go), its only evaluation path, and hands each batch's
+// contribution rows to a callback. A sample whose perturbed width fails
+// validation fails the step with the lane's error. The
 // local run (runSharedCtx) folds the rows per candidate and retires a
 // candidate once its stopping rule fires; a coordinator shard
 // (CollectPartialCtx, partial.go) keeps the sparse failures for
@@ -33,8 +35,8 @@ import (
 // keeps each sample's delay. The local run and the shard fold
 // through the one fold type, consulting the stopping rule at the same
 // checkpoints, so each candidate's estimate is bit-identical to a
-// standalone EstimateLinkYield run with the same options and to a merge
-// of its shards.
+// standalone EstimateLinkYieldCtx run with the same options and to a
+// merge of its shards.
 
 // MultiScenario binds K candidate implementations (specs) of one link
 // to a shared variation space and delay target.
@@ -126,114 +128,6 @@ func (ms *MultiScenario) FindShiftsCtx(ctx context.Context) ([][]float64, error)
 		shifts[c] = shift
 	}
 	return shifts, nil
-}
-
-// multiScratch is the per-sample state of the scalar evaluator
-// (evalShared/evalShifted), the one-sample-at-a-time reference the lane
-// kernel replays for its validation fallback and the tests' oracle.
-// Each lane scratch carries one.
-type multiScratch struct {
-	stream Stream
-	// eps is the sample's base standard-normal draw; z is the shifted
-	// draw of the candidate currently being scored (importance
-	// sampling only).
-	eps, z []float64
-	Scratch
-}
-
-// evalShared scores every active candidate against one unshifted
-// draw: one technology perturbation and one coefficient rescale serve
-// all candidates, and with a shared segment one wire extraction does
-// too. row[c] receives candidate c's contribution (1 = fail).
-func (ms *MultiScenario) evalShared(s *multiScratch, row []float64, active []bool, sharedSeg bool) error {
-	f := ms.Space.ApplyInto(&s.tech, ms.Base, s.eps)
-	ms.Coeffs.ScaleInto(&s.coeffs, ms.Base, &s.tech)
-	if sharedSeg {
-		seg := ms.Specs[0].Segment
-		perturbSegment(&seg, &s.tech, f)
-		rc := model.SegmentRC(seg)
-		for c := range ms.Specs {
-			if !active[c] {
-				continue
-			}
-			spec := ms.Specs[c]
-			spec.Segment = seg
-			t, err := s.coeffs.LineDelayRC(spec, rc)
-			if err != nil {
-				return err
-			}
-			if t.Delay > ms.Target {
-				row[c] = 1
-			} else {
-				row[c] = 0
-			}
-		}
-		return nil
-	}
-	for c := range ms.Specs {
-		if !active[c] {
-			continue
-		}
-		spec := ms.Specs[c]
-		perturbSegment(&spec.Segment, &s.tech, f)
-		t, err := s.coeffs.LineDelay(spec)
-		if err != nil {
-			return err
-		}
-		if t.Delay > ms.Target {
-			row[c] = 1
-		} else {
-			row[c] = 0
-		}
-	}
-	return nil
-}
-
-// evalShifted scores every active candidate when at least one carries
-// an importance-sampling shift. Only the base draw is shared (common
-// random numbers): the shift moves each candidate to its own point in
-// the space, so the perturbation and rescale are per-candidate,
-// exactly as the standalone estimator computes them.
-func (ms *MultiScenario) evalShifted(s *multiScratch, row []float64, active []bool, shifts [][]float64, shiftedC []bool, shiftSq []float64) error {
-	for c := range ms.Specs {
-		if !active[c] {
-			continue
-		}
-		z := s.eps
-		w := 1.0
-		if shiftedC[c] {
-			// z ← θ + ε with likelihood ratio
-			// φ(z)/φ(z−θ) = exp(−⟨θ,z⟩ + |θ|²/2).
-			copy(s.z, s.eps)
-			var dot float64
-			for d, t := range shifts[c] {
-				s.z[d] += t
-				dot += t * s.z[d]
-			}
-			w = math.Exp(-dot + shiftSq[c]/2)
-			z = s.z
-		}
-		f := ms.Space.ApplyInto(&s.tech, ms.Base, z)
-		ms.Coeffs.ScaleInto(&s.coeffs, ms.Base, &s.tech)
-		spec := ms.Specs[c]
-		perturbSegment(&spec.Segment, &s.tech, f)
-		t, err := s.coeffs.LineDelay(spec)
-		if err != nil {
-			return err
-		}
-		if t.Delay > ms.Target {
-			row[c] = w
-		} else {
-			row[c] = 0
-		}
-	}
-	return nil
-}
-
-// EstimateYieldsShared estimates every candidate's yield on common
-// random numbers; see EstimateYieldsSharedCtx.
-func EstimateYieldsShared(ms *MultiScenario, o YieldOptions) ([]Estimate, error) {
-	return EstimateYieldsSharedCtx(context.Background(), ms, o)
 }
 
 // EstimateYieldsSharedCtx estimates the timing yield of every
@@ -367,7 +261,7 @@ func newDriver(ctx context.Context, ms *MultiScenario, ro Options, kind estimato
 	d.lane = d.evalLane
 	if kind == estimator.AIS {
 		// An AIS driver serves one candidate: ms is a single() view.
-		d.lk.ais = getAISState(ms.scenario(0), ro.Samples)
+		d.lk.ais = getAISState(ro.Samples)
 	}
 	d.lsc = make([]*laneScratch, pool.Workers(ro.Workers, (ro.Batch+d.chunk-1)/d.chunk))
 	for w := range d.lsc {

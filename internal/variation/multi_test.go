@@ -1,6 +1,7 @@
 package variation
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 )
 
 // legacyLinkYield re-implements the historical one-sample-at-a-time
-// estimator exactly as EstimateLinkYield computed it before the shared
+// estimator exactly as EstimateLinkYieldCtx computed it before the shared
 // batched kernel: runOracle over LinkScenario.Delay, with the
 // importance-sampling shift searched by FindShift on the same metric
 // when the isle rung is pinned.
@@ -63,7 +64,7 @@ func TestSharedKernelBitIdenticalToLegacy(t *testing.T) {
 		for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 			o := c.opts
 			o.Workers = workers
-			got, err := EstimateLinkYield(sc, o)
+			got, err := EstimateLinkYieldCtx(context.Background(), sc, o)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -91,8 +92,8 @@ func sweepSpecs(seg wire.Segment) []model.LineSpec {
 }
 
 // TestSharedSweepMatchesPerCandidate pins the kernel's core contract:
-// element c of EstimateYieldsShared is bit-identical to a standalone
-// EstimateLinkYield of candidate c with the same options — common
+// element c of EstimateYieldsSharedCtx is bit-identical to a standalone
+// EstimateLinkYieldCtx of candidate c with the same options — common
 // random numbers change the cost, not the answer. Covered for both
 // estimators, with a per-candidate stopping rule in play, serial and
 // parallel.
@@ -106,7 +107,7 @@ func TestSharedSweepMatchesPerCandidate(t *testing.T) {
 		for _, workers := range []int{1, 8} {
 			o := YieldOptions{Samples: 2048, Seed: 1, Workers: workers, RelErr: 0.1, Estimator: kind}
 			ms := &MultiScenario{Base: tc, Coeffs: coeffs, Space: DefaultSpace(), Specs: specs, Target: target}
-			ests, err := EstimateYieldsShared(ms, o)
+			ests, err := EstimateYieldsSharedCtx(context.Background(), ms, o)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -115,7 +116,7 @@ func TestSharedSweepMatchesPerCandidate(t *testing.T) {
 			}
 			for c := range specs {
 				sc := &LinkScenario{Base: tc, Coeffs: coeffs, Space: DefaultSpace(), Spec: specs[c], Target: target}
-				want, err := EstimateLinkYield(sc, o)
+				want, err := EstimateLinkYieldCtx(context.Background(), sc, o)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -141,13 +142,13 @@ func TestSharedSweepHandlesDistinctSegments(t *testing.T) {
 	const target = 500e-12
 	o := YieldOptions{Samples: 1024, Seed: 9}
 	ms := &MultiScenario{Base: tc, Coeffs: coeffs, Space: DefaultSpace(), Specs: specs, Target: target}
-	ests, err := EstimateYieldsShared(ms, o)
+	ests, err := EstimateYieldsSharedCtx(context.Background(), ms, o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for c := range specs {
 		sc := &LinkScenario{Base: tc, Coeffs: coeffs, Space: DefaultSpace(), Spec: specs[c], Target: target}
-		want, err := EstimateLinkYield(sc, o)
+		want, err := EstimateLinkYieldCtx(context.Background(), sc, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +175,7 @@ func TestMultiScenarioValidation(t *testing.T) {
 		ms := ok
 		ms.Specs = append([]model.LineSpec(nil), ok.Specs...)
 		mutate(&ms)
-		if _, err := EstimateYieldsShared(&ms, YieldOptions{Samples: 16}); err == nil {
+		if _, err := EstimateYieldsSharedCtx(context.Background(), &ms, YieldOptions{Samples: 16}); err == nil {
 			t.Errorf("%s: invalid multi-scenario accepted", name)
 		}
 	}
@@ -206,7 +207,7 @@ func TestSharedKernelSteadyStateAllocs(t *testing.T) {
 		o := YieldOptions{Samples: samples, Seed: 1, Workers: 1}
 		var runErr error
 		allocs := testing.AllocsPerRun(1, func() {
-			_, runErr = EstimateYieldsShared(ms, o)
+			_, runErr = EstimateYieldsSharedCtx(context.Background(), ms, o)
 		})
 		if runErr != nil {
 			t.Fatal(runErr)
@@ -233,7 +234,7 @@ func TestAISRunAllocs(t *testing.T) {
 	o := YieldOptions{Samples: 4096, Seed: 1, Workers: 1, Estimator: estimator.AIS}
 	var runErr error
 	allocs := testing.AllocsPerRun(3, func() {
-		_, runErr = EstimateLinkYield(sc, o)
+		_, runErr = EstimateLinkYieldCtx(context.Background(), sc, o)
 	})
 	if runErr != nil {
 		t.Fatal(runErr)

@@ -15,8 +15,8 @@ type trial func(i int, z []float64) (fail bool, err error)
 
 // runOracle is the historical one-sample-at-a-time estimator, kept as
 // the tests' independent reference for the sampling driver: sample i
-// draws from its own Stream keyed by (Seed, i) through the options'
-// Sampler, is mean-shifted and weighted when Options.Shift is set, is
+// draws ziggurat normals from its own Stream keyed by (Seed, i), is
+// mean-shifted and weighted when Options.Shift is set, is
 // scored by tr, and is folded in index order through the production
 // fold and stopping rule. Beyond the Stream primitives, the fold and
 // the stopping rule it shares nothing with driver.run and the lane
@@ -61,7 +61,9 @@ func runOracle(o Options, tr trial) (Estimate, error) {
 			st := &streams[worker]
 			st.Reset(o.Seed, uint64(i))
 			z := zbuf[worker*o.Dims : (worker+1)*o.Dims]
-			st.normsInto(z, o.Sampler)
+			for d := range z {
+				z[d] = st.NormZig()
+			}
 			w := 1.0
 			if shifted {
 				// z ← θ + ε with likelihood ratio

@@ -230,8 +230,8 @@ func CollectPartialCtx(ctx context.Context, sc *LinkScenario, o YieldOptions, st
 // The fold is the local run's own (Welford in index order, per-replicate
 // sums for QMC), with the stopping rule consulted at the same
 // checkpoints, so the final Estimate — including Samples, StdErr, and
-// VarianceReduction — is bit-identical to EstimateLinkYield at any shard
-// count. Partials whose weights disagree with shifted, or that fold to a
+// VarianceReduction — is bit-identical to EstimateLinkYieldCtx at any
+// shard count. Partials whose weights disagree with shifted, or that fold to a
 // non-finite standard error, are rejected.
 func MergePartials(o YieldOptions, kind estimator.Kind, shifted bool, parts []Partial) (Estimate, bool, error) {
 	ro := o.runOptions().withDefaults()

@@ -29,7 +29,7 @@ func FuzzMergePartials(f *testing.F) {
 	want := map[string]Estimate{}
 	for k, kind := range kinds {
 		o := opts(kind)
-		local, err := EstimateLinkYield(sc, o)
+		local, err := EstimateLinkYieldCtx(context.Background(), sc, o)
 		if err != nil {
 			f.Fatal(err)
 		}

@@ -68,7 +68,7 @@ func TestPartialMergeBitIdentity(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			sc := testScenario(t, 480e-12)
-			want, err := EstimateLinkYield(sc, tc.o)
+			want, err := EstimateLinkYieldCtx(context.Background(), sc, tc.o)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -103,7 +103,7 @@ func TestPartialMergeBitIdentity(t *testing.T) {
 func TestPartialMergeStopsEarly(t *testing.T) {
 	sc := testScenario(t, 480e-12)
 	o := YieldOptions{Samples: 8192, Seed: 5, RelErr: 0.2}
-	want, err := EstimateLinkYield(sc, o)
+	want, err := EstimateLinkYieldCtx(context.Background(), sc, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestAISEstimationStageStops(t *testing.T) {
 	sc := testScenario(t, 480e-12)
 	budget := 8192
 
-	full, err := EstimateLinkYield(sc, YieldOptions{Samples: budget, Seed: 3, Estimator: estimator.AIS})
+	full, err := EstimateLinkYieldCtx(context.Background(), sc, YieldOptions{Samples: budget, Seed: 3, Estimator: estimator.AIS})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestAISEstimationStageStops(t *testing.T) {
 		t.Fatalf("no-tolerance AIS run evaluated %d samples, want the whole budget %d", full.Samples, budget)
 	}
 
-	early, err := EstimateLinkYield(sc, YieldOptions{Samples: budget, Seed: 3, Estimator: estimator.AIS, RelErr: 0.2})
+	early, err := EstimateLinkYieldCtx(context.Background(), sc, YieldOptions{Samples: budget, Seed: 3, Estimator: estimator.AIS, RelErr: 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestAISEstimationStageStops(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 4, 8} {
-		got, err := EstimateLinkYield(sc, YieldOptions{Samples: budget, Seed: 3, Estimator: estimator.AIS, RelErr: 0.2, Workers: workers})
+		got, err := EstimateLinkYieldCtx(context.Background(), sc, YieldOptions{Samples: budget, Seed: 3, Estimator: estimator.AIS, RelErr: 0.2, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}

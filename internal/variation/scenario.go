@@ -123,15 +123,6 @@ type YieldOptions struct {
 	// at ≥3σ it arms the worst-case-distance pre-filter: the analytic
 	// bound answers certified-either-way queries without sampling.
 	TargetSigma float64
-	// Sampler selects the normal sampler for the mc/isle rungs:
-	// SamplerZiggurat (default when empty) or SamplerBoxMuller (the
-	// pinned legacy sequence). qmc (Sobol points), ais, and wcd (no
-	// sampling) ignore it: ais always draws its proposal's normals by
-	// Box–Muller, so its estimates keep the same bits whichever sampler
-	// is set. Estimates stay bit-identical across worker counts and
-	// shard layouts under either sampler; the two samplers produce
-	// different draw sequences at the same seed.
-	Sampler Sampler
 }
 
 // resolveKind maps the options' estimator hints to the concrete rung
@@ -165,23 +156,17 @@ func (o YieldOptions) runOptions() Options {
 		AbsErr:     o.AbsErr,
 		Workers:    o.Workers,
 		Seed:       o.Seed,
-		Sampler:    o.Sampler,
 	}
 }
 
-// EstimateLinkYield estimates the probability that the scenario's link
-// meets its delay target under process variation. The estimate is
-// bit-identical for every Workers value at a fixed seed.
-func EstimateLinkYield(sc *LinkScenario, o YieldOptions) (Estimate, error) {
-	return EstimateLinkYieldCtx(context.Background(), sc, o)
-}
-
-// EstimateLinkYieldCtx is EstimateLinkYield under a context:
-// cancellation is checked between sample batches (and between the
-// deterministic metric evaluations of the importance-sampling shift
-// search), so an estimation legitimately stretching to millions of
-// samples can be interrupted or deadline-bound. A run that completes
-// under a live context is bit-identical to EstimateLinkYield.
+// EstimateLinkYieldCtx estimates the probability that the scenario's
+// link meets its delay target under process variation. The estimate is
+// bit-identical for every Workers value at a fixed seed. Cancellation
+// is checked between sample batches (and between the deterministic
+// metric evaluations of the importance-sampling shift search), so an
+// estimation legitimately stretching to millions of samples can be
+// interrupted or deadline-bound; a run that completes under a live
+// context is bit-identical to one under context.Background.
 func EstimateLinkYieldCtx(ctx context.Context, sc *LinkScenario, o YieldOptions) (Estimate, error) {
 	if err := sc.Validate(); err != nil {
 		return Estimate{}, err

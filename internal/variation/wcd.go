@@ -28,16 +28,11 @@ var (
 	metWCDInconclusive = obs.NewCounter("variation.wcd_inconclusive")
 )
 
-// WCDForScenario computes the worst-case-distance bound of a
-// scenario: the minimum-norm standardized draw at which the link
-// misses its delay target, found by deterministic projected line
-// search over the closed-form delay model (no sampling).
-func WCDForScenario(sc *LinkScenario) (estimator.Bound, error) {
-	return WCDForScenarioCtx(context.Background(), sc)
-}
-
-// WCDForScenarioCtx is WCDForScenario under a context, checked between
-// the deterministic model evaluations.
+// WCDForScenarioCtx computes the worst-case-distance bound of a
+// scenario: the minimum-norm standardized draw at which the link misses
+// its delay target, found by deterministic projected line search over
+// the closed-form delay model (no sampling). The context is checked
+// between the model evaluations.
 func WCDForScenarioCtx(ctx context.Context, sc *LinkScenario) (estimator.Bound, error) {
 	if err := sc.Validate(); err != nil {
 		return estimator.Bound{}, err

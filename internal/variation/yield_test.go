@@ -107,11 +107,11 @@ func TestScenarioDelayRespondsToVariation(t *testing.T) {
 func TestLinkYieldWorkerDeterminism(t *testing.T) {
 	sc := testScenario(t, 480e-12)
 	for _, kind := range []estimator.Kind{estimator.Auto, estimator.ISLE} {
-		serial, err := EstimateLinkYield(sc, YieldOptions{Samples: 4096, Seed: 1, Workers: 1, Estimator: kind})
+		serial, err := EstimateLinkYieldCtx(context.Background(), sc, YieldOptions{Samples: 4096, Seed: 1, Workers: 1, Estimator: kind})
 		if err != nil {
 			t.Fatal(err)
 		}
-		parallel, err := EstimateLinkYield(sc, YieldOptions{Samples: 4096, Seed: 1, Workers: 8, Estimator: kind})
+		parallel, err := EstimateLinkYieldCtx(context.Background(), sc, YieldOptions{Samples: 4096, Seed: 1, Workers: 8, Estimator: kind})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,14 +128,14 @@ func TestLinkYieldWorkerDeterminism(t *testing.T) {
 // lower estimator variance at equal sample count.
 func TestImportanceSamplingAgreesWithPlainMC(t *testing.T) {
 	sc := testScenario(t, 545e-12) // ≈2.5e-4 failure probability
-	ref, err := EstimateLinkYield(sc, YieldOptions{Samples: 150000, Seed: 7})
+	ref, err := EstimateLinkYieldCtx(context.Background(), sc, YieldOptions{Samples: 150000, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ref.FailProb <= 0 || ref.FailProb > 2e-3 {
 		t.Fatalf("reference failure probability %g not in the intended tail regime", ref.FailProb)
 	}
-	is, err := EstimateLinkYield(sc, YieldOptions{Samples: 4096, Seed: 1, Estimator: estimator.ISLE})
+	is, err := EstimateLinkYieldCtx(context.Background(), sc, YieldOptions{Samples: 4096, Seed: 1, Estimator: estimator.ISLE})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestImportanceSamplingAgreesWithPlainMC(t *testing.T) {
 // fall back to plain MC rather than chase a shift.
 func TestImportanceSamplingFallsBackWhenFailing(t *testing.T) {
 	sc := testScenario(t, 300e-12) // well below the ~434 ps nominal delay
-	est, err := EstimateLinkYield(sc, YieldOptions{Samples: 1024, Seed: 1, Estimator: estimator.ISLE})
+	est, err := EstimateLinkYieldCtx(context.Background(), sc, YieldOptions{Samples: 1024, Seed: 1, Estimator: estimator.ISLE})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,12 +179,12 @@ func TestScenarioValidation(t *testing.T) {
 	sc := testScenario(t, 480e-12)
 	bad := *sc
 	bad.Target = 0
-	if _, err := EstimateLinkYield(&bad, YieldOptions{Samples: 16}); err == nil {
+	if _, err := EstimateLinkYieldCtx(context.Background(), &bad, YieldOptions{Samples: 16}); err == nil {
 		t.Fatal("zero target accepted")
 	}
 	bad = *sc
 	bad.Space.VthSigma = -1
-	if _, err := EstimateLinkYield(&bad, YieldOptions{Samples: 16}); err == nil {
+	if _, err := EstimateLinkYieldCtx(context.Background(), &bad, YieldOptions{Samples: 16}); err == nil {
 		t.Fatal("negative sigma accepted")
 	}
 }
@@ -234,7 +234,7 @@ func TestSizeForYield(t *testing.T) {
 		Spec:   lineSpec(sized.Design, seg, bufOpts),
 		Target: target,
 	}
-	check, err := EstimateLinkYield(sc, YieldOptions{Samples: 8192, Seed: 99, Estimator: estimator.ISLE})
+	check, err := EstimateLinkYieldCtx(context.Background(), sc, YieldOptions{Samples: 8192, Seed: 99, Estimator: estimator.ISLE})
 	if err != nil {
 		t.Fatal(err)
 	}

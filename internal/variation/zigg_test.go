@@ -1,7 +1,6 @@
 package variation
 
 import (
-	"errors"
 	"math"
 	"testing"
 )
@@ -142,55 +141,5 @@ func TestZigguratTableInvariants(t *testing.T) {
 	}
 	if zigK[1] != 0 {
 		t.Fatalf("zigK[1] = %d, want 0", zigK[1])
-	}
-}
-
-// TestNormsIntoSamplerDispatch pins the sampler switch: box-muller
-// reproduces the legacy NormsInto stream bit-exactly, ziggurat
-// reproduces ZigNormsInto, and the empty sampler resolves to ziggurat.
-func TestNormsIntoSamplerDispatch(t *testing.T) {
-	a := make([]float64, Dims)
-	b := make([]float64, Dims)
-	var s Stream
-
-	s.Reset(9, 1)
-	s.normsInto(a, SamplerBoxMuller)
-	s.Reset(9, 1)
-	s.NormsInto(b)
-	for d := range a {
-		if a[d] != b[d] {
-			t.Fatalf("box-muller dispatch dim %d: %g != legacy %g", d, a[d], b[d])
-		}
-	}
-
-	s.Reset(9, 1)
-	s.normsInto(a, SamplerZiggurat)
-	s.Reset(9, 1)
-	s.ZigNormsInto(b)
-	for d := range a {
-		if a[d] != b[d] {
-			t.Fatalf("ziggurat dispatch dim %d: %g != ZigNormsInto %g", d, a[d], b[d])
-		}
-	}
-
-	s.Reset(9, 1)
-	s.normsInto(b, "")
-	for d := range a {
-		if a[d] != b[d] {
-			t.Fatalf("empty sampler dim %d: %g != ziggurat %g", d, b[d], a[d])
-		}
-	}
-}
-
-// TestUnknownSamplerRejected pins option validation across the public
-// entry points.
-func TestUnknownSamplerRejected(t *testing.T) {
-	sc := testScenario(t, 480e-12)
-	o := YieldOptions{Samples: 64, Seed: 1, Sampler: "gaussian-ish"}
-	if _, err := EstimateLinkYield(sc, o); !errors.Is(err, ErrUnknownSampler) {
-		t.Fatalf("EstimateLinkYield with bad sampler: err = %v, want ErrUnknownSampler", err)
-	}
-	if _, _, _, err := CollectPartialCtx(t.Context(), sc, o, 0, 64); !errors.Is(err, ErrUnknownSampler) {
-		t.Fatalf("CollectPartialCtx with bad sampler: err = %v, want ErrUnknownSampler", err)
 	}
 }
