@@ -286,22 +286,43 @@ func newLanePow(y float64) lanePow {
 	return p
 }
 
-// pow returns math.Pow(x, p.y).
-func (p *lanePow) pow(x float64) float64 {
-	if !p.short || !(x >= powMin && x <= powMax) {
-		return math.Pow(x, p.y)
+// powLane sets out[k] = math.Pow(x[k], p.y) for every k of a lane. It
+// runs the short form in three passes over the lane — every Log, then
+// every Exp, then the ×x^yi step, with math.Pow for each operand
+// outside [powMin, powMax] — so the lane's independent samples overlap
+// instead of each waiting on its own Log→Exp chain. A fallback
+// operand's Log and Exp are computed and discarded. out must not alias
+// x.
+func (p *lanePow) powLane(x, out []float64) {
+	out = out[:len(x)]
+	if !p.short {
+		for k, v := range x {
+			out[k] = math.Pow(v, p.y)
+		}
+		return
 	}
-	e := 1.0
 	if p.yf != 0 {
-		e = math.Exp(p.yf * math.Log(x))
+		for k, v := range x {
+			out[k] = p.yf * math.Log(v)
+		}
+		for k, v := range out {
+			out[k] = math.Exp(v)
+		}
+	} else {
+		for k := range out {
+			out[k] = 1
+		}
 	}
-	switch p.yi {
-	case 1:
-		return e * x
-	case 2:
-		return e * (x * x)
+	for k, v := range x {
+		switch {
+		case !(v >= powMin && v <= powMax):
+			out[k] = math.Pow(v, p.y)
+		case p.yi == 1:
+			out[k] *= v
+		case p.yi == 2:
+			out[k] *= v * v
+		}
 	}
-	return e
 }
 
 // laneSeg holds one segment geometry's sample-invariant constants for
@@ -357,6 +378,9 @@ type laneKernel struct {
 	sharedSeg bool
 	target    float64
 	seed      uint64
+	// seedHash is mix64(seed+γ), the seed half of every sample's
+	// stream state (see Stream.Reset), hashed once per run.
+	seedHash uint64
 
 	// Tech-level wire constants (identical for every segment).
 	bar, bar2 float64
@@ -378,6 +402,11 @@ type laneKernel struct {
 	// proposal and the lane writes each sample's delay, not a
 	// contribution.
 	ais *aisState
+
+	// bank, when non-nil, holds the shared phases' outputs of a prefix
+	// of the run's samples (see sampleBank). Only a sizing pass on the
+	// unshifted shared-segment path carries one.
+	bank *sampleBank
 }
 
 // newLaneKernel compiles the kernel for one run. shifts holds the
@@ -392,6 +421,7 @@ func newLaneKernel(ms *MultiScenario, ro Options, shifts [][]float64, qshifts []
 		sharedSeg: true,
 		target:    ms.Target,
 		seed:      ro.Seed,
+		seedHash:  mix64(ro.Seed + smGamma),
 		bar:       ms.Base.Barrier,
 		bar2:      2 * ms.Base.Barrier,
 		scmfp:     ms.Base.ScatterCoeff * ms.Base.MeanFreePath,
@@ -463,6 +493,9 @@ type laneScratch struct {
 	rdN     []float64
 	rdP     []float64
 	rCap    []float64
+	odN     []float64 // Vth overdrives, raised into rdN/rdP
+	odP     []float64
+	thIld   []float64 // thickness/ILD ratios, raised into gPerM
 	dot     []float64
 	w       []float64
 	wid     []float64
@@ -476,10 +509,11 @@ type laneScratch struct {
 	slw     []float64
 	slw2    []float64
 	stream  Stream
-	eps     [Dims]float64 // one sample's draw (QMC, AIS)
+	states  [laneSize]uint64 // the lane's stream states (drawPhase)
+	eps     [Dims]float64    // one sample's draw (QMC, AIS)
 }
 
-const laneArrays = Dims + Dims + facCount + 15
+const laneArrays = Dims + Dims + facCount + 18
 
 var laneScratchPool = sync.Pool{New: func() any {
 	ls := &laneScratch{backing: make([]float64, laneArrays*laneSize)}
@@ -499,6 +533,7 @@ var laneScratchPool = sync.Pool{New: func() any {
 		ls.fac[f] = carve()
 	}
 	ls.rdN, ls.rdP, ls.rCap = carve(), carve(), carve()
+	ls.odN, ls.odP, ls.thIld = carve(), carve(), carve()
 	ls.dot, ls.w = carve(), carve()
 	ls.wid = carve()
 	ls.rPerM, ls.gPerM, ls.cPerM = carve(), carve(), carve()
@@ -510,6 +545,78 @@ var laneScratchPool = sync.Pool{New: func() any {
 
 func getLaneScratch() *laneScratch   { return laneScratchPool.Get().(*laneScratch) }
 func putLaneScratch(ls *laneScratch) { laneScratchPool.Put(ls) }
+
+// sampleBank keeps, for a prefix of a sizing search's sample indices,
+// each sample's outputs of the candidate-independent phases: the drive
+// and capacitance ratios and the wire's per-meter extraction, 48 bytes
+// a sample. Every pass of one search runs the same rung on the same
+// seed, technology, variation space and segment, which fix those
+// outputs, so a later pass loads a banked lane instead of drawing,
+// perturbing, rescaling and extracting it again. No banked sample is
+// too thin: the pass that stored it would have failed.
+type sampleBank struct {
+	backing []float64
+	arr     [bankArrays][]float64 // rdN, rdP, rCap, rPerM, gPerM, cPerM
+	// filled is the banked prefix: samples [0, filled). driver.run
+	// advances it between steps, never during one.
+	filled int
+}
+
+const (
+	bankArrays = 6
+	// bankMaxSamples caps a bank at 3 MiB; a search with a larger
+	// budget banks only its first bankMaxSamples samples.
+	bankMaxSamples = 1 << 16
+)
+
+var sampleBankPool sync.Pool
+
+// getSampleBank returns an empty bank for a search of the given sample
+// budget.
+func getSampleBank(samples int) *sampleBank {
+	n := max(min(samples, bankMaxSamples), 0)
+	b, _ := sampleBankPool.Get().(*sampleBank)
+	if b == nil || cap(b.backing) < bankArrays*n {
+		b = &sampleBank{backing: make([]float64, bankArrays*n)}
+	}
+	for i := range b.arr {
+		b.arr[i] = b.backing[i*n : (i+1)*n : (i+1)*n]
+	}
+	b.filled = 0
+	return b
+}
+
+func putSampleBank(b *sampleBank) { sampleBankPool.Put(b) }
+
+// banked returns ls's arrays in the bank's order.
+func (ls *laneScratch) banked() [bankArrays][]float64 {
+	return [bankArrays][]float64{ls.rdN, ls.rdP, ls.rCap, ls.rPerM, ls.gPerM, ls.cPerM}
+}
+
+// store banks the lane of samples [start, start+n), if it fits.
+func (b *sampleBank) store(ls *laneScratch, start, n int) {
+	if start+n > len(b.arr[0]) {
+		return
+	}
+	for i, a := range ls.banked() {
+		copy(b.arr[i][start:start+n], a[:n])
+	}
+}
+
+// load fills ls with the banked lane of samples [start, start+n).
+func (b *sampleBank) load(ls *laneScratch, start, n int) {
+	for i, a := range ls.banked() {
+		copy(a[:n], b.arr[i][start:start+n])
+	}
+}
+
+// advance marks samples [0, end) banked once a step ending at end has
+// stored its lanes, unless the step ran past the bank's capacity.
+func (b *sampleBank) advance(end int) {
+	if end <= len(b.arr[0]) && end > b.filled {
+		b.filled = end
+	}
+}
 
 // drawPhase fills the transposed base-draw arrays for global sample
 // indices [start, start+n): per-sample ziggurat streams in dimension
@@ -536,11 +643,30 @@ func (lk *laneKernel) drawPhase(ls *laneScratch, start, n int) {
 		}
 		return
 	}
+	// Stream.Reset and NormZig unrolled, one dimension at a time across
+	// the lane: sample k's stream state starts at seedHash ⊕ index, each
+	// output advances it by γ, and a draw the fast path rejects hands
+	// the state to the wedge/tail loop, which consumes the same outputs
+	// NormZig would. Each sample still draws its dimensions in order
+	// from its own stream.
+	states := ls.states[:n]
+	for k := range states {
+		states[k] = lk.seedHash ^ uint64(start+k)
+	}
 	st := &ls.stream
-	for k := 0; k < n; k++ {
-		st.Reset(lk.seed, uint64(start+k))
-		for d := 0; d < Dims; d++ {
-			ls.epsT[d][k] = st.NormZig()
+	for d := 0; d < Dims; d++ {
+		e := ls.epsT[d][:n]
+		for k := range e {
+			state := states[k] + smGamma
+			u := mix64(state)
+			x, ok := zigFast(u)
+			if !ok {
+				st.state = state
+				x = st.zigSlow(u)
+				state = st.state
+			}
+			states[k] = state
+			e[k] = x
 		}
 	}
 }
@@ -576,7 +702,8 @@ func (lk *laneKernel) shiftCand(ls *laneScratch, c, n int) {
 // program's outputs. The expressions mirror model.driveRatio and
 // ScaleInto exactly (perturbed K is nominal/fL, perturbed CGate is
 // nominal·fL, same association order); only the nominal halves and the
-// exponent's decomposition (lanePow) are precomputed.
+// exponent's decomposition (lanePow) are precomputed, and the powers
+// run lane-wide (powLane).
 func (lk *laneKernel) scalePhase(ls *laneScratch, n int) {
 	sc := &lk.scale
 	fL := ls.fac[facL][:n]
@@ -585,19 +712,29 @@ func (lk *laneKernel) scalePhase(ls *laneScratch, n int) {
 	rdN := ls.rdN[:n]
 	rdP := ls.rdP[:n]
 	rCap := ls.rCap[:n]
+	odN := ls.odN[:n]
+	odP := ls.odP[:n]
+	// The powers od^α go into rdN and rdP first, lane-wide; the ratio
+	// loop then reads each one before it overwrites it.
+	for k := range odN {
+		odN[k] = sc.vdd - vthN[k]
+		odP[k] = sc.vdd - vthP[k]
+	}
+	if sc.odNPos {
+		sc.powN.powLane(odN, rdN)
+	}
+	if sc.odPPos {
+		sc.powP.powLane(odP, rdP)
+	}
 	for k := range fL {
 		r := 1.0
-		if sc.odNPos {
-			if od := sc.vdd - vthN[k]; od > 0 {
-				r = (sc.vdd / ((sc.kN / fL[k]) * sc.powN.pow(od))) / sc.rNomN
-			}
+		if sc.odNPos && odN[k] > 0 {
+			r = (sc.vdd / ((sc.kN / fL[k]) * rdN[k])) / sc.rNomN
 		}
 		rdN[k] = r
 		r = 1.0
-		if sc.odPPos {
-			if od := sc.vdd - vthP[k]; od > 0 {
-				r = (sc.vdd / ((sc.kP / fL[k]) * sc.powP.pow(od))) / sc.rNomP
-			}
+		if sc.odPPos && odP[k] > 0 {
+			r = (sc.vdd / ((sc.kP / fL[k]) * rdP[k])) / sc.rNomP
 		}
 		rdP[k] = r
 		rc := 1.0
@@ -613,7 +750,7 @@ func (lk *laneKernel) scalePhase(ls *laneScratch, n int) {
 // and ILD factors) and extract the corrected per-meter resistance and
 // the style-resolved capacitances, mirroring wire.ResistancePerMeter /
 // GroundCapPerMeter / CouplingCapPerMeter operation for operation (the
-// fringe term's power through lanePow).
+// fringe term's power lane-wide, through powLane).
 func (lk *laneKernel) wirePhase(ls *laneScratch, sg *laneSeg, n int) {
 	fW := ls.fac[facW][:n]
 	fT := ls.fac[facT][:n]
@@ -623,6 +760,13 @@ func (lk *laneKernel) wirePhase(ls *laneScratch, sg *laneSeg, n int) {
 	rp := ls.rPerM[:n]
 	gp := ls.gPerM[:n]
 	cp := ls.cPerM[:n]
+	// (th/ild)^0.222 goes into gp first; the extraction loop reads each
+	// power before it overwrites it with the ground capacitance.
+	ratio := ls.thIld[:n]
+	for k := range ratio {
+		ratio[k] = (sg.th0 * fT[k]) / (sg.ild0 * fI[k])
+	}
+	lk.capPow.powLane(ratio, gp)
 	for k := range fW {
 		dw := sg.w0 * (fW[k] - 1)
 		w := sg.w0 + dw
@@ -646,7 +790,7 @@ func (lk *laneKernel) wirePhase(ls *laneScratch, sg *laneSeg, n int) {
 			rp[k] = rho * (1 + lk.scmfp/core) / (coreW * coreH)
 		}
 
-		g := sg.twoEps * (1.15*(w/ild) + 2.80*lk.capPow.pow(th/ild))
+		g := sg.twoEps * (1.15*(w/ild) + 2.80*gp[k])
 		cc := sg.c12eps * th / sp
 		if sg.shielded {
 			gp[k] = g + 2*cc
@@ -814,8 +958,15 @@ func (lk *laneKernel) edgePass(ls *laneScratch, cd *laneCand, startRising bool, 
 // the sample's delay). Only active candidates are written. A sample
 // whose perturbed width leaves no copper core fails the lane with the
 // error DelayScratch gives for it (see widthErr), lowest sample first,
-// then lowest active candidate.
+// then lowest active candidate. A lane the kernel's bank holds skips
+// every phase before the scoring.
 func (lk *laneKernel) eval(ls *laneScratch, start, n int, contrib []float64, K int, active []bool) error {
+	if b := lk.bank; b != nil && start+n <= b.filled {
+		b.load(ls, start, n)
+		metSizingBanked.Add(int64(n))
+		lk.scoreShared(ls, n, contrib, K, active)
+		return nil
+	}
 	lk.drawPhase(ls, start, n)
 	thin := thinSample{k: -1}
 	switch {
@@ -835,12 +986,10 @@ func (lk *laneKernel) eval(ls *laneScratch, start, n int, contrib []float64, K i
 			// Every candidate holds the same segment, so candidate 0's
 			// error is the lowest active candidate's.
 			lk.checkWidths(ls, 0, n, &thin)
-			for c := range lk.cands {
-				if !active[c] {
-					continue
-				}
-				lk.candPhase(ls, c, n, contrib, K, nil)
+			if lk.bank != nil && thin.k < 0 {
+				lk.bank.store(ls, start, n)
 			}
+			lk.scoreShared(ls, n, contrib, K, active)
 		} else {
 			for c := range lk.cands {
 				if !active[c] {
@@ -874,4 +1023,23 @@ func (lk *laneKernel) eval(ls *laneScratch, start, n int, contrib []float64, K i
 		return lk.widthErr(thin)
 	}
 	return nil
+}
+
+// scoreShared scores every active candidate against the lane's shared
+// drive ratios and wire extraction.
+func (lk *laneKernel) scoreShared(ls *laneScratch, n int, contrib []float64, K int, active []bool) {
+	for c := range lk.cands {
+		if active[c] {
+			lk.candPhase(ls, c, n, contrib, K, nil)
+		}
+	}
+}
+
+// useBank hands the kernel a sizing search's bank if the run takes the
+// unshifted shared-segment path, the one path whose shared phases the
+// bank holds.
+func (lk *laneKernel) useBank(b *sampleBank) {
+	if b != nil && lk.ais == nil && !lk.anyShift && lk.sharedSeg {
+		lk.bank = b
+	}
 }

@@ -251,6 +251,91 @@ func TestLaneBitIdenticalToScalar(t *testing.T) {
 	}
 }
 
+// TestDrawPhaseWedgeAndTail holds drawPhase's unrolled ziggurat to a
+// per-sample Stream.Reset + NormZig loop, bit for bit, on lanes picked
+// so their draws leave the fast path through the wedge and through the
+// layer-0 tail. A tail draw is rare (~6e-4 per draw), so lanes met at
+// random seldom hold one. Each seed's first tail draw is also pinned to
+// the bits the single-loop NormZig drew before its fast path was split
+// out, with both signs among them.
+func TestDrawPhaseWedgeAndTail(t *testing.T) {
+	sc := testScenario(t, 520e-12)
+	ms := &MultiScenario{Base: sc.Base, Coeffs: sc.Coeffs, Space: sc.Space, Specs: []model.LineSpec{sc.Spec}, Target: sc.Target}
+	// escapes counts sample i's draws whose first output misses the
+	// fast path, in layer 0 (the tail) and in the other layers (the
+	// wedge).
+	escapes := func(seed uint64, i int) (tail, wedge int) {
+		var st Stream
+		st.Reset(seed, uint64(i))
+		for d := 0; d < Dims; d++ {
+			peek := st
+			u := peek.Uint64()
+			if layer := u & 127; u>>11 >= zigK[layer] {
+				if layer == 0 {
+					tail++
+				} else {
+					wedge++
+				}
+			}
+			st.NormZig()
+		}
+		return tail, wedge
+	}
+	firstTail := map[uint64]struct {
+		i, dim int
+		bits   uint64
+	}{
+		1: {64, 6, 0xc00c53d72755c5ea},
+		2: {289, 0, 0x400f8112f9b74bd3},
+		3: {81, 2, 0x400e78f07b3b154e},
+	}
+	tails, wedges := 0, 0
+	for _, seed := range []uint64{1, 2, 3} {
+		// The first sample with a tail draw, inside a lane that starts
+		// off the lane grid, and a short lane after it.
+		first := 0
+		for tl, _ := escapes(seed, first); tl == 0; tl, _ = escapes(seed, first) {
+			first++
+		}
+		pin := firstTail[seed]
+		if first != pin.i {
+			t.Fatalf("seed %d: first tail draw at sample %d, want %d", seed, first, pin.i)
+		}
+		start := max(first-17, 0)
+		for _, r := range []struct{ start, n int }{{start, laneSize}, {start + laneSize, 13}} {
+			ro := YieldOptions{Samples: 4096, Seed: seed}.runOptions().withDefaults()
+			d, err := newDriver(context.Background(), ms, ro, estimator.MC)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ls := d.lsc[0]
+			d.lk.drawPhase(ls, r.start, r.n)
+			var st Stream
+			for k := 0; k < r.n; k++ {
+				i := r.start + k
+				tl, wg := escapes(seed, i)
+				tails += tl
+				wedges += wg
+				st.Reset(seed, uint64(i))
+				for dim := 0; dim < Dims; dim++ {
+					got := ls.epsT[dim][k]
+					if want := st.NormZig(); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("seed %d sample %d draw %d: drawPhase %v, NormZig %v", seed, i, dim, got, want)
+					}
+					if i == pin.i && dim == pin.dim && math.Float64bits(got) != pin.bits {
+						t.Fatalf("seed %d sample %d tail draw %d: %v, want %v", seed, i, dim, got, math.Float64frombits(pin.bits))
+					}
+				}
+			}
+			d.close()
+		}
+	}
+	if tails == 0 || wedges == 0 {
+		t.Fatalf("%d tail and %d wedge draws in the lanes; the fixture lost its teeth", tails, wedges)
+	}
+	t.Logf("%d tail and %d wedge draws", tails, wedges)
+}
+
 // TestLanePartialBitIdentity covers the coordinator shard path: a
 // shard's sparse contributions must be exactly the nonzero rows of the
 // scalar reference over its range, for every shardable rung, at shard
@@ -461,23 +546,49 @@ func TestLaneChunk(t *testing.T) {
 // and one ulp either side), the 0.222 fringe exponent across the
 // clamped thickness/ILD ratio, and the math.Pow fallback — exponents
 // pow special-cases or the short form does not take, and operands
-// outside its range.
+// outside its range. Every operand runs through powLane in lanes of
+// length 1, 63 and 64, and the fallback operands are spread through
+// each exponent's sweep, so every longer lane mixes short-form and
+// fallback operands.
 func TestLanePowMatchesMathPow(t *testing.T) {
-	check := func(p lanePow, x float64) {
+	odd := []float64{0, math.Copysign(0, -1), -0.3, 5e-324, 0x1p-1022, powMin, math.Nextafter(powMin, 0),
+		powMax, math.Nextafter(powMax, math.Inf(1)), 1e300, math.Inf(1), math.NaN(), 1}
+	check := func(p lanePow, xs []float64) {
 		t.Helper()
-		if got, want := p.pow(x), math.Pow(x, p.y); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("pow(%v, %v) = %v, math.Pow %v", x, p.y, got, want)
+		// An odd operand after every 40th, so each lane of 63 or 64
+		// holds both kinds.
+		var all []float64
+		for i, x := range xs {
+			if i%40 == 0 {
+				all = append(all, odd[i/40%len(odd)])
+			}
+			all = append(all, x)
+		}
+		want := make([]float64, len(all))
+		for k, x := range all {
+			want[k] = math.Pow(x, p.y)
+		}
+		out := make([]float64, laneSize)
+		for _, width := range []int{1, 63, 64} {
+			for lo := 0; lo < len(all); lo += width {
+				x := all[lo:min(lo+width, len(all))]
+				p.powLane(x, out)
+				for k := range x {
+					if math.Float64bits(out[k]) != math.Float64bits(want[lo+k]) {
+						t.Fatalf("lane of %d: pow(%v, %v) = %v, math.Pow %v", width, x[k], p.y, out[k], want[lo+k])
+					}
+				}
+			}
 		}
 	}
 	sweep := func(p lanePow, lo, hi float64) {
 		t.Helper()
-		for _, x := range []float64{lo, hi, math.Nextafter(lo, 0), math.Nextafter(lo, 1), math.Nextafter(hi, 0), math.Nextafter(hi, 2)} {
-			check(p, x)
-		}
+		xs := []float64{lo, hi, math.Nextafter(lo, 0), math.Nextafter(lo, 1), math.Nextafter(hi, 0), math.Nextafter(hi, 2)}
 		const steps = 20000
 		for i := 0; i <= steps; i++ {
-			check(p, lo+(hi-lo)*float64(i)/steps)
+			xs = append(xs, lo+(hi-lo)*float64(i)/steps)
 		}
+		check(p, xs)
 	}
 	for _, tc := range tech.All() {
 		// applyProg clamps Vth to [0.05, Vdd−0.05], so the overdrive
@@ -498,8 +609,7 @@ func TestLanePowMatchesMathPow(t *testing.T) {
 		}
 	}
 	// The fallback: exponents pow answers before its decomposition or
-	// whose integer part exceeds two, and operands outside the short
-	// form's range.
+	// whose integer part exceeds two.
 	for _, y := range []float64{0.5, 2.6, 3, -1.3, 0, math.Inf(1), math.NaN()} {
 		p := newLanePow(y)
 		if p.short {
@@ -507,9 +617,5 @@ func TestLanePowMatchesMathPow(t *testing.T) {
 		}
 		sweep(p, 0.05, 1.2)
 	}
-	p := newLanePow(1.35)
-	for _, x := range []float64{0, math.Copysign(0, -1), -0.3, 5e-324, 0x1p-1022, powMin, math.Nextafter(powMin, 0),
-		powMax, math.Nextafter(powMax, math.Inf(1)), 1e300, math.Inf(1), math.NaN(), 1} {
-		check(p, x)
-	}
+	check(newLanePow(1.35), odd)
 }

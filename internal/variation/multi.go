@@ -36,7 +36,9 @@ import (
 // through the one fold type, consulting the stopping rule at the same
 // checkpoints, so each candidate's estimate is bit-identical to a
 // standalone EstimateLinkYieldCtx run with the same options and to a
-// merge of its shards.
+// merge of its shards. The passes of one sizing search also share a
+// sample bank (sampleBank, lane.go), so each of its samples is drawn,
+// perturbed and extracted once per search.
 
 // MultiScenario binds K candidate implementations (specs) of one link
 // to a shared variation space and delay target.
@@ -147,15 +149,26 @@ func (ms *MultiScenario) FindShiftsCtx(ctx context.Context) ([][]float64, error)
 // certifies either way are answered without sampling, and only the
 // inconclusive remainder pays for draws.
 func EstimateYieldsSharedCtx(ctx context.Context, ms *MultiScenario, o YieldOptions) ([]Estimate, error) {
-	return estimateYieldsCtx(ctx, ms, o, math.Inf(1))
+	return estimateYieldsCtx(ctx, ms, o, plainPass)
 }
 
-// estimateYieldsCtx is EstimateYieldsSharedCtx with a rejection bound
-// for the directly dispatched mc/isle rungs: a candidate whose
-// contributions sum past maxFail stops sampling (see fold.retire), so
-// its estimate is cut short. The sizing walk is the one caller with a
-// finite bound.
-func estimateYieldsCtx(ctx context.Context, ms *MultiScenario, o YieldOptions, maxFail float64) ([]Estimate, error) {
+// sizingPass is what a sizing search lends each of its sampling passes
+// on the directly dispatched mc/isle/qmc rungs: a rejection bound — a
+// candidate whose contributions sum past maxFail stops sampling (see
+// fold.retire), so its estimate is cut short — and the search's sample
+// bank, which the lane kernel reads and fills (see sampleBank). Every
+// other run uses plainPass.
+type sizingPass struct {
+	maxFail float64
+	bank    *sampleBank
+}
+
+var plainPass = sizingPass{maxFail: math.Inf(1)}
+
+// estimateYieldsCtx is EstimateYieldsSharedCtx for one pass of a
+// sizing search; the sizing walk is its one caller with a bound or a
+// bank.
+func estimateYieldsCtx(ctx context.Context, ms *MultiScenario, o YieldOptions, sp sizingPass) ([]Estimate, error) {
 	if err := ms.Validate(); err != nil {
 		return nil, err
 	}
@@ -173,16 +186,16 @@ func estimateYieldsCtx(ctx context.Context, ms *MultiScenario, o YieldOptions, m
 	if o.Estimator == estimator.Auto && o.TargetSigma >= wcdPrefilterSigma {
 		return cascadeCtx(ctx, ms, o, ro, kind)
 	}
-	return sampleEstimatesCtx(ctx, ms, ro, kind, maxFail)
+	return sampleEstimatesCtx(ctx, ms, ro, kind, sp)
 }
 
 // sampleEstimatesCtx runs the resolved sampling rung over all
-// candidates; maxFail bounds the mc/isle runs (see fold.retire).
-func sampleEstimatesCtx(ctx context.Context, ms *MultiScenario, ro Options, kind estimator.Kind, maxFail float64) ([]Estimate, error) {
+// candidates; sp applies to the mc/isle/qmc runs, not to AIS.
+func sampleEstimatesCtx(ctx context.Context, ms *MultiScenario, ro Options, kind estimator.Kind, sp sizingPass) ([]Estimate, error) {
 	if kind == estimator.AIS {
 		return runAISAllCtx(ctx, ms, ro)
 	}
-	return runSharedCtx(ctx, ms, ro, kind, maxFail)
+	return runSharedCtx(ctx, ms, ro, kind, sp)
 }
 
 // contribPool recycles the driver's contribution rows across runs: a
@@ -314,6 +327,9 @@ func (d *driver) run(ctx context.Context, start, count int, fn func(base, n int,
 		if err := pool.ForEachWorkerCtx(ctx, d.ro.Workers, (n+d.chunk-1)/d.chunk, d.lane); err != nil {
 			return err
 		}
+		if b := d.lk.bank; b != nil {
+			b.advance(d.base + n)
+		}
 		metSamples.Add(int64(n) * int64(left))
 		fn(d.base, n, d.rows[:n*len(d.active)])
 		done += n
@@ -333,13 +349,14 @@ func (d *driver) evalLane(l, worker int) error {
 // over [0, Samples), each candidate's contributions folded in index
 // order and the candidate retired once its stopping rule fires at a
 // checkpoint — the fold MergePartials replays over shards — or, at a
-// step end, once its contributions sum past maxFail.
-func runSharedCtx(ctx context.Context, ms *MultiScenario, ro Options, kind estimator.Kind, maxFail float64) ([]Estimate, error) {
+// step end, once its contributions sum past sp.maxFail.
+func runSharedCtx(ctx context.Context, ms *MultiScenario, ro Options, kind estimator.Kind, sp sizingPass) ([]Estimate, error) {
 	d, err := newDriver(ctx, ms, ro, kind)
 	if err != nil {
 		return nil, err
 	}
 	defer d.close()
+	d.lk.useBank(sp.bank)
 	folds := make([]fold, len(ms.Specs))
 	for c := range folds {
 		folds[c] = fold{qmc: kind == estimator.QMC, shifted: d.lk.shiftedC[c]}
@@ -362,7 +379,7 @@ func runSharedCtx(ctx context.Context, ms *MultiScenario, ro Options, kind estim
 				continue
 			}
 			folds[c].add(base, n, rows[c:], K)
-			stop, rejected := folds[c].retire(ro, last, maxFail)
+			stop, rejected := folds[c].retire(ro, last, sp.maxFail)
 			if rejected {
 				metSizingRejected.Inc()
 			}

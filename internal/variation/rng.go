@@ -51,11 +51,12 @@ func NewStream(seed, index uint64) *Stream {
 }
 
 // Reset reseeds s in place to the exact state NewStream(seed, index)
-// would return, discarding any cached Box–Muller spare. The batched
-// sampling kernel keeps one Stream per worker and Resets it per
-// sample instead of allocating a fresh stream, so the hot path stays
-// allocation-free while the (seed, index) → sequence contract is
-// unchanged.
+// would return, discarding any cached Box–Muller spare. The AIS draw
+// keeps one Stream per worker and Resets it per sample instead of
+// allocating a fresh stream, so the hot path stays allocation-free
+// while the (seed, index) → sequence contract is unchanged; the lane's
+// ziggurat draw (drawPhase) sets the same state with the seed's hash
+// computed once per run.
 func (s *Stream) Reset(seed, index uint64) {
 	s.state = mix64(seed+smGamma) ^ index
 	s.spare = 0

@@ -63,10 +63,13 @@ type SizedDesign struct {
 // Sizing observability: how much of each sweep the walk never paid
 // for. A rejected candidate stopped sampling mid-run under the
 // rejection bound; an unvisited one is feasible but was never sampled —
-// a cheaper group passed first, or it is the nominal design's twin.
+// a cheaper group passed first, or it is the nominal design's twin. A
+// banked sample's draw, perturbation, rescale and extraction came from
+// the search's sample bank, derived by an earlier pass.
 var (
 	metSizingRejected  = obs.NewCounter("variation.sizing_rejected")
 	metSizingUnvisited = obs.NewCounter("variation.sizing_unvisited")
+	metSizingBanked    = obs.NewCounter("variation.sizing_banked")
 )
 
 // sizingGroup is how many feasible candidates one sampling pass of the
@@ -128,20 +131,24 @@ func SizeForYieldCtx(ctx context.Context, base *tech.Technology, seg wire.Segmen
 	if err := sc.Validate(); err != nil {
 		return SizedDesign{}, err
 	}
+	// Every pass samples on the same seed, so all of them share one
+	// bank of the samples' candidate-independent work.
+	samples := o.MC.runOptions().withDefaults().Samples
+	pass := sizingPass{maxFail: math.Inf(1), bank: getSampleBank(samples)}
+	defer putSampleBank(pass.bank)
 	// A sample that leaves the line no copper core fails with a
 	// validation error, and retiring candidates early could skip the
 	// sample that raises it. relFactor clamps the width factor at 0.6,
 	// so where that narrowest width (perturbSegment's arithmetic) keeps
 	// the core no sample can fail and the bound is on; otherwise the
 	// walk is one pass of every candidate, exactly the full sweep.
-	maxFail := math.Inf(1)
 	if f := 0.6; seg.Width+seg.Width*(f-1) > 2*base.Barrier {
-		maxFail = rejectBound(o.YieldTarget, o.MC.runOptions().withDefaults().Samples)
+		pass.maxFail = rejectBound(o.YieldTarget, samples)
 	}
 	scenario := func(specs ...model.LineSpec) *MultiScenario {
 		return &MultiScenario{Base: base, Coeffs: o.Buffering.Coeffs, Space: o.Space, Specs: specs, Target: o.Target}
 	}
-	est, err := estimateYieldsCtx(ctx, scenario(sc.Spec), o.MC, maxFail)
+	est, err := estimateYieldsCtx(ctx, scenario(sc.Spec), o.MC, pass)
 	if err != nil {
 		return SizedDesign{}, err
 	}
@@ -193,7 +200,7 @@ func SizeForYieldCtx(ctx context.Context, base *tech.Technology, seg wire.Segmen
 		}
 	}
 	step := sizingGroup
-	if math.IsInf(maxFail, 1) {
+	if math.IsInf(pass.maxFail, 1) {
 		step = max(len(walk), 1)
 	}
 	sampled := 0
@@ -207,7 +214,7 @@ func SizeForYieldCtx(ctx context.Context, base *tech.Technology, seg wire.Segmen
 		for i, c := range idx {
 			group[i] = specs[c]
 		}
-		ests, err := estimateYieldsCtx(ctx, scenario(group...), o.MC, maxFail)
+		ests, err := estimateYieldsCtx(ctx, scenario(group...), o.MC, pass)
 		if err != nil {
 			return SizedDesign{}, err
 		}

@@ -249,20 +249,123 @@ func TestSizingMissDrawsFewerSamples(t *testing.T) {
 	}
 }
 
+// TestSizingBankedSamples pins the sizing bank's counter: a missing
+// search loads banked samples, the same number at workers 1 and 4, and
+// scores as many candidate-samples (variation.samples_drawn) as the
+// walk did before it had a bank; a passing search never loads one.
+func TestSizingBankedSamples(t *testing.T) {
+	l := newSizingLink(t, "90nm", 5)
+	// Candidate-samples per search on the sizingMissFactors fixtures,
+	// as measured before the bank existed.
+	drawnBefore := []int64{6144, 5376}
+	for i, m := range sizingMissFactors {
+		var banked int64 = -1
+		for _, workers := range []int{1, 4} {
+			o := l.options(m.factor, m.yt, YieldOptions{Samples: 4096, Seed: 1, Workers: workers})
+			samples, bank := metSamples.Value(), metSizingBanked.Value()
+			got, err := SizeForYieldCtx(context.Background(), l.tc, l.seg, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Resized {
+				t.Fatalf("yield %g: the nominal design passes — the query lost its miss", m.yt)
+			}
+			if n := metSamples.Value() - samples; n != drawnBefore[i] {
+				t.Fatalf("yield %g workers=%d scored %d candidate-samples, want %d", m.yt, workers, n, drawnBefore[i])
+			}
+			n := metSizingBanked.Value() - bank
+			if n == 0 {
+				t.Fatalf("yield %g workers=%d: no sample came from the bank", m.yt, workers)
+			}
+			if banked >= 0 && n != banked {
+				t.Fatalf("yield %g workers=%d banked %d samples, want %d as at workers 1", m.yt, workers, n, banked)
+			}
+			banked = n
+		}
+	}
+	o := l.options(1.5, 0.999, YieldOptions{Samples: 4096, Seed: 1, Workers: 4})
+	bank := metSizingBanked.Value()
+	got, err := SizeForYieldCtx(context.Background(), l.tc, l.seg, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Resized {
+		t.Fatal("the passing fixture resized")
+	}
+	if n := metSizingBanked.Value() - bank; n != 0 {
+		t.Fatalf("a passing search loaded %d banked samples", n)
+	}
+}
+
+// TestSizingBankConcurrentSearches runs two missing searches on
+// different technologies and seeds concurrently, over and over, at
+// workers 4, and holds every answer to the one each gives alone at
+// workers 1. Each search takes its bank from a pool the other also
+// returns to, so a bank that kept a previous search's prefix would hand
+// one search the other's samples.
+func TestSizingBankConcurrentSearches(t *testing.T) {
+	type search struct {
+		l    sizingLink
+		o    SizingOptions
+		want SizedDesign
+	}
+	a := newSizingLink(t, "90nm", 5)
+	b := newSizingLink(t, "45nm", 4)
+	searches := []*search{
+		{l: a, o: a.options(sizingMissFactors[0].factor, sizingMissFactors[0].yt, YieldOptions{Samples: 4096, Seed: 1})},
+		{l: b, o: b.options(1.18, 0.999, YieldOptions{Samples: 4096, Seed: 7})},
+	}
+	for _, s := range searches {
+		bank := metSizingBanked.Value()
+		var err error
+		if s.want, err = SizeForYieldCtx(context.Background(), s.l.tc, s.l.seg, s.o); err != nil {
+			t.Fatal(err)
+		}
+		if !s.want.Resized || metSizingBanked.Value() == bank {
+			t.Fatalf("%s: the search does not use the bank — the fixture lost its teeth", s.l.tc.Name)
+		}
+		s.o.MC.Workers = 4
+	}
+	rounds := 8
+	if testing.Short() {
+		rounds = 2
+	}
+	errs := make(chan error, len(searches))
+	for _, s := range searches {
+		go func() {
+			for r := 0; r < rounds; r++ {
+				got, err := SizeForYieldCtx(context.Background(), s.l.tc, s.l.seg, s.o)
+				if err != nil || !reflect.DeepEqual(got, s.want) {
+					errs <- fmt.Errorf("%s round %d:\n got %s\nwant %s", s.l.tc.Name, r, sizingSummary(got, err), sizingSummary(s.want, nil))
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for range searches {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+}
+
 // BenchmarkSizeForYieldMiss times a missing query on the 90 nm 5 mm
-// link, serially, and reports the candidate-samples it draws.
+// link, serially, and reports the candidate-samples it draws and the
+// samples whose shared phases came from the search's bank.
 func BenchmarkSizeForYieldMiss(b *testing.B) {
 	l := newSizingLink(b, "90nm", 5)
 	for _, m := range sizingMissFactors {
 		o := l.options(m.factor, m.yt, YieldOptions{Samples: 4096, Seed: 1, Workers: 1})
 		b.Run(fmt.Sprintf("yield=%g", m.yt), func(b *testing.B) {
-			before := metSamples.Value()
+			before, banked := metSamples.Value(), metSizingBanked.Value()
 			for i := 0; i < b.N; i++ {
 				if _, err := SizeForYieldCtx(context.Background(), l.tc, l.seg, o); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.ReportMetric(float64(metSamples.Value()-before)/float64(b.N), "cand-samples/op")
+			b.ReportMetric(float64(metSizingBanked.Value()-banked)/float64(b.N), "banked-samples/op")
 		})
 	}
 }

@@ -2,7 +2,6 @@ package variation
 
 import (
 	"context"
-	"math"
 
 	"repro/internal/estimator"
 	"repro/internal/model"
@@ -119,7 +118,7 @@ func cascadeCtx(ctx context.Context, ms *MultiScenario, o YieldOptions, ro Optio
 			sub.Shifts[i] = ms.Shifts[c]
 		}
 	}
-	sampled, err := sampleEstimatesCtx(ctx, sub, ro, kind, math.Inf(1))
+	sampled, err := sampleEstimatesCtx(ctx, sub, ro, kind, plainPass)
 	if err != nil {
 		return nil, err
 	}
