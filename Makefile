@@ -37,7 +37,8 @@ bench-yield:
 
 # Short coverage-guided runs of the Liberty parser, shard wire-format,
 # sizing rejection-bound, predintd yield, shard, link and NoC
-# request-body, and model stage-loop fuzzers (CI smoke).
+# request-body, model stage-loop and lane inverse-normal-CDF fuzzers
+# (CI smoke).
 fuzz:
 	$(GO) test -fuzz=FuzzParseLibrary -fuzztime=10s -run FuzzParseLibrary ./internal/liberty
 	$(GO) test -fuzz=FuzzMergePartials -fuzztime=10s -run FuzzMergePartials ./internal/variation
@@ -47,6 +48,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzLinkRequestBody -fuzztime=10s -run FuzzLinkRequestBody ./cmd/predintd
 	$(GO) test -fuzz=FuzzNoCRequestBody -fuzztime=10s -run FuzzNoCRequestBody ./cmd/predintd
 	$(GO) test -fuzz=FuzzLineDelayRC -fuzztime=10s -run FuzzLineDelayRC ./internal/model
+	$(GO) test -fuzz=FuzzPhiInvLane -fuzztime=10s -run FuzzPhiInvLane ./internal/estimator
 
 # Run the hardened HTTP serving layer on the default address.
 serve:

@@ -54,28 +54,86 @@ func PhiInv(p float64) float64 {
 		return 0
 	}
 
-	var x float64
-	switch {
-	case p < invPLow:
-		q := math.Sqrt(-2 * math.Log(p))
-		x = (((((invC[0]*q+invC[1])*q+invC[2])*q+invC[3])*q+invC[4])*q + invC[5]) /
-			((((invD[0]*q+invD[1])*q+invD[2])*q+invD[3])*q + 1)
-	case p <= 1-invPLow:
-		q := p - 0.5
-		r := q * q
-		x = (((((invA[0]*r+invA[1])*r+invA[2])*r+invA[3])*r+invA[4])*r + invA[5]) * q /
-			(((((invB[0]*r+invB[1])*r+invB[2])*r+invB[3])*r+invB[4])*r + 1)
-	default:
-		q := math.Sqrt(-2 * math.Log(1-p))
-		x = -(((((invC[0]*q+invC[1])*q+invC[2])*q+invC[3])*q+invC[4])*q + invC[5]) /
-			((((invD[0]*q+invD[1])*q+invD[2])*q+invD[3])*q + 1)
-	}
-
+	x := phiInvApprox(p)
 	// One Halley refinement against the exact CDF: e is the CDF error
 	// of the approximation, u its first-order quantile correction.
 	e := Phi(x) - p
 	u := e * math.Sqrt(2*math.Pi) * math.Exp(x*x/2)
 	return x - u/(1+x*u/2)
+}
+
+// phiInvApprox is Acklam's rational approximation to Φ⁻¹(p), the
+// starting point PhiInv and PhiInvLane refine, for p in (0, 1).
+func phiInvApprox(p float64) float64 {
+	switch {
+	case p < invPLow:
+		q := math.Sqrt(-2 * math.Log(p))
+		return (((((invC[0]*q+invC[1])*q+invC[2])*q+invC[3])*q+invC[4])*q + invC[5]) /
+			((((invD[0]*q+invD[1])*q+invD[2])*q+invD[3])*q + 1)
+	case p <= 1-invPLow:
+		q := p - 0.5
+		r := q * q
+		return (((((invA[0]*r+invA[1])*r+invA[2])*r+invA[3])*r+invA[4])*r + invA[5]) * q /
+			(((((invB[0]*r+invB[1])*r+invB[2])*r+invB[3])*r+invB[4])*r + 1)
+	default:
+		q := math.Sqrt(-2 * math.Log(1-p))
+		return -(((((invC[0]*q+invC[1])*q+invC[2])*q+invC[3])*q+invC[4])*q + invC[5]) /
+			((((invD[0]*q+invD[1])*q+invD[2])*q+invD[3])*q + 1)
+	}
+}
+
+// phiInvChunk is how many elements PhiInvLane carries through its
+// steps at a time: the length of its stack-held intermediates.
+const phiInvChunk = 64
+
+// PhiInvLane sets out[k] = PhiInv(p[k]) for every k < len(p), bit for
+// bit; out must be at least as long as p and may alias it. PhiInv's
+// steps each run as their own loop over the lane — the approximation,
+// the CDF error (Erfc), the Exp of the Halley factor, the Halley step —
+// so the elements' independent chains overlap instead of each waiting
+// on its own. Every expression is PhiInv's, with the same operands in
+// the same order. Inputs PhiInv special-cases (NaN, outside (0, 1),
+// exactly 0.5) take PhiInv itself.
+func PhiInvLane(out, p []float64) {
+	out = out[:len(p)]
+	for len(p) > 0 {
+		n := min(len(p), phiInvChunk)
+		phiInvChunkLane(out[:n], p[:n])
+		out, p = out[n:], p[n:]
+	}
+}
+
+// phiInvChunkLane is PhiInvLane on at most phiInvChunk elements.
+func phiInvChunkLane(out, p []float64) {
+	var x, e [phiInvChunk]float64
+	var special [phiInvChunk]bool
+	xs, es := x[:len(p)], e[:len(p)]
+	anySpecial := false
+	for k, pk := range p {
+		if !(pk > 0 && pk < 1) || pk == 0.5 {
+			xs[k], special[k], anySpecial = PhiInv(pk), true, true
+			continue
+		}
+		xs[k] = phiInvApprox(pk)
+	}
+	for k, xk := range xs {
+		es[k] = Phi(xk) - p[k]
+	}
+	// p is dead from here on, so out may hold the Exp factors.
+	for k, xk := range xs {
+		out[k] = math.Exp(xk * xk / 2)
+	}
+	for k, xk := range xs {
+		u := es[k] * math.Sqrt(2*math.Pi) * out[k]
+		out[k] = xk - u/(1+xk*u/2)
+	}
+	if anySpecial {
+		for k, xk := range xs {
+			if special[k] {
+				out[k] = xk
+			}
+		}
+	}
 }
 
 // logPhiDensity is the log of the standard normal density in d

@@ -107,7 +107,6 @@ func SobolShift(seed, replicate uint64, dims int) []uint64 {
 // generated; shift must have at least that many entries (use
 // SobolShift, or zeros for the unscrambled sequence).
 func SobolPoint(index uint64, shift []uint64, dst []float64) {
-	const scale = 1.0 / (1 << SobolBits)
 	for d := range dst {
 		var x uint64
 		for i, bits := 0, index; bits != 0; i, bits = i+1, bits>>1 {
@@ -115,14 +114,38 @@ func SobolPoint(index uint64, shift []uint64, dst []float64) {
 				x ^= sobolV[d][i]
 			}
 		}
-		// +0.5: center each point in its 2^-52 cell, keeping the
-		// uniform strictly inside (0,1) so Φ⁻¹ stays finite.
-		dst[d] = (float64(x^shift[d]) + 0.5) * scale
+		dst[d] = SobolUniform(x, shift[d])
 	}
 }
 
+// SobolCoords writes the unshifted SobolBits-bit coordinates of point
+// #index into dst, one per dimension: SobolPoint's integers before the
+// digital shift, with the direction numbers selected by mask rather
+// than by branch. A caller that draws several replicates of one index
+// computes them once and shifts each with SobolUniform.
+func SobolCoords(index uint64, dst []uint64) {
+	for d := range dst {
+		v := &sobolV[d]
+		var x uint64
+		for i, bits := 0, index; bits != 0; i, bits = i+1, bits>>1 {
+			x ^= v[i] & -(bits & 1)
+		}
+		dst[d] = x
+	}
+}
+
+// SobolUniform maps the unshifted coordinate x under digital shift s to
+// its uniform in (0, 1): the integer x⊕s, offset by +0.5 to center the
+// point in its 2^-52 cell (keeping it strictly inside (0,1) so Φ⁻¹
+// stays finite), scaled by 2^-52.
+func SobolUniform(x, s uint64) float64 {
+	return (float64(x^s) + 0.5) * (1.0 / (1 << SobolBits))
+}
+
 // SobolNormal is SobolPoint pushed through the inverse normal CDF:
-// point #index as a standardized normal draw.
+// point #index as a standardized normal draw. It is the per-sample
+// reference of the lane kernel's QMC draw, which builds the same bits
+// from SobolCoords, SobolUniform and PhiInvLane.
 func SobolNormal(index uint64, shift []uint64, dst []float64) {
 	SobolPoint(index, shift, dst)
 	for d, u := range dst {

@@ -510,7 +510,11 @@ type laneScratch struct {
 	slw2    []float64
 	stream  Stream
 	states  [laneSize]uint64 // the lane's stream states (drawPhase)
-	eps     [Dims]float64    // one sample's draw (QMC, AIS)
+	eps     [Dims]float64    // one sample's draw (AIS)
+	// qpts holds the unshifted Sobol coordinates of the point indices a
+	// QMC lane spans: laneSize samples starting off the replicate grid
+	// touch one index more than laneSize/qmcReplicates.
+	qpts [laneSize/qmcReplicates + 1][Dims]uint64
 }
 
 const laneArrays = Dims + Dims + facCount + 18
@@ -633,13 +637,22 @@ func (lk *laneKernel) drawPhase(ls *laneScratch, start, n int) {
 		return
 	}
 	if lk.qmc {
-		buf := ls.eps[:]
-		for k := 0; k < n; k++ {
-			i := start + k
-			estimator.SobolNormal(uint64(i/qmcReplicates), lk.qshifts[i%qmcReplicates], buf)
-			for d := 0; d < Dims; d++ {
-				ls.epsT[d][k] = buf[d]
+		// SobolNormal at lane width: sample i takes point i/R of
+		// replicate i%R, so each point index's unshifted coordinates are
+		// computed once for the up to R samples that share it; each
+		// dimension's uniforms then go through Φ⁻¹ in place.
+		first := start / qmcReplicates
+		pts := ls.qpts[:(start+n-1)/qmcReplicates-first+1]
+		for j := range pts {
+			estimator.SobolCoords(uint64(first+j), pts[j][:])
+		}
+		for d := 0; d < Dims; d++ {
+			e := ls.epsT[d][:n]
+			for k := range e {
+				i := start + k
+				e[k] = estimator.SobolUniform(pts[i/qmcReplicates-first][d], lk.qshifts[i%qmcReplicates][d])
 			}
+			estimator.PhiInvLane(e, e)
 		}
 		return
 	}

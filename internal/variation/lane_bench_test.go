@@ -3,6 +3,8 @@ package variation
 import (
 	"context"
 	"testing"
+
+	"repro/internal/estimator"
 )
 
 // BenchmarkNormsInto measures the per-draw cost of filling one
@@ -38,20 +40,29 @@ func BenchmarkNormsInto(b *testing.B) {
 
 // BenchmarkLaneKernel measures the engine-level sampling kernel on the
 // same single-candidate scenario the yield facade evaluates, with the
-// facade, fold and stopping rule around it.
+// facade, fold and stopping rule around it: lane draws ziggurat normals
+// (the mc rung), qmc scrambled Sobol points through Φ⁻¹.
 func BenchmarkLaneKernel(b *testing.B) {
 	sc := testScenario(b, 520e-12)
 	const samples = 2048
-	o := YieldOptions{Samples: samples, Seed: 1, Workers: 1}
-	b.Run("lane", func(b *testing.B) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := EstimateLinkYieldCtx(context.Background(), sc, o); err != nil {
-				b.Fatal(err)
+	for _, c := range []struct {
+		name string
+		kind estimator.Kind
+	}{
+		{"lane", estimator.Auto},
+		{"qmc", estimator.QMC},
+	} {
+		o := YieldOptions{Samples: samples, Seed: 1, Workers: 1, Estimator: c.kind}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := EstimateLinkYieldCtx(context.Background(), sc, o); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/samples, "ns/sample")
-		b.ReportMetric(samples, "samples/op")
-	})
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/samples, "ns/sample")
+			b.ReportMetric(samples, "samples/op")
+		})
+	}
 }

@@ -336,6 +336,65 @@ func TestDrawPhaseWedgeAndTail(t *testing.T) {
 	t.Logf("%d tail and %d wedge draws", tails, wedges)
 }
 
+// TestDrawPhaseQMC holds drawPhase's QMC branch to the per-sample
+// reference, estimator.SobolNormal of point i/R under replicate i%R's
+// shift, bit for bit, on lanes of 1, 13, 63 and 64 samples that start
+// off the replicate grid and cross the point-index boundaries 255→256
+// and 1023→1024. The lanes must hold draws from both tails of Φ⁻¹'s
+// rational approximation and draws where Erfc takes its exponential
+// branch (|x| ≥ 1.25·√2), or the fixture has lost its teeth.
+func TestDrawPhaseQMC(t *testing.T) {
+	sc := testScenario(t, 520e-12)
+	ms := &MultiScenario{Base: sc.Base, Coeffs: sc.Coeffs, Space: sc.Space, Specs: []model.LineSpec{sc.Spec}, Target: sc.Target}
+	lanes := []struct{ start, n int }{
+		{3, 1}, {2043, 13}, {2013, laneSize}, {2047, 1}, {8165, 63}, {8157, laneSize}, {8191, 13},
+	}
+	var lower, upper, expBranch int
+	var want, u [Dims]float64
+	for _, seed := range []uint64{1, 2} {
+		ro := YieldOptions{Samples: 1 << 14, Seed: seed}.runOptions().withDefaults()
+		d, err := newDriver(context.Background(), ms, ro, estimator.QMC)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var shifts [qmcReplicates][]uint64
+		for r := range shifts {
+			shifts[r] = estimator.SobolShift(seed, uint64(r), Dims)
+		}
+		ls := d.lsc[0]
+		for _, l := range lanes {
+			if l.start%qmcReplicates == 0 {
+				t.Fatalf("lane [%d, +%d) starts on the replicate grid", l.start, l.n)
+			}
+			d.lk.drawPhase(ls, l.start, l.n)
+			for k := 0; k < l.n; k++ {
+				i := l.start + k
+				estimator.SobolNormal(uint64(i/qmcReplicates), shifts[i%qmcReplicates], want[:])
+				estimator.SobolPoint(uint64(i/qmcReplicates), shifts[i%qmcReplicates], u[:])
+				for dim, w := range want {
+					if got := ls.epsT[dim][k]; math.Float64bits(got) != math.Float64bits(w) {
+						t.Fatalf("seed %d sample %d dim %d: drawPhase %v, SobolNormal %v", seed, i, dim, got, w)
+					}
+					switch {
+					case u[dim] < 0.02425:
+						lower++
+					case u[dim] > 1-0.02425:
+						upper++
+					}
+					if math.Abs(w) >= 1.25*math.Sqrt2 {
+						expBranch++
+					}
+				}
+			}
+		}
+		d.close()
+	}
+	if lower == 0 || upper == 0 || expBranch == 0 {
+		t.Fatalf("%d lower-tail, %d upper-tail and %d exponential-branch draws; the fixture lost its teeth", lower, upper, expBranch)
+	}
+	t.Logf("%d lower-tail, %d upper-tail and %d exponential-branch draws", lower, upper, expBranch)
+}
+
 // TestLanePartialBitIdentity covers the coordinator shard path: a
 // shard's sparse contributions must be exactly the nonzero rows of the
 // scalar reference over its range, for every shardable rung, at shard
