@@ -19,8 +19,10 @@ test:
 race:
 	$(GO) test -race -shuffle=on ./...
 
+# bench/ is its own module, so ./... skips it; vet it too, as CI does.
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 
 # Runs staticcheck when it is on PATH (CI installs it; locally it is
 # optional so a bare toolchain can still run every other target).

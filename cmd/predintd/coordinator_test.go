@@ -314,54 +314,3 @@ func TestCoordinatorSurfaceOwnerRouting(t *testing.T) {
 		t.Errorf("recorded class present on %d replicas, want exactly 1 (the rendezvous owner)", owners)
 	}
 }
-
-// TestCoordinatorSurfaceVersionRefusal is the satellite-3 regression:
-// surface versions are per-replica, so after this replica invalidates,
-// a probe routed to the owning replica — whose cache still holds points
-// recorded under the old version — must be refused, and the request
-// re-sampled, bit-identically. Without the version guard the second
-// query would be served the stale pre-invalidation interpolation.
-func TestCoordinatorSurfaceVersionRefusal(t *testing.T) {
-	_, urls := testCluster(t, 2, true)
-	local := surface.New(surface.Options{})
-	coord := testCoordinator(t, urls, local, 512)
-	req := coordReq("mc", 2048)
-	req.NoSurface = false
-
-	first, err := coord.Estimate(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Warm control: versions agree, the owner answers.
-	warm, err := coord.Estimate(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.Source != "surface" {
-		t.Fatalf("version-consistent probe missed: source %q", warm.Source)
-	}
-
-	// This replica invalidates (stale tech descriptor, say); its
-	// version moves while the owner still holds old-version points.
-	if local.InvalidateAll() == 0 {
-		t.Fatal("local invalidation dropped nothing — the coordinator never recorded locally")
-	}
-	refusals0 := obs.Snapshot()["coordinator.version_refusals"]
-	after, err := coord.Estimate(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after.Source != "surface" && after.Source != "mc" {
-		t.Fatalf("post-invalidation query: source %q", after.Source)
-	}
-	if after.Source == "surface" {
-		t.Fatalf("post-invalidation query served from a cross-version surface — the stale-answer bug")
-	}
-	if got := obs.Snapshot()["coordinator.version_refusals"] - refusals0; got == 0 {
-		t.Errorf("version-refusal counter did not move on a cross-version probe")
-	}
-	// Re-sampling the same request reproduces the same estimate.
-	if after.FailProb != first.FailProb || after.StdErr != first.StdErr || after.Samples != first.Samples {
-		t.Fatalf("re-sampled post-invalidation answer differs:\n  first: %+v\n  after: %+v", first, after)
-	}
-}

@@ -62,8 +62,10 @@ func FuzzShardRequestBody(f *testing.F) {
 		`{"op": "sample", "req": {"Tech": "90nm", "LengthMM": 5, "Samples": 16}, "start": 8, "count": 9}`,
 		`{"op": "sample", "req": {"Tech": "90nm", "LengthMM": 5}, "start": -1, "count": 4}`,
 		`{"op": "sample", "req": {"Tech": "90nm", "LengthMM": 1e9, "InputSlewPS": 1e-300, "TargetPS": 1e308}, "start": 0, "count": 1}`,
+		`{"op": "probe", "req": {"Tech": "90nm", "LengthMM": 5}}`,
+		`{"op": "record", "req": {"Tech": "90nm", "LengthMM": 5}, "result": {"Yield": 0.5, "FailProb": 0.5, "Samples": 64, "Estimator": "mc", "Source": "mc"}}`,
+		// A peer still sending the retired surface_version field: a 400.
 		`{"op": "probe", "req": {"Tech": "90nm", "LengthMM": 5}, "surface_version": 0}`,
-		`{"op": "record", "req": {"Tech": "90nm", "LengthMM": 5}, "surface_version": 0, "result": {"Yield": 0.5, "FailProb": 0.5, "Samples": 64, "Estimator": "mc", "Source": "mc"}}`,
 		`{"op": "bogus"}`,
 		`{"op": "sample", "req": {"Tech": "90nm", "LengthMM": 5}, "extra": 1}`,
 		`{"op": "sample",`,

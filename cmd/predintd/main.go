@@ -31,12 +31,13 @@
 // shards retry against the next replica (-shard-attempts) and degrade
 // to local execution when the worker set is exhausted; surface probes
 // and records route to the replica owning the request's link class
-// under rendezvous hashing, guarded by per-replica surface versions.
+// under rendezvous hashing.
 //
-// The worker set is managed, not static: a background prober hits each
-// worker's /readyz every -worker-probe-interval, ejecting a worker
-// after -worker-eject-after consecutive failures and readmitting it
-// after -worker-readmit-after consecutive successes; every worker
+// The worker roster is fixed by -workers at startup, and managed: a
+// background prober hits each worker's /readyz every
+// -worker-probe-interval, ejecting a worker after -worker-eject-after
+// consecutive failures and readmitting it after -worker-readmit-after
+// consecutive successes; every worker
 // carries a circuit breaker consulted before dispatch; and with
 // -hedge-after > 0 a straggling shard is hedged onto a second healthy
 // replica, first valid answer winning. GET /v1/internal/workers
@@ -127,7 +128,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// exactly the repeated-traffic shape the cache exists for — and a
 	// strict acceleration: cold or out-of-band queries run the
 	// unchanged full pipeline. The cache is per-server state (each
-	// replica owns its own invalidation version), not process-global.
+	// replica owns its own warm points), not process-global.
 	if !*noSurfaceFlag {
 		s.surf = surface.New(surface.Options{})
 	}

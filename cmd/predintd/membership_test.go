@@ -106,17 +106,20 @@ func statusOf(c *coordinator.Coordinator, addr string) coordinator.WorkerStatus 
 
 // TestReadyzGatesOnFirstProbe pins the front replica's readiness gate:
 // with the prober on, /readyz stays 503 until the coordinator has seen
-// one live worker, and a worker joined at runtime (AddWorker) flips it.
-// The admin endpoint must meanwhile expose the dead seed worker as
-// ejected with its probe error.
+// one live worker, and a configured worker coming up flips it. The
+// admin endpoint must meanwhile expose the dead worker as ejected with
+// its probe error.
 func TestReadyzGatesOnFirstProbe(t *testing.T) {
 	// A worker address that refuses connections: bind, then close.
 	deadTS := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
 	deadURL := deadTS.URL
 	deadTS.Close()
+	// A worker that is down at startup and comes up later.
+	_, gates, lateURLs := chaosCluster(t, 1, false)
+	gates[0].mode.Store(chaosDead)
 
 	coord, err := coordinator.New(coordinator.Config{
-		Workers:       []string{deadURL},
+		Workers:       []string{deadURL, lateURLs[0]},
 		Client:        &http.Client{Timeout: 2 * time.Second},
 		ProbeInterval: 10 * time.Millisecond,
 		ProbeTimeout:  200 * time.Millisecond,
@@ -150,16 +153,13 @@ func TestReadyzGatesOnFirstProbe(t *testing.T) {
 		t.Fatalf("healthz is liveness, not readiness: status %d, want 200", got)
 	}
 
-	// A live worker joins at runtime; the first successful probe of it
-	// makes the front replica ready.
-	_, liveURLs := testCluster(t, 1, false)
-	if err := coord.AddWorker(liveURLs[0]); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, 3*time.Second, "readyz to flip after the live worker joined", func() bool {
+	// The late worker comes up; the first successful probe of it makes
+	// the front replica ready.
+	gates[0].mode.Store(chaosOK)
+	waitFor(t, 3*time.Second, "readyz to flip after the late worker came up", func() bool {
 		return getStatus("/readyz") == http.StatusOK
 	})
-	waitFor(t, 3*time.Second, "the dead seed worker to be ejected", func() bool {
+	waitFor(t, 3*time.Second, "the dead worker to be ejected", func() bool {
 		return statusOf(coord, deadURL).State == "ejected"
 	})
 	if st := statusOf(coord, deadURL); st.LastProbeError == "" {
@@ -191,8 +191,8 @@ func TestReadyzGatesOnFirstProbe(t *testing.T) {
 	if states[deadURL] != "ejected" {
 		t.Errorf("dead worker state %q over HTTP, want ejected", states[deadURL])
 	}
-	if states[liveURLs[0]] != "ready" {
-		t.Errorf("live worker state %q over HTTP, want ready", states[liveURLs[0]])
+	if states[lateURLs[0]] != "ready" {
+		t.Errorf("late worker state %q over HTTP, want ready", states[lateURLs[0]])
 	}
 }
 
@@ -268,20 +268,16 @@ func TestWorkerEvictionAndReadmission(t *testing.T) {
 	}
 }
 
-// TestReadmissionSurfaceVersionRefusal is the churn/coherence corner:
-// a worker that owned a recorded surface point dies, the coordinator
-// invalidates its own surface while the owner is away, and the owner
-// comes back still holding old-version points. The readmitted owner's
-// probe must be refused by the version guard and the request
-// re-sampled — bit-identically — rather than served the stale point.
-func TestReadmissionSurfaceVersionRefusal(t *testing.T) {
+// TestReadmissionRestoresWarmOwner is the churn/surface corner: the
+// worker that owns a recorded surface point dies, the class is
+// re-sampled elsewhere while it is away — bit-identically — and once
+// readmitted the owner serves the class again from its warm point.
+func TestReadmissionRestoresWarmOwner(t *testing.T) {
 	servers, gates, urls := chaosCluster(t, 2, true)
-	local := surface.New(surface.Options{})
 	coord, err := coordinator.New(coordinator.Config{
 		Workers:       urls,
 		Client:        &http.Client{Timeout: 2 * time.Second},
 		ShardSamples:  512,
-		Surface:       local,
 		ProbeInterval: 15 * time.Millisecond,
 		ProbeTimeout:  200 * time.Millisecond,
 		EjectAfter:    2,
@@ -298,12 +294,8 @@ func TestReadmissionSurfaceVersionRefusal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := coord.Estimate(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.Source != "surface" {
-		t.Fatalf("warm control query: source %q, want surface", warm.Source)
+	if first.Source != "mc" {
+		t.Fatalf("cold query: source %q, want mc", first.Source)
 	}
 
 	// The rendezvous owner is the one replica holding the point.
@@ -316,34 +308,37 @@ func TestReadmissionSurfaceVersionRefusal(t *testing.T) {
 	if ownerIdx < 0 {
 		t.Fatal("no replica holds the recorded point")
 	}
+	owner := servers[ownerIdx].surf
 
 	gates[ownerIdx].mode.Store(chaosDead)
 	waitFor(t, 3*time.Second, "the owner to be ejected", func() bool {
 		return statusOf(coord, urls[ownerIdx]).State == "ejected"
 	})
-	// While the owner is away, this replica's surface is invalidated:
-	// its version moves past the owner's recorded points.
-	if local.InvalidateAll() == 0 {
-		t.Fatal("local invalidation dropped nothing — the estimate was never recorded locally")
+	away, err := coord.Estimate(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if away != first {
+		t.Fatalf("answer with the owner ejected differs from the first run:\n  first: %+v\n  away:  %+v", first, away)
+	}
+
 	gates[ownerIdx].mode.Store(chaosOK)
 	waitFor(t, 3*time.Second, "the owner to be readmitted", func() bool {
 		return statusOf(coord, urls[ownerIdx]).State == "ready"
 	})
-
-	refusals0 := obs.Snapshot()["coordinator.version_refusals"]
+	hits0 := owner.Stats().Hits
 	after, err := coord.Estimate(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if after.Source == "surface" {
-		t.Fatal("readmitted owner served its stale pre-invalidation point — the version guard failed")
+	if after.Source != "surface" {
+		t.Fatalf("readmitted owner did not answer from its warm point: source %q", after.Source)
 	}
 	if after.FailProb != first.FailProb || after.StdErr != first.StdErr || after.Samples != first.Samples {
-		t.Fatalf("re-sampled post-readmission answer differs:\n  first: %+v\n  after: %+v", first, after)
+		t.Fatalf("warm answer after readmission differs:\n  first: %+v\n  after: %+v", first, after)
 	}
-	if got := obs.Snapshot()["coordinator.version_refusals"] - refusals0; got == 0 {
-		t.Error("version-refusal counter did not move on the readmitted owner's probe")
+	if got := owner.Stats().Hits - hits0; got != 1 {
+		t.Errorf("readmitted owner's surface served %d hits, want 1", got)
 	}
 }
 

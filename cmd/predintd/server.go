@@ -73,7 +73,7 @@ type server struct {
 	// surf is this replica's own yield-surface cache (nil when running
 	// surface-less). It is per-server, not process-global, so loopback
 	// multi-replica tests — and real multi-replica deployments — get
-	// independent invalidation state per replica.
+	// independent warm state per replica.
 	surf *surface.Cache
 	// coord, when set, fans /v1/yield sample ranges out over the
 	// configured worker replicas; nil serves everything locally.

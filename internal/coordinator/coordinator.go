@@ -23,10 +23,10 @@ import (
 
 // Config configures a Coordinator.
 type Config struct {
-	// Workers lists the seed replica base addresses ("host:port" or
-	// full URLs). Required, non-empty. The set is dynamic afterwards:
-	// the health prober evicts and readmits members, and
-	// AddWorker/RemoveWorker change the roster at runtime.
+	// Workers lists the replica base addresses ("host:port" or full
+	// URLs). Required, non-empty, no duplicates. The roster is fixed
+	// here; afterwards the health prober only evicts and readmits its
+	// members.
 	Workers []string
 	// Client is the HTTP client for shard RPCs; nil gets a 10 s
 	// timeout default.
@@ -42,7 +42,7 @@ type Config struct {
 	MaxAttempts int
 	// Surface is this replica's own surface cache (nil when running
 	// surface-less). Completed estimates are recorded here as well as
-	// at the owning replica, and its version guards cache exchanges.
+	// at the owning replica.
 	Surface *surface.Cache
 
 	// ProbeInterval is the background health-probe period; 0 disables
@@ -50,10 +50,6 @@ type Config struct {
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one health probe; default 1 s.
 	ProbeTimeout time.Duration
-	// ProbePath is the worker readiness endpoint probed; default
-	// "/readyz" (predintd's readiness split: /healthz stays pure
-	// process liveness and keeps answering during a drain).
-	ProbePath string
 	// EjectAfter is the consecutive-probe-failure count that evicts a
 	// member from dispatch; default 3.
 	EjectAfter int
@@ -72,21 +68,23 @@ type Config struct {
 	HedgeAfter time.Duration
 }
 
+// probePath is the worker readiness endpoint the prober hits:
+// predintd's /readyz, which fails during a drain while /healthz stays
+// pure process liveness.
+const probePath = "/readyz"
+
 // Coordinator fans yield requests out over a managed worker set. Safe
 // for concurrent use. Close stops the background health prober.
 type Coordinator struct {
-	client           *http.Client
-	shardSamples     int
-	maxAttempts      int
-	hedgeAfter       time.Duration
-	probeInterval    time.Duration
-	probeTimeout     time.Duration
-	probePath        string
-	breakerThreshold int
-	breakerCooldown  time.Duration
-	surf             *surface.Cache
-	mem              *membership
-	scratch          sync.Pool // *rpcScratch
+	client        *http.Client
+	shardSamples  int
+	maxAttempts   int
+	hedgeAfter    time.Duration
+	probeInterval time.Duration
+	probeTimeout  time.Duration
+	surf          *surface.Cache
+	mem           *membership
+	scratch       sync.Pool // *rpcScratch
 
 	closeOnce sync.Once
 	stop      chan struct{}
@@ -127,34 +125,28 @@ func New(cfg Config) (*Coordinator, error) {
 		client = &http.Client{Timeout: 10 * time.Second}
 	}
 	c := &Coordinator{
-		client:           client,
-		shardSamples:     cfg.ShardSamples,
-		maxAttempts:      cfg.MaxAttempts,
-		hedgeAfter:       cfg.HedgeAfter,
-		probeInterval:    cfg.ProbeInterval,
-		probeTimeout:     cfg.ProbeTimeout,
-		probePath:        cfg.ProbePath,
-		breakerThreshold: cfg.BreakerThreshold,
-		breakerCooldown:  cfg.BreakerCooldown,
-		surf:             cfg.Surface,
-		stop:             make(chan struct{}),
+		client:        client,
+		shardSamples:  cfg.ShardSamples,
+		maxAttempts:   cfg.MaxAttempts,
+		hedgeAfter:    cfg.HedgeAfter,
+		probeInterval: cfg.ProbeInterval,
+		probeTimeout:  cfg.ProbeTimeout,
+		surf:          cfg.Surface,
+		stop:          make(chan struct{}),
 	}
 	if c.probeTimeout <= 0 {
 		c.probeTimeout = time.Second
 	}
-	if c.probePath == "" {
-		c.probePath = "/readyz"
+	threshold, cooldown := cfg.BreakerThreshold, cfg.BreakerCooldown
+	if threshold <= 0 {
+		threshold = 3
 	}
-	if c.breakerThreshold <= 0 {
-		c.breakerThreshold = 3
-	}
-	if c.breakerCooldown <= 0 {
-		c.breakerCooldown = 5 * time.Second
+	if cooldown <= 0 {
+		cooldown = 5 * time.Second
 	}
 	c.mem = &membership{
 		ejectAfter:   cfg.EjectAfter,
 		readmitAfter: cfg.ReadmitAfter,
-		members:      map[string]*member{},
 	}
 	if c.mem.ejectAfter <= 0 {
 		c.mem.ejectAfter = 3
@@ -162,14 +154,17 @@ func New(cfg Config) (*Coordinator, error) {
 	if c.mem.readmitAfter <= 0 {
 		c.mem.readmitAfter = 2
 	}
+	seen := make(map[string]bool, len(cfg.Workers))
 	for i, w := range cfg.Workers {
 		norm, err := normalizeWorker(w)
 		if err != nil {
 			return nil, fmt.Errorf("coordinator: worker at index %d: %w", i, err)
 		}
-		if !c.mem.add(newMember(norm, c.breakerThreshold, c.breakerCooldown)) {
+		if seen[norm] {
 			return nil, fmt.Errorf("coordinator: duplicate worker %s", norm)
 		}
+		seen[norm] = true
+		c.mem.members = append(c.mem.members, newMember(norm, threshold, cooldown))
 	}
 	if c.probeInterval > 0 {
 		c.done = make(chan struct{})
@@ -201,43 +196,6 @@ func (c *Coordinator) Close() {
 	})
 }
 
-// Workers returns the current members' normalized URLs in stable join
-// order, ejected ones included.
-func (c *Coordinator) Workers() []string {
-	mems := c.mem.snapshot()
-	out := make([]string, len(mems))
-	for i, m := range mems {
-		out[i] = m.addr
-	}
-	return out
-}
-
-// AddWorker joins a replica to the live set. It becomes eligible for
-// dispatch immediately and is health-probed on the next cycle.
-func (c *Coordinator) AddWorker(addr string) error {
-	norm, err := normalizeWorker(addr)
-	if err != nil {
-		return fmt.Errorf("coordinator: %w", err)
-	}
-	if !c.mem.add(newMember(norm, c.breakerThreshold, c.breakerCooldown)) {
-		return fmt.Errorf("coordinator: worker %s is already a member", norm)
-	}
-	return nil
-}
-
-// RemoveWorker leaves a replica from the live set. Outstanding
-// requests to it complete; no new work is dispatched.
-func (c *Coordinator) RemoveWorker(addr string) error {
-	norm, err := normalizeWorker(addr)
-	if err != nil {
-		return fmt.Errorf("coordinator: %w", err)
-	}
-	if !c.mem.remove(norm) {
-		return fmt.Errorf("coordinator: worker %s is not a member", norm)
-	}
-	return nil
-}
-
 // Ready reports whether the coordinator is fit to serve: always with
 // the prober disabled, otherwise only after the first successful
 // worker probe. predintd's /readyz gates on this, so a front replica
@@ -252,9 +210,8 @@ func (c *Coordinator) Ready() bool {
 // WorkersStatus snapshots every member's state for the admin endpoint.
 func (c *Coordinator) WorkersStatus() []WorkerStatus {
 	now := time.Now()
-	mems := c.mem.snapshot()
-	out := make([]WorkerStatus, len(mems))
-	for i, m := range mems {
+	out := make([]WorkerStatus, len(c.mem.members))
+	for i, m := range c.mem.members {
 		out[i] = m.status(now)
 	}
 	return out
@@ -287,7 +244,7 @@ func (c *Coordinator) probeAll() {
 	const maxConcurrentProbes = 8
 	sem := make(chan struct{}, maxConcurrentProbes)
 	var wg sync.WaitGroup
-	for _, m := range c.mem.snapshot() {
+	for _, m := range c.mem.members {
 		select {
 		case <-c.stop:
 			wg.Wait()
@@ -315,7 +272,7 @@ func (c *Coordinator) probeOne(m *member) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), c.probeTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, m.addr+c.probePath, nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, m.addr+probePath, nil)
 	if err != nil {
 		c.mem.probeFailure(m, err)
 		return
@@ -328,7 +285,7 @@ func (c *Coordinator) probeOne(m *member) {
 	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		c.mem.probeFailure(m, fmt.Errorf("probe %s%s: status %d", m.addr, c.probePath, resp.StatusCode))
+		c.mem.probeFailure(m, fmt.Errorf("probe %s%s: status %d", m.addr, probePath, resp.StatusCode))
 		return
 	}
 	c.mem.probeSuccess(m)
@@ -338,15 +295,15 @@ func (c *Coordinator) probeOne(m *member) {
 // with the highest score mix64(classHash ^ fnv(addr)). Scoring by
 // address keeps ownership a pure function of (class, live set): every
 // replica computes the same owner, reordering the roster changes
-// nothing, and a join or leave moves only the ~1/N classes whose best
-// address changed. Falls back to the full set when everything is
-// ejected, so routing stays defined while the fleet recovers.
+// nothing, and an eviction moves only the ~1/N classes the evicted
+// member owned, which return on its readmission. Falls back to the
+// full set when everything is ejected, so routing stays defined while
+// the fleet recovers.
 func (c *Coordinator) owner(classHash uint64) *member {
-	mems := c.mem.snapshot()
 	pick := func(includeEjected bool) *member {
 		var best *member
 		var bestScore uint64
-		for _, m := range mems {
+		for _, m := range c.mem.members {
 			if !includeEjected && m.isEjected() {
 				continue
 			}
@@ -431,11 +388,7 @@ func (c *Coordinator) probeOwner(ctx context.Context, owner *member, req predint
 		metOwnerProbeMisses.Inc()
 		return predint.YieldResult{}, false
 	}
-	resp, err := c.callMember(ctx, owner, ShardRequest{
-		Op:             OpProbe,
-		Req:            req,
-		SurfaceVersion: predint.Surfaced{Cache: c.surf}.Version(),
-	})
+	resp, err := c.callMember(ctx, owner, ShardRequest{Op: OpProbe, Req: req})
 	if err != nil || !resp.ProbeHit || resp.Result == nil {
 		metOwnerProbeMisses.Inc()
 		return predint.YieldResult{}, false
@@ -449,12 +402,7 @@ func (c *Coordinator) recordOwner(ctx context.Context, owner *member, req predin
 	if !owner.eligible(time.Now()) {
 		return
 	}
-	_, _ = c.callMember(ctx, owner, ShardRequest{
-		Op:             OpRecord,
-		Req:            req,
-		SurfaceVersion: predint.Surfaced{Cache: c.surf}.Version(),
-		Result:         &res,
-	})
+	_, _ = c.callMember(ctx, owner, ShardRequest{Op: OpRecord, Req: req, Result: &res})
 }
 
 // shardRange is one contiguous piece of the sample-index range.
@@ -475,9 +423,9 @@ type shardResult struct {
 // merged prefix is re-folded; when the global stopping rule fires
 // inside it, outstanding shards are cancelled — the stopping decision
 // stays global and index-ordered even though evaluation is not.
-// Membership churn mid-run only moves where shards execute (each shard
-// is a pure function of the request and its index range), so the
-// merged estimate is unchanged by any join, leave, or eviction.
+// Evictions, readmissions, retries and hedges mid-run only move where
+// shards execute (each shard is a pure function of the request and its
+// index range), so the merged estimate is unchanged by any of them.
 func (c *Coordinator) sample(ctx context.Context, plan *predint.YieldShardPlan, req predint.YieldRequest) (variation.Estimate, error) {
 	total := plan.Samples()
 	batch := plan.Batch()
@@ -596,7 +544,7 @@ func (c *Coordinator) sample(ctx context.Context, plan *predint.YieldShardPlan, 
 // candidate's breaker in passing, so tests can stage trips without
 // manufacturing real failures.
 func (c *Coordinator) pick(start int, exclude map[string]bool) *member {
-	mems := c.mem.snapshot()
+	mems := c.mem.members
 	n := len(mems)
 	if n == 0 {
 		return nil
@@ -625,7 +573,7 @@ func (c *Coordinator) pick(start int, exclude map[string]bool) *member {
 func (c *Coordinator) nextEligibleWait(now time.Time) (time.Duration, bool) {
 	var best time.Duration
 	found := false
-	for _, m := range c.mem.snapshot() {
+	for _, m := range c.mem.members {
 		m.mu.Lock()
 		if !m.ejected && m.retryAfterUntil.After(now) {
 			if d := m.retryAfterUntil.Sub(now); !found || d < best {
@@ -647,7 +595,7 @@ func (c *Coordinator) fetchShard(ctx context.Context, plan *predint.YieldShardPl
 	sr := ShardRequest{Op: OpSample, Req: req, Start: s.start, Count: s.count}
 	attempts := c.maxAttempts
 	if attempts <= 0 {
-		attempts = c.mem.size()
+		attempts = len(c.mem.members)
 	}
 	tried := map[string]bool{}
 	for a := 0; a < attempts; a++ {

@@ -27,13 +27,13 @@ func TestNewValidation(t *testing.T) {
 	}
 	defer c.Close()
 	want := []string{"http://host:8080", "http://other:9090", "http://padded:1"}
-	got := c.Workers()
+	got := c.WorkersStatus()
 	if len(got) != len(want) {
-		t.Fatalf("Workers() = %v, want %v", got, want)
+		t.Fatalf("WorkersStatus() = %+v, want addresses %v", got, want)
 	}
 	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("worker %d normalized to %q, want %q", i, got[i], want[i])
+		if got[i].Addr != want[i] {
+			t.Errorf("worker %d normalized to %q, want %q", i, got[i].Addr, want[i])
 		}
 	}
 }
@@ -78,15 +78,15 @@ func TestRendezvousOwnership(t *testing.T) {
 			t.Errorf("worker %s owns %d of 256 classes — rendezvous badly skewed", u, n)
 		}
 	}
-	if !strings.HasPrefix(c1.Workers()[0], "http://") {
-		t.Fatalf("unnormalized worker %q", c1.Workers()[0])
+	if addr := c1.WorkersStatus()[0].Addr; !strings.HasPrefix(addr, "http://") {
+		t.Fatalf("unnormalized worker %q", addr)
 	}
 }
 
 // TestRendezvousStabilityUnderChurn is the membership-churn contract:
-// a single leave moves only the classes the departed worker owned
-// (~1/N of them) and leaves every other assignment untouched; the
-// worker rejoining restores the original ownership map exactly.
+// ejecting one worker moves only the classes it owned (~1/N of them)
+// and leaves every other assignment untouched; readmitting it restores
+// the original ownership map exactly.
 func TestRendezvousStabilityUnderChurn(t *testing.T) {
 	workers := []string{"http://a:1", "http://b:2", "http://c:3", "http://d:4"}
 	c, err := New(Config{Workers: workers})
@@ -102,57 +102,38 @@ func TestRendezvousStabilityUnderChurn(t *testing.T) {
 		before[i] = c.owner(hash(uint64(i))).addr
 	}
 
-	const leaver = "http://b:2"
-	if err := c.RemoveWorker(leaver); err != nil {
-		t.Fatal(err)
+	leaver := c.mem.members[1]
+	setEjected := func(ejected bool) {
+		leaver.mu.Lock()
+		leaver.ejected = ejected
+		leaver.mu.Unlock()
 	}
+	setEjected(true)
 	moved := 0
 	for i := range before {
 		after := c.owner(hash(uint64(i))).addr
-		if after == leaver {
-			t.Fatalf("class %d still routed to the removed worker", i)
+		if after == leaver.addr {
+			t.Fatalf("class %d still routed to the ejected worker", i)
 		}
-		if before[i] == leaver {
+		if before[i] == leaver.addr {
 			moved++
 			continue
 		}
 		if after != before[i] {
-			t.Errorf("class %d moved %s -> %s although its owner never left", i, before[i], after)
+			t.Errorf("class %d moved %s -> %s although its owner was never ejected", i, before[i], after)
 		}
 	}
-	// The leaver's share should be roughly classes/4; a massive share
-	// would mean the hash is skewed, zero would mean the removal was a
-	// no-op.
+	// The ejected worker's share should be roughly classes/4; a massive
+	// share would mean the hash is skewed, zero would mean the
+	// ejection was a no-op.
 	if moved == 0 || moved > classes/2 {
-		t.Errorf("removed worker owned %d of %d classes, want a ~1/4 share", moved, classes)
+		t.Errorf("ejected worker owned %d of %d classes, want a ~1/4 share", moved, classes)
 	}
 
-	if err := c.AddWorker(leaver); err != nil {
-		t.Fatal(err)
-	}
+	setEjected(false)
 	for i := range before {
 		if got := c.owner(hash(uint64(i))).addr; got != before[i] {
-			t.Errorf("class %d owned by %s after rejoin, originally %s", i, got, before[i])
-		}
-	}
-
-	// Eviction re-routes exactly like removal, without forgetting the
-	// member: an ejected owner's classes land elsewhere, and
-	// readmission brings them home.
-	c.mem.members[leaver].mu.Lock()
-	c.mem.members[leaver].ejected = true
-	c.mem.members[leaver].mu.Unlock()
-	for i := range before {
-		if got := c.owner(hash(uint64(i))).addr; got == leaver {
-			t.Fatalf("class %d routed to an ejected worker", i)
-		}
-	}
-	c.mem.members[leaver].mu.Lock()
-	c.mem.members[leaver].ejected = false
-	c.mem.members[leaver].mu.Unlock()
-	for i := range before {
-		if got := c.owner(hash(uint64(i))).addr; got != before[i] {
-			t.Fatalf("class %d owned by %s after readmission, originally %s", i, got, before[i])
+			t.Errorf("class %d owned by %s after readmission, originally %s", i, got, before[i])
 		}
 	}
 }
@@ -274,7 +255,7 @@ func TestCancelledTrialReleasesBreaker(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	m := c.mem.snapshot()[0]
+	m := c.mem.members[0]
 
 	m.fail(time.Now()) // threshold 1: breaker opens
 	time.Sleep(5 * time.Millisecond)
@@ -360,9 +341,8 @@ func TestHandlerBodyCap(t *testing.T) {
 // consecutive successes readmit, and interleaved outcomes reset the
 // streaks.
 func TestMembershipEvictionReadmission(t *testing.T) {
-	ms := &membership{ejectAfter: 3, readmitAfter: 2, members: map[string]*member{}}
 	m := newMember("http://w:9", 3, time.Second)
-	ms.add(m)
+	ms := &membership{ejectAfter: 3, readmitAfter: 2, members: []*member{m}}
 
 	fail := func() { ms.probeFailure(m, context.DeadlineExceeded) }
 	okay := func() { ms.probeSuccess(m) }

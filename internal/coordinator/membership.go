@@ -14,7 +14,7 @@ import (
 
 // member is one worker replica under management: its normalized base
 // URL, health-probe bookkeeping, Retry-After backoff window, circuit
-// breaker, and address-keyed metrics. Members join Ready — a freshly
+// breaker, and address-keyed metrics. Members start Ready — a freshly
 // configured worker is dispatched to optimistically, and the prober
 // (or its first failing requests) demotes it if it turns out dead.
 type member struct {
@@ -87,80 +87,29 @@ func (m *member) backoff(until time.Time) {
 	m.mu.Unlock()
 }
 
-// membership is the managed worker set: a stable-ordered collection of
-// members mutated only by join/leave and by the health prober's
-// eviction/readmission decisions. Reads are lock-snapshot-cheap; the
-// shard hot path never holds the set lock across an RPC.
+// membership is the worker roster New builds, in configuration order.
+// The slice never changes after New; only each member's state does,
+// under the member's own lock, so the hot path reads it without a set
+// lock.
 type membership struct {
 	ejectAfter   int // consecutive probe failures before eviction
 	readmitAfter int // consecutive probe successes before readmission
 
-	mu      sync.RWMutex
-	members map[string]*member
-	order   []string // stable join order, drives round-robin + wave sizing
+	members []*member
 
 	probed atomic.Bool // at least one successful probe since startup
-}
-
-// snapshot returns the members in stable order. The slice is fresh;
-// the *member values are live and internally synchronized.
-func (ms *membership) snapshot() []*member {
-	ms.mu.RLock()
-	defer ms.mu.RUnlock()
-	out := make([]*member, 0, len(ms.order))
-	for _, addr := range ms.order {
-		out = append(out, ms.members[addr])
-	}
-	return out
-}
-
-func (ms *membership) size() int {
-	ms.mu.RLock()
-	defer ms.mu.RUnlock()
-	return len(ms.order)
 }
 
 // readyCount counts the non-ejected members — the effective fan-out
 // width of the next wave.
 func (ms *membership) readyCount() int {
 	n := 0
-	for _, m := range ms.snapshot() {
+	for _, m := range ms.members {
 		if !m.isEjected() {
 			n++
 		}
 	}
 	return n
-}
-
-// add joins a new member; false when the address is already a member.
-func (ms *membership) add(m *member) bool {
-	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	if _, dup := ms.members[m.addr]; dup {
-		return false
-	}
-	ms.members[m.addr] = m
-	ms.order = append(ms.order, m.addr)
-	return true
-}
-
-// remove leaves a member; false when the address is not a member.
-// In-flight requests to the removed member complete normally — only
-// new dispatch stops seeing it.
-func (ms *membership) remove(addr string) bool {
-	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	if _, ok := ms.members[addr]; !ok {
-		return false
-	}
-	delete(ms.members, addr)
-	for i, a := range ms.order {
-		if a == addr {
-			ms.order = append(ms.order[:i], ms.order[i+1:]...)
-			break
-		}
-	}
-	return true
 }
 
 // probeSuccess records a healthy probe: failure streak resets, and an
@@ -250,11 +199,10 @@ func (m *member) status(now time.Time) WorkerStatus {
 	return st
 }
 
-// Per-worker RPC metrics, keyed by worker address so they survive
-// membership churn: a worker that leaves and rejoins — or changes its
-// position in the set — keeps its counters. Registered lazily (worker
-// sets are runtime data) and deduplicated on the sanitized address, so
-// two coordinators in one process sharing a worker share its series.
+// Per-worker RPC metrics, keyed by worker address rather than roster
+// position. Registered when New builds the roster (worker sets are
+// runtime data) and deduplicated on the sanitized address, so two
+// coordinators in one process sharing a worker share its series.
 type workerMetrics struct {
 	requests *obs.Counter
 	errors   *obs.Counter

@@ -6,9 +6,7 @@
 // bit-identical to a single-process run at any shard count. The same
 // protocol carries surface-cache traffic: probes and records are
 // routed to the replica that owns the request's link class under
-// rendezvous hashing, and every cache exchange is guarded by the
-// owning replica's surface version so an invalidation on one replica
-// can never leak a stale answer through another.
+// rendezvous hashing.
 package coordinator
 
 import (
@@ -29,10 +27,10 @@ const (
 	// Start+Count) and returns its sparse partial accumulator.
 	OpSample = "sample"
 	// OpProbe asks the owning replica's warm surface for the request;
-	// refused unless the caller's surface version matches the owner's.
+	// a surface-less replica answers a miss.
 	OpProbe = "probe"
 	// OpRecord feeds a completed estimate into the owning replica's
-	// surface; dropped (Recorded=false) on a version mismatch.
+	// surface; a surface-less replica drops it (Recorded=false).
 	OpRecord = "record"
 )
 
@@ -48,10 +46,6 @@ type ShardRequest struct {
 	// Start and Count give the sample range of an OpSample.
 	Start int `json:"start,omitempty"`
 	Count int `json:"count,omitempty"`
-	// SurfaceVersion is the calling replica's surface version. OpProbe
-	// and OpRecord are refused when it does not match the serving
-	// replica's own version — the cross-version coherence guard.
-	SurfaceVersion uint64 `json:"surface_version"`
 	// Result carries the completed estimate of an OpRecord.
 	Result *predint.YieldResult `json:"result,omitempty"`
 }
@@ -63,22 +57,14 @@ type ShardResponse struct {
 	// request, which the coordinator asserts while merging.
 	Kind    string `json:"kind,omitempty"`
 	Shifted bool   `json:"shifted,omitempty"`
-	// Part is the sparse partial accumulator of an OpSample.
+	// Part is the sparse partial accumulator of an OpSample; the
+	// merge replays it exactly.
 	Part *variation.Partial `json:"part,omitempty"`
-	// Failures, WeightSum, and WeightSqSum summarize Part (failure
-	// count, Σw, Σw²) for logging and per-worker accounting; the merge
-	// itself replays Part exactly and never trusts the summary.
-	Failures    int     `json:"failures"`
-	WeightSum   float64 `json:"weight_sum"`
-	WeightSqSum float64 `json:"weight_sq_sum"`
-	// SurfaceVersion is the serving replica's surface version at the
-	// time of the answer.
-	SurfaceVersion uint64 `json:"surface_version"`
 	// ProbeHit and Result report an OpProbe: Result is set only on a
-	// warm, version-consistent hit.
+	// warm hit.
 	ProbeHit bool                 `json:"probe_hit,omitempty"`
 	Result   *predint.YieldResult `json:"result,omitempty"`
-	// Recorded acknowledges an OpRecord that passed the version guard.
+	// Recorded acknowledges an OpRecord the surface accepted.
 	Recorded bool `json:"recorded,omitempty"`
 }
 
@@ -86,7 +72,6 @@ var (
 	metShardsServed     = obs.NewCounter("coordinator.shards_served")
 	metProbesServed     = obs.NewCounter("coordinator.probes_served")
 	metRecordsServed    = obs.NewCounter("coordinator.records_served")
-	metVersionRefusals  = obs.NewCounter("coordinator.version_refusals")
 	metProbeHits        = obs.NewCounter("coordinator.probe_hits")
 	metLocalFallbacks   = obs.NewCounter("coordinator.local_fallbacks")
 	metStoppedMidWave   = obs.NewCounter("coordinator.stopped_mid_wave")
@@ -134,54 +119,27 @@ func ExecuteShard(ctx context.Context, surf *surface.Cache, sr ShardRequest) (Sh
 		if err != nil {
 			return ShardResponse{}, err
 		}
-		fails, sumW, sumW2 := part.Sums()
 		metShardsServed.Inc()
-		return ShardResponse{
-			Kind:           plan.Kind(),
-			Shifted:        shifted,
-			Part:           &part,
-			Failures:       fails,
-			WeightSum:      sumW,
-			WeightSqSum:    sumW2,
-			SurfaceVersion: sf.Version(),
-		}, nil
+		return ShardResponse{Kind: plan.Kind(), Shifted: shifted, Part: &part}, nil
 	case OpProbe:
 		metProbesServed.Inc()
-		out := ShardResponse{SurfaceVersion: sf.Version()}
-		if surf == nil || sr.SurfaceVersion != out.SurfaceVersion {
-			// Cross-version probe: the caller invalidated (or never
-			// had) the surface state this replica's points were
-			// recorded under. Refuse rather than serve a possibly
-			// stale interpolation.
-			if surf != nil {
-				metVersionRefusals.Inc()
-			}
-			return out, nil
+		if surf == nil {
+			return ShardResponse{}, nil
 		}
 		res, ok, err := sf.LinkYieldSurfaceCtx(ctx, sr.Req)
-		if err != nil {
+		if err != nil || !ok {
 			return ShardResponse{}, err
 		}
-		if ok {
-			out.ProbeHit = true
-			out.Result = &res
-		}
-		return out, nil
+		return ShardResponse{ProbeHit: true, Result: &res}, nil
 	case OpRecord:
 		metRecordsServed.Inc()
-		out := ShardResponse{SurfaceVersion: sf.Version()}
 		if surf == nil || sr.Result == nil {
-			return out, nil
-		}
-		if sr.SurfaceVersion != out.SurfaceVersion {
-			metVersionRefusals.Inc()
-			return out, nil
+			return ShardResponse{}, nil
 		}
 		if err := sf.RecordYield(sr.Req, *sr.Result); err != nil {
 			return ShardResponse{}, err
 		}
-		out.Recorded = true
-		return out, nil
+		return ShardResponse{Recorded: true}, nil
 	default:
 		return ShardResponse{}, fmt.Errorf("coordinator: unknown shard op %q", sr.Op)
 	}

@@ -1,5 +1,5 @@
 // Package surface is the yield-response-surface cache behind the
-// warm-start serving path: a versioned, concurrency-safe memo of
+// warm-start serving path: a concurrency-safe memo of
 // completed Monte Carlo yield estimates, organized so that repeated
 // production traffic — the same technology node, the same link
 // geometry, nearby clock targets — stops costing samples at all.
@@ -19,10 +19,9 @@
 // surface from) the full Monte Carlo kernel.
 //
 // Keys are value types that include a hash of the full technology
-// descriptor, so a different (or re-calibrated and re-registered)
-// technology can never alias a stale surface; Invalidate additionally
-// drops every entry of a tech hash and bumps the cache version for
-// observability.
+// descriptor, so two different descriptors can never share a surface.
+// Nothing invalidates an entry: the technology set and the models are
+// fixed for the life of the process, so a recorded point stays valid.
 package surface
 
 import (
@@ -41,13 +40,11 @@ import (
 )
 
 // Cache-wide observability: warm answers served, queries that fell
-// through to the kernel, points memoized, and entries dropped by
-// explicit invalidation.
+// through to the kernel, and points memoized.
 var (
-	metHits        = obs.NewCounter("surface.hits")
-	metMisses      = obs.NewCounter("surface.misses")
-	metRecords     = obs.NewCounter("surface.records")
-	metInvalidated = obs.NewCounter("surface.invalidated_entries")
+	metHits    = obs.NewCounter("surface.hits")
+	metMisses  = obs.NewCounter("surface.misses")
+	metRecords = obs.NewCounter("surface.records")
 	// metCrossEstimator counts interpolations refused because the
 	// bracketing points came from different estimators — numbers two
 	// rungs of the ladder produced are not one smooth curve, and
@@ -57,9 +54,9 @@ var (
 
 // Geometry is the comparable geometric identity of a routed segment:
 // everything wire.Segment carries except the technology pointer (the
-// technology participates in the Key through its hash instead, so two
-// registrations of identical descriptors share a surface and a changed
-// descriptor can never alias a stale one).
+// technology participates in the Key through its hash instead, so
+// identical descriptors share a surface and differing ones never
+// alias).
 type Geometry struct {
 	Layer          tech.WireLayer
 	Style          wire.Style
@@ -107,10 +104,8 @@ var techHashes sync.Map // *tech.Technology → uint64
 
 // TechHash fingerprints a technology descriptor: FNV-1a over the
 // printed value of every field. Two descriptors hash equal iff their
-// parameters are identical, so the hash doubles as the surface's
-// version key — recalibrating a technology (registering an edited
-// Clone) moves its surfaces to a fresh key instead of serving stale
-// interpolations.
+// parameters are identical, so an edited Clone keys its own surfaces
+// instead of reading another descriptor's interpolations.
 func TechHash(t *tech.Technology) uint64 {
 	if h, ok := techHashes.Load(t); ok {
 		return h.(uint64)
@@ -246,8 +241,8 @@ func (o Options) withDefaults() Options {
 
 // Stats is a point-in-time view of one cache's counters.
 type Stats struct {
-	Entries, Points                      int
-	Hits, Misses, Records, Invalidations int64
+	Entries, Points       int
+	Hits, Misses, Records int64
 }
 
 // entry is one link class's surface: the memoized nominal design and
@@ -266,19 +261,13 @@ type Cache struct {
 	mu      sync.RWMutex
 	entries map[Key]*entry
 
-	version                       atomic.Uint64
-	hits, misses, records, invals atomic.Int64
+	hits, misses, records atomic.Int64
 }
 
 // New builds an empty cache.
 func New(o Options) *Cache {
 	return &Cache{opts: o.withDefaults(), entries: map[Key]*entry{}}
 }
-
-// Version returns the invalidation generation: it starts at 0 and
-// bumps once per Invalidate/InvalidateAll call that dropped anything,
-// so operators can tell a cold cache from a freshly flushed one.
-func (c *Cache) Version() uint64 { return c.version.Load() }
 
 // Stats snapshots the cache counters.
 func (c *Cache) Stats() Stats {
@@ -296,7 +285,7 @@ func (c *Cache) Stats() Stats {
 	return Stats{
 		Entries: entries, Points: points,
 		Hits: c.hits.Load(), Misses: c.misses.Load(),
-		Records: c.records.Load(), Invalidations: c.invals.Load(),
+		Records: c.records.Load(),
 	}
 }
 
@@ -488,39 +477,4 @@ func (c *Cache) miss() (Estimate, bool) {
 	c.misses.Add(1)
 	metMisses.Inc()
 	return Estimate{}, false
-}
-
-// Invalidate drops every entry whose key carries the tech hash,
-// returning the number dropped and bumping the version when any were.
-func (c *Cache) Invalidate(techHash uint64) int {
-	c.mu.Lock()
-	dropped := 0
-	for k := range c.entries {
-		if k.TechHash == techHash {
-			delete(c.entries, k)
-			dropped++
-		}
-	}
-	c.mu.Unlock()
-	c.noteInvalidated(dropped)
-	return dropped
-}
-
-// InvalidateAll drops every entry, returning the number dropped.
-func (c *Cache) InvalidateAll() int {
-	c.mu.Lock()
-	dropped := len(c.entries)
-	c.entries = map[Key]*entry{}
-	c.mu.Unlock()
-	c.noteInvalidated(dropped)
-	return dropped
-}
-
-func (c *Cache) noteInvalidated(dropped int) {
-	if dropped == 0 {
-		return
-	}
-	c.version.Add(1)
-	c.invals.Add(int64(dropped))
-	metInvalidated.Add(int64(dropped))
 }

@@ -254,45 +254,9 @@ func TestDesignMemo(t *testing.T) {
 	}
 }
 
-func TestInvalidateByTechHash(t *testing.T) {
-	c := New(Options{})
-	k := testKey(t)
-	other := k
-	other.TechHash++
-	c.Record(k, dk, Sample{Target: 400e-12, FailProb: 0.02, StdErr: 0.002, Samples: 4096})
-	c.Record(other, dk, Sample{Target: 400e-12, FailProb: 0.02, StdErr: 0.002, Samples: 4096})
-	if v := c.Version(); v != 0 {
-		t.Fatalf("fresh cache at version %d", v)
-	}
-	if dropped := c.Invalidate(k.TechHash); dropped != 1 {
-		t.Fatalf("dropped %d entries, want 1", dropped)
-	}
-	if _, ok := c.Lookup(k, dk, 400e-12, Tolerance{}); ok {
-		t.Fatal("invalidated entry still served")
-	}
-	if _, ok := c.Lookup(other, dk, 400e-12, Tolerance{}); !ok {
-		t.Fatal("unrelated tech hash was dropped too")
-	}
-	if v := c.Version(); v != 1 {
-		t.Fatalf("version %d after invalidation, want 1", v)
-	}
-	if c.Invalidate(12345) != 0 {
-		t.Fatal("dropped entries for an unknown hash")
-	}
-	if v := c.Version(); v != 1 {
-		t.Fatal("no-op invalidation bumped the version")
-	}
-	if c.InvalidateAll() != 1 {
-		t.Fatal("InvalidateAll miscounted")
-	}
-	if st := c.Stats(); st.Entries != 0 || st.Invalidations != 2 {
-		t.Fatalf("post-flush stats: %+v", st)
-	}
-}
-
 // TestConcurrentRecordLookup drives records, lookups, design memos, and
-// invalidations from many goroutines; run under -race in CI, it is the
-// cache's data-race acceptance test.
+// stats snapshots from many goroutines; run under -race in CI, it is
+// the cache's data-race acceptance test.
 func TestConcurrentRecordLookup(t *testing.T) {
 	c := New(Options{MaxEntries: 8, MaxPointsPerCurve: 16})
 	k := testKey(t)
@@ -315,9 +279,6 @@ func TestConcurrentRecordLookup(t *testing.T) {
 					c.RecordDesign(key, Design{Size: d.Size, N: d.N, Delay: target})
 					c.DesignFor(key)
 				case 3:
-					if i%100 == 3 {
-						c.Invalidate(key.TechHash)
-					}
 					c.Stats()
 				}
 			}

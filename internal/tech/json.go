@@ -1,15 +1,11 @@
 package tech
 
-// JSON serialization for technology descriptors — the stand-in for
-// the LEF/ITF/ITRS technology inputs the paper's flow reads. Users
-// can export a built-in node, edit it (a new metal stack, a different
-// supply), and load it back; Load validates before returning, so a
-// bad file fails at the boundary instead of producing NaNs inside a
-// simulation.
+// JSON export of technology descriptors, the form `techinfo -json`
+// prints: the stand-in for the LEF/ITF/ITRS technology inputs the
+// paper's flow reads.
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 )
 
@@ -20,49 +16,8 @@ func (t *Technology) WriteJSON(w io.Writer) error {
 	return enc.Encode(t)
 }
 
-// LoadJSON reads and validates a descriptor.
-func LoadJSON(r io.Reader) (*Technology, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	t := &Technology{}
-	if err := dec.Decode(t); err != nil {
-		return nil, fmt.Errorf("tech: decoding descriptor: %w", err)
-	}
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
 // MarshalJSON flattens the Flavor enum into a string for
 // readability.
 func (f Flavor) MarshalJSON() ([]byte, error) {
 	return json.Marshal(f.String())
-}
-
-// UnmarshalJSON accepts "HP"/"LP" (or the raw integers for
-// compatibility).
-func (f *Flavor) UnmarshalJSON(data []byte) error {
-	var s string
-	if err := json.Unmarshal(data, &s); err == nil {
-		switch s {
-		case "HP":
-			*f = HighPerformance
-			return nil
-		case "LP":
-			*f = LowPower
-			return nil
-		default:
-			return fmt.Errorf("tech: unknown flavor %q", s)
-		}
-	}
-	var i int
-	if err := json.Unmarshal(data, &i); err != nil {
-		return fmt.Errorf("tech: flavor must be \"HP\", \"LP\", or an integer")
-	}
-	if i != int(HighPerformance) && i != int(LowPower) {
-		return fmt.Errorf("tech: unknown flavor %d", i)
-	}
-	*f = Flavor(i)
-	return nil
 }

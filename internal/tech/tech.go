@@ -20,7 +20,6 @@ package tech
 import (
 	"fmt"
 	"sort"
-	"sync"
 )
 
 // Physical constants.
@@ -154,8 +153,9 @@ func (t *Technology) String() string {
 	return fmt.Sprintf("%s %s (Vdd=%.2gV, clk=%.3gGHz)", t.Name, t.Flavor, t.Vdd, t.Clock/1e9)
 }
 
-// nodes is the built-in technology set, keyed by name. Values follow
-// ITRS/PTM-style scaling; see the package comment for provenance.
+// nodes is the technology set, keyed by name: fixed at build time and
+// never written, so readers need no lock. Values follow ITRS/PTM-style
+// scaling; see the package comment for provenance.
 var nodes = map[string]*Technology{
 	"90nm": {
 		Name: "90nm", Feature: 90e-9, Flavor: HighPerformance, Vdd: 1.2,
@@ -245,39 +245,15 @@ var nodes = map[string]*Technology{
 	},
 }
 
-// nodesMu guards the registry against concurrent Register/Lookup.
-// The built-in entries are never removed.
-var nodesMu sync.RWMutex
-
-// Lookup returns the technology descriptor with the given name — one
-// of the built-ins ("90nm" … "16nm") or a descriptor added with
-// Register. The returned pointer refers to shared data and must not
-// be mutated; use Clone for a private copy.
+// Lookup returns the built-in technology descriptor with the given
+// name ("90nm" … "16nm"). The returned pointer refers to shared data
+// and must not be mutated; use Clone for a private copy.
 func Lookup(name string) (*Technology, error) {
-	nodesMu.RLock()
 	t, ok := nodes[name]
-	nodesMu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("tech: unknown technology %q (have %v)", name, Names())
 	}
 	return t, nil
-}
-
-// Register adds a user-supplied descriptor (for example one loaded
-// with LoadJSON) to the registry, making it available to every
-// consumer that looks technologies up by name. The descriptor is
-// validated first; registering over an existing name is an error.
-func Register(t *Technology) error {
-	if err := t.Validate(); err != nil {
-		return err
-	}
-	nodesMu.Lock()
-	defer nodesMu.Unlock()
-	if _, exists := nodes[t.Name]; exists {
-		return fmt.Errorf("tech: technology %q already registered", t.Name)
-	}
-	nodes[t.Name] = t.Clone()
-	return nil
 }
 
 // MustLookup is Lookup for known-good names; it panics on failure and
@@ -292,8 +268,6 @@ func MustLookup(name string) *Technology {
 
 // Names returns the available technology names, largest node first.
 func Names() []string {
-	nodesMu.RLock()
-	defer nodesMu.RUnlock()
 	out := make([]string, 0, len(nodes))
 	for n := range nodes {
 		out = append(out, n)
@@ -304,11 +278,9 @@ func Names() []string {
 	return out
 }
 
-// All returns all registered technologies, largest node first.
+// All returns every technology, largest node first.
 func All() []*Technology {
 	names := Names()
-	nodesMu.RLock()
-	defer nodesMu.RUnlock()
 	out := make([]*Technology, len(names))
 	for i, n := range names {
 		out[i] = nodes[n]
@@ -324,9 +296,9 @@ func (t *Technology) Clone() *Technology {
 }
 
 // Validate checks the internal consistency of a descriptor: positive
-// geometry, supply above both thresholds, sane ratios. It exists so
-// user-supplied descriptors fail loudly instead of producing NaNs deep
-// inside a simulation.
+// geometry, supply above both thresholds, sane ratios. It exists so an
+// edited descriptor (a Clone for a what-if study) fails loudly instead
+// of producing NaNs deep inside a simulation.
 func (t *Technology) Validate() error {
 	fail := func(format string, args ...any) error {
 		return fmt.Errorf("tech %s: %s", t.Name, fmt.Sprintf(format, args...))

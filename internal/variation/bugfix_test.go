@@ -65,8 +65,8 @@ func TestZeroFailureEscapeGatedOnPlainMC(t *testing.T) {
 	never := func(i int, z []float64) (bool, error) { return false, nil }
 	const budget = 4096
 
-	shifted, err := runOracle(Options{Dims: 2, Samples: budget, RelErr: 0.05, Seed: 3,
-		Shift: []float64{2, 0}}, never)
+	shifted, err := runOracle(Options{Dims: 2, Samples: budget, RelErr: 0.05, Seed: 3},
+		[]float64{2, 0}, never)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestZeroFailureEscapeGatedOnPlainMC(t *testing.T) {
 			"which is invalid under importance weights", shifted.Samples, budget)
 	}
 
-	plain, err := runOracle(Options{Dims: 2, Samples: budget, RelErr: 0.05, Seed: 3}, never)
+	plain, err := runOracle(Options{Dims: 2, Samples: budget, RelErr: 0.05, Seed: 3}, nil, never)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -85,11 +85,6 @@ type Options struct {
 	// Seed is the base PRNG seed; sample i draws from the stream
 	// keyed by Seed ⊕ i.
 	Seed uint64
-	// Shift, when non-nil, is the importance-sampling mean shift θ
-	// (length Dims): samples are drawn from N(θ, I) and weighted by
-	// the likelihood ratio φ(z)/φ(z−θ). Nil selects plain Monte
-	// Carlo.
-	Shift []float64
 }
 
 func (o Options) withDefaults() Options {
@@ -129,9 +124,6 @@ func (o Options) validate() error {
 	}
 	if o.AbsErr < 0 || math.IsNaN(o.AbsErr) {
 		return fmt.Errorf("variation: negative absolute-error target %g", o.AbsErr)
-	}
-	if o.Shift != nil && len(o.Shift) != o.Dims {
-		return fmt.Errorf("variation: shift has %d dims, want %d", len(o.Shift), o.Dims)
 	}
 	return nil
 }

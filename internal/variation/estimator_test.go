@@ -27,7 +27,7 @@ func tailTrial(threshold float64) trial {
 
 func TestPlainMCMatchesExact(t *testing.T) {
 	exact := normalTail(1) // ≈ 0.1587, cheap to resolve
-	est, err := runOracle(Options{Dims: 3, Samples: 100000, Seed: 5}, tailTrial(1))
+	est, err := runOracle(Options{Dims: 3, Samples: 100000, Seed: 5}, nil, tailTrial(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestImportanceSamplingTail(t *testing.T) {
 	const threshold = 3 // exact tail ≈ 1.35e-3
 	exact := normalTail(threshold)
 	shift := []float64{threshold, 0, 0}
-	est, err := runOracle(Options{Dims: 3, Samples: 4096, Seed: 5, Shift: shift}, tailTrial(threshold))
+	est, err := runOracle(Options{Dims: 3, Samples: 4096, Seed: 5}, shift, tailTrial(threshold))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,16 +76,19 @@ func TestImportanceSamplingTail(t *testing.T) {
 // full Estimate must match across worker counts, including when the
 // stopping rule ends the run early.
 func TestEstimatorWorkerDeterminism(t *testing.T) {
-	for _, opts := range []Options{
-		{Dims: 4, Samples: 20000, Seed: 11},
-		{Dims: 4, Samples: 20000, Seed: 11, RelErr: 0.05},
-		{Dims: 4, Samples: 8192, Seed: 11, Shift: []float64{2, 0, 0, 0}},
+	for _, c := range []struct {
+		opts  Options
+		shift []float64
+	}{
+		{Options{Dims: 4, Samples: 20000, Seed: 11}, nil},
+		{Options{Dims: 4, Samples: 20000, Seed: 11, RelErr: 0.05}, nil},
+		{Options{Dims: 4, Samples: 8192, Seed: 11}, []float64{2, 0, 0, 0}},
 	} {
 		var ref Estimate
 		for wi, workers := range []int{1, 8} {
-			o := opts
+			o := c.opts
 			o.Workers = workers
-			est, err := runOracle(o, tailTrial(2))
+			est, err := runOracle(o, c.shift, tailTrial(2))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -94,7 +97,7 @@ func TestEstimatorWorkerDeterminism(t *testing.T) {
 				continue
 			}
 			if est != ref {
-				t.Fatalf("workers=%d diverged from serial: %+v vs %+v (opts %+v)", workers, est, ref, opts)
+				t.Fatalf("workers=%d diverged from serial: %+v vs %+v (opts %+v, shift %v)", workers, est, ref, c.opts, c.shift)
 			}
 		}
 	}
@@ -103,7 +106,7 @@ func TestEstimatorWorkerDeterminism(t *testing.T) {
 func TestStoppingRule(t *testing.T) {
 	// p ≈ 0.5 resolves to 5% relative error almost immediately; the
 	// run must stop well before the budget.
-	est, err := runOracle(Options{Dims: 2, Samples: 200000, RelErr: 0.05, Seed: 3}, tailTrial(0))
+	est, err := runOracle(Options{Dims: 2, Samples: 200000, RelErr: 0.05, Seed: 3}, nil, tailTrial(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +128,7 @@ func TestStoppingRule(t *testing.T) {
 // below the MinSamples floor of 512, so the floor governs).
 func TestStoppingRuleZeroFailureEscape(t *testing.T) {
 	never := func(i int, z []float64) (bool, error) { return false, nil }
-	est, err := runOracle(Options{Dims: 2, Samples: 200000, RelErr: 0.05, Seed: 3}, never)
+	est, err := runOracle(Options{Dims: 2, Samples: 200000, RelErr: 0.05, Seed: 3}, nil, never)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +154,7 @@ func TestStoppingRuleZeroFailureEscape(t *testing.T) {
 func TestStoppingRuleZeroFailureKeepsSamplingUnderTightTolerance(t *testing.T) {
 	never := func(i int, z []float64) (bool, error) { return false, nil }
 	const tol = 1e-3 // needs n >= 3000
-	est, err := runOracle(Options{Dims: 2, Samples: 8192, RelErr: tol, Seed: 3}, never)
+	est, err := runOracle(Options{Dims: 2, Samples: 8192, RelErr: tol, Seed: 3}, nil, never)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +170,7 @@ func TestStoppingRuleZeroFailureKeepsSamplingUnderTightTolerance(t *testing.T) {
 // relative rule still governs runs that do observe failures: the
 // mean > 0 branch is bit-identical to the pre-escape estimator.
 func TestStoppingRuleWithFailuresUnchanged(t *testing.T) {
-	withEscape, err := runOracle(Options{Dims: 2, Samples: 200000, RelErr: 0.05, Seed: 3}, tailTrial(0))
+	withEscape, err := runOracle(Options{Dims: 2, Samples: 200000, RelErr: 0.05, Seed: 3}, nil, tailTrial(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +181,7 @@ func TestStoppingRuleWithFailuresUnchanged(t *testing.T) {
 
 func TestAbsErrStopping(t *testing.T) {
 	// p ≈ 0.5: stderr ≈ 0.5/√n, so AbsErr 0.02 needs n ≈ 625.
-	est, err := runOracle(Options{Dims: 2, Samples: 200000, AbsErr: 0.02, Seed: 3}, tailTrial(0))
+	est, err := runOracle(Options{Dims: 2, Samples: 200000, AbsErr: 0.02, Seed: 3}, nil, tailTrial(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +255,7 @@ func TestRunCtxLiveMatchesRun(t *testing.T) {
 
 func TestRunPropagatesTrialError(t *testing.T) {
 	boom := fmt.Errorf("boom")
-	_, err := runOracle(Options{Dims: 1, Samples: 100}, func(i int, z []float64) (bool, error) {
+	_, err := runOracle(Options{Dims: 1, Samples: 100}, nil, func(i int, z []float64) (bool, error) {
 		if i == 37 {
 			return false, boom
 		}
@@ -266,13 +269,12 @@ func TestRunPropagatesTrialError(t *testing.T) {
 func TestRunValidation(t *testing.T) {
 	ok := func(i int, z []float64) (bool, error) { return false, nil }
 	for name, o := range map[string]Options{
-		"no-dims":        {Samples: 10},
-		"negative-n":     {Dims: 2, Samples: -1},
-		"bad-relerr":     {Dims: 2, RelErr: -0.1},
-		"bad-abserr":     {Dims: 2, AbsErr: -0.1},
-		"shift-mismatch": {Dims: 2, Shift: []float64{1}},
+		"no-dims":    {Samples: 10},
+		"negative-n": {Dims: 2, Samples: -1},
+		"bad-relerr": {Dims: 2, RelErr: -0.1},
+		"bad-abserr": {Dims: 2, AbsErr: -0.1},
 	} {
-		if _, err := runOracle(o, ok); err == nil {
+		if _, err := runOracle(o, nil, ok); err == nil {
 			t.Errorf("%s: invalid options accepted", name)
 		}
 	}
@@ -295,7 +297,7 @@ func TestRunRejectsNegativeBudgets(t *testing.T) {
 		{"negative-min-samples", Options{Dims: 2, Samples: 100, MinSamples: -1}, ErrNegativeMinSamples},
 		{"negative-workers", Options{Dims: 2, Samples: 100, Workers: -2}, ErrNegativeWorkers},
 	} {
-		_, err := runOracle(c.o, ok)
+		_, err := runOracle(c.o, nil, ok)
 		if !errors.Is(err, c.want) {
 			t.Errorf("%s: got %v, want %v", c.name, err, c.want)
 		}

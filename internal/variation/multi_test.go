@@ -23,15 +23,15 @@ func legacyLinkYield(t *testing.T, sc *LinkScenario, o YieldOptions) Estimate {
 	if err := sc.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	ro := o.runOptions()
+	var shift []float64
 	if o.Estimator == estimator.ISLE {
-		shift, err := FindShift(Dims, sc.Target, sc.Delay)
+		var err error
+		shift, err = FindShift(Dims, sc.Target, sc.Delay)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ro.Shift = shift
 	}
-	est, err := runOracle(ro, func(i int, z []float64) (bool, error) {
+	est, err := runOracle(o.runOptions(), shift, func(i int, z []float64) (bool, error) {
 		d, err := sc.Delay(z)
 		if err != nil {
 			return false, err
@@ -256,7 +256,7 @@ func TestRunBatchSteadyStateAllocs(t *testing.T) {
 	tr := func(i int, z []float64) (bool, error) { return z[0] > 2, nil }
 	var runErr error
 	allocs := testing.AllocsPerRun(1, func() {
-		_, runErr = runOracle(o, tr)
+		_, runErr = runOracle(o, nil, tr)
 	})
 	if runErr != nil {
 		t.Fatal(runErr)

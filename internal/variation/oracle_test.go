@@ -16,7 +16,8 @@ type trial func(i int, z []float64) (fail bool, err error)
 // runOracle is the historical one-sample-at-a-time estimator, kept as
 // the tests' independent reference for the sampling driver: sample i
 // draws ziggurat normals from its own Stream keyed by (Seed, i), is
-// mean-shifted and weighted when Options.Shift is set, is
+// mean-shifted by shift and weighted by the likelihood ratio when shift
+// is non-nil (at most o.Dims long; nil runs plain Monte Carlo), is
 // scored by tr, and is folded in index order through the production
 // fold and stopping rule. Beyond the Stream primitives, the fold and
 // the stopping rule it shares nothing with driver.run and the lane
@@ -25,14 +26,14 @@ type trial func(i int, z []float64) (fail bool, err error)
 // tautology. Each worker owns a reusable Stream and draw buffer, so
 // the steady path performs no heap allocation. The estimate is
 // bit-identical for every Workers value.
-func runOracle(o Options, tr trial) (Estimate, error) {
+func runOracle(o Options, shift []float64, tr trial) (Estimate, error) {
 	o = o.withDefaults()
 	if err := o.validate(); err != nil {
 		return Estimate{}, err
 	}
 	shifted := false
 	var shiftSq float64
-	for _, t := range o.Shift {
+	for _, t := range shift {
 		if t != 0 {
 			shifted = true
 		}
@@ -69,7 +70,7 @@ func runOracle(o Options, tr trial) (Estimate, error) {
 				// z ← θ + ε with likelihood ratio
 				// φ(z)/φ(z−θ) = exp(−⟨θ,z⟩ + |θ|²/2).
 				var dot float64
-				for d, t := range o.Shift {
+				for d, t := range shift {
 					z[d] += t
 					dot += t * z[d]
 				}

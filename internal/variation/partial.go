@@ -67,22 +67,6 @@ type Partial struct {
 	Weights []float64 `json:"weights,omitempty"`
 }
 
-// Sums reduces the shard to its summary statistics — failure count,
-// weighted contribution sum, and sum of squares. The merge does not
-// use these (it replays the raw contributions); they ride along in the
-// shard protocol for observability and cross-checking.
-func (p Partial) Sums() (failures int, sumW, sumW2 float64) {
-	failures = len(p.FailIdx)
-	if p.Weights == nil {
-		return failures, float64(failures), float64(failures)
-	}
-	for _, w := range p.Weights {
-		sumW += w
-		sumW2 += w * w
-	}
-	return failures, sumW, sumW2
-}
-
 // validate checks internal consistency against a total sample budget
 // and the merge's shifted flag: only an importance-sampled merge
 // carries weights, one finite positive likelihood ratio per failure.

@@ -219,21 +219,6 @@ func TestMergePartialsRejectsMalformedSets(t *testing.T) {
 	}
 }
 
-// TestPartialSums cross-checks the summary sums against the sparse
-// contributions they summarize.
-func TestPartialSums(t *testing.T) {
-	p := Partial{Start: 0, Count: 100, FailIdx: []int{3, 7, 50}, Weights: []float64{0.5, 2, 0.25}}
-	fails, sumW, sumW2 := p.Sums()
-	if fails != 3 || sumW != 2.75 || sumW2 != 4.3125 {
-		t.Fatalf("Sums() = %d, %g, %g; want 3, 2.75, 4.3125", fails, sumW, sumW2)
-	}
-	plain := Partial{Start: 0, Count: 100, FailIdx: []int{1, 2}}
-	fails, sumW, sumW2 = plain.Sums()
-	if fails != 2 || sumW != 2 || sumW2 != 2 {
-		t.Fatalf("unweighted Sums() = %d, %g, %g; want 2, 2, 2", fails, sumW, sumW2)
-	}
-}
-
 // TestAISEstimationStageStops pins the satellite fix: the AIS final
 // stage honors RelErr instead of burning the full budget, stays
 // bit-identical across worker counts, and still runs to the budget when

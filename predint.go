@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sync"
 
 	"repro/internal/buffering"
 	"repro/internal/liberty"
@@ -230,7 +229,7 @@ func DesignLinkCtx(ctx context.Context, req LinkRequest) (LinkResult, error) {
 		weight = 0
 	}
 
-	coeffs, err := coefficientsFor(tc)
+	coeffs, err := model.Default(tc.Name)
 	if err != nil {
 		return LinkResult{}, err
 	}
@@ -331,65 +330,6 @@ func GoldenLinkDelay(techName string, repeaterSize float64, repeaters int, lengt
 // Table I for one technology). Obtain one from EmbeddedCoefficients or
 // Calibrate; treat it as opaque and pass it back into this package.
 type Coefficients = model.Coefficients
-
-// LoadTechnology reads a JSON technology descriptor (see
-// `techinfo -json` for the format), validates it, and registers it so
-// every entry point in this package can use it by name. Custom nodes
-// have no embedded Table I coefficients; the first DesignLink against
-// one triggers a full characterization + calibration (a few seconds)
-// which is then cached for the process.
-func LoadTechnology(r io.Reader) (name string, err error) {
-	t, err := tech.LoadJSON(r)
-	if err != nil {
-		return "", err
-	}
-	if err := tech.Register(t); err != nil {
-		return "", err
-	}
-	return t.Name, nil
-}
-
-// calibCache memoizes live calibrations for technologies without
-// embedded coefficients. The mutex guards only the entry lookup; the
-// seconds-long characterization + regression runs under the entry's
-// Once, so concurrent DesignLink calls against different custom nodes
-// calibrate in parallel while duplicate requests for one node share a
-// single computation. Calibration is deterministic, so failures are
-// memoized alongside successes.
-var (
-	calibMu    sync.Mutex
-	calibCache = map[string]*calibEntry{}
-)
-
-type calibEntry struct {
-	once sync.Once
-	c    *model.Coefficients
-	err  error
-}
-
-// coefficientsFor returns embedded coefficients when available,
-// falling back to a cached live calibration for custom nodes.
-func coefficientsFor(tc *tech.Technology) (*model.Coefficients, error) {
-	if c, err := model.Default(tc.Name); err == nil {
-		return c, nil
-	}
-	calibMu.Lock()
-	e, ok := calibCache[tc.Name]
-	if !ok {
-		e = &calibEntry{}
-		calibCache[tc.Name] = e
-	}
-	calibMu.Unlock()
-	e.once.Do(func() {
-		lib, err := liberty.Get(tc)
-		if err != nil {
-			e.err = err
-			return
-		}
-		e.c, _, e.err = model.Calibrate(lib)
-	})
-	return e.c, e.err
-}
 
 // EmbeddedCoefficients returns the pre-calibrated (shipped) Table I
 // coefficients for a built-in technology.

@@ -10,9 +10,9 @@ import (
 
 // TestDesignLinkConcurrent hammers the facade from many goroutines
 // with a mix of technologies, styles, and objectives. Run under
-// `go test -race`; it pins the package-level calibration cache and
-// the per-model design caches as safe for concurrent use, and that
-// concurrent callers get the same answers as serial ones.
+// `go test -race`; it pins the per-model design caches as safe for
+// concurrent use, and that concurrent callers get the same answers as
+// serial ones.
 func TestDesignLinkConcurrent(t *testing.T) {
 	reqs := []LinkRequest{
 		{Tech: "90nm", LengthMM: 5},
@@ -138,8 +138,8 @@ func TestLinkYieldConcurrent(t *testing.T) {
 // contract end to end: a pre-cancelled context is refused, a mid-run
 // cancel of a huge-budget estimation returns promptly with ctx.Err(),
 // and — the cache-unpoisoning half — the same request afterwards still
-// reproduces the reference bit for bit (the package-level calibration
-// cache must not have memoized the cancellation).
+// reproduces the reference bit for bit (no package-level cache may
+// have memoized the cancellation).
 func TestLinkYieldCtxCancellation(t *testing.T) {
 	req := YieldRequest{Tech: "90nm", LengthMM: 5, Samples: Int(1024), Seed: 1}
 	ref, err := uncached.LinkYieldCtx(context.Background(), req)

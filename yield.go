@@ -272,7 +272,7 @@ func (req YieldRequest) plan() (*yieldPlan, error) {
 		}
 	}
 
-	coeffs, err := coefficientsFor(tc)
+	coeffs, err := model.Default(tc.Name)
 	if err != nil {
 		return nil, err
 	}

@@ -36,20 +36,9 @@ const (
 // Surfaced{} is the uncached path: every query samples and nothing is
 // recorded. Surfaced{Cache: surface.New(surface.Options{})} consults
 // and refreshes that cache. Each predintd replica owns its own cache,
-// so invalidation and version counters are per-replica state the
-// coordinator can compare, not hidden process globals.
+// so warm state is per-replica, not a hidden process global.
 type Surfaced struct {
 	Cache *surface.Cache
-}
-
-// Version reports the bound cache's invalidation version (0 with no
-// cache). Two replicas may only exchange surface answers when their
-// versions match — see the coordinator's shard protocol.
-func (sf Surfaced) Version() uint64 {
-	if sf.Cache == nil {
-		return 0
-	}
-	return sf.Cache.Version()
 }
 
 // RecordYield feeds a completed full-sampling yield result back into
