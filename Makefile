@@ -51,6 +51,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzNoCRequestBody -fuzztime=10s -run FuzzNoCRequestBody ./cmd/predintd
 	$(GO) test -fuzz=FuzzLineDelayRC -fuzztime=10s -run FuzzLineDelayRC ./internal/model
 	$(GO) test -fuzz=FuzzPhiInvLane -fuzztime=10s -run FuzzPhiInvLane ./internal/estimator
+	$(GO) test -fuzz=FuzzWeight01 -fuzztime=10s -run FuzzWeight01 ./internal/estimator
 
 # Run the hardened HTTP serving layer on the default address.
 serve:

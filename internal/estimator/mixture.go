@@ -26,7 +26,7 @@ const DefensiveWeight = 0.1
 // standardized space plus the defensive φ component. The zero value
 // is not usable; StandardProposal and FitMixture construct valid ones.
 // The fields are read-only once constructed: construction caches the
-// logarithms of the parameters, which every density evaluation reads.
+// logarithms of the parameters, which every weight evaluation reads.
 type Mixture struct {
 	// Defense is the weight of the N(0, I) defensive component.
 	Defense float64
@@ -36,10 +36,9 @@ type Mixture struct {
 	Mean   [][]float64
 	Sigma  [][]float64
 
-	// log Defense, log Weight[k] and log Sigma[k][d], set by cacheLogs.
-	logDefense float64
-	logWeight  []float64
-	logSigma   [][]float64
+	// logCoef[k] is log Weight[k] − Σ_d log Sigma[k][d], set by
+	// cacheLogs: the constant of component k's density ratio to φ.
+	logCoef []float64
 }
 
 // log2Pi is log 2π, the normalizing constant of every Gaussian log
@@ -47,16 +46,16 @@ type Mixture struct {
 var log2Pi = math.Log(2 * math.Pi)
 
 // cacheLogs computes the logarithms of the mixture's parameters once,
-// so density evaluations read them instead of recomputing ~20
+// so weight evaluations read them instead of recomputing ~15
 // logarithms per call.
 func (m *Mixture) cacheLogs() {
-	m.logDefense = math.Log(m.Defense)
-	m.logWeight = make([]float64, len(m.Weight))
-	logsInto(m.logWeight, m.Weight)
-	m.logSigma = make([][]float64, len(m.Sigma))
-	for k, sg := range m.Sigma {
-		m.logSigma[k] = make([]float64, len(sg))
-		logsInto(m.logSigma[k], sg)
+	m.logCoef = make([]float64, len(m.Weight))
+	for k, w := range m.Weight {
+		c := math.Log(w)
+		for _, sg := range m.Sigma[k] {
+			c -= math.Log(sg)
+		}
+		m.logCoef[k] = c
 	}
 }
 
@@ -124,47 +123,29 @@ func sqNorm(z []float64) float64 {
 	return sq
 }
 
-// LogDensity is log q(z), evaluated by a streaming log-sum-exp over
-// the defensive and adapted components (no scratch — this sits on the
-// per-sample path of the zero-allocation sampling contract).
-func (m *Mixture) LogDensity(z []float64) float64 {
-	return m.logDensity(z, sqNorm(z))
-}
-
-// logDensity is LogDensity given sq = |z|².
-func (m *Mixture) logDensity(z []float64, sq float64) float64 {
-	best := math.Inf(-1)
-	sum := 0.0
-	if m.Defense > 0 {
-		best = m.logDefense + logPhiDensity(len(z), sq)
-		sum = 1
-	}
-	for k := range m.Weight {
-		if m.Weight[k] <= 0 {
-			continue
-		}
-		l := m.logWeight[k] + logNormal(z, m.Mean[k], m.Sigma[k], m.logSigma[k])
-		switch {
-		case math.IsInf(best, -1):
-			best, sum = l, 1
-		case l <= best:
-			sum += math.Exp(l - best)
-		default:
-			sum = sum*math.Exp(best-l) + 1
-			best = l
-		}
-	}
-	if math.IsInf(best, -1) {
-		return best
-	}
-	return best + math.Log(sum)
-}
-
-// Weight01 returns the importance weight φ(z)/q(z) of a proposal draw.
-// With a defensive component it is bounded by 1/Defense.
+// Weight01 returns the importance weight φ(z)/q(z) of a proposal draw
+// in closed form. Dividing q by φ cancels the 2π normalizations:
+//
+//	φ/q = 1 / (α + Σ_k exp(c_k + ½|z|² − ½Σ_d ((z_d − μ_kd)/σ_kd)²))
+//
+// with c_k the cached log w_k − Σ_d log σ_kd, so a draw costs one Exp
+// per adapted component and no logarithm. A term that overflows sends
+// the weight to 0 and one that underflows leaves 1/α, the weight's
+// true limits there. With a defensive component the weight lies in
+// [0, fl(1/Defense)]: the denominator never falls below α.
 func (m *Mixture) Weight01(z []float64) float64 {
-	sq := sqNorm(z)
-	return math.Exp(logPhiDensity(len(z), sq) - m.logDensity(z, sq))
+	half := 0.5 * sqNorm(z)
+	s := m.Defense
+	for k, c := range m.logCoef {
+		mu, sg := m.Mean[k], m.Sigma[k]
+		var q float64
+		for d, v := range z {
+			r := (v - mu[d]) / sg[d]
+			q += r * r
+		}
+		s += math.Exp(c + half - 0.5*q)
+	}
+	return 1 / s
 }
 
 // FitOptions tunes FitMixture. The zero value selects the documented

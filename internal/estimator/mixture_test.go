@@ -11,16 +11,11 @@ func TestStandardProposalIsPhi(t *testing.T) {
 	if m.Adapted() {
 		t.Fatal("StandardProposal reports adapted components")
 	}
-	z := []float64{0.5, -1.5, 2}
-	var sq float64
-	for _, v := range z {
-		sq += v * v
-	}
-	if got, want := m.LogDensity(z), logPhiDensity(len(z), sq); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("standard proposal density %g, want φ's %g", got, want)
-	}
-	if got := m.Weight01(z); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("standard proposal weight %g, want 1", got)
+	// q = φ, so every draw, however deep, weighs exactly 1.
+	for _, z := range [][]float64{{0.5, -1.5, 2}, {0, 0, 0}, {12, -30, 7}} {
+		if got := m.Weight01(z); got != 1 {
+			t.Fatalf("standard proposal weight at %v = %v, want 1", z, got)
+		}
 	}
 }
 
@@ -56,7 +51,8 @@ func TestSampleIntoDeterministicTransform(t *testing.T) {
 
 func TestWeightBoundedByDefense(t *testing.T) {
 	// However badly a component is placed, the defensive part bounds
-	// the importance weight φ/q by 1/Defense.
+	// the importance weight φ/q by 1/Defense, rounded: the closed form's
+	// denominator never falls below Defense.
 	m := Mixture{
 		Defense: DefensiveWeight,
 		Weight:  []float64{0.9},
@@ -64,11 +60,27 @@ func TestWeightBoundedByDefense(t *testing.T) {
 		Sigma:   [][]float64{{0.25, 0.25, 0.25}},
 	}
 	m.cacheLogs()
-	limit := 1/DefensiveWeight + 1e-9
+	limit := 1 / m.Defense
 	for _, z := range [][]float64{{0, 0, 0}, {-3, 2, 1}, {6, 6, 6}, {8, -8, 0}} {
 		if w := m.Weight01(z); w > limit || w < 0 || math.IsNaN(w) {
 			t.Fatalf("weight at %v = %g outside [0, %g]", z, w, limit)
 		}
+	}
+	// The limits: far from the component its term underflows and the
+	// weight is the bound itself; deep inside a wide component the term
+	// overflows and the weight is 0.
+	if w := m.Weight01([]float64{40, -40, 40}); w != limit {
+		t.Fatalf("weight far from the component = %v, want %v", w, limit)
+	}
+	wide := Mixture{
+		Defense: DefensiveWeight,
+		Weight:  []float64{0.9},
+		Mean:    [][]float64{{0, 0, 0}},
+		Sigma:   [][]float64{{8, 8, 8}},
+	}
+	wide.cacheLogs()
+	if w := wide.Weight01([]float64{40, 40, 40}); w != 0 {
+		t.Fatalf("weight deep inside a wide component = %v, want 0", w)
 	}
 }
 
@@ -171,8 +183,10 @@ func TestESS(t *testing.T) {
 }
 
 // refLogNormal, refLogDensity, refWeight01 and refFitMixture evaluate
-// the mixture formulas with every logarithm taken at its point of use.
-// The cached-logarithm implementation must reproduce them bit for bit.
+// the mixture formulas with every logarithm taken at its point of use,
+// and the weight as exp(log φ − log q) through a log-sum-exp. The
+// cached-logarithm fit must reproduce them bit for bit; the closed-form
+// Weight01 agrees with refWeight01 within weightTol.
 func refLogNormal(z, mu, sigma []float64) float64 {
 	s := -0.5 * float64(len(z)) * math.Log(2*math.Pi)
 	for d := range z {
@@ -224,6 +238,25 @@ func refWeight01(m *Mixture, z []float64) float64 {
 		sq += v * v
 	}
 	return math.Exp(refLogPhi(len(z), sq) - refLogDensity(m, z))
+}
+
+// weightTol is the relative tolerance between Weight01 and refWeight01
+// at z. Both exponentiate sums whose terms reach ½|z|², ½Σ_d r_kd² and
+// |log w_k − Σ_d log σ_kd| (plus the reference's d/2·log 2π and
+// |log α|), so each can be off by a few ulps of the largest such sum,
+// and a weight's relative error is its exponent's absolute error.
+func weightTol(m *Mixture, z []float64) float64 {
+	worst := 0.0
+	for k := range m.Weight {
+		e := math.Abs(math.Log(m.Weight[k]))
+		for d, v := range z {
+			r := (v - m.Mean[k][d]) / m.Sigma[k][d]
+			e += math.Abs(math.Log(m.Sigma[k][d])) + 0.5*r*r
+		}
+		worst = max(worst, e)
+	}
+	scale := 1 + 0.5*sqNorm(z) + worst + 0.5*float64(len(z))*math.Log(2*math.Pi) + math.Abs(math.Log(m.Defense))
+	return 16 * 0x1p-52 * scale
 }
 
 func refFitMixture(k int, pts [][]float64, w []float64, opts FitOptions) Mixture {
@@ -331,8 +364,9 @@ func refFitMixture(k int, pts [][]float64, w []float64, opts FitOptions) Mixture
 
 // TestCachedLogsMatchReferenceFormulas pins the cached logarithms as a
 // pure speed-up: on a fixed 7-dimensional point set, FitMixture's
-// parameters and the fitted mixture's LogDensity and Weight01 equal the
-// reference formulas bit for bit.
+// parameters equal the reference fit bit for bit, and the fitted
+// mixture's closed-form Weight01 equals the log-space reference within
+// weightTol.
 func TestCachedLogsMatchReferenceFormulas(t *testing.T) {
 	const n, dims = 64, 7
 	rng := rand.New(rand.NewSource(1))
@@ -364,10 +398,7 @@ func TestCachedLogsMatchReferenceFormulas(t *testing.T) {
 			}
 		}
 		for _, z := range probes {
-			if g, r := got.LogDensity(z), refLogDensity(&want, z); math.Float64bits(g) != math.Float64bits(r) {
-				t.Fatalf("%s: LogDensity(%v) = %v, reference %v", name, z, g, r)
-			}
-			if g, r := got.Weight01(z), refWeight01(&want, z); math.Float64bits(g) != math.Float64bits(r) {
+			if g, r := got.Weight01(z), refWeight01(&want, z); math.Abs(g-r) > weightTol(&want, z)*r {
 				t.Fatalf("%s: Weight01(%v) = %v, reference %v", name, z, g, r)
 			}
 		}
@@ -386,4 +417,85 @@ func TestCachedLogsMatchReferenceFormulas(t *testing.T) {
 	} {
 		check(c.name, FitMixture(c.k, pts, c.w, c.opts), refFitMixture(c.k, pts, c.w, c.opts))
 	}
+}
+
+// FuzzWeight01 builds a 7-dimensional mixture of one or two components
+// from seed (means of norm up to 8, sigmas from 0.25 to 4) and weighs
+// points out to |z| = radius, at most 40: a random direction, the rays
+// along and against each mean, and a draw from each component. Every
+// weight must lie in [0, fl(1/α)], and wherever refWeight01 is a
+// normal float, agree with it within weightTol.
+func FuzzWeight01(f *testing.F) {
+	for _, s := range []struct {
+		seed   uint64
+		comps  uint8
+		radius float64
+	}{{1, 0, 3}, {2, 1, 8}, {3, 1, 40}, {4, 0, 20}, {5, 1, 0}, {6, 1, 12}} {
+		f.Add(s.seed, s.comps, s.radius)
+	}
+	const dims = 7
+	f.Fuzz(func(t *testing.T, seed uint64, comps uint8, radius float64) {
+		if !(radius >= 0) {
+			radius = 0
+		}
+		radius = min(radius, 40)
+		rng := rand.New(rand.NewSource(int64(seed)))
+		// dir returns a uniformly random direction scaled to norm r.
+		dir := func(r float64) []float64 {
+			v := make([]float64, dims)
+			var sq float64
+			for d := range v {
+				v[d] = rng.NormFloat64()
+				sq += v[d] * v[d]
+			}
+			for d := range v {
+				v[d] *= r / math.Sqrt(sq)
+			}
+			return v
+		}
+		k := int(comps%2) + 1
+		m := Mixture{Defense: DefensiveWeight, Weight: make([]float64, k), Mean: make([][]float64, k), Sigma: make([][]float64, k)}
+		for c := range m.Weight {
+			m.Weight[c] = 0.05 + rng.Float64()
+			m.Mean[c] = dir(8 * rng.Float64())
+			m.Sigma[c] = make([]float64, dims)
+			for d := range m.Sigma[c] {
+				m.Sigma[c][d] = 0.25 * math.Exp(math.Log(16)*rng.Float64())
+			}
+		}
+		normalizeWeights(m.Weight, 1-m.Defense)
+		m.cacheLogs()
+
+		zs := [][]float64{dir(radius)}
+		for c := range m.Weight {
+			mu, sg := m.Mean[c], m.Sigma[c]
+			along, against, draw := make([]float64, dims), make([]float64, dims), make([]float64, dims)
+			norm := math.Sqrt(sqNorm(mu))
+			var dsq float64
+			for d := range mu {
+				if norm > 0 {
+					along[d] = mu[d] * radius / norm
+					against[d] = -along[d]
+				}
+				draw[d] = mu[d] + sg[d]*rng.NormFloat64()*radius/8
+				dsq += draw[d] * draw[d]
+			}
+			if n := math.Sqrt(dsq); n > 40 {
+				for d := range draw {
+					draw[d] *= 40 / n
+				}
+			}
+			zs = append(zs, along, against, draw)
+		}
+		limit := 1 / m.Defense
+		for _, z := range zs {
+			w := m.Weight01(z)
+			if !(w >= 0 && w <= limit) {
+				t.Fatalf("weight at %v = %v outside [0, %v]; mixture %+v", z, w, limit, m)
+			}
+			if r := refWeight01(&m, z); r >= 0x1p-1022 && math.Abs(w-r) > weightTol(&m, z)*r {
+				t.Fatalf("weight at %v = %v, reference %v (tolerance %.3g); mixture %+v", z, w, r, weightTol(&m, z), m)
+			}
+		}
+	})
 }

@@ -135,10 +135,3 @@ func phiInvChunkLane(out, p []float64) {
 		}
 	}
 }
-
-// logPhiDensity is the log of the standard normal density in d
-// dimensions at squared radius r² (the -d/2·log(2π) − r²/2 form the
-// importance-sampling weights need).
-func logPhiDensity(dims int, sq float64) float64 {
-	return -0.5*float64(dims)*log2Pi - 0.5*sq
-}

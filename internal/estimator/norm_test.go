@@ -67,20 +67,6 @@ func TestSigmaOf(t *testing.T) {
 	}
 }
 
-func TestLogPhiDensity(t *testing.T) {
-	// Against the direct product of 1-D densities.
-	z := []float64{0.3, -1.2, 2.1}
-	var sq float64
-	want := 0.0
-	for _, v := range z {
-		sq += v * v
-		want += math.Log(math.Exp(-v*v/2) / math.Sqrt(2*math.Pi))
-	}
-	if got := logPhiDensity(len(z), sq); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("logPhiDensity = %g, want %g", got, want)
-	}
-}
-
 // phiInvLaneInputs covers PhiInv's special cases (NaN, ±Inf, 0, ±0,
 // 1, 0.5, negatives, values above 1), subnormals, both region splits
 // with their float64 neighbours, and a sweep through both tails and the

@@ -103,19 +103,24 @@ func getAISState(samples int) *aisState {
 	return a
 }
 
-// draw draws global sample i from the stage proposal into its slot and
-// records its importance weight: the component selector first, then
-// Box–Muller normals — the rung's draw sequence, kept so its estimates
-// stay bit-stable. st and eps are the caller's scratch.
-func (a *aisState) draw(st *Stream, eps []float64, seed uint64, i int) []float64 {
-	j := i - a.base
-	st.Reset(seed, uint64(i))
-	u := st.Float64()
-	st.NormsInto(eps)
-	z := a.zs[j*Dims : (j+1)*Dims]
-	a.prop.SampleInto(u, eps, z)
-	a.weights[j] = a.prop.Weight01(z)
-	return z
+// propose maps the lane's draws of global samples [start, start+n)
+// (selectors in ls.sel, normals in ls.epsT) through the stage proposal:
+// each sample's proposal draw and importance weight go to its slot,
+// and the draw back into epsT for the delay phases.
+func (a *aisState) propose(ls *laneScratch, start, n int) {
+	eps := ls.eps[:]
+	for k := 0; k < n; k++ {
+		for d := range eps {
+			eps[d] = ls.epsT[d][k]
+		}
+		j := start + k - a.base
+		z := a.zs[j*Dims : (j+1)*Dims]
+		a.prop.SampleInto(ls.sel[k], eps, z)
+		a.weights[j] = a.prop.Weight01(z)
+		for d, v := range z {
+			ls.epsT[d][k] = v
+		}
+	}
 }
 
 // runAISAllCtx runs per-candidate AIS. Unlike the MC/QMC kernels there

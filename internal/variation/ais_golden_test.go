@@ -60,35 +60,35 @@ func aisGoldenCases(t testing.TB) []aisGoldenCase {
 func bits(u uint64) float64 { return math.Float64frombits(u) }
 
 // aisGolden holds the estimates of aisGoldenCases bit for bit, as the
-// per-sample AIS kernel (scalar DelayScratch delays, one pool item per
-// draw) computed them. Every AIS path must reproduce them exactly.
+// lane kernel computes them from ziggurat draws with the closed-form
+// importance weight. Every AIS path must reproduce them exactly.
 var aisGolden = map[string][]Estimate{
 	"sigma4-seed1": {
-		{FailProb: bits(0x3f0359c2a6126ad9), Yield: bits(0x3fefffb298f567b6), StdErr: bits(0x3ec660b047df91ed), Samples: 4096, Shifted: true, Estimator: estimator.AIS, VarianceReduction: bits(0x409a5ecf118aef8d)},
+		{FailProb: bits(0x3f03efbf13c72148), Yield: bits(0x3fefffb04103b0e3), StdErr: bits(0x3ec948e789e200b2), Samples: 4096, Shifted: true, Estimator: estimator.AIS, VarianceReduction: bits(0x409547cdc6285996)},
 	},
 	"sigma4-seed2": {
-		{FailProb: bits(0x3f0169c22658cc78), Yield: bits(0x3fefffba58f7669d), StdErr: bits(0x3ec8904f2b71eeb3), Samples: 4096, Shifted: true, Estimator: estimator.AIS, VarianceReduction: bits(0x4093b1c0dd359465)},
+		{FailProb: bits(0x3f029970c9e30f9e), Yield: bits(0x3fefffb59a3cd874), StdErr: bits(0x3eccada7dcefc571), Samples: 4096, Shifted: true, Estimator: estimator.AIS, VarianceReduction: bits(0x408edd8c67bf3ff7)},
 	},
 	"sigma5-seed1": {
-		{FailProb: bits(0x3e95f95685275c66), Yield: bits(0x3fefffff50354bd7), StdErr: bits(0x3e603fd774500592), Samples: 4096, Shifted: true, Estimator: estimator.AIS, VarianceReduction: bits(0x40fc65a0b1224a2a)},
+		{FailProb: bits(0x3e9810c8bf287710), Yield: bits(0x3fefffff3f79ba07), StdErr: bits(0x3e600992732d0d4c), Samples: 4096, Shifted: true, Estimator: estimator.AIS, VarianceReduction: bits(0x4101f4d247db9a57)},
 	},
 	"sigma5-seed2": {
-		{FailProb: bits(0x3e923bf0ae68ebc1), Yield: bits(0x3fefffff6e207a8d), StdErr: bits(0x3e5d89d8deb7a98b), Samples: 4096, Shifted: true, Estimator: estimator.AIS, VarianceReduction: bits(0x41000ac09c1cf97c)},
+		{FailProb: bits(0x3e9a945eb0770d6f), Yield: bits(0x3fefffff2b5d0a7c), StdErr: bits(0x3e62aee6f8811a03), Samples: 4096, Shifted: true, Estimator: estimator.AIS, VarianceReduction: bits(0x40fd39c30cc92107)},
 	},
 	"sigma6-seed1": {
-		{FailProb: bits(0x3e1461a7034ca189), Yield: bits(0x3fefffffff5cf2c8), StdErr: bits(0x3ddc2dfa54dd47fa), Samples: 4096, Shifted: true, Estimator: estimator.AIS, VarianceReduction: bits(0x4183b3c357f13c45)},
+		{FailProb: bits(0x3e1583744ab3436d), Yield: bits(0x3fefffffff53e45e), StdErr: bits(0x3de4749b001bd93f), Samples: 4096, Shifted: true, Estimator: estimator.AIS, VarianceReduction: bits(0x4173bbd94630fc33)},
 	},
 	"sigma6-seed2": {
-		{FailProb: bits(0x3e1329ae9264ee81), Yield: bits(0x3fefffffff66b28b), StdErr: bits(0x3ddf159665e636db), Samples: 4096, Shifted: true, Estimator: estimator.AIS, VarianceReduction: bits(0x417e72a216c6e7ea)},
+		{FailProb: bits(0x3e1a6122418d59d0), Yield: bits(0x3fefffffff2cf6ee), StdErr: bits(0x3e0088a5e87a4202), Samples: 4096, Shifted: true, Estimator: estimator.AIS, VarianceReduction: bits(0x414284c8c10a5be6)},
 	},
-	// Stops early: 2558 of 8192 draws.
+	// Stops early: 2814 of 8192 draws.
 	"sigma5-relerr": {
-		{FailProb: bits(0x3e92747d957d1861), Yield: bits(0x3fefffff6c5c1354), StdErr: bits(0x3e6cbd58490cbcb8), Samples: 2558, Shifted: true, Estimator: estimator.AIS, VarianceReduction: bits(0x4106e13bbd094c9b)},
+		{FailProb: bits(0x3e9376f35209b551), Yield: bits(0x3fefffff64486570), StdErr: bits(0x3e69b1c2c7fc8184), Samples: 2814, Shifted: true, Estimator: estimator.AIS, VarianceReduction: bits(0x41042082c4607cf9)},
 	},
 	"sigma5-batch3": {
-		{FailProb: bits(0x3e95f95685275c66), Yield: bits(0x3fefffff50354bd7), StdErr: bits(0x3e603fd774500592), Samples: 4096, Shifted: true, Estimator: estimator.AIS, VarianceReduction: bits(0x40fc65a0b1224a2a)},
-		{FailProb: bits(0x3edc3f37d0b81a6a), Yield: bits(0x3feffff1e06417a4), StdErr: bits(0x3ea42dadebd8dab4), Samples: 4096, Shifted: true, Estimator: estimator.AIS, VarianceReduction: bits(0x40b7abf9ea321a09)},
-		{FailProb: bits(0x3f2b4b1bb1c4b977), Yield: bits(0x3feffe4b4e44e3b4), StdErr: bits(0x3ef222975f20da48), Samples: 4096, Shifted: true, Estimator: estimator.AIS, VarianceReduction: bits(0x406c4fc0d8065441)},
+		{FailProb: bits(0x3e9810c8bf287710), Yield: bits(0x3fefffff3f79ba07), StdErr: bits(0x3e600992732d0d4c), Samples: 4096, Shifted: true, Estimator: estimator.AIS, VarianceReduction: bits(0x4101f4d247db9a57)},
+		{FailProb: bits(0x3eda68aa98c89bbb), Yield: bits(0x3feffff2cbaab39c), StdErr: bits(0x3ea74716d28eb4e4), Samples: 4096, Shifted: true, Estimator: estimator.AIS, VarianceReduction: bits(0x40b0a165fbcf4ec8)},
+		{FailProb: bits(0x3f2d09583bf6d506), Yield: bits(0x3feffe2f6a7c4093), StdErr: bits(0x3ef215844f29ecb9), Samples: 4096, Shifted: true, Estimator: estimator.AIS, VarianceReduction: bits(0x406e4a257d2f02a2)},
 	},
 }
 
@@ -113,6 +113,68 @@ func TestAISGolden(t *testing.T) {
 					t.Fatalf("%s workers=%d candidate %d:\n got %+v\nwant %+v", c.name, workers, i, got[i], want[i])
 				}
 			}
+		}
+	}
+}
+
+// aisSweepSeeds is the seed count of TestAISMatchesBoxMullerSweep:
+// seeds 1 through aisSweepSeeds.
+const aisSweepSeeds = 150
+
+// boxMullerSweep holds, per delay target of testScenario, the mean
+// over seeds 1…aisSweepSeeds of the 4096-sample AIS failure
+// probability and that mean's standard error (the seeds' standard
+// deviation over √aisSweepSeeds), as the rung computed them while it
+// drew Box–Muller normals.
+var boxMullerSweep = []struct {
+	sigma         int
+	target        float64
+	mean, meanErr float64
+}{
+	{4, 556.4e-12, 3.89383e-05, 7.13886e-07},
+	{5, 591.7e-12, 3.59693e-07, 3.52495e-09},
+}
+
+// aisSweep runs 4096-sample AIS on sc at seeds 1…aisSweepSeeds and
+// returns the estimates' mean, their standard deviation and the mean
+// StdErr the rung reported.
+func aisSweep(t *testing.T, sc *LinkScenario) (mean, sd, reported float64) {
+	t.Helper()
+	ps := make([]float64, 0, aisSweepSeeds)
+	for seed := uint64(1); seed <= aisSweepSeeds; seed++ {
+		e, err := EstimateLinkYieldCtx(context.Background(), sc, YieldOptions{Samples: 4096, Seed: seed, Estimator: estimator.AIS})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps = append(ps, e.FailProb)
+		mean += e.FailProb
+		reported += e.StdErr
+	}
+	n := float64(len(ps))
+	mean /= n
+	reported /= n
+	for _, p := range ps {
+		sd += (p - mean) * (p - mean)
+	}
+	return mean, math.Sqrt(sd / (n - 1)), reported
+}
+
+// TestAISMatchesBoxMullerSweep stands in for the bits the rung gave up
+// when it moved from Box–Muller to ziggurat normals: at the ≈4σ and
+// ≈5σ targets, the mean of its estimates over seeds 1…aisSweepSeeds
+// must lie within three combined standard errors of the Box–Muller
+// mean at the same seeds. It logs how the seeds' spread compares with
+// the StdErr the rung reports.
+func TestAISMatchesBoxMullerSweep(t *testing.T) {
+	for _, g := range boxMullerSweep {
+		mean, sd, reported := aisSweep(t, testScenario(t, g.target))
+		meanErr := sd / math.Sqrt(aisSweepSeeds)
+		z := (mean - g.mean) / math.Hypot(meanErr, g.meanErr)
+		t.Logf("sigma%d: mean %.4g ± %.2g, Box–Muller %.4g ± %.2g, z = %.2f; seed sd / mean StdErr = %.3f",
+			g.sigma, mean, meanErr, g.mean, g.meanErr, z, sd/reported)
+		if !(math.Abs(z) < 3) {
+			t.Fatalf("sigma%d: mean %.4g ± %.2g is %.2f combined standard errors from the Box–Muller mean %.4g ± %.2g",
+				g.sigma, mean, meanErr, z, g.mean, g.meanErr)
 		}
 	}
 }

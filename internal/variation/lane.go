@@ -377,9 +377,9 @@ type laneKernel struct {
 	cands     []laneCand
 	sharedSeg bool
 	target    float64
-	seed      uint64
-	// seedHash is mix64(seed+γ), the seed half of every sample's
-	// stream state (see Stream.Reset), hashed once per run.
+	// seedHash is mix64(Seed+γ) of the run's seed, the seed half of
+	// every sample's stream state (see Stream.Reset), hashed once per
+	// run.
 	seedHash uint64
 
 	// Tech-level wire constants (identical for every segment).
@@ -420,7 +420,6 @@ func newLaneKernel(ms *MultiScenario, ro Options, shifts [][]float64, qshifts []
 		scale:     laneScaleFor(ms.Base),
 		sharedSeg: true,
 		target:    ms.Target,
-		seed:      ro.Seed,
 		seedHash:  mix64(ro.Seed + smGamma),
 		bar:       ms.Base.Barrier,
 		bar2:      2 * ms.Base.Barrier,
@@ -508,6 +507,7 @@ type laneScratch struct {
 	tot2    []float64
 	slw     []float64
 	slw2    []float64
+	sel     []float64 // AIS component selectors
 	stream  Stream
 	states  [laneSize]uint64 // the lane's stream states (drawPhase)
 	eps     [Dims]float64    // one sample's draw (AIS)
@@ -517,7 +517,7 @@ type laneScratch struct {
 	qpts [laneSize/qmcReplicates + 1][Dims]uint64
 }
 
-const laneArrays = Dims + Dims + facCount + 18
+const laneArrays = Dims + Dims + facCount + 19
 
 var laneScratchPool = sync.Pool{New: func() any {
 	ls := &laneScratch{backing: make([]float64, laneArrays*laneSize)}
@@ -544,6 +544,7 @@ var laneScratchPool = sync.Pool{New: func() any {
 	ls.cl, ls.dw = carve(), carve()
 	ls.tot, ls.tot2 = carve(), carve()
 	ls.slw, ls.slw2 = carve(), carve()
+	ls.sel = carve()
 	return ls
 }}
 
@@ -627,15 +628,6 @@ func (b *sampleBank) advance(end int) {
 // order, Sobol points in QMC mode, or weighted proposal draws in AIS
 // mode.
 func (lk *laneKernel) drawPhase(ls *laneScratch, start, n int) {
-	if lk.ais != nil {
-		for k := 0; k < n; k++ {
-			z := lk.ais.draw(&ls.stream, ls.eps[:], lk.seed, start+k)
-			for d := 0; d < Dims; d++ {
-				ls.epsT[d][k] = z[d]
-			}
-		}
-		return
-	}
 	if lk.qmc {
 		// SobolNormal at lane width: sample i takes point i/R of
 		// replicate i%R, so each point index's unshifted coordinates are
@@ -656,16 +648,37 @@ func (lk *laneKernel) drawPhase(ls *laneScratch, start, n int) {
 		}
 		return
 	}
-	// Stream.Reset and NormZig unrolled, one dimension at a time across
-	// the lane: sample k's stream state starts at seedHash ⊕ index, each
-	// output advances it by γ, and a draw the fast path rejects hands
-	// the state to the wedge/tail loop, which consumes the same outputs
-	// NormZig would. Each sample still draws its dimensions in order
-	// from its own stream.
+	// Sample k's stream state starts at seedHash ⊕ index, as
+	// Stream.Reset sets it. An AIS sample takes its component selector
+	// from the stream's first output (Stream.Float64) before its
+	// normals, then maps them through the stage proposal.
 	states := ls.states[:n]
 	for k := range states {
 		states[k] = lk.seedHash ^ uint64(start+k)
 	}
+	if lk.ais == nil {
+		ls.zigWalk(n)
+		return
+	}
+	st := &ls.stream
+	sel := ls.sel[:n]
+	for k := range sel {
+		st.state = states[k]
+		sel[k] = st.Float64()
+		states[k] = st.state
+	}
+	ls.zigWalk(n)
+	lk.ais.propose(ls, start, n)
+}
+
+// zigWalk fills epsT with Dims ziggurat normals for each of the lane's
+// first n stream states: NormZig unrolled, one dimension at a time
+// across the lane. Each output advances a state by γ, and a draw the
+// fast path rejects hands the state to the wedge/tail loop, which
+// consumes the same outputs NormZig would. Each sample still draws its
+// dimensions in order from its own stream.
+func (ls *laneScratch) zigWalk(n int) {
+	states := ls.states[:n]
 	st := &ls.stream
 	for d := 0; d < Dims; d++ {
 		e := ls.epsT[d][:n]

@@ -9,9 +9,10 @@ import (
 
 // BenchmarkNormsInto measures the per-draw cost of filling one
 // Dims-wide draw vector per sample — the sampler half of the hot
-// path: the ziggurat draw of the mc and isle rungs and the Box–Muller
-// draw (Stream.NormsInto) of the AIS rung. The ns/draw metric divides
-// out the vector width so the two compare per scalar normal.
+// path: the ziggurat draw of the mc, isle and ais rungs, against the
+// Box–Muller draw (Stream.NormsInto) the AIS rung drew before it and
+// the benchmark module's AIS split still times. The ns/draw metric
+// divides out the vector width so the two compare per scalar normal.
 func BenchmarkNormsInto(b *testing.B) {
 	for _, c := range []struct {
 		name string

@@ -47,7 +47,9 @@ func (r *scalarRef) draw(i int) []float64 {
 	case estimator.AIS:
 		r.st.Reset(r.seed, uint64(i))
 		u := r.st.Float64()
-		r.st.NormsInto(r.eps[:])
+		for d := range r.eps {
+			r.eps[d] = r.st.NormZig()
+		}
 		r.prop.SampleInto(u, r.eps[:], r.z[:])
 		return r.z[:]
 	default:
@@ -139,6 +141,27 @@ func allActive(k int) []bool {
 	return a
 }
 
+// fittedProposal is an adapted AIS proposal: a two-component mixture
+// fitted to points around a shifted mean, so draws come from the
+// defensive and both fitted components.
+func fittedProposal(t *testing.T) estimator.Mixture {
+	t.Helper()
+	var st Stream
+	pts := make([][]float64, 64)
+	for j := range pts {
+		st.Reset(9, uint64(j))
+		pts[j] = laneShift(1.5)
+		for d := range pts[j] {
+			pts[j][d] += 0.3 * st.NormZig()
+		}
+	}
+	m := estimator.FitMixture(aisComponents, pts, nil, estimator.FitOptions{})
+	if len(m.Weight) != aisComponents {
+		t.Fatalf("fitted proposal carries %d adapted components, want %d", len(m.Weight), aisComponents)
+	}
+	return m
+}
+
 // TestLaneBitIdenticalToScalar drives laneKernel.eval directly in every
 // mode — plain sampling on a shared and on a mixed segment, ISLE with a
 // shift per candidate (one unshifted, one inactive), QMC with candidate
@@ -158,22 +181,7 @@ func TestLaneBitIdenticalToScalar(t *testing.T) {
 	sc := testScenario(t, 520e-12)
 	single := &MultiScenario{Base: sc.Base, Coeffs: sc.Coeffs, Space: sc.Space, Specs: []model.LineSpec{sc.Spec}, Target: sc.Target}
 
-	// An adapted AIS proposal: a mixture fitted to points around a
-	// shifted mean, so draws come from the defensive and the fitted
-	// components.
-	var st Stream
-	pts := make([][]float64, 64)
-	for j := range pts {
-		st.Reset(9, uint64(j))
-		pts[j] = laneShift(1.5)
-		for d := range pts[j] {
-			pts[j][d] += 0.3 * st.NormZig()
-		}
-	}
-	adapted := estimator.FitMixture(aisComponents, pts, nil, estimator.FitOptions{})
-	if !adapted.Adapted() {
-		t.Fatal("fitted proposal carries no adapted component")
-	}
+	adapted := fittedProposal(t)
 
 	const samples = 2048
 	sentinel := math.Float64frombits(0x7ff8dead0000beef)
@@ -334,6 +342,119 @@ func TestDrawPhaseWedgeAndTail(t *testing.T) {
 		t.Fatalf("%d tail and %d wedge draws in the lanes; the fixture lost its teeth", tails, wedges)
 	}
 	t.Logf("%d tail and %d wedge draws", tails, wedges)
+}
+
+// TestDrawPhaseAIS holds drawPhase's AIS branch to a per-sample
+// reference, bit for bit: Stream.Reset, the component selector
+// (Float64), seven NormZig normals, Mixture.SampleInto and
+// Mixture.Weight01. Every epsT entry, every stored draw and every
+// stored weight must match, on lanes of 1, 13, 63 and 64 samples of a
+// stage that starts at a non-zero offset, under the standard proposal
+// and a fitted two-component mixture. The lanes must hold draws from
+// the defensive and both fitted components, a wedge draw and a tail
+// draw, or the fixture has lost its teeth.
+func TestDrawPhaseAIS(t *testing.T) {
+	sc := testScenario(t, 520e-12)
+	ms := &MultiScenario{Base: sc.Base, Coeffs: sc.Coeffs, Space: sc.Space, Specs: []model.LineSpec{sc.Spec}, Target: sc.Target}
+	const seed, base, samples = 3, 1000, 4096
+	// escapes counts sample i's normals whose first output misses the
+	// ziggurat's fast path, in layer 0 (the tail) and in the other
+	// layers (the wedge). The selector's output comes first.
+	escapes := func(i int) (tail, wedge int) {
+		var st Stream
+		st.Reset(seed, uint64(i))
+		st.Float64()
+		for d := 0; d < Dims; d++ {
+			peek := st
+			u := peek.Uint64()
+			if layer := u & 127; u>>11 >= zigK[layer] {
+				if layer == 0 {
+					tail++
+				} else {
+					wedge++
+				}
+			}
+			st.NormZig()
+		}
+		return tail, wedge
+	}
+	// The 64-sample lane holds the first tail draw past base+200, off
+	// the lane grid.
+	first := base + 200
+	for tl, _ := escapes(first); tl == 0; tl, _ = escapes(first) {
+		first++
+	}
+	lanes := []struct{ start, n int }{{base, 1}, {base + 37, 13}, {base + 101, 63}, {first - 17, laneSize}}
+	tails, wedges := 0, 0
+	for _, l := range lanes {
+		for i := l.start; i < l.start+l.n; i++ {
+			tl, wg := escapes(i)
+			tails += tl
+			wedges += wg
+		}
+	}
+	if tails == 0 || wedges == 0 {
+		t.Fatalf("%d tail and %d wedge draws in the lanes; the fixture lost its teeth", tails, wedges)
+	}
+
+	fitted := fittedProposal(t)
+	var branches [1 + aisComponents]int // defensive, then each component
+	for _, p := range []struct {
+		name string
+		prop estimator.Mixture
+	}{{"standard", estimator.StandardProposal()}, {"fitted", fitted}} {
+		ro := YieldOptions{Samples: samples, Seed: seed, Estimator: estimator.AIS}.runOptions().withDefaults()
+		d, err := newDriver(context.Background(), ms, ro, estimator.AIS)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, ls := d.lk.ais, d.lsc[0]
+		a.prop, a.base = p.prop, base
+		var st Stream
+		var eps, z [Dims]float64
+		for _, l := range lanes {
+			d.lk.drawPhase(ls, l.start, l.n)
+			for k := 0; k < l.n; k++ {
+				i := l.start + k
+				st.Reset(seed, uint64(i))
+				u := st.Float64()
+				for dim := range eps {
+					eps[dim] = st.NormZig()
+				}
+				p.prop.SampleInto(u, eps[:], z[:])
+				w := p.prop.Weight01(z[:])
+				j := i - base
+				for dim, want := range z {
+					if got := ls.epsT[dim][k]; math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s sample %d dim %d: epsT %v, reference %v", p.name, i, dim, got, want)
+					}
+					if got := a.zs[j*Dims+dim]; math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s sample %d dim %d: stored draw %v, reference %v", p.name, i, dim, got, want)
+					}
+				}
+				if got := a.weights[j]; math.Float64bits(got) != math.Float64bits(w) {
+					t.Fatalf("%s sample %d: stored weight %v, reference %v", p.name, i, got, w)
+				}
+				if p.name == "fitted" {
+					// SampleInto's branch: the defensive slice, then each
+					// component's weight in turn.
+					b, v := 0, u-p.prop.Defense
+					for v >= 0 && b < aisComponents {
+						v -= p.prop.Weight[b]
+						b++
+					}
+					branches[b]++
+				}
+			}
+		}
+		d.close()
+	}
+	for b, c := range branches {
+		if c == 0 {
+			t.Fatalf("no fitted-proposal draw from branch %d (0 is the defensive one) among %v; the fixture lost its teeth", b, branches)
+		}
+	}
+	t.Logf("%d tail and %d wedge draws; fitted-proposal draws per branch %v", tails, wedges, branches)
 }
 
 // TestDrawPhaseQMC holds drawPhase's QMC branch to the per-sample

@@ -51,12 +51,11 @@ func NewStream(seed, index uint64) *Stream {
 }
 
 // Reset reseeds s in place to the exact state NewStream(seed, index)
-// would return, discarding any cached Box–Muller spare. The AIS draw
-// keeps one Stream per worker and Resets it per sample instead of
-// allocating a fresh stream, so the hot path stays allocation-free
-// while the (seed, index) → sequence contract is unchanged; the lane's
-// ziggurat draw (drawPhase) sets the same state with the seed's hash
-// computed once per run.
+// would return, discarding any cached Box–Muller spare, so one Stream
+// can walk many samples without allocating while the (seed, index) →
+// sequence contract is unchanged. The lane's draw (drawPhase) sets the
+// same state for every rung but qmc, with the seed's hash computed once
+// per run.
 func (s *Stream) Reset(seed, index uint64) {
 	s.state = mix64(seed+smGamma) ^ index
 	s.spare = 0
@@ -79,6 +78,8 @@ func (s *Stream) Float64() float64 {
 }
 
 // Norm returns a standard normal draw via the Box–Muller transform.
+// No rung draws with it: it serves the benchmark module's AIS split
+// (through NormsInto) and the tests.
 func (s *Stream) Norm() float64 {
 	if s.hasSpare {
 		s.hasSpare = false
@@ -93,9 +94,8 @@ func (s *Stream) Norm() float64 {
 }
 
 // NormsInto fills the caller-owned dst with len(dst) standard normal
-// Box–Muller draws, one Norm per element. The batched kernel
-// uses it with a per-worker buffer to keep the steady path free of
-// per-sample allocation.
+// Box–Muller draws, one Norm per element. Like Norm it has no
+// production caller; the benchmark module's AIS split still times it.
 func (s *Stream) NormsInto(dst []float64) {
 	for i := range dst {
 		dst[i] = s.Norm()

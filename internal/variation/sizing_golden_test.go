@@ -303,8 +303,8 @@ var sizingGolden = map[string]string{
 	"90nm-6mm-y0.999-qmc-relerr0-tight":        "INV80x2 p=0.000732421875 y=0.999267578125 se=0.00035738528062080073 n=4096 shifted=false qmc vr=1.398974609375 resized=true",
 	"90nm-6mm-y0.999-qmc-relerr0-miss":         "INV80x2 p=0.00048828125 y=0.99951171875 se=0.00031965511265037944 n=4096 shifted=false qmc vr=1.1660970052083335 resized=true",
 	"90nm-6mm-y0.999-qmc-relerr0-loose":        "INV60x2 p=0.00048828125 y=0.99951171875 se=0.00031965511265037944 n=4096 shifted=false qmc vr=1.1660970052083335 resized=false",
-	"90nm-6mm-y0.999-ais-relerr0-miss":         "INV80x2 p=0.0008750149232268892 y=0.9991249850767732 se=0.0003459545949197816 n=2048 shifted=true ais vr=4.749421757975345 resized=true",
-	"90nm-6mm-y0.999-ais-relerr0-loose":        "INV60x2 p=0.0006107342692892546 y=0.9993892657307107 se=0.00010729557745793648 n=2048 shifted=true ais vr=34.47204053244839 resized=false",
+	"90nm-6mm-y0.999-ais-relerr0-miss":         "INV80x2 p=0.0008618193775605864 y=0.9991381806224394 se=0.00019247832995287302 n=2048 shifted=true ais vr=15.111994638581752 resized=true",
+	"90nm-6mm-y0.999-ais-relerr0-loose":        "INV60x2 p=0.0006333233504049118 y=0.9993666766495951 se=9.175091048744747e-05 n=2048 shifted=true ais vr=48.884734843181285 resized=false",
 	"90nm-6mm-y0.999-sigma2.5-relerr0-tight":   "INV80x2 p=0.000732421875 y=0.999267578125 se=0.00035738528062080073 n=4096 shifted=false qmc vr=1.398974609375 resized=true",
 	"90nm-6mm-y0.999-sigma2.5-relerr0-miss":    "INV80x2 p=0.00048828125 y=0.99951171875 se=0.00031965511265037944 n=4096 shifted=false qmc vr=1.1660970052083335 resized=true",
 	"90nm-6mm-y0.999-sigma2.5-relerr0-loose":   "INV60x2 p=0.00048828125 y=0.99951171875 se=0.00031965511265037944 n=4096 shifted=false qmc vr=1.1660970052083335 resized=false",
@@ -320,8 +320,8 @@ var sizingGolden = map[string]string{
 	"90nm-6mm-y0.999-qmc-relerr0.2-tight":      "INV80x2 p=0 y=1 se=0 n=512 shifted=false qmc vr=1 resized=true",
 	"90nm-6mm-y0.999-qmc-relerr0.2-miss":       "INV80x2 p=0 y=1 se=0 n=512 shifted=false qmc vr=1 resized=true",
 	"90nm-6mm-y0.999-qmc-relerr0.2-loose":      "INV60x2 p=0 y=1 se=0 n=512 shifted=false qmc vr=1 resized=false",
-	"90nm-6mm-y0.999-ais-relerr0.2-miss":       "INV80x2 p=0.0008750149232268892 y=0.9991249850767732 se=0.0003459545949197816 n=2048 shifted=true ais vr=4.749421757975345 resized=true",
-	"90nm-6mm-y0.999-ais-relerr0.2-loose":      "INV60x2 p=0.0006091800271643166 y=0.9993908199728356 se=0.00010712778398586423 n=2046 shifted=true ais vr=34.53707498164761 resized=false",
+	"90nm-6mm-y0.999-ais-relerr0.2-miss":       "INV80x2 p=0.0008618193775605864 y=0.9991381806224394 se=0.00019247832995287302 n=2048 shifted=true ais vr=15.111994638581752 resized=true",
+	"90nm-6mm-y0.999-ais-relerr0.2-loose":      "INV60x2 p=0.0006291085230968648 y=0.9993708914769032 se=0.00012128430593206303 n=1278 shifted=true ais vr=55.65213502659421 resized=false",
 	"90nm-6mm-y0.999-sigma2.5-relerr0.2-tight": "INV80x2 p=0 y=1 se=0 n=512 shifted=false qmc vr=1 resized=true",
 	"90nm-6mm-y0.999-sigma2.5-relerr0.2-miss":  "INV80x2 p=0 y=1 se=0 n=512 shifted=false qmc vr=1 resized=true",
 	"90nm-6mm-y0.999-sigma2.5-relerr0.2-loose": "INV60x2 p=0 y=1 se=0 n=512 shifted=false qmc vr=1 resized=false",
@@ -341,8 +341,8 @@ var sizingGolden = map[string]string{
 	"45nm-2mm-y0.99-qmc-relerr0-tight":         "error: variation: no buffering candidate meets the yield target (none of 12 feasible candidates reaches yield 0.99)",
 	"45nm-2mm-y0.99-qmc-relerr0-miss":          "INV120x1 p=0.00732421875 y=0.99267578125 se=0.0006120929399687585 n=4096 shifted=false qmc vr=4.7377707741477275 resized=true",
 	"45nm-2mm-y0.99-qmc-relerr0-loose":         "INV80x1 p=0.003173828125 y=0.996826171875 se=0.0008993998994299405 n=4096 shifted=false qmc vr=0.9548545435855262 resized=false",
-	"45nm-2mm-y0.99-ais-relerr0-miss":          "INV120x1 p=0.00805540806847525 y=0.9919445919315247 se=0.0007813384209044683 n=2048 shifted=true ais vr=8.510209731008448 resized=true",
-	"45nm-2mm-y0.99-ais-relerr0-loose":         "INV80x1 p=0.004720701941474177 y=0.9952792980585258 se=0.0004821750224230029 n=2048 shifted=true ais vr=13.139710512336533 resized=false",
+	"45nm-2mm-y0.99-ais-relerr0-miss":          "error: variation: no buffering candidate meets the yield target (none of 13 feasible candidates reaches yield 0.99)",
+	"45nm-2mm-y0.99-ais-relerr0-loose":         "INV80x1 p=0.004486952879078358 y=0.9955130471209216 se=0.0005557111003522921 n=2048 shifted=true ais vr=9.404679190513411 resized=false",
 	"45nm-2mm-y0.99-sigma2.5-relerr0-tight":    "error: variation: no buffering candidate meets the yield target (none of 12 feasible candidates reaches yield 0.99)",
 	"45nm-2mm-y0.99-sigma2.5-relerr0-miss":     "INV120x1 p=0.00732421875 y=0.99267578125 se=0.0006120929399687585 n=4096 shifted=false qmc vr=4.7377707741477275 resized=true",
 	"45nm-2mm-y0.99-sigma2.5-relerr0-loose":    "INV80x1 p=0.003173828125 y=0.996826171875 se=0.0008993998994299405 n=4096 shifted=false qmc vr=0.9548545435855262 resized=false",
@@ -358,8 +358,8 @@ var sizingGolden = map[string]string{
 	"45nm-2mm-y0.99-qmc-relerr0.2-tight":       "error: variation: no buffering candidate meets the yield target (none of 12 feasible candidates reaches yield 0.99)",
 	"45nm-2mm-y0.99-qmc-relerr0.2-miss":        "INV120x1 p=0.00732421875 y=0.99267578125 se=0.0011525328991251608 n=2048 shifted=false qmc vr=2.672588641826924 resized=true",
 	"45nm-2mm-y0.99-qmc-relerr0.2-loose":       "INV80x1 p=0.003255208333333333 y=0.9967447916666666 se=0.0006510416666666666 n=3072 shifted=false qmc vr=2.4918619791666665 resized=false",
-	"45nm-2mm-y0.99-ais-relerr0.2-miss":        "INV120x1 p=0.009719635441505793 y=0.9902803645584942 se=0.00166167086969623 n=1022 shifted=true ais vr=6.808448707622863 resized=true",
-	"45nm-2mm-y0.99-ais-relerr0.2-loose":       "INV80x1 p=0.006374125194766979 y=0.993625874805233 se=0.0012256298008571631 n=1022 shifted=true ais vr=8.234834896995634 resized=false",
+	"45nm-2mm-y0.99-ais-relerr0.2-miss":        "error: variation: no buffering candidate meets the yield target (none of 13 feasible candidates reaches yield 0.99)",
+	"45nm-2mm-y0.99-ais-relerr0.2-loose":       "INV80x1 p=0.004269689174221633 y=0.9957303108257783 se=0.0007107874740843701 n=1278 shifted=true ais vr=10.957140645224916 resized=false",
 	"45nm-2mm-y0.99-sigma2.5-relerr0.2-tight":  "error: variation: no buffering candidate meets the yield target (none of 12 feasible candidates reaches yield 0.99)",
 	"45nm-2mm-y0.99-sigma2.5-relerr0.2-miss":   "INV120x1 p=0.00732421875 y=0.99267578125 se=0.0011525328991251608 n=2048 shifted=false qmc vr=2.672588641826924 resized=true",
 	"45nm-2mm-y0.99-sigma2.5-relerr0.2-loose":  "INV80x1 p=0.003255208333333333 y=0.9967447916666666 se=0.0006510416666666666 n=3072 shifted=false qmc vr=2.4918619791666665 resized=false",
