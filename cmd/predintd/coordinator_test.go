@@ -314,3 +314,45 @@ func TestCoordinatorSurfaceOwnerRouting(t *testing.T) {
 		t.Errorf("recorded class present on %d replicas, want exactly 1 (the rendezvous owner)", owners)
 	}
 }
+
+// TestCoordinatorSurfaceOwnerInterpolates pins that a link class has
+// one owner for every delay target: estimates at two targets, recorded
+// through a surface-less front, land on the same replica, so a third
+// target between them is interpolated from that owner's curve. The
+// targets sit far above the link's delay, where no sample fails, so the
+// interpolated band is 0.
+func TestCoordinatorSurfaceOwnerInterpolates(t *testing.T) {
+	servers, urls := testCluster(t, 3, true)
+	coord := testCoordinator(t, urls, nil, 512)
+	at := func(ps float64) predint.YieldRequest {
+		req := coordReq("mc", 2048)
+		req.NoSurface = false
+		req.TargetPS = &ps
+		return req
+	}
+	for _, ps := range []float64{2000, 3000} {
+		res, err := coord.Estimate(context.Background(), at(ps))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Source != "mc" || res.FailProb != 0 {
+			t.Fatalf("target %g ps: source %q, fail probability %g; want a sampled answer with no failure", ps, res.Source, res.FailProb)
+		}
+	}
+	mid, err := coord.Estimate(context.Background(), at(2500))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mid.Source != "surface" || mid.FailProb != 0 || mid.StdErr != 0 {
+		t.Fatalf("bracketed target: source %q, %g ± %g; want the owner's interpolated 0 ± 0 (source surface)", mid.Source, mid.FailProb, mid.StdErr)
+	}
+	owners := 0
+	for _, s := range servers {
+		if s.surf.Stats().Points > 0 {
+			owners++
+		}
+	}
+	if owners != 1 {
+		t.Errorf("the class's points are on %d replicas, want exactly 1 (the rendezvous owner)", owners)
+	}
+}

@@ -63,7 +63,9 @@ func FuzzShardRequestBody(f *testing.F) {
 		`{"op": "sample", "req": {"Tech": "90nm", "LengthMM": 5}, "start": -1, "count": 4}`,
 		`{"op": "sample", "req": {"Tech": "90nm", "LengthMM": 1e9, "InputSlewPS": 1e-300, "TargetPS": 1e308}, "start": 0, "count": 1}`,
 		`{"op": "probe", "req": {"Tech": "90nm", "LengthMM": 5}}`,
-		`{"op": "record", "req": {"Tech": "90nm", "LengthMM": 5}, "result": {"Yield": 0.5, "FailProb": 0.5, "Samples": 64, "Estimator": "mc", "Source": "mc"}}`,
+		`{"op": "record", "req": {"Tech": "90nm", "LengthMM": 5}, "result": {"Repeaters": 2, "RepeaterSize": 60, "NominalDelay": 4.3e-10, "Yield": 0.5, "FailProb": 0.5, "Samples": 64, "Estimator": "mc", "Source": "mc"}}`,
+		// A result no estimation produces: the owner refuses it (a 400).
+		`{"op": "record", "req": {"Tech": "90nm", "LengthMM": 5}, "result": {"Repeaters": 0, "RepeaterSize": 60, "NominalDelay": 4.3e-10, "Yield": -6, "FailProb": 7, "StdErr": -1, "Samples": 64, "Estimator": "bogus", "Source": "mc"}}`,
 		// A peer still sending the retired surface_version field: a 400.
 		`{"op": "probe", "req": {"Tech": "90nm", "LengthMM": 5}, "surface_version": 0}`,
 		`{"op": "bogus"}`,

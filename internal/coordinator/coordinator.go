@@ -625,7 +625,10 @@ func (c *Coordinator) fetchShard(ctx context.Context, plan *predint.YieldShardPl
 		if err != nil {
 			continue
 		}
-		if resp.Part == nil || resp.Part.Start != s.start || resp.Part.Count != s.count {
+		// A shard of another range, or one collected under another rung
+		// (a replica that resolved the request differently), would merge
+		// into a wrong answer: charge the member and fetch it elsewhere.
+		if resp.Part == nil || resp.Kind != plan.Kind() || resp.Part.Start != s.start || resp.Part.Count != s.count {
 			from.fail(time.Now())
 			continue
 		}

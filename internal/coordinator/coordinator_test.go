@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	predint "repro"
 )
 
 func TestNewValidation(t *testing.T) {
@@ -375,5 +377,57 @@ func TestMembershipEvictionReadmission(t *testing.T) {
 	}
 	if !ms.probed.Load() {
 		t.Fatal("first successful probe did not mark the set as probed")
+	}
+}
+
+// TestShardOfAnotherRungRetried pins that a shard answered under a rung
+// other than the plan's is refused like a shard of the wrong range: one
+// worker collects every sample shard of an mc plan under qmc, and the
+// coordinator must charge it, fetch those shards again elsewhere, and
+// return exactly the local run's answer.
+func TestShardOfAnotherRungRetried(t *testing.T) {
+	honest := httptest.NewServer(Handler(nil))
+	defer honest.Close()
+	liar := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var sr ShardRequest
+		if err := decodeJSON(r, &sr); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		sr.Req.Estimator = "qmc"
+		resp, err := ExecuteShard(r.Context(), nil, sr)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		writeJSON(w, resp)
+	}))
+	defer liar.Close()
+
+	samples, target := 2048, 500.0
+	req := predint.YieldRequest{Tech: "90nm", LengthMM: 5, Samples: &samples, TargetPS: &target, Seed: 7, Estimator: "mc", NoSurface: true}
+	want, err := predint.Surfaced{}.LinkYieldCtx(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.FailProb == 0 {
+		t.Fatal("no sample fails at the target; the fixture lost its teeth")
+	}
+	c, err := New(Config{Workers: []string{honest.URL, liar.URL}, ShardSamples: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	got, err := c.Estimate(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("coordinator merged another rung's shard:\n got %+v\nwant %+v", got, want)
+	}
+	for _, st := range c.WorkersStatus() {
+		if st.Addr == liar.URL && st.Errors == 0 {
+			t.Errorf("the worker answering under qmc was never charged: %+v", st)
+		}
 	}
 }

@@ -54,7 +54,8 @@ type ShardRequest struct {
 type ShardResponse struct {
 	// Kind and Shifted report the estimator rung and shift decision of
 	// an OpSample; every replica reports the same values for the same
-	// request, which the coordinator asserts while merging.
+	// request. The coordinator refuses a shard whose Kind is not its
+	// plan's, and asserts Shifted while merging.
 	Kind    string `json:"kind,omitempty"`
 	Shifted bool   `json:"shifted,omitempty"`
 	// Part is the sparse partial accumulator of an OpSample; the

@@ -74,10 +74,6 @@ func StandardProposal() Mixture {
 	return m
 }
 
-// Adapted reports whether the mixture carries any fitted component
-// (false for StandardProposal).
-func (m *Mixture) Adapted() bool { return len(m.Weight) > 0 }
-
 // SampleInto turns one uniform u (component selection) and one
 // standard-normal draw eps (length dims) into a proposal draw, written
 // to z. eps and z may alias. The mapping is a deterministic function
@@ -149,34 +145,31 @@ func (m *Mixture) Weight01(z []float64) float64 {
 }
 
 // FitOptions tunes FitMixture. The zero value selects the documented
-// defaults.
+// default.
 type FitOptions struct {
 	// SigmaFloor bounds every fitted per-dimension sigma from below
 	// (default 0.25): a cross-entropy iteration must never collapse
 	// the proposal onto a point, which would send later likelihood
 	// ratios to infinity.
 	SigmaFloor float64
-	// MaxMeanNorm caps each component mean's Euclidean norm (default
-	// 8, matching the engine's shift cap — beyond it the failure
-	// probability is unresolvable anyway).
-	MaxMeanNorm float64
-	// Iters is the EM iteration count (default 8; fixed, so the fit
-	// is deterministic).
-	Iters int
 }
 
 func (o FitOptions) withDefaults() FitOptions {
 	if o.SigmaFloor == 0 {
 		o.SigmaFloor = 0.25
 	}
-	if o.MaxMeanNorm == 0 {
-		o.MaxMeanNorm = 8
-	}
-	if o.Iters == 0 {
-		o.Iters = 8
-	}
 	return o
 }
+
+const (
+	// fitMaxMeanNorm caps each fitted component mean's Euclidean norm,
+	// matching the engine's shift cap: beyond it the failure
+	// probability is unresolvable anyway.
+	fitMaxMeanNorm = 8
+	// fitIters is the EM iteration count, fixed so the fit is
+	// deterministic.
+	fitIters = 8
+)
 
 // FitMixture fits a k-component mixture to weighted elite points by a
 // fixed-iteration weighted EM, deterministically: contiguous chunks of
@@ -245,7 +238,7 @@ func FitMixture(k int, pts [][]float64, w []float64, opts FitOptions) Mixture {
 	resp := make([]float64, n*k)
 	logw := make([]float64, k)
 	logSig := make([]float64, k*dims)
-	for it := 0; it < opts.Iters; it++ {
+	for it := 0; it < fitIters; it++ {
 		for c := 0; c < k; c++ {
 			logw[c] = math.Log(math.Max(m.Weight[c], 1e-12))
 			logsInto(logSig[c*dims:(c+1)*dims], m.Sigma[c])
@@ -286,7 +279,7 @@ func FitMixture(k int, pts [][]float64, w []float64, opts FitOptions) Mixture {
 				}
 				mu[d] = s / rw
 			}
-			capNorm(mu, opts.MaxMeanNorm)
+			capNorm(mu, fitMaxMeanNorm)
 			for d := 0; d < dims; d++ {
 				var s float64
 				for i := 0; i < n; i++ {
@@ -328,7 +321,7 @@ func weightedMoments(pts [][]float64, w []float64, dims int, opts FitOptions) (m
 			mu[d] = s / total
 		}
 	}
-	capNorm(mu, opts.MaxMeanNorm)
+	capNorm(mu, fitMaxMeanNorm)
 	for d := 0; d < dims; d++ {
 		var s float64
 		for i, z := range pts {

@@ -8,8 +8,8 @@ import (
 
 func TestStandardProposalIsPhi(t *testing.T) {
 	m := StandardProposal()
-	if m.Adapted() {
-		t.Fatal("StandardProposal reports adapted components")
+	if len(m.Weight) != 0 {
+		t.Fatal("StandardProposal carries adapted components")
 	}
 	// q = φ, so every draw, however deep, weighs exactly 1.
 	for _, z := range [][]float64{{0.5, -1.5, 2}, {0, 0, 0}, {12, -30, 7}} {
@@ -307,7 +307,7 @@ func refFitMixture(k int, pts [][]float64, w []float64, opts FitOptions) Mixture
 	}
 	resp := make([]float64, n*k)
 	logw := make([]float64, k)
-	for it := 0; it < opts.Iters; it++ {
+	for it := 0; it < fitIters; it++ {
 		for c := 0; c < k; c++ {
 			logw[c] = math.Log(math.Max(m.Weight[c], 1e-12))
 		}
@@ -347,7 +347,7 @@ func refFitMixture(k int, pts [][]float64, w []float64, opts FitOptions) Mixture
 				}
 				mu[d] = s / rw
 			}
-			capNorm(mu, opts.MaxMeanNorm)
+			capNorm(mu, fitMaxMeanNorm)
 			for d := 0; d < dims; d++ {
 				var s float64
 				for i := 0; i < n; i++ {

@@ -60,7 +60,7 @@ func Hits(name string) uint64 {
 
 // Hit is the instrumentation call sites place at a fault point. With
 // no active plan, or no configuration for this point, it returns nil
-// immediately. A firing Error/Transient/Cancel point returns the
+// immediately. A firing Error/Cancel point returns the
 // corresponding error; a Delay point sleeps then returns nil; a Panic
 // point panics.
 func Hit(name string) error {
@@ -79,8 +79,6 @@ func Hit(name string) error {
 	switch pt.Kind {
 	case Error:
 		return fmt.Errorf("%s (hit %d): %w", name, i, ErrInjected)
-	case Transient:
-		return fmt.Errorf("%s (hit %d): %w (%w)", name, i, ErrTransient, ErrInjected)
 	case Panic:
 		panic(fmt.Sprintf("faultinject: panic at %s (hit %d)", name, i))
 	case Delay:

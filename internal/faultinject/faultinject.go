@@ -2,9 +2,8 @@
 // registry for robustness testing: hot paths declare named points
 // (noc.cache.compute, pool.item, variation.batch,
 // liberty.characterize, predintd.handle, ...) and tests activate a
-// Plan that makes chosen points fail — with an error, a transient
-// (retryable) error, a panic, a delay, or a synthetic cancellation —
-// on a deterministic schedule. This is how the serving layer's
+// Plan that makes chosen points fail — with an error, a panic, a
+// delay, or a synthetic cancellation — on a deterministic schedule. This is how the serving layer's
 // shedding, degradation, retry, and drain paths are *proved* to fire
 // rather than assumed.
 //
@@ -26,27 +25,15 @@ import (
 	"time"
 )
 
-// Sentinel errors. Every injected error wraps ErrInjected; transient
-// injected errors additionally wrap ErrTransient, which retry loops
-// (noc.DesignCache compute) treat as retryable.
-var (
-	ErrInjected  = errors.New("faultinject: injected fault")
-	ErrTransient = errors.New("faultinject: transient")
-)
-
-// IsTransient reports whether err is (or wraps) a transient injected
-// fault — the class a retry-with-backoff loop should retry.
-func IsTransient(err error) bool { return errors.Is(err, ErrTransient) }
+// ErrInjected is the sentinel every injected error wraps.
+var ErrInjected = errors.New("faultinject: injected fault")
 
 // Kind selects what a firing fault point does.
 type Kind int
 
 const (
-	// Error returns a permanent injected error (wraps ErrInjected).
+	// Error returns an injected error (wraps ErrInjected).
 	Error Kind = iota
-	// Transient returns a retryable injected error (wraps both
-	// ErrTransient and ErrInjected).
-	Transient
 	// Panic panics with a descriptive string value.
 	Panic
 	// Delay sleeps for Point.Delay, then lets the call proceed.

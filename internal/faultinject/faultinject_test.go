@@ -19,25 +19,16 @@ func TestInactiveIsNoOp(t *testing.T) {
 	}
 }
 
-func TestErrorAndTransientKinds(t *testing.T) {
+func TestErrorKind(t *testing.T) {
 	restore := Activate(Plan{Points: map[string]Point{
-		"perm":  {Kind: Error},
-		"trans": {Kind: Transient},
+		"perm": {Kind: Error},
 	}})
 	defer restore()
 	if !Enabled() {
 		t.Fatal("plan not active")
 	}
-	perm := Hit("perm")
-	if !errors.Is(perm, ErrInjected) {
-		t.Fatalf("permanent fault = %v, want ErrInjected", perm)
-	}
-	if IsTransient(perm) {
-		t.Fatal("permanent fault reported transient")
-	}
-	trans := Hit("trans")
-	if !IsTransient(trans) || !errors.Is(trans, ErrInjected) {
-		t.Fatalf("transient fault = %v, want ErrTransient wrapping ErrInjected", trans)
+	if err := Hit("perm"); !errors.Is(err, ErrInjected) {
+		t.Fatalf("error fault = %v, want ErrInjected", err)
 	}
 	if err := Hit("unconfigured"); err != nil {
 		t.Fatalf("unconfigured point fired: %v", err)

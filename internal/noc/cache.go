@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"time"
 
 	"repro/internal/faultinject"
 	"repro/internal/obs"
@@ -26,20 +25,9 @@ const designCacheShards = 16
 
 // Design-cache observability (see internal/obs).
 var (
-	metCacheHits    = obs.NewCounter("noc.design_cache.hits")
-	metCacheMisses  = obs.NewCounter("noc.design_cache.misses")
-	metCacheRetries = obs.NewCounter("noc.design_cache.retries")
-	metDesigns      = obs.NewCounter("noc.designs_computed")
-)
-
-// Retry policy for transient compute failures (see computeRetrying):
-// up to maxComputeRetries re-attempts with exponential backoff from
-// computeRetryBase, each sleep jittered deterministically by the
-// (bucket, attempt) hash so a retry storm across shards never
-// synchronizes.
-const (
-	maxComputeRetries = 3
-	computeRetryBase  = time.Millisecond
+	metCacheHits   = obs.NewCounter("noc.design_cache.hits")
+	metCacheMisses = obs.NewCounter("noc.design_cache.misses")
+	metDesigns     = obs.NewCounter("noc.designs_computed")
 )
 
 // DesignCache is a concurrency-safe memoizing wrapper around a
@@ -55,10 +43,11 @@ const (
 // requests block on the first computation rather than recomputing),
 // which requires the wrapped model's Design to be safe for concurrent
 // calls — true of every implementation in this package. Successful
-// designs and permanent failures are memoized; cancellation and
-// deadline errors are not, so a lookup aborted by a dying context
-// never poisons the entry for later callers sharing the cache — the
-// next lookup simply retries the computation.
+// designs and failures are memoized, since a design is a deterministic
+// function of its length and recomputing cannot change it;
+// cancellation and deadline errors are not, so a lookup aborted by a
+// dying context never poisons the entry for later callers sharing the
+// cache — the next lookup computes it afresh.
 type DesignCache struct {
 	LinkModel
 	shards [designCacheShards]designShard
@@ -73,7 +62,7 @@ type designShard struct {
 // the computation lock: the first caller computes while holding it and
 // duplicates block behind it, the same single-computation guarantee a
 // sync.Once would give — but, unlike a Once, an entry left undecided
-// by a transient failure can be retried by the next caller.
+// by a cancelled computation is computed by the next caller.
 type designEntry struct {
 	mu   sync.Mutex
 	done bool
@@ -111,46 +100,20 @@ func designVia(ctx context.Context, lm LinkModel, length float64) (LinkDesign, e
 	return lm.Design(length)
 }
 
-// transientErr reports whether a design error reflects the caller's
+// contextErr reports whether a design error reflects the caller's
 // context rather than the design problem itself. Such errors must not
 // be memoized: the next caller, with a live context, may well succeed.
-func transientErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) ||
-		faultinject.IsTransient(err)
+func contextErr(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// computeRetrying runs one bucket's design computation, retrying
-// transient (retryable, non-context) failures with jittered
-// exponential backoff. Context errors are returned immediately — the
-// caller's deadline owns those — and a transient error that survives
-// every retry is returned as-is so the cache never memoizes it.
-func (c *DesignCache) computeRetrying(ctx context.Context, q int64, length float64) (LinkDesign, error) {
-	for attempt := 0; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return LinkDesign{}, err
-		}
-		d, err := func() (LinkDesign, error) {
-			if err := faultinject.Hit("noc.cache.compute"); err != nil {
-				return LinkDesign{}, err
-			}
-			return designVia(ctx, c.LinkModel, length)
-		}()
-		if err == nil || !faultinject.IsTransient(err) || attempt >= maxComputeRetries {
-			return d, err
-		}
-		metCacheRetries.Inc()
-		time.Sleep(retryBackoff(q, attempt))
+// compute runs one bucket's design computation behind the
+// noc.cache.compute fault point.
+func (c *DesignCache) compute(ctx context.Context, length float64) (LinkDesign, error) {
+	if err := faultinject.Hit("noc.cache.compute"); err != nil {
+		return LinkDesign{}, err
 	}
-}
-
-// retryBackoff is the attempt'th sleep for bucket q: exponential from
-// computeRetryBase with a deterministic jitter factor in [0.5, 1.5)
-// keyed by (bucket, attempt), so retries are reproducible in tests yet
-// de-synchronized across buckets in a sweep.
-func retryBackoff(q int64, attempt int) time.Duration {
-	base := computeRetryBase << uint(attempt)
-	jitter := 0.5 + faultinject.Uniform(uint64(q), "noc.cache.retry", uint64(attempt))
-	return time.Duration(float64(base) * jitter)
+	return designVia(ctx, c.LinkModel, length)
 }
 
 // Design returns the cached design for the quantized length,
@@ -200,8 +163,8 @@ func (c *DesignCache) DesignCtx(ctx context.Context, length float64) (LinkDesign
 		return LinkDesign{}, err
 	}
 	metCacheMisses.Inc()
-	d, err := c.computeRetrying(ctx, q, float64(q)*lengthQuantum)
-	if err != nil && transientErr(err) {
+	d, err := c.compute(ctx, float64(q)*lengthQuantum)
+	if err != nil && contextErr(err) {
 		return LinkDesign{}, err
 	}
 	e.d, e.err, e.done = d, err, true
@@ -212,8 +175,8 @@ func (c *DesignCache) DesignCtx(ctx context.Context, length float64) (LinkDesign
 }
 
 // Len reports the number of decided cache entries (diagnostics and
-// tests). Entries whose computation failed transiently and was never
-// retried do not count: they hold no design.
+// tests). Entries whose computation was cancelled and never redone do
+// not count: they hold no design.
 func (c *DesignCache) Len() int {
 	n := 0
 	for i := range c.shards {

@@ -3,99 +3,12 @@ package noc
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"repro/internal/faultinject"
-	"repro/internal/obs"
 )
 
-// TestCacheComputeTransientFaultRetried: a transient compute fault is
-// retried with backoff inside one lookup, the wrapped model is
-// consulted exactly once, and the eventual success is what gets
-// memoized.
-func TestCacheComputeTransientFaultRetried(t *testing.T) {
-	base := newCountingModel(proposed90(t))
-	c := NewDesignCache(base)
-	defer faultinject.Activate(faultinject.Plan{Points: map[string]faultinject.Point{
-		"noc.cache.compute": {Kind: faultinject.Transient, Times: 2},
-	}})()
-
-	retriesBefore := obs.Snapshot()["noc.design_cache.retries"]
-	const length = 1e-3 // bucket q = 1000
-	// The first two attempts fire the transient fault; the third
-	// succeeds. The two inter-attempt sleeps are deterministic, so the
-	// lookup must take at least their sum.
-	minSleep := retryBackoff(1000, 0) + retryBackoff(1000, 1)
-	start := time.Now()
-	d, err := c.Design(length)
-	elapsed := time.Since(start)
-	if err != nil {
-		t.Fatalf("lookup failed despite retries: %v", err)
-	}
-	if d.Length == 0 {
-		t.Fatal("retried lookup returned a zero design")
-	}
-	if got := faultinject.Hits("noc.cache.compute"); got != 3 {
-		t.Fatalf("fault point hit %d times, want 3 (fail, fail, succeed)", got)
-	}
-	if got := base.totalCalls(); got != 1 {
-		t.Fatalf("underlying model called %d times, want 1", got)
-	}
-	if got := obs.Snapshot()["noc.design_cache.retries"] - retriesBefore; got != 2 {
-		t.Fatalf("retry counter moved by %d, want 2", got)
-	}
-	if elapsed < minSleep {
-		t.Fatalf("lookup took %v, want ≥ %v of backoff", elapsed, minSleep)
-	}
-
-	// The success is memoized: the next lookup is a pure hit that
-	// neither re-runs the fault point nor the model.
-	if _, err := c.Design(length); err != nil {
-		t.Fatal(err)
-	}
-	if got := faultinject.Hits("noc.cache.compute"); got != 3 {
-		t.Fatalf("cache hit re-ran the computation (%d fault hits)", got)
-	}
-}
-
-// TestCacheComputeTransientNeverMemoized: a transient fault that
-// survives every retry is returned to the caller but never memoized —
-// the next lookup recomputes and succeeds.
-func TestCacheComputeTransientNeverMemoized(t *testing.T) {
-	base := newCountingModel(proposed90(t))
-	c := NewDesignCache(base)
-	// maxComputeRetries re-attempts after the initial try = 4 hits per
-	// lookup; firing on the first 4 hits exhausts one whole lookup.
-	defer faultinject.Activate(faultinject.Plan{Points: map[string]faultinject.Point{
-		"noc.cache.compute": {Kind: faultinject.Transient, Times: maxComputeRetries + 1},
-	}})()
-
-	_, err := c.Design(1e-3)
-	if !faultinject.IsTransient(err) {
-		t.Fatalf("exhausted retries returned %v, want a transient fault", err)
-	}
-	if c.Len() != 0 {
-		t.Fatalf("transient fault memoized (%d entries)", c.Len())
-	}
-	if got := base.totalCalls(); got != 0 {
-		t.Fatalf("model reached despite faults (%d calls)", got)
-	}
-
-	// The fault budget is spent; a fresh lookup recovers.
-	d, err := c.Design(1e-3)
-	if err != nil {
-		t.Fatalf("lookup after transient exhaustion: %v", err)
-	}
-	if d.Length == 0 {
-		t.Fatal("recovered lookup returned a zero design")
-	}
-	if c.Len() != 1 {
-		t.Fatalf("recovered design not memoized (%d entries)", c.Len())
-	}
-}
-
-// TestCacheComputePermanentFaultMemoized: a permanent injected error
-// is treated like any model failure — memoized, never retried.
+// TestCacheComputePermanentFaultMemoized: an injected error is treated
+// like any model failure — memoized, never recomputed.
 func TestCacheComputePermanentFaultMemoized(t *testing.T) {
 	base := newCountingModel(proposed90(t))
 	c := NewDesignCache(base)

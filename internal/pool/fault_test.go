@@ -1,6 +1,7 @@
 package pool
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -13,7 +14,7 @@ func TestForEachInjectedItemError(t *testing.T) {
 	defer faultinject.Activate(faultinject.Plan{Points: map[string]faultinject.Point{
 		"pool.item": {Kind: faultinject.Error, Times: 1},
 	}})()
-	err := ForEach(4, 64, func(i int) error { return nil })
+	err := ForEachCtx(context.Background(), 4, 64, func(i int) error { return nil })
 	if !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("got %v, want the injected error", err)
 	}
@@ -26,7 +27,7 @@ func TestForEachInjectedPanicRecovered(t *testing.T) {
 	defer faultinject.Activate(faultinject.Plan{Points: map[string]faultinject.Point{
 		"pool.item": {Kind: faultinject.Panic, Times: 1},
 	}})()
-	err := ForEach(4, 64, func(i int) error { return nil })
+	err := ForEachCtx(context.Background(), 4, 64, func(i int) error { return nil })
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("got %v, want a *PanicError", err)
@@ -43,7 +44,7 @@ func TestForEachInjectedDelayStillCompletes(t *testing.T) {
 		"pool.item": {Kind: faultinject.Delay, Delay: 0, Every: 2},
 	}})()
 	ran := make([]bool, 32)
-	if err := ForEach(4, len(ran), func(i int) error {
+	if err := ForEachCtx(context.Background(), 4, len(ran), func(i int) error {
 		ran[i] = true
 		return nil
 	}); err != nil {

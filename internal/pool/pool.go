@@ -6,10 +6,10 @@
 // The synthesis and sizing hot paths evaluate many independently
 // costed candidates per step; this package is how they spread that
 // work across cores without each call site reinventing goroutine
-// bookkeeping. ForEachCtx adds cooperative cancellation: workers stop
-// claiming new indices once the context is done, so a caller can bound
-// or interrupt a sweep without poisoning the determinism contract of
-// uncancelled runs.
+// bookkeeping. Both entry points, ForEachCtx and ForEachWorkerCtx,
+// cancel cooperatively: workers stop claiming new indices once the
+// context is done, so a caller can bound or interrupt a sweep without
+// poisoning the determinism contract of uncancelled runs.
 package pool
 
 import (
@@ -52,7 +52,7 @@ func Workers(requested, n int) int {
 	return w
 }
 
-// PanicError is the error ForEach reports when fn(i) panicked: the
+// PanicError is the error ForEachCtx reports when fn(i) panicked: the
 // panic is recovered in the worker (so sibling goroutines drain
 // instead of the process dying mid-flight) and attributed to its item
 // index, selected under the same lowest-index rule as ordinary errors.
@@ -87,13 +87,6 @@ func callWorker(fn func(i, worker int) error, i, worker int) (err error) {
 	return fn(i, worker)
 }
 
-// ForEach runs fn(i) for every i in [0, n) on at most `workers`
-// goroutines; see ForEachCtx for the full contract. It never cancels:
-// the background context is used.
-func ForEach(workers, n int, fn func(i int) error) error {
-	return ForEachCtx(context.Background(), workers, n, fn)
-}
-
 // ForEachCtx runs fn(i) for every i in [0, n) on at most `workers`
 // goroutines (workers < 1 means all cores) and returns the error of
 // the lowest failing index, matching what a serial loop would report.
@@ -105,17 +98,10 @@ func ForEach(workers, n int, fn func(i int) error) error {
 //
 // Cancellation is cooperative and checked before each index claim:
 // when ctx is done before every index completed, ForEachCtx returns
-// ctx.Err() after in-flight calls drain. Uncancelled runs behave
-// bit-identically to ForEach.
+// ctx.Err() after in-flight calls drain. A run the context never
+// interrupts behaves exactly as under context.Background().
 func ForEachCtx(ctx context.Context, workers, n int, fn func(i int) error) error {
 	return ForEachWorkerCtx(ctx, workers, n, func(i, _ int) error { return fn(i) })
-}
-
-// ForEachWorker runs fn(i, worker) for every i in [0, n); see
-// ForEachWorkerCtx for the full contract. It never cancels: the
-// background context is used.
-func ForEachWorker(workers, n int, fn func(i, worker int) error) error {
-	return ForEachWorkerCtx(context.Background(), workers, n, fn)
 }
 
 // ForEachWorkerCtx is ForEachCtx for callers that keep per-worker
@@ -154,10 +140,11 @@ func ForEachWorkerCtx(ctx context.Context, workers, n int, fn func(i, worker int
 
 	var (
 		next      atomic.Int64
-		failed    atomic.Bool
+		lowest    atomic.Int64 // lowest failed index so far; n while none
 		cancelled atomic.Bool
 		wg        sync.WaitGroup
 	)
+	lowest.Store(int64(n))
 	errs := make([]error, n)
 	wg.Add(w)
 	metWorkers.Add(int64(w))
@@ -169,8 +156,13 @@ func ForEachWorkerCtx(ctx context.Context, workers, n int, fn func(i, worker int
 				wg.Done()
 			}()
 			for {
+				// Indices are claimed in ascending order. One above a
+				// recorded failure cannot change the result and is
+				// skipped; one below it must still run, even when another
+				// goroutine's failure landed between its claim and this
+				// check.
 				i := int(next.Add(1)) - 1
-				if i >= n || failed.Load() {
+				if i >= n || int64(i) > lowest.Load() {
 					return
 				}
 				if ctx.Err() != nil {
@@ -179,7 +171,11 @@ func ForEachWorkerCtx(ctx context.Context, workers, n int, fn func(i, worker int
 				}
 				if err := callWorker(fn, i, worker); err != nil {
 					errs[i] = err
-					failed.Store(true)
+					for cur := lowest.Load(); int64(i) < cur; cur = lowest.Load() {
+						if lowest.CompareAndSwap(cur, int64(i)) {
+							break
+						}
+					}
 				} else {
 					metItems.Inc()
 				}
@@ -187,13 +183,12 @@ func ForEachWorkerCtx(ctx context.Context, workers, n int, fn func(i, worker int
 		}(g)
 	}
 	wg.Wait()
-	// Indices are claimed in ascending order, so absent cancellation
-	// every index below a recorded failure ran to completion: the
-	// first non-nil entry is exactly the error the serial loop would
-	// have returned. A cancelled run may have skipped arbitrary
-	// indices, so its result is ctx.Err() unless an fn error was
-	// recorded first — either way the caller must discard the partial
-	// output.
+	// Absent cancellation every index below the lowest recorded
+	// failure ran to completion: the first non-nil entry is exactly the
+	// error the serial loop would have returned. A cancelled run may
+	// have skipped arbitrary indices, so its result is ctx.Err() unless
+	// an fn error was recorded first — either way the caller must
+	// discard the partial output.
 	for _, err := range errs {
 		if err != nil {
 			return err

@@ -33,7 +33,7 @@ func TestForEachVisitsEveryIndex(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 7} {
 		const n = 1000
 		var hits [n]atomic.Int32
-		if err := ForEach(workers, n, func(i int) error {
+		if err := ForEachCtx(context.Background(), workers, n, func(i int) error {
 			hits[i].Add(1)
 			return nil
 		}); err != nil {
@@ -48,7 +48,7 @@ func TestForEachVisitsEveryIndex(t *testing.T) {
 }
 
 func TestForEachEmpty(t *testing.T) {
-	if err := ForEach(4, 0, func(int) error { return fmt.Errorf("must not run") }); err != nil {
+	if err := ForEachCtx(context.Background(), 4, 0, func(int) error { return fmt.Errorf("must not run") }); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -56,7 +56,7 @@ func TestForEachEmpty(t *testing.T) {
 func TestForEachLowestIndexErrorWins(t *testing.T) {
 	// Indices 3 and 7 both fail; the serial-equivalent error is 3's.
 	for _, workers := range []int{1, 4} {
-		err := ForEach(workers, 10, func(i int) error {
+		err := ForEachCtx(context.Background(), workers, 10, func(i int) error {
 			if i == 3 || i == 7 {
 				return fmt.Errorf("fail-%d", i)
 			}
@@ -68,11 +68,29 @@ func TestForEachLowestIndexErrorWins(t *testing.T) {
 	}
 }
 
+// TestForEachLowestIndexErrorUnderContention repeats a parallel run in
+// which every item fails, so each run races the failures of the higher
+// items against the claim of item 0. Item 0's error must win every
+// time: an index claimed before a higher one failed still runs.
+func TestForEachLowestIndexErrorUnderContention(t *testing.T) {
+	errs := []error{errors.New("0"), errors.New("1"), errors.New("2"), errors.New("3")}
+	fail := func(i, _ int) error { return errs[i] }
+	runs := 100000
+	if testing.Short() {
+		runs = 10000
+	}
+	for r := 0; r < runs; r++ {
+		if err := ForEachWorkerCtx(context.Background(), len(errs), len(errs), fail); err != errs[0] {
+			t.Fatalf("run %d: got error %v, want item 0's", r, err)
+		}
+	}
+}
+
 func TestForEachStopsClaimingAfterFailure(t *testing.T) {
 	// With a single worker the loop must stop at the first failure,
 	// exactly like a serial loop.
 	ran := 0
-	err := ForEach(1, 100, func(i int) error {
+	err := ForEachCtx(context.Background(), 1, 100, func(i int) error {
 		ran++
 		if i == 5 {
 			return fmt.Errorf("boom")
@@ -89,7 +107,7 @@ func TestForEachRecoversPanicWithIndex(t *testing.T) {
 	// the deterministic lowest-index error with the index attributed,
 	// under every worker count (including the inline serial path).
 	for _, workers := range []int{1, 4, 0} {
-		err := ForEach(workers, 10, func(i int) error {
+		err := ForEachCtx(context.Background(), workers, 10, func(i int) error {
 			if i == 3 || i == 7 {
 				panic(fmt.Sprintf("kaboom-%d", i))
 			}
@@ -114,7 +132,7 @@ func TestForEachRecoversPanicWithIndex(t *testing.T) {
 func TestForEachPanicLosesToLowerError(t *testing.T) {
 	// An ordinary error at a lower index beats a panic at a higher
 	// one — the same serial-equivalence rule as error vs. error.
-	err := ForEach(4, 10, func(i int) error {
+	err := ForEachCtx(context.Background(), 4, 10, func(i int) error {
 		switch i {
 		case 2:
 			return fmt.Errorf("plain-2")
@@ -166,9 +184,11 @@ func TestForEachCtxCancelMidRun(t *testing.T) {
 }
 
 func TestForEachCtxCompletedRunIdenticalToForEach(t *testing.T) {
-	// A live context must not change anything: every index visited
-	// exactly once, nil error.
-	ctx := context.Background()
+	// A live context that is never cancelled must not change anything:
+	// every index visited exactly once, nil error, as under
+	// context.Background().
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	const n = 500
 	var hits [n]atomic.Int32
 	if err := ForEachCtx(ctx, 3, n, func(i int) error {
@@ -191,7 +211,7 @@ func TestForEachWorkerIDsInRange(t *testing.T) {
 		const n = 500
 		bound := Workers(workers, n)
 		var visits [n]atomic.Int32
-		if err := ForEachWorker(workers, n, func(i, worker int) error {
+		if err := ForEachWorkerCtx(context.Background(), workers, n, func(i, worker int) error {
 			if worker < 0 || worker >= bound {
 				return fmt.Errorf("item %d ran on worker %d, want [0,%d)", i, worker, bound)
 			}
@@ -215,7 +235,7 @@ func TestForEachWorkerIDsInRange(t *testing.T) {
 func TestForEachWorkerScratchExclusive(t *testing.T) {
 	const n, workers = 2000, 4
 	scratch := make([]int, Workers(workers, n))
-	if err := ForEachWorker(workers, n, func(i, worker int) error {
+	if err := ForEachWorkerCtx(context.Background(), workers, n, func(i, worker int) error {
 		scratch[worker]++
 		return nil
 	}); err != nil {
@@ -231,7 +251,7 @@ func TestForEachWorkerScratchExclusive(t *testing.T) {
 }
 
 func TestForEachWorkerSerialUsesWorkerZero(t *testing.T) {
-	if err := ForEachWorker(1, 50, func(i, worker int) error {
+	if err := ForEachWorkerCtx(context.Background(), 1, 50, func(i, worker int) error {
 		if worker != 0 {
 			return fmt.Errorf("serial path handed out worker id %d", worker)
 		}
@@ -264,7 +284,7 @@ func TestForEachWorkerCtxCancelAndError(t *testing.T) {
 func TestForEachBoundsConcurrency(t *testing.T) {
 	const workers = 3
 	var cur, peak atomic.Int32
-	if err := ForEach(workers, 200, func(i int) error {
+	if err := ForEachCtx(context.Background(), workers, 200, func(i int) error {
 		c := cur.Add(1)
 		for {
 			p := peak.Load()

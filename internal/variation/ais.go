@@ -128,10 +128,10 @@ func (a *aisState) propose(ls *laneScratch, start, n int) {
 // proposal, so draws are candidate-specific by construction. Each
 // candidate's estimate matches a standalone single-candidate run
 // bit-for-bit.
-func runAISAllCtx(ctx context.Context, ms *MultiScenario, ro Options) ([]Estimate, error) {
+func runAISAllCtx(ctx context.Context, ms *MultiScenario, o YieldOptions) ([]Estimate, error) {
 	ests := make([]Estimate, len(ms.Specs))
 	for c := range ms.Specs {
-		d, err := newDriver(ctx, ms.single(c), ro, estimator.AIS)
+		d, err := newDriver(ctx, ms.single(c), o, estimator.AIS)
 		if err != nil {
 			return nil, err
 		}
@@ -164,7 +164,7 @@ func aisBudget(total int) (adapt int) {
 // P[delay > Target].
 func (d *driver) runAIS(ctx context.Context) (Estimate, error) {
 	metRunsAIS.Inc()
-	ro, a, target := d.ro, d.lk.ais, d.lk.target
+	o, a, target := d.o, d.lk.ais, d.lk.target
 	// stage draws n samples from global index offset, filling slots
 	// [0, n); after each Batch step, fn sees the filled slot count.
 	stage := func(offset, n int, fn func(filled int)) error {
@@ -183,7 +183,7 @@ func (d *driver) runAIS(ctx context.Context) (Estimate, error) {
 	// conditional failure distribution the estimator wants to draw
 	// from. The stage count depends only on the (deterministic) draws,
 	// never on scheduling, so the contract holds.
-	adapt := aisBudget(ro.Samples)
+	adapt := aisBudget(o.Samples)
 	offset := 0
 	if adapt > 0 {
 		for s := 1; ; s++ {
@@ -210,17 +210,17 @@ func (d *driver) runAIS(ctx context.Context) (Estimate, error) {
 	// ESS guard widening the error bar first, so a degenerate weight set
 	// cannot stop early). There is no rule-of-three escape — the bound
 	// assumes Bernoulli indicators, and AIS contributions are
-	// likelihood-ratio weights — and the floor is MinSamples of
-	// *estimation* draws (adaptation stages inform the proposal, not the
-	// estimate). Every quantity the rule reads is a pure function of the
-	// index-addressed prefix, so the early stop preserves the
-	// any-worker-count bit-identity contract.
+	// likelihood-ratio weights — and the floor counts *estimation* draws
+	// (adaptation stages inform the proposal, not the estimate). Every
+	// quantity the rule reads is a pure function of the index-addressed
+	// prefix, so the early stop preserves the any-worker-count
+	// bit-identity contract.
 	final := 0
-	err := stage(offset, ro.Samples-offset, func(n int) {
+	err := stage(offset, o.Samples-offset, func(n int) {
 		final = n
-		if (ro.RelErr > 0 || ro.AbsErr > 0) && n >= ro.MinSamples && n >= 2 {
+		if (o.RelErr > 0 || o.AbsErr > 0) && n >= o.floor() && n >= 2 {
 			p, se := aisSelfNormalized(a.delays[:n], a.weights[:n], target)
-			if errStop(ro, n, p, se, true) {
+			if errStop(o, n, p, se, true) {
 				d.active[0] = false
 			}
 		}

@@ -65,7 +65,7 @@ func TestZeroFailureEscapeGatedOnPlainMC(t *testing.T) {
 	never := func(i int, z []float64) (bool, error) { return false, nil }
 	const budget = 4096
 
-	shifted, err := runOracle(Options{Dims: 2, Samples: budget, RelErr: 0.05, Seed: 3},
+	shifted, err := runOracle(YieldOptions{Samples: budget, RelErr: 0.05, Seed: 3}, 2,
 		[]float64{2, 0}, never)
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +78,7 @@ func TestZeroFailureEscapeGatedOnPlainMC(t *testing.T) {
 			"which is invalid under importance weights", shifted.Samples, budget)
 	}
 
-	plain, err := runOracle(Options{Dims: 2, Samples: budget, RelErr: 0.05, Seed: 3}, nil, never)
+	plain, err := runOracle(YieldOptions{Samples: budget, RelErr: 0.05, Seed: 3}, 2, nil, never)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,8 @@ func TestZeroFailureEscapeGatedOnPlainMC(t *testing.T) {
 // TestZeroFailureEscapeGatedPerCandidateInSharedKernel extends the
 // gate to the cross-candidate kernel: in one shared run, a plain
 // candidate with zero failures escapes early while a shifted
-// zero-failure candidate keeps sampling to the budget.
+// zero-failure candidate keeps sampling to the budget. The run's kernel
+// carries a hand-picked shift for candidate 1 alone.
 func TestZeroFailureEscapeGatedPerCandidateInSharedKernel(t *testing.T) {
 	sc := testScenario(t, 480e-12)
 	// A delay target far above anything the link can produce: no draw
@@ -102,10 +103,12 @@ func TestZeroFailureEscapeGatedPerCandidateInSharedKernel(t *testing.T) {
 		Space:  sc.Space,
 		Specs:  []model.LineSpec{sc.Spec, sc.Spec},
 		Target: loose,
-		Shifts: [][]float64{nil, {2, 0, 0, 0, 0, 0, 0}},
 	}
 	const budget = 2048
-	ests, err := EstimateYieldsSharedCtx(context.Background(), ms, YieldOptions{Samples: budget, RelErr: 0.05, Seed: 3})
+	o := YieldOptions{Samples: budget, RelErr: 0.05, Seed: 3}
+	d := shiftedDriver(ms, o, [][]float64{nil, {2, 0, 0, 0, 0, 0, 0}})
+	defer d.close()
+	ests, err := d.runShared(context.Background(), plainPass)
 	if err != nil {
 		t.Fatal(err)
 	}

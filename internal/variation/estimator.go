@@ -9,15 +9,8 @@ import (
 	"repro/internal/obs"
 )
 
-// Sentinel errors for malformed sampling budgets. A negative Batch is
-// the dangerous one: it used to slip through validation and send the
-// sampling loop into an infinite loop (done += batch moved backwards),
-// so these are rejected up front and tests pin the rejection.
-var (
-	ErrNegativeBatch      = errors.New("variation: negative batch size")
-	ErrNegativeMinSamples = errors.New("variation: negative minimum sample count")
-	ErrNegativeWorkers    = errors.New("variation: negative worker count")
-)
+// ErrNegativeWorkers rejects a negative worker count.
+var ErrNegativeWorkers = errors.New("variation: negative worker count")
 
 // Estimator observability (see internal/obs): how many samples the
 // process has drawn, which estimator ran, and which stopping rule (if
@@ -49,29 +42,31 @@ var (
 // index order, so no floating-point reassociation ever depends on
 // scheduling.
 
-// Options configures one estimation run.
-type Options struct {
-	// Dims is the dimension of the standardized draw (required).
-	Dims int
+// The driver's fixed checkpoint schedule: every run samples in steps
+// of Batch samples from its first index, and the stopping rule is
+// consulted at each multiple of Batch and at the end of the budget,
+// once min(minSamples, Samples) samples are in. Shard planners align
+// shard boundaries to Batch, since a merged fold can stop only there.
+const (
+	Batch      = 256
+	minSamples = 512
+)
+
+// YieldOptions configures a link-yield estimation.
+type YieldOptions struct {
 	// Samples caps the sample count; default 4096.
 	Samples int
-	// MinSamples is the floor before the stopping rule may fire;
-	// default min(512, Samples).
-	MinSamples int
-	// Batch is the fan-out granularity between stopping-rule checks;
-	// default 256.
-	Batch int
 	// RelErr, when positive, stops sampling early once the estimator's
 	// relative standard error (stderr / failure probability) drops to
 	// this level. Zero runs all Samples.
 	//
 	// With zero observed failures the relative error is undefined (the
 	// mean is zero), which used to burn the whole budget silently on
-	// high-yield links. Now the rule-of-three escape applies: after
-	// MinSamples, a run with no failures stops once the 95% upper
-	// confidence bound on the failure probability (3/n) drops to
-	// RelErr — at that point the yield is pinned to within RelErr and
-	// more zero-failure samples cannot sharpen the estimate faster.
+	// high-yield links. Now the rule-of-three escape applies: past the
+	// floor, a run with no failures stops once the 95% upper confidence
+	// bound on the failure probability (3/n) drops to RelErr — at that
+	// point the yield is pinned to within RelErr and more zero-failure
+	// samples cannot sharpen the estimate faster.
 	RelErr float64
 	// AbsErr, when positive, stops sampling early once the estimator's
 	// absolute standard error drops to this level; with zero observed
@@ -85,36 +80,31 @@ type Options struct {
 	// Seed is the base PRNG seed; sample i draws from the stream
 	// keyed by Seed ⊕ i.
 	Seed uint64
+	// Estimator pins a specific rung of the estimator ladder (mc,
+	// qmc, isle, ais, wcd). isle is the ISLE-style estimator: the
+	// sampling distribution is shifted to the most probable failure
+	// point and samples carry likelihood-ratio weights, for failure
+	// probabilities below ~1e-2. Empty (estimator.Auto) routes by
+	// TargetSigma when set and falls back to plain MC otherwise.
+	Estimator estimator.Kind
+	// TargetSigma is the sigma level the query must resolve (a 6σ
+	// query cares about failure probabilities near Φ(−6) ≈ 1e-9).
+	// When positive and Estimator is Auto it drives the router, and
+	// at ≥3σ it arms the worst-case-distance pre-filter: the analytic
+	// bound answers certified-either-way queries without sampling.
+	TargetSigma float64
 }
 
-func (o Options) withDefaults() Options {
+func (o YieldOptions) withDefaults() YieldOptions {
 	if o.Samples == 0 {
 		o.Samples = 4096
-	}
-	if o.MinSamples == 0 {
-		o.MinSamples = 512
-	}
-	if o.MinSamples > o.Samples {
-		o.MinSamples = o.Samples
-	}
-	if o.Batch == 0 {
-		o.Batch = 256
 	}
 	return o
 }
 
-func (o Options) validate() error {
-	if o.Dims <= 0 {
-		return fmt.Errorf("variation: non-positive dimension %d", o.Dims)
-	}
+func (o YieldOptions) validate() error {
 	if o.Samples < 0 {
 		return fmt.Errorf("variation: negative sample count %d", o.Samples)
-	}
-	if o.MinSamples < 0 {
-		return fmt.Errorf("%w %d", ErrNegativeMinSamples, o.MinSamples)
-	}
-	if o.Batch < 0 {
-		return fmt.Errorf("%w %d", ErrNegativeBatch, o.Batch)
 	}
 	if o.Workers < 0 {
 		return fmt.Errorf("%w %d", ErrNegativeWorkers, o.Workers)
@@ -128,6 +118,9 @@ func (o Options) validate() error {
 	return nil
 }
 
+// floor is the sample count before which no stopping rule fires.
+func (o YieldOptions) floor() int { return min(minSamples, o.Samples) }
+
 // Estimate is the result of one estimation run.
 type Estimate struct {
 	// FailProb is the estimated failure probability; Yield is its
@@ -137,7 +130,7 @@ type Estimate struct {
 	// the estimator's variance).
 	StdErr float64
 	// Samples is the number of samples actually evaluated (the
-	// stopping rule may end the run before Options.Samples).
+	// stopping rule may end the run before YieldOptions.Samples).
 	Samples int
 	// Shifted reports whether importance sampling was in effect.
 	Shifted bool
@@ -170,8 +163,8 @@ func (e Estimate) CI95() float64 { return 1.96 * e.StdErr }
 // per-sample contributions are likelihood-ratio weights that can
 // exceed 1, for which "no failures in n samples" certifies nothing —
 // a shifted zero-failure run must keep drawing to its budget.
-func stopRule(o Options, shifted bool, n int, mean, m2 float64) bool {
-	if n < o.MinSamples || n < 2 || (o.RelErr <= 0 && o.AbsErr <= 0) {
+func stopRule(o YieldOptions, shifted bool, n int, mean, m2 float64) bool {
+	if n < o.floor() || n < 2 || (o.RelErr <= 0 && o.AbsErr <= 0) {
 		return false
 	}
 	return errStop(o, n, mean, math.Sqrt(m2/float64(n-1)/float64(n)), shifted)
@@ -181,7 +174,7 @@ func stopRule(o Options, shifted bool, n int, mean, m2 float64) bool {
 // preconditions hold: the relative and absolute rules on an estimate p
 // with standard error se when failures were observed, the rule-of-three
 // escape (unshifted runs only) when none were.
-func errStop(o Options, n int, p, se float64, shifted bool) bool {
+func errStop(o YieldOptions, n int, p, se float64, shifted bool) bool {
 	if p > 0 {
 		if o.RelErr > 0 && se/p <= o.RelErr {
 			metStopRelErr.Inc()
@@ -205,9 +198,9 @@ func errStop(o Options, n int, p, se float64, shifted bool) bool {
 }
 
 // checkpoint reports whether the stopping rule is consulted after
-// sample i: at every batch boundary and at the end of the budget.
-func checkpoint(o Options, i int) bool {
-	return (i+1)%o.Batch == 0 || i+1 == o.Samples
+// sample i: at every multiple of Batch and at the end of the budget.
+func checkpoint(o YieldOptions, i int) bool {
+	return (i+1)%Batch == 0 || i+1 == o.Samples
 }
 
 // fold is one candidate's streaming accumulator over its per-sample
@@ -252,12 +245,12 @@ func (f *fold) add(base, n int, xs []float64, stride int) {
 // Welford folds; for qmc the same tail on the replicate-mean estimate,
 // once two replicates have data (the rule-of-three escape is valid
 // there — QMC indicators are unshifted Bernoulli contributions).
-func (f *fold) stop(o Options) bool {
+func (f *fold) stop(o YieldOptions) bool {
 	if !f.qmc {
 		return stopRule(o, f.shifted, f.n, f.mean, f.m2)
 	}
 	p, se, reps := qmcStats(f)
-	if f.n < o.MinSamples || reps < 2 || (o.RelErr <= 0 && o.AbsErr <= 0) {
+	if f.n < o.floor() || reps < 2 || (o.RelErr <= 0 && o.AbsErr <= 0) {
 		return false
 	}
 	return errStop(o, f.n, p, se, false)
@@ -268,7 +261,7 @@ func (f *fold) stop(o Options) bool {
 // checkpoint, or, with budget left, a Welford fold's contributions so
 // far sum past maxFail (rejected). maxFail is +Inf outside sizing; see
 // rejectBound.
-func (f *fold) retire(o Options, last int, maxFail float64) (stop, rejected bool) {
+func (f *fold) retire(o YieldOptions, last int, maxFail float64) (stop, rejected bool) {
 	if checkpoint(o, last) && f.stop(o) {
 		return true, false
 	}

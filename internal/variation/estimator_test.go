@@ -27,7 +27,7 @@ func tailTrial(threshold float64) trial {
 
 func TestPlainMCMatchesExact(t *testing.T) {
 	exact := normalTail(1) // ≈ 0.1587, cheap to resolve
-	est, err := runOracle(Options{Dims: 3, Samples: 100000, Seed: 5}, nil, tailTrial(1))
+	est, err := runOracle(YieldOptions{Samples: 100000, Seed: 5}, 3, nil, tailTrial(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestImportanceSamplingTail(t *testing.T) {
 	const threshold = 3 // exact tail ≈ 1.35e-3
 	exact := normalTail(threshold)
 	shift := []float64{threshold, 0, 0}
-	est, err := runOracle(Options{Dims: 3, Samples: 4096, Seed: 5}, shift, tailTrial(threshold))
+	est, err := runOracle(YieldOptions{Samples: 4096, Seed: 5}, 3, shift, tailTrial(threshold))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,18 +77,18 @@ func TestImportanceSamplingTail(t *testing.T) {
 // stopping rule ends the run early.
 func TestEstimatorWorkerDeterminism(t *testing.T) {
 	for _, c := range []struct {
-		opts  Options
+		opts  YieldOptions
 		shift []float64
 	}{
-		{Options{Dims: 4, Samples: 20000, Seed: 11}, nil},
-		{Options{Dims: 4, Samples: 20000, Seed: 11, RelErr: 0.05}, nil},
-		{Options{Dims: 4, Samples: 8192, Seed: 11}, []float64{2, 0, 0, 0}},
+		{YieldOptions{Samples: 20000, Seed: 11}, nil},
+		{YieldOptions{Samples: 20000, Seed: 11, RelErr: 0.05}, nil},
+		{YieldOptions{Samples: 8192, Seed: 11}, []float64{2, 0, 0, 0}},
 	} {
 		var ref Estimate
 		for wi, workers := range []int{1, 8} {
 			o := c.opts
 			o.Workers = workers
-			est, err := runOracle(o, c.shift, tailTrial(2))
+			est, err := runOracle(o, 4, c.shift, tailTrial(2))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -106,7 +106,7 @@ func TestEstimatorWorkerDeterminism(t *testing.T) {
 func TestStoppingRule(t *testing.T) {
 	// p ≈ 0.5 resolves to 5% relative error almost immediately; the
 	// run must stop well before the budget.
-	est, err := runOracle(Options{Dims: 2, Samples: 200000, RelErr: 0.05, Seed: 3}, nil, tailTrial(0))
+	est, err := runOracle(YieldOptions{Samples: 200000, RelErr: 0.05, Seed: 3}, 2, nil, tailTrial(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestStoppingRule(t *testing.T) {
 		t.Fatalf("stopping rule never fired (%d samples)", est.Samples)
 	}
 	if est.Samples < 512 {
-		t.Fatalf("stopped below MinSamples floor: %d", est.Samples)
+		t.Fatalf("stopped below the 512-sample floor: %d", est.Samples)
 	}
 	if est.StdErr/est.FailProb > 0.05*1.01 {
 		t.Fatalf("stopped at rel err %g, target 0.05", est.StdErr/est.FailProb)
@@ -125,10 +125,10 @@ func TestStoppingRule(t *testing.T) {
 // budget exhaustion: a trial that never fails used to run the entire
 // Samples budget because the relative rule requires mean > 0. With the
 // rule-of-three escape the run stops once 3/n <= RelErr (here n = 60,
-// below the MinSamples floor of 512, so the floor governs).
+// below the 512-sample floor, so the floor governs).
 func TestStoppingRuleZeroFailureEscape(t *testing.T) {
 	never := func(i int, z []float64) (bool, error) { return false, nil }
-	est, err := runOracle(Options{Dims: 2, Samples: 200000, RelErr: 0.05, Seed: 3}, nil, never)
+	est, err := runOracle(YieldOptions{Samples: 200000, RelErr: 0.05, Seed: 3}, 2, nil, never)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestStoppingRuleZeroFailureEscape(t *testing.T) {
 		t.Fatalf("zero-failure run burned the whole budget (%d samples)", est.Samples)
 	}
 	if est.Samples < 512 {
-		t.Fatalf("stopped below the MinSamples floor: %d", est.Samples)
+		t.Fatalf("stopped below the 512-sample floor: %d", est.Samples)
 	}
 	if est.FailProb != 0 || est.Yield != 1 {
 		t.Fatalf("zero-failure estimate corrupted: fail %g yield %g", est.FailProb, est.Yield)
@@ -150,11 +150,11 @@ func TestStoppingRuleZeroFailureEscape(t *testing.T) {
 // TestStoppingRuleZeroFailureKeepsSamplingUnderTightTolerance pins the
 // other half of the contract: the escape only fires once 3/n actually
 // reaches the tolerance, so a tight RelErr keeps drawing samples past
-// the floor instead of bailing at MinSamples.
+// the floor instead of bailing at it.
 func TestStoppingRuleZeroFailureKeepsSamplingUnderTightTolerance(t *testing.T) {
 	never := func(i int, z []float64) (bool, error) { return false, nil }
 	const tol = 1e-3 // needs n >= 3000
-	est, err := runOracle(Options{Dims: 2, Samples: 8192, RelErr: tol, Seed: 3}, nil, never)
+	est, err := runOracle(YieldOptions{Samples: 8192, RelErr: tol, Seed: 3}, 2, nil, never)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestStoppingRuleZeroFailureKeepsSamplingUnderTightTolerance(t *testing.T) {
 // relative rule still governs runs that do observe failures: the
 // mean > 0 branch is bit-identical to the pre-escape estimator.
 func TestStoppingRuleWithFailuresUnchanged(t *testing.T) {
-	withEscape, err := runOracle(Options{Dims: 2, Samples: 200000, RelErr: 0.05, Seed: 3}, nil, tailTrial(0))
+	withEscape, err := runOracle(YieldOptions{Samples: 200000, RelErr: 0.05, Seed: 3}, 2, nil, tailTrial(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestStoppingRuleWithFailuresUnchanged(t *testing.T) {
 
 func TestAbsErrStopping(t *testing.T) {
 	// p ≈ 0.5: stderr ≈ 0.5/√n, so AbsErr 0.02 needs n ≈ 625.
-	est, err := runOracle(Options{Dims: 2, Samples: 200000, AbsErr: 0.02, Seed: 3}, nil, tailTrial(0))
+	est, err := runOracle(YieldOptions{Samples: 200000, AbsErr: 0.02, Seed: 3}, 2, nil, tailTrial(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestRunCtxLiveMatchesRun(t *testing.T) {
 
 func TestRunPropagatesTrialError(t *testing.T) {
 	boom := fmt.Errorf("boom")
-	_, err := runOracle(Options{Dims: 1, Samples: 100}, nil, func(i int, z []float64) (bool, error) {
+	_, err := runOracle(YieldOptions{Samples: 100}, 1, nil, func(i int, z []float64) (bool, error) {
 		if i == 37 {
 			return false, boom
 		}
@@ -268,43 +268,27 @@ func TestRunPropagatesTrialError(t *testing.T) {
 
 func TestRunValidation(t *testing.T) {
 	ok := func(i int, z []float64) (bool, error) { return false, nil }
-	for name, o := range map[string]Options{
-		"no-dims":    {Samples: 10},
-		"negative-n": {Dims: 2, Samples: -1},
-		"bad-relerr": {Dims: 2, RelErr: -0.1},
-		"bad-abserr": {Dims: 2, AbsErr: -0.1},
+	for name, o := range map[string]YieldOptions{
+		"negative-n": {Samples: -1},
+		"bad-relerr": {RelErr: -0.1},
+		"bad-abserr": {AbsErr: -0.1},
 	} {
-		if _, err := runOracle(o, nil, ok); err == nil {
+		if _, err := runOracle(o, 2, nil, ok); err == nil {
 			t.Errorf("%s: invalid options accepted", name)
 		}
 	}
 }
 
-// TestRunRejectsNegativeBudgets pins the fix for the infinite-loop
-// trap: a negative Batch used to slip through validation (only zero was
-// rewritten by the defaults) and send the sampling loop backwards
-// forever. All three negative budget fields are now rejected up front
-// with identifiable sentinels — if this regresses, the negative-batch
-// case hangs instead of failing fast.
+// TestRunRejectsNegativeBudgets pins the negative worker count's
+// sentinel: the oracle's options and the yield-level options are both
+// rejected up front with ErrNegativeWorkers.
 func TestRunRejectsNegativeBudgets(t *testing.T) {
 	ok := func(i int, z []float64) (bool, error) { return false, nil }
-	for _, c := range []struct {
-		name string
-		o    Options
-		want error
-	}{
-		{"negative-batch", Options{Dims: 2, Samples: 100, Batch: -8}, ErrNegativeBatch},
-		{"negative-min-samples", Options{Dims: 2, Samples: 100, MinSamples: -1}, ErrNegativeMinSamples},
-		{"negative-workers", Options{Dims: 2, Samples: 100, Workers: -2}, ErrNegativeWorkers},
-	} {
-		_, err := runOracle(c.o, nil, ok)
-		if !errors.Is(err, c.want) {
-			t.Errorf("%s: got %v, want %v", c.name, err, c.want)
-		}
+	if _, err := runOracle(YieldOptions{Samples: 100, Workers: -2}, 2, nil, ok); !errors.Is(err, ErrNegativeWorkers) {
+		t.Errorf("oracle options: got %v, want ErrNegativeWorkers", err)
 	}
-	// The yield-level options funnel through the same validation.
 	sc := testScenario(t, 480e-12)
-	if _, err := EstimateLinkYieldCtx(context.Background(), sc, YieldOptions{Samples: 100, Batch: -8}); !errors.Is(err, ErrNegativeBatch) {
-		t.Errorf("yield options: got %v, want ErrNegativeBatch", err)
+	if _, err := EstimateLinkYieldCtx(context.Background(), sc, YieldOptions{Samples: 100, Workers: -2}); !errors.Is(err, ErrNegativeWorkers) {
+		t.Errorf("yield options: got %v, want ErrNegativeWorkers", err)
 	}
 }

@@ -17,7 +17,7 @@ func TestRunBatchFaultSurfacesPromptly(t *testing.T) {
 	}})()
 	sc := testScenario(t, 480e-12)
 	before := metSamples.Value()
-	_, err := EstimateLinkYieldCtx(context.Background(), sc, YieldOptions{Samples: 1 << 20, Batch: 64})
+	_, err := EstimateLinkYieldCtx(context.Background(), sc, YieldOptions{Samples: 1 << 20})
 	if !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("got %v, want the injected error", err)
 	}
@@ -29,18 +29,18 @@ func TestRunBatchFaultSurfacesPromptly(t *testing.T) {
 // TestRunLaterBatchFaultDiscardsPartial: a fault firing between
 // batches (After skips the first boundary) aborts the run with the
 // error and discards the partial accumulation — exactly one batch of
-// samples has run when the second boundary fires.
+// Batch samples has run when the second boundary fires.
 func TestRunLaterBatchFaultDiscardsPartial(t *testing.T) {
 	defer faultinject.Activate(faultinject.Plan{Points: map[string]faultinject.Point{
 		"variation.batch": {Kind: faultinject.Error, After: 1, Times: 1},
 	}})()
 	sc := testScenario(t, 480e-12)
 	before := metSamples.Value()
-	_, err := EstimateLinkYieldCtx(context.Background(), sc, YieldOptions{Samples: 64, Batch: 16, Workers: 1})
+	_, err := EstimateLinkYieldCtx(context.Background(), sc, YieldOptions{Samples: 4 * Batch, Workers: 1})
 	if !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("got %v, want the injected error", err)
 	}
-	if drawn := metSamples.Value() - before; drawn != 16 {
-		t.Fatalf("%d samples ran, want exactly the first batch (16)", drawn)
+	if drawn := metSamples.Value() - before; drawn != Batch {
+		t.Fatalf("%d samples ran, want exactly the first batch (%d)", drawn, Batch)
 	}
 }

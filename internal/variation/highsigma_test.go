@@ -14,11 +14,11 @@ import (
 // form a·z over the lane's transposed draws, failing above target.
 // P[a·z > t] = Φ(−t/‖a‖) exactly, so the estimate can be checked
 // against a closed form.
-func runAISLinear(t *testing.T, ro Options, target float64, a []float64) Estimate {
+func runAISLinear(t *testing.T, o YieldOptions, target float64, a []float64) Estimate {
 	t.Helper()
 	sc := testScenario(t, target)
 	ms := &MultiScenario{Base: sc.Base, Coeffs: sc.Coeffs, Space: sc.Space, Specs: []model.LineSpec{sc.Spec}, Target: target}
-	d, err := newDriver(context.Background(), ms, ro, estimator.AIS)
+	d, err := newDriver(context.Background(), ms, o, estimator.AIS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,8 +52,7 @@ func TestAISLinearCrossCheck(t *testing.T) {
 	}
 	nrm := math.Sqrt(norm)
 	for _, sigma := range []float64{2, 3, 4} {
-		ro := (Options{Samples: 16384, Seed: 11}).withDefaults()
-		est := runAISLinear(t, ro, sigma*nrm, a)
+		est := runAISLinear(t, YieldOptions{Samples: 16384, Seed: 11}, sigma*nrm, a)
 		want := estimator.Phi(-sigma)
 		if est.FailProb <= 0 {
 			t.Fatalf("σ=%g: AIS found no failures (want p=%g)", sigma, want)
@@ -76,8 +75,7 @@ func TestAISLinearCrossCheck(t *testing.T) {
 func TestAISDeepTailLinear(t *testing.T) {
 	a := make([]float64, Dims)
 	a[0] = 1
-	ro := (Options{Samples: 16384, Seed: 7}).withDefaults()
-	est := runAISLinear(t, ro, 6, a)
+	est := runAISLinear(t, YieldOptions{Samples: 16384, Seed: 7}, 6, a)
 	want := estimator.Phi(-6)
 	if est.FailProb <= 0 {
 		t.Fatalf("6σ: AIS found no failures (want p=%g)", want)

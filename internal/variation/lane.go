@@ -22,9 +22,11 @@ import (
 // re-deriving quantities the delay never reads (leakage exponentials,
 // the unused repeater kind, the unused routing layers). The lane kernel
 // compiles everything sample-invariant once per run — the per-space
-// apply program, the nominal drive resistances, the per-candidate stage
-// constants — and then runs flat loops over the lane arrays: draw,
-// apply, rescale, extract, score.
+// apply program, the nominal drive resistances, the wire's extraction
+// constants, the per-candidate stage constants — and then runs flat
+// loops over the lane arrays: draw, apply, rescale, extract, score.
+// Every candidate of a run is on the one wire, so a sample's extraction
+// serves all of them, unless ISLE shifts each candidate's draw.
 //
 // Bit-identity contract: for every sample and candidate the lane kernel
 // evaluates exactly the floating-point expressions of DelayScratch on
@@ -45,7 +47,8 @@ import (
 // error wire.Segment.Validate gives for the lowest such sample and,
 // within it, the lowest active candidate: the error the scalar
 // evaluator meets first when it walks the samples in index order and
-// each sample's candidates in order.
+// each sample's candidates in order. Without ISLE shifts a sample has
+// one width, so its lowest active candidate's error is every one's.
 
 const (
 	// laneSize is the maximum samples one lane evaluates per call —
@@ -58,27 +61,15 @@ const (
 	laneMin = 16
 )
 
-// laneChunk picks the lane width for a batch: full lanes when serial,
-// shrunk (but never below laneMin) so a batch splits across the worker
-// budget when parallel. Purely a scheduling choice — lane width never
-// affects results.
-func laneChunk(batch, workers int) int {
-	c := laneSize
-	if workers > 1 {
-		if per := (batch + workers - 1) / workers; per < c {
-			c = per
-		}
-		if c < laneMin {
-			c = laneMin
-		}
+// laneChunk picks the lane width of a step of Batch samples: full
+// lanes when serial, shrunk (but never below laneMin) so a step splits
+// across the worker budget when parallel. Purely a scheduling choice —
+// lane width never affects results.
+func laneChunk(workers int) int {
+	if workers <= 1 {
+		return laneSize
 	}
-	if c > batch {
-		c = batch
-	}
-	if c < 1 {
-		c = 1
-	}
-	return c
+	return min(laneSize, max((Batch+workers-1)/workers, laneMin))
 }
 
 // Factor-array indices of the apply program's outputs, mirroring the
@@ -325,8 +316,8 @@ func (p *lanePow) powLane(x, out []float64) {
 	}
 }
 
-// laneSeg holds one segment geometry's sample-invariant constants for
-// the wire-extraction phase (perturbSegment + model.SegmentRC fused).
+// laneSeg holds the run's segment's sample-invariant constants for the
+// wire-extraction phase (perturbSegment + model.SegmentRC fused).
 type laneSeg struct {
 	w0, sp0, th0, ild0 float64
 	minSp              float64 // 0.25·sp0, the clampSpacing floor
@@ -370,19 +361,18 @@ type laneCand struct {
 // program plus every per-scenario constant, shared read-only by all
 // workers.
 type laneKernel struct {
-	ms        *MultiScenario
-	prog      applyProg
-	scale     laneScale
-	segs      []laneSeg
-	cands     []laneCand
-	sharedSeg bool
-	target    float64
+	ms     *MultiScenario
+	prog   applyProg
+	scale  laneScale
+	seg    laneSeg
+	cands  []laneCand
+	target float64
 	// seedHash is mix64(Seed+γ) of the run's seed, the seed half of
 	// every sample's stream state (see Stream.Reset), hashed once per
 	// run.
 	seedHash uint64
 
-	// Tech-level wire constants (identical for every segment).
+	// Tech-level wire constants.
 	bar, bar2 float64
 	scmfp     float64
 	rho0      float64
@@ -404,33 +394,33 @@ type laneKernel struct {
 	ais *aisState
 
 	// bank, when non-nil, holds the shared phases' outputs of a prefix
-	// of the run's samples (see sampleBank). Only a sizing pass on the
-	// unshifted shared-segment path carries one.
+	// of the run's samples (see sampleBank). Only an unshifted sizing
+	// pass carries one.
 	bank *sampleBank
 }
 
 // newLaneKernel compiles the kernel for one run. shifts holds the
 // per-candidate ISLE mean shifts (nil, or nil entries, for plain
 // sampling); qshifts the Sobol scrambles of a QMC run (nil otherwise).
-func newLaneKernel(ms *MultiScenario, ro Options, shifts [][]float64, qshifts [][]uint64) *laneKernel {
+func newLaneKernel(ms *MultiScenario, o YieldOptions, shifts [][]float64, qshifts [][]uint64) *laneKernel {
 	K := len(ms.Specs)
 	lk := &laneKernel{
-		ms:        ms,
-		prog:      compileApplyProg(ms.Space, ms.Base),
-		scale:     laneScaleFor(ms.Base),
-		sharedSeg: true,
-		target:    ms.Target,
-		seedHash:  mix64(ro.Seed + smGamma),
-		bar:       ms.Base.Barrier,
-		bar2:      2 * ms.Base.Barrier,
-		scmfp:     ms.Base.ScatterCoeff * ms.Base.MeanFreePath,
-		rho0:      ms.Base.RhoBulk,
-		capPow:    newLanePow(0.222),
-		shifts:    shifts,
-		shiftedC:  make([]bool, K),
-		halfSq:    make([]float64, K),
-		qshifts:   qshifts,
-		qmc:       qshifts != nil,
+		ms:       ms,
+		prog:     compileApplyProg(ms.Space, ms.Base),
+		scale:    laneScaleFor(ms.Base),
+		seg:      laneSegFor(ms.Specs[0].Segment),
+		target:   ms.Target,
+		seedHash: mix64(o.Seed + smGamma),
+		bar:      ms.Base.Barrier,
+		bar2:     2 * ms.Base.Barrier,
+		scmfp:    ms.Base.ScatterCoeff * ms.Base.MeanFreePath,
+		rho0:     ms.Base.RhoBulk,
+		capPow:   newLanePow(0.222),
+		shifts:   shifts,
+		shiftedC: make([]bool, K),
+		halfSq:   make([]float64, K),
+		qshifts:  qshifts,
+		qmc:      qshifts != nil,
 	}
 	for c, sh := range shifts {
 		var sq float64
@@ -443,19 +433,9 @@ func newLaneKernel(ms *MultiScenario, ro Options, shifts [][]float64, qshifts []
 		lk.halfSq[c] = sq / 2
 		lk.anyShift = lk.anyShift || lk.shiftedC[c]
 	}
-	// Candidates of a sizing sweep share the wire: detect it so the
-	// per-sample extraction (the math.Pow-heavy part) runs once.
-	for c := 1; c < K; c++ {
-		if ms.Specs[c].Segment != ms.Specs[0].Segment {
-			lk.sharedSeg = false
-			break
-		}
-	}
-	lk.segs = make([]laneSeg, len(ms.Specs))
-	lk.cands = make([]laneCand, len(ms.Specs))
+	lk.cands = make([]laneCand, K)
 	for c := range ms.Specs {
 		spec := &ms.Specs[c]
-		lk.segs[c] = laneSegFor(spec.Segment)
 		wn, wp := ms.Base.InverterWidths(spec.Size)
 		kc := &ms.Coeffs.Inv
 		if spec.Kind == liberty.Buffer {
@@ -777,7 +757,8 @@ func (lk *laneKernel) scalePhase(ls *laneScratch, n int) {
 // the style-resolved capacitances, mirroring wire.ResistancePerMeter /
 // GroundCapPerMeter / CouplingCapPerMeter operation for operation (the
 // fringe term's power lane-wide, through powLane).
-func (lk *laneKernel) wirePhase(ls *laneScratch, sg *laneSeg, n int) {
+func (lk *laneKernel) wirePhase(ls *laneScratch, n int) {
+	sg := &lk.seg
 	fW := ls.fac[facW][:n]
 	fT := ls.fac[facT][:n]
 	fI := ls.fac[facILD][:n]
@@ -830,34 +811,33 @@ func (lk *laneKernel) wirePhase(ls *laneScratch, sg *laneSeg, n int) {
 }
 
 // thinSample is a lane's lowest sample whose perturbed width leaves no
-// copper core, with the candidate and width it was found at; k < 0
-// means none.
+// copper core, with the width it was found at; k < 0 means none.
 type thinSample struct {
-	k, c int
-	w    float64
+	k int
+	w float64
 }
 
-// checkWidths records in t the lowest sample at which candidate c's
+// checkWidths records in t the lowest sample at which the last
 // extracted width is at or below 2·barrier, the bound
-// wire.Segment.Validate rejects, unless t already holds a lower one.
-// Called with candidates in ascending order, t ends on the lowest such
-// sample and, within it, the lowest candidate.
-func (lk *laneKernel) checkWidths(ls *laneScratch, c, n int, t *thinSample) {
+// wire.Segment.Validate rejects, unless t already holds a sample as
+// low. Called with candidates in ascending order, t ends on the lowest
+// such sample and, within it, the lowest candidate's width.
+func (lk *laneKernel) checkWidths(ls *laneScratch, n int, t *thinSample) {
 	for k, w := range ls.wid[:n] {
 		if w <= lk.bar2 {
 			if t.k < 0 || k < t.k {
-				*t = thinSample{k: k, c: c, w: w}
+				*t = thinSample{k: k, w: w}
 			}
 			return
 		}
 	}
 }
 
-// widthErr is the error DelayScratch returns for t's sample: candidate
-// t.c's segment, perturbed to width t.w on the perturbed technology
-// (whose barrier is the base's), fails validation.
+// widthErr is the error DelayScratch returns for t's sample: the
+// segment, perturbed to width t.w on the perturbed technology (whose
+// barrier is the base's), fails validation.
 func (lk *laneKernel) widthErr(t thinSample) error {
-	seg := lk.ms.Specs[t.c].Segment
+	seg := lk.ms.Specs[0].Segment
 	seg.Tech = lk.ms.Base
 	seg.Width = t.w
 	return seg.Validate()
@@ -1001,31 +981,18 @@ func (lk *laneKernel) eval(ls *laneScratch, start, n int, contrib []float64, K i
 	case lk.ais != nil:
 		lk.prog.run(&ls.epsT, &ls.fac, n)
 		lk.scalePhase(ls, n)
-		lk.wirePhase(ls, &lk.segs[0], n)
-		lk.checkWidths(ls, 0, n, &thin)
+		lk.wirePhase(ls, n)
+		lk.checkWidths(ls, n, &thin)
 		lk.delayPhase(ls, 0, n, contrib)
 	case !lk.anyShift:
 		lk.prog.run(&ls.epsT, &ls.fac, n)
 		lk.scalePhase(ls, n)
-		if lk.sharedSeg {
-			lk.wirePhase(ls, &lk.segs[0], n)
-			// Every candidate holds the same segment, so candidate 0's
-			// error is the lowest active candidate's.
-			lk.checkWidths(ls, 0, n, &thin)
-			if lk.bank != nil && thin.k < 0 {
-				lk.bank.store(ls, start, n)
-			}
-			lk.scoreShared(ls, n, contrib, K, active)
-		} else {
-			for c := range lk.cands {
-				if !active[c] {
-					continue
-				}
-				lk.wirePhase(ls, &lk.segs[c], n)
-				lk.checkWidths(ls, c, n, &thin)
-				lk.candPhase(ls, c, n, contrib, K, nil)
-			}
+		lk.wirePhase(ls, n)
+		lk.checkWidths(ls, n, &thin)
+		if lk.bank != nil && thin.k < 0 {
+			lk.bank.store(ls, start, n)
 		}
+		lk.scoreShared(ls, n, contrib, K, active)
 	default:
 		for c := range lk.cands {
 			if !active[c] {
@@ -1040,8 +1007,8 @@ func (lk *laneKernel) eval(ls *laneScratch, start, n int, contrib []float64, K i
 				lk.prog.run(&ls.epsT, &ls.fac, n)
 			}
 			lk.scalePhase(ls, n)
-			lk.wirePhase(ls, &lk.segs[c], n)
-			lk.checkWidths(ls, c, n, &thin)
+			lk.wirePhase(ls, n)
+			lk.checkWidths(ls, n, &thin)
 			lk.candPhase(ls, c, n, contrib, K, wts)
 		}
 	}
@@ -1062,10 +1029,9 @@ func (lk *laneKernel) scoreShared(ls *laneScratch, n int, contrib []float64, K i
 }
 
 // useBank hands the kernel a sizing search's bank if the run takes the
-// unshifted shared-segment path, the one path whose shared phases the
-// bank holds.
+// unshifted path, the one path whose shared phases the bank holds.
 func (lk *laneKernel) useBank(b *sampleBank) {
-	if b != nil && lk.ais == nil && !lk.anyShift && lk.sharedSeg {
+	if b != nil && lk.ais == nil && !lk.anyShift {
 		lk.bank = b
 	}
 }

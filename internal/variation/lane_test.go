@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/estimator"
+	"repro/internal/liberty"
 	"repro/internal/model"
 	"repro/internal/tech"
 	"repro/internal/wire"
@@ -121,15 +122,23 @@ func laneShift(s float64) []float64 {
 	return th
 }
 
-// mixedSweep is sweepSpecs with candidates 1 and 3 on a shielded
-// intermediate-layer segment, so no wire extraction is shared.
-func mixedSweep(tc *tech.Technology, seg wire.Segment) []model.LineSpec {
+// mixedSweep is sweepSpecs with the candidates' kinds, sizes, counts
+// and input slews mixed on the one segment: candidate 1 is a buffer,
+// and candidates 1 and 3 have their own slews.
+func mixedSweep(seg wire.Segment) []model.LineSpec {
 	specs := sweepSpecs(seg)
-	segB := wire.NewSegmentOn(tc, tc.Intermediate, 3e-3, wire.Shielded)
-	specs[1].Segment = segB
-	specs[3].Segment = segB
+	specs[1].Kind = liberty.Buffer
+	specs[1].InputSlew = 120e-12
 	specs[3].N = 9
+	specs[3].InputSlew = 450e-12
 	return specs
+}
+
+// shiftedDriver is a driver whose kernel carries hand-picked ISLE
+// shifts, one per candidate (nil entries are unshifted), in place of
+// the ones FindShiftsCtx would search.
+func shiftedDriver(ms *MultiScenario, o YieldOptions, shifts [][]float64) *driver {
+	return kernelDriver(newLaneKernel(ms, o, shifts, nil), o)
 }
 
 // allActive marks k candidates active.
@@ -163,9 +172,10 @@ func fittedProposal(t *testing.T) estimator.Mixture {
 }
 
 // TestLaneBitIdenticalToScalar drives laneKernel.eval directly in every
-// mode — plain sampling on a shared and on a mixed segment, ISLE with a
-// shift per candidate (one unshifted, one inactive), QMC with candidate
-// 0 inactive, and AIS drawing from an adapted mixture — over lane ranges
+// mode — plain sampling on a sweep of one kind and on a sweep of mixed
+// kinds, sizes, counts and slews, ISLE with a hand-picked shift per
+// candidate (one unshifted, one inactive), QMC with candidate 0
+// inactive, and AIS drawing from an adapted mixture — over lane ranges
 // that neither start nor end on a lane boundary, and holds every
 // contribution row to the scalar evaluator, LinkScenario.DelayScratch,
 // on the same draw, bit for bit. In AIS mode the stored draw and its
@@ -175,8 +185,8 @@ func TestLaneBitIdenticalToScalar(t *testing.T) {
 	tc := tech.MustLookup("90nm")
 	coeffs := model.MustDefault("90nm")
 	seg := wire.NewSegment(tc, 5e-3, wire.SWSS)
-	multi := func(specs []model.LineSpec, shifts [][]float64) *MultiScenario {
-		return &MultiScenario{Base: tc, Coeffs: coeffs, Space: DefaultSpace(), Specs: specs, Target: 940e-12, Shifts: shifts}
+	multi := func(specs []model.LineSpec) *MultiScenario {
+		return &MultiScenario{Base: tc, Coeffs: coeffs, Space: DefaultSpace(), Specs: specs, Target: 940e-12}
 	}
 	sc := testScenario(t, 520e-12)
 	single := &MultiScenario{Base: sc.Base, Coeffs: sc.Coeffs, Space: sc.Space, Specs: []model.LineSpec{sc.Spec}, Target: sc.Target}
@@ -189,21 +199,25 @@ func TestLaneBitIdenticalToScalar(t *testing.T) {
 		name   string
 		ms     *MultiScenario
 		kind   estimator.Kind
+		shifts [][]float64
 		active []bool
 		prop   *estimator.Mixture
 	}{
-		{"mc-shared", multi(sweepSpecs(seg), nil), estimator.MC, allActive(4), nil},
-		{"mc-mixed", multi(mixedSweep(tc, seg), nil), estimator.MC, []bool{true, true, false, true}, nil},
-		{"isle-mixed", multi(mixedSweep(tc, seg), [][]float64{laneShift(0.6), laneShift(-0.4), nil, laneShift(1.1)}), estimator.ISLE, []bool{true, false, true, true}, nil},
-		{"qmc-shared", multi(sweepSpecs(seg), nil), estimator.QMC, []bool{false, true, true, true}, nil},
-		{"ais", single, estimator.AIS, allActive(1), &adapted},
+		{"mc-shared", multi(sweepSpecs(seg)), estimator.MC, nil, allActive(4), nil},
+		{"mc-mixed", multi(mixedSweep(seg)), estimator.MC, nil, []bool{true, true, false, true}, nil},
+		{"isle-mixed", multi(mixedSweep(seg)), estimator.ISLE, [][]float64{laneShift(0.6), laneShift(-0.4), nil, laneShift(1.1)}, []bool{true, false, true, true}, nil},
+		{"qmc-shared", multi(sweepSpecs(seg)), estimator.QMC, nil, []bool{false, true, true, true}, nil},
+		{"ais", single, estimator.AIS, nil, allActive(1), &adapted},
 	} {
-		ro := YieldOptions{Samples: samples, Seed: 11, Estimator: m.kind}.runOptions().withDefaults()
-		d, err := newDriver(context.Background(), m.ms, ro, m.kind)
+		o := YieldOptions{Samples: samples, Seed: 11, Estimator: m.kind}
+		d, err := newDriver(context.Background(), m.ms, o, m.kind)
+		if m.shifts != nil {
+			d, err = shiftedDriver(m.ms, o, m.shifts), nil
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref := newScalarRef(m.ms, m.kind, ro.Seed, m.ms.Shifts)
+		ref := newScalarRef(m.ms, m.kind, o.Seed, m.shifts)
 		if m.prop != nil {
 			d.lk.ais.prop, ref.prop = *m.prop, *m.prop
 		}
@@ -311,8 +325,7 @@ func TestDrawPhaseWedgeAndTail(t *testing.T) {
 		}
 		start := max(first-17, 0)
 		for _, r := range []struct{ start, n int }{{start, laneSize}, {start + laneSize, 13}} {
-			ro := YieldOptions{Samples: 4096, Seed: seed}.runOptions().withDefaults()
-			d, err := newDriver(context.Background(), ms, ro, estimator.MC)
+			d, err := newDriver(context.Background(), ms, YieldOptions{Samples: 4096, Seed: seed}, estimator.MC)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -403,8 +416,7 @@ func TestDrawPhaseAIS(t *testing.T) {
 		name string
 		prop estimator.Mixture
 	}{{"standard", estimator.StandardProposal()}, {"fitted", fitted}} {
-		ro := YieldOptions{Samples: samples, Seed: seed, Estimator: estimator.AIS}.runOptions().withDefaults()
-		d, err := newDriver(context.Background(), ms, ro, estimator.AIS)
+		d, err := newDriver(context.Background(), ms, YieldOptions{Samples: samples, Seed: seed, Estimator: estimator.AIS}, estimator.AIS)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -473,8 +485,7 @@ func TestDrawPhaseQMC(t *testing.T) {
 	var lower, upper, expBranch int
 	var want, u [Dims]float64
 	for _, seed := range []uint64{1, 2} {
-		ro := YieldOptions{Samples: 1 << 14, Seed: seed}.runOptions().withDefaults()
-		d, err := newDriver(context.Background(), ms, ro, estimator.QMC)
+		d, err := newDriver(context.Background(), ms, YieldOptions{Samples: 1 << 14, Seed: seed}, estimator.QMC)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -527,7 +538,7 @@ func TestLanePartialBitIdentity(t *testing.T) {
 		o := YieldOptions{Samples: 2048, Seed: 5, Estimator: est, Workers: 3}
 		var shifts [][]float64
 		if est == estimator.ISLE {
-			shift, err := FindShift(Dims, sc.Target, sc.Delay)
+			shift, err := FindShift(sc.Target, sc.Delay)
 			if err != nil || shift == nil {
 				t.Fatalf("no ISLE shift found (%v); the fixture lost its teeth", err)
 			}
@@ -572,12 +583,14 @@ func TestLanePartialBitIdentity(t *testing.T) {
 // raises the error the scalar evaluator meets first: the one
 // DelayScratch gives on the lowest thin sample and, within it, the
 // lowest active candidate. Cases: a single candidate under mc and AIS,
-// mixed segments, ISLE with a shift per candidate (each candidate's own
-// draw, so its own width), QMC, a direct lane evaluation with inactive
-// candidates, and a CollectPartialCtx shard that starts mid-lane. Over
-// the cases, the lowest thin sample must once hold two candidates with
-// different errors, and once come before the first thin sample of the
-// lowest thin candidate, so both halves of the order are exercised.
+// a mixed sweep under mc and QMC, ISLE with a hand-picked shift per
+// candidate (each candidate's own draw, so its own width on the one
+// wire, and the error text carries the width), a direct lane
+// evaluation with inactive candidates, and a CollectPartialCtx shard
+// that starts mid-lane. Through the ISLE case, the lowest thin sample
+// must once hold two candidates with different errors, and once come
+// before the first thin sample of the lowest thin candidate, so both
+// halves of the order are exercised.
 func TestLaneValidationFallback(t *testing.T) {
 	sc := testScenario(t, 480e-12)
 	tc := sc.Base
@@ -601,13 +614,7 @@ func TestLaneValidationFallback(t *testing.T) {
 	own := *tc
 	own.Barrier *= 0.9
 	lone.Spec.Segment.Tech = &own
-	mixed := sweepSpecs(thin(3.3, tc.Global, wire.SWSS, 5e-3))
-	mixed[1].Segment = thin(2.6, tc.Intermediate, wire.Shielded, 3e-3)
-	mixed[2].Segment = thin(2.62, tc.Global, wire.Staggered, 5e-3)
-	mixed[3].Segment = thin(2.7, tc.Global, wire.SWSS, 4e-3)
-	multi := func(shifts [][]float64) *MultiScenario {
-		return &MultiScenario{Base: tc, Coeffs: sc.Coeffs, Space: space, Specs: mixed, Target: sc.Target, Shifts: shifts}
-	}
+	mixed := &MultiScenario{Base: tc, Coeffs: sc.Coeffs, Space: space, Specs: mixedSweep(thin(2.7, tc.Intermediate, wire.Shielded, 3e-3)), Target: sc.Target}
 	loneMulti := &MultiScenario{Base: tc, Coeffs: sc.Coeffs, Space: space, Specs: []model.LineSpec{lone.Spec}, Target: lone.Target}
 
 	const samples = 512 // small enough that AIS skips adaptation
@@ -657,23 +664,32 @@ func TestLaneValidationFallback(t *testing.T) {
 	}
 	for _, est := range []estimator.Kind{estimator.MC, estimator.QMC} {
 		o := YieldOptions{Samples: samples, Seed: 3, Estimator: est}
-		check("mixed-"+string(est), newScalarRef(multi(nil), est, o.Seed, nil), 0, samples, allActive(4), estimate(multi(nil), o))
+		check("mixed-"+string(est), newScalarRef(mixed, est, o.Seed, nil), 0, samples, allActive(4), estimate(mixed, o))
 	}
 	shifts := [][]float64{laneShift(-0.5), laneShift(0.9), nil, laneShift(1.4)}
-	o := YieldOptions{Samples: samples, Seed: 4, Estimator: estimator.ISLE}
-	check("mixed-isle", newScalarRef(multi(shifts), estimator.ISLE, o.Seed, shifts), 0, samples, allActive(4), estimate(multi(shifts), o))
+	o := YieldOptions{Samples: samples, Seed: 5, Estimator: estimator.ISLE}
+	check("mixed-isle", newScalarRef(mixed, estimator.ISLE, o.Seed, shifts), 0, samples, allActive(4), func(workers int) error {
+		o.Workers = workers
+		d := shiftedDriver(mixed, o, shifts)
+		defer d.close()
+		_, err := d.runShared(context.Background(), plainPass)
+		return err
+	})
+	if !candOrder || !sampleOrder {
+		t.Fatalf("the ISLE case decides no error by candidate order (%v) or by sample order (%v); the fixture lost its teeth", candOrder, sampleOrder)
+	}
 
 	// A direct lane evaluation over a mid-lane range with candidates 0
 	// and 2 inactive.
 	active := []bool{false, true, false, true}
-	ro := YieldOptions{Samples: samples, Seed: 5}.runOptions().withDefaults()
-	check("lane-inactive", newScalarRef(multi(nil), estimator.MC, ro.Seed, nil), 37, 50, active, func(int) error {
-		d, err := newDriver(context.Background(), multi(nil), ro, estimator.MC)
+	o = YieldOptions{Samples: samples, Seed: 5}
+	check("lane-inactive", newScalarRef(mixed, estimator.MC, o.Seed, nil), 37, 50, active, func(int) error {
+		d, err := newDriver(context.Background(), mixed, o, estimator.MC)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer d.close()
-		return d.lk.eval(d.lsc[0], 37, 50, make([]float64, 50*len(mixed)), len(mixed), active)
+		return d.lk.eval(d.lsc[0], 37, 50, make([]float64, 50*len(mixed.Specs)), len(mixed.Specs), active)
 	})
 
 	// A shard starting past the run's first thin sample, off the lane
@@ -695,27 +711,21 @@ func TestLaneValidationFallback(t *testing.T) {
 			t.Fatalf("shard-%s: the shard's error is the whole run's; the fixture lost its teeth", est)
 		}
 	}
-	if !candOrder || !sampleOrder {
-		t.Fatalf("no case where candidate order (%v) or sample order (%v) decides the error; the fixtures lost their teeth", candOrder, sampleOrder)
-	}
 }
 
 // TestLaneChunk pins the lane scheduling policy: full lanes serial,
-// shrunk-but-bounded lanes parallel, never exceeding the batch.
+// shrunk-but-bounded lanes parallel.
 func TestLaneChunk(t *testing.T) {
 	for _, c := range []struct {
-		batch, workers, want int
+		workers, want int
 	}{
-		{256, 1, 64},  // serial: full lanes
-		{256, 4, 64},  // 64 samples/worker: full lanes still fit
-		{256, 8, 32},  // shrink so every worker gets a lane
-		{256, 32, 16}, // floor at laneMin
-		{8, 4, 8},     // tiny batch: laneMin floor, then capped at batch
-		{1, 1, 1},
-		{10, 64, 10}, // laneMin capped by the batch itself
+		{1, 64},  // serial: full lanes
+		{4, 64},  // 64 samples/worker: full lanes still fit
+		{8, 32},  // shrink so every worker gets a lane
+		{32, 16}, // floor at laneMin
 	} {
-		if got := laneChunk(c.batch, c.workers); got != c.want {
-			t.Fatalf("laneChunk(%d, %d) = %d, want %d", c.batch, c.workers, got, c.want)
+		if got := laneChunk(c.workers); got != c.want {
+			t.Fatalf("laneChunk(%d) = %d, want %d", c.workers, got, c.want)
 		}
 	}
 }

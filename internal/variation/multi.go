@@ -14,25 +14,26 @@ import (
 )
 
 // This file is the cross-candidate sampling kernel. A sizing sweep
-// evaluates K candidate implementations of the same link against the
-// same variation space, and almost all of the per-sample cost — the
-// normal draw, the technology perturbation, the closed-form
-// coefficient rescale, the wire per-meter extraction — depends only on
-// the draw, not on the candidate. The kernel therefore does that work
-// once per sample and scores every still-active candidate against it
-// (common random numbers, which is also what makes the candidates
-// statistically comparable).
+// evaluates K candidate implementations of one wire — repeater kind,
+// size, count and input slew — against the same variation space, and
+// almost all of the per-sample cost — the normal draw, the technology
+// perturbation, the closed-form coefficient rescale, the wire
+// per-meter extraction — depends only on the draw, not on the
+// candidate. The kernel therefore does that work once per sample and
+// scores every still-active candidate against it (common random
+// numbers, which is also what makes the candidates statistically
+// comparable).
 //
 // One driver serves the mc/isle/qmc/ais rungs: it evaluates a
 // contiguous range of global sample indices through the lane kernel
 // (lane.go), its only evaluation path, and hands each batch's
 // contribution rows to a callback. A sample whose perturbed width fails
-// validation fails the step with the lane's error. The
-// local run (runSharedCtx) folds the rows per candidate and retires a
-// candidate once its stopping rule fires; a coordinator shard
-// (CollectPartialCtx, partial.go) keeps the sparse failures for
-// MergePartials; an AIS run (ais.go) drives one range per stage and
-// keeps each sample's delay. The local run and the shard fold
+// validation fails the step with the lane's error. The local run
+// (driver.runShared) folds the rows per candidate and retires a
+// candidate once its stopping rule fires, at the fixed checkpoints of
+// estimator.go; a coordinator shard (CollectPartialCtx, partial.go)
+// keeps the sparse failures for MergePartials; an AIS run (ais.go)
+// drives one range per stage and keeps each sample's delay. The local run and the shard fold
 // through the one fold type, consulting the stopping rule at the same
 // checkpoints, so each candidate's estimate is bit-identical to a
 // standalone EstimateLinkYieldCtx run with the same options and to a
@@ -40,7 +41,7 @@ import (
 // sample bank (sampleBank, lane.go), so each of its samples is drawn,
 // perturbed and extracted once per search.
 
-// MultiScenario binds K candidate implementations (specs) of one link
+// MultiScenario binds K candidate implementations (specs) of one wire
 // to a shared variation space and delay target.
 type MultiScenario struct {
 	// Base is the nominal technology the candidates were designed in.
@@ -49,19 +50,13 @@ type MultiScenario struct {
 	Coeffs *model.Coefficients
 	// Space is the variation model.
 	Space Space
-	// Specs are the candidate lines under estimation. Candidates that
-	// share the same Segment (the usual sizing sweep: same geometry,
-	// different repeater size/count) additionally share the per-sample
-	// wire extraction.
+	// Specs are the candidate lines under estimation, all on one
+	// Segment; each has its own repeater kind, size, count and input
+	// slew. The candidates share each sample's wire extraction.
 	Specs []model.LineSpec
 	// Target is the delay constraint in seconds: a sample of a
 	// candidate fails when its delay exceeds the target.
 	Target float64
-	// Shifts, when non-nil, holds one importance-sampling mean shift
-	// per candidate (nil entries select plain Monte Carlo for that
-	// candidate). When nil and the run options request importance
-	// sampling, per-candidate shifts are searched automatically.
-	Shifts [][]float64
 }
 
 // Validate rejects an unevaluable multi-scenario.
@@ -82,13 +77,8 @@ func (ms *MultiScenario) Validate() error {
 		if err := ms.Specs[c].Validate(); err != nil {
 			return fmt.Errorf("variation: candidate %d: %w", c, err)
 		}
-	}
-	if ms.Shifts != nil && len(ms.Shifts) != len(ms.Specs) {
-		return fmt.Errorf("variation: %d shifts for %d candidates", len(ms.Shifts), len(ms.Specs))
-	}
-	for c, sh := range ms.Shifts {
-		if sh != nil && len(sh) != Dims {
-			return fmt.Errorf("variation: candidate %d shift has %d dims, want %d", c, len(sh), Dims)
+		if ms.Specs[c].Segment != ms.Specs[0].Segment {
+			return fmt.Errorf("variation: candidate %d is not on candidate 0's segment", c)
 		}
 	}
 	return nil
@@ -118,7 +108,7 @@ func (ms *MultiScenario) FindShiftsCtx(ctx context.Context) ([][]float64, error)
 	shifts := make([][]float64, len(ms.Specs))
 	for c := range ms.Specs {
 		sc := ms.scenario(c)
-		shift, err := FindShift(Dims, ms.Target, func(z []float64) (float64, error) {
+		shift, err := FindShift(ms.Target, func(z []float64) (float64, error) {
 			if err := ctx.Err(); err != nil {
 				return 0, err
 			}
@@ -172,8 +162,8 @@ func estimateYieldsCtx(ctx context.Context, ms *MultiScenario, o YieldOptions, s
 	if err := ms.Validate(); err != nil {
 		return nil, err
 	}
-	ro := o.runOptions().withDefaults()
-	if err := ro.validate(); err != nil {
+	o = o.withDefaults()
+	if err := o.validate(); err != nil {
 		return nil, err
 	}
 	kind, err := o.resolveKind()
@@ -184,18 +174,23 @@ func estimateYieldsCtx(ctx context.Context, ms *MultiScenario, o YieldOptions, s
 		return wcdEstimatesCtx(ctx, ms, o.TargetSigma)
 	}
 	if o.Estimator == estimator.Auto && o.TargetSigma >= wcdPrefilterSigma {
-		return cascadeCtx(ctx, ms, o, ro, kind)
+		return cascadeCtx(ctx, ms, o, kind)
 	}
-	return sampleEstimatesCtx(ctx, ms, ro, kind, sp)
+	return sampleEstimatesCtx(ctx, ms, o, kind, sp)
 }
 
 // sampleEstimatesCtx runs the resolved sampling rung over all
 // candidates; sp applies to the mc/isle/qmc runs, not to AIS.
-func sampleEstimatesCtx(ctx context.Context, ms *MultiScenario, ro Options, kind estimator.Kind, sp sizingPass) ([]Estimate, error) {
+func sampleEstimatesCtx(ctx context.Context, ms *MultiScenario, o YieldOptions, kind estimator.Kind, sp sizingPass) ([]Estimate, error) {
 	if kind == estimator.AIS {
-		return runAISAllCtx(ctx, ms, ro)
+		return runAISAllCtx(ctx, ms, o)
 	}
-	return runSharedCtx(ctx, ms, ro, kind, sp)
+	d, err := newDriver(ctx, ms, o, kind)
+	if err != nil {
+		return nil, err
+	}
+	defer d.close()
+	return d.runShared(ctx, sp)
 }
 
 // contribPool recycles the driver's contribution rows across runs: a
@@ -226,7 +221,7 @@ func putContrib(b []float64) {
 // coordinator shard and an AIS stage are the same evaluation over
 // different ranges.
 type driver struct {
-	ro    Options
+	o     YieldOptions
 	lk    *laneKernel
 	lsc   []*laneScratch
 	chunk int
@@ -243,44 +238,51 @@ type driver struct {
 	lane    func(l, worker int) error
 }
 
-func newDriver(ctx context.Context, ms *MultiScenario, ro Options, kind estimator.Kind) (*driver, error) {
+// newDriver builds the driver of one run on rung kind: the QMC
+// scrambles or the ISLE shifts of the candidates, which FindShiftsCtx
+// searches, compiled into the lane kernel.
+func newDriver(ctx context.Context, ms *MultiScenario, o YieldOptions, kind estimator.Kind) (*driver, error) {
 	var shifts [][]float64
 	var qshifts [][]uint64
-	switch {
-	case kind == estimator.QMC:
+	switch kind {
+	case estimator.QMC:
 		qshifts = make([][]uint64, qmcReplicates)
 		for r := range qshifts {
-			qshifts[r] = estimator.SobolShift(ro.Seed, uint64(r), Dims)
+			qshifts[r] = estimator.SobolShift(o.Seed, uint64(r), Dims)
 		}
-	case ms.Shifts != nil:
-		shifts = ms.Shifts
-	case kind == estimator.ISLE:
+	case estimator.ISLE:
 		var err error
 		if shifts, err = ms.FindShiftsCtx(ctx); err != nil {
 			return nil, err
 		}
 	}
-	K := len(ms.Specs)
+	d := kernelDriver(newLaneKernel(ms, o, shifts, qshifts), o)
+	if kind == estimator.AIS {
+		// An AIS driver serves one candidate: ms is a single() view.
+		d.lk.ais = getAISState(o.Samples)
+	}
+	return d, nil
+}
+
+// kernelDriver builds a driver around a compiled lane kernel.
+func kernelDriver(lk *laneKernel, o YieldOptions) *driver {
+	K := len(lk.cands)
 	d := &driver{
-		ro:     ro,
-		lk:     newLaneKernel(ms, ro, shifts, qshifts),
-		chunk:  laneChunk(ro.Batch, pool.Workers(ro.Workers, ro.Batch)),
-		rows:   getContrib(ro.Batch * K),
+		o:      o,
+		lk:     lk,
+		chunk:  laneChunk(pool.Workers(o.Workers, Batch)),
+		rows:   getContrib(Batch * K),
 		active: make([]bool, K),
 	}
 	for c := range d.active {
 		d.active[c] = true
 	}
 	d.lane = d.evalLane
-	if kind == estimator.AIS {
-		// An AIS driver serves one candidate: ms is a single() view.
-		d.lk.ais = getAISState(ro.Samples)
-	}
-	d.lsc = make([]*laneScratch, pool.Workers(ro.Workers, (ro.Batch+d.chunk-1)/d.chunk))
+	d.lsc = make([]*laneScratch, pool.Workers(o.Workers, (Batch+d.chunk-1)/d.chunk))
 	for w := range d.lsc {
 		d.lsc[w] = getLaneScratch()
 	}
-	return d, nil
+	return d
 }
 
 // close returns the driver's pooled buffers.
@@ -317,14 +319,14 @@ func (d *driver) run(ctx context.Context, start, count int, fn func(base, n int,
 		if err := faultinject.Hit("variation.batch"); err != nil {
 			return err
 		}
-		n := min(d.ro.Batch, count-done)
+		n := min(Batch, count-done)
 		d.base, d.n = start+done, n
 		// Lane-granular dispatch: each pool item is one lane of up to
 		// chunk samples, amortizing the per-item handoff. Errors still
 		// resolve to the lowest failing sample: lanes cover ascending
 		// index ranges and the kernel reports a lane's lowest-index
 		// error.
-		if err := pool.ForEachWorkerCtx(ctx, d.ro.Workers, (n+d.chunk-1)/d.chunk, d.lane); err != nil {
+		if err := pool.ForEachWorkerCtx(ctx, d.o.Workers, (n+d.chunk-1)/d.chunk, d.lane); err != nil {
 			return err
 		}
 		if b := d.lk.bank; b != nil {
@@ -345,21 +347,16 @@ func (d *driver) evalLane(l, worker int) error {
 	return d.lk.eval(d.lsc[worker], d.base+off, m, d.rows[off*K:(off+m)*K], K, d.active)
 }
 
-// runSharedCtx is the local run of the mc/isle/qmc rungs: the driver
+// runShared is the local run of the mc/isle/qmc rungs: the driver
 // over [0, Samples), each candidate's contributions folded in index
 // order and the candidate retired once its stopping rule fires at a
 // checkpoint — the fold MergePartials replays over shards — or, at a
 // step end, once its contributions sum past sp.maxFail.
-func runSharedCtx(ctx context.Context, ms *MultiScenario, ro Options, kind estimator.Kind, sp sizingPass) ([]Estimate, error) {
-	d, err := newDriver(ctx, ms, ro, kind)
-	if err != nil {
-		return nil, err
-	}
-	defer d.close()
+func (d *driver) runShared(ctx context.Context, sp sizingPass) ([]Estimate, error) {
 	d.lk.useBank(sp.bank)
-	folds := make([]fold, len(ms.Specs))
+	folds := make([]fold, len(d.active))
 	for c := range folds {
-		folds[c] = fold{qmc: kind == estimator.QMC, shifted: d.lk.shiftedC[c]}
+		folds[c] = fold{qmc: d.lk.qmc, shifted: d.lk.shiftedC[c]}
 		switch {
 		case folds[c].qmc:
 			metRunsQMC.Inc()
@@ -372,14 +369,14 @@ func runSharedCtx(ctx context.Context, ms *MultiScenario, ro Options, kind estim
 	K := len(folds)
 	// Steps run Batch samples from 0 (the last one clamped to the
 	// budget), so a step's last sample is its one checkpoint.
-	err = d.run(ctx, 0, ro.Samples, func(base, n int, rows []float64) {
+	err := d.run(ctx, 0, d.o.Samples, func(base, n int, rows []float64) {
 		last := base + n - 1
 		for c := range folds {
 			if !d.active[c] {
 				continue
 			}
 			folds[c].add(base, n, rows[c:], K)
-			stop, rejected := folds[c].retire(ro, last, sp.maxFail)
+			stop, rejected := folds[c].retire(d.o, last, sp.maxFail)
 			if rejected {
 				metSizingRejected.Inc()
 			}

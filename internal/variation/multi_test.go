@@ -26,12 +26,12 @@ func legacyLinkYield(t *testing.T, sc *LinkScenario, o YieldOptions) Estimate {
 	var shift []float64
 	if o.Estimator == estimator.ISLE {
 		var err error
-		shift, err = FindShift(Dims, sc.Target, sc.Delay)
+		shift, err = FindShift(sc.Target, sc.Delay)
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	est, err := runOracle(o.runOptions(), shift, func(i int, z []float64) (bool, error) {
+	est, err := runOracle(o, Dims, shift, func(i int, z []float64) (bool, error) {
 		d, err := sc.Delay(z)
 		if err != nil {
 			return false, err
@@ -128,36 +128,6 @@ func TestSharedSweepMatchesPerCandidate(t *testing.T) {
 	}
 }
 
-// TestSharedSweepHandlesDistinctSegments covers the non-shared-segment
-// path: candidates on different geometries cannot share the per-sample
-// wire extraction, but the per-candidate estimates must still match
-// the standalone runs bit-for-bit.
-func TestSharedSweepHandlesDistinctSegments(t *testing.T) {
-	tc := tech.MustLookup("90nm")
-	coeffs := model.MustDefault("90nm")
-	specs := []model.LineSpec{
-		{Kind: liberty.Inverter, Size: 12, N: 8, Segment: wire.NewSegment(tc, 5e-3, wire.SWSS), InputSlew: 300e-12},
-		{Kind: liberty.Inverter, Size: 12, N: 7, Segment: wire.NewSegment(tc, 4e-3, wire.SWSS), InputSlew: 300e-12},
-	}
-	const target = 500e-12
-	o := YieldOptions{Samples: 1024, Seed: 9}
-	ms := &MultiScenario{Base: tc, Coeffs: coeffs, Space: DefaultSpace(), Specs: specs, Target: target}
-	ests, err := EstimateYieldsSharedCtx(context.Background(), ms, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for c := range specs {
-		sc := &LinkScenario{Base: tc, Coeffs: coeffs, Space: DefaultSpace(), Spec: specs[c], Target: target}
-		want, err := EstimateLinkYieldCtx(context.Background(), sc, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ests[c] != want {
-			t.Errorf("candidate %d: shared %+v != standalone %+v", c, ests[c], want)
-		}
-	}
-}
-
 func TestMultiScenarioValidation(t *testing.T) {
 	tc := tech.MustLookup("90nm")
 	coeffs := model.MustDefault("90nm")
@@ -168,8 +138,6 @@ func TestMultiScenarioValidation(t *testing.T) {
 		"zero-target":    func(ms *MultiScenario) { ms.Target = 0 },
 		"no-specs":       func(ms *MultiScenario) { ms.Specs = nil },
 		"bad-spec":       func(ms *MultiScenario) { ms.Specs[1].Size = 0 },
-		"shift-count":    func(ms *MultiScenario) { ms.Shifts = make([][]float64, 1) },
-		"shift-dims":     func(ms *MultiScenario) { ms.Shifts = [][]float64{nil, {1}, nil, nil} },
 		"negative-sigma": func(ms *MultiScenario) { ms.Space.VthSigma = -1 },
 	} {
 		ms := ok
@@ -178,6 +146,14 @@ func TestMultiScenarioValidation(t *testing.T) {
 		if _, err := EstimateYieldsSharedCtx(context.Background(), &ms, YieldOptions{Samples: 16}); err == nil {
 			t.Errorf("%s: invalid multi-scenario accepted", name)
 		}
+	}
+	// A candidate off candidate 0's wire is named in the error.
+	ms := ok
+	ms.Specs = append([]model.LineSpec(nil), ok.Specs...)
+	ms.Specs[2].Segment = wire.NewSegment(tc, 5e-3, wire.Shielded)
+	_, err := EstimateYieldsSharedCtx(context.Background(), &ms, YieldOptions{Samples: 16})
+	if want := "variation: candidate 2 is not on candidate 0's segment"; err == nil || err.Error() != want {
+		t.Errorf("second segment: got %v, want %q", err, want)
 	}
 }
 
@@ -252,11 +228,11 @@ func TestRunBatchSteadyStateAllocs(t *testing.T) {
 		t.Skip("race-detector instrumentation allocates; counts are meaningless under -race")
 	}
 	const samples = 8192
-	o := Options{Dims: Dims, Samples: samples, Seed: 1, Workers: 1}
+	o := YieldOptions{Samples: samples, Seed: 1, Workers: 1}
 	tr := func(i int, z []float64) (bool, error) { return z[0] > 2, nil }
 	var runErr error
 	allocs := testing.AllocsPerRun(1, func() {
-		_, runErr = runOracle(o, nil, tr)
+		_, runErr = runOracle(o, Dims, nil, tr)
 	})
 	if runErr != nil {
 		t.Fatal(runErr)

@@ -117,12 +117,11 @@ func (o YieldOptions) ShardableKind() (estimator.Kind, bool, error) {
 	return kind, true, nil
 }
 
-// ResolvedSampling reports the (samples, batch) the options resolve to
-// after defaulting — the numbers a shard planner needs to split the
-// index range and align shard boundaries with stopping-rule checks.
-func (o YieldOptions) ResolvedSampling() (samples, batch int) {
-	ro := o.runOptions().withDefaults()
-	return ro.Samples, ro.Batch
+// ResolvedSamples reports the sample budget the options resolve to
+// after defaulting — the index range [0, samples) a shard planner
+// splits, aligning shard boundaries to Batch.
+func (o YieldOptions) ResolvedSamples() int {
+	return o.withDefaults().Samples
 }
 
 // CollectPartialCtx evaluates the scenario over global sample indices
@@ -137,8 +136,8 @@ func CollectPartialCtx(ctx context.Context, sc *LinkScenario, o YieldOptions, st
 	if err := sc.Validate(); err != nil {
 		return Partial{}, estimator.Auto, false, err
 	}
-	ro := o.runOptions().withDefaults()
-	if err := ro.validate(); err != nil {
+	o = o.withDefaults()
+	if err := o.validate(); err != nil {
 		return Partial{}, estimator.Auto, false, err
 	}
 	kind, ok, err := o.ShardableKind()
@@ -148,8 +147,8 @@ func CollectPartialCtx(ctx context.Context, sc *LinkScenario, o YieldOptions, st
 	if !ok {
 		return Partial{}, kind, false, fmt.Errorf("%w: %s", ErrNotShardable, kind)
 	}
-	if start < 0 || count < 0 || count > ro.Samples-start {
-		return Partial{}, kind, false, fmt.Errorf("variation: shard range [%d,%d) outside sample budget %d", start, start+count, ro.Samples)
+	if start < 0 || count < 0 || count > o.Samples-start {
+		return Partial{}, kind, false, fmt.Errorf("variation: shard range [%d,%d) outside sample budget %d", start, start+count, o.Samples)
 	}
 
 	ms := &MultiScenario{
@@ -162,7 +161,7 @@ func CollectPartialCtx(ctx context.Context, sc *LinkScenario, o YieldOptions, st
 	// ISLE: the deterministic shift search runs on every shard —
 	// redundant work, but it is what makes replicas interchangeable
 	// (any replica computes the identical shift from the scenario).
-	d, err := newDriver(ctx, ms, ro, kind)
+	d, err := newDriver(ctx, ms, o, kind)
 	if err != nil {
 		return Partial{}, kind, false, err
 	}
@@ -218,8 +217,8 @@ func CollectPartialCtx(ctx context.Context, sc *LinkScenario, o YieldOptions, st
 // shard count. Partials whose weights disagree with shifted, or that fold to a
 // non-finite standard error, are rejected.
 func MergePartials(o YieldOptions, kind estimator.Kind, shifted bool, parts []Partial) (Estimate, bool, error) {
-	ro := o.runOptions().withDefaults()
-	if err := ro.validate(); err != nil {
+	o = o.withDefaults()
+	if err := o.validate(); err != nil {
 		return Estimate{}, false, err
 	}
 	if len(parts) == 0 {
@@ -236,7 +235,7 @@ func MergePartials(o YieldOptions, kind estimator.Kind, shifted bool, parts []Pa
 	}
 	next := 0
 	for _, p := range sorted {
-		if err := p.validate(ro.Samples, shifted); err != nil {
+		if err := p.validate(o.Samples, shifted); err != nil {
 			return Estimate{}, false, err
 		}
 		if p.Start != next {
@@ -245,15 +244,15 @@ func MergePartials(o YieldOptions, kind estimator.Kind, shifted bool, parts []Pa
 		next = p.Start + p.Count
 	}
 	// Expand each partial into dense contributions one stretch at a
-	// time, cut at batch boundaries so every checkpoint ends a stretch.
+	// time, cut at multiples of Batch so every checkpoint ends a stretch.
 	f := fold{qmc: kind == estimator.QMC, shifted: shifted}
-	xs := make([]float64, min(ro.Batch, ro.Samples))
+	xs := make([]float64, min(Batch, o.Samples))
 	stopped := false
 outer:
 	for _, p := range sorted {
 		fi := 0
 		for lo, end := p.Start, p.Start+p.Count; lo < end; {
-			hi := min(end, (lo/ro.Batch+1)*ro.Batch)
+			hi := min(end, (lo/Batch+1)*Batch)
 			row := xs[:hi-lo]
 			clear(row)
 			for ; fi < len(p.FailIdx) && p.FailIdx[fi] < hi; fi++ {
@@ -264,7 +263,7 @@ outer:
 				row[p.FailIdx[fi]-lo] = x
 			}
 			f.add(lo, hi-lo, row, 1)
-			if checkpoint(ro, hi-1) && f.stop(ro) {
+			if checkpoint(o, hi-1) && f.stop(o) {
 				stopped = true
 				break outer
 			}
@@ -276,5 +275,5 @@ outer:
 	if math.IsInf(est.StdErr, 0) {
 		return Estimate{}, false, errors.New("variation: partials fold to a non-finite estimate")
 	}
-	return est, stopped || f.n >= ro.Samples, nil
+	return est, stopped || f.n >= o.Samples, nil
 }

@@ -14,7 +14,7 @@ import (
 // shifted flag the shards agreed on.
 func collectAll(t *testing.T, sc *LinkScenario, o YieldOptions, sizes []int) ([]Partial, bool) {
 	t.Helper()
-	samples, _ := o.ResolvedSampling()
+	samples := o.ResolvedSamples()
 	var parts []Partial
 	shifted := false
 	for start, si := 0, 0; start < samples; si++ {

@@ -102,29 +102,6 @@ func (sc *LinkScenario) NominalDelay() (float64, error) {
 	return sc.Delay(zeroDraw[:])
 }
 
-// YieldOptions configures a link-yield estimation.
-type YieldOptions struct {
-	// Samples, MinSamples, Batch, RelErr, AbsErr, Workers, Seed
-	// mirror Options (see estimator.go).
-	Samples, MinSamples, Batch int
-	RelErr, AbsErr             float64
-	Workers                    int
-	Seed                       uint64
-	// Estimator pins a specific rung of the estimator ladder (mc,
-	// qmc, isle, ais, wcd). isle is the ISLE-style estimator: the
-	// sampling distribution is shifted to the most probable failure
-	// point and samples carry likelihood-ratio weights, for failure
-	// probabilities below ~1e-2. Empty (estimator.Auto) routes by
-	// TargetSigma when set and falls back to plain MC otherwise.
-	Estimator estimator.Kind
-	// TargetSigma is the sigma level the query must resolve (a 6σ
-	// query cares about failure probabilities near Φ(−6) ≈ 1e-9).
-	// When positive and Estimator is Auto it drives the router, and
-	// at ≥3σ it arms the worst-case-distance pre-filter: the analytic
-	// bound answers certified-either-way queries without sampling.
-	TargetSigma float64
-}
-
 // resolveKind maps the options' estimator hints to the concrete rung
 // that will run: an explicit Estimator wins, then TargetSigma routing,
 // then plain MC.
@@ -144,19 +121,6 @@ func (o YieldOptions) resolveKind() (estimator.Kind, error) {
 		}
 	}
 	return estimator.MC, nil
-}
-
-func (o YieldOptions) runOptions() Options {
-	return Options{
-		Dims:       Dims,
-		Samples:    o.Samples,
-		MinSamples: o.MinSamples,
-		Batch:      o.Batch,
-		RelErr:     o.RelErr,
-		AbsErr:     o.AbsErr,
-		Workers:    o.Workers,
-		Seed:       o.Seed,
-	}
 }
 
 // EstimateLinkYieldCtx estimates the probability that the scenario's

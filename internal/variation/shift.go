@@ -1,9 +1,6 @@
 package variation
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // This file locates the importance-sampling mean shift. The ISLE-style
 // estimator wants the sampling distribution centered on the most
@@ -25,14 +22,12 @@ type Metric func(z []float64) (float64, error)
 // anyway, and the likelihood ratios grow numerically hostile.
 const maxShiftNorm = 8.0
 
-// FindShift computes a mean shift toward the failure region of the
-// metric, returning nil (plain Monte Carlo) when shifting cannot help:
-// the nominal point already fails, or the metric shows no gradient.
-func FindShift(dims int, target float64, metric Metric) ([]float64, error) {
-	if dims <= 0 {
-		return nil, fmt.Errorf("variation: non-positive dimension %d", dims)
-	}
-	z := make([]float64, dims)
+// FindShift computes a mean shift in the Dims-dimensional standardized
+// space toward the failure region of the metric, returning nil (plain
+// Monte Carlo) when shifting cannot help: the nominal point already
+// fails, or the metric shows no gradient.
+func FindShift(target float64, metric Metric) ([]float64, error) {
+	z := make([]float64, Dims)
 	m0, err := metric(z)
 	if err != nil {
 		return nil, err
@@ -45,9 +40,9 @@ func FindShift(dims int, target float64, metric Metric) ([]float64, error) {
 
 	// Central-difference gradient of the metric at the origin.
 	const h = 0.5
-	grad := make([]float64, dims)
+	grad := make([]float64, Dims)
 	var norm float64
-	for d := 0; d < dims; d++ {
+	for d := 0; d < Dims; d++ {
 		z[d] = h
 		mp, err := metric(z)
 		if err != nil {
@@ -112,7 +107,7 @@ func FindShift(dims int, target float64, metric Metric) ([]float64, error) {
 			lo = mid
 		}
 	}
-	shift := make([]float64, dims)
+	shift := make([]float64, Dims)
 	for d := range shift {
 		shift[d] = hi * unit[d]
 	}

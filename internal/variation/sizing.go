@@ -37,9 +37,6 @@ type SizingOptions struct {
 	// reused for every candidate, so candidates are compared on
 	// common random numbers and the search is deterministic.
 	MC YieldOptions
-	// MaxCandidates caps how many candidates the search may submit to
-	// Monte Carlo evaluation before giving up (default 48).
-	MaxCandidates int
 }
 
 // ErrYieldUnreachable reports that no candidate within the budget met
@@ -80,11 +77,15 @@ var (
 // EXPERIMENTS.md records the sizes tried.
 const sizingGroup = 4
 
+// maxCandidates caps how many feasible candidates the walk may submit
+// to sampling before giving up.
+const maxCandidates = 48
+
 // SizeForYieldCtx selects the cheapest (repeater size, count) whose
 // estimated timing yield reaches the target. The nominal
 // weighted-objective design is evaluated first; only if it misses the
 // target does the search walk the cost-ordered candidate grid: the
-// first MaxCandidates candidates whose nominal delay meets the target,
+// first maxCandidates candidates whose nominal delay meets the target,
 // sizingGroup at a time on common random numbers, up to the first
 // group holding a candidate whose estimate reaches the yield target.
 //
@@ -106,9 +107,6 @@ func SizeForYieldCtx(ctx context.Context, base *tech.Technology, seg wire.Segmen
 	}
 	if err := o.Space.Validate(); err != nil {
 		return SizedDesign{}, err
-	}
-	if o.MaxCandidates == 0 {
-		o.MaxCandidates = 48
 	}
 
 	// One search serves the nominal design and, on a miss, the candidate
@@ -133,7 +131,7 @@ func SizeForYieldCtx(ctx context.Context, base *tech.Technology, seg wire.Segmen
 	}
 	// Every pass samples on the same seed, so all of them share one
 	// bank of the samples' candidate-independent work.
-	samples := o.MC.runOptions().withDefaults().Samples
+	samples := o.MC.ResolvedSamples()
 	pass := sizingPass{maxFail: math.Inf(1), bank: getSampleBank(samples)}
 	defer putSampleBank(pass.bank)
 	// A sample that leaves the line no copper core fails with a
@@ -167,13 +165,13 @@ func SizeForYieldCtx(ctx context.Context, base *tech.Technology, seg wire.Segmen
 	if err != nil {
 		return SizedDesign{}, err
 	}
-	feasible := make([]buffering.Design, 0, o.MaxCandidates)
+	feasible := make([]buffering.Design, 0, maxCandidates)
 	overBudget := false
 	for _, d := range cands {
 		if d.Delay > o.Target {
 			continue
 		}
-		if len(feasible) >= o.MaxCandidates {
+		if len(feasible) >= maxCandidates {
 			overBudget = true
 			break
 		}
@@ -228,7 +226,7 @@ func SizeForYieldCtx(ctx context.Context, base *tech.Technology, seg wire.Segmen
 		}
 	}
 	if overBudget {
-		return SizedDesign{}, fmt.Errorf("%w (budget of %d candidates exhausted)", ErrYieldUnreachable, o.MaxCandidates)
+		return SizedDesign{}, fmt.Errorf("%w (budget of %d candidates exhausted)", ErrYieldUnreachable, maxCandidates)
 	}
 	// Every feasible candidate was evaluated and none reached the
 	// target: the geometry is fine, the yield target is what cannot be

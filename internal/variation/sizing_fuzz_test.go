@@ -7,7 +7,7 @@ import (
 )
 
 // FuzzSizingReject fuzzes the sizing walk's rejection bound. Arbitrary
-// budgets, batches, yield targets, RelErr and non-negative contribution
+// budgets, yield targets, RelErr and non-negative contribution
 // prefixes — 0/1 failure indicators, or likelihood-ratio weights with
 // arbitrary mantissas — run through the local run's step loop (fold.add,
 // then fold.retire at each step end), with zeros after the prefix.
@@ -37,19 +37,19 @@ func FuzzSizingReject(f *testing.F) {
 		}
 		return b
 	}
-	f.Add(uint16(4096), uint16(256), 0.999, 0.0, false, ones(3, 40, 77, 100, 250, 300))
-	f.Add(uint16(4096), uint16(256), 0.9999, 0.0, false, ones(5))
-	f.Add(uint16(1000), uint16(96), 0.999, 0.2, false, ones(17))
-	f.Add(uint16(1000), uint16(96), 0.998, 0.0, false, ones(1, 2, 3))
-	f.Add(uint16(512), uint16(64), 0.99, 0.2, false, ones(0, 1, 2, 3, 4, 5, 6, 7, 8))
-	f.Add(uint16(4096), uint16(256), 0.999, 0.0, true, weights(0, 0.7, 0, 1.3, 2.9, 0, 0.01))
-	f.Add(uint16(2048), uint16(100), 0.9999, 0.2, true, weights(0.125, 0, 0, 0.3))
-	f.Fuzz(func(t *testing.T, samples, batch uint16, yt, relErr float64, weighted bool, data []byte) {
+	f.Add(uint16(4096), 0.999, 0.0, false, ones(3, 40, 77, 100, 250, 300))
+	f.Add(uint16(4096), 0.9999, 0.0, false, ones(5))
+	f.Add(uint16(1000), 0.999, 0.2, false, ones(17))
+	f.Add(uint16(1000), 0.998, 0.0, false, ones(1, 2, 3))
+	f.Add(uint16(512), 0.99, 0.2, false, ones(0, 1, 2, 3, 4, 5, 6, 7, 8))
+	f.Add(uint16(4096), 0.999, 0.0, true, weights(0, 0.7, 0, 1.3, 2.9, 0, 0.01))
+	f.Add(uint16(2048), 0.9999, 0.2, true, weights(0.125, 0, 0, 0.3))
+	f.Fuzz(func(t *testing.T, samples uint16, yt, relErr float64, weighted bool, data []byte) {
 		if !(yt > 0 && yt < 1) || !(relErr >= 0 && relErr <= 1) {
 			t.Skip()
 		}
-		// Zero selects the default budget or batch.
-		ro := Options{Dims: Dims, Samples: int(samples) % 8193, Batch: int(batch) % 1025, RelErr: relErr}.withDefaults()
+		// Zero selects the default budget.
+		o := YieldOptions{Samples: int(samples) % 8193, RelErr: relErr}.withDefaults()
 		// A weight is one 8-byte word: a zero first byte is no failure;
 		// otherwise that byte picks a binade in [2⁻³⁰, 2¹⁰) and the next
 		// 52 bits the mantissa.
@@ -67,18 +67,18 @@ func FuzzSizingReject(f *testing.F) {
 			mant := math.Float64frombits(0x3ff<<52 | word>>8&(1<<52-1))
 			return math.Ldexp(mant, int(data[8*i])%40-30)
 		}
-		maxFail := rejectBound(yt, ro.Samples)
+		maxFail := rejectBound(yt, o.Samples)
 		fl := fold{shifted: weighted}
-		row := make([]float64, ro.Batch)
-		for base := 0; base < ro.Samples; base += ro.Batch {
-			n := min(ro.Batch, ro.Samples-base)
+		row := make([]float64, Batch)
+		for base := 0; base < o.Samples; base += Batch {
+			n := min(Batch, o.Samples-base)
 			for k := 0; k < n; k++ {
 				row[k] = contrib(base + k)
 			}
 			fl.add(base, n, row, 1)
-			stop, rejected := fl.retire(ro, base+n-1, maxFail)
+			stop, rejected := fl.retire(o, base+n-1, maxFail)
 			if rejected {
-				checkRejected(t, ro, fl, base+n, yt)
+				checkRejected(t, o, fl, base+n, yt)
 				return
 			}
 			if stop {
@@ -90,18 +90,18 @@ func FuzzSizingReject(f *testing.F) {
 
 // checkRejected folds zeros into a retired fold from sample next to the
 // budget and requires a yield below yt wherever the run could end.
-func checkRejected(t *testing.T, ro Options, fl fold, next int, yt float64) {
+func checkRejected(t *testing.T, o YieldOptions, fl fold, next int, yt float64) {
 	t.Helper()
-	zeros := make([]float64, ro.Batch)
-	for base := next; ; base += ro.Batch {
+	zeros := make([]float64, Batch)
+	for base := next; ; base += Batch {
 		if e := fl.estimate(); !(e.Yield < yt) {
-			t.Fatalf("retired at sample %d of %d (batch %d), but zeros to sample %d give yield %v >= target %v",
-				next, ro.Samples, ro.Batch, fl.n, e.Yield, yt)
+			t.Fatalf("retired at sample %d of %d, but zeros to sample %d give yield %v >= target %v",
+				next, o.Samples, fl.n, e.Yield, yt)
 		}
-		if base >= ro.Samples {
+		if base >= o.Samples {
 			return
 		}
-		n := min(ro.Batch, ro.Samples-base)
+		n := min(Batch, o.Samples-base)
 		fl.add(base, n, zeros, 1)
 	}
 }

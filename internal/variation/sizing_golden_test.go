@@ -195,19 +195,15 @@ func sizingGoldenCases(t testing.TB) []sizingGoldenCase {
 				}
 			}
 		}
-		// Budgets that are not a multiple of the batch, and another seed.
-		add(l, pre+"-unaligned-miss", l.options(v.miss, v.yt, YieldOptions{Samples: 1000, Batch: 96, Seed: 7}))
-		add(l, pre+"-unaligned-tight", l.options(v.tight, v.yt, YieldOptions{Samples: 1000, Batch: 96, Seed: 7}))
-		o := l.options(v.tight, v.yt, mc)
-		o.MaxCandidates = 6
-		add(l, pre+"-exhausted", o)
+		// A budget that is not a multiple of Batch, and another seed.
+		add(l, pre+"-unaligned-miss", l.options(v.miss, v.yt, YieldOptions{Samples: 1000, Seed: 7}))
+		add(l, pre+"-unaligned-tight", l.options(v.tight, v.yt, YieldOptions{Samples: 1000, Seed: 7}))
 		add(l, pre+"-infeasible", l.options(0.5, v.yt, mc))
 	}
 
 	l := link("90nm", 6)
 	add(l, "error-target", l.options(0, 0.999, mc))
 	add(l, "error-yield-target", l.options(1.17, 1, mc))
-	add(l, "error-negative-batch", l.options(1.17, 0.999, YieldOptions{Batch: -1}))
 	add(l, "error-estimator", l.options(1.17, 0.999, YieldOptions{Estimator: "bogus"}))
 	return cases
 }
@@ -330,7 +326,6 @@ var sizingGolden = map[string]string{
 	"90nm-6mm-y0.999-sigma3.5-relerr0.2-loose": "INV60x2 p=0.0005878286836641575 y=0.9994121713163359 se=5.123795523200457e-05 n=512 shifted=true isle vr=437.06081119580074 resized=false",
 	"90nm-6mm-y0.999-unaligned-miss":           "INV80x2 p=0 y=1 se=0 n=1000 shifted=false mc vr=1 resized=true",
 	"90nm-6mm-y0.999-unaligned-tight":          "INV80x2 p=0.0010000000000000009 y=0.999 se=0.0010000000000000002 n=1000 shifted=false mc vr=0.9990000000000003 resized=true",
-	"90nm-6mm-y0.999-exhausted":                "error: variation: no buffering candidate meets the yield target (budget of 6 candidates exhausted)",
 	"90nm-6mm-y0.999-infeasible":               "error: buffering: no candidate design satisfies the constraint (searched 832 candidates)",
 	"45nm-2mm-y0.99-mc-relerr0-tight":          "error: variation: no buffering candidate meets the yield target (none of 12 feasible candidates reaches yield 0.99)",
 	"45nm-2mm-y0.99-mc-relerr0-miss":           "INV120x1 p=0.007080078125000008 y=0.992919921875 se=0.0013102349628264832 n=4096 shifted=false mc vr=0.9997558593750018 resized=true",
@@ -368,10 +363,8 @@ var sizingGolden = map[string]string{
 	"45nm-2mm-y0.99-sigma3.5-relerr0.2-loose":  "INV80x1 p=0.0029534391809840884 y=0.9970465608190159 se=0.004683207548101001 n=0 shifted=false wcd vr=1 resized=false",
 	"45nm-2mm-y0.99-unaligned-miss":            "INV120x1 p=0.009999999999999981 y=0.99 se=0.0031480009386767854 n=1000 shifted=false mc vr=0.998999999999997 resized=true",
 	"45nm-2mm-y0.99-unaligned-tight":           "error: variation: no buffering candidate meets the yield target (none of 12 feasible candidates reaches yield 0.99)",
-	"45nm-2mm-y0.99-exhausted":                 "error: variation: no buffering candidate meets the yield target (budget of 6 candidates exhausted)",
 	"45nm-2mm-y0.99-infeasible":                "error: buffering: no candidate design satisfies the constraint (searched 832 candidates)",
 	"error-target":                             "error: variation: non-positive delay target 0",
 	"error-yield-target":                       "error: variation: yield target 1 outside (0,1)",
-	"error-negative-batch":                     "error: variation: negative batch size -1",
 	"error-estimator":                          "error: variation: unknown estimator \"bogus\"",
 }

@@ -32,9 +32,6 @@ func referenceSizeForYield(ctx context.Context, base *tech.Technology, seg wire.
 	if err := o.Space.Validate(); err != nil {
 		return SizedDesign{}, err
 	}
-	if o.MaxCandidates == 0 {
-		o.MaxCandidates = 48
-	}
 	nominal, err := buffering.Optimize(seg, o.Buffering)
 	if err != nil {
 		return SizedDesign{}, err
@@ -59,13 +56,13 @@ func referenceSizeForYield(ctx context.Context, base *tech.Technology, seg wire.
 	if err != nil {
 		return SizedDesign{}, err
 	}
-	feasible := make([]buffering.Design, 0, o.MaxCandidates)
+	feasible := make([]buffering.Design, 0, maxCandidates)
 	overBudget := false
 	for _, d := range cands {
 		if d.Delay > o.Target {
 			continue
 		}
-		if len(feasible) >= o.MaxCandidates {
+		if len(feasible) >= maxCandidates {
 			overBudget = true
 			break
 		}
@@ -96,15 +93,15 @@ func referenceSizeForYield(ctx context.Context, base *tech.Technology, seg wire.
 		}
 	}
 	if overBudget {
-		return SizedDesign{}, fmt.Errorf("%w (budget of %d candidates exhausted)", ErrYieldUnreachable, o.MaxCandidates)
+		return SizedDesign{}, fmt.Errorf("%w (budget of %d candidates exhausted)", ErrYieldUnreachable, maxCandidates)
 	}
 	return SizedDesign{}, fmt.Errorf("%w (none of %d feasible candidates reaches yield %g)",
 		ErrYieldUnreachable, len(feasible), o.YieldTarget)
 }
 
 // TestSizingMatchesReference draws random searches — technology,
-// length, delay and yield targets, rung, RelErr, budget, batch, seed,
-// candidate cap and worker count — and requires the walk to return
+// length, delay and yield targets, rung, RelErr, budget, seed and
+// worker count — and requires the walk to return
 // exactly what the full reference sweep returns.
 func TestSizingMatchesReference(t *testing.T) {
 	runs := 100
@@ -119,7 +116,6 @@ func TestSizingMatchesReference(t *testing.T) {
 		l := newSizingLink(t, techs[rng.Intn(len(techs))], 1+8*rng.Float64())
 		mc := YieldOptions{
 			Samples:   []int{512, 1000, 2048}[rng.Intn(3)],
-			Batch:     []int{0, 64, 100}[rng.Intn(3)],
 			Seed:      rng.Uint64(),
 			Estimator: rungs[rng.Intn(len(rungs))],
 			Workers:   1 + rng.Intn(4),
@@ -129,9 +125,8 @@ func TestSizingMatchesReference(t *testing.T) {
 		}
 		yt := yts[rng.Intn(len(yts))]
 		o := l.options(l.missFactor(t, rng, yt), yt, mc)
-		o.MaxCandidates = []int{0, 8, 20}[rng.Intn(3)]
-		name := fmt.Sprintf("run %d (%s %gmm, target %g, yield %g, %+v, max %d)",
-			i, l.tc.Name, l.seg.Length*1e3, o.Target, o.YieldTarget, o.MC, o.MaxCandidates)
+		name := fmt.Sprintf("run %d (%s %gmm, target %g, yield %g, %+v)",
+			i, l.tc.Name, l.seg.Length*1e3, o.Target, o.YieldTarget, o.MC)
 		want, wantErr := referenceSizeForYield(context.Background(), l.tc, l.seg, o)
 		got, gotErr := SizeForYieldCtx(context.Background(), l.tc, l.seg, o)
 		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !reflect.DeepEqual(got, want) {

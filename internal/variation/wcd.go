@@ -82,7 +82,7 @@ func wcdEstimatesCtx(ctx context.Context, ms *MultiScenario, sigma float64) ([]E
 // and only the inconclusive remainder goes through the routed sampling
 // rung — on a sub-scenario, so the samples it draws match what a
 // direct query on those candidates alone would draw.
-func cascadeCtx(ctx context.Context, ms *MultiScenario, o YieldOptions, ro Options, kind estimator.Kind) ([]Estimate, error) {
+func cascadeCtx(ctx context.Context, ms *MultiScenario, o YieldOptions, kind estimator.Kind) ([]Estimate, error) {
 	K := len(ms.Specs)
 	ests := make([]Estimate, K)
 	var open []int
@@ -109,16 +109,10 @@ func cascadeCtx(ctx context.Context, ms *MultiScenario, o YieldOptions, ro Optio
 		Specs:  make([]model.LineSpec, len(open)),
 		Target: ms.Target,
 	}
-	if ms.Shifts != nil {
-		sub.Shifts = make([][]float64, len(open))
-	}
 	for i, c := range open {
 		sub.Specs[i] = ms.Specs[c]
-		if ms.Shifts != nil {
-			sub.Shifts[i] = ms.Shifts[c]
-		}
 	}
-	sampled, err := sampleEstimatesCtx(ctx, sub, ro, kind, plainPass)
+	sampled, err := sampleEstimatesCtx(ctx, sub, o, kind, plainPass)
 	if err != nil {
 		return nil, err
 	}

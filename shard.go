@@ -71,26 +71,27 @@ func (pl *YieldShardPlan) Kind() string { return string(pl.kind) }
 // Samples is the resolved total sample budget — the index range to
 // cover is [0, Samples).
 func (pl *YieldShardPlan) Samples() int {
-	samples, _ := pl.p.mc.ResolvedSampling()
-	return samples
+	return pl.p.mc.ResolvedSamples()
 }
 
-// Batch is the resolved batch size. Shard boundaries need not align to
-// it, but the global stopping rule only fires at batch boundaries of
-// the merged fold, so batch-aligned shards waste the least work.
+// Batch is the engine's checkpoint spacing (variation.Batch). Shard
+// boundaries need not align to it, but the global stopping rule only
+// fires at its multiples in the merged fold, so aligned shards waste
+// the least work.
 func (pl *YieldShardPlan) Batch() int {
-	_, batch := pl.p.mc.ResolvedSampling()
-	return batch
+	return variation.Batch
 }
 
 // ClassHash is a deterministic hash of the request's link class — the
-// same fields that key the yield-surface cache. Every replica computes
-// the same hash for the same request, so it can consistent-hash the
-// class onto a stable owner replica.
+// fields that key the yield-surface cache, without the delay target.
+// Every replica computes the same hash for the same request, so it can
+// consistent-hash the class onto a stable owner replica, and every
+// target of a class lands on that one owner, whose curve can then
+// interpolate between them.
 func (pl *YieldShardPlan) ClassHash() uint64 {
 	h := fnv.New64a()
 	k := pl.p.surfaceKey()
-	fmt.Fprintf(h, "%v|%v|%v|%v|%v|%v", k.TechHash, k.Geom, k.InputSlew, k.PowerWeight, k.Space, pl.p.target)
+	fmt.Fprintf(h, "%v|%v|%v|%v|%v", k.TechHash, k.Geom, k.InputSlew, k.PowerWeight, k.Space)
 	return h.Sum64()
 }
 

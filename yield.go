@@ -77,7 +77,7 @@ type YieldRequest struct {
 	// explicit zero) runs the full budget. Negative values are an
 	// error. A run with zero observed failures stops once the
 	// rule-of-three bound 3/n reaches the tolerance (see
-	// variation.Options.RelErr).
+	// variation.YieldOptions.RelErr).
 	RelErr *float64
 	// AbsErr, when set and positive, stops sampling early once the
 	// estimator's absolute standard error reaches it; nil (or an

@@ -46,13 +46,28 @@ type Surfaced struct {
 // coordinator calls it on the replica that owns the request's link
 // class, so repeated traffic warms a stable shard. Degraded, surface,
 // and resized results are refused — only a fresh Monte Carlo estimate
-// of the nominal design is a valid curve point plus design memo.
+// of the nominal design is a valid curve point plus design memo — and
+// so is a result no estimation can produce, which the owner would
+// otherwise serve to later warm queries: a failure probability outside
+// [0, 1] (ISLE's unbiased estimate can exceed 1, but that is no
+// probability the surface can interpolate), a negative standard error,
+// an estimator the ladder does not name, or a design without a
+// positive repeater size, count and nominal delay.
 func (sf Surfaced) RecordYield(req YieldRequest, res YieldResult) error {
 	if sf.Cache == nil {
 		return errors.New("predint: RecordYield needs a bound surface cache")
 	}
 	if res.Degraded || res.Source != SourceMC {
 		return fmt.Errorf("predint: refusing to record a %q result — only full Monte Carlo estimates enter the surface", res.Source)
+	}
+	if !(res.FailProb >= 0 && res.FailProb <= 1) || !(res.StdErr >= 0) {
+		return fmt.Errorf("predint: refusing to record failure probability %g ± %g", res.FailProb, res.StdErr)
+	}
+	if kind, err := estimator.Parse(res.Estimator); err != nil || kind == estimator.Auto {
+		return fmt.Errorf("predint: refusing to record a result of estimator %q", res.Estimator)
+	}
+	if !(res.RepeaterSize > 0) || res.Repeaters <= 0 || !(res.NominalDelay > 0) {
+		return fmt.Errorf("predint: refusing to record design %gx%d with nominal delay %g", res.RepeaterSize, res.Repeaters, res.NominalDelay)
 	}
 	p, err := req.plan()
 	if err != nil {

@@ -58,6 +58,57 @@ func TestSurfaceOffVsMissBitIdentical(t *testing.T) {
 	}
 }
 
+// TestRecordYieldRefusesImpossibleResults pins the owner side of the
+// record op: a result no estimation produces — a failure probability
+// outside [0, 1], a negative standard error, an estimator the ladder
+// does not name, a design without a positive size, count or nominal
+// delay — is refused with an error, leaves the cache as it was, and a
+// later probe of the request misses. The sampled result itself records,
+// and its probe hits.
+func TestRecordYieldRefusesImpossibleResults(t *testing.T) {
+	req := YieldRequest{Tech: "65nm", LengthMM: 3, Samples: Int(256), Seed: 11}
+	good, err := uncached.LinkYieldCtx(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := func(t *testing.T, res YieldResult) (surface.Stats, bool) {
+		t.Helper()
+		sf := Surfaced{Cache: surface.New(surface.Options{})}
+		rerr := sf.RecordYield(req, res)
+		_, hit, err := sf.LinkYieldSurfaceCtx(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (rerr == nil) != hit {
+			t.Fatalf("record error %v, but the probe hit=%v", rerr, hit)
+		}
+		return sf.Cache.Stats(), hit
+	}
+	if _, hit := probe(t, good); !hit {
+		t.Fatal("the sampled result was not recorded")
+	}
+	for name, mutate := range map[string]func(*YieldResult){
+		"fail-prob-above-one": func(r *YieldResult) { r.FailProb = 7 },
+		"fail-prob-negative":  func(r *YieldResult) { r.FailProb = -1 },
+		"stderr-negative":     func(r *YieldResult) { r.StdErr = -1e-3 },
+		"estimator-unknown":   func(r *YieldResult) { r.Estimator = "bogus" },
+		"estimator-auto":      func(r *YieldResult) { r.Estimator = "auto" },
+		"estimator-empty":     func(r *YieldResult) { r.Estimator = "" },
+		"size-zero":           func(r *YieldResult) { r.RepeaterSize = 0 },
+		"repeaters-zero":      func(r *YieldResult) { r.Repeaters = 0 },
+		"delay-zero":          func(r *YieldResult) { r.NominalDelay = 0 },
+	} {
+		t.Run(name, func(t *testing.T) {
+			bad := good
+			mutate(&bad)
+			st, hit := probe(t, bad)
+			if hit || st.Entries != 0 || st.Points != 0 || st.Records != 0 {
+				t.Fatalf("impossible result %+v entered the surface: %+v, probe hit=%v", bad, st, hit)
+			}
+		})
+	}
+}
+
 // TestSurfaceSizingNeverConsults: a YieldTarget (sizing) request always
 // samples — the chosen design depends on the target, which a memoized
 // curve cannot re-decide — even when the plain estimate of the same
