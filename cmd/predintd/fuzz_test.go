@@ -43,6 +43,48 @@ func FuzzYieldRequestBody(f *testing.F) {
 	})
 }
 
+// shardSeeds are FuzzShardRequestBody's seed corpus, each with the
+// status it gets and what its answer must show: for a 200 a fragment of
+// the op's answer, for a 400 the start of the error text, which names
+// the stage that refused it.
+var shardSeeds = []struct {
+	body   string
+	status int
+	want   string
+}{
+	{`{"op": "sample", "req": {"tech": "90nm", "length_mm": 5, "seed": 3}, "start": 0, "count": 64}`, 200, `"kind": "mc"`},
+	{`{"op": "sample", "req": {"tech": "65nm", "length_mm": 3, "estimator": "isle", "target_sigma": 4, "samples": 512}, "start": 448, "count": 64}`, 200, `"kind": "isle"`},
+	{`{"op": "sample", "req": {"tech": "45nm", "length_mm": 8, "estimator": "qmc", "style": "staggered", "power_weight": 0.7}, "start": 32, "count": 32}`, 200, `"kind": "qmc"`},
+	{`{"op": "sample", "req": {"tech": "90nm", "length_mm": 5, "estimator": "ais"}, "start": 0, "count": 8}`, 400,
+		"variation: request cannot be sharded by sample index: estimator rung is not index-keyed"},
+	{`{"op": "sample", "req": {"tech": "90nm", "length_mm": 5, "yield_target": 0.99}, "start": 0, "count": 8}`, 400,
+		"variation: request cannot be sharded by sample index: sizing (yield-target) requests drive sampling adaptively"},
+	{`{"op": "sample", "req": {"tech": "90nm", "length_mm": 5, "samples": 16}, "start": 8, "count": 9}`, 400,
+		"variation: shard range [8,17) outside sample budget 16"},
+	{`{"op": "sample", "req": {"tech": "90nm", "length_mm": 5}, "start": -1, "count": 4}`, 400,
+		"variation: shard range [-1,3) outside sample budget 4096"},
+	{`{"op": "sample", "req": {"tech": "90nm", "length_mm": 1e9, "input_slew_ps": 1e-300, "target_ps": 1e308}, "start": 0, "count": 1}`, 200, `"count": 1`},
+	{`{"op": "probe", "req": {"tech": "90nm", "length_mm": 5}}`, 200, `{}`},
+	{`{"op": "record", "req": {"tech": "90nm", "length_mm": 5}, "result": {"repeaters": 2, "repeater_size": 60, "nominal_delay_s": 4.3e-10,
+		"yield": 0.5, "fail_prob": 0.5, "samples": 64, "estimator": "mc", "source": "mc"}}`, 200, `"recorded": true`},
+	// A result no estimation produces: the owner refuses it.
+	{`{"op": "record", "req": {"tech": "90nm", "length_mm": 5}, "result": {"repeaters": 0, "repeater_size": 60, "nominal_delay_s": 4.3e-10,
+		"yield": -6, "fail_prob": 7, "std_err": -1, "samples": 64, "estimator": "bogus", "source": "mc"}}`, 400,
+		"predint: refusing to record failure probability 7 ± -1"},
+	// A peer still sending the retired surface_version field.
+	{`{"op": "probe", "req": {"tech": "90nm", "length_mm": 5}, "surface_version": 0}`, 400,
+		`predintd: bad request body: json: unknown field "surface_version"`},
+	{`{"op": "bogus"}`, 400, `coordinator: unknown shard op "bogus"`},
+	{`{"op": "sample", "req": {"tech": "90nm", "length_mm": 5}, "extra": 1}`, 400, `predintd: bad request body: json: unknown field "extra"`},
+	{`{"op": "sample",`, 400, "predintd: bad request body: unexpected EOF"},
+	{``, 400, "predintd: bad request body: EOF"},
+	// A peer of an older build, which spelled the request in Go field
+	// names: refused at the decoder, so the front retries and falls
+	// back to local execution.
+	{`{"op": "sample", "req": {"Tech": "90nm", "LengthMM": 5, "Seed": 3}, "start": 0, "count": 64}`, 400,
+		`predintd: bad request body: json: unknown field "LengthMM"`},
+}
+
 // FuzzShardRequestBody sends arbitrary bodies to the coordinator
 // protocol's /v1/internal/shard handler on a worker with a warm-start
 // surface, so every op is reachable: a sample op replans the request
@@ -53,31 +95,10 @@ func FuzzYieldRequestBody(f *testing.F) {
 // must be a 200, a 400 or a 413.
 func FuzzShardRequestBody(f *testing.F) {
 	const shardFuzzCap = 256
-	for _, seed := range []string{
-		`{"op": "sample", "req": {"Tech": "90nm", "LengthMM": 5, "Seed": 3}, "start": 0, "count": 64}`,
-		`{"op": "sample", "req": {"Tech": "65nm", "LengthMM": 3, "Estimator": "isle", "TargetSigma": 4, "Samples": 512}, "start": 448, "count": 64}`,
-		`{"op": "sample", "req": {"Tech": "45nm", "LengthMM": 8, "Estimator": "qmc", "Style": "staggered", "PowerWeight": 0.7}, "start": 32, "count": 32}`,
-		`{"op": "sample", "req": {"Tech": "90nm", "LengthMM": 5, "Estimator": "ais"}, "start": 0, "count": 8}`,
-		`{"op": "sample", "req": {"Tech": "90nm", "LengthMM": 5, "YieldTarget": 0.99}, "start": 0, "count": 8}`,
-		`{"op": "sample", "req": {"Tech": "90nm", "LengthMM": 5, "Samples": 16}, "start": 8, "count": 9}`,
-		`{"op": "sample", "req": {"Tech": "90nm", "LengthMM": 5}, "start": -1, "count": 4}`,
-		`{"op": "sample", "req": {"Tech": "90nm", "LengthMM": 1e9, "InputSlewPS": 1e-300, "TargetPS": 1e308}, "start": 0, "count": 1}`,
-		`{"op": "probe", "req": {"Tech": "90nm", "LengthMM": 5}}`,
-		`{"op": "record", "req": {"Tech": "90nm", "LengthMM": 5}, "result": {"Repeaters": 2, "RepeaterSize": 60, "NominalDelay": 4.3e-10, "Yield": 0.5, "FailProb": 0.5, "Samples": 64, "Estimator": "mc", "Source": "mc"}}`,
-		// A result no estimation produces: the owner refuses it (a 400).
-		`{"op": "record", "req": {"Tech": "90nm", "LengthMM": 5}, "result": {"Repeaters": 0, "RepeaterSize": 60, "NominalDelay": 4.3e-10, "Yield": -6, "FailProb": 7, "StdErr": -1, "Samples": 64, "Estimator": "bogus", "Source": "mc"}}`,
-		// A peer still sending the retired surface_version field: a 400.
-		`{"op": "probe", "req": {"Tech": "90nm", "LengthMM": 5}, "surface_version": 0}`,
-		`{"op": "bogus"}`,
-		`{"op": "sample", "req": {"Tech": "90nm", "LengthMM": 5}, "extra": 1}`,
-		`{"op": "sample",`,
-		``,
-	} {
-		f.Add(seed)
+	for _, seed := range shardSeeds {
+		f.Add(seed.body)
 	}
-	s := newServer(4, 16, 0, time.Minute, time.Second)
-	s.surf = surface.New(surface.Options{})
-	h := s.routes()
+	h := shardFuzzServer().routes()
 	f.Fuzz(func(t *testing.T, body string) {
 		var sr coordinator.ShardRequest
 		if json.Unmarshal([]byte(body), &sr) == nil && sr.Op == coordinator.OpSample && sr.Count > shardFuzzCap {
@@ -85,6 +106,39 @@ func FuzzShardRequestBody(f *testing.F) {
 		}
 		postFuzzBody(t, h, "/v1/internal/shard", body)
 	})
+}
+
+// TestShardSeedsReachTheirStage holds each FuzzShardRequestBody seed to
+// its status and answer, so a seed that stops at the decoder instead of
+// its op is caught rather than passing the fuzz target's status check.
+func TestShardSeedsReachTheirStage(t *testing.T) {
+	h := shardFuzzServer().routes()
+	for i, seed := range shardSeeds {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/internal/shard", strings.NewReader(seed.body)))
+		if rec.Code != seed.status {
+			t.Errorf("seed %d: status %d, want %d: %s", i, rec.Code, seed.status, rec.Body)
+			continue
+		}
+		if seed.status == http.StatusOK {
+			if !strings.Contains(rec.Body.String(), seed.want) {
+				t.Errorf("seed %d: answer lacks %s: %s", i, seed.want, rec.Body)
+			}
+			continue
+		}
+		var doc struct{ Error string }
+		if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil || !strings.HasPrefix(doc.Error, seed.want) {
+			t.Errorf("seed %d: error %q, want it to start with %q", i, doc.Error, seed.want)
+		}
+	}
+}
+
+// shardFuzzServer is a worker with a warm-start surface, so probe and
+// record ops reach the cache.
+func shardFuzzServer() *server {
+	s := newServer(4, 16, 0, time.Minute, time.Second)
+	s.surf = surface.New(surface.Options{})
+	return s
 }
 
 // FuzzLinkRequestBody sends arbitrary bodies through the /v1/link

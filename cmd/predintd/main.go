@@ -3,7 +3,9 @@
 // service:
 //
 //   - POST /v1/link, /v1/yield, /v1/yield/batch, /v1/noc — the facade
-//     entry points, snake_case JSON in and out
+//     entry points; a body decodes strictly into the facade's request
+//     type and the answer is its result type's own JSON (/v1/noc
+//     answers a projection of NoCResult)
 //   - GET /healthz, /metrics — liveness and the observability snapshot
 //
 // Hardening, in request order: every request runs under a deadline
@@ -27,11 +29,12 @@
 // /v1/yield sample range out over the listed worker replicas as
 // contiguous sample-index shards served at POST /v1/internal/shard,
 // merging the partial accumulators in index order — the answer is
-// bit-identical to a single-process run at any shard count. Failed
-// shards retry against the next replica (-shard-attempts) and degrade
-// to local execution when the worker set is exhausted; surface probes
-// and records route to the replica owning the request's link class
-// under rendezvous hashing.
+// bit-identical to a single-process run at any shard count. A shard
+// body carries the /v1/yield body in its own keys, so a front and its
+// workers must run the same build. Failed shards retry against the
+// next replica (-shard-attempts) and degrade to local execution when
+// the worker set is exhausted; surface probes and records route to the
+// replica owning the request's link class under rendezvous hashing.
 //
 // The worker roster is fixed by -workers at startup, and managed: a
 // background prober hits each worker's /readyz every

@@ -145,7 +145,7 @@ func TestServerEndToEnd(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("degraded yield request: status %d, body %s", code, body)
 	}
-	var deg yieldResultDTO
+	var deg predint.YieldResult
 	if err := json.Unmarshal(body, &deg); err != nil {
 		t.Fatalf("degraded yield response not JSON: %v\n%s", err, body)
 	}
@@ -159,9 +159,9 @@ func TestServerEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if deg.NominalDelayS != want.NominalDelay {
+	if deg.NominalDelay != want.NominalDelay {
 		t.Errorf("degraded nominal delay %g != LinkYieldNominalCtx's %g (model.ScaledFor at the nominal corner)",
-			deg.NominalDelayS, want.NominalDelay)
+			deg.NominalDelay, want.NominalDelay)
 	}
 	if deg.Yield != want.Yield {
 		t.Errorf("degraded yield %g != nominal path's %g", deg.Yield, want.Yield)
@@ -172,7 +172,7 @@ func TestServerEndToEnd(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("full yield request: status %d, body %s", code, body)
 	}
-	var full yieldResultDTO
+	var full predint.YieldResult
 	if err := json.Unmarshal(body, &full); err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestServerEndToEnd(t *testing.T) {
 	if res.code != http.StatusOK {
 		t.Fatalf("in-flight request dropped during drain: status %d, body %s", res.code, res.body)
 	}
-	var drained linkResultDTO
+	var drained predint.LinkResult
 	if err := json.Unmarshal(res.body, &drained); err != nil || drained.Repeaters <= 0 {
 		t.Fatalf("in-flight response truncated during drain: %v\n%s", err, res.body)
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync/atomic"
@@ -48,9 +49,12 @@ var metYieldByEstimator = map[string]*obs.Counter{
 	"":     obs.NewCounter("predintd.yield_by_nominal"),
 }
 
-func countYieldEstimator(kind string) {
-	if c, ok := metYieldByEstimator[kind]; ok {
-		c.Inc()
+// countServed moves one yield_by_<rung> counter per served result.
+func countServed(results ...predint.YieldResult) {
+	for _, res := range results {
+		if c, ok := metYieldByEstimator[res.Estimator]; ok {
+			c.Inc()
+		}
 	}
 }
 
@@ -275,149 +279,39 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 func (s *server) decodeBody(r *http.Request, dst any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, s.maxBody))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			return fmt.Errorf("predintd: request body over the %d-byte cap: %w", s.maxBody, err)
+	err := dec.Decode(dst)
+	if err == nil {
+		// Only whitespace may follow the document, so the next token
+		// must be io.EOF. (dec.More() cannot tell: it is false before a
+		// stray '}' or ']'.)
+		if _, err = dec.Token(); err == io.EOF {
+			return nil
 		}
-		return fmt.Errorf("predintd: bad request body: %w", err)
+		if !errors.As(err, new(*http.MaxBytesError)) {
+			err = errors.New("trailing data")
+		}
 	}
-	if dec.More() {
-		return errors.New("predintd: bad request body: trailing data")
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		return fmt.Errorf("predintd: request body over the %d-byte cap: %w", s.maxBody, err)
 	}
-	return nil
+	return fmt.Errorf("predintd: bad request body: %w", err)
 }
 
 // ---- /v1/link ----
-
-type linkRequestDTO struct {
-	Tech             string   `json:"tech"`
-	LengthMM         float64  `json:"length_mm"`
-	Bits             *int     `json:"bits,omitempty"`
-	Style            string   `json:"style,omitempty"`
-	PowerWeight      *float64 `json:"power_weight,omitempty"`
-	DelayOptimal     bool     `json:"delay_optimal,omitempty"`
-	LibrarySizesOnly bool     `json:"library_sizes_only,omitempty"`
-	OptimizeGeometry bool     `json:"optimize_geometry,omitempty"`
-	MaxPitchMult     float64  `json:"max_pitch_mult,omitempty"`
-	ActivityFactor   *float64 `json:"activity_factor,omitempty"`
-	InputSlewPS      *float64 `json:"input_slew_ps,omitempty"`
-}
-
-type linkResultDTO struct {
-	Repeaters       int     `json:"repeaters"`
-	RepeaterSize    float64 `json:"repeater_size"`
-	DelayS          float64 `json:"delay_s"`
-	OutputSlewS     float64 `json:"output_slew_s"`
-	DynamicPowerW   float64 `json:"dynamic_power_w"`
-	LeakagePowerW   float64 `json:"leakage_power_w"`
-	AreaM2          float64 `json:"area_m2"`
-	WireResistance  float64 `json:"wire_resistance_ohm"`
-	WireCapacitance float64 `json:"wire_capacitance_f"`
-	WidthMult       float64 `json:"width_mult"`
-	SpacingMult     float64 `json:"spacing_mult"`
-}
 
 func (s *server) handleLink(ctx context.Context, r *http.Request) (any, error) {
 	if err := faultinject.Hit("predintd.handle"); err != nil {
 		return nil, err
 	}
-	var dto linkRequestDTO
-	if err := s.decodeBody(r, &dto); err != nil {
+	var req predint.LinkRequest
+	if err := s.decodeBody(r, &req); err != nil {
 		return nil, err
 	}
-	res, err := predint.DesignLinkCtx(ctx, predint.LinkRequest{
-		Tech:             dto.Tech,
-		LengthMM:         dto.LengthMM,
-		Bits:             dto.Bits,
-		Style:            predint.Style(dto.Style),
-		PowerWeight:      dto.PowerWeight,
-		DelayOptimal:     dto.DelayOptimal,
-		LibrarySizesOnly: dto.LibrarySizesOnly,
-		OptimizeGeometry: dto.OptimizeGeometry,
-		MaxPitchMult:     dto.MaxPitchMult,
-		ActivityFactor:   dto.ActivityFactor,
-		InputSlewPS:      dto.InputSlewPS,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return linkResultDTO{
-		Repeaters:       res.Repeaters,
-		RepeaterSize:    res.RepeaterSize,
-		DelayS:          res.Delay,
-		OutputSlewS:     res.OutputSlew,
-		DynamicPowerW:   res.DynamicPower,
-		LeakagePowerW:   res.LeakagePower,
-		AreaM2:          res.Area,
-		WireResistance:  res.WireResistance,
-		WireCapacitance: res.WireCapacitance,
-		WidthMult:       res.WidthMult,
-		SpacingMult:     res.SpacingMult,
-	}, nil
+	return predint.DesignLinkCtx(ctx, req)
 }
 
 // ---- /v1/yield ----
-
-type yieldRequestDTO struct {
-	Tech        string   `json:"tech"`
-	LengthMM    float64  `json:"length_mm"`
-	Style       string   `json:"style,omitempty"`
-	PowerWeight *float64 `json:"power_weight,omitempty"`
-	InputSlewPS *float64 `json:"input_slew_ps,omitempty"`
-	TargetPS    *float64 `json:"target_ps,omitempty"`
-	Samples     *int     `json:"samples,omitempty"`
-	RelErr      *float64 `json:"rel_err,omitempty"`
-	AbsErr      *float64 `json:"abs_err,omitempty"`
-	Seed        uint64   `json:"seed,omitempty"`
-	Workers     int      `json:"workers,omitempty"`
-	Estimator   string   `json:"estimator,omitempty"`
-	TargetSigma *float64 `json:"target_sigma,omitempty"`
-	SigmaScale  *float64 `json:"sigma_scale,omitempty"`
-	YieldTarget *float64 `json:"yield_target,omitempty"`
-	NoSurface   bool     `json:"no_surface,omitempty"`
-}
-
-type yieldResultDTO struct {
-	Repeaters         int     `json:"repeaters"`
-	RepeaterSize      float64 `json:"repeater_size"`
-	NominalDelayS     float64 `json:"nominal_delay_s"`
-	TargetS           float64 `json:"target_s"`
-	Yield             float64 `json:"yield"`
-	FailProb          float64 `json:"fail_prob"`
-	StdErr            float64 `json:"std_err"`
-	CI95              float64 `json:"ci95"`
-	Samples           int     `json:"samples"`
-	ImportanceSampled bool    `json:"importance_sampled,omitempty"`
-	Estimator         string  `json:"estimator,omitempty"`
-	VarianceReduction float64 `json:"variance_reduction,omitempty"`
-	Resized           bool    `json:"resized,omitempty"`
-	Degraded          bool    `json:"degraded,omitempty"`
-	FailProbBound     float64 `json:"fail_prob_bound,omitempty"`
-	Source            string  `json:"source"`
-}
-
-// yieldRequest maps the wire DTO onto the facade request.
-func (dto yieldRequestDTO) yieldRequest() predint.YieldRequest {
-	return predint.YieldRequest{
-		Tech:        dto.Tech,
-		LengthMM:    dto.LengthMM,
-		Style:       predint.Style(dto.Style),
-		PowerWeight: dto.PowerWeight,
-		InputSlewPS: dto.InputSlewPS,
-		TargetPS:    dto.TargetPS,
-		Samples:     dto.Samples,
-		RelErr:      dto.RelErr,
-		AbsErr:      dto.AbsErr,
-		Seed:        dto.Seed,
-		Workers:     dto.Workers,
-		Estimator:   dto.Estimator,
-		TargetSigma: dto.TargetSigma,
-		SigmaScale:  dto.SigmaScale,
-		YieldTarget: dto.YieldTarget,
-		NoSurface:   dto.NoSurface,
-	}
-}
 
 // degradeYield decides the graceful-degradation path from the
 // requested Monte Carlo budget and the admission-time queue pressure.
@@ -429,37 +323,14 @@ func (s *server) degradeYield(ctx context.Context, samplesField *int) bool {
 	return samples > s.maxYieldCost || pressured(ctx)
 }
 
-func yieldResultDTOFrom(res predint.YieldResult) yieldResultDTO {
-	countYieldEstimator(res.Estimator)
-	return yieldResultDTO{
-		Repeaters:         res.Repeaters,
-		RepeaterSize:      res.RepeaterSize,
-		NominalDelayS:     res.NominalDelay,
-		TargetS:           res.Target,
-		Yield:             res.Yield,
-		FailProb:          res.FailProb,
-		StdErr:            res.StdErr,
-		CI95:              res.CI95,
-		Samples:           res.Samples,
-		ImportanceSampled: res.ImportanceSampled,
-		Estimator:         res.Estimator,
-		VarianceReduction: res.VarianceReduction,
-		Resized:           res.Resized,
-		Degraded:          res.Degraded,
-		FailProbBound:     res.FailProbBound,
-		Source:            res.Source,
-	}
-}
-
 func (s *server) handleYield(ctx context.Context, r *http.Request) (any, error) {
 	if err := faultinject.Hit("predintd.handle"); err != nil {
 		return nil, err
 	}
-	var dto yieldRequestDTO
-	if err := s.decodeBody(r, &dto); err != nil {
+	var req predint.YieldRequest
+	if err := s.decodeBody(r, &req); err != nil {
 		return nil, err
 	}
-	req := dto.yieldRequest()
 	sf := predint.Surfaced{Cache: s.surf}
 
 	// Tier 1 — warm surface: consulted before any cost or pressure
@@ -473,7 +344,8 @@ func (s *server) handleYield(ctx context.Context, r *http.Request) (any, error) 
 		}
 		if ok {
 			metSurfaceHits.Inc()
-			return yieldResultDTOFrom(res), nil
+			countServed(res)
+			return res, nil
 		}
 		metSurfaceMisses.Inc()
 	}
@@ -489,7 +361,7 @@ func (s *server) handleYield(ctx context.Context, r *http.Request) (any, error) 
 	var res predint.YieldResult
 	var err error
 	switch {
-	case s.degradeYield(ctx, dto.Samples):
+	case s.degradeYield(ctx, req.Samples):
 		metDegraded.Inc()
 		res, err = predint.LinkYieldNominalCtx(ctx, req)
 	case s.coord != nil:
@@ -503,25 +375,11 @@ func (s *server) handleYield(ctx context.Context, r *http.Request) (any, error) 
 	if err != nil {
 		return nil, err
 	}
-	return yieldResultDTOFrom(res), nil
+	countServed(res)
+	return res, nil
 }
 
 // ---- /v1/yield/batch ----
-
-type yieldCandidateDTO struct {
-	RepeaterSize float64 `json:"repeater_size"`
-	Repeaters    int     `json:"repeaters"`
-}
-
-type yieldBatchRequestDTO struct {
-	yieldRequestDTO
-	Candidates []yieldCandidateDTO `json:"candidates"`
-}
-
-type yieldBatchResultDTO struct {
-	TargetS float64          `json:"target_s"`
-	Results []yieldResultDTO `json:"results"`
-}
 
 // handleYieldBatch scores explicit candidate buffering solutions of
 // one link on common random numbers (Surfaced.LinkYieldBatchCtx): one
@@ -533,16 +391,9 @@ func (s *server) handleYieldBatch(ctx context.Context, r *http.Request) (any, er
 	if err := faultinject.Hit("predintd.handle"); err != nil {
 		return nil, err
 	}
-	var dto yieldBatchRequestDTO
-	if err := s.decodeBody(r, &dto); err != nil {
+	var req predint.YieldBatchRequest
+	if err := s.decodeBody(r, &req); err != nil {
 		return nil, err
-	}
-	req := predint.YieldBatchRequest{
-		YieldRequest: dto.yieldRequest(),
-		Candidates:   make([]predint.YieldCandidate, len(dto.Candidates)),
-	}
-	for i, c := range dto.Candidates {
-		req.Candidates[i] = predint.YieldCandidate{RepeaterSize: c.RepeaterSize, Repeaters: c.Repeaters}
 	}
 
 	// The same three-tier ladder as /v1/yield, with the batch probe's
@@ -559,18 +410,15 @@ func (s *server) handleYieldBatch(ctx context.Context, r *http.Request) (any, er
 		}
 		if ok {
 			metSurfaceHits.Inc()
-			out := yieldBatchResultDTO{TargetS: res.Target, Results: make([]yieldResultDTO, len(res.Results))}
-			for i, r := range res.Results {
-				out.Results[i] = yieldResultDTOFrom(r)
-			}
-			return out, nil
+			countServed(res.Results...)
+			return res, nil
 		}
 		metSurfaceMisses.Inc()
 	}
 
 	var res predint.YieldBatchResult
 	var err error
-	if s.degradeYield(ctx, dto.Samples) {
+	if s.degradeYield(ctx, req.Samples) {
 		metDegraded.Inc()
 		res, err = predint.LinkYieldBatchNominalCtx(ctx, req)
 	} else {
@@ -579,11 +427,8 @@ func (s *server) handleYieldBatch(ctx context.Context, r *http.Request) (any, er
 	if err != nil {
 		return nil, err
 	}
-	out := yieldBatchResultDTO{TargetS: res.Target, Results: make([]yieldResultDTO, len(res.Results))}
-	for i, r := range res.Results {
-		out.Results[i] = yieldResultDTOFrom(r)
-	}
-	return out, nil
+	countServed(res.Results...)
+	return res, nil
 }
 
 // ---- /v1/internal/shard ----
@@ -606,15 +451,8 @@ func (s *server) handleShard(ctx context.Context, r *http.Request) (any, error) 
 
 // ---- /v1/noc ----
 
-type nocRequestDTO struct {
-	Case             string `json:"case"`
-	Tech             string `json:"tech"`
-	UseOriginalModel bool   `json:"use_original_model,omitempty"`
-	Style            string `json:"style,omitempty"`
-	SimulateTraffic  bool   `json:"simulate_traffic,omitempty"`
-	Workers          int    `json:"workers,omitempty"`
-}
-
+// nocResultDTO projects a NoCResult onto the /v1/noc answer: the
+// network's totals, with power_w as Metrics.TotalPower().
 type nocResultDTO struct {
 	Links           int     `json:"links"`
 	Routers         int     `json:"routers"`
@@ -628,18 +466,11 @@ func (s *server) handleNoC(ctx context.Context, r *http.Request) (any, error) {
 	if err := faultinject.Hit("predintd.handle"); err != nil {
 		return nil, err
 	}
-	var dto nocRequestDTO
-	if err := s.decodeBody(r, &dto); err != nil {
+	var req predint.NoCRequest
+	if err := s.decodeBody(r, &req); err != nil {
 		return nil, err
 	}
-	res, err := predint.SynthesizeNoCCtx(ctx, predint.NoCRequest{
-		Case:             dto.Case,
-		Tech:             dto.Tech,
-		UseOriginalModel: dto.UseOriginalModel,
-		Style:            predint.Style(dto.Style),
-		SimulateTraffic:  dto.SimulateTraffic,
-		Workers:          dto.Workers,
-	})
+	res, err := predint.SynthesizeNoCCtx(ctx, req)
 	if err != nil {
 		return nil, err
 	}

@@ -10,7 +10,9 @@ import (
 	"testing"
 	"time"
 
+	predint "repro"
 	"repro/internal/faultinject"
+	"repro/internal/surface"
 )
 
 // testServer wires routes() into an httptest server with generous
@@ -39,6 +41,33 @@ func TestBadRequestBodies(t *testing.T) {
 		var doc map[string]string
 		if err := json.Unmarshal(resp, &doc); err != nil || doc["error"] == "" {
 			t.Errorf("%s: error body malformed: %s", name, resp)
+		}
+	}
+}
+
+// TestTrailingDataRejected pins that a body must end with its JSON
+// document on every POST route: a stray '}' or ']' after it, or a second
+// document, is a 400 like any other trailing bytes, while trailing
+// whitespace is not.
+func TestTrailingDataRejected(t *testing.T) {
+	s, ts := testServer(t, 4, 16, 1<<20, 30*time.Second)
+	s.surf = surface.New(surface.Options{})
+	docs := map[string]string{
+		"/v1/link":           `{"tech": "90nm", "length_mm": 5}`,
+		"/v1/yield":          `{"tech": "90nm", "length_mm": 5, "samples": 64}`,
+		"/v1/yield/batch":    `{"tech": "90nm", "length_mm": 5, "samples": 64, "candidates": [{"repeater_size": 8, "repeaters": 10}]}`,
+		"/v1/noc":            `{"case": "VPROC", "tech": "90nm"}`,
+		"/v1/internal/shard": `{"op": "probe", "req": {"tech": "90nm", "length_mm": 5}}`,
+	}
+	for path, doc := range docs {
+		if code, _, resp := postJSON(t, ts.URL+path, doc+"\n \t"); code != http.StatusOK {
+			t.Errorf("%s with trailing whitespace: status %d, want 200 (body %s)", path, code, resp)
+		}
+		for _, tail := range []string{"}garbage{", "]", "}", " x", ` {"tech": "90nm"}`, " 5"} {
+			code, _, resp := postJSON(t, ts.URL+path, doc+tail)
+			if code != http.StatusBadRequest || !strings.Contains(string(resp), "trailing data") {
+				t.Errorf("%s followed by %q: status %d, want a 400 naming trailing data (body %s)", path, tail, code, resp)
+			}
 		}
 	}
 }
@@ -118,7 +147,7 @@ func TestQueuePressureDegradesYield(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("pressured yield: status %d, body %s", code, body)
 	}
-	var res yieldResultDTO
+	var res predint.YieldResult
 	if err := json.Unmarshal(body, &res); err != nil {
 		t.Fatal(err)
 	}
@@ -138,15 +167,15 @@ func TestYieldBatchEndpoint(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("batch: status %d, body %s", code, body)
 	}
-	var res yieldBatchResultDTO
+	var res predint.YieldBatchResult
 	if err := json.Unmarshal(body, &res); err != nil {
 		t.Fatal(err)
 	}
-	if res.TargetS <= 0 || len(res.Results) != 2 {
+	if res.Target <= 0 || len(res.Results) != 2 {
 		t.Fatalf("degenerate batch result: %+v", res)
 	}
 	for c, r := range res.Results {
-		if r.Samples != 512 || r.NominalDelayS <= 0 || r.Yield < 0 || r.Yield > 1 {
+		if r.Samples != 512 || r.NominalDelay <= 0 || r.Yield < 0 || r.Yield > 1 {
 			t.Errorf("candidate %d degenerate: %+v", c, r)
 		}
 		if r.Degraded {
@@ -211,7 +240,7 @@ func TestYieldBatchDegradesOverCostCeiling(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("batch over ceiling: status %d, body %s", code, body)
 	}
-	var res yieldBatchResultDTO
+	var res predint.YieldBatchResult
 	if err := json.Unmarshal(body, &res); err != nil {
 		t.Fatal(err)
 	}

@@ -6,19 +6,20 @@ import (
 	"testing"
 	"time"
 
+	predint "repro"
 	"repro/internal/faultinject"
 	"repro/internal/obs"
 	"repro/internal/surface"
 )
 
 // postYield posts a /v1/yield body and decodes the result.
-func postYield(t *testing.T, url, body string) yieldResultDTO {
+func postYield(t *testing.T, url, body string) predint.YieldResult {
 	t.Helper()
 	code, _, resp := postJSON(t, url+"/v1/yield", body)
 	if code != http.StatusOK {
 		t.Fatalf("yield request: status %d, body %s", code, resp)
 	}
-	var res yieldResultDTO
+	var res predint.YieldResult
 	if err := json.Unmarshal(resp, &res); err != nil {
 		t.Fatalf("yield response not JSON: %v\n%s", err, resp)
 	}
@@ -66,7 +67,7 @@ func TestYieldSurfaceLadderEndToEnd(t *testing.T) {
 
 	// Pressure phase: a delayed request holds the single slot, so the
 	// next admissions observe queue pressure.
-	pressureRun := func(body string) yieldResultDTO {
+	pressureRun := func(body string) predint.YieldResult {
 		t.Helper()
 		defer faultinject.Activate(faultinject.Plan{Points: map[string]faultinject.Point{
 			"predintd.handle": {Kind: faultinject.Delay, Delay: 400 * time.Millisecond, Times: 1},
@@ -112,13 +113,13 @@ func TestYieldBatchSurfaceEndToEnd(t *testing.T) {
 	s.surf = surface.New(surface.Options{})
 	body := `{"tech": "90nm", "length_mm": 5, "samples": 256, "seed": 2, "target_ps": 520,
 	  "candidates": [{"repeater_size": 8, "repeaters": 10}, {"repeater_size": 12, "repeaters": 8}]}`
-	post := func() yieldBatchResultDTO {
+	post := func() predint.YieldBatchResult {
 		t.Helper()
 		code, _, resp := postJSON(t, ts.URL+"/v1/yield/batch", body)
 		if code != http.StatusOK {
 			t.Fatalf("batch: status %d, body %s", code, resp)
 		}
-		var res yieldBatchResultDTO
+		var res predint.YieldBatchResult
 		if err := json.Unmarshal(resp, &res); err != nil {
 			t.Fatal(err)
 		}

@@ -27,4 +27,8 @@
 //
 // All physical quantities are SI: seconds, meters, ohms, farads,
 // watts.
+//
+// The json tags of the request and result types are cmd/predintd's
+// wire form, both its public bodies and its shard RPCs: renaming a key
+// changes the served API.
 package predint

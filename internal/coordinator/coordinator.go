@@ -785,8 +785,12 @@ func (c *Coordinator) callMember(ctx context.Context, m *member, sr ShardRequest
 		return ShardResponse{}, err
 	}
 	sc.resp.Reset()
-	_, err = sc.resp.ReadFrom(httpResp.Body)
+	bound := responseBound(sr)
+	_, err = sc.resp.ReadFrom(io.LimitReader(httpResp.Body, bound+1))
 	httpResp.Body.Close()
+	if err == nil && int64(sc.resp.Len()) > bound {
+		err = fmt.Errorf("coordinator: worker %s: response over the %d-byte bound", m.addr, bound)
+	}
 	if err != nil {
 		if ctx.Err() != nil {
 			m.release()
@@ -842,6 +846,27 @@ func (c *Coordinator) callMember(ctx context.Context, m *member, sr ShardRequest
 	c.scratch.Put(sc)
 	m.ok(time.Since(start))
 	return out, nil
+}
+
+// A worker's answer is read only up to a bound derived from the request
+// it answers, so a misbehaving worker or proxy cannot grow the front's
+// memory for the whole RPC timeout. The largest honest answer to an
+// OpSample is the worker's indented encoding of a part in which every
+// one of count samples fails and carries a weight: per sample one index
+// line and one weight line, each a JSON number of at most 24 bytes plus
+// at most 8 of indentation, comma and newline. Everything else — the
+// envelope, a probe's result, a record's acknowledgement, an error
+// message — fits in smallResponse.
+const (
+	smallResponse     = 16 << 10
+	failSampleMaxSize = 2 * (24 + 8)
+)
+
+func responseBound(sr ShardRequest) int64 {
+	if sr.Op != OpSample {
+		return smallResponse
+	}
+	return smallResponse + int64(sr.Count)*failSampleMaxSize
 }
 
 // noteRetryAfter honors a 503's Retry-After hint: the member is backed

@@ -1,9 +1,12 @@
 package coordinator
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -11,6 +14,7 @@ import (
 	"time"
 
 	predint "repro"
+	"repro/internal/variation"
 )
 
 func TestNewValidation(t *testing.T) {
@@ -428,6 +432,146 @@ func TestShardOfAnotherRungRetried(t *testing.T) {
 	for _, st := range c.WorkersStatus() {
 		if st.Addr == liar.URL && st.Errors == 0 {
 			t.Errorf("the worker answering under qmc was never charged: %+v", st)
+		}
+	}
+}
+
+// TestOversizedResponseIsMemberFailure pins the bound on what the
+// coordinator reads from a worker: a worker that follows a valid answer
+// with whitespace far past the bound its request allows is charged like
+// a failing worker, its shards are fetched elsewhere or computed
+// locally, and the answer is the local run's, bit for bit.
+func TestOversizedResponseIsMemberFailure(t *testing.T) {
+	streamer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var sr ShardRequest
+		if err := decodeJSON(r, &sr); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		resp, err := ExecuteShard(r.Context(), nil, sr)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		writeJSON(w, resp)
+		pad := bytes.Repeat([]byte(" "), 64<<10)
+		for n := 0; n < 8<<20; n += len(pad) {
+			if _, err := w.Write(pad); err != nil {
+				return // the reader hung up
+			}
+		}
+	}))
+	defer streamer.Close()
+	honest := httptest.NewServer(Handler(nil))
+	defer honest.Close()
+
+	samples, target := 2048, 500.0
+	req := predint.YieldRequest{Tech: "90nm", LengthMM: 5, Samples: &samples, TargetPS: &target, Seed: 7, Estimator: "mc", NoSurface: true}
+	want, err := predint.Surfaced{}.LinkYieldCtx(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		workers  []string
+		fallback bool
+	}{
+		{"retried elsewhere", []string{honest.URL, streamer.URL}, false},
+		{"local fallback", []string{streamer.URL}, true},
+	} {
+		c, err := New(Config{Workers: tc.workers, ShardSamples: 512})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fallbacks := metLocalFallbacks.Value()
+		got, err := c.Estimate(context.Background(), req)
+		status := c.WorkersStatus()
+		c.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got != want {
+			t.Fatalf("%s: coordinator answer differs from the local run:\n got %+v\nwant %+v", tc.name, got, want)
+		}
+		for _, st := range status {
+			if st.Addr == streamer.URL && st.Errors == 0 {
+				t.Errorf("%s: the oversized answers were never charged: %+v", tc.name, st)
+			}
+		}
+		if moved := metLocalFallbacks.Value() > fallbacks; moved != tc.fallback {
+			t.Errorf("%s: local fallback taken = %v, want %v", tc.name, moved, tc.fallback)
+		}
+	}
+}
+
+// TestResponseBoundCoversHonestAnswers pins the bound's derivation: the
+// largest answer an honest worker can send, in predintd's indented
+// encoding, fits the bound of the request it answers. A bound that did
+// not would charge honest workers and quietly run every shard locally.
+func TestResponseBoundCoversHonestAnswers(t *testing.T) {
+	encode := func(v any) int {
+		var buf bytes.Buffer
+		enc := json.NewEncoder(&buf)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Len()
+	}
+	const count = 512
+	part := variation.Partial{Start: math.MaxInt - count, Count: count}
+	for i := 0; i < count; i++ {
+		part.FailIdx = append(part.FailIdx, math.MinInt)
+		part.Weights = append(part.Weights, -1.2345678901234567e-308)
+	}
+	sample := ShardRequest{Op: OpSample, Count: count}
+	if n, bound := encode(ShardResponse{Kind: "isle", Shifted: true, Part: &part}), responseBound(sample); n > int(bound) {
+		t.Errorf("every sample of a %d-sample shard failing: %d bytes over the %d-byte bound", count, n, bound)
+	}
+	res := predint.YieldResult{
+		Repeaters: math.MinInt, RepeaterSize: -1.2345678901234567e-308, NominalDelay: -1.2345678901234567e-308,
+		Target: -1.2345678901234567e-308, Yield: -1.2345678901234567e-308, FailProb: -1.2345678901234567e-308,
+		StdErr: -1.2345678901234567e-308, CI95: -1.2345678901234567e-308, Samples: math.MinInt, ImportanceSampled: true,
+		Estimator: "isle", VarianceReduction: -1.2345678901234567e-308, Resized: true, Degraded: true,
+		FailProbBound: -1.2345678901234567e-308, Source: predint.SourceSurface,
+	}
+	if n := encode(ShardResponse{ProbeHit: true, Result: &res}); n > smallResponse {
+		t.Errorf("a probe hit encodes to %d bytes, over the %d-byte bound", n, smallResponse)
+	}
+}
+
+// TestShardRequestWire pins the shard body to the public keys: its req
+// is the /v1/yield body and its result the /v1/yield answer, with the
+// same omitted fields, so a worker decodes them with the same strict
+// decoder as a client's request.
+func TestShardRequestWire(t *testing.T) {
+	samples, sigma := 2048, 3.5
+	res := predint.YieldResult{Repeaters: 2, RepeaterSize: 60, NominalDelay: 4.25e-10, Target: 5e-10, Yield: 0.75,
+		FailProb: 0.25, StdErr: 0.01, CI95: 0.0196, Samples: 2048, ImportanceSampled: true, Estimator: "isle",
+		VarianceReduction: 3, Source: predint.SourceMC}
+	for _, tc := range []struct {
+		sr   ShardRequest
+		want string
+	}{
+		{
+			ShardRequest{Op: OpSample, Req: predint.YieldRequest{Tech: "90nm", LengthMM: 5, Samples: &samples, Seed: 9,
+				Workers: 1, Estimator: "isle", TargetSigma: &sigma, NoSurface: true}, Start: 512, Count: 512},
+			`{"op":"sample","req":{"tech":"90nm","length_mm":5,"samples":2048,"seed":9,"workers":1,"estimator":"isle",` +
+				`"target_sigma":3.5,"no_surface":true},"start":512,"count":512}`,
+		},
+		{
+			ShardRequest{Op: OpRecord, Req: predint.YieldRequest{Tech: "65nm", LengthMM: 3}, Result: &res},
+			`{"op":"record","req":{"tech":"65nm","length_mm":3},"result":{"repeaters":2,"repeater_size":60,` +
+				`"nominal_delay_s":4.25e-10,"target_s":5e-10,"yield":0.75,"fail_prob":0.25,"std_err":0.01,"ci95":0.0196,` +
+				`"samples":2048,"importance_sampled":true,"estimator":"isle","variance_reduction":3,"source":"mc"}}`,
+		},
+	} {
+		got, err := json.Marshal(tc.sr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != tc.want {
+			t.Errorf("%s body:\n got %s\nwant %s", tc.sr.Op, got, tc.want)
 		}
 	}
 }

@@ -39,7 +39,8 @@ const (
 type ShardRequest struct {
 	// Op selects the operation: OpSample, OpProbe, or OpRecord.
 	Op string `json:"op"`
-	// Req is the yield request being served. Workers replan it
+	// Req is the yield request being served, encoded as the /v1/yield
+	// body is (and Result as the /v1/yield answer). Workers replan it
 	// locally — the plan is a pure function of the request, so every
 	// replica derives the identical scenario and PRNG keying.
 	Req predint.YieldRequest `json:"req"`

@@ -104,69 +104,72 @@ func Int(v int) *int { return &v }
 // made an explicit zero impossible to request.
 type LinkRequest struct {
 	// Tech is a built-in technology name (required).
-	Tech string
+	Tech string `json:"tech"`
 	// LengthMM is the routed link length in millimeters (required).
-	LengthMM float64
+	LengthMM float64 `json:"length_mm"`
 	// Bits is the bus width; nil means DefaultBits (128, the paper's
 	// designs). An explicit non-positive width is an error, not a
 	// request for the default.
-	Bits *int
+	Bits *int `json:"bits,omitempty"`
 	// Style selects the design style; default SWSS.
-	Style Style
+	Style Style `json:"style,omitempty"`
 	// PowerWeight ∈ [0,1) sets the buffering objective's power
 	// emphasis; nil means DefaultPowerWeight (0.5). An explicit
 	// Float(0) is honored: it requests pure delay-optimal buffering.
-	PowerWeight *float64
+	PowerWeight *float64 `json:"power_weight,omitempty"`
 	// DelayOptimal forces pure delay-optimal buffering regardless of
 	// PowerWeight.
-	DelayOptimal bool
+	DelayOptimal bool `json:"delay_optimal,omitempty"`
 	// LibrarySizesOnly restricts repeater candidates to the
 	// characterized library drive strengths (D4–D20), so the result
 	// can be re-evaluated with GoldenLinkDelay. By default the
 	// optimizer may also pick the larger extrapolated sizes a
 	// delay-optimal solution wants.
-	LibrarySizesOnly bool
+	LibrarySizesOnly bool `json:"library_sizes_only,omitempty"`
 	// OptimizeGeometry additionally searches wire width and spacing
 	// (up to MaxPitchMult × the minimum pitch) jointly with the
 	// buffering — the Shi–Pan wire-sizing extension.
-	OptimizeGeometry bool
+	OptimizeGeometry bool `json:"optimize_geometry,omitempty"`
 	// MaxPitchMult bounds (width+spacing)/minimum-pitch when
 	// OptimizeGeometry is set; default 3.
-	MaxPitchMult float64
+	MaxPitchMult float64 `json:"max_pitch_mult,omitempty"`
 	// ActivityFactor is the switching activity for power; nil means
 	// DefaultActivityFactor (0.15). An explicit Float(0) is honored:
 	// the link reports zero dynamic power. Negative values are an
 	// error.
-	ActivityFactor *float64
+	ActivityFactor *float64 `json:"activity_factor,omitempty"`
 	// InputSlewPS is the input transition time in picoseconds; nil
 	// means DefaultInputSlewPS (300, the paper's stimulus). An
 	// explicit Float(0) is honored by rejecting the request with an
 	// error — the timing models are only defined for a positive
 	// stimulus — rather than silently substituting the default.
-	InputSlewPS *float64
+	InputSlewPS *float64 `json:"input_slew_ps,omitempty"`
 }
 
 // LinkResult is a designed link with the model's predictions.
 type LinkResult struct {
 	// Repeaters and RepeaterSize describe the buffering solution
 	// (size in unit-inverter multiples).
-	Repeaters    int
-	RepeaterSize float64
+	Repeaters    int     `json:"repeaters"`
+	RepeaterSize float64 `json:"repeater_size"`
 	// Delay is the predicted worst-edge delay (s).
-	Delay float64
+	Delay float64 `json:"delay_s"`
 	// OutputSlew is the predicted receiver slew (s).
-	OutputSlew float64
+	OutputSlew float64 `json:"output_slew_s"`
 	// DynamicPower and LeakagePower are whole-bus powers (W).
-	DynamicPower, LeakagePower float64
+	DynamicPower float64 `json:"dynamic_power_w"`
+	LeakagePower float64 `json:"leakage_power_w"`
 	// Area is the whole-bus silicon area (m²), wiring plus
 	// repeaters.
-	Area float64
+	Area float64 `json:"area_m2"`
 	// WireResistance and WireCapacitance are the per-bit totals
 	// (Ω, F) including the nanometer corrections.
-	WireResistance, WireCapacitance float64
+	WireResistance  float64 `json:"wire_resistance_ohm"`
+	WireCapacitance float64 `json:"wire_capacitance_f"`
 	// WidthMult and SpacingMult report the wire geometry (1 = layer
 	// minimums; other values only when OptimizeGeometry was set).
-	WidthMult, SpacingMult float64
+	WidthMult   float64 `json:"width_mult"`
+	SpacingMult float64 `json:"spacing_mult"`
 }
 
 // DesignLink designs a buffered link with the paper's calibrated
@@ -453,22 +456,22 @@ func Crosstalk(req CrosstalkRequest) (CrosstalkResult, error) {
 // NoCRequest describes a NoC synthesis run.
 type NoCRequest struct {
 	// Case is a built-in test case name: "VPROC" or "DVOPD".
-	Case string
+	Case string `json:"case"`
 	// Tech is a built-in technology name.
-	Tech string
+	Tech string `json:"tech"`
 	// UseOriginalModel selects the uncalibrated Bakoglu-based cost
 	// model instead of the proposed one (Table III's comparison).
-	UseOriginalModel bool
+	UseOriginalModel bool `json:"use_original_model,omitempty"`
 	// Style selects the bus design style; default SWSS.
-	Style Style
+	Style Style `json:"style,omitempty"`
 	// SimulateTraffic additionally runs the cycle-based traffic
 	// simulation on the synthesized network and fills
 	// NoCResult.Traffic.
-	SimulateTraffic bool
+	SimulateTraffic bool `json:"simulate_traffic,omitempty"`
 	// Workers bounds the goroutines the synthesizer's merge-candidate
 	// evaluation uses: 0 means every core, 1 forces the serial
 	// algorithm. The synthesized network is identical either way.
-	Workers int
+	Workers int `json:"workers,omitempty"`
 }
 
 // NoCResult reports a synthesized network.

@@ -55,40 +55,40 @@ var (
 // zeros — are honored or rejected, never silently rewritten.
 type YieldRequest struct {
 	// Tech is a built-in technology name (required).
-	Tech string
+	Tech string `json:"tech"`
 	// LengthMM is the routed link length in millimeters (required).
-	LengthMM float64
+	LengthMM float64 `json:"length_mm"`
 	// Style selects the design style; default SWSS.
-	Style Style
+	Style Style `json:"style,omitempty"`
 	// PowerWeight and InputSlewPS configure the underlying buffering
 	// exactly as in LinkRequest.
-	PowerWeight *float64
-	InputSlewPS *float64
+	PowerWeight *float64 `json:"power_weight,omitempty"`
+	InputSlewPS *float64 `json:"input_slew_ps,omitempty"`
 	// TargetPS is the delay constraint in picoseconds; nil means the
 	// node's clock period (1/Clock). An explicit non-positive target
 	// is an error.
-	TargetPS *float64
+	TargetPS *float64 `json:"target_ps,omitempty"`
 	// Samples is the Monte Carlo budget; nil means
 	// DefaultYieldSamples (4096). An explicit non-positive count is
 	// an error.
-	Samples *int
+	Samples *int `json:"samples,omitempty"`
 	// RelErr, when set and positive, stops sampling early once the
 	// estimator's relative standard error reaches it; nil (or an
 	// explicit zero) runs the full budget. Negative values are an
 	// error. A run with zero observed failures stops once the
 	// rule-of-three bound 3/n reaches the tolerance (see
 	// variation.YieldOptions.RelErr).
-	RelErr *float64
+	RelErr *float64 `json:"rel_err,omitempty"`
 	// AbsErr, when set and positive, stops sampling early once the
 	// estimator's absolute standard error reaches it; nil (or an
 	// explicit zero) disables the rule. Negative values are an error.
-	AbsErr *float64
+	AbsErr *float64 `json:"abs_err,omitempty"`
 	// Seed is the base PRNG seed. Results are bit-identical for a
 	// fixed seed regardless of Workers.
-	Seed uint64
+	Seed uint64 `json:"seed,omitempty"`
 	// Workers bounds the sampling goroutines: 0 means every core, 1
 	// forces serial evaluation. The estimate is identical either way.
-	Workers int
+	Workers int `json:"workers,omitempty"`
 	// Estimator pins a rung of the high-sigma estimator ladder by
 	// name: "mc", "qmc", "isle" (the ISLE-style importance sampler:
 	// shifted sampling distribution plus likelihood-ratio weights,
@@ -97,7 +97,7 @@ type YieldRequest struct {
 	// worst-case-distance bound — no sampling). Empty or "auto" lets
 	// the engine route from TargetSigma (or fall back to plain Monte
 	// Carlo). Unknown names are rejected with ErrUnknownEstimator.
-	Estimator string
+	Estimator string `json:"estimator,omitempty"`
 	// TargetSigma declares the sigma level the query must resolve
 	// (e.g. 6 for a 6σ sign-off): the router picks the cheapest
 	// estimator whose regime covers Φ(−TargetSigma), and auto-routed
@@ -105,72 +105,74 @@ type YieldRequest struct {
 	// answering analytically when its certificate is conclusive.
 	// nil means no declared level; explicit negative, NaN, or infinite
 	// values are rejected with ErrInvalidSigma.
-	TargetSigma *float64
+	TargetSigma *float64 `json:"target_sigma,omitempty"`
 	// SigmaScale multiplies every sigma of the default variation
 	// space; nil means 1. An explicit Float(0) is honored: it
 	// disables variation, collapsing yield to a 0/1 step around the
 	// target. Negative values are an error.
-	SigmaScale *float64
+	SigmaScale *float64 `json:"sigma_scale,omitempty"`
 	// YieldTarget, when set, turns the request into yield-aware
 	// buffering: the repeater (size, count) is re-selected as the
 	// cheapest design (under the nominal weighted objective) whose
 	// estimated yield reaches the target. Must lie in (0,1).
-	YieldTarget *float64
+	YieldTarget *float64 `json:"yield_target,omitempty"`
 	// NoSurface bypasses the yield-response-surface cache entirely —
 	// neither consulted nor refreshed — forcing the full sampling path
 	// even through a Surfaced handle with a bound cache.
-	NoSurface bool
+	NoSurface bool `json:"no_surface,omitempty"`
 }
 
 // YieldResult reports a timing-yield estimation.
 type YieldResult struct {
 	// Repeaters and RepeaterSize describe the evaluated buffering
 	// solution (resized when YieldTarget forced a change).
-	Repeaters    int
-	RepeaterSize float64
+	Repeaters    int     `json:"repeaters"`
+	RepeaterSize float64 `json:"repeater_size"`
 	// NominalDelay is the design's delay at the nominal process
 	// corner (s); Target is the constraint it was scored against (s).
-	NominalDelay float64
-	Target       float64
+	NominalDelay float64 `json:"nominal_delay_s"`
+	Target       float64 `json:"target_s"`
 	// Yield is the estimated probability of meeting Target; FailProb
 	// its complement.
-	Yield, FailProb float64
+	Yield    float64 `json:"yield"`
+	FailProb float64 `json:"fail_prob"`
 	// StdErr is the standard error of FailProb and CI95 the
 	// half-width of its 95% confidence interval.
-	StdErr, CI95 float64
+	StdErr float64 `json:"std_err"`
+	CI95   float64 `json:"ci95"`
 	// Samples is the number of Monte Carlo samples evaluated.
-	Samples int
+	Samples int `json:"samples"`
 	// ImportanceSampled reports whether a shifted estimator was in
 	// effect (false when the isle rung was requested but the engine
 	// fell back to plain Monte Carlo).
-	ImportanceSampled bool
+	ImportanceSampled bool `json:"importance_sampled,omitempty"`
 	// Estimator names the ladder rung that produced the estimate
 	// ("mc", "qmc", "isle", "ais", "wcd") — the routed choice for
 	// auto requests, so a 6σ query can confirm it was actually served
 	// by the deep-tail machinery. Empty on degraded (nominal) results.
-	Estimator string
+	Estimator string `json:"estimator,omitempty"`
 	// VarianceReduction is the estimated variance advantage over a
 	// plain Monte Carlo estimator at the same sample count (≈1 for
 	// plain Monte Carlo, >1 when importance sampling pays off).
-	VarianceReduction float64
+	VarianceReduction float64 `json:"variance_reduction,omitempty"`
 	// Resized reports whether YieldTarget moved the design away from
 	// the nominal weighted-objective solution.
-	Resized bool
+	Resized bool `json:"resized,omitempty"`
 	// Degraded reports that this result came from LinkYieldNominalCtx —
 	// the closed-form nominal-corner evaluation (model.ScaledFor with
 	// no perturbation), not a Monte Carlo estimation. Yield is then a
 	// 0/1 step around the target.
-	Degraded bool
+	Degraded bool `json:"degraded,omitempty"`
 	// FailProbBound is only set on degraded results: the rule-of-three
 	// 95% upper bound on the failure probability given the evaluations
 	// actually performed, min(1, 3/n). With only the single nominal
 	// evaluation it is 1 — deliberately vacuous, telling the caller
 	// exactly how much statistical weight the degraded answer carries.
-	FailProbBound float64
+	FailProbBound float64 `json:"fail_prob_bound,omitempty"`
 	// Source names the tier that produced the answer: SourceMC (full
 	// Monte Carlo), SourceNominal (degraded closed form), or
 	// SourceSurface (warm cache interpolation).
-	Source string
+	Source string `json:"source"`
 }
 
 // yieldPlan is a validated, derived YieldRequest: every optional
@@ -483,9 +485,9 @@ func LinkYieldNominalCtx(ctx context.Context, req YieldRequest) (YieldResult, er
 type YieldCandidate struct {
 	// RepeaterSize is the repeater drive strength in unit-inverter
 	// multiples (required, positive).
-	RepeaterSize float64
+	RepeaterSize float64 `json:"repeater_size"`
 	// Repeaters is the repeater count (required, at least 1).
-	Repeaters int
+	Repeaters int `json:"repeaters"`
 }
 
 // YieldBatchRequest scores K explicit candidate buffering solutions of
@@ -503,15 +505,15 @@ type YieldBatchRequest struct {
 	YieldRequest
 	// Candidates lists the buffering solutions to score (required,
 	// non-empty).
-	Candidates []YieldCandidate
+	Candidates []YieldCandidate `json:"candidates"`
 }
 
 // YieldBatchResult reports one batch estimation.
 type YieldBatchResult struct {
 	// Target is the shared delay constraint (s).
-	Target float64
+	Target float64 `json:"target_s"`
 	// Results holds one YieldResult per candidate, in request order.
-	Results []YieldResult
+	Results []YieldResult `json:"results"`
 }
 
 // batchSpecs validates the candidates and assembles their line specs
