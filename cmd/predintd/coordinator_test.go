@@ -1,9 +1,12 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -36,6 +39,16 @@ func testCluster(t *testing.T, n int, withSurface bool) ([]*server, []string) {
 		urls[i] = ts.URL
 	}
 	return servers, urls
+}
+
+// wrappedWorker serves a real worker replica's routes through wrap and
+// returns its URL: a worker that misbehaves in one way while its shard
+// route stays predintd's own.
+func wrappedWorker(t *testing.T, wrap func(http.Handler) http.Handler) string {
+	t.Helper()
+	ts := httptest.NewServer(wrap(newServer(8, 64, 1<<20, 30*time.Second, time.Second).routes()))
+	t.Cleanup(ts.Close)
+	return ts.URL
 }
 
 func testCoordinator(t *testing.T, urls []string, surf *surface.Cache, shardSamples int) *coordinator.Coordinator {
@@ -354,5 +367,112 @@ func TestCoordinatorSurfaceOwnerInterpolates(t *testing.T) {
 	}
 	if owners != 1 {
 		t.Errorf("the class's points are on %d replicas, want exactly 1 (the rendezvous owner)", owners)
+	}
+}
+
+// TestCoordinatorShardOfAnotherRungRetried pins that a shard answered
+// under a rung other than the plan's is refused like a shard of the
+// wrong range: one worker collects every sample shard of an mc plan
+// under qmc, and the coordinator must charge it, fetch those shards
+// again elsewhere, and return exactly the local run's answer.
+func TestCoordinatorShardOfAnotherRungRetried(t *testing.T) {
+	_, honest := testCluster(t, 1, false)
+	liar := wrappedWorker(t, func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			var sr coordinator.ShardRequest
+			if err := json.NewDecoder(r.Body).Decode(&sr); err != nil {
+				http.Error(w, err.Error(), http.StatusBadRequest)
+				return
+			}
+			sr.Req.Estimator = "qmc"
+			body, err := json.Marshal(sr)
+			if err != nil {
+				http.Error(w, err.Error(), http.StatusInternalServerError)
+				return
+			}
+			r.Body, r.ContentLength = io.NopCloser(bytes.NewReader(body)), int64(len(body))
+			h.ServeHTTP(w, r)
+		})
+	})
+
+	target := 500.0
+	req := coordReq("mc", 2048)
+	req.TargetPS = &target
+	want, err := predint.Surfaced{}.LinkYieldCtx(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.FailProb == 0 {
+		t.Fatal("no sample fails at the target; the fixture lost its teeth")
+	}
+	c := testCoordinator(t, []string{honest[0], liar}, nil, 512)
+	defer c.Close()
+	got, err := c.Estimate(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("coordinator merged another rung's shard:\n got %+v\nwant %+v", got, want)
+	}
+	for _, st := range c.WorkersStatus() {
+		if st.Addr == liar && st.Errors == 0 {
+			t.Errorf("the worker answering under qmc was never charged: %+v", st)
+		}
+	}
+}
+
+// TestCoordinatorOversizedResponseIsMemberFailure pins the bound on
+// what the coordinator reads from a worker: a worker that follows a
+// valid answer with whitespace far past the bound its request allows is
+// charged like a failing worker, its shards are fetched elsewhere or
+// computed locally, and the answer is the local run's, bit for bit.
+func TestCoordinatorOversizedResponseIsMemberFailure(t *testing.T) {
+	streamer := wrappedWorker(t, func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			h.ServeHTTP(w, r)
+			pad := bytes.Repeat([]byte(" "), 64<<10)
+			for n := 0; n < 8<<20; n += len(pad) {
+				if _, err := w.Write(pad); err != nil {
+					return // the reader hung up
+				}
+			}
+		})
+	})
+	_, honest := testCluster(t, 1, false)
+
+	target := 500.0
+	req := coordReq("mc", 2048)
+	req.TargetPS = &target
+	want, err := predint.Surfaced{}.LinkYieldCtx(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		workers  []string
+		fallback bool
+	}{
+		{"retried elsewhere", []string{honest[0], streamer}, false},
+		{"local fallback", []string{streamer}, true},
+	} {
+		c := testCoordinator(t, tc.workers, nil, 512)
+		fallbacks := obs.Snapshot()["coordinator.local_fallbacks"]
+		got, err := c.Estimate(context.Background(), req)
+		status := c.WorkersStatus()
+		c.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got != want {
+			t.Fatalf("%s: coordinator answer differs from the local run:\n got %+v\nwant %+v", tc.name, got, want)
+		}
+		for _, st := range status {
+			if st.Addr == streamer && st.Errors == 0 {
+				t.Errorf("%s: the oversized answers were never charged: %+v", tc.name, st)
+			}
+		}
+		if moved := obs.Snapshot()["coordinator.local_fallbacks"] > fallbacks; moved != tc.fallback {
+			t.Errorf("%s: local fallback taken = %v, want %v", tc.name, moved, tc.fallback)
+		}
 	}
 }

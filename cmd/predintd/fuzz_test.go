@@ -52,9 +52,9 @@ var shardSeeds = []struct {
 	status int
 	want   string
 }{
-	{`{"op": "sample", "req": {"tech": "90nm", "length_mm": 5, "seed": 3}, "start": 0, "count": 64}`, 200, `"kind": "mc"`},
-	{`{"op": "sample", "req": {"tech": "65nm", "length_mm": 3, "estimator": "isle", "target_sigma": 4, "samples": 512}, "start": 448, "count": 64}`, 200, `"kind": "isle"`},
-	{`{"op": "sample", "req": {"tech": "45nm", "length_mm": 8, "estimator": "qmc", "style": "staggered", "power_weight": 0.7}, "start": 32, "count": 32}`, 200, `"kind": "qmc"`},
+	{`{"op": "sample", "req": {"tech": "90nm", "length_mm": 5, "seed": 3}, "start": 0, "count": 64}`, 200, `"kind":"mc"`},
+	{`{"op": "sample", "req": {"tech": "65nm", "length_mm": 3, "estimator": "isle", "target_sigma": 4, "samples": 512}, "start": 448, "count": 64}`, 200, `"kind":"isle"`},
+	{`{"op": "sample", "req": {"tech": "45nm", "length_mm": 8, "estimator": "qmc", "style": "staggered", "power_weight": 0.7}, "start": 32, "count": 32}`, 200, `"kind":"qmc"`},
 	{`{"op": "sample", "req": {"tech": "90nm", "length_mm": 5, "estimator": "ais"}, "start": 0, "count": 8}`, 400,
 		"variation: request cannot be sharded by sample index: estimator rung is not index-keyed"},
 	{`{"op": "sample", "req": {"tech": "90nm", "length_mm": 5, "yield_target": 0.99}, "start": 0, "count": 8}`, 400,
@@ -63,10 +63,10 @@ var shardSeeds = []struct {
 		"variation: shard range [8,17) outside sample budget 16"},
 	{`{"op": "sample", "req": {"tech": "90nm", "length_mm": 5}, "start": -1, "count": 4}`, 400,
 		"variation: shard range [-1,3) outside sample budget 4096"},
-	{`{"op": "sample", "req": {"tech": "90nm", "length_mm": 1e9, "input_slew_ps": 1e-300, "target_ps": 1e308}, "start": 0, "count": 1}`, 200, `"count": 1`},
+	{`{"op": "sample", "req": {"tech": "90nm", "length_mm": 1e9, "input_slew_ps": 1e-300, "target_ps": 1e308}, "start": 0, "count": 1}`, 200, `"count":1`},
 	{`{"op": "probe", "req": {"tech": "90nm", "length_mm": 5}}`, 200, `{}`},
 	{`{"op": "record", "req": {"tech": "90nm", "length_mm": 5}, "result": {"repeaters": 2, "repeater_size": 60, "nominal_delay_s": 4.3e-10,
-		"yield": 0.5, "fail_prob": 0.5, "samples": 64, "estimator": "mc", "source": "mc"}}`, 200, `"recorded": true`},
+		"yield": 0.5, "fail_prob": 0.5, "samples": 64, "estimator": "mc", "source": "mc"}}`, 200, `"recorded":true`},
 	// A result no estimation produces: the owner refuses it.
 	{`{"op": "record", "req": {"tech": "90nm", "length_mm": 5}, "result": {"repeaters": 0, "repeater_size": 60, "nominal_delay_s": 4.3e-10,
 		"yield": -6, "fail_prob": 7, "std_err": -1, "samples": 64, "estimator": "bogus", "source": "mc"}}`, 400,

@@ -4,8 +4,8 @@
 //
 //   - POST /v1/link, /v1/yield, /v1/yield/batch, /v1/noc — the facade
 //     entry points; a body decodes strictly into the facade's request
-//     type and the answer is its result type's own JSON (/v1/noc
-//     answers a projection of NoCResult)
+//     type and the answer is its result type's own JSON, compact
+//     (/v1/noc answers a projection of NoCResult)
 //   - GET /healthz, /metrics — liveness and the observability snapshot
 //
 // Hardening, in request order: every request runs under a deadline

@@ -260,12 +260,13 @@ func statusFor(err error) int {
 	}
 }
 
+// writeJSON writes doc in encoding/json's compact form. The
+// coordinator's responseBound budgets a shard answer in this form, so
+// indenting it would push honest answers over the bound.
 func writeJSON(w http.ResponseWriter, status int, doc any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(doc)
+	_ = json.NewEncoder(w).Encode(doc)
 }
 
 func writeErr(w http.ResponseWriter, status int, err error) {

@@ -292,18 +292,26 @@ func TestHealthzReadyz(t *testing.T) {
 	}
 }
 
-// TestBodyCap413 pins the request-body bound on the public endpoints:
-// a body over -max-body is refused with 413 before it is buffered.
+// TestBodyCap413 pins the request-body bound on a public endpoint and
+// on the shard route: a body over -max-body is refused with 413 before
+// it is buffered.
 func TestBodyCap413(t *testing.T) {
 	s, ts := testServer(t, 4, 16, 1<<20, 10*time.Second)
 	s.maxBody = 4096
-	huge := `{"tech": "90nm", "length_mm": 5, "pad": "` + strings.Repeat("x", 8192) + `"}`
-	code, _, body := postJSON(t, ts.URL+"/v1/link", huge)
-	if code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized body: status %d, body %s, want 413", code, body)
+	pad := strings.Repeat("x", 8192)
+	for _, tc := range []struct{ name, path, body string }{
+		{"link", "/v1/link", `{"tech": "90nm", "length_mm": 5, "pad": "` + pad + `"}`},
+		{"shard", "/v1/internal/shard", `{"op": "sample", "pad": "` + pad + `"}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			code, _, body := postJSON(t, ts.URL+tc.path, tc.body)
+			if code != http.StatusRequestEntityTooLarge {
+				t.Fatalf("oversized body on %s: status %d, body %s, want 413", tc.path, code, body)
+			}
+		})
 	}
 	// At the cap boundary normal requests still work.
-	code, _, body = postJSON(t, ts.URL+"/v1/link", `{"tech": "90nm", "length_mm": 5}`)
+	code, _, body := postJSON(t, ts.URL+"/v1/link", `{"tech": "90nm", "length_mm": 5}`)
 	if code != http.StatusOK {
 		t.Fatalf("normal body after cap change: status %d, body %s", code, body)
 	}

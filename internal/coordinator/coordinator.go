@@ -341,15 +341,19 @@ func mix64(x uint64) uint64 {
 func (c *Coordinator) Estimate(ctx context.Context, req predint.YieldRequest) (predint.YieldResult, error) {
 	plan, err := predint.YieldShardPlanFor(req)
 	if err != nil {
-		if errorsIsNotShardable(err) {
+		if errors.Is(err, predint.ErrNotShardable) {
 			metNotShardable.Inc()
 		}
 		return predint.YieldResult{}, err
 	}
 	metRequestsServed.Inc()
-	owner := c.owner(plan.ClassHash())
 
-	if !req.NoSurface && owner != nil {
+	// Only surface traffic is routed by link class, so a no_surface
+	// request (every scale-out request) skips the class hash and the
+	// rendezvous pick.
+	var owner *member
+	if !req.NoSurface {
+		owner = c.owner(plan.ClassHash())
 		if res, ok := c.probeOwner(ctx, owner, req); ok {
 			metProbeHits.Inc()
 			return res, nil
@@ -363,9 +367,7 @@ func (c *Coordinator) Estimate(ctx context.Context, req predint.YieldRequest) (p
 	res := plan.Result(est)
 
 	if !req.NoSurface {
-		if owner != nil {
-			c.recordOwner(ctx, owner, req, res)
-		}
+		c.recordOwner(ctx, owner, req, res)
 		if c.surf != nil {
 			// Also warm this replica's own cache: the owner serves
 			// repeated traffic for the class, but a local hit is
@@ -374,10 +376,6 @@ func (c *Coordinator) Estimate(ctx context.Context, req predint.YieldRequest) (p
 		}
 	}
 	return res, nil
-}
-
-func errorsIsNotShardable(err error) bool {
-	return errors.Is(err, predint.ErrNotShardable)
 }
 
 // probeOwner asks the owning replica's warm surface; any transport
@@ -851,15 +849,14 @@ func (c *Coordinator) callMember(ctx context.Context, m *member, sr ShardRequest
 // A worker's answer is read only up to a bound derived from the request
 // it answers, so a misbehaving worker or proxy cannot grow the front's
 // memory for the whole RPC timeout. The largest honest answer to an
-// OpSample is the worker's indented encoding of a part in which every
+// OpSample is the worker's compact encoding of a part in which every
 // one of count samples fails and carries a weight: per sample one index
-// line and one weight line, each a JSON number of at most 24 bytes plus
-// at most 8 of indentation, comma and newline. Everything else — the
-// envelope, a probe's result, a record's acknowledgement, an error
-// message — fits in smallResponse.
+// and one weight, each a JSON number of at most 24 bytes followed by a
+// comma. Everything else — the envelope, a probe's result, a record's
+// acknowledgement, an error message — fits in smallResponse.
 const (
 	smallResponse     = 16 << 10
-	failSampleMaxSize = 2 * (24 + 8)
+	failSampleMaxSize = 2 * (24 + 1)
 )
 
 func responseBound(sr ShardRequest) int64 {
@@ -903,20 +900,4 @@ func truncate(b []byte, n int) string {
 		b = b[:n]
 	}
 	return string(b)
-}
-
-// maxShardBody caps a shard-protocol request body read by Handler;
-// cmd/predintd applies its own (flag-configurable) cap in front of the
-// same decoder.
-const maxShardBody = 1 << 20
-
-// decodeJSON / writeJSON are the minimal codec for Handler.
-func decodeJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxShardBody))
-	return dec.Decode(v)
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(v)
 }

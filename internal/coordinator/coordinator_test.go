@@ -325,23 +325,6 @@ func TestMemberRetryAfterBackoff(t *testing.T) {
 	}
 }
 
-// TestHandlerBodyCap pins the shard endpoint's request-body bound: a
-// body over the cap is refused with 413 before it is buffered.
-func TestHandlerBodyCap(t *testing.T) {
-	ts := httptest.NewServer(Handler(nil))
-	defer ts.Close()
-
-	huge := `{"op": "sample", "pad": "` + strings.Repeat("x", maxShardBody+1024) + `"}`
-	resp, err := http.Post(ts.URL, "application/json", strings.NewReader(huge))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized shard body: status %d, want 413", resp.StatusCode)
-	}
-}
-
 // TestMembershipEvictionReadmission drives the probe bookkeeping
 // directly: ejectAfter consecutive failures evict, readmitAfter
 // consecutive successes readmit, and interleaved outcomes reset the
@@ -384,149 +367,36 @@ func TestMembershipEvictionReadmission(t *testing.T) {
 	}
 }
 
-// TestShardOfAnotherRungRetried pins that a shard answered under a rung
-// other than the plan's is refused like a shard of the wrong range: one
-// worker collects every sample shard of an mc plan under qmc, and the
-// coordinator must charge it, fetch those shards again elsewhere, and
-// return exactly the local run's answer.
-func TestShardOfAnotherRungRetried(t *testing.T) {
-	honest := httptest.NewServer(Handler(nil))
-	defer honest.Close()
-	liar := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var sr ShardRequest
-		if err := decodeJSON(r, &sr); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		sr.Req.Estimator = "qmc"
-		resp, err := ExecuteShard(r.Context(), nil, sr)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		writeJSON(w, resp)
-	}))
-	defer liar.Close()
-
-	samples, target := 2048, 500.0
-	req := predint.YieldRequest{Tech: "90nm", LengthMM: 5, Samples: &samples, TargetPS: &target, Seed: 7, Estimator: "mc", NoSurface: true}
-	want, err := predint.Surfaced{}.LinkYieldCtx(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.FailProb == 0 {
-		t.Fatal("no sample fails at the target; the fixture lost its teeth")
-	}
-	c, err := New(Config{Workers: []string{honest.URL, liar.URL}, ShardSamples: 512})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	got, err := c.Estimate(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("coordinator merged another rung's shard:\n got %+v\nwant %+v", got, want)
-	}
-	for _, st := range c.WorkersStatus() {
-		if st.Addr == liar.URL && st.Errors == 0 {
-			t.Errorf("the worker answering under qmc was never charged: %+v", st)
-		}
-	}
-}
-
-// TestOversizedResponseIsMemberFailure pins the bound on what the
-// coordinator reads from a worker: a worker that follows a valid answer
-// with whitespace far past the bound its request allows is charged like
-// a failing worker, its shards are fetched elsewhere or computed
-// locally, and the answer is the local run's, bit for bit.
-func TestOversizedResponseIsMemberFailure(t *testing.T) {
-	streamer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var sr ShardRequest
-		if err := decodeJSON(r, &sr); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		resp, err := ExecuteShard(r.Context(), nil, sr)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		writeJSON(w, resp)
-		pad := bytes.Repeat([]byte(" "), 64<<10)
-		for n := 0; n < 8<<20; n += len(pad) {
-			if _, err := w.Write(pad); err != nil {
-				return // the reader hung up
-			}
-		}
-	}))
-	defer streamer.Close()
-	honest := httptest.NewServer(Handler(nil))
-	defer honest.Close()
-
-	samples, target := 2048, 500.0
-	req := predint.YieldRequest{Tech: "90nm", LengthMM: 5, Samples: &samples, TargetPS: &target, Seed: 7, Estimator: "mc", NoSurface: true}
-	want, err := predint.Surfaced{}.LinkYieldCtx(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name     string
-		workers  []string
-		fallback bool
-	}{
-		{"retried elsewhere", []string{honest.URL, streamer.URL}, false},
-		{"local fallback", []string{streamer.URL}, true},
-	} {
-		c, err := New(Config{Workers: tc.workers, ShardSamples: 512})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fallbacks := metLocalFallbacks.Value()
-		got, err := c.Estimate(context.Background(), req)
-		status := c.WorkersStatus()
-		c.Close()
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if got != want {
-			t.Fatalf("%s: coordinator answer differs from the local run:\n got %+v\nwant %+v", tc.name, got, want)
-		}
-		for _, st := range status {
-			if st.Addr == streamer.URL && st.Errors == 0 {
-				t.Errorf("%s: the oversized answers were never charged: %+v", tc.name, st)
-			}
-		}
-		if moved := metLocalFallbacks.Value() > fallbacks; moved != tc.fallback {
-			t.Errorf("%s: local fallback taken = %v, want %v", tc.name, moved, tc.fallback)
-		}
-	}
-}
-
 // TestResponseBoundCoversHonestAnswers pins the bound's derivation: the
-// largest answer an honest worker can send, in predintd's indented
+// largest answer an honest worker can send, in predintd's compact
 // encoding, fits the bound of the request it answers. A bound that did
 // not would charge honest workers and quietly run every shard locally.
+// At this shard size smallResponse alone would absorb a per-sample term
+// that is too small, so the growth per added failing sample is checked
+// against failSampleMaxSize on its own.
 func TestResponseBoundCoversHonestAnswers(t *testing.T) {
 	encode := func(v any) int {
 		var buf bytes.Buffer
-		enc := json.NewEncoder(&buf)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(v); err != nil {
+		if err := json.NewEncoder(&buf).Encode(v); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Len()
 	}
 	const count = 512
-	part := variation.Partial{Start: math.MaxInt - count, Count: count}
-	for i := 0; i < count; i++ {
-		part.FailIdx = append(part.FailIdx, math.MinInt)
-		part.Weights = append(part.Weights, -1.2345678901234567e-308)
+	worst := func(n int) ShardResponse {
+		part := variation.Partial{Start: math.MaxInt - count, Count: count}
+		for i := 0; i < n; i++ {
+			part.FailIdx = append(part.FailIdx, math.MinInt)
+			part.Weights = append(part.Weights, -1.2345678901234567e-308)
+		}
+		return ShardResponse{Kind: "isle", Shifted: true, Part: &part}
 	}
 	sample := ShardRequest{Op: OpSample, Count: count}
-	if n, bound := encode(ShardResponse{Kind: "isle", Shifted: true, Part: &part}), responseBound(sample); n > int(bound) {
+	if n, bound := encode(worst(count)), responseBound(sample); n > int(bound) {
 		t.Errorf("every sample of a %d-sample shard failing: %d bytes over the %d-byte bound", count, n, bound)
+	}
+	if grow := encode(worst(count)) - encode(worst(count-1)); grow > failSampleMaxSize {
+		t.Errorf("one more failing sample adds %d bytes, over the %d bytes budgeted per sample", grow, failSampleMaxSize)
 	}
 	res := predint.YieldResult{
 		Repeaters: math.MinInt, RepeaterSize: -1.2345678901234567e-308, NominalDelay: -1.2345678901234567e-308,

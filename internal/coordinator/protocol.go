@@ -7,13 +7,16 @@
 // protocol carries surface-cache traffic: probes and records are
 // routed to the replica that owns the request's link class under
 // rendezvous hashing.
+//
+// This package holds both ends of the protocol but serves no HTTP
+// itself: the worker end is ExecuteShard, which cmd/predintd serves at
+// POST /v1/internal/shard with its strict request decoder, admission
+// control and compact JSON answers. That route is the only shard worker.
 package coordinator
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"net/http"
 
 	predint "repro"
 	"repro/internal/obs"
@@ -107,8 +110,11 @@ var (
 
 // ExecuteShard serves one ShardRequest against this replica's surface
 // cache (nil when the replica runs surface-less). It is the worker
-// side of the protocol; cmd/predintd exposes it at /v1/internal/shard
-// behind its normal admission control.
+// side of the protocol. cmd/predintd serves it at /v1/internal/shard:
+// the body is decoded as strictly as a public request (unknown fields,
+// trailing data and bodies over -max-body are refused), the call runs
+// behind the server's admission control, and an error comes back as a
+// JSON error document with the status the server gives it.
 func ExecuteShard(ctx context.Context, surf *surface.Cache, sr ShardRequest) (ShardResponse, error) {
 	sf := predint.Surfaced{Cache: surf}
 	switch sr.Op {
@@ -145,30 +151,4 @@ func ExecuteShard(ctx context.Context, surf *surface.Cache, sr ShardRequest) (Sh
 	default:
 		return ShardResponse{}, fmt.Errorf("coordinator: unknown shard op %q", sr.Op)
 	}
-}
-
-// Handler adapts ExecuteShard to a bare http.Handler for tests and
-// benchmarks. cmd/predintd wires its own route instead, so shard
-// traffic shares the server's admission control and fault points.
-func Handler(surf *surface.Cache) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var sr ShardRequest
-		if err := decodeJSON(r, &sr); err != nil {
-			status := http.StatusBadRequest
-			var mbe *http.MaxBytesError
-			if errors.As(err, &mbe) {
-				// A peer (or attacker) streaming an oversized body is
-				// refused before it can balloon memory.
-				status = http.StatusRequestEntityTooLarge
-			}
-			http.Error(w, err.Error(), status)
-			return
-		}
-		resp, err := ExecuteShard(r.Context(), surf, sr)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		writeJSON(w, resp)
-	})
 }

@@ -87,9 +87,6 @@ func (c *Circuit) Node(name string) int {
 // NumNodes returns the number of non-ground nodes.
 func (c *Circuit) NumNodes() int { return len(c.names) }
 
-// NodeNames returns the allocated node names in index order.
-func (c *Circuit) NodeNames() []string { return append([]string(nil), c.names...) }
-
 // AddResistor connects a resistance of r ohms between nodes a and b.
 func (c *Circuit) AddResistor(a, b int, r float64) {
 	if r <= 0 {

@@ -120,15 +120,6 @@ func GroundCapPerMeter(t *tech.Technology, l tech.WireLayer, w float64) float64 
 	return 2 * eps * (1.15*(w/h) + 2.80*math.Pow(l.Thickness/h, 0.222))
 }
 
-// ParallelPlateCapPerMeter returns the naive parallel-plate-only
-// ground capacitance per meter (F/m) that uncalibrated early models
-// used: 2·ε·w/h with no fringe term. The baseline ("original") models
-// consume this; it substantially underestimates real wire capacitance
-// and is one reason the original COSI model is optimistic.
-func ParallelPlateCapPerMeter(t *tech.Technology, l tech.WireLayer, w float64) float64 {
-	return 2 * tech.Eps0 * l.EpsRel * w / l.ILD
-}
-
 // CouplingCapPerMeter returns the sidewall coupling capacitance per
 // meter (F/m) to one neighbor at edge-to-edge spacing s: the
 // parallel-plate sidewall term with a fixed 1.2 fringe enhancement.

@@ -1,5 +1,6 @@
 #!/bin/sh
-# Runs the BenchmarkLinkYield* suite under -benchmem and emits
+# Runs the BenchmarkLinkYield* suite (the root package's, and
+# cmd/predintd's coordinator pair) under -benchmem and emits
 # BENCH_yield.json — one object per sub-benchmark with the timing, the
 # custom metrics, and the derived per-sample allocation rates — so the
 # yield engine's performance trajectory accumulates across commits.
@@ -28,7 +29,8 @@
 #
 # With a sixth argument (or COORD_OVERHEAD_FACTOR), the script fails
 # when the coordinator's single-local-worker loopback benchmark
-# (BenchmarkLinkYieldCoordinator/loopback) runs more than that factor
+# (BenchmarkLinkYieldCoordinator/loopback in cmd/predintd, whose worker
+# is a default-config predintd replica) runs more than that factor
 # slower than direct execution (.../direct): the shard protocol (HTTP,
 # JSON, index-ordered partial merge) is bookkeeping around the same
 # sample evaluations and must stay a small constant factor.
@@ -69,6 +71,7 @@ out="BENCH_yield.json"
 
 {
 	go test -run '^$' -bench 'BenchmarkLinkYield' -benchtime "$benchtime" -benchmem .
+	go test -run '^$' -bench 'BenchmarkLinkYieldCoordinator' -benchtime "$benchtime" -benchmem ./cmd/predintd
 	go test -run '^$' -bench 'BenchmarkNormsInto|BenchmarkLaneKernel' -benchtime "$benchtime" -benchmem ./internal/variation
 } |
 	awk -v commit="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)" '
