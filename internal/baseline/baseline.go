@@ -1,18 +1,19 @@
 // Package baseline implements the two "classic" interconnect models
 // the paper compares against: Bakoglu's model (column B of Table II)
-// and the model of Pamunuwa et al. (column P), plus the
-// Bakoglu delay-optimal buffering formulas the original COSI-OCC flow
-// relies on.
+// and the model of Pamunuwa et al. (column P). The original COSI-OCC
+// flow of Table III (noc.OriginalModel) evaluates its links with the
+// Bakoglu model.
 //
 // Both baselines are deliberately *uncalibrated*: their gate
 // parameters are derived directly from device-model constants (the
 // paper's "technology inputs from PTMs which are not calibrated
 // compared with industry library files"), their drive resistance is a
 // constant per size with no input-slew dependence, and their wire
-// resistance omits the scattering and barrier corrections. Bakoglu
-// additionally ignores coupling capacitance entirely and uses a
-// parallel-plate-only ground capacitance, which is what makes the
-// original NoC-synthesis results optimistic in Table III.
+// resistance omits the scattering and barrier corrections. Both take
+// the segment's ground capacitance as wire.Segment.GroundCap gives it,
+// fringe term included. Bakoglu additionally ignores coupling
+// capacitance entirely, which is what makes the original
+// NoC-synthesis results optimistic in Table III.
 package baseline
 
 import (
@@ -29,7 +30,7 @@ type Kind int
 const (
 	// Bakoglu is the classic switch-level model: constant drive
 	// resistance, lumped 0.4/0.7 wire weighting, no coupling
-	// capacitance, parallel-plate ground capacitance only.
+	// capacitance.
 	Bakoglu Kind = iota
 	// Pamunuwa adds the cross-talk-aware wire-delay form (coupling
 	// with Miller factor λ) and realistic capacitance, but keeps the
@@ -122,9 +123,9 @@ func (s *LineSpec) Validate() error {
 //	d = 0.7·R_d·(C_diff + C_wire,load + C_in) + wire term
 //
 // where Bakoglu's wire term is r_w·(0.4·c_g + 0.7·c_in) with
-// uncorrected r_w and parallel-plate c_g, and Pamunuwa's is
-// r_w·(0.4·c_g + (λ/2)·c_c + 0.7·c_in) with realistic capacitance but
-// still-uncorrected resistance.
+// uncorrected r_w and fringe-inclusive c_g, and Pamunuwa's is
+// r_w·(0.4·c_g + (λ/2)·c_c + 0.7·c_in), adding the coupling c_c but
+// keeping the uncorrected resistance.
 func LineDelay(k Kind, spec LineSpec) (float64, error) {
 	if err := spec.Validate(); err != nil {
 		return 0, err
@@ -192,33 +193,4 @@ func LineArea(spec LineSpec, bits int) (float64, error) {
 	wn, wp := tc.InverterWidths(spec.Size)
 	repArea := float64(bits) * float64(spec.N) * (wn + wp) * 2 * tc.Feature
 	return wireArea + repArea, nil
-}
-
-// OptimalBuffering returns Bakoglu's closed-form delay-optimal
-// repeater count and size for the segment:
-//
-//	k_opt = √(0.4·R_w·C_w / (0.7·R_d1·C_in1))
-//	h_opt = √(R_d1·C_w / (R_w·C_in1))
-//
-// where R_w, C_w are the total (baseline-visible) wire resistance and
-// capacitance and R_d1, C_in1 the unit-inverter parameters. The count
-// is clamped to at least 1.
-func OptimalBuffering(k Kind, seg wire.Segment) (count int, size float64, err error) {
-	if err := seg.Validate(); err != nil {
-		return 0, 0, err
-	}
-	g := DeriveGate(seg.Tech)
-	cg, cc := wireCaps(k, seg)
-	cw := cg + cc
-	rw := seg.ClassicResistance()
-	kf := math.Sqrt(0.4 * rw * cw / (0.7 * g.RdUnit * g.CinUnit))
-	count = int(math.Round(kf))
-	if count < 1 {
-		count = 1
-	}
-	size = math.Sqrt(g.RdUnit * cw / (rw * g.CinUnit))
-	if size < 1 {
-		size = 1
-	}
-	return count, size, nil
 }

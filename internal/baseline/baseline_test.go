@@ -104,8 +104,8 @@ func TestPamunuwaSeesCoupling(t *testing.T) {
 }
 
 func TestBaselineOrdering(t *testing.T) {
-	// For worst-case SWSS lines, Bakoglu (no coupling, parallel-plate
-	// cap) predicts less delay than Pamunuwa (full cap + Miller).
+	// For worst-case SWSS lines, Bakoglu (no coupling) predicts less
+	// delay than Pamunuwa (full cap + Miller).
 	spec := LineSpec{Size: 12, N: 5, Segment: seg90(5e-3)}
 	b, err := LineDelay(Bakoglu, spec)
 	if err != nil {
@@ -195,59 +195,6 @@ func TestLineAreaSimplistic(t *testing.T) {
 	bad.Size = 0
 	if _, err := LineArea(bad, 8); err == nil {
 		t.Fatal("bad spec accepted")
-	}
-}
-
-func TestOptimalBuffering(t *testing.T) {
-	seg := seg90(10e-3)
-	n, h, err := OptimalBuffering(Bakoglu, seg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n < 1 || h < 1 {
-		t.Fatalf("degenerate buffering n=%d h=%g", n, h)
-	}
-	// Delay-optimal repeaters are famously numerous and large: for a
-	// 10mm 90nm global wire expect several repeaters of substantial
-	// size.
-	if n < 2 {
-		t.Fatalf("10mm line should need multiple repeaters, got %d", n)
-	}
-	if h < 5 {
-		t.Fatalf("delay-optimal size %g implausibly small", h)
-	}
-	// Longer wire → proportionally more repeaters, same size.
-	n2, h2, err := OptimalBuffering(Bakoglu, seg90(20e-3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n2 <= n {
-		t.Fatal("repeater count must grow with length")
-	}
-	if math.Abs(h2-h) > 0.01*h {
-		t.Fatalf("optimal size should be length-independent: %g vs %g", h, h2)
-	}
-	bad := seg
-	bad.Length = -1
-	if _, _, err := OptimalBuffering(Bakoglu, bad); err == nil {
-		t.Fatal("bad segment accepted")
-	}
-}
-
-func TestPamunuwaOptimalBuffersMore(t *testing.T) {
-	// Pamunuwa sees more wire capacitance (coupling), so its
-	// delay-optimal buffering uses at least as many repeaters.
-	seg := seg90(10e-3)
-	nB, _, err := OptimalBuffering(Bakoglu, seg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nP, _, err := OptimalBuffering(Pamunuwa, seg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nP < nB {
-		t.Fatalf("Pamunuwa count %d below Bakoglu %d", nP, nB)
 	}
 }
 

@@ -171,3 +171,58 @@ func TestBandCoversMargin(t *testing.T) {
 // FailProbAt is a test helper: the first-order probability at an
 // arbitrary distance.
 func (w Bound) FailProbAt(beta float64) float64 { return Phi(-beta) }
+
+// TestFirstCrossingEdges covers the first stage's results on its own:
+// the crossing and gradient direction of a reachable surface, no
+// direction for a failing nominal point or a flat metric, the cap along
+// the gradient when the surface lies beyond it, the metric's error and
+// a bad dimension.
+func TestFirstCrossingEdges(t *testing.T) {
+	a := []float64{2, 1, 0.5, 0.25}
+	norm := math.Sqrt(4 + 1 + 0.25 + 0.0625)
+	for _, tc := range []struct {
+		name    string
+		target  float64
+		beta    float64
+		dir     bool
+		reached bool
+	}{
+		{"reachable", 20, 10 / norm, true, true},
+		{"nominal-fails", 5, 0, false, true},
+		{"beyond-cap", 40, WCDMaxNorm, true, false},
+	} {
+		b, err := FirstCrossing(len(a), tc.target, linearMetric(a, 10))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if b.Reached != tc.reached || math.Abs(b.Beta-tc.beta) > 1e-4 || (b.Direction != nil) != tc.dir {
+			t.Fatalf("%s: %+v, want β %.5f, reached %v, direction %v", tc.name, b, tc.beta, tc.reached, tc.dir)
+		}
+		for d, v := range b.Direction {
+			if math.Abs(v-a[d]/norm) > 1e-12 {
+				t.Fatalf("%s: direction %v, want the gradient a/|a|", tc.name, b.Direction)
+			}
+		}
+	}
+
+	flat := func(z []float64) (float64, error) { return 1, nil }
+	if b, err := FirstCrossing(4, 2, flat); err != nil || b.Direction != nil || b.Reached {
+		t.Fatalf("flat metric: %+v, %v", b, err)
+	}
+
+	boom := errors.New("model exploded")
+	calls := 0
+	failing := func(z []float64) (float64, error) {
+		calls++
+		if calls > 3 {
+			return 0, boom
+		}
+		return z[0], nil
+	}
+	if _, err := FirstCrossing(2, 1, failing); !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want the metric's", err)
+	}
+	if _, err := FirstCrossing(0, 1, linearMetric(nil, 0)); err == nil {
+		t.Fatal("dims=0 accepted")
+	}
+}

@@ -204,10 +204,9 @@ func (m *ProposedModel) designOn(layer tech.WireLayer, layerName string, length 
 }
 
 // OriginalModel implements LinkModel with the original COSI-OCC cost
-// model: Bakoglu delay with uncalibrated device parameters,
-// parallel-plate capacitance, no coupling, classic wire resistance,
-// Bakoglu delay-optimal buffering, and the simplistic area
-// assumptions.
+// model: Bakoglu delay with uncalibrated device parameters, no
+// coupling and classic wire resistance; the minimum buffering that
+// delay says meets the clock; and the simplistic area assumptions.
 type OriginalModel struct {
 	tc     *tech.Technology
 	style  wire.Style

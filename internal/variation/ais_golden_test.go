@@ -135,14 +135,14 @@ var boxMullerSweep = []struct {
 	{5, 591.7e-12, 3.59693e-07, 3.52495e-09},
 }
 
-// aisSweep runs 4096-sample AIS on sc at seeds 1…aisSweepSeeds and
-// returns the estimates' mean, their standard deviation and the mean
-// StdErr the rung reported.
-func aisSweep(t *testing.T, sc *LinkScenario) (mean, sd, reported float64) {
+// seedSweep runs 4096-sample estimates of rung kind on sc at seeds
+// 1…seeds and returns the estimates' mean, their standard deviation and
+// the mean StdErr the rung reported.
+func seedSweep(t *testing.T, sc *LinkScenario, kind estimator.Kind, seeds int) (mean, sd, reported float64) {
 	t.Helper()
-	ps := make([]float64, 0, aisSweepSeeds)
-	for seed := uint64(1); seed <= aisSweepSeeds; seed++ {
-		e, err := EstimateLinkYieldCtx(context.Background(), sc, YieldOptions{Samples: 4096, Seed: seed, Estimator: estimator.AIS})
+	ps := make([]float64, 0, seeds)
+	for seed := uint64(1); seed <= uint64(seeds); seed++ {
+		e, err := EstimateLinkYieldCtx(context.Background(), sc, YieldOptions{Samples: 4096, Seed: seed, Estimator: kind})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +167,7 @@ func aisSweep(t *testing.T, sc *LinkScenario) (mean, sd, reported float64) {
 // the StdErr the rung reports.
 func TestAISMatchesBoxMullerSweep(t *testing.T) {
 	for _, g := range boxMullerSweep {
-		mean, sd, reported := aisSweep(t, testScenario(t, g.target))
+		mean, sd, reported := seedSweep(t, testScenario(t, g.target), estimator.AIS, aisSweepSeeds)
 		meanErr := sd / math.Sqrt(aisSweepSeeds)
 		z := (mean - g.mean) / math.Hypot(meanErr, g.meanErr)
 		t.Logf("sigma%d: mean %.4g ± %.2g, Box–Muller %.4g ± %.2g, z = %.2f; seed sd / mean StdErr = %.3f",

@@ -136,7 +136,7 @@ func mixedSweep(seg wire.Segment) []model.LineSpec {
 
 // shiftedDriver is a driver whose kernel carries hand-picked ISLE
 // shifts, one per candidate (nil entries are unshifted), in place of
-// the ones FindShiftsCtx would search.
+// the ones isleShift would search.
 func shiftedDriver(ms *MultiScenario, o YieldOptions, shifts [][]float64) *driver {
 	return kernelDriver(newLaneKernel(ms, o, shifts, nil), o)
 }
@@ -538,7 +538,7 @@ func TestLanePartialBitIdentity(t *testing.T) {
 		o := YieldOptions{Samples: 2048, Seed: 5, Estimator: est, Workers: 3}
 		var shifts [][]float64
 		if est == estimator.ISLE {
-			shift, err := FindShift(sc.Target, sc.Delay)
+			shift, err := isleShift(context.Background(), sc)
 			if err != nil || shift == nil {
 				t.Fatalf("no ISLE shift found (%v); the fixture lost its teeth", err)
 			}

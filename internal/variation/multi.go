@@ -33,13 +33,17 @@ import (
 // candidate once its stopping rule fires, at the fixed checkpoints of
 // estimator.go; a coordinator shard (CollectPartialCtx, partial.go)
 // keeps the sparse failures for MergePartials; an AIS run (ais.go)
-// drives one range per stage and keeps each sample's delay. The local run and the shard fold
-// through the one fold type, consulting the stopping rule at the same
-// checkpoints, so each candidate's estimate is bit-identical to a
-// standalone EstimateLinkYieldCtx run with the same options and to a
-// merge of its shards. The passes of one sizing search also share a
-// sample bank (sampleBank, lane.go), so each of its samples is drawn,
-// perturbed and extracted once per search.
+// drives one range per stage and keeps each sample's delay. An ISLE
+// run centres each candidate's draws on its own shift (isleShift): the
+// target crossing found by the first stage of the worst-case-distance
+// search, estimator.FirstCrossing, which FindWCD then refines for the
+// pre-filter. The local run and the shard fold through the one fold
+// type, consulting the stopping rule at the same checkpoints, so each
+// candidate's estimate is bit-identical to a standalone
+// EstimateLinkYieldCtx run with the same options and to a merge of its
+// shards. The passes of one sizing search also share a sample bank
+// (sampleBank, lane.go), so each of its samples is drawn, perturbed and
+// extracted once per search.
 
 // MultiScenario binds K candidate implementations (specs) of one wire
 // to a shared variation space and delay target.
@@ -98,28 +102,6 @@ func (ms *MultiScenario) scenario(c int) *LinkScenario {
 		Spec:   ms.Specs[c],
 		Target: ms.Target,
 	}
-}
-
-// FindShiftsCtx searches the importance-sampling mean shift of every
-// candidate (see FindShift), checking the context between the
-// deterministic metric evaluations. A nil entry means the search fell
-// back to plain Monte Carlo for that candidate.
-func (ms *MultiScenario) FindShiftsCtx(ctx context.Context) ([][]float64, error) {
-	shifts := make([][]float64, len(ms.Specs))
-	for c := range ms.Specs {
-		sc := ms.scenario(c)
-		shift, err := FindShift(ms.Target, func(z []float64) (float64, error) {
-			if err := ctx.Err(); err != nil {
-				return 0, err
-			}
-			return sc.Delay(z)
-		})
-		if err != nil {
-			return nil, err
-		}
-		shifts[c] = shift
-	}
-	return shifts, nil
 }
 
 // EstimateYieldsSharedCtx estimates the timing yield of every
@@ -215,7 +197,7 @@ func putContrib(b []float64) {
 
 // driver is the sampling driver of the mc/isle/qmc/ais rungs. It is
 // built once per run, which settles every per-run decision: the ISLE
-// shift search, the QMC Sobol scrambles, the AIS state, the compiled
+// shifts, the QMC Sobol scrambles, the AIS state, the compiled
 // lane kernel and the per-worker lane scratch. It then evaluates any
 // contiguous range of global sample indices, so the local kernel, a
 // coordinator shard and an AIS stage are the same evaluation over
@@ -239,8 +221,8 @@ type driver struct {
 }
 
 // newDriver builds the driver of one run on rung kind: the QMC
-// scrambles or the ISLE shifts of the candidates, which FindShiftsCtx
-// searches, compiled into the lane kernel.
+// scrambles or the candidates' ISLE shifts (isleShift), compiled into
+// the lane kernel.
 func newDriver(ctx context.Context, ms *MultiScenario, o YieldOptions, kind estimator.Kind) (*driver, error) {
 	var shifts [][]float64
 	var qshifts [][]uint64
@@ -251,9 +233,12 @@ func newDriver(ctx context.Context, ms *MultiScenario, o YieldOptions, kind esti
 			qshifts[r] = estimator.SobolShift(o.Seed, uint64(r), Dims)
 		}
 	case estimator.ISLE:
-		var err error
-		if shifts, err = ms.FindShiftsCtx(ctx); err != nil {
-			return nil, err
+		shifts = make([][]float64, len(ms.Specs))
+		for c := range shifts {
+			var err error
+			if shifts[c], err = isleShift(ctx, ms.scenario(c)); err != nil {
+				return nil, err
+			}
 		}
 	}
 	d := kernelDriver(newLaneKernel(ms, o, shifts, qshifts), o)

@@ -15,8 +15,8 @@ import (
 // legacyLinkYield re-implements the historical one-sample-at-a-time
 // estimator exactly as EstimateLinkYieldCtx computed it before the shared
 // batched kernel: runOracle over LinkScenario.Delay, with the
-// importance-sampling shift searched by FindShift on the same metric
-// when the isle rung is pinned.
+// importance-sampling shift isleShift searches when the isle rung is
+// pinned.
 // The kernel tests pin bit-identity against this reference.
 func legacyLinkYield(t *testing.T, sc *LinkScenario, o YieldOptions) Estimate {
 	t.Helper()
@@ -26,7 +26,7 @@ func legacyLinkYield(t *testing.T, sc *LinkScenario, o YieldOptions) Estimate {
 	var shift []float64
 	if o.Estimator == estimator.ISLE {
 		var err error
-		shift, err = FindShift(sc.Target, sc.Delay)
+		shift, err = isleShift(context.Background(), sc)
 		if err != nil {
 			t.Fatal(err)
 		}

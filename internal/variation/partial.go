@@ -98,9 +98,10 @@ func (p Partial) validate(samples int, shifted bool) error {
 // ShardableKind resolves the options to the concrete estimator rung and
 // reports whether that rung distributes by sample index. MC, ISLE, and
 // QMC do — every draw is a pure function of (Seed, index), and ISLE's
-// shift search and QMC's Sobol scrambles are deterministic in (scenario,
-// Seed), so independent replicas compute identical shard inputs. AIS,
-// WCD, and the auto-routed ≥3σ cascade do not (see ErrNotShardable).
+// shift (isleShift) and QMC's Sobol scrambles are deterministic in
+// (scenario, Seed), so independent replicas compute identical shard
+// inputs. AIS, WCD, and the auto-routed ≥3σ cascade do not (see
+// ErrNotShardable).
 func (o YieldOptions) ShardableKind() (estimator.Kind, bool, error) {
 	kind, err := o.resolveKind()
 	if err != nil {
@@ -128,7 +129,7 @@ func (o YieldOptions) ResolvedSamples() int {
 // [start, start+count) and returns the shard's sparse contributions,
 // the resolved estimator rung, and whether importance sampling was in
 // effect. The evaluation is the local run's driver (same draws, same
-// kernel, same shift search), so a set of shards covering [0, Samples)
+// kernel, same ISLE shift), so a set of shards covering [0, Samples)
 // reproduces a local run's contributions exactly.
 // The shard never applies the stopping rule — that is global and
 // belongs to MergePartials.
@@ -158,9 +159,10 @@ func CollectPartialCtx(ctx context.Context, sc *LinkScenario, o YieldOptions, st
 		Specs:  []model.LineSpec{sc.Spec},
 		Target: sc.Target,
 	}
-	// ISLE: the deterministic shift search runs on every shard —
-	// redundant work, but it is what makes replicas interchangeable
-	// (any replica computes the identical shift from the scenario).
+	// ISLE: every shard places the shift itself (isleShift, 30–40
+	// delay evaluations) — redundant work, but it is what makes
+	// replicas interchangeable (any replica computes the identical
+	// shift from the scenario).
 	d, err := newDriver(ctx, ms, o, kind)
 	if err != nil {
 		return Partial{}, kind, false, err

@@ -127,7 +127,7 @@ func (o YieldOptions) resolveKind() (estimator.Kind, error) {
 // link meets its delay target under process variation. The estimate is
 // bit-identical for every Workers value at a fixed seed. Cancellation
 // is checked between sample batches (and between the deterministic
-// metric evaluations of the importance-sampling shift search), so an
+// delay evaluations that place the ISLE rung's shift), so an
 // estimation legitimately stretching to millions of samples can be
 // interrupted or deadline-bound; a run that completes under a live
 // context is bit-identical to one under context.Background.
@@ -140,7 +140,7 @@ func EstimateLinkYieldCtx(ctx context.Context, sc *LinkScenario, o YieldOptions)
 	// per-sample implementation (the tests' oracle over sc.Delay), but
 	// with the per-worker scratch keeping the steady path
 	// allocation-free. The shared kernel owns estimator dispatch
-	// (including the shift search when the ISLE rung runs).
+	// (including the ISLE rung's shift, isleShift).
 	ms := &MultiScenario{
 		Base:   sc.Base,
 		Coeffs: sc.Coeffs,

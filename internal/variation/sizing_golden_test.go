@@ -294,8 +294,8 @@ var sizingGolden = map[string]string{
 	"90nm-6mm-y0.999-mc-relerr0-miss":          "INV80x2 p=0.0004882812500000009 y=0.99951171875 se=0.00034522482328645197 n=4096 shifted=false mc vr=0.9997558593750019 resized=true",
 	"90nm-6mm-y0.999-mc-relerr0-loose":         "INV60x2 p=0.0004882812500000009 y=0.99951171875 se=0.00034522482328645197 n=4096 shifted=false mc vr=0.9997558593750019 resized=false",
 	"90nm-6mm-y0.999-isle-relerr0-tight":       "error: variation: no buffering candidate meets the yield target (none of 26 feasible candidates reaches yield 0.999)",
-	"90nm-6mm-y0.999-isle-relerr0-miss":        "INV80x2 p=0.0005748668932395212 y=0.9994251331067605 se=1.842710585396796e-05 n=4096 shifted=true isle vr=413.088738614224 resized=true",
-	"90nm-6mm-y0.999-isle-relerr0-loose":       "INV60x2 p=0.0005852629284589058 y=0.999414737071541 se=1.8585741186819974e-05 n=4096 shifted=true isle vr=413.4062583497529 resized=false",
+	"90nm-6mm-y0.999-isle-relerr0-miss":        "INV80x2 p=0.0005749143441722275 y=0.9994250856558278 se=1.8431420062631147e-05 n=4096 shifted=true isle vr=412.9294411997349 resized=true",
+	"90nm-6mm-y0.999-isle-relerr0-loose":       "INV60x2 p=0.0005846902059188481 y=0.9994153097940811 se=1.8580766083569623e-05 n=4096 shifted=true isle vr=413.2231435292498 resized=false",
 	"90nm-6mm-y0.999-qmc-relerr0-tight":        "INV80x2 p=0.000732421875 y=0.999267578125 se=0.00035738528062080073 n=4096 shifted=false qmc vr=1.398974609375 resized=true",
 	"90nm-6mm-y0.999-qmc-relerr0-miss":         "INV80x2 p=0.00048828125 y=0.99951171875 se=0.00031965511265037944 n=4096 shifted=false qmc vr=1.1660970052083335 resized=true",
 	"90nm-6mm-y0.999-qmc-relerr0-loose":        "INV60x2 p=0.00048828125 y=0.99951171875 se=0.00031965511265037944 n=4096 shifted=false qmc vr=1.1660970052083335 resized=false",
@@ -305,14 +305,14 @@ var sizingGolden = map[string]string{
 	"90nm-6mm-y0.999-sigma2.5-relerr0-miss":    "INV80x2 p=0.00048828125 y=0.99951171875 se=0.00031965511265037944 n=4096 shifted=false qmc vr=1.1660970052083335 resized=true",
 	"90nm-6mm-y0.999-sigma2.5-relerr0-loose":   "INV60x2 p=0.00048828125 y=0.99951171875 se=0.00031965511265037944 n=4096 shifted=false qmc vr=1.1660970052083335 resized=false",
 	"90nm-6mm-y0.999-sigma3.5-relerr0-tight":   "error: variation: no buffering candidate meets the yield target (none of 26 feasible candidates reaches yield 0.999)",
-	"90nm-6mm-y0.999-sigma3.5-relerr0-miss":    "INV80x2 p=0.0005748668932395212 y=0.9994251331067605 se=1.842710585396796e-05 n=4096 shifted=true isle vr=413.088738614224 resized=true",
-	"90nm-6mm-y0.999-sigma3.5-relerr0-loose":   "INV60x2 p=0.0005852629284589058 y=0.999414737071541 se=1.8585741186819974e-05 n=4096 shifted=true isle vr=413.4062583497529 resized=false",
+	"90nm-6mm-y0.999-sigma3.5-relerr0-miss":    "INV80x2 p=0.0005749143441722275 y=0.9994250856558278 se=1.8431420062631147e-05 n=4096 shifted=true isle vr=412.9294411997349 resized=true",
+	"90nm-6mm-y0.999-sigma3.5-relerr0-loose":   "INV60x2 p=0.0005846902059188481 y=0.9994153097940811 se=1.8580766083569623e-05 n=4096 shifted=true isle vr=413.2231435292498 resized=false",
 	"90nm-6mm-y0.999-mc-relerr0.2-tight":       "error: variation: no buffering candidate meets the yield target (none of 26 feasible candidates reaches yield 0.999)",
 	"90nm-6mm-y0.999-mc-relerr0.2-miss":        "INV80x2 p=0.0004882812500000009 y=0.99951171875 se=0.00034522482328645197 n=4096 shifted=false mc vr=0.9997558593750019 resized=true",
 	"90nm-6mm-y0.999-mc-relerr0.2-loose":       "INV60x2 p=0.0004882812500000009 y=0.99951171875 se=0.00034522482328645197 n=4096 shifted=false mc vr=0.9997558593750019 resized=false",
 	"90nm-6mm-y0.999-isle-relerr0.2-tight":     "error: variation: no buffering candidate meets the yield target (none of 26 feasible candidates reaches yield 0.999)",
-	"90nm-6mm-y0.999-isle-relerr0.2-miss":      "INV80x2 p=0.0005910516697640475 y=0.999408948330236 se=4.9960162090326685e-05 n=512 shifted=true isle vr=462.22245913934114 resized=true",
-	"90nm-6mm-y0.999-isle-relerr0.2-loose":     "INV60x2 p=0.0005878286836641575 y=0.9994121713163359 se=5.123795523200457e-05 n=512 shifted=true isle vr=437.06081119580074 resized=false",
+	"90nm-6mm-y0.999-isle-relerr0.2-miss":      "INV80x2 p=0.0005910775304844094 y=0.9994089224695156 se=4.996082123312377e-05 n=512 shifted=true isle vr=462.2304743052459 resized=true",
+	"90nm-6mm-y0.999-isle-relerr0.2-loose":     "INV60x2 p=0.000588263771674194 y=0.9994117362283258 se=5.127886230514596e-05 n=512 shifted=true isle vr=436.68655914961136 resized=false",
 	"90nm-6mm-y0.999-qmc-relerr0.2-tight":      "INV80x2 p=0 y=1 se=0 n=512 shifted=false qmc vr=1 resized=true",
 	"90nm-6mm-y0.999-qmc-relerr0.2-miss":       "INV80x2 p=0 y=1 se=0 n=512 shifted=false qmc vr=1 resized=true",
 	"90nm-6mm-y0.999-qmc-relerr0.2-loose":      "INV60x2 p=0 y=1 se=0 n=512 shifted=false qmc vr=1 resized=false",
@@ -322,8 +322,8 @@ var sizingGolden = map[string]string{
 	"90nm-6mm-y0.999-sigma2.5-relerr0.2-miss":  "INV80x2 p=0 y=1 se=0 n=512 shifted=false qmc vr=1 resized=true",
 	"90nm-6mm-y0.999-sigma2.5-relerr0.2-loose": "INV60x2 p=0 y=1 se=0 n=512 shifted=false qmc vr=1 resized=false",
 	"90nm-6mm-y0.999-sigma3.5-relerr0.2-tight": "error: variation: no buffering candidate meets the yield target (none of 26 feasible candidates reaches yield 0.999)",
-	"90nm-6mm-y0.999-sigma3.5-relerr0.2-miss":  "INV80x2 p=0.0005910516697640475 y=0.999408948330236 se=4.9960162090326685e-05 n=512 shifted=true isle vr=462.22245913934114 resized=true",
-	"90nm-6mm-y0.999-sigma3.5-relerr0.2-loose": "INV60x2 p=0.0005878286836641575 y=0.9994121713163359 se=5.123795523200457e-05 n=512 shifted=true isle vr=437.06081119580074 resized=false",
+	"90nm-6mm-y0.999-sigma3.5-relerr0.2-miss":  "INV80x2 p=0.0005910775304844094 y=0.9994089224695156 se=4.996082123312377e-05 n=512 shifted=true isle vr=462.2304743052459 resized=true",
+	"90nm-6mm-y0.999-sigma3.5-relerr0.2-loose": "INV60x2 p=0.000588263771674194 y=0.9994117362283258 se=5.127886230514596e-05 n=512 shifted=true isle vr=436.68655914961136 resized=false",
 	"90nm-6mm-y0.999-unaligned-miss":           "INV80x2 p=0 y=1 se=0 n=1000 shifted=false mc vr=1 resized=true",
 	"90nm-6mm-y0.999-unaligned-tight":          "INV80x2 p=0.0010000000000000009 y=0.999 se=0.0010000000000000002 n=1000 shifted=false mc vr=0.9990000000000003 resized=true",
 	"90nm-6mm-y0.999-infeasible":               "error: buffering: no candidate design satisfies the constraint (searched 832 candidates)",
@@ -331,8 +331,8 @@ var sizingGolden = map[string]string{
 	"45nm-2mm-y0.99-mc-relerr0-miss":           "INV120x1 p=0.007080078125000008 y=0.992919921875 se=0.0013102349628264832 n=4096 shifted=false mc vr=0.9997558593750018 resized=true",
 	"45nm-2mm-y0.99-mc-relerr0-loose":          "INV80x1 p=0.003417968750000004 y=0.99658203125 se=0.0009120394352943947 n=4096 shifted=false mc vr=0.9997558593750008 resized=false",
 	"45nm-2mm-y0.99-isle-relerr0-tight":        "error: variation: no buffering candidate meets the yield target (none of 12 feasible candidates reaches yield 0.99)",
-	"45nm-2mm-y0.99-isle-relerr0-miss":         "INV120x1 p=0.007120733200881369 y=0.9928792667991186 se=0.00023391671040129506 n=4096 shifted=true isle vr=31.545594202270596 resized=true",
-	"45nm-2mm-y0.99-isle-relerr0-loose":        "INV80x1 p=0.0036100074456131906 y=0.9963899925543868 se=0.0001037395894132488 n=4096 shifted=true isle vr=81.59968026789348 resized=false",
+	"45nm-2mm-y0.99-isle-relerr0-miss":         "INV120x1 p=0.007114618329895947 y=0.9928853816701041 se=0.000233867025814983 n=4096 shifted=true isle vr=31.532092389704445 resized=true",
+	"45nm-2mm-y0.99-isle-relerr0-loose":        "INV80x1 p=0.003607979278083886 y=0.9963920207219161 se=0.00010370880806336885 n=4096 shifted=true isle vr=81.60242063993697 resized=false",
 	"45nm-2mm-y0.99-qmc-relerr0-tight":         "error: variation: no buffering candidate meets the yield target (none of 12 feasible candidates reaches yield 0.99)",
 	"45nm-2mm-y0.99-qmc-relerr0-miss":          "INV120x1 p=0.00732421875 y=0.99267578125 se=0.0006120929399687585 n=4096 shifted=false qmc vr=4.7377707741477275 resized=true",
 	"45nm-2mm-y0.99-qmc-relerr0-loose":         "INV80x1 p=0.003173828125 y=0.996826171875 se=0.0008993998994299405 n=4096 shifted=false qmc vr=0.9548545435855262 resized=false",
@@ -348,8 +348,8 @@ var sizingGolden = map[string]string{
 	"45nm-2mm-y0.99-mc-relerr0.2-miss":         "INV120x1 p=0.006770833333333344 y=0.9932291666666666 se=0.0013235389846714691 n=3840 shifted=false mc vr=0.9997395833333343 resized=true",
 	"45nm-2mm-y0.99-mc-relerr0.2-loose":        "INV80x1 p=0.003417968750000004 y=0.99658203125 se=0.0009120394352943947 n=4096 shifted=false mc vr=0.9997558593750008 resized=false",
 	"45nm-2mm-y0.99-isle-relerr0.2-tight":      "error: variation: no buffering candidate meets the yield target (none of 12 feasible candidates reaches yield 0.99)",
-	"45nm-2mm-y0.99-isle-relerr0.2-miss":       "INV120x1 p=0.006811957457891423 y=0.9931880425421086 se=0.0005270477458606429 n=512 shifted=true isle vr=47.57004123079736 resized=true",
-	"45nm-2mm-y0.99-isle-relerr0.2-loose":      "INV80x1 p=0.003942358795495981 y=0.996057641204504 se=0.0003038261820165074 n=512 shifted=true isle vr=83.08454870076349 resized=false",
+	"45nm-2mm-y0.99-isle-relerr0.2-miss":       "INV120x1 p=0.006817540789155845 y=0.9931824592108441 se=0.0005275846240481802 n=512 shifted=true isle vr=47.511918236420726 resized=true",
+	"45nm-2mm-y0.99-isle-relerr0.2-loose":      "INV80x1 p=0.0039478142053220215 y=0.996052185794678 se=0.00030425849812036604 n=512 shifted=true isle vr=82.96280035361242 resized=false",
 	"45nm-2mm-y0.99-qmc-relerr0.2-tight":       "error: variation: no buffering candidate meets the yield target (none of 12 feasible candidates reaches yield 0.99)",
 	"45nm-2mm-y0.99-qmc-relerr0.2-miss":        "INV120x1 p=0.00732421875 y=0.99267578125 se=0.0011525328991251608 n=2048 shifted=false qmc vr=2.672588641826924 resized=true",
 	"45nm-2mm-y0.99-qmc-relerr0.2-loose":       "INV80x1 p=0.003255208333333333 y=0.9967447916666666 se=0.0006510416666666666 n=3072 shifted=false qmc vr=2.4918619791666665 resized=false",

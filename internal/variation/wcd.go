@@ -36,13 +36,41 @@ func WCDForScenarioCtx(ctx context.Context, sc *LinkScenario) (estimator.Bound, 
 	if err := sc.Validate(); err != nil {
 		return estimator.Bound{}, err
 	}
+	return estimator.FindWCD(Dims, sc.Target, sc.metricCtx(ctx))
+}
+
+// metricCtx is the scenario's delay as a search metric: DelayScratch
+// on one reused Scratch, with the context checked before every
+// evaluation.
+func (sc *LinkScenario) metricCtx(ctx context.Context) estimator.Metric {
 	var s Scratch
-	return estimator.FindWCD(Dims, sc.Target, func(z []float64) (float64, error) {
+	return func(z []float64) (float64, error) {
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
 		return sc.DelayScratch(&s, z)
-	})
+	}
+}
+
+// isleShift is the ISLE rung's mean shift for the scenario: the first
+// crossing of its delay target along the steepest ascent at the origin
+// (estimator.FirstCrossing), so that sampling centres on a first-order
+// estimate of the most probable failure point. It is nil, selecting
+// plain Monte Carlo, when the nominal point already fails (failures are
+// common, and plain MC samples them well) or the delay shows no
+// gradient. With no crossing within estimator.WCDMaxNorm it sits at
+// that cap along the gradient: the estimate stays unbiased and reports
+// ≈0 with finite variance, where plain MC would see no failure at all.
+func isleShift(ctx context.Context, sc *LinkScenario) ([]float64, error) {
+	b, err := estimator.FirstCrossing(Dims, sc.Target, sc.metricCtx(ctx))
+	if err != nil || b.Direction == nil {
+		return nil, err
+	}
+	shift := b.Direction
+	for d := range shift {
+		shift[d] *= b.Beta
+	}
+	return shift, nil
 }
 
 // wcdEstimate maps a bound to the Estimate shape the sampling rungs
