@@ -87,7 +87,7 @@ func BenchmarkTableIIINoCSynthesis(b *testing.B) {
 	var rows []experiments.TableIIIRow
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = experiments.TableIII(experiments.TableIIIConfig{})
+		rows, err = experiments.TableIIICtx(context.Background(), experiments.TableIIIConfig{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -315,7 +315,7 @@ func BenchmarkAblationWireSizing(b *testing.B) {
 	var min buffering.Design
 	var err error
 	for i := 0; i < b.N; i++ {
-		best, err = wiresize.Optimize(tc, 10e-3, wire.SWSS, o)
+		best, err = wiresize.OptimizeCtx(context.Background(), tc, 10e-3, wire.SWSS, o)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -599,10 +599,11 @@ func BenchmarkLinkYieldWCDPrefilter(b *testing.B) {
 
 // BenchmarkLinkYieldSurfaceWarm measures the warm-start serving path:
 // the first query runs full Monte Carlo and memoizes its estimate, so
-// every benchmarked iteration is answered from the response surface —
-// one plan validation, one design memo probe, one curve lookup. The
-// per-op time is the warm-query latency the serving layer's <10 µs
-// budget gates in CI (scripts/bench_yield.sh's surface ceiling).
+// every benchmarked probe (LinkYieldSurfaceCtx) is answered from the
+// response surface — one plan validation, one design memo probe, one
+// curve lookup. The per-op time is the warm-query latency the serving
+// layer's <10 µs budget gates in CI (scripts/bench_yield.sh's surface
+// ceiling).
 func BenchmarkLinkYieldSurfaceWarm(b *testing.B) {
 	ctx := context.Background()
 	sf := Surfaced{Cache: surface.New(surface.Options{})}
@@ -614,22 +615,18 @@ func BenchmarkLinkYieldSurfaceWarm(b *testing.B) {
 	if _, err := sf.LinkYieldCtx(ctx, req); err != nil { // cold run: samples and records
 		b.Fatal(err)
 	}
-	warm, err := sf.LinkYieldCtx(ctx, req)
+	warm, hit, err := sf.LinkYieldSurfaceCtx(ctx, req)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if warm.Source != SourceSurface {
+	if !hit {
 		b.Fatalf("surface did not warm: %+v", warm)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := sf.LinkYieldCtx(ctx, req)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Source != SourceSurface {
-			b.Fatalf("warm query fell back to %q", res.Source)
+		if _, hit, err := sf.LinkYieldSurfaceCtx(ctx, req); err != nil || !hit {
+			b.Fatalf("warm probe missed: %v", err)
 		}
 	}
 	b.ReportMetric(warm.Yield, "yield")

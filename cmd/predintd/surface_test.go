@@ -138,3 +138,40 @@ func TestYieldBatchSurfaceEndToEnd(t *testing.T) {
 		}
 	}
 }
+
+// TestServedSurfaceMissCountsOnce: a /v1/yield or /v1/yield/batch query
+// on a warm class that the surface cannot answer consults it exactly
+// once — the tier-1 probe — so the cache's miss count and the
+// surface.misses counter move by one, as predintd.yield_surface_misses
+// does, and the sampling run that follows does not consult again.
+func TestServedSurfaceMissCountsOnce(t *testing.T) {
+	s, ts := testServer(t, 1, 8, 1<<20, 10*time.Second)
+	s.surf = surface.New(surface.Options{})
+	const cands = `, "candidates": [{"repeater_size": 8, "repeaters": 10}, {"repeater_size": 12, "repeaters": 8}]}`
+	for _, c := range []struct{ path, warm, miss string }{
+		{"/v1/yield",
+			`{"tech": "90nm", "length_mm": 5, "samples": 256, "seed": 9, "target_ps": 540}`,
+			`{"tech": "90nm", "length_mm": 5, "samples": 256, "seed": 9, "target_ps": 700}`},
+		{"/v1/yield/batch",
+			`{"tech": "90nm", "length_mm": 5, "samples": 256, "seed": 2, "target_ps": 540` + cands,
+			`{"tech": "90nm", "length_mm": 5, "samples": 256, "seed": 2, "target_ps": 700` + cands},
+	} {
+		if code, _, resp := postJSON(t, ts.URL+c.path, c.warm); code != http.StatusOK {
+			t.Fatalf("%s warm-up: status %d, body %s", c.path, code, resp)
+		}
+		stats0, snap0 := s.surf.Stats(), obs.Snapshot()
+		code, _, resp := postJSON(t, ts.URL+c.path, c.miss)
+		if code != http.StatusOK {
+			t.Fatalf("%s miss: status %d, body %s", c.path, code, resp)
+		}
+		snap := obs.Snapshot()
+		if got := s.surf.Stats().Misses - stats0.Misses; got != 1 {
+			t.Errorf("%s: one served miss moved the cache's Misses by %d, want 1", c.path, got)
+		}
+		for _, name := range []string{"surface.misses", "predintd.yield_surface_misses"} {
+			if got := snap[name] - snap0[name]; got != 1 {
+				t.Errorf("%s: one served miss moved %s by %d, want 1", c.path, name, got)
+			}
+		}
+	}
+}

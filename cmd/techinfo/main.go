@@ -2,7 +2,7 @@
 // values, derived wire parasitics per millimeter (with and without
 // the nanometer corrections), the characterized FO4 delay, and the
 // wire-length feasibility limits under both interconnect models. With
-// -json it dumps the raw descriptor for editing and reloading.
+// -json it dumps the raw descriptor as JSON instead.
 //
 // Usage:
 //

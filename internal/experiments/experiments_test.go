@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -88,7 +89,7 @@ func TestTableIIRuntimeRatio(t *testing.T) {
 }
 
 func TestTableIIIShape(t *testing.T) {
-	rows, err := TableIII(TableIIIConfig{Techs: []string{"90nm"}, Cases: []string{"DVOPD"}})
+	rows, err := TableIIICtx(context.Background(), TableIIIConfig{Techs: []string{"90nm"}, Cases: []string{"DVOPD"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,10 +169,10 @@ func TestExperimentsRejectUnknownInputs(t *testing.T) {
 	if _, err := TableII(TableIIConfig{Techs: []string{"3nm"}}); err == nil {
 		t.Error("TableII accepted unknown tech")
 	}
-	if _, err := TableIII(TableIIIConfig{Techs: []string{"3nm"}}); err == nil {
+	if _, err := TableIIICtx(context.Background(), TableIIIConfig{Techs: []string{"3nm"}}); err == nil {
 		t.Error("TableIII accepted unknown tech")
 	}
-	if _, err := TableIII(TableIIIConfig{Cases: []string{"NOPE"}}); err == nil {
+	if _, err := TableIIICtx(context.Background(), TableIIIConfig{Cases: []string{"NOPE"}}); err == nil {
 		t.Error("TableIII accepted unknown case")
 	}
 	if _, err := BufferingStudy(BufferingConfig{Techs: []string{"3nm"}}); err == nil {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/noc"
@@ -68,7 +69,7 @@ func Sensitivity(cfg SensitivityConfig) ([]SensitivityRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		net, err := noc.Synthesize(spec, lm, noc.SynthOptions{})
+		net, err := noc.SynthesizeCtx(context.TODO(), spec, lm, noc.SynthOptions{})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: sensitivity scale %g: %w", ds, err)
 		}

@@ -49,14 +49,9 @@ func (c TableIIIConfig) withDefaults() TableIIIConfig {
 	return c
 }
 
-// TableIII regenerates the NoC-synthesis impact study: each test case
-// is synthesized at each node under both interconnect models, and the
-// tool-reported metrics are collected.
-func TableIII(cfg TableIIIConfig) ([]TableIIIRow, error) {
-	return TableIIICtx(context.Background(), cfg)
-}
-
-// TableIIICtx is TableIII under a context: cancellation propagates
+// TableIIICtx regenerates the NoC-synthesis impact study: each test
+// case is synthesized at each node under both interconnect models, and
+// the tool-reported metrics are collected. Cancellation propagates
 // into every synthesis (and is additionally checked between sweep
 // cells), so a deadline-bound sweep returns ctx.Err() promptly with
 // the partial rows discarded.

@@ -2,11 +2,6 @@
 
 package faultinject
 
-// Compiled reports whether the registry is present in this build:
-// `prod` builds stub every entry point to a constant no-op, so a
-// production binary cannot be made to inject faults.
-const Compiled = false
-
 // Activate is a no-op in prod builds; the restore func does nothing.
 func Activate(Plan) (restore func()) { return func() {} }
 

@@ -9,10 +9,6 @@ import (
 	"time"
 )
 
-// Compiled reports whether the registry is present in this build.
-// Builds with the `prod` tag compile it out (see disabled.go).
-const Compiled = true
-
 // state is one activation: an immutable plan plus per-point hit
 // counters. It is published through an atomic pointer so Hit on the
 // hot path is a single load with no locks.

@@ -124,15 +124,6 @@ func (l *Library) CellsOfKind(k CellKind) []*Cell {
 	return out
 }
 
-// MinSlew returns the smallest characterized slew breakpoint, the
-// natural boundary-condition slew for the first stage of a line.
-func (l *Library) MinSlew() float64 {
-	if len(l.Cells) == 0 || l.Cells[0].DelayRise == nil {
-		return 0
-	}
-	return l.Cells[0].DelayRise.SlewAxis[0]
-}
-
 // String implements fmt.Stringer.
 func (l *Library) String() string {
 	return fmt.Sprintf("liberty.Library{%s, %d cells}", l.Tech.Name, len(l.Cells))

@@ -201,9 +201,6 @@ func TestCellsOfKindAndLookupHelpers(t *testing.T) {
 	if c.WorstDelay(100e-12, 10e-15) < c.Delay(true, 100e-12, 10e-15)-1e-18 {
 		t.Fatal("worst delay below rise delay")
 	}
-	if lib.MinSlew() != 50e-12 {
-		t.Fatalf("MinSlew = %g", lib.MinSlew())
-	}
 }
 
 func TestCharacterizeRejectsInvalidTech(t *testing.T) {

@@ -259,7 +259,7 @@ func TestSynthesizeCtxCancelled(t *testing.T) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
 	// The model must remain fully usable after the aborted run.
-	ref, err := Synthesize(DVOPD(), lm, SynthOptions{})
+	ref, err := SynthesizeCtx(context.Background(), DVOPD(), lm, SynthOptions{})
 	if err != nil {
 		t.Fatalf("synthesis after cancelled run: %v", err)
 	}
@@ -296,7 +296,7 @@ func TestSynthesizeCtxCancelMidRun(t *testing.T) {
 	// A fresh run over the same underlying model under a live context
 	// must match an undisturbed reference bit for bit: nothing from
 	// the aborted run may leak through shared state.
-	ref, err := Synthesize(DVOPD(), lm, SynthOptions{})
+	ref, err := SynthesizeCtx(context.Background(), DVOPD(), lm, SynthOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func TestSynthesizeCtxCancelMidRun(t *testing.T) {
 
 func TestSynthesizeCtxLiveMatchesNoCtx(t *testing.T) {
 	lm := proposed90(t)
-	ref, err := Synthesize(DVOPD(), lm, SynthOptions{})
+	ref, err := SynthesizeCtx(context.Background(), DVOPD(), lm, SynthOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,12 +332,12 @@ func TestSynthesizeCtxLiveMatchesNoCtx(t *testing.T) {
 func TestSynthesizeWorkersMatchSerial(t *testing.T) {
 	lm := proposed90(t)
 	spec := DVOPD()
-	serial, err := Synthesize(spec, lm, SynthOptions{Workers: 1})
+	serial, err := SynthesizeCtx(context.Background(), spec, lm, SynthOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 2, runtime.GOMAXPROCS(0) + 3} {
-		par, err := Synthesize(spec, lm, SynthOptions{Workers: workers})
+		par, err := SynthesizeCtx(context.Background(), spec, lm, SynthOptions{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -355,7 +355,7 @@ func TestSynthesizeConcurrentRunsSharedModel(t *testing.T) {
 	// Many goroutines synthesizing against one shared LinkModel — the
 	// fan-out callers could not do before the cache was made safe.
 	lm := proposed90(t)
-	ref, err := Synthesize(DVOPD(), lm, SynthOptions{})
+	ref, err := SynthesizeCtx(context.Background(), DVOPD(), lm, SynthOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +368,7 @@ func TestSynthesizeConcurrentRunsSharedModel(t *testing.T) {
 	for r := 0; r < runs; r++ {
 		go func() {
 			defer wg.Done()
-			net, err := Synthesize(DVOPD(), lm, SynthOptions{})
+			net, err := SynthesizeCtx(context.Background(), DVOPD(), lm, SynthOptions{})
 			if err != nil {
 				t.Errorf("concurrent synthesis: %v", err)
 				failures.Add(1)
@@ -409,7 +409,7 @@ func BenchmarkSynthesizeWorkers(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := Synthesize(spec, lm, SynthOptions{Workers: bench.workers}); err != nil {
+				if _, err := SynthesizeCtx(context.Background(), spec, lm, SynthOptions{Workers: bench.workers}); err != nil {
 					b.Fatal(err)
 				}
 			}

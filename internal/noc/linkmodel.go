@@ -2,7 +2,6 @@ package noc
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/baseline"
 	"repro/internal/buffering"
@@ -309,9 +308,3 @@ var (
 	_ LinkModel = (*ProposedModel)(nil)
 	_ LinkModel = (*OriginalModel)(nil)
 )
-
-// utilization converts a bandwidth demand into link utilization given
-// the link's raw capacity width·f.
-func utilization(bandwidth float64, bits int, clock float64) float64 {
-	return math.Min(1, bandwidth/(float64(bits)*clock))
-}

@@ -1,7 +1,6 @@
 package noc
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/tech"
@@ -148,15 +147,6 @@ func TestDynAtClamps(t *testing.T) {
 	d := LinkDesign{DynFull: 10}
 	if d.DynAt(-1) != 0 || d.DynAt(2) != 10 || d.DynAt(0.5) != 5 {
 		t.Fatal("DynAt clamping")
-	}
-}
-
-func TestUtilizationHelper(t *testing.T) {
-	if u := utilization(64e9, 128, 1e9); math.Abs(u-0.5) > 1e-12 {
-		t.Fatalf("utilization %g", u)
-	}
-	if u := utilization(1e15, 128, 1e9); u != 1 {
-		t.Fatal("utilization not clamped")
 	}
 }
 

@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -8,7 +9,7 @@ import (
 
 func simNet(t *testing.T) *Network {
 	t.Helper()
-	net, err := Synthesize(DVOPD(), proposed90(t), SynthOptions{})
+	net, err := SynthesizeCtx(context.Background(), DVOPD(), proposed90(t), SynthOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestSimulateDetectsOverload(t *testing.T) {
 		Cores: []Core{{Name: "a"}, {Name: "b", X: 1e-3}},
 		Flows: []Flow{{Src: "a", Dst: "b", Bandwidth: 100e9}},
 	}
-	net, err := Synthesize(spec, lm, SynthOptions{})
+	net, err := SynthesizeCtx(context.Background(), spec, lm, SynthOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,7 @@ func TestZeroLoadLatencyShape(t *testing.T) {
 
 func BenchmarkSimulateDVOPD(b *testing.B) {
 	lm := proposed90(b)
-	net, err := Synthesize(DVOPD(), lm, SynthOptions{})
+	net, err := SynthesizeCtx(context.Background(), DVOPD(), lm, SynthOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}

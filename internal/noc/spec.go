@@ -13,10 +13,7 @@
 // models.
 package noc
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Core is one IP block in the specification, with its floorplan
 // placement. Positions and sizes are in meters.
@@ -24,12 +21,6 @@ type Core struct {
 	Name string
 	// X, Y is the core's center.
 	X, Y float64
-}
-
-// Distance returns the Manhattan distance between two cores — global
-// wiring is routed on Manhattan layers.
-func (c Core) Distance(o Core) float64 {
-	return math.Abs(c.X-o.X) + math.Abs(c.Y-o.Y)
 }
 
 // Flow is one point-to-point communication requirement.
@@ -93,25 +84,4 @@ func (s *Spec) Validate() error {
 		}
 	}
 	return nil
-}
-
-// TotalBandwidth sums all flow bandwidths (bits/s).
-func (s *Spec) TotalBandwidth() float64 {
-	t := 0.0
-	for _, f := range s.Flows {
-		t += f.Bandwidth
-	}
-	return t
-}
-
-// Scale returns a copy of the spec with every position multiplied by
-// factor — used to port a floorplan across technology nodes (die
-// shrink).
-func (s *Spec) Scale(factor float64) *Spec {
-	out := &Spec{Name: s.Name, DataWidth: s.DataWidth, Flows: append([]Flow(nil), s.Flows...)}
-	out.Cores = make([]Core, len(s.Cores))
-	for i, c := range s.Cores {
-		out.Cores[i] = Core{Name: c.Name, X: c.X * factor, Y: c.Y * factor}
-	}
-	return out
 }

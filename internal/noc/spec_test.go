@@ -1,9 +1,6 @@
 package noc
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func miniSpec() *Spec {
 	return &Spec{
@@ -59,35 +56,6 @@ func TestSpecHelpers(t *testing.T) {
 	}
 	if _, err := s.Core("zz"); err == nil {
 		t.Fatal("unknown core found")
-	}
-	if got := s.TotalBandwidth(); math.Abs(got-6e9) > 1 {
-		t.Fatalf("total bandwidth %g", got)
-	}
-	d := s.Cores[0].Distance(s.Cores[1])
-	if math.Abs(d-2e-3) > 1e-12 {
-		t.Fatalf("distance %g", d)
-	}
-	// Manhattan, not Euclidean.
-	d2 := Core{X: 1, Y: 1}.Distance(Core{X: 0, Y: 0})
-	if math.Abs(d2-2) > 1e-12 {
-		t.Fatalf("Manhattan distance %g, want 2", d2)
-	}
-}
-
-func TestSpecScale(t *testing.T) {
-	s := miniSpec()
-	h := s.Scale(0.5)
-	if h.Cores[1].X != 1e-3 {
-		t.Fatalf("scaled X %g", h.Cores[1].X)
-	}
-	if s.Cores[1].X != 2e-3 {
-		t.Fatal("Scale mutated the original")
-	}
-	if len(h.Flows) != len(s.Flows) {
-		t.Fatal("flows lost")
-	}
-	if err := h.Validate(); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -60,22 +60,19 @@ type synthesizer struct {
 	coreID map[string]int
 }
 
-// Synthesize builds a power-minimized feasible NoC for the
+// SynthesizeCtx builds a power-minimized feasible NoC for the
 // specification under the given interconnect model: point-to-point
 // links first (split by the model's wire-length limit), then a greedy
 // channel-merging improvement loop that inserts routers where sharing
 // a bus reduces total power without violating the hop, radix, or
 // capacity constraints — the COSI-OCC flow in miniature.
-func Synthesize(spec *Spec, lm LinkModel, opts SynthOptions) (*Network, error) {
-	return SynthesizeCtx(context.Background(), spec, lm, opts)
-}
-
-// SynthesizeCtx is Synthesize under a context. Cancellation is
-// cooperative, checked between flows while the initial topology is
-// built and between candidate batches in the merge loop: a cancelled
-// run returns ctx.Err() promptly and leaves any shared DesignCache
-// unpoisoned (no cancellation error is ever memoized). A run that
-// completes under a live context is bit-identical to Synthesize.
+//
+// Cancellation is cooperative, checked between flows while the initial
+// topology is built and between candidate batches in the merge loop: a
+// cancelled run returns ctx.Err() promptly and leaves any shared
+// DesignCache unpoisoned (no cancellation error is ever memoized). A
+// run that completes under a live context is bit-identical to one
+// under context.Background().
 func SynthesizeCtx(ctx context.Context, spec *Spec, lm LinkModel, opts SynthOptions) (*Network, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -11,7 +12,7 @@ import (
 
 func synthMini(t *testing.T, lm LinkModel) *Network {
 	t.Helper()
-	net, err := Synthesize(miniSpec(), lm, SynthOptions{})
+	net, err := SynthesizeCtx(context.Background(), miniSpec(), lm, SynthOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,12 +36,12 @@ func TestSynthesizeRejectsBadSpec(t *testing.T) {
 	lm := proposed90(t)
 	bad := miniSpec()
 	bad.Flows[0].Bandwidth = -1
-	if _, err := Synthesize(bad, lm, SynthOptions{}); err == nil {
+	if _, err := SynthesizeCtx(context.Background(), bad, lm, SynthOptions{}); err == nil {
 		t.Fatal("invalid spec accepted")
 	}
 	over := miniSpec()
 	over.Flows[0].Bandwidth = 1e15 // beyond link capacity
-	if _, err := Synthesize(over, lm, SynthOptions{}); err == nil {
+	if _, err := SynthesizeCtx(context.Background(), over, lm, SynthOptions{}); err == nil {
 		t.Fatal("oversubscribed flow accepted")
 	}
 }
@@ -48,11 +49,11 @@ func TestSynthesizeRejectsBadSpec(t *testing.T) {
 func TestSynthesizeDeterministic(t *testing.T) {
 	lm := proposed90(t)
 	spec := DVOPD()
-	a, err := Synthesize(spec, lm, SynthOptions{})
+	a, err := SynthesizeCtx(context.Background(), spec, lm, SynthOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Synthesize(spec, lm, SynthOptions{})
+	b, err := SynthesizeCtx(context.Background(), spec, lm, SynthOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestLongFlowsGetRelayRouters(t *testing.T) {
 		},
 		Flows: []Flow{{Src: "a", Dst: "b", Bandwidth: 1e9}},
 	}
-	net, err := Synthesize(spec, lm, SynthOptions{})
+	net, err := SynthesizeCtx(context.Background(), spec, lm, SynthOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestHopBudgetEnforced(t *testing.T) {
 		},
 		Flows: []Flow{{Src: "a", Dst: "b", Bandwidth: 1e9}},
 	}
-	if _, err := Synthesize(spec, lm, SynthOptions{MaxHops: 2}); err == nil {
+	if _, err := SynthesizeCtx(context.Background(), spec, lm, SynthOptions{MaxHops: 2}); err == nil {
 		t.Fatal("hop-budget violation accepted")
 	}
 }
@@ -130,7 +131,7 @@ func TestRelaySharingAcrossFlows(t *testing.T) {
 			{Src: "a2", Dst: "b2", Bandwidth: 1e9},
 		},
 	}
-	net, err := Synthesize(spec, lm, SynthOptions{})
+	net, err := SynthesizeCtx(context.Background(), spec, lm, SynthOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,11 +164,11 @@ func TestMergeReducesPowerOnHubTraffic(t *testing.T) {
 		// the regime where sharing a corridor bus pays for a router.
 		spec.Flows = append(spec.Flows, Flow{Src: name, Dst: "hub", Bandwidth: 0.1e9})
 	}
-	merged, err := Synthesize(spec, lm, SynthOptions{})
+	merged, err := SynthesizeCtx(context.Background(), spec, lm, SynthOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	unmerged, err := Synthesize(spec, lm, SynthOptions{MaxMergeIters: -1})
+	unmerged, err := SynthesizeCtx(context.Background(), spec, lm, SynthOptions{MaxMergeIters: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,9 +183,9 @@ func TestMergeReducesPowerOnHubTraffic(t *testing.T) {
 
 func TestMergePreservesInvariants(t *testing.T) {
 	// The full VPROC synthesis exercises many merges; Check() inside
-	// Synthesize plus an explicit re-check here guard the rewiring.
+	// SynthesizeCtx plus an explicit re-check here guard the rewiring.
 	lm := proposed90(t)
-	net, err := Synthesize(VPROC(), lm, SynthOptions{})
+	net, err := SynthesizeCtx(context.Background(), VPROC(), lm, SynthOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,11 +255,11 @@ func TestTableIIITrends(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			no, err := Synthesize(spec, orig, SynthOptions{})
+			no, err := SynthesizeCtx(context.Background(), spec, orig, SynthOptions{})
 			if err != nil {
 				t.Fatalf("%s/%s original: %v", name, spec.Name, err)
 			}
-			np, err := Synthesize(spec, prop, SynthOptions{})
+			np, err := SynthesizeCtx(context.Background(), spec, prop, SynthOptions{})
 			if err != nil {
 				t.Fatalf("%s/%s proposed: %v", name, spec.Name, err)
 			}
@@ -296,7 +297,7 @@ func TestDynamicPowerRises65To45(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			net, err := Synthesize(spec, prop, SynthOptions{})
+			net, err := SynthesizeCtx(context.Background(), spec, prop, SynthOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -348,7 +349,7 @@ func BenchmarkSynthesizeDVOPD(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Synthesize(spec, lm, SynthOptions{}); err != nil {
+		if _, err := SynthesizeCtx(context.Background(), spec, lm, SynthOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,16 +1,14 @@
-// Package rcnet builds and analyzes distributed RC networks for
-// interconnect wires — the stand-in for the SPEF parasitics that the
-// paper extracts with SOC Encounter. A wire segment becomes a uniform
-// RC ladder (resistance sections with capacitance at each internal
-// node), coupling capacitance is folded in with a caller-chosen Miller
-// factor, and the package computes the first two moments of the
-// response at any node, which yields Elmore delays for the baselines
-// and feeds the golden timing engine's accuracy checks.
+// Package rcnet builds distributed RC networks for interconnect
+// wires — the stand-in for the SPEF parasitics that the paper extracts
+// with SOC Encounter. A wire segment becomes a uniform RC ladder
+// (resistance sections with capacitance at each internal node),
+// coupling capacitance is folded in with a caller-chosen Miller
+// factor, and the ladder's Elmore delay sets the time scale of the
+// golden timing engine's transient solve (internal/sta).
 package rcnet
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/wire"
 )
@@ -28,15 +26,6 @@ type Ladder struct {
 
 // Sections returns the number of RC sections.
 func (l *Ladder) Sections() int { return len(l.R) }
-
-// TotalR returns the end-to-end resistance.
-func (l *Ladder) TotalR() float64 {
-	s := 0.0
-	for _, r := range l.R {
-		s += r
-	}
-	return s
-}
 
 // TotalC returns the total capacitance including the load.
 func (l *Ladder) TotalC() float64 {
@@ -77,58 +66,14 @@ func FromSegment(seg wire.Segment, n int, miller, load float64) (*Ladder, error)
 	return lad, nil
 }
 
-// Moments returns the first and second moments (m1, m2) of the voltage
-// transfer function at the ladder's far node, for a step applied at
-// the drive point. With H(s) = 1 + m1·s + m2·s² + …, m1 is the
-// negated Elmore delay. The standard RC-tree recursion applies: for
-// a ladder, the k-th node's m1 is −Σ_i R(path∩upstream)·C_i.
-func (l *Ladder) Moments() (m1, m2 float64) {
-	n := len(l.R)
-	// First moment: m1(node k) = −Σ_j R_shared(k,j)·C_j. For the far
-	// node, R_shared = cumulative resistance up to node j.
-	//
-	// Second moment via the two-pass method: m2(far) =
-	// Σ_j R_shared(far,j)·C_j·(−m1(j)) where m1(j) is the first
-	// moment at node j.
-	cumR := make([]float64, n) // resistance from source to node i
-	acc := 0.0
-	for i := 0; i < n; i++ {
-		acc += l.R[i]
-		cumR[i] = acc
-	}
-	// Prefix sums make every per-node m1 an O(1) combination:
-	// m1(j) = −( Σ_{i≤j} cumR_i·C_i + cumR_j·Σ_{i>j} C_i ).
-	prefRC := make([]float64, n+1) // Σ_{i<k} cumR_i·C_i
-	prefC := make([]float64, n+1)  // Σ_{i<k} C_i
-	for i := 0; i < n; i++ {
-		prefRC[i+1] = prefRC[i] + cumR[i]*l.C[i]
-		prefC[i+1] = prefC[i] + l.C[i]
-	}
-	totC := prefC[n]
-	m1At := func(j int) float64 {
-		return -(prefRC[j+1] + cumR[j]*(totC-prefC[j+1]))
-	}
-	m1 = m1At(n - 1)
-	for j := 0; j < n; j++ {
-		m2 += cumR[j] * l.C[j] * (-m1At(j))
-	}
-	return m1, m2
-}
-
-// ElmoreDelay returns the Elmore delay (−m1) at the far node.
+// ElmoreDelay returns the Elmore delay at the far node, the negated
+// first moment of its step response: Σ_i cumR_i·C_i, where cumR_i is
+// the resistance from the drive point to node i, summed by index.
 func (l *Ladder) ElmoreDelay() float64 {
-	m1, _ := l.Moments()
-	return -m1
-}
-
-// D2MDelay returns the D2M delay metric (Alpert et al.),
-// m1²/√m2 · ln 2, a well-known closed-form improvement over Elmore
-// for 50% delay on RC lines; exposed for cross-checks of the golden
-// transient engine.
-func (l *Ladder) D2MDelay() float64 {
-	m1, m2 := l.Moments()
-	if m2 <= 0 {
-		return -m1 * math.Ln2
+	cumR, d := 0.0, 0.0
+	for i, r := range l.R {
+		cumR += r
+		d += cumR * l.C[i]
 	}
-	return (m1 * m1) / math.Sqrt(m2) * math.Ln2
+	return d
 }

@@ -3,6 +3,7 @@ package rcnet
 import (
 	"math"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/tech"
 	"repro/internal/wire"
@@ -23,8 +24,12 @@ func TestFromSegmentTotals(t *testing.T) {
 	if lad.Sections() != 32 {
 		t.Fatalf("sections = %d", lad.Sections())
 	}
-	if math.Abs(lad.TotalR()-s.Resistance()) > 1e-9*s.Resistance() {
-		t.Fatalf("total R %g != segment R %g", lad.TotalR(), s.Resistance())
+	totalR := 0.0
+	for _, r := range lad.R {
+		totalR += r
+	}
+	if math.Abs(totalR-s.Resistance()) > 1e-9*s.Resistance() {
+		t.Fatalf("total R %g != segment R %g", totalR, s.Resistance())
 	}
 	quiet, coupled := s.DelayCaps()
 	wantC := quiet + 2*coupled + load
@@ -81,37 +86,42 @@ func TestElmoreDistributedLimit(t *testing.T) {
 	}
 }
 
-// Hand-computed two-section moments.
+// Hand-computed two-section first moment.
 func TestMomentsTwoSection(t *testing.T) {
 	// R1=1, C1=1, R2=1, C2=1 (unit values).
 	// m1(far) = −(R1·(C1+C2) + R2·C2) = −3.
-	// m1(node1) = −(R1·(C1+C2)) = −2.
-	// m2(far) = Σ_j Rshared(far,j)·C_j·(−m1(j))
-	//        = R1·C1·2 + (R1+R2)·C2·3 = 2 + 6 = 8.
 	lad := &Ladder{R: []float64{1, 1}, C: []float64{1, 1}}
-	m1, m2 := lad.Moments()
-	if math.Abs(m1+3) > 1e-12 {
-		t.Fatalf("m1 = %g, want -3", m1)
-	}
-	if math.Abs(m2-8) > 1e-12 {
-		t.Fatalf("m2 = %g, want 8", m2)
+	if d := lad.ElmoreDelay(); math.Abs(d-3) > 1e-12 {
+		t.Fatalf("Elmore = %g, want 3", d)
 	}
 }
 
-func TestD2MBelowElmore(t *testing.T) {
-	// D2M is a provable lower bound tightener: for RC lines it sits
-	// below the Elmore bound (Elmore overestimates 50% delay).
-	s := seg(t, wire.SWSS)
-	lad, err := FromSegment(s, 50, 2.0, 5e-15)
-	if err != nil {
+// Property: on any random ladder, ElmoreDelay equals the RC-tree
+// definition of the far node's first moment, Σ_j R_shared(far, j)·C_j,
+// where R_shared(far, j) is the resistance the paths to the far node
+// and to node j share: all of it from the drive point up to node j.
+func TestQuickTreeLadderEquivalence(t *testing.T) {
+	f := func(seed uint32) bool {
+		n := int(seed%20) + 1
+		lad := &Ladder{R: make([]float64, n), C: make([]float64, n)}
+		x := float64(seed%97) + 1
+		for i := 0; i < n; i++ {
+			lad.R[i] = 10 + math.Mod(x*float64(i+1)*7.3, 90)
+			lad.C[i] = (1 + math.Mod(x*float64(i+1)*3.1, 9)) * 1e-15
+		}
+		want := 0.0
+		for j := 0; j < n; j++ {
+			shared := 0.0
+			for i := 0; i <= j; i++ {
+				shared += lad.R[i]
+			}
+			want += shared * lad.C[j]
+		}
+		got := lad.ElmoreDelay()
+		return math.Abs(got-want) <= 1e-12*want
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-	el, d2m := lad.ElmoreDelay(), lad.D2MDelay()
-	if d2m >= el {
-		t.Fatalf("D2M %g not below Elmore %g", d2m, el)
-	}
-	if d2m <= 0.2*el {
-		t.Fatalf("D2M %g implausibly far below Elmore %g", d2m, el)
 	}
 }
 
@@ -166,7 +176,7 @@ func TestElmoreLengthScaling(t *testing.T) {
 	}
 }
 
-func BenchmarkMoments(b *testing.B) {
+func BenchmarkElmoreDelay(b *testing.B) {
 	s := wire.NewSegment(tech.MustLookup("90nm"), 5e-3, wire.SWSS)
 	lad, err := FromSegment(s, 64, 2, 10e-15)
 	if err != nil {
@@ -174,6 +184,6 @@ func BenchmarkMoments(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		lad.Moments()
+		lad.ElmoreDelay()
 	}
 }

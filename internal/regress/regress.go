@@ -249,25 +249,6 @@ func Multi(predictors [][]float64, y []float64) (Fit, error) {
 	return leastSquares(rows, y)
 }
 
-// MultiZero fits y ≈ Σ ci·x_i with no intercept term.
-func MultiZero(predictors [][]float64, y []float64) (Fit, error) {
-	if len(predictors) != len(y) || len(predictors) == 0 {
-		return Fit{}, ErrDimension
-	}
-	return leastSquares(predictors, y)
-}
-
-// Eval evaluates a polynomial fit (as from Linear or Quadratic, with
-// Coeff ordered low degree first) at x.
-func (f Fit) Eval(x float64) float64 {
-	v, p := 0.0, 1.0
-	for _, c := range f.Coeff {
-		v += c * p
-		p *= x
-	}
-	return v
-}
-
 // String summarizes a fit for diagnostics.
 func (f Fit) String() string {
 	return fmt.Sprintf("coeff=%v R²=%.5f rmse=%.3g max|res|=%.3g",

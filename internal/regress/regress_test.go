@@ -94,13 +94,6 @@ func TestQuadraticExact(t *testing.T) {
 	}
 }
 
-func TestQuadraticEval(t *testing.T) {
-	fit := Fit{Coeff: []float64{1, 2, 3}}
-	if got := fit.Eval(2); got != 1+4+12 {
-		t.Fatalf("Eval(2) = %v", got)
-	}
-}
-
 func TestMultiExact(t *testing.T) {
 	// y = 2 + 3·a − 4·b
 	var rows [][]float64
@@ -120,24 +113,6 @@ func TestMultiExact(t *testing.T) {
 		if !almost(fit.Coeff[i], w, 1e-9) {
 			t.Fatalf("coeff = %v, want %v", fit.Coeff, want)
 		}
-	}
-}
-
-func TestMultiZeroExact(t *testing.T) {
-	var rows [][]float64
-	var y []float64
-	for a := 1.0; a < 5; a++ {
-		for b := 1.0; b < 5; b++ {
-			rows = append(rows, []float64{a, b})
-			y = append(y, 3*a-0.5*b)
-		}
-	}
-	fit, err := MultiZero(rows, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almost(fit.Coeff[0], 3, 1e-9) || !almost(fit.Coeff[1], -0.5, 1e-9) {
-		t.Fatalf("coeff = %v", fit.Coeff)
 	}
 }
 

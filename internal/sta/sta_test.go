@@ -44,8 +44,7 @@ func TestLadderSimMatchesLumpedRC(t *testing.T) {
 
 func TestLadderSimDistributedBelowElmore(t *testing.T) {
 	// For a distributed line the true 50% delay is well below the
-	// Elmore bound (≈0.4·RC vs 0.5·RC for a long line) and above the
-	// D2M estimate's ballpark.
+	// Elmore bound (≈0.4·RC vs 0.5·RC for a long line).
 	n := 40
 	lad := &rcnet.Ladder{R: make([]float64, n), C: make([]float64, n)}
 	for i := 0; i < n; i++ {

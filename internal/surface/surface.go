@@ -201,9 +201,6 @@ type Estimate struct {
 	Estimator estimator.Kind
 }
 
-// CI95 returns the half-width of the conservative 95% band.
-func (e Estimate) CI95() float64 { return 1.96 * e.StdErr }
-
 // Options configures a Cache. The zero value selects the documented
 // defaults.
 type Options struct {

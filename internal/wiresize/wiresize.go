@@ -61,18 +61,14 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Optimize searches geometry × buffering for the design minimizing
+// OptimizeCtx searches geometry × buffering for the design minimizing
 // the buffering objective (delay, or the weighted delay–power
 // combination), subject to the pitch budget. The returned design's
-// Buffer carries the model-predicted delay and power.
-func Optimize(tc *tech.Technology, length float64, style wire.Style, opts Options) (Design, error) {
-	return OptimizeCtx(context.Background(), tc, length, style, opts)
-}
-
-// OptimizeCtx is Optimize under a context: cancellation is checked at
-// each geometry candidate's claim in the fan-out, so a deadline-bound
-// caller gets ctx.Err() instead of waiting out the full sweep. A sweep
-// that completes under a live context selects the identical design.
+// Buffer carries the model-predicted delay and power. Cancellation is
+// checked at each geometry candidate's claim in the fan-out, so a
+// deadline-bound caller gets ctx.Err() instead of waiting out the full
+// sweep. A sweep that completes under a live context selects the
+// identical design.
 func OptimizeCtx(ctx context.Context, tc *tech.Technology, length float64, style wire.Style, opts Options) (Design, error) {
 	o := opts.withDefaults()
 	if o.Buffering.Coeffs == nil {

@@ -1,6 +1,7 @@
 package wiresize
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/buffering"
@@ -23,7 +24,7 @@ func opts(t *testing.T, name string, weight float64) Options {
 
 func TestOptimizeBasics(t *testing.T) {
 	tc := tech.MustLookup("90nm")
-	d, err := Optimize(tc, 10e-3, wire.SWSS, opts(t, "90nm", 0))
+	d, err := OptimizeCtx(context.Background(), tc, 10e-3, wire.SWSS, opts(t, "90nm", 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func TestWideningBeatsMinimumGeometryOnDelay(t *testing.T) {
 	// geometry must win: wider wire cuts R faster than it grows C.
 	tc := tech.MustLookup("45nm")
 	o := opts(t, "45nm", 0)
-	best, err := Optimize(tc, 10e-3, wire.SWSS, o)
+	best, err := OptimizeCtx(context.Background(), tc, 10e-3, wire.SWSS, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestSpacingHelpsWorstCaseCoupling(t *testing.T) {
 	o.WidthMults = []float64{1}
 	o.SpacingMults = []float64{1, 2, 3}
 	o.MaxPitchMult = 4
-	best, err := Optimize(tc, 10e-3, wire.SWSS, o)
+	best, err := OptimizeCtx(context.Background(), tc, 10e-3, wire.SWSS, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestPitchBudgetEnforced(t *testing.T) {
 	tc := tech.MustLookup("90nm")
 	o := opts(t, "90nm", 0)
 	o.MaxPitchMult = 1 // only minimum geometry fits
-	best, err := Optimize(tc, 5e-3, wire.SWSS, o)
+	best, err := OptimizeCtx(context.Background(), tc, 5e-3, wire.SWSS, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,28 +93,28 @@ func TestPitchBudgetEnforced(t *testing.T) {
 	o.SpacingMults = []float64{1}
 	// Explicit impossible budget (the default would be restored by 0,
 	// so use a tiny positive value).
-	if _, err := Optimize(tc, 5e-3, wire.SWSS, o); err == nil {
+	if _, err := OptimizeCtx(context.Background(), tc, 5e-3, wire.SWSS, o); err == nil {
 		t.Fatal("impossible pitch budget accepted")
 	}
 }
 
 func TestOptimizeValidation(t *testing.T) {
 	tc := tech.MustLookup("90nm")
-	if _, err := Optimize(tc, 5e-3, wire.SWSS, Options{}); err == nil {
+	if _, err := OptimizeCtx(context.Background(), tc, 5e-3, wire.SWSS, Options{}); err == nil {
 		t.Fatal("missing coefficients accepted")
 	}
-	if _, err := Optimize(tc, 0, wire.SWSS, opts(t, "90nm", 0)); err == nil {
+	if _, err := OptimizeCtx(context.Background(), tc, 0, wire.SWSS, opts(t, "90nm", 0)); err == nil {
 		t.Fatal("zero length accepted")
 	}
 }
 
 func TestWeightedObjectiveUsesPower(t *testing.T) {
 	tc := tech.MustLookup("90nm")
-	fast, err := Optimize(tc, 10e-3, wire.SWSS, opts(t, "90nm", 0))
+	fast, err := OptimizeCtx(context.Background(), tc, 10e-3, wire.SWSS, opts(t, "90nm", 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	eco, err := Optimize(tc, 10e-3, wire.SWSS, opts(t, "90nm", 0.6))
+	eco, err := OptimizeCtx(context.Background(), tc, 10e-3, wire.SWSS, opts(t, "90nm", 0.6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func BenchmarkWireSizeOptimize(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Optimize(tc, 10e-3, wire.SWSS, o); err != nil {
+		if _, err := OptimizeCtx(context.Background(), tc, 10e-3, wire.SWSS, o); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -169,13 +170,13 @@ func TestOptimizeWorkersMatchSerial(t *testing.T) {
 	for _, weight := range []float64{0, 0.5} {
 		o := opts(t, "65nm", weight)
 		o.Workers = 1
-		serial, err := Optimize(tc, 8e-3, wire.SWSS, o)
+		serial, err := OptimizeCtx(context.Background(), tc, 8e-3, wire.SWSS, o)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{0, 3} {
 			o.Workers = workers
-			par, err := Optimize(tc, 8e-3, wire.SWSS, o)
+			par, err := OptimizeCtx(context.Background(), tc, 8e-3, wire.SWSS, o)
 			if err != nil {
 				t.Fatalf("weight=%g workers=%d: %v", weight, workers, err)
 			}

@@ -48,32 +48,6 @@ func (s Style) wireStyle() (wire.Style, error) {
 // first: 90nm, 65nm, 45nm, 32nm, 22nm, 16nm.
 func Technologies() []string { return tech.Names() }
 
-// TechInfo summarizes one technology node.
-type TechInfo struct {
-	Name    string
-	Feature float64 // m
-	Vdd     float64 // V
-	Clock   float64 // Hz (the paper's NoC operating point)
-	// LowPower reports whether the node is a low-power flavor (the
-	// 45nm node, per the paper).
-	LowPower bool
-}
-
-// Tech returns summary information for a built-in technology.
-func Tech(name string) (TechInfo, error) {
-	tc, err := tech.Lookup(name)
-	if err != nil {
-		return TechInfo{}, err
-	}
-	return TechInfo{
-		Name:     tc.Name,
-		Feature:  tc.Feature,
-		Vdd:      tc.Vdd,
-		Clock:    tc.Clock,
-		LowPower: tc.Flavor == tech.LowPower,
-	}, nil
-}
-
 // Default values applied to unset (nil) optional LinkRequest fields.
 const (
 	// DefaultBits is the bus width of the paper's designs.
@@ -331,30 +305,14 @@ func GoldenLinkDelay(techName string, repeaterSize float64, repeaters int, lengt
 
 // Coefficients is the calibrated model coefficient set (the paper's
 // Table I for one technology). Obtain one from EmbeddedCoefficients or
-// Calibrate; treat it as opaque and pass it back into this package.
+// CalibrateFromLibrary; treat it as opaque and pass it back into this
+// package.
 type Coefficients = model.Coefficients
 
 // EmbeddedCoefficients returns the pre-calibrated (shipped) Table I
 // coefficients for a built-in technology.
 func EmbeddedCoefficients(techName string) (*Coefficients, error) {
 	return model.Default(techName)
-}
-
-// Calibrate runs the full calibration pipeline for a built-in
-// technology: characterize its repeater library with the circuit
-// simulator (memoized per process; a few seconds per node on first
-// use), then fit every model coefficient by regression.
-func Calibrate(techName string) (*Coefficients, error) {
-	tc, err := tech.Lookup(techName)
-	if err != nil {
-		return nil, err
-	}
-	lib, err := liberty.Get(tc)
-	if err != nil {
-		return nil, err
-	}
-	coeffs, _, err := model.Calibrate(lib)
-	return coeffs, err
 }
 
 // ExportLibrary characterizes a built-in technology's repeater library

@@ -20,8 +20,9 @@ import (
 // the estimator ladder (mc, qmc, isle, ais, wcd), and yield-aware
 // buffering that resizes the repeaters until a yield target holds.
 // Every entry takes a context. The sampling entries are methods of
-// Surfaced: a zero Surfaced{} is the uncached path, and
-// Surfaced{Cache: surface.New(...)} answers from a warm surface too.
+// Surfaced: a zero Surfaced{} is the uncached path, and with
+// Surfaced{Cache: surface.New(...)} every sampled run refreshes that
+// surface, which the probe entries (yieldsurface.go) answer from.
 // LinkYieldNominalCtx is the graceful-degradation path the serving
 // layer (cmd/predintd) falls back to when a cost budget or queue
 // pressure won't allow sampling.
@@ -390,26 +391,15 @@ func (p *yieldPlan) nominalResult(spec model.LineSpec) (YieldResult, error) {
 // completes under a live context is bit-identical to one under
 // context.Background().
 //
-// With a bound cache the warm surface is consulted first (plain
-// requests only) and refreshed from the completed run; a query it
-// cannot answer is bit-identical to the uncached path.
+// It always samples. With a bound cache the completed run refreshes
+// the warm surface, but reading it is LinkYieldSurfaceCtx's job: a
+// caller that wants a warm answer probes first, so a served miss
+// consults the surface once. The answer is bit-identical to the
+// uncached path.
 func (sf Surfaced) LinkYieldCtx(ctx context.Context, req YieldRequest) (YieldResult, error) {
 	p, err := req.plan()
 	if err != nil {
 		return YieldResult{}, err
-	}
-
-	// Warm-surface consult: answered entirely from memoized estimates
-	// when a cache is bound, the request hasn't opted out, and the
-	// conservative band meets the request's tolerance. Sizing requests
-	// (YieldTarget) always sample — the chosen design depends on the
-	// target, which a memoized curve cannot re-decide.
-	cache := sf.Cache
-	consult := cache != nil && !req.NoSurface
-	if consult && p.yt == nil {
-		if res, ok := p.surfaceAnswer(cache); ok {
-			return res, nil
-		}
 	}
 
 	var des buffering.Design
@@ -442,8 +432,8 @@ func (sf Surfaced) LinkYieldCtx(ctx context.Context, req YieldRequest) (YieldRes
 	// estimation path memoizes the design: it evaluated the nominal
 	// weighted-objective solution, which is what a later warm query
 	// asks about.
-	if consult {
-		p.surfaceRecord(cache, des, est, p.yt == nil)
+	if sf.Cache != nil && !req.NoSurface {
+		p.surfaceRecord(sf.Cache, des, est, p.yt == nil)
 	}
 
 	res := p.result(des, est, SourceMC)
@@ -552,8 +542,8 @@ func (req YieldBatchRequest) validateBatch() error {
 // LinkYieldBatchCtx estimates the timing yield of every candidate in
 // one shared-sample pass; see YieldBatchRequest. The determinism
 // guarantee and the cancellation contract of LinkYieldCtx apply per
-// candidate. With a bound cache the batch is answered from the warm
-// surface only when every candidate is warm.
+// candidate. Like LinkYieldCtx it always samples and only refreshes a
+// bound cache; LinkYieldBatchSurfaceCtx is the warm read.
 func (sf Surfaced) LinkYieldBatchCtx(ctx context.Context, req YieldBatchRequest) (YieldBatchResult, error) {
 	if err := req.validateBatch(); err != nil {
 		return YieldBatchResult{}, err
@@ -567,17 +557,6 @@ func (sf Surfaced) LinkYieldBatchCtx(ctx context.Context, req YieldBatchRequest)
 		return YieldBatchResult{}, err
 	}
 
-	// Warm-surface consult, all-or-nothing: a batch is answered from
-	// the cache only when every candidate is warm, so cached and
-	// freshly sampled estimates never mix in one response.
-	cache := sf.Cache
-	consult := cache != nil && !req.NoSurface
-	if consult {
-		if out, ok := p.surfaceBatchAnswer(cache, req.Candidates, noms); ok {
-			return out, nil
-		}
-	}
-
 	ests, err := variation.EstimateYieldsSharedCtx(ctx, &variation.MultiScenario{
 		Base:   p.tc,
 		Coeffs: p.coeffs,
@@ -588,11 +567,12 @@ func (sf Surfaced) LinkYieldBatchCtx(ctx context.Context, req YieldBatchRequest)
 	if err != nil {
 		return YieldBatchResult{}, err
 	}
+	record := sf.Cache != nil && !req.NoSurface
 	out := YieldBatchResult{Target: p.target, Results: make([]YieldResult, len(ests))}
 	for c, e := range ests {
 		des := buffering.Design{Size: req.Candidates[c].RepeaterSize, N: req.Candidates[c].Repeaters, Delay: noms[c]}
-		if consult {
-			p.surfaceRecord(cache, des, e, false)
+		if record {
+			p.surfaceRecord(sf.Cache, des, e, false)
 		}
 		out.Results[c] = p.result(des, e, SourceMC)
 	}

@@ -16,10 +16,11 @@ import (
 // link class, and later queries on the same class at nearby targets are
 // answered by interpolation with a conservative confidence band instead
 // of burning a fresh sample budget. The cache is strictly opt-in (a
-// Surfaced handle with a bound Cache) and strictly an acceleration: a
-// query the surface cannot answer within tolerance runs the full
-// sampling kernel and is bit-identical to what it would have been with
-// no cache bound.
+// Surfaced handle with a bound Cache) and strictly an acceleration.
+// The probe entries, LinkYieldSurfaceCtx and LinkYieldBatchSurfaceCtx,
+// are the only readers: a caller probes first and, on a miss, runs the
+// sampling entry, whose answer is bit-identical to what it would have
+// been with no cache bound and which refreshes the surface.
 
 // YieldResult.Source values, naming the tier that produced the answer.
 const (
@@ -34,9 +35,10 @@ const (
 
 // Surfaced binds the yield facade to a surface cache. A zero
 // Surfaced{} is the uncached path: every query samples and nothing is
-// recorded. Surfaced{Cache: surface.New(surface.Options{})} consults
-// and refreshes that cache. Each predintd replica owns its own cache,
-// so warm state is per-replica, not a hidden process global.
+// recorded. With Surfaced{Cache: surface.New(surface.Options{})} the
+// sampling entries refresh that cache and the probe entries answer
+// from it. Each predintd replica owns its own cache, so warm state is
+// per-replica, not a hidden process global.
 type Surfaced struct {
 	Cache *surface.Cache
 }
@@ -124,23 +126,6 @@ func (p *yieldPlan) surfaceTol() surface.Tolerance {
 	}
 }
 
-// surfaceAnswer tries to answer the plan's query entirely from the warm
-// surface: the memoized nominal design skips the candidate sweep and
-// the design's curve supplies the estimate. Misses when either memo is
-// cold or the conservative band exceeds the tolerance.
-func (p *yieldPlan) surfaceAnswer(c *surface.Cache) (YieldResult, bool) {
-	k := p.surfaceKey()
-	d, ok := c.DesignFor(k)
-	if !ok {
-		return YieldResult{}, false
-	}
-	est, ok := c.Lookup(k, surface.DesignKey{Size: d.Size, N: d.N}, p.target, p.surfaceTol())
-	if !ok {
-		return YieldResult{}, false
-	}
-	return p.result(buffering.Design{Size: d.Size, N: d.N, Delay: d.Delay}, recalled(est), SourceSurface), true
-}
-
 // recalled views a surface answer as an estimate. VarianceReduction
 // stays zero: a recall, not one estimator run, produced the number.
 func recalled(est surface.Estimate) variation.Estimate {
@@ -176,13 +161,17 @@ func (p *yieldPlan) surfaceRecord(c *surface.Cache, des buffering.Design, est va
 
 // LinkYieldSurfaceCtx probes the bound cache alone: ok reports whether
 // the request could be answered from the cache within tolerance, with
-// no sampling fallback. The serving layer uses it as the first tier of
-// its degradation ladder — a warm answer is cheaper than even the
+// no sampling fallback. The memoized nominal design skips the
+// candidate sweep and the design's curve supplies the estimate; it
+// misses when either memo is cold or the conservative band exceeds the
+// tolerance. The serving layer uses it as the first tier of its
+// degradation ladder — a warm answer is cheaper than even the
 // closed-form nominal evaluation, so it is consulted before any
 // cost-ceiling or queue-pressure decision. Requests with a YieldTarget
-// (sizing) always miss; so does everything with no cache bound or when
-// the request opts out. Only an up-front ctx check applies, as a probe
-// never samples.
+// (sizing) always miss — the chosen design depends on the target,
+// which a memoized curve cannot re-decide — and so does everything
+// with no cache bound or when the request opts out. Only an up-front
+// ctx check applies, as a probe never samples.
 func (sf Surfaced) LinkYieldSurfaceCtx(ctx context.Context, req YieldRequest) (YieldResult, bool, error) {
 	if err := ctx.Err(); err != nil {
 		return YieldResult{}, false, err
@@ -194,8 +183,16 @@ func (sf Surfaced) LinkYieldSurfaceCtx(ctx context.Context, req YieldRequest) (Y
 	if err != nil {
 		return YieldResult{}, false, err
 	}
-	res, ok := p.surfaceAnswer(sf.Cache)
-	return res, ok, nil
+	k := p.surfaceKey()
+	d, ok := sf.Cache.DesignFor(k)
+	if !ok {
+		return YieldResult{}, false, nil
+	}
+	est, ok := sf.Cache.Lookup(k, surface.DesignKey{Size: d.Size, N: d.N}, p.target, p.surfaceTol())
+	if !ok {
+		return YieldResult{}, false, nil
+	}
+	return p.result(buffering.Design{Size: d.Size, N: d.N, Delay: d.Delay}, recalled(est), SourceSurface), true, nil
 }
 
 // LinkYieldBatchSurfaceCtx is the batch probe, all-or-nothing: it
@@ -222,24 +219,16 @@ func (sf Surfaced) LinkYieldBatchSurfaceCtx(ctx context.Context, req YieldBatchR
 	if err != nil {
 		return YieldBatchResult{}, false, err
 	}
-	out, ok := p.surfaceBatchAnswer(cache, req.Candidates, noms)
-	return out, ok, nil
-}
-
-// surfaceBatchAnswer answers a batch from the warm surface,
-// all-or-nothing: ok only when every candidate's curve covers the
-// target within tolerance.
-func (p *yieldPlan) surfaceBatchAnswer(cache *surface.Cache, cands []YieldCandidate, noms []float64) (YieldBatchResult, bool) {
 	k := p.surfaceKey()
 	tol := p.surfaceTol()
-	out := YieldBatchResult{Target: p.target, Results: make([]YieldResult, len(cands))}
-	for c, cand := range cands {
+	out := YieldBatchResult{Target: p.target, Results: make([]YieldResult, len(req.Candidates))}
+	for c, cand := range req.Candidates {
 		est, ok := cache.Lookup(k, surface.DesignKey{Size: cand.RepeaterSize, N: cand.Repeaters}, p.target, tol)
 		if !ok {
-			return YieldBatchResult{}, false
+			return YieldBatchResult{}, false, nil
 		}
 		des := buffering.Design{Size: cand.RepeaterSize, N: cand.Repeaters, Delay: noms[c]}
 		out.Results[c] = p.result(des, recalled(est), SourceSurface)
 	}
-	return out, true
+	return out, true, nil
 }

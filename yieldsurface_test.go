@@ -9,14 +9,14 @@ import (
 )
 
 // TestSurfaceOffVsMissBitIdentical pins the cache's strict-acceleration
-// contract: a cold (miss) query through a bound cache, and a NoSurface
-// query through it, are both bit-identical — every field — to the same
-// request with no cache bound. Only repeated warm queries change
-// behavior, and those are exact-target hits returning the memoized
-// estimate unchanged.
+// contract: a sampled query through a bound cache — cold, warm, or
+// NoSurface — is bit-identical, every field, to the same request with
+// no cache bound. Only the probe reads the surface, and its
+// exact-target hit returns the memoized estimate unchanged.
 func TestSurfaceOffVsMissBitIdentical(t *testing.T) {
+	ctx := context.Background()
 	req := YieldRequest{Tech: "65nm", LengthMM: 3, Samples: Int(256), Seed: 11}
-	base, err := uncached.LinkYieldCtx(context.Background(), req) // no cache bound: the uncached path
+	base, err := uncached.LinkYieldCtx(ctx, req) // no cache bound: the uncached path
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,8 +25,10 @@ func TestSurfaceOffVsMissBitIdentical(t *testing.T) {
 	}
 
 	sf := Surfaced{Cache: surface.New(surface.Options{})}
-
-	miss, err := sf.LinkYieldCtx(context.Background(), req) // cold cache: consult misses, full MC runs
+	if _, hit, err := sf.LinkYieldSurfaceCtx(ctx, req); err != nil || hit {
+		t.Fatalf("cold probe: hit=%v, err %v", hit, err)
+	}
+	miss, err := sf.LinkYieldCtx(ctx, req) // samples and records
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,22 +36,32 @@ func TestSurfaceOffVsMissBitIdentical(t *testing.T) {
 		t.Fatalf("surface-miss result differs from surface-off:\n  off:  %+v\n  miss: %+v", base, miss)
 	}
 
-	warm, err := sf.LinkYieldCtx(context.Background(), req) // exact-target warm hit
+	warm, hit, err := sf.LinkYieldSurfaceCtx(ctx, req) // exact-target warm hit
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warm.Source != SourceSurface {
-		t.Fatalf("repeated query not served from the surface: %+v", warm)
+	if !hit || warm.Source != SourceSurface {
+		t.Fatalf("repeated probe not served from the surface: hit=%v %+v", hit, warm)
 	}
 	if warm.FailProb != base.FailProb || warm.StdErr != base.StdErr || warm.Samples != base.Samples ||
 		warm.Repeaters != base.Repeaters || warm.RepeaterSize != base.RepeaterSize ||
 		warm.NominalDelay != base.NominalDelay || warm.Yield != 1-base.FailProb {
 		t.Fatalf("exact-target warm hit mangled the memoized estimate:\n  mc:   %+v\n  warm: %+v", base, warm)
 	}
+	again, err := sf.LinkYieldCtx(ctx, req) // the sampling entry never reads the warm surface
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != base {
+		t.Fatalf("sampling on a warm class differs from surface-off:\n  off:  %+v\n  warm: %+v", base, again)
+	}
 
 	nos := req
 	nos.NoSurface = true
-	off, err := sf.LinkYieldCtx(context.Background(), nos) // escape hatch: bypasses the warm cache
+	if _, hit, err := sf.LinkYieldSurfaceCtx(ctx, nos); err != nil || hit {
+		t.Fatalf("NoSurface probe: hit=%v, err %v", hit, err)
+	}
+	off, err := sf.LinkYieldCtx(ctx, nos)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,34 +123,42 @@ func TestRecordYieldRefusesImpossibleResults(t *testing.T) {
 
 // TestSurfaceSizingNeverConsults: a YieldTarget (sizing) request always
 // samples — the chosen design depends on the target, which a memoized
-// curve cannot re-decide — even when the plain estimate of the same
-// link is warm.
+// curve cannot re-decide — so its probe misses even when the plain
+// estimate of the same link is warm.
 func TestSurfaceSizingNeverConsults(t *testing.T) {
+	ctx := context.Background()
 	sf := Surfaced{Cache: surface.New(surface.Options{})}
 	req := YieldRequest{Tech: "65nm", LengthMM: 3, Samples: Int(256), Seed: 11}
-	if _, err := sf.LinkYieldCtx(context.Background(), req); err != nil { // warm the plain curve
+	if _, err := sf.LinkYieldCtx(ctx, req); err != nil { // warm the plain curve
 		t.Fatal(err)
 	}
+	if _, hit, err := sf.LinkYieldSurfaceCtx(ctx, req); err != nil || !hit {
+		t.Fatalf("plain probe after warm-up: hit=%v, err %v", hit, err)
+	}
 	req.YieldTarget = Float(0.5)
-	sized, err := sf.LinkYieldCtx(context.Background(), req)
+	if res, hit, err := sf.LinkYieldSurfaceCtx(ctx, req); err != nil || hit {
+		t.Fatalf("sizing request served from the surface: hit=%v, err %v, %+v", hit, err, res)
+	}
+	sized, err := sf.LinkYieldCtx(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sized.Source != SourceMC {
-		t.Fatalf("sizing request served from the surface: %+v", sized)
+		t.Fatalf("sizing request labeled %q, want %q", sized.Source, SourceMC)
 	}
 }
 
-// TestSurfaceBatchAllOrNothing: a batch is answered from the surface
-// only when every candidate is warm; a fresh candidate sends the whole
-// batch back to the shared-sample kernel.
+// TestSurfaceBatchAllOrNothing: the batch probe answers only when every
+// candidate is warm; a fresh candidate sends the whole batch back to
+// the shared-sample kernel.
 func TestSurfaceBatchAllOrNothing(t *testing.T) {
+	ctx := context.Background()
 	sf := Surfaced{Cache: surface.New(surface.Options{})}
 	breq := YieldBatchRequest{
 		YieldRequest: YieldRequest{Tech: "90nm", LengthMM: 5, Samples: Int(256), Seed: 3, TargetPS: Float(520)},
 		Candidates:   []YieldCandidate{{RepeaterSize: 8, Repeaters: 10}, {RepeaterSize: 12, Repeaters: 8}},
 	}
-	first, err := sf.LinkYieldBatchCtx(context.Background(), breq)
+	first, err := sf.LinkYieldBatchCtx(ctx, breq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,9 +167,12 @@ func TestSurfaceBatchAllOrNothing(t *testing.T) {
 			t.Fatalf("cold batch candidate %d labeled %q", c, r.Source)
 		}
 	}
-	warm, err := sf.LinkYieldBatchCtx(context.Background(), breq)
+	warm, hit, err := sf.LinkYieldBatchSurfaceCtx(ctx, breq)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !hit {
+		t.Fatal("warm batch probe missed")
 	}
 	for c, r := range warm.Results {
 		if r.Source != SourceSurface {
@@ -161,7 +184,10 @@ func TestSurfaceBatchAllOrNothing(t *testing.T) {
 		}
 	}
 	breq.Candidates = append(breq.Candidates, YieldCandidate{RepeaterSize: 16, Repeaters: 6})
-	mixed, err := sf.LinkYieldBatchCtx(context.Background(), breq)
+	if _, hit, err := sf.LinkYieldBatchSurfaceCtx(ctx, breq); err != nil || hit {
+		t.Fatalf("batch with one cold candidate: probe hit=%v, err %v", hit, err)
+	}
+	mixed, err := sf.LinkYieldBatchCtx(ctx, breq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,28 +203,33 @@ func TestSurfaceBatchAllOrNothing(t *testing.T) {
 // with the fresh run's own, must cover a full Monte Carlo estimate at
 // the interpolated target.
 func TestSurfaceInterpolationBandCoversMC(t *testing.T) {
+	ctx := context.Background()
 	sf := Surfaced{Cache: surface.New(surface.Options{})}
-	mk := func(targetPS float64, noSurface bool) YieldResult {
-		t.Helper()
-		res, err := sf.LinkYieldCtx(context.Background(), YieldRequest{
+	req := func(targetPS float64) YieldRequest {
+		return YieldRequest{
 			Tech: "90nm", LengthMM: 5, Samples: Int(2048), Seed: 5,
-			TargetPS: Float(targetPS), NoSurface: noSurface,
+			TargetPS: Float(targetPS),
 			// A loose acceptance band so the interpolated answer is
 			// served even across a wide bracketing gap.
 			RelErr: Float(3),
-		})
-		if err != nil {
+		}
+	}
+	for _, bracket := range []float64{430, 450} {
+		if _, err := sf.LinkYieldCtx(ctx, req(bracket)); err != nil {
 			t.Fatal(err)
 		}
-		return res
 	}
-	mk(430, false) // bracket low
-	mk(450, false) // bracket high
-	warm := mk(440, false)
-	if warm.Source != SourceSurface {
-		t.Fatalf("bracketed query not interpolated from the surface: %+v", warm)
+	warm, hit, err := sf.LinkYieldSurfaceCtx(ctx, req(440))
+	if err != nil {
+		t.Fatal(err)
 	}
-	mc := mk(440, true) // fresh full MC at the same target
+	if !hit || warm.Source != SourceSurface {
+		t.Fatalf("bracketed query not interpolated from the surface: hit=%v %+v", hit, warm)
+	}
+	mc, err := sf.LinkYieldCtx(ctx, req(440)) // fresh full MC at the same target
+	if err != nil {
+		t.Fatal(err)
+	}
 	if diff := math.Abs(warm.FailProb - mc.FailProb); diff > warm.CI95+mc.CI95 {
 		t.Fatalf("interpolated fail prob %g ± %g inconsistent with MC %g ± %g (diff %g)",
 			warm.FailProb, warm.CI95, mc.FailProb, mc.CI95, diff)
