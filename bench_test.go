@@ -18,6 +18,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/liberty"
 	"repro/internal/model"
+	"repro/internal/noc"
 	"repro/internal/sta"
 	"repro/internal/surface"
 	"repro/internal/tech"
@@ -345,16 +346,24 @@ func BenchmarkDesignLink(b *testing.B) {
 // metrics and the cycle-based traffic simulation, reporting the
 // latency inflation over zero-load and the worst utilization mismatch.
 func BenchmarkTrafficValidation(b *testing.B) {
-	var res NoCResult
-	var err error
+	tc := tech.MustLookup("90nm")
+	spec := noc.DVOPD()
+	var sim *noc.SimResult
 	for i := 0; i < b.N; i++ {
-		res, err = SynthesizeNoC(NoCRequest{Case: "DVOPD", Tech: "90nm", SimulateTraffic: true})
+		lm, err := noc.NewProposedModel(tc, spec.DataWidth, wire.SWSS)
 		if err != nil {
 			b.Fatal(err)
 		}
+		net, err := noc.SynthesizeCtx(context.Background(), spec, lm, noc.SynthOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if sim, err = net.Simulate(); err != nil {
+			b.Fatal(err)
+		}
 	}
-	b.ReportMetric(res.Traffic.AvgLatency*1e9, "sim-lat-ns")
-	b.ReportMetric(float64(res.Traffic.PacketsDelivered), "packets")
+	b.ReportMetric(sim.AvgLatency*1e9, "sim-lat-ns")
+	b.ReportMetric(float64(sim.PacketsDelivered), "packets")
 }
 
 // BenchmarkSynthesizeNoCVPROC measures a full VPROC synthesis under

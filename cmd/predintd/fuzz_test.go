@@ -169,8 +169,9 @@ func FuzzLinkRequestBody(f *testing.F) {
 
 // FuzzNoCRequestBody sends arbitrary bodies through the /v1/noc
 // handler: every decodable body with a known case and technology runs
-// the NoC synthesis, with the traffic simulation when asked for.
-// Whatever the body, the answer must be a 200, a 400 or a 413.
+// the NoC synthesis, and a body with an unknown field (such as the
+// retired "simulate_traffic") is refused at the decoder. Whatever the
+// body, the answer must be a 200, a 400 or a 413.
 func FuzzNoCRequestBody(f *testing.F) {
 	for _, seed := range []string{
 		`{"case": "VPROC", "tech": "90nm"}`,

@@ -360,3 +360,14 @@ func TestNoCEndpoint(t *testing.T) {
 		t.Fatalf("degenerate noc result: %+v", res)
 	}
 }
+
+// TestNoCSimulateTrafficRejected pins that a body with the retired
+// "simulate_traffic" key gets a 400 naming the field before any
+// synthesis runs: /v1/noc never served the simulation it asked for.
+func TestNoCSimulateTrafficRejected(t *testing.T) {
+	_, ts := testServer(t, 4, 16, 1<<20, 10*time.Second)
+	code, _, body := postJSON(t, ts.URL+"/v1/noc", `{"case": "DVOPD", "tech": "90nm", "simulate_traffic": true}`)
+	if code != http.StatusBadRequest || !strings.Contains(string(body), `unknown field \"simulate_traffic\"`) {
+		t.Fatalf("simulate_traffic: status %d, want a 400 naming the field (body %s)", code, body)
+	}
+}

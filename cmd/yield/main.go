@@ -37,11 +37,20 @@ import (
 	"repro/internal/estimator"
 )
 
+// estimatorDescriptions describes each rung of the estimator ladder.
+var estimatorDescriptions = map[estimator.Kind]string{
+	estimator.MC:   "plain Monte Carlo over the standardized space",
+	estimator.QMC:  "scrambled-Sobol quasi-Monte Carlo (inverse-CDF normals)",
+	estimator.ISLE: "mean-shift importance sampling at the most probable failure point",
+	estimator.AIS:  "adaptive importance sampling, cross-entropy mixture proposal",
+	estimator.WCD:  "worst-case-distance analytic bound (no sampling)",
+}
+
 // estimatorName renders a result's estimator label for humans,
-// falling back to the raw rung name for anything unregistered.
+// falling back to the raw rung name for anything undescribed.
 func estimatorName(kind string) string {
-	if info, ok := estimator.Lookup(estimator.Kind(kind)); ok {
-		return fmt.Sprintf("%s: %s", kind, info.Description)
+	if desc, ok := estimatorDescriptions[estimator.Kind(kind)]; ok {
+		return fmt.Sprintf("%s: %s", kind, desc)
 	}
 	if kind == "" {
 		return "plain Monte Carlo"

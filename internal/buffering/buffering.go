@@ -32,6 +32,9 @@ import (
 // what makes the search SPICE-free.
 var ExtendedSizes = []float64{4, 6, 8, 12, 16, 20, 30, 40, 60, 80, 120, 160, 240}
 
+// maxN bounds the repeater count of every candidate design.
+const maxN = 64
+
 // Design is one evaluated buffering solution.
 type Design struct {
 	Kind liberty.CellKind
@@ -54,8 +57,6 @@ type Options struct {
 	Kinds []liberty.CellKind
 	// Sizes lists candidate drive strengths; default ExtendedSizes.
 	Sizes []float64
-	// MaxN bounds the repeater count; default 64.
-	MaxN int
 	// InputSlew is the line input slew; default 300 ps (the paper's
 	// stimulus).
 	InputSlew float64
@@ -75,9 +76,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Sizes == nil {
 		o.Sizes = ExtendedSizes
-	}
-	if o.MaxN == 0 {
-		o.MaxN = 64
 	}
 	if o.InputSlew == 0 {
 		o.InputSlew = 300e-12
@@ -110,7 +108,7 @@ type Search struct {
 	o   Options
 	rc  model.LineRC
 	pp  model.PowerParams
-	// at maps grid cell (k·len(Sizes) + size)·MaxN + n−1 to one plus
+	// at maps grid cell (k·len(Sizes) + size)·maxN + n−1 to one plus
 	// the cell's position in cells; zero means not yet evaluated.
 	at    []int32
 	cells []Design
@@ -137,12 +135,12 @@ func NewSearch(seg wire.Segment, opts Options) (*Search, error) {
 	}
 	s := &Search{
 		seg: seg, o: o, rc: model.SegmentRC(seg), pp: pp,
-		at: make([]int32, max(len(o.Kinds)*len(o.Sizes)*o.MaxN, 0)),
+		at: make([]int32, len(o.Kinds)*len(o.Sizes)*maxN),
 	}
-	// Room for a quarter of the grid: at the default MaxN, Optimize's
-	// two passes probe about a fifth of it (160–177 of 832 cells on
-	// 90 nm links), so an Optimize-only caller neither regrows the slice
-	// nor reserves the whole grid.
+	// Room for a quarter of the grid: Optimize's two passes probe about
+	// a fifth of it (160–177 of 832 cells on 90 nm links), so an
+	// Optimize-only caller neither regrows the slice nor reserves the
+	// whole grid.
 	s.cells = make([]Design, 0, len(s.at)/4)
 	ref, err := s.delayOptimal()
 	if err != nil {
@@ -156,7 +154,7 @@ func NewSearch(seg wire.Segment, opts Options) (*Search, error) {
 // o.Kinds[k], size o.Sizes[si] and n repeaters, evaluating it on first
 // use.
 func (s *Search) cell(k, si, n int) (int, error) {
-	idx := (k*len(s.o.Sizes)+si)*s.o.MaxN + n - 1
+	idx := (k*len(s.o.Sizes)+si)*maxN + n - 1
 	if s.at[idx] != 0 {
 		return int(s.at[idx]) - 1, nil
 	}
@@ -175,14 +173,14 @@ func (s *Search) cell(k, si, n int) (int, error) {
 	return len(s.cells) - 1, nil
 }
 
-// searchN finds the repeater count in [1, MaxN] minimizing cost for
+// searchN finds the repeater count in [1, maxN] minimizing cost for
 // the repeater (o.Kinds[k], o.Sizes[si]), using the binary
 // (ternary-style) search the paper describes: the objective is
 // unimodal in N for buffered lines — too few repeaters leave quadratic
 // wire delay, too many pay gate delay and power. A final local sweep
 // guards against plateau round-off.
 func (s *Search) searchN(k, si int, cost func(Design) float64) (Design, error) {
-	lo, hi := 1, s.o.MaxN
+	lo, hi := 1, maxN
 	eval := func(n int) (Design, float64, error) {
 		j, err := s.cell(k, si, n)
 		if err != nil {
@@ -305,7 +303,7 @@ func (s *Search) Candidates() ([]Design, error) {
 	rank := make([]ranked, 0, len(s.at))
 	for k := range s.o.Kinds {
 		for si := range s.o.Sizes {
-			for n := 1; n <= s.o.MaxN; n++ {
+			for n := 1; n <= maxN; n++ {
 				j, err := s.cell(k, si, n)
 				if err != nil {
 					return nil, err

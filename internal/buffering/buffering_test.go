@@ -48,7 +48,7 @@ func TestDelayOptimalBeatsArbitraryDesigns(t *testing.T) {
 	// Exhaustive check over the whole candidate space: nothing beats
 	// the ternary-search result.
 	for _, size := range o.Sizes {
-		for n := 1; n <= o.MaxN; n++ {
+		for n := 1; n <= maxN; n++ {
 			d, err := evaluate(seg, o, liberty.Inverter, size, n)
 			if err != nil {
 				t.Fatal(err)
@@ -209,7 +209,7 @@ func TestSearchNMatchesExhaustiveWeighted(t *testing.T) {
 		}
 		bestCost := math.Inf(1)
 		for _, size := range od.Sizes {
-			for n := 1; n <= od.MaxN; n++ {
+			for n := 1; n <= maxN; n++ {
 				d, err := evaluate(seg, od, liberty.Inverter, size, n)
 				if err != nil {
 					t.Fatal(err)
@@ -280,7 +280,7 @@ func TestConstrainedVisitsInCostOrder(t *testing.T) {
 		return 0.5*d.Delay/ref.Delay + 0.5*d.Power.Total()/ref.Power.Total()
 	}
 	od := o.withDefaults()
-	if want := len(od.Sizes) * od.MaxN; len(cands) != want {
+	if want := len(od.Sizes) * maxN; len(cands) != want {
 		t.Fatalf("%d candidates, want the whole %d-cell grid", len(cands), want)
 	}
 	for i := 1; i < len(cands); i++ {

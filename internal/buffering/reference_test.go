@@ -39,7 +39,7 @@ func evaluate(seg wire.Segment, o Options, kind liberty.CellKind, size float64, 
 	return d, nil
 }
 
-func referenceSearchN(seg wire.Segment, o Options, kind liberty.CellKind, size float64, maxN int,
+func referenceSearchN(seg wire.Segment, o Options, kind liberty.CellKind, size float64,
 	cost func(Design) float64) (Design, error) {
 
 	lo, hi := 1, maxN
@@ -96,7 +96,7 @@ func referenceDelayOptimal(seg wire.Segment, opts Options) (Design, error) {
 	bestDelay := math.Inf(1)
 	for _, kind := range o.Kinds {
 		for _, size := range o.Sizes {
-			d, err := referenceSearchN(seg, o, kind, size, o.MaxN, func(d Design) float64 { return d.Delay })
+			d, err := referenceSearchN(seg, o, kind, size, func(d Design) float64 { return d.Delay })
 			if err != nil {
 				return Design{}, err
 			}
@@ -131,7 +131,7 @@ func referenceOptimize(seg wire.Segment, opts Options) (Design, error) {
 	bestCost := math.Inf(1)
 	for _, kind := range o.Kinds {
 		for _, size := range o.Sizes {
-			d, err := referenceSearchN(seg, o, kind, size, o.MaxN, cost)
+			d, err := referenceSearchN(seg, o, kind, size, cost)
 			if err != nil {
 				return Design{}, err
 			}
@@ -164,10 +164,10 @@ func referenceCandidates(seg wire.Segment, opts Options) ([]Design, error) {
 		d Design
 		c float64
 	}
-	cands := make([]candidate, 0, len(o.Kinds)*len(o.Sizes)*o.MaxN)
+	cands := make([]candidate, 0, len(o.Kinds)*len(o.Sizes)*maxN)
 	for _, kind := range o.Kinds {
 		for _, size := range o.Sizes {
-			for n := 1; n <= o.MaxN; n++ {
+			for n := 1; n <= maxN; n++ {
 				d, err := evaluate(seg, o, kind, size, n)
 				if err != nil {
 					return nil, err
@@ -240,9 +240,6 @@ func searchCases() []searchCase {
 		o.Kinds = []liberty.CellKind{liberty.Buffer, liberty.Inverter}
 	})
 	custom("sizes", func(o *Options, _ *wire.Segment) { o.Sizes = []float64{90, 3, 500, 3, 17} })
-	custom("maxN-1", func(o *Options, _ *wire.Segment) { o.MaxN = 1 })
-	custom("maxN-5", func(o *Options, _ *wire.Segment) { o.MaxN = 5 })
-	custom("maxN-200", func(o *Options, _ *wire.Segment) { o.MaxN = 200 })
 	custom("tied-kinds", func(o *Options, s *wire.Segment) {
 		// Equal rise and fall models on equal pull-up and pull-down
 		// widths make a buffer and an inverter of one size and count
@@ -270,7 +267,6 @@ func searchCases() []searchCase {
 	})
 	custom("bad-size", func(o *Options, _ *wire.Segment) { o.Sizes = []float64{8, 0, 16} })
 	custom("bad-slew", func(o *Options, _ *wire.Segment) { o.InputSlew = -1e-12 })
-	custom("maxN-negative", func(o *Options, _ *wire.Segment) { o.MaxN = -3 })
 	custom("bad-length", func(_ *Options, s *wire.Segment) { s.Length = 0 })
 	custom("bad-width", func(_ *Options, s *wire.Segment) { s.Width = s.Tech.Barrier })
 	custom("no-tech", func(_ *Options, s *wire.Segment) { s.Tech = nil })
@@ -279,7 +275,7 @@ func searchCases() []searchCase {
 
 // TestSearchMatchesReference holds the one-grid search to the reference
 // over technologies, lengths, styles, layers and power weights (zero
-// included), custom kinds, sizes and repeater bounds, and invalid
+// included), custom kinds and sizes, and invalid
 // segments, sizes, slews and power parameters: the package functions
 // and one Search answering Optimize then Candidates must return the
 // reference's designs, in the same order, or its exact error.

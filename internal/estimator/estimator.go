@@ -1,5 +1,5 @@
 // Package estimator is the high-sigma estimator ladder behind the
-// yield engine: a registry of tail-probability estimators with
+// yield engine: the names of its tail-probability estimators, with
 // automatic routing by the failure-probability regime a query targets.
 //
 // The problem it solves is the collapse of the two historical code
@@ -38,13 +38,12 @@ package estimator
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/obs"
 )
 
-// Kind names one estimator in the registry. The zero value is Auto:
-// let the router pick from the target regime.
+// Kind names one rung of the ladder. The zero value is Auto: let the
+// router pick from the target regime.
 type Kind string
 
 const (
@@ -80,104 +79,56 @@ var (
 	metRouteAIS  = obs.NewCounter("estimator.routed_ais")
 )
 
-// Info describes one registered estimator: its routing band and what
-// it costs. MinFailProb/MaxFailProb bound the failure-probability
-// regime the estimator is routed for (inclusive lower, exclusive
-// upper); the bands of all registered sampling estimators tile (0, 1).
-type Info struct {
-	Kind        Kind
-	Description string
-	// MinFailProb and MaxFailProb delimit the routed regime.
-	MinFailProb, MaxFailProb float64
-	// Samples reports whether the estimator draws Monte Carlo samples
-	// at all (false for the analytic WCD bound).
-	Samples bool
-}
-
-// The registry is assembled once at package init and read-only after:
-// Register would normally be driven by init funcs of implementing
-// packages, but the ladder is closed-world today, so the table is
-// static and Kinds/Lookup are safe for concurrent use without locks.
-var registry = []Info{
-	{Kind: MC, Description: "plain Monte Carlo over the standardized space", MinFailProb: 2e-2, MaxFailProb: 1, Samples: true},
-	{Kind: QMC, Description: "scrambled-Sobol quasi-Monte Carlo (inverse-CDF normals)", MinFailProb: 1e-3, MaxFailProb: 2e-2, Samples: true},
-	{Kind: ISLE, Description: "mean-shift importance sampling at the most probable failure point", MinFailProb: 1e-5, MaxFailProb: 1e-3, Samples: true},
-	{Kind: AIS, Description: "adaptive importance sampling, cross-entropy mixture proposal", MinFailProb: 0, MaxFailProb: 1e-5, Samples: true},
-	{Kind: WCD, Description: "worst-case-distance analytic bound (no sampling)", Samples: false},
-}
-
-// Lookup returns the registry entry of a kind.
-func Lookup(k Kind) (Info, bool) {
-	for _, info := range registry {
-		if info.Kind == k {
-			return info, true
-		}
+// Known reports whether k names a rung of the ladder (Auto does not).
+func Known(k Kind) bool {
+	switch k {
+	case MC, QMC, ISLE, AIS, WCD:
+		return true
 	}
-	return Info{}, false
-}
-
-// Kinds lists the registered estimators in routing order (most common
-// failures first).
-func Kinds() []Kind {
-	out := make([]Kind, len(registry))
-	for i, info := range registry {
-		out[i] = info.Kind
-	}
-	return out
+	return false
 }
 
 // Parse normalizes a user-facing estimator name ("auto", "mc", "ais",
 // …) to its Kind, rejecting unknown names.
 func Parse(name string) (Kind, error) {
-	switch Kind(name) {
-	case Auto, Kind("auto"):
+	switch k := Kind(name); {
+	case k == Auto || k == "auto":
 		return Auto, nil
-	case MC, ISLE, AIS, QMC, WCD:
-		return Kind(name), nil
+	case Known(k):
+		return k, nil
 	}
-	known := Kinds()
-	names := make([]string, len(known))
-	for i, k := range known {
-		names[i] = string(k)
-	}
-	sort.Strings(names)
-	return Auto, fmt.Errorf("estimator: unknown estimator %q (known: auto %v)", name, names)
+	return Auto, fmt.Errorf("estimator: unknown estimator %q (known: auto [ais isle mc qmc wcd])", name)
 }
 
 // Route picks the sampling estimator for a query that must resolve
 // failure probabilities around targetFailProb — the regime the caller
 // cares about (derived from a sigma level: Φ(−σ)), not the unknown
-// answer. The bands come from the registry: common failures stay on
-// plain MC (anything cleverer only adds variance-model risk), the
-// 2–3σ band takes QMC's convergence advantage, the 3–4σ band is where
-// a single mean shift still tracks the failure region, and everything
-// deeper routes to AIS. A non-positive or NaN targetFailProb returns
-// Auto — the caller falls back to its historical default.
+// answer. The bands tile (0, 1], each closed below and open above
+// (MC's also takes 1): common failures (≥ 2e-2) stay on plain MC
+// (anything cleverer only adds variance-model risk), the 2–3σ band
+// [1e-3, 2e-2) takes QMC's convergence advantage, the 3–4σ band
+// [1e-5, 1e-3) is where a single mean shift (ISLE) still tracks the
+// failure region, and everything deeper routes to AIS. WCD is never
+// routed: it draws no samples. A non-positive, NaN or above-one
+// targetFailProb returns Auto — the caller falls back to its
+// historical default.
 func Route(targetFailProb float64) Kind {
-	if !(targetFailProb > 0) || targetFailProb > 1 {
+	switch p := targetFailProb; {
+	case !(p > 0) || p > 1:
 		return Auto
+	case p >= 2e-2:
+		metRouteMC.Inc()
+		return MC
+	case p >= 1e-3:
+		metRouteQMC.Inc()
+		return QMC
+	case p >= 1e-5:
+		metRouteISLE.Inc()
+		return ISLE
+	default:
+		metRouteAIS.Inc()
+		return AIS
 	}
-	for _, info := range registry {
-		if !info.Samples {
-			continue
-		}
-		if targetFailProb >= info.MinFailProb && targetFailProb < info.MaxFailProb || info.MaxFailProb == 1 && targetFailProb == 1 {
-			switch info.Kind {
-			case MC:
-				metRouteMC.Inc()
-			case QMC:
-				metRouteQMC.Inc()
-			case ISLE:
-				metRouteISLE.Inc()
-			case AIS:
-				metRouteAIS.Inc()
-			}
-			return info.Kind
-		}
-	}
-	// Unreachable while the bands tile (0,1]; fail safe to AIS, the
-	// deep-tail rung.
-	return AIS
 }
 
 // RouteSigma is Route for a target expressed as a sigma level:

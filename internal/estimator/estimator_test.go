@@ -21,20 +21,22 @@ func TestParse(t *testing.T) {
 			t.Fatalf("Parse(%q) = %q, want %q", tc.name, got, tc.want)
 		}
 	}
-	if _, err := Parse("bogus"); err == nil {
-		t.Fatal("Parse(bogus) accepted an unknown estimator")
+	_, err := Parse("bogus")
+	if want := `estimator: unknown estimator "bogus" (known: auto [ais isle mc qmc wcd])`; err == nil || err.Error() != want {
+		t.Fatalf("Parse(bogus) = %v, want %s", err, want)
 	}
 }
 
-func TestLookupAndKinds(t *testing.T) {
-	for _, k := range Kinds() {
-		info, ok := Lookup(k)
-		if !ok || info.Kind != k {
-			t.Fatalf("Lookup(%q) = %+v, %v", k, info, ok)
+func TestKnown(t *testing.T) {
+	for _, k := range []Kind{MC, QMC, ISLE, AIS, WCD} {
+		if !Known(k) {
+			t.Fatalf("Known(%q) = false", k)
 		}
 	}
-	if _, ok := Lookup(Kind("nope")); ok {
-		t.Fatal("Lookup accepted an unregistered kind")
+	for _, k := range []Kind{Auto, "auto", "nope"} {
+		if Known(k) {
+			t.Fatalf("Known(%q) = true", k)
+		}
 	}
 }
 

@@ -92,7 +92,7 @@ func TableIIICtx(ctx context.Context, cfg TableIIIConfig) ([]TableIIIRow, error)
 					MaxLinkLength: lm.MaxLength(),
 				}
 				if c.Simulate {
-					sim, err := net.Simulate(noc.SimConfig{})
+					sim, err := net.Simulate()
 					if err != nil {
 						return nil, fmt.Errorf("experiments: %s/%s/%s simulation: %w", name, cs, lm.Name(), err)
 					}

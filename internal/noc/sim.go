@@ -14,74 +14,17 @@ import (
 // offered traffic, and how far is real (queued) latency from the
 // zero-load number?
 
-// SimConfig tunes the traffic simulation.
-type SimConfig struct {
-	// Cycles is the measurement window in clock cycles
-	// (default 20000).
-	Cycles int
-	// Warmup cycles are simulated but excluded from statistics
-	// (default Cycles/10).
-	Warmup int
-	// PacketFlits is the packet size in flits (one flit = one
-	// DataWidth word per cycle; default 8).
-	PacketFlits int
-	// Drain allows in-flight packets to finish after injection
-	// stops (default 4·Cycles, bounded).
-	Drain int
-	// Burst injects packets in back-to-back trains of this many
-	// packets (default 1, smooth traffic). The long-term rate is
-	// unchanged; burstiness stresses the queues and raises latency
-	// without changing utilization.
-	Burst int
-}
-
-// Sentinel errors returned by SimConfig.Validate. Zero means "use the
-// default"; a negative value is always a mistake (a negative Burst
-// would even make the injection loop non-terminating), so each field
-// gets a named error callers can test with errors.Is.
-var (
-	ErrNegativeCycles      = fmt.Errorf("noc: negative measurement cycles")
-	ErrNegativeWarmup      = fmt.Errorf("noc: negative warmup cycles")
-	ErrNegativePacketFlits = fmt.Errorf("noc: negative packet size")
-	ErrNegativeDrain       = fmt.Errorf("noc: negative drain window")
-	ErrNegativeBurst       = fmt.Errorf("noc: negative burst length")
+// The simulation's fixed parameters: a measurement window of
+// simCycles clock cycles after simWarmup cycles that are simulated but
+// excluded from statistics, packets of simPacketFlits flits (one flit
+// is one DataWidth word per cycle), and up to simDrain cycles for
+// in-flight packets to finish after injection stops.
+const (
+	simCycles      = 20000
+	simWarmup      = simCycles / 10
+	simPacketFlits = 8
+	simDrain       = 4 * simCycles
 )
-
-// Validate rejects configurations no defaulting can repair.
-func (c SimConfig) Validate() error {
-	switch {
-	case c.Cycles < 0:
-		return fmt.Errorf("%w (%d)", ErrNegativeCycles, c.Cycles)
-	case c.Warmup < 0:
-		return fmt.Errorf("%w (%d)", ErrNegativeWarmup, c.Warmup)
-	case c.PacketFlits < 0:
-		return fmt.Errorf("%w (%d)", ErrNegativePacketFlits, c.PacketFlits)
-	case c.Drain < 0:
-		return fmt.Errorf("%w (%d)", ErrNegativeDrain, c.Drain)
-	case c.Burst < 0:
-		return fmt.Errorf("%w (%d)", ErrNegativeBurst, c.Burst)
-	}
-	return nil
-}
-
-func (c SimConfig) withDefaults() SimConfig {
-	if c.Cycles == 0 {
-		c.Cycles = 20000
-	}
-	if c.Warmup == 0 {
-		c.Warmup = c.Cycles / 10
-	}
-	if c.PacketFlits == 0 {
-		c.PacketFlits = 8
-	}
-	if c.Drain == 0 {
-		c.Drain = 4 * c.Cycles
-	}
-	if c.Burst == 0 {
-		c.Burst = 1
-	}
-	return c
-}
 
 // SimResult reports the measured traffic statistics.
 type SimResult struct {
@@ -112,11 +55,7 @@ type packet struct {
 // deterministic: injection uses per-flow rate accumulators (no
 // randomness), and links arbitrate FIFO with ties broken by flow
 // index.
-func (n *Network) Simulate(cfg SimConfig) (*SimResult, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	c := cfg.withDefaults()
+func (n *Network) Simulate() (*SimResult, error) {
 	if err := n.Check(); err != nil {
 		return nil, err
 	}
@@ -138,33 +77,29 @@ func (n *Network) Simulate(cfg SimConfig) (*SimResult, error) {
 	period := 1 / n.Model.Tech().Clock
 
 	inFlight := 0
-	horizon := c.Warmup + c.Cycles
-	maxCycle := horizon + c.Drain
+	const horizon = simWarmup + simCycles
+	const maxCycle = horizon + simDrain
 
 	for cycle := 0; cycle < maxCycle; cycle++ {
-		// Inject. With Burst > 1, packets are withheld until a full
-		// train has accrued, then released back to back.
+		// Inject a packet each time a flow has accrued its flits.
 		if cycle < horizon {
-			trainFlits := float64(c.Burst * c.PacketFlits)
 			for fi := range n.Spec.Flows {
 				acc[fi] += rates[fi]
-				for acc[fi] >= trainFlits {
-					acc[fi] -= trainFlits
-					for b := 0; b < c.Burst; b++ {
-						p := &packet{flow: fi, route: n.Routes[fi], readyAt: cycle, injected: cycle}
-						queues[p.route[0]] = append(queues[p.route[0]], p)
-						if cycle >= c.Warmup {
-							res.PacketsInjected++
-						}
-						inFlight++
+				for acc[fi] >= simPacketFlits {
+					acc[fi] -= simPacketFlits
+					p := &packet{flow: fi, route: n.Routes[fi], readyAt: cycle, injected: cycle}
+					queues[p.route[0]] = append(queues[p.route[0]], p)
+					if cycle >= simWarmup {
+						res.PacketsInjected++
 					}
+					inFlight++
 				}
 			}
 		}
 		// Advance links in deterministic order.
 		for li := range n.Links {
 			if busyUntil[li] > cycle {
-				if cycle >= c.Warmup && cycle < horizon {
+				if cycle >= simWarmup && cycle < horizon {
 					busyCycles[li]++
 				}
 				continue
@@ -183,9 +118,9 @@ func (n *Network) Simulate(cfg SimConfig) (*SimResult, error) {
 			}
 			p := q[pick]
 			queues[li] = append(q[:pick], q[pick+1:]...)
-			done := cycle + c.PacketFlits // serialization over the bus
+			done := cycle + simPacketFlits // serialization over the bus
 			busyUntil[li] = done
-			if cycle >= c.Warmup && cycle < horizon {
+			if cycle >= simWarmup && cycle < horizon {
 				busyCycles[li]++
 			}
 			// Where does the packet land?
@@ -193,7 +128,7 @@ func (n *Network) Simulate(cfg SimConfig) (*SimResult, error) {
 			if p.hop == len(p.route) {
 				// Delivered: tail arrives at done.
 				lat := float64(done-p.injected) * period
-				if p.injected >= c.Warmup && p.injected < horizon {
+				if p.injected >= simWarmup && p.injected < horizon {
 					res.PacketsDelivered++
 					latencySum += lat
 					if lat > res.MaxLatency {
@@ -219,7 +154,7 @@ func (n *Network) Simulate(cfg SimConfig) (*SimResult, error) {
 		res.AvgLatency = latencySum / float64(res.PacketsDelivered)
 	}
 	for li := range n.Links {
-		res.LinkUtilization[li] = float64(busyCycles[li]) / float64(c.Cycles)
+		res.LinkUtilization[li] = float64(busyCycles[li]) / simCycles
 	}
 	return res, nil
 }

@@ -2,8 +2,8 @@ package noc
 
 import (
 	"context"
-	"errors"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -18,7 +18,7 @@ func simNet(t *testing.T) *Network {
 
 func TestSimulateDeliversTraffic(t *testing.T) {
 	net := simNet(t)
-	res, err := net.Simulate(SimConfig{})
+	res, err := net.Simulate()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,17 +31,21 @@ func TestSimulateDeliversTraffic(t *testing.T) {
 	if res.AvgLatency <= 0 || res.MaxLatency < res.AvgLatency {
 		t.Fatalf("bad latency stats: avg %g max %g", res.AvgLatency, res.MaxLatency)
 	}
+	// Simulated latency includes packet serialization, so it cannot
+	// undercut the analytic hop latency.
+	if res.AvgLatency < net.Evaluate().AvgLatency {
+		t.Fatal("simulated latency (with serialization) below analytic zero-load hop latency")
+	}
 }
 
 func TestSimulateLatencyVsZeroLoad(t *testing.T) {
 	net := simNet(t)
-	cfg := SimConfig{}.withDefaults()
-	res, err := net.Simulate(cfg)
+	res, err := net.Simulate()
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Per-packet averages are bandwidth-weighted by construction.
-	zero := net.WeightedZeroLoadLatency(cfg.PacketFlits)
+	zero := net.WeightedZeroLoadLatency(simPacketFlits)
 	if res.AvgLatency < zero*0.999 {
 		t.Fatalf("simulated latency %g below zero-load bound %g", res.AvgLatency, zero)
 	}
@@ -53,7 +57,7 @@ func TestSimulateLatencyVsZeroLoad(t *testing.T) {
 
 func TestSimulateUtilizationMatchesAnalytic(t *testing.T) {
 	net := simNet(t)
-	res, err := net.Simulate(SimConfig{Cycles: 50000})
+	res, err := net.Simulate()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,11 +68,11 @@ func TestSimulateUtilizationMatchesAnalytic(t *testing.T) {
 
 func TestSimulateDeterministic(t *testing.T) {
 	net := simNet(t)
-	a, err := net.Simulate(SimConfig{})
+	a, err := net.Simulate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := net.Simulate(SimConfig{})
+	b, err := net.Simulate()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,9 +82,9 @@ func TestSimulateDeterministic(t *testing.T) {
 }
 
 func TestSimulateDetectsOverload(t *testing.T) {
-	// Force an oversubscribed situation by inflating a flow's rate
-	// beyond capacity after synthesis (bypassing Check would catch
-	// it, so build a tiny net and corrupt the spec copy).
+	// Inflate a flow's demand beyond its link's capacity after
+	// synthesis: Simulate checks the network first, so the
+	// oversubscribed link is refused before any packet is injected.
 	lm := proposed90(t)
 	spec := &Spec{
 		Name: "tight", DataWidth: 128,
@@ -91,49 +95,25 @@ func TestSimulateDetectsOverload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Inflate demand beyond link capacity post-hoc.
 	net.Spec.Flows[0].Bandwidth = 1.2 * float64(spec.DataWidth) * lm.Tech().Clock
-	if _, err := net.Simulate(SimConfig{Cycles: 2000, Drain: 1000}); err == nil {
-		t.Fatal("oversubscribed simulation should fail to drain")
-	}
-}
-
-func TestSimulateBurstinessRaisesLatency(t *testing.T) {
-	net := simNet(t)
-	smooth, err := net.Simulate(SimConfig{Cycles: 40000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bursty, err := net.Simulate(SimConfig{Cycles: 40000, Burst: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Same offered rate, so all traffic still drains…
-	if bursty.PacketsDelivered != bursty.PacketsInjected {
-		t.Fatal("bursty traffic lost packets")
-	}
-	// …but back-to-back trains queue behind each other.
-	if !(bursty.AvgLatency > smooth.AvgLatency) {
-		t.Fatalf("burstiness did not raise latency: %g vs %g", bursty.AvgLatency, smooth.AvgLatency)
-	}
-	if !(bursty.MaxLatency > smooth.MaxLatency) {
-		t.Fatalf("burstiness did not raise tail latency")
+	_, err = net.Simulate()
+	if err == nil || !strings.Contains(err.Error(), "link 0 oversubscribed (120%)") {
+		t.Fatalf("oversubscribed network simulated: %v", err)
 	}
 }
 
 func TestZeroLoadLatencyShape(t *testing.T) {
 	net := simNet(t)
-	cfg := SimConfig{}.withDefaults()
 	for fi := range net.Routes {
-		z := net.ZeroLoadLatency(fi, cfg.PacketFlits)
+		z := net.ZeroLoadLatency(fi, simPacketFlits)
 		hops := len(net.Routes[fi])
 		period := 1 / net.Model.Tech().Clock
-		want := float64(hops*cfg.PacketFlits+(hops-1)*net.Router.Cycles) * period
+		want := float64(hops*simPacketFlits+(hops-1)*net.Router.Cycles) * period
 		if math.Abs(z-want) > 1e-15 {
 			t.Fatalf("flow %d zero-load %g want %g", fi, z, want)
 		}
 	}
-	if net.AvgZeroLoadLatency(cfg.PacketFlits) <= 0 {
+	if net.AvgZeroLoadLatency(simPacketFlits) <= 0 {
 		t.Fatal("bad average zero-load latency")
 	}
 }
@@ -147,50 +127,8 @@ func BenchmarkSimulateDVOPD(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := net.Simulate(SimConfig{Cycles: 10000}); err != nil {
+		if _, err := net.Simulate(); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func TestSimConfigValidate(t *testing.T) {
-	cases := []struct {
-		name string
-		cfg  SimConfig
-		want error
-	}{
-		{"zero-is-default", SimConfig{}, nil},
-		{"explicit-valid", SimConfig{Cycles: 100, Warmup: 10, PacketFlits: 4, Drain: 50, Burst: 2}, nil},
-		{"negative-cycles", SimConfig{Cycles: -1}, ErrNegativeCycles},
-		{"negative-warmup", SimConfig{Warmup: -5}, ErrNegativeWarmup},
-		{"negative-flits", SimConfig{PacketFlits: -8}, ErrNegativePacketFlits},
-		{"negative-drain", SimConfig{Drain: -100}, ErrNegativeDrain},
-		{"negative-burst", SimConfig{Burst: -2}, ErrNegativeBurst},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			err := tc.cfg.Validate()
-			if tc.want == nil {
-				if err != nil {
-					t.Fatalf("valid config rejected: %v", err)
-				}
-				return
-			}
-			if !errors.Is(err, tc.want) {
-				t.Fatalf("got %v, want %v", err, tc.want)
-			}
-		})
-	}
-}
-
-func TestSimulateRejectsNegativeConfig(t *testing.T) {
-	net := simNet(t)
-	_, err := net.Simulate(SimConfig{Burst: -1})
-	if !errors.Is(err, ErrNegativeBurst) {
-		t.Fatalf("Simulate accepted a negative burst: %v", err)
-	}
-	_, err = net.Simulate(SimConfig{Cycles: -20000})
-	if !errors.Is(err, ErrNegativeCycles) {
-		t.Fatalf("Simulate accepted negative cycles: %v", err)
 	}
 }

@@ -18,13 +18,6 @@ var (
 
 // SynthOptions tunes the synthesis.
 type SynthOptions struct {
-	// Router overrides the router parameters (default:
-	// DefaultRouterParams for the model's technology).
-	Router *RouterParams
-	// MaxHops bounds a flow's path length in links (default 6).
-	MaxHops int
-	// MaxMergeIters bounds the greedy improvement loop (default 64).
-	MaxMergeIters int
 	// Workers bounds the goroutines evaluating merge candidates:
 	// 0 uses every core, 1 runs the serial algorithm. The result is
 	// identical either way — candidates are scored independently and
@@ -32,19 +25,13 @@ type SynthOptions struct {
 	Workers int
 }
 
-func (o SynthOptions) withDefaults(lm LinkModel) SynthOptions {
-	if o.Router == nil {
-		rp := DefaultRouterParams(lm.Tech())
-		o.Router = &rp
-	}
-	if o.MaxHops == 0 {
-		o.MaxHops = 16
-	}
-	if o.MaxMergeIters == 0 {
-		o.MaxMergeIters = 64
-	}
-	return o
-}
+// The synthesis budgets: a flow's path takes at most maxHops (16)
+// links, and the greedy improvement loop applies at most
+// maxMergeIters (64) merges.
+const (
+	maxHops       = 16
+	maxMergeIters = 64
+)
 
 // synthesizer carries the working state of one synthesis run.
 type synthesizer struct {
@@ -78,19 +65,7 @@ func SynthesizeCtx(ctx context.Context, spec *Spec, lm LinkModel, opts SynthOpti
 		return nil, err
 	}
 	metSyntheses.Inc()
-	o := opts.withDefaults(lm)
-	s := &synthesizer{
-		spec:   spec,
-		model:  NewDesignCache(lm),
-		router: *o.Router,
-		opts:   o,
-		coreID: make(map[string]int, len(spec.Cores)),
-	}
-	for _, c := range spec.Cores {
-		id := len(s.nodes)
-		s.nodes = append(s.nodes, Node{ID: id, Kind: CoreNode, Name: c.Name, X: c.X, Y: c.Y})
-		s.coreID[c.Name] = id
-	}
+	s := newSynthesizer(spec, lm, opts)
 	if err := s.initialTopology(ctx); err != nil {
 		return nil, err
 	}
@@ -110,6 +85,24 @@ func SynthesizeCtx(ctx context.Context, spec *Spec, lm LinkModel, opts SynthOpti
 		return nil, fmt.Errorf("noc: synthesis produced invalid network: %w", err)
 	}
 	return net, nil
+}
+
+// newSynthesizer starts a run with the specification's cores as its
+// only nodes, under the technology's default routers.
+func newSynthesizer(spec *Spec, lm LinkModel, opts SynthOptions) *synthesizer {
+	s := &synthesizer{
+		spec:   spec,
+		model:  NewDesignCache(lm),
+		router: DefaultRouterParams(lm.Tech()),
+		opts:   opts,
+		coreID: make(map[string]int, len(spec.Cores)),
+	}
+	for _, c := range spec.Cores {
+		id := len(s.nodes)
+		s.nodes = append(s.nodes, Node{ID: id, Kind: CoreNode, Name: c.Name, X: c.X, Y: c.Y})
+		s.coreID[c.Name] = id
+	}
+	return s
 }
 
 // dist returns the Manhattan distance between two nodes.
@@ -182,9 +175,9 @@ func (s *synthesizer) initialTopology(ctx context.Context) error {
 		// Waypoints along the L-shaped route, split so every segment
 		// fits the wire-length limit.
 		hops := s.waypoints(src, dst, maxLen)
-		if len(hops)-1 > s.opts.MaxHops {
+		if len(hops)-1 > maxHops {
 			return fmt.Errorf("noc: flow %d needs %d hops, exceeding the %d-hop budget — wire-length limit %.2fmm too tight for distance %.2fmm",
-				fi, len(hops)-1, s.opts.MaxHops, maxLen*1e3, s.dist(src, dst)*1e3)
+				fi, len(hops)-1, maxHops, maxLen*1e3, s.dist(src, dst)*1e3)
 		}
 		var route []int
 		for h := 0; h+1 < len(hops); h++ {
@@ -294,7 +287,7 @@ const minMergeSaving = 1e-7
 // iterations (and, through bestMerge's fan-out, between candidate
 // rows).
 func (s *synthesizer) mergeLoop(ctx context.Context) error {
-	for iter := 0; iter < s.opts.MaxMergeIters; iter++ {
+	for iter := 0; iter < maxMergeIters; iter++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -375,7 +368,7 @@ func (s *synthesizer) evalMerge(i, j int, se sharedEnd) (mergeCandidate, bool) {
 	// Hop budget: every flow on either link gains one hop.
 	for _, li := range []int{i, j} {
 		for _, fi := range s.links[li].FlowIdx {
-			if len(s.routes[fi])+1 > s.opts.MaxHops {
+			if len(s.routes[fi])+1 > maxHops {
 				return mergeCandidate{}, false
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/tech"
@@ -98,18 +99,21 @@ func TestLongFlowsGetRelayRouters(t *testing.T) {
 }
 
 func TestHopBudgetEnforced(t *testing.T) {
+	// Core b sits past maxHops link lengths, so its flow needs one
+	// relay segment more than the hop budget allows.
 	lm := proposed90(t)
 	maxLen := lm.MaxLength()
 	spec := &Spec{
 		Name: "toolong", DataWidth: 128,
 		Cores: []Core{
 			{Name: "a", X: 0, Y: 0},
-			{Name: "b", X: 5 * maxLen, Y: 0},
+			{Name: "b", X: (maxHops + 0.5) * maxLen, Y: 0},
 		},
 		Flows: []Flow{{Src: "a", Dst: "b", Bandwidth: 1e9}},
 	}
-	if _, err := SynthesizeCtx(context.Background(), spec, lm, SynthOptions{MaxHops: 2}); err == nil {
-		t.Fatal("hop-budget violation accepted")
+	_, err := SynthesizeCtx(context.Background(), spec, lm, SynthOptions{})
+	if err == nil || !strings.Contains(err.Error(), "needs 17 hops, exceeding the 16-hop budget") {
+		t.Fatalf("hop-budget violation accepted: %v", err)
 	}
 }
 
@@ -168,8 +172,13 @@ func TestMergeReducesPowerOnHubTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	unmerged, err := SynthesizeCtx(context.Background(), spec, lm, SynthOptions{MaxMergeIters: -1})
-	if err != nil {
+	// The unmerged star is the synthesis's own initial topology.
+	s := newSynthesizer(spec, lm, SynthOptions{})
+	if err := s.initialTopology(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	unmerged := &Network{Spec: spec, Model: s.model, Router: s.router, Nodes: s.nodes, Links: s.links, Routes: s.routes}
+	if err := unmerged.Check(); err != nil {
 		t.Fatal(err)
 	}
 	pm, pu := merged.Evaluate().TotalPower(), unmerged.Evaluate().TotalPower()

@@ -145,14 +145,16 @@ type TransientOpts struct {
 	// InitialV provides initial voltages for free nodes (node →
 	// volts); unlisted nodes start at 0.
 	InitialV map[int]float64
-	// MaxNewton bounds Newton iterations per step (default 60).
-	MaxNewton int
-	// Tol is the Newton convergence tolerance in volts
-	// (default 1 µV).
-	Tol float64
 	// Record lists the node indices to record; nil records all.
 	Record []int
 }
+
+// Each step's Newton solve runs at most maxNewton iterations and
+// converges once no node moves by newtonTol (1 µV) or more.
+const (
+	maxNewton = 60
+	newtonTol = 1e-6
+)
 
 // Transient runs a backward-Euler transient analysis and returns the
 // sampled waveforms.
@@ -163,14 +165,6 @@ func (c *Circuit) Transient(opts TransientOpts) (*Result, error) {
 	dt := opts.Step
 	if dt <= 0 {
 		dt = opts.Stop / 2000
-	}
-	maxNewton := opts.MaxNewton
-	if maxNewton == 0 {
-		maxNewton = 60
-	}
-	tol := opts.Tol
-	if tol == 0 {
-		tol = 1e-6
 	}
 
 	n := len(c.names)
@@ -375,7 +369,7 @@ func (c *Circuit) Transient(opts TransientOpts) (*Result, error) {
 					maxDelta = a
 				}
 			}
-			if maxDelta < tol {
+			if maxDelta < newtonTol {
 				converged = true
 				break
 			}

@@ -8,10 +8,10 @@ import (
 	"repro/internal/wire"
 )
 
-// DefaultSections is the per-stage RC-ladder discretization used when
-// Line.Sections is zero. Thirty-two sections put the discretization
-// error of a uniform line well below a percent.
-const DefaultSections = 32
+// lineSections is the per-stage RC-ladder discretization of every
+// Line. Thirty-two sections put the discretization error of a uniform
+// line well below a percent.
+const lineSections = 32
 
 // Line is a uniformly buffered interconnect: N identical repeaters at
 // equal spacing along a wire, each driving a wire segment of length
@@ -27,9 +27,6 @@ type Line struct {
 	// InputSlew is the 10–90% transition time at the first
 	// repeater's input (the paper's Table II uses 300 ps).
 	InputSlew float64
-	// Sections is the per-stage ladder discretization
-	// (DefaultSections when zero).
-	Sections int
 }
 
 // StageTiming records one stage of the golden analysis.
@@ -96,10 +93,6 @@ func (l *Line) Analyze() (*Result, error) {
 // outRising tracks the direction of the *output* transition of the
 // current repeater; inverters flip it per stage, buffers do not.
 func (l *Line) analyzeEdge(startRising bool) (float64, []StageTiming, error) {
-	sections := l.Sections
-	if sections <= 0 {
-		sections = DefaultSections
-	}
 	stageSeg := l.Segment
 	stageSeg.Length = l.Segment.Length / float64(l.N)
 
@@ -117,7 +110,7 @@ func (l *Line) analyzeEdge(startRising bool) (float64, []StageTiming, error) {
 		// an identical receiving gate after the final segment.
 		loadCin := l.Cell.InputCap
 
-		lad, err := rcnet.FromSegment(stageSeg, sections, GoldenMiller, loadCin)
+		lad, err := rcnet.FromSegment(stageSeg, lineSections, GoldenMiller, loadCin)
 		if err != nil {
 			return 0, nil, err
 		}

@@ -6,22 +6,18 @@ import (
 	"repro/internal/estimator"
 )
 
-// TestRecordNormalizesEstimator pins the back-compat rule: pre-ladder
-// callers that only set Shifted get their points stored under the
-// matching concrete rung.
-func TestRecordNormalizesEstimator(t *testing.T) {
+// TestRecordRefusesAutoEstimator: a point that names no rung is not
+// stored, so every stored point carries the rung Lookup compares.
+func TestRecordRefusesAutoEstimator(t *testing.T) {
 	c := New(Options{})
 	k := testKey(t)
 	c.Record(k, dk, Sample{Target: 400e-12, FailProb: 0.02, StdErr: 0.001, Samples: 4096})
 	c.Record(k, dk, Sample{Target: 420e-12, FailProb: 0.002, StdErr: 0.0002, Samples: 4096, Shifted: true})
-
-	got, ok := c.Lookup(k, dk, 400e-12, Tolerance{})
-	if !ok || got.Estimator != estimator.MC {
-		t.Fatalf("plain point not normalized to mc: ok=%v %+v", ok, got)
+	if st := c.Stats(); st.Points != 0 || st.Records != 0 {
+		t.Fatalf("estimator-less samples were recorded: %+v", st)
 	}
-	got, ok = c.Lookup(k, dk, 420e-12, Tolerance{})
-	if !ok || got.Estimator != estimator.ISLE {
-		t.Fatalf("shifted point not normalized to isle: ok=%v %+v", ok, got)
+	if _, ok := c.Lookup(k, dk, 400e-12, Tolerance{}); ok {
+		t.Fatal("lookup served an estimator-less sample")
 	}
 }
 

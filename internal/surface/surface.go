@@ -136,10 +136,9 @@ type Sample struct {
 	Samples int
 	// Shifted records whether the estimate was importance sampled.
 	Shifted bool
-	// Estimator names the ladder rung that produced the point.
-	// Record normalizes an empty value from Shifted (pre-ladder
-	// callers), so stored points always carry a concrete rung and
-	// Lookup can refuse to interpolate across rungs.
+	// Estimator names the ladder rung that produced the point. Record
+	// refuses an empty (Auto) value, so stored points always carry a
+	// concrete rung and Lookup can refuse to interpolate across rungs.
 	Estimator estimator.Kind
 }
 
@@ -157,7 +156,7 @@ type Design struct {
 // conservative standard error directly, RelErr bounds it relative to
 // the interpolated fail probability. Either rule accepting serves the
 // answer. A zero Tolerance falls back to the cache's conservative
-// defaults (Options.AbsErr / Options.RelErr).
+// defaults (AbsErr 0.005, RelErr 0.05).
 type Tolerance struct {
 	RelErr, AbsErr float64
 	// MinSamples, when positive, additionally accepts an exact-target
@@ -201,40 +200,26 @@ type Estimate struct {
 	Estimator estimator.Kind
 }
 
-// Options configures a Cache. The zero value selects the documented
-// defaults.
-type Options struct {
-	// MaxEntries caps the number of link classes (keys); inserts
+// Options configures a Cache. It has no settings: every cache runs
+// under the bounds and default tolerance below.
+type Options struct{}
+
+const (
+	// maxEntries caps the number of link classes (keys); inserts
 	// beyond it are dropped (never evicted mid-flight, so a warm
-	// entry can't vanish under a reader). Default 4096.
-	MaxEntries int
-	// MaxPointsPerCurve caps each (size, count) curve; a record into a
-	// full curve replaces the nearest-by-target point, keeping the
-	// curve's coverage spread. Default 128.
-	MaxPointsPerCurve int
-	// AbsErr and RelErr are the default tolerance applied when a
+	// entry can't vanish under a reader).
+	maxEntries = 4096
+	// maxPointsPerCurve caps each (size, count) curve; a record into
+	// a full curve replaces the nearest-by-target point, keeping the
+	// curve's coverage spread.
+	maxPointsPerCurve = 128
+	// defaultAbsErr and defaultRelErr are the tolerance applied when a
 	// lookup passes a zero Tolerance: conservative bounds chosen so a
 	// default warm answer is at least as tight as a default-budget
 	// (4096-sample) Monte Carlo run's worst-case standard error.
-	// Defaults 0.005 and 0.05.
-	AbsErr, RelErr float64
-}
-
-func (o Options) withDefaults() Options {
-	if o.MaxEntries == 0 {
-		o.MaxEntries = 4096
-	}
-	if o.MaxPointsPerCurve == 0 {
-		o.MaxPointsPerCurve = 128
-	}
-	if o.AbsErr == 0 {
-		o.AbsErr = 0.005
-	}
-	if o.RelErr == 0 {
-		o.RelErr = 0.05
-	}
-	return o
-}
+	defaultAbsErr = 0.005
+	defaultRelErr = 0.05
+)
 
 // Stats is a point-in-time view of one cache's counters.
 type Stats struct {
@@ -253,8 +238,6 @@ type entry struct {
 // Cache is a concurrency-safe yield-response-surface cache. The zero
 // value is not usable; construct with New.
 type Cache struct {
-	opts Options
-
 	mu      sync.RWMutex
 	entries map[Key]*entry
 
@@ -262,8 +245,8 @@ type Cache struct {
 }
 
 // New builds an empty cache.
-func New(o Options) *Cache {
-	return &Cache{opts: o.withDefaults(), entries: map[Key]*entry{}}
+func New(Options) *Cache {
+	return &Cache{entries: map[Key]*entry{}}
 }
 
 // Stats snapshots the cache counters.
@@ -305,7 +288,7 @@ func (c *Cache) ensureEntry(k Key) *entry {
 	if e := c.entries[k]; e != nil {
 		return e
 	}
-	if len(c.entries) >= c.opts.MaxEntries {
+	if len(c.entries) >= maxEntries {
 		return nil
 	}
 	e := &entry{curves: map[DesignKey][]Sample{}}
@@ -345,19 +328,12 @@ func (c *Cache) DesignFor(k Key) (Design, bool) {
 // data wins; a cheap probe never overwrites an expensive run). On a
 // full curve the nearest-by-target point is replaced. Samples with a
 // non-finite or non-positive target, or non-finite estimate fields,
-// are ignored.
+// are ignored, and so are samples that name no estimator rung.
 func (c *Cache) Record(k Key, dk DesignKey, s Sample) {
 	if !(s.Target > 0) || math.IsInf(s.Target, 0) ||
-		math.IsNaN(s.FailProb) || math.IsNaN(s.StdErr) || math.IsInf(s.StdErr, 0) || s.Samples <= 0 {
+		math.IsNaN(s.FailProb) || math.IsNaN(s.StdErr) || math.IsInf(s.StdErr, 0) || s.Samples <= 0 ||
+		s.Estimator == estimator.Auto {
 		return
-	}
-	if s.Estimator == estimator.Auto {
-		// Pre-ladder callers only distinguished shifted from plain.
-		if s.Shifted {
-			s.Estimator = estimator.ISLE
-		} else {
-			s.Estimator = estimator.MC
-		}
 	}
 	e := c.ensureEntry(k)
 	if e == nil {
@@ -374,7 +350,7 @@ func (c *Cache) Record(k Key, dk DesignKey, s Sample) {
 		} else {
 			return
 		}
-	case len(curve) >= c.opts.MaxPointsPerCurve:
+	case len(curve) >= maxPointsPerCurve:
 		// Full: replace the nearest point so coverage keeps its spread.
 		j := i
 		if j == len(curve) || (i > 0 && s.Target-curve[i-1].Target <= curve[i].Target-s.Target) {
@@ -396,7 +372,7 @@ func (c *Cache) Record(k Key, dk DesignKey, s Sample) {
 // candidate answer.
 func (c *Cache) accepted(tol Tolerance, p, se float64) bool {
 	if tol.AbsErr == 0 && tol.RelErr == 0 {
-		tol = Tolerance{AbsErr: c.opts.AbsErr, RelErr: c.opts.RelErr}
+		tol = Tolerance{AbsErr: defaultAbsErr, RelErr: defaultRelErr}
 	}
 	if tol.AbsErr > 0 && se <= tol.AbsErr {
 		return true

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/estimator"
 	"repro/internal/tech"
 	"repro/internal/variation"
 	"repro/internal/wire"
@@ -47,7 +48,7 @@ func TestTechHashDistinguishesDescriptors(t *testing.T) {
 func TestLookupExactHit(t *testing.T) {
 	c := New(Options{})
 	k := testKey(t)
-	s := Sample{Target: 400e-12, FailProb: 0.02, StdErr: 0.002, Samples: 4096}
+	s := Sample{Target: 400e-12, FailProb: 0.02, StdErr: 0.002, Samples: 4096, Estimator: estimator.MC}
 	c.Record(k, dk, s)
 	got, ok := c.Lookup(k, dk, 400e-12, Tolerance{})
 	if !ok {
@@ -68,8 +69,8 @@ func TestLookupExactHitBudgetSpent(t *testing.T) {
 	k := testKey(t)
 	// StdErr 0.01 fails both the default tolerance (AbsErr 0.005,
 	// RelErr 0.05 × 0.05 = 0.0025) and the explicit one below.
-	c.Record(k, dk, Sample{Target: 400e-12, FailProb: 0.05, StdErr: 0.01, Samples: 512})
-	c.Record(k, dk, Sample{Target: 420e-12, FailProb: 0.01, StdErr: 0.001, Samples: 512})
+	c.Record(k, dk, Sample{Target: 400e-12, FailProb: 0.05, StdErr: 0.01, Samples: 512, Estimator: estimator.MC})
+	c.Record(k, dk, Sample{Target: 420e-12, FailProb: 0.01, StdErr: 0.001, Samples: 512, Estimator: estimator.MC})
 
 	if _, ok := c.Lookup(k, dk, 400e-12, Tolerance{}); ok {
 		t.Fatal("loose exact hit served without a sample budget")
@@ -95,8 +96,8 @@ func TestLookupExactHitBudgetSpent(t *testing.T) {
 func TestLookupInterpolatesWithConservativeBand(t *testing.T) {
 	c := New(Options{})
 	k := testKey(t)
-	c.Record(k, dk, Sample{Target: 400e-12, FailProb: 0.030, StdErr: 0.002, Samples: 4096})
-	c.Record(k, dk, Sample{Target: 420e-12, FailProb: 0.010, StdErr: 0.001, Samples: 2048})
+	c.Record(k, dk, Sample{Target: 400e-12, FailProb: 0.030, StdErr: 0.002, Samples: 4096, Estimator: estimator.MC})
+	c.Record(k, dk, Sample{Target: 420e-12, FailProb: 0.010, StdErr: 0.001, Samples: 2048, Estimator: estimator.MC})
 	got, ok := c.Lookup(k, dk, 410e-12, Tolerance{AbsErr: 0.05})
 	if !ok {
 		t.Fatal("bracketed lookup missed")
@@ -119,8 +120,8 @@ func TestLookupInterpolatesWithConservativeBand(t *testing.T) {
 func TestLookupRefusesExtrapolation(t *testing.T) {
 	c := New(Options{})
 	k := testKey(t)
-	c.Record(k, dk, Sample{Target: 400e-12, FailProb: 0.02, StdErr: 0.002, Samples: 4096})
-	c.Record(k, dk, Sample{Target: 420e-12, FailProb: 0.01, StdErr: 0.002, Samples: 4096})
+	c.Record(k, dk, Sample{Target: 400e-12, FailProb: 0.02, StdErr: 0.002, Samples: 4096, Estimator: estimator.MC})
+	c.Record(k, dk, Sample{Target: 420e-12, FailProb: 0.01, StdErr: 0.002, Samples: 4096, Estimator: estimator.MC})
 	for _, target := range []float64{399e-12, 421e-12} {
 		if _, ok := c.Lookup(k, dk, target, Tolerance{AbsErr: 1}); ok {
 			t.Errorf("served an extrapolated answer at %g", target)
@@ -132,8 +133,8 @@ func TestLookupHonorsTolerance(t *testing.T) {
 	c := New(Options{})
 	k := testKey(t)
 	// A wide bracketing gap makes the conservative band large.
-	c.Record(k, dk, Sample{Target: 400e-12, FailProb: 0.40, StdErr: 0.004, Samples: 4096})
-	c.Record(k, dk, Sample{Target: 500e-12, FailProb: 0.01, StdErr: 0.004, Samples: 4096})
+	c.Record(k, dk, Sample{Target: 400e-12, FailProb: 0.40, StdErr: 0.004, Samples: 4096, Estimator: estimator.MC})
+	c.Record(k, dk, Sample{Target: 500e-12, FailProb: 0.01, StdErr: 0.004, Samples: 4096, Estimator: estimator.MC})
 	if _, ok := c.Lookup(k, dk, 450e-12, Tolerance{AbsErr: 0.01}); ok {
 		t.Fatal("served an answer whose band exceeds AbsErr")
 	}
@@ -160,7 +161,7 @@ func TestLookupMissesColdKeysAndCurves(t *testing.T) {
 	if _, ok := c.Lookup(k, dk, 400e-12, Tolerance{}); ok {
 		t.Fatal("cold cache hit")
 	}
-	c.Record(k, dk, Sample{Target: 400e-12, FailProb: 0.02, StdErr: 0.002, Samples: 4096})
+	c.Record(k, dk, Sample{Target: 400e-12, FailProb: 0.02, StdErr: 0.002, Samples: 4096, Estimator: estimator.MC})
 	if _, ok := c.Lookup(k, DesignKey{Size: 12, N: 8}, 400e-12, Tolerance{}); ok {
 		t.Fatal("unknown curve hit")
 	}
@@ -174,16 +175,16 @@ func TestLookupMissesColdKeysAndCurves(t *testing.T) {
 func TestRecordKeepsTighterEstimate(t *testing.T) {
 	c := New(Options{})
 	k := testKey(t)
-	c.Record(k, dk, Sample{Target: 400e-12, FailProb: 0.02, StdErr: 0.001, Samples: 65536})
+	c.Record(k, dk, Sample{Target: 400e-12, FailProb: 0.02, StdErr: 0.001, Samples: 65536, Estimator: estimator.MC})
 	// A cheaper probe at the same target must not clobber the
 	// expensive run.
-	c.Record(k, dk, Sample{Target: 400e-12, FailProb: 0.05, StdErr: 0.02, Samples: 128})
+	c.Record(k, dk, Sample{Target: 400e-12, FailProb: 0.05, StdErr: 0.02, Samples: 128, Estimator: estimator.MC})
 	got, ok := c.Lookup(k, dk, 400e-12, Tolerance{AbsErr: 1})
 	if !ok || got.Samples != 65536 || got.FailProb != 0.02 {
 		t.Fatalf("cheap probe clobbered the stored run: %+v", got)
 	}
 	// An equally-sized rerun replaces (fresher data wins on ties).
-	c.Record(k, dk, Sample{Target: 400e-12, FailProb: 0.021, StdErr: 0.001, Samples: 65536})
+	c.Record(k, dk, Sample{Target: 400e-12, FailProb: 0.021, StdErr: 0.001, Samples: 65536, Estimator: estimator.MC})
 	if got, _ := c.Lookup(k, dk, 400e-12, Tolerance{AbsErr: 1}); got.FailProb != 0.021 {
 		t.Fatalf("equal-size rerun did not replace: %+v", got)
 	}
@@ -208,36 +209,44 @@ func TestRecordRejectsDegenerateSamples(t *testing.T) {
 }
 
 func TestCurveCapReplacesNearest(t *testing.T) {
-	c := New(Options{MaxPointsPerCurve: 4})
+	c := New(Options{})
 	k := testKey(t)
-	for i := 0; i < 4; i++ {
-		c.Record(k, dk, Sample{Target: float64(i+1) * 100e-12, FailProb: 0.01, StdErr: 0.001, Samples: 1024})
+	for i := 0; i < maxPointsPerCurve; i++ {
+		c.Record(k, dk, Sample{Target: float64(i+1) * 100e-12, FailProb: 0.01, StdErr: 0.001, Samples: 1024, Estimator: estimator.MC})
 	}
-	c.Record(k, dk, Sample{Target: 310e-12, FailProb: 0.5, StdErr: 0.001, Samples: 1024})
-	if st := c.Stats(); st.Points != 4 {
+	c.Record(k, dk, Sample{Target: 310e-12, FailProb: 0.5, StdErr: 0.001, Samples: 1024, Estimator: estimator.MC})
+	if st := c.Stats(); st.Points != maxPointsPerCurve {
 		t.Fatalf("cap not enforced: %+v", st)
 	}
 	// The 300 ps point (nearest to 310 ps) was replaced.
 	if got, ok := c.Lookup(k, dk, 310e-12, Tolerance{AbsErr: 1}); !ok || got.FailProb != 0.5 {
 		t.Fatalf("replacement point not stored: ok=%v %+v", ok, got)
 	}
-	if _, ok := c.Lookup(k, dk, 300e-12, Tolerance{AbsErr: 1}); !ok {
-		t.Fatal("299-401 ps bracketing lost") // 310 now brackets 300 via 200/310
+	if got, ok := c.Lookup(k, dk, 300e-12, Tolerance{AbsErr: 1}); !ok || !got.Interpolated {
+		t.Fatalf("300 ps no longer bracketed by 200/310 ps: ok=%v %+v", ok, got)
 	}
 }
 
 func TestEntryCapDropsNewKeys(t *testing.T) {
-	c := New(Options{MaxEntries: 1})
+	c := New(Options{})
 	k := testKey(t)
-	c.Record(k, dk, Sample{Target: 400e-12, FailProb: 0.02, StdErr: 0.002, Samples: 4096})
+	s := Sample{Target: 400e-12, FailProb: 0.02, StdErr: 0.002, Samples: 4096, Estimator: estimator.MC}
+	for i := 0; i < maxEntries; i++ {
+		key := k
+		key.TechHash += uint64(i)
+		c.Record(key, dk, s)
+	}
 	other := k
-	other.TechHash++
-	c.Record(other, dk, Sample{Target: 400e-12, FailProb: 0.02, StdErr: 0.002, Samples: 4096})
-	if st := c.Stats(); st.Entries != 1 {
+	other.TechHash += maxEntries
+	c.Record(other, dk, s)
+	if st := c.Stats(); st.Entries != maxEntries {
 		t.Fatalf("entry cap not enforced: %+v", st)
 	}
 	if _, ok := c.Lookup(k, dk, 400e-12, Tolerance{}); !ok {
 		t.Fatal("existing entry lost to a capped insert")
+	}
+	if _, ok := c.Lookup(other, dk, 400e-12, Tolerance{}); ok {
+		t.Fatal("insert beyond the entry cap was stored")
 	}
 }
 
@@ -256,35 +265,55 @@ func TestDesignMemo(t *testing.T) {
 
 // TestConcurrentRecordLookup drives records, lookups, design memos, and
 // stats snapshots from many goroutines; run under -race in CI, it is
-// the cache's data-race acceptance test.
+// the cache's data-race acceptance test. Each goroutine records more
+// targets than a curve holds on its hot curve and more fresh classes
+// than the cache holds between them, so both caps are hit
+// concurrently.
 func TestConcurrentRecordLookup(t *testing.T) {
-	c := New(Options{MaxEntries: 8, MaxPointsPerCurve: 16})
+	const goroutines, perG = 8, 600 // 4800 fresh classes overflow maxEntries
+	c := New(Options{})
 	k := testKey(t)
+	hot := func(g int) (Key, DesignKey) {
+		key := k
+		key.TechHash += uint64(g % 4)
+		return key, DesignKey{Size: float64(4 + g%3*4), N: 10}
+	}
+	// The four hot classes exist before the fresh ones can fill the
+	// cache, so their eight curves are never dropped.
+	for g := 0; g < goroutines; g++ {
+		key, d := hot(g)
+		c.Record(key, d, Sample{Target: 300e-12, FailProb: 0.02, StdErr: 0.002, Samples: 1024, Estimator: estimator.MC})
+	}
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			key := k
-			key.TechHash += uint64(g % 4)
-			d := DesignKey{Size: float64(4 + g%3*4), N: 10}
-			for i := 0; i < 500; i++ {
-				target := float64(300+i%50) * 1e-12
-				switch i % 4 {
-				case 0:
-					c.Record(key, d, Sample{Target: target, FailProb: 0.02, StdErr: 0.002, Samples: 1024 + i})
-				case 1:
-					c.Lookup(key, d, target, Tolerance{AbsErr: 0.01})
-				case 2:
-					c.RecordDesign(key, Design{Size: d.Size, N: d.N, Delay: target})
-					c.DesignFor(key)
-				case 3:
+			key, d := hot(g)
+			for i := 0; i < perG; i++ {
+				target := float64(300+i%(2*maxPointsPerCurve)) * 1e-12
+				s := Sample{Target: target, FailProb: 0.02, StdErr: 0.002, Samples: 1024 + i, Estimator: estimator.MC}
+				c.Record(key, d, s)
+				fresh := k
+				fresh.TechHash += uint64(1000 + g*perG + i)
+				c.Record(fresh, d, s)
+				c.Lookup(key, d, target, Tolerance{AbsErr: 0.01})
+				c.Lookup(fresh, d, target, Tolerance{AbsErr: 0.01})
+				c.RecordDesign(key, Design{Size: d.Size, N: d.N, Delay: target})
+				c.DesignFor(key)
+				if i%100 == 0 {
 					c.Stats()
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
+	// Full cache: the 4 hot classes hold 8 full curves, and each of the
+	// other classes one point.
+	st := c.Stats()
+	if st.Entries != maxEntries || st.Points != 8*maxPointsPerCurve+maxEntries-4 {
+		t.Fatalf("caps not both reached: %+v", st)
+	}
 }
 
 // TestLookupLatency pins the headline property: a warm lookup is a map
@@ -299,7 +328,7 @@ func TestLookupLatency(t *testing.T) {
 	c := New(Options{})
 	k := testKey(t)
 	for i := 0; i < 64; i++ {
-		c.Record(k, dk, Sample{Target: float64(300+i) * 1e-12, FailProb: 0.02, StdErr: 0.002, Samples: 4096})
+		c.Record(k, dk, Sample{Target: float64(300+i) * 1e-12, FailProb: 0.02, StdErr: 0.002, Samples: 4096, Estimator: estimator.MC})
 	}
 	const iters = 10000
 	start := time.Now()

@@ -110,7 +110,7 @@ func (o YieldOptions) resolveKind() (estimator.Kind, error) {
 		return estimator.Auto, fmt.Errorf("variation: invalid target sigma %g", o.TargetSigma)
 	}
 	if o.Estimator != estimator.Auto {
-		if _, ok := estimator.Lookup(o.Estimator); !ok {
+		if !estimator.Known(o.Estimator) {
 			return estimator.Auto, fmt.Errorf("variation: unknown estimator %q", o.Estimator)
 		}
 		return o.Estimator, nil

@@ -37,9 +37,6 @@ type Options struct {
 	// Buffering configures the inner repeater search (Coeffs
 	// required).
 	Buffering buffering.Options
-	// WidthMults and SpacingMults are the candidate multiples;
-	// defaults {1, 1.5, 2, 3} and {1, 1.5, 2, 3}.
-	WidthMults, SpacingMults []float64
 	// MaxPitchMult bounds (width+spacing)/(minimum pitch); default 3.
 	MaxPitchMult float64
 	// Workers bounds the goroutines evaluating geometry candidates:
@@ -48,13 +45,11 @@ type Options struct {
 	Workers int
 }
 
+// mults are the candidate width and spacing multiples of the layer
+// minimums.
+var mults = [...]float64{1, 1.5, 2, 3}
+
 func (o Options) withDefaults() Options {
-	if o.WidthMults == nil {
-		o.WidthMults = []float64{1, 1.5, 2, 3}
-	}
-	if o.SpacingMults == nil {
-		o.SpacingMults = []float64{1, 1.5, 2, 3}
-	}
 	if o.MaxPitchMult == 0 {
 		o.MaxPitchMult = 3
 	}
@@ -106,8 +101,8 @@ func OptimizeCtx(ctx context.Context, tc *tech.Technology, length float64, style
 		seg               wire.Segment
 	}
 	var cands []candidate
-	for _, wm := range o.WidthMults {
-		for _, sm := range o.SpacingMults {
+	for _, wm := range mults {
+		for _, sm := range mults {
 			pitchMult := (wm*layer.Width + sm*layer.Spacing) / minPitch
 			if pitchMult > o.MaxPitchMult+1e-12 {
 				continue

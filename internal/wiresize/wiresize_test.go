@@ -65,8 +65,6 @@ func TestSpacingHelpsWorstCaseCoupling(t *testing.T) {
 	// should appear in the chosen design when pitch allows it.
 	tc := tech.MustLookup("90nm")
 	o := opts(t, "90nm", 0)
-	o.WidthMults = []float64{1}
-	o.SpacingMults = []float64{1, 2, 3}
 	o.MaxPitchMult = 4
 	best, err := OptimizeCtx(context.Background(), tc, 10e-3, wire.SWSS, o)
 	if err != nil {
@@ -88,11 +86,9 @@ func TestPitchBudgetEnforced(t *testing.T) {
 	if best.WidthMult != 1 || best.SpacingMult != 1 {
 		t.Fatalf("budget 1 must force minimum geometry, got %+v", best)
 	}
-	o.MaxPitchMult = 0.5
-	o.WidthMults = []float64{1}
-	o.SpacingMults = []float64{1}
 	// Explicit impossible budget (the default would be restored by 0,
-	// so use a tiny positive value).
+	// so use a tiny positive value): even minimum geometry needs 1.
+	o.MaxPitchMult = 0.5
 	if _, err := OptimizeCtx(context.Background(), tc, 5e-3, wire.SWSS, o); err == nil {
 		t.Fatal("impossible pitch budget accepted")
 	}

@@ -422,10 +422,6 @@ type NoCRequest struct {
 	UseOriginalModel bool `json:"use_original_model,omitempty"`
 	// Style selects the bus design style; default SWSS.
 	Style Style `json:"style,omitempty"`
-	// SimulateTraffic additionally runs the cycle-based traffic
-	// simulation on the synthesized network and fills
-	// NoCResult.Traffic.
-	SimulateTraffic bool `json:"simulate_traffic,omitempty"`
 	// Workers bounds the goroutines the synthesizer's merge-candidate
 	// evaluation uses: 0 means every core, 1 forces the serial
 	// algorithm. The synthesized network is identical either way.
@@ -440,9 +436,6 @@ type NoCResult struct {
 	Links, Routers int
 	// MaxLinkLengthMM is the model's wire-length feasibility limit.
 	MaxLinkLengthMM float64
-	// Traffic holds the cycle-based simulation results when
-	// NoCRequest.SimulateTraffic was set.
-	Traffic *noc.SimResult
 }
 
 // SynthesizeNoC runs the COSI-style synthesis for a built-in test
@@ -483,18 +476,10 @@ func SynthesizeNoCCtx(ctx context.Context, req NoCRequest) (NoCResult, error) {
 		return NoCResult{}, err
 	}
 	m := net.Evaluate()
-	res := NoCResult{
+	return NoCResult{
 		Metrics:         m,
 		Links:           m.Links,
 		Routers:         m.Routers,
 		MaxLinkLengthMM: lm.MaxLength() * 1e3,
-	}
-	if req.SimulateTraffic {
-		sim, err := net.Simulate(noc.SimConfig{})
-		if err != nil {
-			return NoCResult{}, err
-		}
-		res.Traffic = sim
-	}
-	return res, nil
+	}, nil
 }

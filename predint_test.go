@@ -259,16 +259,6 @@ func TestSynthesizeNoCFacade(t *testing.T) {
 	if prop.MaxLinkLengthMM >= orig.MaxLinkLengthMM {
 		t.Fatal("original must allow longer links")
 	}
-	withTraffic, err := SynthesizeNoC(NoCRequest{Case: "DVOPD", Tech: "90nm", SimulateTraffic: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if withTraffic.Traffic == nil || withTraffic.Traffic.PacketsDelivered == 0 {
-		t.Fatal("traffic simulation missing or empty")
-	}
-	if withTraffic.Traffic.AvgLatency < withTraffic.Metrics.AvgLatency {
-		t.Fatal("simulated latency (with serialization) below analytic zero-load hop latency")
-	}
 	if _, err := SynthesizeNoC(NoCRequest{Case: "nope", Tech: "90nm"}); err == nil {
 		t.Fatal("unknown case accepted")
 	}

@@ -1,8 +1,10 @@
 package predint
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -89,6 +91,75 @@ func TestSynthesizeNoCConcurrent(t *testing.T) {
 			t.Fatalf("run %d topology diverged", r)
 		}
 	}
+}
+
+// TestGoldenCrosstalkCalibrationConcurrent calls the golden engine,
+// the coupled-line crosstalk study and Liberty calibration from many
+// goroutines at once. Run under `go test -race`, it checks the shared
+// characterized-library cache and the calibration path through the
+// facade; every concurrent answer must equal the serial one bit for
+// bit.
+func TestGoldenCrosstalkCalibrationConcurrent(t *testing.T) {
+	// The design TestGoldenLinkDelayAgreesWithModel checks.
+	des, err := DesignLink(LinkRequest{Tech: "90nm", LengthMM: 5, PowerWeight: Float(0.3), LibrarySizesOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := func() (float64, error) {
+		return GoldenLinkDelay("90nm", des.RepeaterSize, des.Repeaters, 5, SWSS, DefaultInputSlewPS)
+	}
+	xtalk := []CrosstalkRequest{
+		{Tech: "90nm", LengthMM: 1, Aggressors: "opposite"},
+		{Tech: "90nm", LengthMM: 1, Aggressors: "quiet"},
+	}
+	var lib bytes.Buffer
+	if err := ExportLibrary("90nm", &lib); err != nil {
+		t.Fatal(err)
+	}
+	calibrate := func() (*Coefficients, error) { return CalibrateFromLibrary(bytes.NewReader(lib.Bytes())) }
+
+	wantGolden, err := golden()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantX := make([]CrosstalkResult, len(xtalk))
+	for i, req := range xtalk {
+		if wantX[i], err = Crosstalk(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantCoeffs, err := calibrate()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const goroutines = 8
+	var wg sync.WaitGroup
+	wg.Add(goroutines)
+	for g := 0; g < goroutines; g++ {
+		go func(g int) {
+			defer wg.Done()
+			// Stagger the starting entry so different entries collide.
+			for k := 0; k < 2+len(xtalk); k++ {
+				switch i := (g + k) % (2 + len(xtalk)); i {
+				case 0:
+					if d, err := golden(); err != nil || d != wantGolden {
+						t.Errorf("goroutine %d: golden delay %x (%v), serial %x", g, d, err, wantGolden)
+					}
+				case 1:
+					if c, err := calibrate(); err != nil || !reflect.DeepEqual(c, wantCoeffs) {
+						t.Errorf("goroutine %d: calibration diverged (%v)", g, err)
+					}
+				default:
+					req := xtalk[i-2]
+					if x, err := Crosstalk(req); err != nil || x != wantX[i-2] {
+						t.Errorf("goroutine %d: crosstalk %q = %x (%v), serial %x", g, req.Aggressors, x, err, wantX[i-2])
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // TestLinkYieldConcurrent stacks concurrent facade calls on top of the
