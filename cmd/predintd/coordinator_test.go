@@ -51,12 +51,11 @@ func wrappedWorker(t *testing.T, wrap func(http.Handler) http.Handler) string {
 	return ts.URL
 }
 
-func testCoordinator(t *testing.T, urls []string, surf *surface.Cache, shardSamples int) *coordinator.Coordinator {
+func testCoordinator(t *testing.T, urls []string, shardSamples int) *coordinator.Coordinator {
 	t.Helper()
 	c, err := coordinator.New(coordinator.Config{
 		Workers:      urls,
 		ShardSamples: shardSamples,
-		Surface:      surf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +93,7 @@ func TestCoordinatorBitIdentity(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, shard := range []int{0, 256, 1000, 4096} {
-				coord := testCoordinator(t, urls, nil, shard)
+				coord := testCoordinator(t, urls, shard)
 				got, err := coord.Estimate(context.Background(), req)
 				if err != nil {
 					t.Fatalf("shard=%d: %v", shard, err)
@@ -126,7 +125,7 @@ func TestCoordinatorGlobalStop(t *testing.T) {
 	}
 	stops0 := obs.Snapshot()["coordinator.stopped_mid_wave"]
 	for _, shard := range []int{256, 512, 1024} {
-		coord := testCoordinator(t, urls, nil, shard)
+		coord := testCoordinator(t, urls, shard)
 		got, err := coord.Estimate(context.Background(), req)
 		if err != nil {
 			t.Fatalf("shard=%d: %v", shard, err)
@@ -146,7 +145,7 @@ func TestCoordinatorGlobalStop(t *testing.T) {
 // local path instead.
 func TestCoordinatorNotShardable(t *testing.T) {
 	_, urls := testCluster(t, 2, false)
-	coord := testCoordinator(t, urls, nil, 0)
+	coord := testCoordinator(t, urls, 0)
 	req := coordReq("ais", 2048)
 	if _, err := coord.Estimate(context.Background(), req); !errors.Is(err, predint.ErrNotShardable) {
 		t.Fatalf("AIS through the coordinator: err %v, want ErrNotShardable", err)
@@ -177,7 +176,7 @@ func TestCoordinatorNotShardable(t *testing.T) {
 func TestCoordinatorEndToEnd(t *testing.T) {
 	_, urls := testCluster(t, 3, false)
 	front := newServer(8, 64, 1<<20, 30*time.Second, time.Second)
-	front.coord = testCoordinator(t, urls, nil, 512)
+	front.coord = testCoordinator(t, urls, 512)
 	ts := httptest.NewServer(front.routes())
 	t.Cleanup(ts.Close)
 
@@ -222,7 +221,7 @@ func TestCoordinatorFaultMatrix(t *testing.T) {
 		defer faultinject.Activate(faultinject.Plan{Points: map[string]faultinject.Point{
 			"coordinator.rpc": {Kind: faultinject.Error, Times: 2},
 		}})()
-		check(t, testCoordinator(t, urls, nil, 512))
+		check(t, testCoordinator(t, urls, 512))
 	})
 
 	t.Run("partial-response-retries", func(t *testing.T) {
@@ -230,13 +229,13 @@ func TestCoordinatorFaultMatrix(t *testing.T) {
 		defer faultinject.Activate(faultinject.Plan{Points: map[string]faultinject.Point{
 			"coordinator.response": {Kind: faultinject.Error, Times: 2},
 		}})()
-		check(t, testCoordinator(t, urls, nil, 512))
+		check(t, testCoordinator(t, urls, 512))
 	})
 
 	t.Run("worker-503-drains-to-peers", func(t *testing.T) {
 		servers, urls := testCluster(t, 3, false)
 		servers[1].draining.Store(true) // every shard sent to w1 is shed with 503
-		check(t, testCoordinator(t, urls, nil, 512))
+		check(t, testCoordinator(t, urls, 512))
 	})
 
 	t.Run("worker-panic", func(t *testing.T) {
@@ -244,7 +243,7 @@ func TestCoordinatorFaultMatrix(t *testing.T) {
 		defer faultinject.Activate(faultinject.Plan{Points: map[string]faultinject.Point{
 			"predintd.shard.w0": {Kind: faultinject.Panic, Times: 2},
 		}})()
-		check(t, testCoordinator(t, urls, nil, 512))
+		check(t, testCoordinator(t, urls, 512))
 	})
 
 	t.Run("worker-timeout", func(t *testing.T) {
@@ -271,7 +270,7 @@ func TestCoordinatorFaultMatrix(t *testing.T) {
 		defer faultinject.Activate(faultinject.Plan{Points: map[string]faultinject.Point{
 			"predintd.shard.w2": {Kind: faultinject.Error, After: 1},
 		}})()
-		check(t, testCoordinator(t, urls, nil, 256))
+		check(t, testCoordinator(t, urls, 256))
 	})
 
 	t.Run("worker-set-exhausted-degrades-local", func(t *testing.T) {
@@ -281,92 +280,56 @@ func TestCoordinatorFaultMatrix(t *testing.T) {
 			"predintd.shard.w1": {Kind: faultinject.Error},
 		}})()
 		fallbacks0 := obs.Snapshot()["coordinator.local_fallbacks"]
-		check(t, testCoordinator(t, urls, nil, 1024))
+		check(t, testCoordinator(t, urls, 1024))
 		if got := obs.Snapshot()["coordinator.local_fallbacks"] - fallbacks0; got == 0 {
 			t.Errorf("dead worker set: local-fallback counter did not move")
 		}
 	})
 }
 
-// TestCoordinatorSurfaceOwnerRouting pins the warm-traffic routing: a
-// completed estimate is recorded at the replica that owns the link
-// class under rendezvous hashing, and the repeated request is answered
-// from that replica's surface without re-sampling.
-func TestCoordinatorSurfaceOwnerRouting(t *testing.T) {
-	servers, urls := testCluster(t, 3, true)
-	coord := testCoordinator(t, urls, nil, 512)
-	req := coordReq("mc", 2048)
-	req.NoSurface = false
+// TestCoordinatorFrontOwnsItsWarmTier pins where coordinated estimates
+// warm up: in the front's own surface, never in a worker's. Two workers
+// with surfaces of their own sit behind a front that repeats one
+// surface-eligible query. A front with a surface answers the repeat
+// from it without a shard; a front without one samples both times and
+// returns the same answer twice. Either way no worker's surface holds a
+// point, because the shard protocol only samples.
+func TestCoordinatorFrontOwnsItsWarmTier(t *testing.T) {
+	const body = `{"tech": "90nm", "length_mm": 5, "samples": 2048, "seed": 7, "estimator": "mc", "target_ps": 500}`
+	for _, withSurface := range []bool{true, false} {
+		workers, urls := testCluster(t, 2, true)
+		front := newServer(8, 64, 1<<20, 30*time.Second, time.Second)
+		if withSurface {
+			front.surf = surface.New(surface.Options{})
+		}
+		front.coord = testCoordinator(t, urls, 512)
+		ts := httptest.NewServer(front.routes())
+		t.Cleanup(ts.Close)
+		ask := func() (predint.YieldResult, int64) {
+			t.Helper()
+			shards0 := obs.Snapshot()["coordinator.shards_served"]
+			res := postYield(t, ts.URL, body)
+			return res, obs.Snapshot()["coordinator.shards_served"] - shards0
+		}
 
-	first, err := coord.Estimate(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Source != "mc" {
-		t.Fatalf("cold coordinated query: source %q, want mc", first.Source)
-	}
-	second, err := coord.Estimate(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.Source != "surface" {
-		t.Fatalf("repeated coordinated query: source %q, want surface (owner-routed probe)", second.Source)
-	}
-	if second.FailProb != first.FailProb || second.StdErr != first.StdErr || second.Samples != first.Samples {
-		t.Fatalf("owner-routed warm answer mangled the estimate:\n  first:  %+v\n  second: %+v", first, second)
-	}
-
-	// Exactly one replica — the owner — holds the recorded point.
-	owners := 0
-	for _, s := range servers {
-		if s.surf.Stats().Points > 0 {
-			owners++
+		first, shards := ask()
+		if first.Source != "mc" || shards != 4 {
+			t.Fatalf("front surface %v, cold query: source %q after %d shards, want mc after 4", withSurface, first.Source, shards)
 		}
-	}
-	if owners != 1 {
-		t.Errorf("recorded class present on %d replicas, want exactly 1 (the rendezvous owner)", owners)
-	}
-}
-
-// TestCoordinatorSurfaceOwnerInterpolates pins that a link class has
-// one owner for every delay target: estimates at two targets, recorded
-// through a surface-less front, land on the same replica, so a third
-// target between them is interpolated from that owner's curve. The
-// targets sit far above the link's delay, where no sample fails, so the
-// interpolated band is 0.
-func TestCoordinatorSurfaceOwnerInterpolates(t *testing.T) {
-	servers, urls := testCluster(t, 3, true)
-	coord := testCoordinator(t, urls, nil, 512)
-	at := func(ps float64) predint.YieldRequest {
-		req := coordReq("mc", 2048)
-		req.NoSurface = false
-		req.TargetPS = &ps
-		return req
-	}
-	for _, ps := range []float64{2000, 3000} {
-		res, err := coord.Estimate(context.Background(), at(ps))
-		if err != nil {
-			t.Fatal(err)
+		second, shards := ask()
+		switch {
+		case withSurface && (second.Source != "surface" || shards != 0):
+			t.Errorf("front with a surface, repeat: source %q after %d shards, want surface after 0", second.Source, shards)
+		case withSurface && (second.FailProb != first.FailProb || second.StdErr != first.StdErr || second.Samples != first.Samples):
+			t.Errorf("front with a surface: warm answer %+v mangled the sampled %+v", second, first)
+		case !withSurface && (second != first || shards != 4):
+			t.Errorf("front without a surface, repeat: %+v after %d shards, want the first answer %+v after 4", second, shards, first)
 		}
-		if res.Source != "mc" || res.FailProb != 0 {
-			t.Fatalf("target %g ps: source %q, fail probability %g; want a sampled answer with no failure", ps, res.Source, res.FailProb)
+		for i, w := range workers {
+			if n := w.surf.Stats().Points; n != 0 {
+				t.Errorf("front surface %v: worker %d's surface holds %d points, want 0", withSurface, i, n)
+			}
 		}
-	}
-	mid, err := coord.Estimate(context.Background(), at(2500))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mid.Source != "surface" || mid.FailProb != 0 || mid.StdErr != 0 {
-		t.Fatalf("bracketed target: source %q, %g ± %g; want the owner's interpolated 0 ± 0 (source surface)", mid.Source, mid.FailProb, mid.StdErr)
-	}
-	owners := 0
-	for _, s := range servers {
-		if s.surf.Stats().Points > 0 {
-			owners++
-		}
-	}
-	if owners != 1 {
-		t.Errorf("the class's points are on %d replicas, want exactly 1 (the rendezvous owner)", owners)
 	}
 }
 
@@ -405,7 +368,7 @@ func TestCoordinatorShardOfAnotherRungRetried(t *testing.T) {
 	if want.FailProb == 0 {
 		t.Fatal("no sample fails at the target; the fixture lost its teeth")
 	}
-	c := testCoordinator(t, []string{honest[0], liar}, nil, 512)
+	c := testCoordinator(t, []string{honest[0], liar}, 512)
 	defer c.Close()
 	got, err := c.Estimate(context.Background(), req)
 	if err != nil {
@@ -455,7 +418,7 @@ func TestCoordinatorOversizedResponseIsMemberFailure(t *testing.T) {
 		{"retried elsewhere", []string{honest[0], streamer}, false},
 		{"local fallback", []string{streamer}, true},
 	} {
-		c := testCoordinator(t, tc.workers, nil, 512)
+		c := testCoordinator(t, tc.workers, 512)
 		fallbacks := obs.Snapshot()["coordinator.local_fallbacks"]
 		got, err := c.Estimate(context.Background(), req)
 		status := c.WorkersStatus()

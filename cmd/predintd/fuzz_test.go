@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/coordinator"
-	"repro/internal/surface"
 )
 
 // FuzzYieldRequestBody sends arbitrary bodies through the /v1/yield and
@@ -64,13 +63,13 @@ var shardSeeds = []struct {
 	{`{"op": "sample", "req": {"tech": "90nm", "length_mm": 5}, "start": -1, "count": 4}`, 400,
 		"variation: shard range [-1,3) outside sample budget 4096"},
 	{`{"op": "sample", "req": {"tech": "90nm", "length_mm": 1e9, "input_slew_ps": 1e-300, "target_ps": 1e308}, "start": 0, "count": 1}`, 200, `"count":1`},
-	{`{"op": "probe", "req": {"tech": "90nm", "length_mm": 5}}`, 200, `{}`},
+	// Ops of an older build, whose protocol also probed and recorded
+	// the warm surface.
+	{`{"op": "probe", "req": {"tech": "90nm", "length_mm": 5}}`, 400, `coordinator: unknown shard op "probe"`},
 	{`{"op": "record", "req": {"tech": "90nm", "length_mm": 5}, "result": {"repeaters": 2, "repeater_size": 60, "nominal_delay_s": 4.3e-10,
-		"yield": 0.5, "fail_prob": 0.5, "samples": 64, "estimator": "mc", "source": "mc"}}`, 200, `"recorded":true`},
-	// A result no estimation produces: the owner refuses it.
-	{`{"op": "record", "req": {"tech": "90nm", "length_mm": 5}, "result": {"repeaters": 0, "repeater_size": 60, "nominal_delay_s": 4.3e-10,
-		"yield": -6, "fail_prob": 7, "std_err": -1, "samples": 64, "estimator": "bogus", "source": "mc"}}`, 400,
-		"predint: refusing to record failure probability 7 ± -1"},
+		"yield": 0.5, "fail_prob": 0.5, "samples": 64, "estimator": "mc", "source": "mc"}}`, 400,
+		`predintd: bad request body: json: unknown field "result"`},
+	{`{"op": "record", "req": {"tech": "90nm", "length_mm": 5}}`, 400, `coordinator: unknown shard op "record"`},
 	// A peer still sending the retired surface_version field.
 	{`{"op": "probe", "req": {"tech": "90nm", "length_mm": 5}, "surface_version": 0}`, 400,
 		`predintd: bad request body: json: unknown field "surface_version"`},
@@ -86,19 +85,17 @@ var shardSeeds = []struct {
 }
 
 // FuzzShardRequestBody sends arbitrary bodies to the coordinator
-// protocol's /v1/internal/shard handler on a worker with a warm-start
-// surface, so every op is reachable: a sample op replans the request
+// protocol's /v1/internal/shard handler: a sample op replans the request
 // (decoding, routing and the buffering search on whatever link the body
-// describes) and collects its range, a probe op consults the surface,
-// and a record op writes to it. Sample ranges longer than shardFuzzCap
-// are skipped to keep each input cheap. Whatever the body, the answer
-// must be a 200, a 400 or a 413.
+// describes) and collects its range, and any other op is refused.
+// Sample ranges longer than shardFuzzCap are skipped to keep each input
+// cheap. Whatever the body, the answer must be a 200, a 400 or a 413.
 func FuzzShardRequestBody(f *testing.F) {
 	const shardFuzzCap = 256
 	for _, seed := range shardSeeds {
 		f.Add(seed.body)
 	}
-	h := shardFuzzServer().routes()
+	h := newServer(4, 16, 0, time.Minute, time.Second).routes()
 	f.Fuzz(func(t *testing.T, body string) {
 		var sr coordinator.ShardRequest
 		if json.Unmarshal([]byte(body), &sr) == nil && sr.Op == coordinator.OpSample && sr.Count > shardFuzzCap {
@@ -112,7 +109,7 @@ func FuzzShardRequestBody(f *testing.F) {
 // its status and answer, so a seed that stops at the decoder instead of
 // its op is caught rather than passing the fuzz target's status check.
 func TestShardSeedsReachTheirStage(t *testing.T) {
-	h := shardFuzzServer().routes()
+	h := newServer(4, 16, 0, time.Minute, time.Second).routes()
 	for i, seed := range shardSeeds {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/internal/shard", strings.NewReader(seed.body)))
@@ -131,14 +128,6 @@ func TestShardSeedsReachTheirStage(t *testing.T) {
 			t.Errorf("seed %d: error %q, want it to start with %q", i, doc.Error, seed.want)
 		}
 	}
-}
-
-// shardFuzzServer is a worker with a warm-start surface, so probe and
-// record ops reach the cache.
-func shardFuzzServer() *server {
-	s := newServer(4, 16, 0, time.Minute, time.Second)
-	s.surf = surface.New(surface.Options{})
-	return s
 }
 
 // FuzzLinkRequestBody sends arbitrary bodies through the /v1/link

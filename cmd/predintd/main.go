@@ -33,8 +33,9 @@
 // body carries the /v1/yield body in its own keys, so a front and its
 // workers must run the same build. Failed shards retry against the
 // next replica (-shard-attempts) and degrade to local execution when
-// the worker set is exhausted; surface probes and records route to the
-// replica owning the request's link class under rendezvous hashing.
+// the worker set is exhausted. The front keeps its own warm surface and
+// records its coordinated estimates there; a worker's surface serves
+// only traffic sent to that worker directly.
 //
 // The worker roster is fixed by -workers at startup, and managed: a
 // background prober hits each worker's /readyz every
@@ -142,7 +143,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			Client:        &http.Client{Timeout: *shardTimeoutFlag},
 			ShardSamples:  *shardSamplesFlag,
 			MaxAttempts:   *shardAttemptsFlag,
-			Surface:       s.surf,
 			ProbeInterval: *probeIntervalFlag,
 			ProbeTimeout:  *probeTimeoutFlag,
 			EjectAfter:    *ejectAfterFlag,

@@ -17,7 +17,6 @@ import (
 	predint "repro"
 	"repro/internal/coordinator"
 	"repro/internal/obs"
-	"repro/internal/surface"
 )
 
 // Chaos fault modes a replica can be switched into at runtime. Unlike
@@ -64,23 +63,19 @@ func (g *chaosGate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // chaosCluster is testCluster with a chaos gate in front of every
 // replica.
-func chaosCluster(t *testing.T, n int, withSurface bool) ([]*server, []*chaosGate, []string) {
+func chaosCluster(t *testing.T, n int) ([]*chaosGate, []string) {
 	t.Helper()
-	servers := make([]*server, n)
 	gates := make([]*chaosGate, n)
 	urls := make([]string, n)
 	for i := 0; i < n; i++ {
 		s := newServer(8, 64, 1<<20, 30*time.Second, time.Second)
 		s.shardFault = fmt.Sprintf("predintd.shard.chaos%d", i)
-		if withSurface {
-			s.surf = surface.New(surface.Options{})
-		}
 		g := &chaosGate{next: s.routes()}
 		ts := httptest.NewServer(g)
 		t.Cleanup(ts.Close)
-		servers[i], gates[i], urls[i] = s, g, ts.URL
+		gates[i], urls[i] = g, ts.URL
 	}
-	return servers, gates, urls
+	return gates, urls
 }
 
 func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
@@ -115,7 +110,7 @@ func TestReadyzGatesOnFirstProbe(t *testing.T) {
 	deadURL := deadTS.URL
 	deadTS.Close()
 	// A worker that is down at startup and comes up later.
-	_, gates, lateURLs := chaosCluster(t, 1, false)
+	gates, lateURLs := chaosCluster(t, 1)
 	gates[0].mode.Store(chaosDead)
 
 	coord, err := coordinator.New(coordinator.Config{
@@ -202,7 +197,7 @@ func TestReadyzGatesOnFirstProbe(t *testing.T) {
 // consecutive successes readmit it, and the estimates served throughout
 // stay bit-identical.
 func TestWorkerEvictionAndReadmission(t *testing.T) {
-	_, gates, urls := chaosCluster(t, 3, false)
+	gates, urls := chaosCluster(t, 3)
 	coord, err := coordinator.New(coordinator.Config{
 		Workers:       urls,
 		Client:        &http.Client{Timeout: 2 * time.Second},
@@ -268,87 +263,13 @@ func TestWorkerEvictionAndReadmission(t *testing.T) {
 	}
 }
 
-// TestReadmissionRestoresWarmOwner is the churn/surface corner: the
-// worker that owns a recorded surface point dies, the class is
-// re-sampled elsewhere while it is away — bit-identically — and once
-// readmitted the owner serves the class again from its warm point.
-func TestReadmissionRestoresWarmOwner(t *testing.T) {
-	servers, gates, urls := chaosCluster(t, 2, true)
-	coord, err := coordinator.New(coordinator.Config{
-		Workers:       urls,
-		Client:        &http.Client{Timeout: 2 * time.Second},
-		ShardSamples:  512,
-		ProbeInterval: 15 * time.Millisecond,
-		ProbeTimeout:  200 * time.Millisecond,
-		EjectAfter:    2,
-		ReadmitAfter:  2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(coord.Close)
-
-	req := coordReq("mc", 2048)
-	req.NoSurface = false
-	first, err := coord.Estimate(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Source != "mc" {
-		t.Fatalf("cold query: source %q, want mc", first.Source)
-	}
-
-	// The rendezvous owner is the one replica holding the point.
-	ownerIdx := -1
-	for i, s := range servers {
-		if s.surf.Stats().Points > 0 {
-			ownerIdx = i
-		}
-	}
-	if ownerIdx < 0 {
-		t.Fatal("no replica holds the recorded point")
-	}
-	owner := servers[ownerIdx].surf
-
-	gates[ownerIdx].mode.Store(chaosDead)
-	waitFor(t, 3*time.Second, "the owner to be ejected", func() bool {
-		return statusOf(coord, urls[ownerIdx]).State == "ejected"
-	})
-	away, err := coord.Estimate(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if away != first {
-		t.Fatalf("answer with the owner ejected differs from the first run:\n  first: %+v\n  away:  %+v", first, away)
-	}
-
-	gates[ownerIdx].mode.Store(chaosOK)
-	waitFor(t, 3*time.Second, "the owner to be readmitted", func() bool {
-		return statusOf(coord, urls[ownerIdx]).State == "ready"
-	})
-	hits0 := owner.Stats().Hits
-	after, err := coord.Estimate(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after.Source != "surface" {
-		t.Fatalf("readmitted owner did not answer from its warm point: source %q", after.Source)
-	}
-	if after.FailProb != first.FailProb || after.StdErr != first.StdErr || after.Samples != first.Samples {
-		t.Fatalf("warm answer after readmission differs:\n  first: %+v\n  after: %+v", first, after)
-	}
-	if got := owner.Stats().Hits - hits0; got != 1 {
-		t.Errorf("readmitted owner's surface served %d hits, want 1", got)
-	}
-}
-
 // TestHedgedHungReplica is the straggler bound of the acceptance
 // criteria: with one replica accepting connections and never
 // answering, a hedged coordinator pays at most the hedge delay per
 // wave — not the full RPC timeout — and the merged estimate stays
 // bit-identical.
 func TestHedgedHungReplica(t *testing.T) {
-	_, gates, urls := chaosCluster(t, 3, false)
+	gates, urls := chaosCluster(t, 3)
 	gates[1].mode.Store(chaosHung)
 
 	const rpcTimeout = 8 * time.Second
@@ -400,7 +321,7 @@ func TestHedgedHungReplica(t *testing.T) {
 // once the winner returns, so repeated hedging cannot accumulate
 // goroutines.
 func TestHedgeLoserNoLeak(t *testing.T) {
-	_, gates, urls := chaosCluster(t, 3, false)
+	gates, urls := chaosCluster(t, 3)
 	gates[1].mode.Store(chaosHung)
 
 	client := &http.Client{Timeout: 8 * time.Second}
@@ -500,7 +421,7 @@ func TestChaosSoakMembership(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos soak is seconds of wall clock")
 	}
-	_, gates, urls := chaosCluster(t, 4, false)
+	gates, urls := chaosCluster(t, 4)
 	coord, err := coordinator.New(coordinator.Config{
 		Workers:          urls,
 		Client:           &http.Client{Timeout: 500 * time.Millisecond},

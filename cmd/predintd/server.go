@@ -367,8 +367,12 @@ func (s *server) handleYield(ctx context.Context, r *http.Request) (any, error) 
 		res, err = predint.LinkYieldNominalCtx(ctx, req)
 	case s.coord != nil:
 		res, err = s.coord.Estimate(ctx, req)
-		if errors.Is(err, predint.ErrNotShardable) {
+		switch {
+		case errors.Is(err, predint.ErrNotShardable):
 			res, err = sf.LinkYieldCtx(ctx, req)
+		case err == nil && s.surf != nil && !req.NoSurface:
+			// Warm this front's own tier 1, as the local path does.
+			_ = sf.RecordYield(req, res)
 		}
 	default:
 		res, err = sf.LinkYieldCtx(ctx, req)
@@ -434,11 +438,10 @@ func (s *server) handleYieldBatch(ctx context.Context, r *http.Request) (any, er
 
 // ---- /v1/internal/shard ----
 
-// handleShard serves the coordinator protocol: sample-range
-// collection, surface probes, and surface records against this
-// replica's own cache. It runs behind the same admission control as
-// every v1 endpoint, so an overloaded worker sheds shard traffic with
-// a 503 and the coordinator retries against the next replica.
+// handleShard serves the coordinator protocol's sample-range
+// collection. It runs behind the same admission control as every v1
+// endpoint, so an overloaded worker sheds shard traffic with a 503 and
+// the coordinator retries against the next replica.
 func (s *server) handleShard(ctx context.Context, r *http.Request) (any, error) {
 	if err := faultinject.Hit(s.shardFault); err != nil {
 		return nil, err
@@ -447,7 +450,7 @@ func (s *server) handleShard(ctx context.Context, r *http.Request) (any, error) 
 	if err := s.decodeBody(r, &sr); err != nil {
 		return nil, err
 	}
-	return coordinator.ExecuteShard(ctx, s.surf, sr)
+	return coordinator.ExecuteShard(ctx, sr)
 }
 
 // ---- /v1/noc ----

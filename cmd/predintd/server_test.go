@@ -57,7 +57,7 @@ func TestTrailingDataRejected(t *testing.T) {
 		"/v1/yield":          `{"tech": "90nm", "length_mm": 5, "samples": 64}`,
 		"/v1/yield/batch":    `{"tech": "90nm", "length_mm": 5, "samples": 64, "candidates": [{"repeater_size": 8, "repeaters": 10}]}`,
 		"/v1/noc":            `{"case": "VPROC", "tech": "90nm"}`,
-		"/v1/internal/shard": `{"op": "probe", "req": {"tech": "90nm", "length_mm": 5}}`,
+		"/v1/internal/shard": `{"op": "sample", "req": {"tech": "90nm", "length_mm": 5, "samples": 64}, "start": 0, "count": 64}`,
 	}
 	for path, doc := range docs {
 		if code, _, resp := postJSON(t, ts.URL+path, doc+"\n \t"); code != http.StatusOK {

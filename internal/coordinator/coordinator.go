@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"math/rand/v2"
 	"net/http"
@@ -17,7 +16,6 @@ import (
 
 	predint "repro"
 	"repro/internal/faultinject"
-	"repro/internal/surface"
 	"repro/internal/variation"
 )
 
@@ -40,10 +38,6 @@ type Config struct {
 	// against before degrading to local execution; 0 means one attempt
 	// per worker.
 	MaxAttempts int
-	// Surface is this replica's own surface cache (nil when running
-	// surface-less). Completed estimates are recorded here as well as
-	// at the owning replica.
-	Surface *surface.Cache
 
 	// ProbeInterval is the background health-probe period; 0 disables
 	// the prober (members are then only demoted by their breakers).
@@ -82,7 +76,6 @@ type Coordinator struct {
 	hedgeAfter    time.Duration
 	probeInterval time.Duration
 	probeTimeout  time.Duration
-	surf          *surface.Cache
 	mem           *membership
 	scratch       sync.Pool // *rpcScratch
 
@@ -131,7 +124,6 @@ func New(cfg Config) (*Coordinator, error) {
 		hedgeAfter:    cfg.HedgeAfter,
 		probeInterval: cfg.ProbeInterval,
 		probeTimeout:  cfg.ProbeTimeout,
-		surf:          cfg.Surface,
 		stop:          make(chan struct{}),
 	}
 	if c.probeTimeout <= 0 {
@@ -291,53 +283,10 @@ func (c *Coordinator) probeOne(m *member) {
 	c.mem.probeSuccess(m)
 }
 
-// owner rendezvous-hashes a link class onto the non-ejected member
-// with the highest score mix64(classHash ^ fnv(addr)). Scoring by
-// address keeps ownership a pure function of (class, live set): every
-// replica computes the same owner, reordering the roster changes
-// nothing, and an eviction moves only the ~1/N classes the evicted
-// member owned, which return on its readmission. Falls back to the
-// full set when everything is ejected, so routing stays defined while
-// the fleet recovers.
-func (c *Coordinator) owner(classHash uint64) *member {
-	pick := func(includeEjected bool) *member {
-		var best *member
-		var bestScore uint64
-		for _, m := range c.mem.members {
-			if !includeEjected && m.isEjected() {
-				continue
-			}
-			h := fnv.New64a()
-			io.WriteString(h, m.addr)
-			score := mix64(classHash ^ h.Sum64())
-			if best == nil || score > bestScore {
-				best, bestScore = m, score
-			}
-		}
-		return best
-	}
-	if m := pick(false); m != nil {
-		return m
-	}
-	return pick(true)
-}
-
-// mix64 is the splitmix64 finalizer — a cheap, well-distributed bijection.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-// Estimate serves a yield request through the worker set: plan, probe
-// the class owner's warm surface, fan the sample range out in waves,
-// merge in index order, and feed the completed estimate back to the
-// owner. Returns an error wrapping predint.ErrNotShardable when the
-// request's rung cannot be index-partitioned — the caller then runs
-// the local path.
+// Estimate serves a yield request through the worker set: plan, fan
+// the sample range out in waves, and merge in index order. Returns an
+// error wrapping predint.ErrNotShardable when the request's rung cannot
+// be index-partitioned — the caller then runs the local path.
 func (c *Coordinator) Estimate(ctx context.Context, req predint.YieldRequest) (predint.YieldResult, error) {
 	plan, err := predint.YieldShardPlanFor(req)
 	if err != nil {
@@ -347,60 +296,11 @@ func (c *Coordinator) Estimate(ctx context.Context, req predint.YieldRequest) (p
 		return predint.YieldResult{}, err
 	}
 	metRequestsServed.Inc()
-
-	// Only surface traffic is routed by link class, so a no_surface
-	// request (every scale-out request) skips the class hash and the
-	// rendezvous pick.
-	var owner *member
-	if !req.NoSurface {
-		owner = c.owner(plan.ClassHash())
-		if res, ok := c.probeOwner(ctx, owner, req); ok {
-			metProbeHits.Inc()
-			return res, nil
-		}
-	}
-
 	est, err := c.sample(ctx, plan, req)
 	if err != nil {
 		return predint.YieldResult{}, err
 	}
-	res := plan.Result(est)
-
-	if !req.NoSurface {
-		c.recordOwner(ctx, owner, req, res)
-		if c.surf != nil {
-			// Also warm this replica's own cache: the owner serves
-			// repeated traffic for the class, but a local hit is
-			// cheaper still.
-			_ = predint.Surfaced{Cache: c.surf}.RecordYield(req, res)
-		}
-	}
-	return res, nil
-}
-
-// probeOwner asks the owning replica's warm surface; any transport
-// error, or an owner behind an open breaker, is a miss (the sampling
-// path is always available).
-func (c *Coordinator) probeOwner(ctx context.Context, owner *member, req predint.YieldRequest) (predint.YieldResult, bool) {
-	if !owner.eligible(time.Now()) {
-		metOwnerProbeMisses.Inc()
-		return predint.YieldResult{}, false
-	}
-	resp, err := c.callMember(ctx, owner, ShardRequest{Op: OpProbe, Req: req})
-	if err != nil || !resp.ProbeHit || resp.Result == nil {
-		metOwnerProbeMisses.Inc()
-		return predint.YieldResult{}, false
-	}
-	return *resp.Result, true
-}
-
-// recordOwner feeds a completed estimate to the owning replica's
-// surface. Best-effort: a failed record only costs a future probe hit.
-func (c *Coordinator) recordOwner(ctx context.Context, owner *member, req predint.YieldRequest, res predint.YieldResult) {
-	if !owner.eligible(time.Now()) {
-		return
-	}
-	_, _ = c.callMember(ctx, owner, ShardRequest{Op: OpRecord, Req: req, Result: &res})
+	return plan.Result(est), nil
 }
 
 // shardRange is one contiguous piece of the sample-index range.
@@ -848,21 +748,18 @@ func (c *Coordinator) callMember(ctx context.Context, m *member, sr ShardRequest
 
 // A worker's answer is read only up to a bound derived from the request
 // it answers, so a misbehaving worker or proxy cannot grow the front's
-// memory for the whole RPC timeout. The largest honest answer to an
-// OpSample is the worker's compact encoding of a part in which every
-// one of count samples fails and carries a weight: per sample one index
-// and one weight, each a JSON number of at most 24 bytes followed by a
-// comma. Everything else — the envelope, a probe's result, a record's
-// acknowledgement, an error message — fits in smallResponse.
+// memory for the whole RPC timeout. The largest honest answer is the
+// worker's compact encoding of a part in which every one of count
+// samples fails and carries a weight: per sample one index and one
+// weight, each a JSON number of at most 24 bytes followed by a comma.
+// Everything else — the envelope, an error message — fits in
+// smallResponse.
 const (
 	smallResponse     = 16 << 10
 	failSampleMaxSize = 2 * (24 + 1)
 )
 
 func responseBound(sr ShardRequest) int64 {
-	if sr.Op != OpSample {
-		return smallResponse
-	}
 	return smallResponse + int64(sr.Count)*failSampleMaxSize
 }
 

@@ -54,7 +54,10 @@ type packet struct {
 // Simulate runs the cycle-based traffic simulation. It is
 // deterministic: injection uses per-flow rate accumulators (no
 // randomness), and links arbitrate FIFO with ties broken by flow
-// index.
+// index. It runs Check first, which refuses every oversubscribed
+// link, so its error for packets still in flight after the drain is a
+// guard: it fires only for a Check-valid network whose queues do not
+// drain within simDrain cycles, and no known network does that.
 func (n *Network) Simulate() (*SimResult, error) {
 	if err := n.Check(); err != nil {
 		return nil, err

@@ -3,7 +3,6 @@ package predint
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 
 	"repro/internal/buffering"
 	"repro/internal/estimator"
@@ -80,19 +79,6 @@ func (pl *YieldShardPlan) Samples() int {
 // the least work.
 func (pl *YieldShardPlan) Batch() int {
 	return variation.Batch
-}
-
-// ClassHash is a deterministic hash of the request's link class — the
-// fields that key the yield-surface cache, without the delay target.
-// Every replica computes the same hash for the same request, so it can
-// consistent-hash the class onto a stable owner replica, and every
-// target of a class lands on that one owner, whose curve can then
-// interpolate between them.
-func (pl *YieldShardPlan) ClassHash() uint64 {
-	h := fnv.New64a()
-	k := pl.p.surfaceKey()
-	fmt.Fprintf(h, "%v|%v|%v|%v|%v", k.TechHash, k.Geom, k.InputSlew, k.PowerWeight, k.Space)
-	return h.Sum64()
 }
 
 // CollectCtx evaluates the contiguous index range [start, start+count)

@@ -44,12 +44,12 @@ type Surfaced struct {
 }
 
 // RecordYield feeds a completed full-sampling yield result back into
-// the bound cache, exactly as the local estimation path would have: the
-// coordinator calls it on the replica that owns the request's link
-// class, so repeated traffic warms a stable shard. Degraded, surface,
+// the bound cache, exactly as the local estimation path would have:
+// predintd's front calls it after a coordinated estimate, so its own
+// warm tier learns the answer the workers sampled. Degraded, surface,
 // and resized results are refused — only a fresh Monte Carlo estimate
 // of the nominal design is a valid curve point plus design memo — and
-// so is a result no estimation can produce, which the owner would
+// so is a result no estimation can produce, which the cache would
 // otherwise serve to later warm queries: a failure probability outside
 // [0, 1] (ISLE's unbiased estimate can exceed 1, but that is no
 // probability the surface can interpolate), a negative standard error,

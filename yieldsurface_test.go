@@ -70,8 +70,8 @@ func TestSurfaceOffVsMissBitIdentical(t *testing.T) {
 	}
 }
 
-// TestRecordYieldRefusesImpossibleResults pins the owner side of the
-// record op: a result no estimation produces — a failure probability
+// TestRecordYieldRefusesImpossibleResults pins RecordYield's input
+// checks: a result no estimation produces — a failure probability
 // outside [0, 1], a negative standard error, an estimator the ladder
 // does not name, a design without a positive size, count or nominal
 // delay — is refused with an error, leaves the cache as it was, and a
