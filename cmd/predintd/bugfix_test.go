@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -102,5 +103,24 @@ func TestWorkerPanicMapsTo500EndToEnd(t *testing.T) {
 	}
 	if code, _, _ := postJSON(t, ts.URL+"/v1/yield", `{"tech": "90nm", "length_mm": 5, "samples": 256, "workers": 2}`); code != http.StatusOK {
 		t.Errorf("request after worker panic: status %d, want 200", code)
+	}
+}
+
+// TestShardOverCostCeilingRefused: /v1/internal/shard honours
+// -max-yield-cost as /v1/yield does. A shard one sample over the
+// ceiling is a 400 naming it, whatever its body would have cost, and a
+// shard of exactly the ceiling is served.
+func TestShardOverCostCeilingRefused(t *testing.T) {
+	const ceiling = 64
+	_, ts := testServer(t, 4, 16, ceiling, 10*time.Second)
+	shard := func(count int) string {
+		return fmt.Sprintf(`{"op": "sample", "req": {"tech": "90nm", "length_mm": 5, "samples": 4096, "target_ps": 1}, "start": 0, "count": %d}`, count)
+	}
+	code, _, body := postJSON(t, ts.URL+"/v1/internal/shard", shard(ceiling+1))
+	if code != http.StatusBadRequest || !strings.Contains(string(body), "64-sample cost ceiling") {
+		t.Fatalf("shard over the ceiling: status %d, body %s; want a 400 naming the ceiling", code, body)
+	}
+	if code, _, body := postJSON(t, ts.URL+"/v1/internal/shard", shard(ceiling)); code != http.StatusOK {
+		t.Fatalf("shard at the ceiling: status %d, body %s; want 200", code, body)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -438,4 +439,99 @@ func TestCoordinatorOversizedResponseIsMemberFailure(t *testing.T) {
 			t.Errorf("%s: local fallback taken = %v, want %v", tc.name, moved, tc.fallback)
 		}
 	}
+}
+
+// TestCoordinatorPlanMemoCounts pins where the plan memos pay: two
+// identical 4-shard ISLE requests through two loopback workers. On the
+// first, each worker designs the link for its first-wave shard and
+// reuses it for its second-wave one, and the front designs it once; on
+// the second every plan is a hit. Both answers are the local one.
+func TestCoordinatorPlanMemoCounts(t *testing.T) {
+	workers, urls := testCluster(t, 2, false)
+	coord := testCoordinator(t, urls, 0) // 2048 samples → four 512-sample shards
+	req := coordReq("isle", 2048)
+	want, err := predint.Surfaced{}.LinkYieldCtx(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, wantMemo := range []struct{ hits, misses, workerHits, workerMisses int64 }{
+		{2, 3, 1, 1},
+		{5, 0, 2, 0},
+	} {
+		snap0 := obs.Snapshot()
+		var before [2][2]int64
+		for w, s := range workers {
+			before[w][0], before[w][1] = s.plans.Stats()
+		}
+		got, err := coord.Estimate(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("request %d: coordinator %+v != local %+v", i+1, got, want)
+		}
+		snap := obs.Snapshot()
+		hits := snap["predint.plan_memo.hits"] - snap0["predint.plan_memo.hits"]
+		misses := snap["predint.plan_memo.misses"] - snap0["predint.plan_memo.misses"]
+		if hits != wantMemo.hits || misses != wantMemo.misses {
+			t.Errorf("request %d: process-wide %d hits, %d misses; want %d, %d", i+1, hits, misses, wantMemo.hits, wantMemo.misses)
+		}
+		for w, s := range workers {
+			h, m := s.plans.Stats()
+			if h-before[w][0] != wantMemo.workerHits || m-before[w][1] != wantMemo.workerMisses {
+				t.Errorf("request %d: worker %d %d hits, %d misses; want %d, %d",
+					i+1, w, h-before[w][0], m-before[w][1], wantMemo.workerHits, wantMemo.workerMisses)
+			}
+		}
+	}
+}
+
+// TestCoordinatorPlanMemoConcurrent runs eight goroutines of mixed link
+// classes, rungs and seeds through one front and two workers, so the
+// memos see concurrent misses on one key and concurrent first ISLE
+// collects on one entry. Every answer must equal the serial local one.
+// CI runs it under the race detector ten times.
+func TestCoordinatorPlanMemoConcurrent(t *testing.T) {
+	_, urls := testCluster(t, 2, false)
+	coord := testCoordinator(t, urls, 128)
+	var reqs []predint.YieldRequest
+	for _, link := range []struct {
+		tech   string
+		length float64
+	}{{"90nm", 5}, {"65nm", 3}} {
+		for _, est := range []string{"mc", "isle", "qmc"} {
+			for seed := uint64(1); seed <= 2; seed++ {
+				req := coordReq(est, 512)
+				req.Tech, req.LengthMM, req.Seed, req.Workers = link.tech, link.length, seed, 1
+				reqs = append(reqs, req)
+			}
+		}
+	}
+	want := make([]predint.YieldResult, len(reqs))
+	for i, req := range reqs {
+		var err error
+		if want[i], err = (predint.Surfaced{}).LinkYieldCtx(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const goroutines = 8
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := range reqs {
+				i := (k + g) % len(reqs) // each goroutine starts on its own class
+				got, err := coord.Estimate(context.Background(), reqs[i])
+				if err != nil {
+					t.Errorf("goroutine %d, request %d: %v", g, i, err)
+					return
+				}
+				if got != want[i] {
+					t.Errorf("goroutine %d, request %d: coordinator %+v != serial %+v", g, i, got, want[i])
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

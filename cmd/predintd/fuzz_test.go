@@ -7,8 +7,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/coordinator"
 )
 
 // FuzzYieldRequestBody sends arbitrary bodies through the /v1/yield and
@@ -41,6 +39,13 @@ func FuzzYieldRequestBody(f *testing.F) {
 		}
 	})
 }
+
+// shardFuzzCap is the cost ceiling of the servers that
+// FuzzShardRequestBody and TestShardSeedsReachTheirStage post to: above
+// the largest seed range (64 samples), so every seed reaches its op,
+// and small enough that any accepted input stays cheap. A longer range
+// gets the ceiling's 400.
+const shardFuzzCap = 256
 
 // shardSeeds are FuzzShardRequestBody's seed corpus, each with the
 // status it gets and what its answer must show: for a 200 a fragment of
@@ -85,22 +90,18 @@ var shardSeeds = []struct {
 }
 
 // FuzzShardRequestBody sends arbitrary bodies to the coordinator
-// protocol's /v1/internal/shard handler: a sample op replans the request
+// protocol's /v1/internal/shard handler: a sample op plans the request
 // (decoding, routing and the buffering search on whatever link the body
-// describes) and collects its range, and any other op is refused.
-// Sample ranges longer than shardFuzzCap are skipped to keep each input
-// cheap. Whatever the body, the answer must be a 200, a 400 or a 413.
+// describes, through the server's plan memo) and collects its range, a
+// range over the server's cost ceiling (shardFuzzCap) is refused, and
+// any other op is refused. Whatever the body, the answer must be a 200,
+// a 400 or a 413.
 func FuzzShardRequestBody(f *testing.F) {
-	const shardFuzzCap = 256
 	for _, seed := range shardSeeds {
 		f.Add(seed.body)
 	}
-	h := newServer(4, 16, 0, time.Minute, time.Second).routes()
+	h := newServer(4, 16, shardFuzzCap, time.Minute, time.Second).routes()
 	f.Fuzz(func(t *testing.T, body string) {
-		var sr coordinator.ShardRequest
-		if json.Unmarshal([]byte(body), &sr) == nil && sr.Op == coordinator.OpSample && sr.Count > shardFuzzCap {
-			t.Skip("sample range over the fuzz cap")
-		}
 		postFuzzBody(t, h, "/v1/internal/shard", body)
 	})
 }
@@ -109,7 +110,7 @@ func FuzzShardRequestBody(f *testing.F) {
 // its status and answer, so a seed that stops at the decoder instead of
 // its op is caught rather than passing the fuzz target's status check.
 func TestShardSeedsReachTheirStage(t *testing.T) {
-	h := newServer(4, 16, 0, time.Minute, time.Second).routes()
+	h := newServer(4, 16, shardFuzzCap, time.Minute, time.Second).routes()
 	for i, seed := range shardSeeds {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/internal/shard", strings.NewReader(seed.body)))

@@ -31,9 +31,11 @@
 // merging the partial accumulators in index order — the answer is
 // bit-identical to a single-process run at any shard count. A shard
 // body carries the /v1/yield body in its own keys, so a front and its
-// workers must run the same build. Failed shards retry against the
-// next replica (-shard-attempts) and degrade to local execution when
-// the worker set is exhausted. The front keeps its own warm surface and
+// workers must run the same build, and a shard longer than the
+// worker's -max-yield-cost is refused. Every replica designs each link
+// class and delay target once, through a bounded memo of shard plans.
+// Failed shards retry against the next replica (-shard-attempts) and
+// degrade to local execution when the worker set is exhausted. The front keeps its own warm surface and
 // records its coordinated estimates there; a worker's surface serves
 // only traffic sent to that worker directly.
 //
@@ -87,7 +89,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	queueFlag := fs.Int("queue", 64, "admission queue depth beyond the in-flight cap; excess requests are shed with 503")
 	reqTimeoutFlag := fs.Duration("request-timeout", 30*time.Second, "per-request deadline (a ?timeout= query parameter can tighten it)")
 	drainTimeoutFlag := fs.Duration("drain-timeout", 30*time.Second, "how long a SIGTERM drain waits for in-flight requests")
-	maxYieldCostFlag := fs.Int("max-yield-cost", 65536, "largest Monte Carlo sample budget served in full; costlier /v1/yield requests degrade to the nominal estimate")
+	maxYieldCostFlag := fs.Int("max-yield-cost", 65536, "largest Monte Carlo sample budget served in full; costlier /v1/yield requests degrade to the nominal estimate, and longer shards are refused")
 	retryAfterFlag := fs.Duration("retry-after", time.Second, "Retry-After hint on shed responses")
 	noSurfaceFlag := fs.Bool("no-surface", false, "disable the yield-response-surface cache; every /v1/yield query runs the full pipeline")
 	maxBodyFlag := fs.Int64("max-body", 1<<20, "largest accepted request body in bytes; bigger bodies are refused with 413")

@@ -82,6 +82,9 @@ type server struct {
 	// coord, when set, fans /v1/yield sample ranges out over the
 	// configured worker replicas; nil serves everything locally.
 	coord *coordinator.Coordinator
+	// plans is this replica's memo of the shard route's designs, per
+	// server like surf.
+	plans *predint.ShardPlans
 	// shardFault names the fault point guarding /v1/internal/shard;
 	// tests give each loopback replica its own name to fail workers
 	// selectively.
@@ -96,6 +99,7 @@ func newServer(inflight, queue, maxYieldCost int, reqTimeout, retryAfter time.Du
 		maxBody:      1 << 20,
 		reqTimeout:   reqTimeout,
 		retryAfter:   retryAfter,
+		plans:        predint.NewShardPlans(),
 		shardFault:   "predintd.shard",
 	}
 }
@@ -441,7 +445,9 @@ func (s *server) handleYieldBatch(ctx context.Context, r *http.Request) (any, er
 // handleShard serves the coordinator protocol's sample-range
 // collection. It runs behind the same admission control as every v1
 // endpoint, so an overloaded worker sheds shard traffic with a 503 and
-// the coordinator retries against the next replica.
+// the coordinator retries against the next replica. A range longer
+// than the cost ceiling is a 400: a front of the same build degrades
+// such a budget before it shards, so only a misbehaving peer sends one.
 func (s *server) handleShard(ctx context.Context, r *http.Request) (any, error) {
 	if err := faultinject.Hit(s.shardFault); err != nil {
 		return nil, err
@@ -450,7 +456,10 @@ func (s *server) handleShard(ctx context.Context, r *http.Request) (any, error) 
 	if err := s.decodeBody(r, &sr); err != nil {
 		return nil, err
 	}
-	return coordinator.ExecuteShard(ctx, sr)
+	if sr.Count > s.maxYieldCost {
+		return nil, fmt.Errorf("predintd: shard of %d samples over the %d-sample cost ceiling (-max-yield-cost)", sr.Count, s.maxYieldCost)
+	}
+	return coordinator.ExecuteShard(ctx, s.plans, sr)
 }
 
 // ---- /v1/noc ----

@@ -140,10 +140,12 @@ func TestYieldBatchSurfaceEndToEnd(t *testing.T) {
 }
 
 // TestServedSurfaceMissCountsOnce: a /v1/yield or /v1/yield/batch query
-// on a warm class that the surface cannot answer consults it exactly
-// once — the tier-1 probe — so the cache's miss count and the
-// surface.misses counter move by one, as predintd.yield_surface_misses
-// does, and the sampling run that follows does not consult again.
+// that the surface cannot answer consults it exactly once — the tier-1
+// probe — so the cache's miss count and the surface.misses counter move
+// by one, as predintd.yield_surface_misses does, and the sampling run
+// that follows does not consult again. That holds on a warm class whose
+// curve misses the target and on a cold class, which has no design memo
+// to look the curve up by.
 func TestServedSurfaceMissCountsOnce(t *testing.T) {
 	s, ts := testServer(t, 1, 8, 1<<20, 10*time.Second)
 	s.surf = surface.New(surface.Options{})
@@ -155,22 +157,29 @@ func TestServedSurfaceMissCountsOnce(t *testing.T) {
 		{"/v1/yield/batch",
 			`{"tech": "90nm", "length_mm": 5, "samples": 256, "seed": 2, "target_ps": 540` + cands,
 			`{"tech": "90nm", "length_mm": 5, "samples": 256, "seed": 2, "target_ps": 700` + cands},
+		{"/v1/yield", "", // a cold class
+			`{"tech": "65nm", "length_mm": 3, "samples": 256, "seed": 9}`},
 	} {
-		if code, _, resp := postJSON(t, ts.URL+c.path, c.warm); code != http.StatusOK {
-			t.Fatalf("%s warm-up: status %d, body %s", c.path, code, resp)
+		what := c.path
+		if c.warm != "" {
+			if code, _, resp := postJSON(t, ts.URL+c.path, c.warm); code != http.StatusOK {
+				t.Fatalf("%s warm-up: status %d, body %s", c.path, code, resp)
+			}
+		} else {
+			what += " (cold class)"
 		}
 		stats0, snap0 := s.surf.Stats(), obs.Snapshot()
 		code, _, resp := postJSON(t, ts.URL+c.path, c.miss)
 		if code != http.StatusOK {
-			t.Fatalf("%s miss: status %d, body %s", c.path, code, resp)
+			t.Fatalf("%s miss: status %d, body %s", what, code, resp)
 		}
 		snap := obs.Snapshot()
 		if got := s.surf.Stats().Misses - stats0.Misses; got != 1 {
-			t.Errorf("%s: one served miss moved the cache's Misses by %d, want 1", c.path, got)
+			t.Errorf("%s: one served miss moved the cache's Misses by %d, want 1", what, got)
 		}
 		for _, name := range []string{"surface.misses", "predintd.yield_surface_misses"} {
 			if got := snap[name] - snap0[name]; got != 1 {
-				t.Errorf("%s: one served miss moved %s by %d, want 1", c.path, name, got)
+				t.Errorf("%s: one served miss moved %s by %d, want 1", what, name, got)
 			}
 		}
 	}

@@ -78,6 +78,9 @@ type Coordinator struct {
 	probeTimeout  time.Duration
 	mem           *membership
 	scratch       sync.Pool // *rpcScratch
+	// plans memoizes the fronted requests' designs, so a repeated link
+	// class and target skips the buffering search here too.
+	plans *predint.ShardPlans
 
 	closeOnce sync.Once
 	stop      chan struct{}
@@ -124,6 +127,7 @@ func New(cfg Config) (*Coordinator, error) {
 		hedgeAfter:    cfg.HedgeAfter,
 		probeInterval: cfg.ProbeInterval,
 		probeTimeout:  cfg.ProbeTimeout,
+		plans:         predint.NewShardPlans(),
 		stop:          make(chan struct{}),
 	}
 	if c.probeTimeout <= 0 {
@@ -288,7 +292,7 @@ func (c *Coordinator) probeOne(m *member) {
 // error wrapping predint.ErrNotShardable when the request's rung cannot
 // be index-partitioned — the caller then runs the local path.
 func (c *Coordinator) Estimate(ctx context.Context, req predint.YieldRequest) (predint.YieldResult, error) {
-	plan, err := predint.YieldShardPlanFor(req)
+	plan, err := c.plans.Plan(req)
 	if err != nil {
 		if errors.Is(err, predint.ErrNotShardable) {
 			metNotShardable.Inc()

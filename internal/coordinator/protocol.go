@@ -33,9 +33,10 @@ type ShardRequest struct {
 	// Op names the operation; OpSample is the only one.
 	Op string `json:"op"`
 	// Req is the yield request being served, encoded as the /v1/yield
-	// body is. Workers replan it locally — the plan is a pure function
-	// of the request, so every replica derives the identical scenario
-	// and PRNG keying.
+	// body is. Workers plan it locally — the plan is a pure function of
+	// the request, so every replica derives the identical scenario and
+	// PRNG keying — and design each link class and target once, in
+	// their ShardPlans memo.
 	Req predint.YieldRequest `json:"req"`
 	// Start and Count give the sample range.
 	Start int `json:"start,omitempty"`
@@ -86,18 +87,19 @@ var (
 	metRetryAfterWaits = obs.NewCounter("coordinator.retry_after_waits")
 )
 
-// ExecuteShard serves one ShardRequest. It is the worker side of the
-// protocol. cmd/predintd serves it at /v1/internal/shard: the body is
-// decoded as strictly as a public request (unknown fields, trailing
-// data and bodies over -max-body are refused), the call runs behind the
-// server's admission control, and an error — an op other than
-// OpSample among them — comes back as a JSON error document with the
-// status the server gives it.
-func ExecuteShard(ctx context.Context, sr ShardRequest) (ShardResponse, error) {
+// ExecuteShard serves one ShardRequest, planning it through plans, the
+// serving replica's memo. It is the worker side of the protocol.
+// cmd/predintd serves it at /v1/internal/shard: the body is decoded as
+// strictly as a public request (unknown fields, trailing data and
+// bodies over -max-body are refused), a range over -max-yield-cost is
+// refused, the call runs behind the server's admission control, and an
+// error — an op other than OpSample among them — comes back as a JSON
+// error document with the status the server gives it.
+func ExecuteShard(ctx context.Context, plans *predint.ShardPlans, sr ShardRequest) (ShardResponse, error) {
 	if sr.Op != OpSample {
 		return ShardResponse{}, fmt.Errorf("coordinator: unknown shard op %q", sr.Op)
 	}
-	plan, err := predint.YieldShardPlanFor(sr.Req)
+	plan, err := plans.Plan(sr.Req)
 	if err != nil {
 		return ShardResponse{}, err
 	}

@@ -308,18 +308,19 @@ func (c *Cache) RecordDesign(k Key, d Design) {
 	e.mu.Unlock()
 }
 
-// DesignFor returns the memoized nominal design of a link class.
+// DesignFor returns the memoized nominal design of a link class. A
+// class with no design memo counts as a miss: the probe asking for it
+// falls through to the kernel without reaching Lookup.
 func (c *Cache) DesignFor(k Key) (Design, bool) {
-	e := c.lookupEntry(k)
-	if e == nil {
-		return Design{}, false
+	if e := c.lookupEntry(k); e != nil {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		if e.design != nil {
+			return *e.design, true
+		}
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.design == nil {
-		return Design{}, false
-	}
-	return *e.design, true
+	c.miss()
+	return Design{}, false
 }
 
 // Record memoizes one completed estimate on the curve of (k, dk).

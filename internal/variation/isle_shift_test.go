@@ -135,3 +135,49 @@ func TestISLEShiftEdges(t *testing.T) {
 		t.Fatalf("cancelled context: err %v, want context.Canceled", err)
 	}
 }
+
+// TestISLEShiftMemo: the memo stores only what isleShift found. A
+// cancelled search fails and leaves it empty; the next search fills it
+// with isleShift's shift, bit for bit, and later reads take that shift
+// without searching, even under a cancelled context. A nil shift (plain
+// Monte Carlo) is remembered as found too.
+func TestISLEShiftMemo(t *testing.T) {
+	ctx := context.Background()
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	sc := testScenario(t, 556.4e-12)
+	want, err := isleShift(ctx, sc)
+	if err != nil || want == nil {
+		t.Fatalf("no shift to memoize (%v); the fixture lost its teeth", err)
+	}
+	var m ISLEShift
+	if _, err := m.get(cancelled, sc); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled search: err %v, want context.Canceled", err)
+	}
+	if m.found.Load() != nil {
+		t.Fatal("a cancelled search stored a shift")
+	}
+	for _, c := range []context.Context{ctx, cancelled} {
+		got, err := m.get(c, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("memo shift %v, isleShift %v", got, want)
+		}
+		for d := range want {
+			if math.Float64bits(got[d]) != math.Float64bits(want[d]) {
+				t.Fatalf("memo shift %v, isleShift %v", got, want)
+			}
+		}
+	}
+
+	var plain ISLEShift
+	failing := testScenario(t, 400e-12)
+	if shift, err := plain.get(ctx, failing); err != nil || shift != nil {
+		t.Fatalf("failing nominal point: shift %v, err %v; want plain MC", shift, err)
+	}
+	if shift, err := plain.get(cancelled, failing); err != nil || shift != nil {
+		t.Fatalf("memoized plain MC: shift %v, err %v; want nil without a search", shift, err)
+	}
+}

@@ -546,7 +546,7 @@ func TestLanePartialBitIdentity(t *testing.T) {
 		}
 		ref := newScalarRef(ms, est, o.Seed, shifts)
 		for _, shard := range []struct{ start, count int }{{0, 700}, {700, 1348}} {
-			got, _, shifted, err := CollectPartialCtx(context.Background(), sc, o, shard.start, shard.count)
+			got, _, shifted, err := CollectPartialCtx(context.Background(), sc, new(ISLEShift), o, shard.start, shard.count)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -704,7 +704,7 @@ func TestLaneValidationFallback(t *testing.T) {
 		}
 		shardErr := check("shard-"+string(est), ref, start, samples-start, allActive(1), func(workers int) error {
 			o.Workers = workers
-			_, _, _, err := CollectPartialCtx(context.Background(), &lone, o, start, samples-start)
+			_, _, _, err := CollectPartialCtx(context.Background(), &lone, new(ISLEShift), o, start, samples-start)
 			return err
 		})
 		if shardErr.Error() == first.err.Error() {

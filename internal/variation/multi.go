@@ -220,19 +220,11 @@ type driver struct {
 	lane    func(l, worker int) error
 }
 
-// newDriver builds the driver of one run on rung kind: the QMC
-// scrambles or the candidates' ISLE shifts (isleShift), compiled into
-// the lane kernel.
+// newDriver builds the driver of one run on rung kind, searching each
+// candidate's ISLE shift (isleShift) on the isle rung.
 func newDriver(ctx context.Context, ms *MultiScenario, o YieldOptions, kind estimator.Kind) (*driver, error) {
 	var shifts [][]float64
-	var qshifts [][]uint64
-	switch kind {
-	case estimator.QMC:
-		qshifts = make([][]uint64, qmcReplicates)
-		for r := range qshifts {
-			qshifts[r] = estimator.SobolShift(o.Seed, uint64(r), Dims)
-		}
-	case estimator.ISLE:
+	if kind == estimator.ISLE {
 		shifts = make([][]float64, len(ms.Specs))
 		for c := range shifts {
 			var err error
@@ -241,12 +233,26 @@ func newDriver(ctx context.Context, ms *MultiScenario, o YieldOptions, kind esti
 			}
 		}
 	}
+	return buildDriver(ms, o, kind, shifts), nil
+}
+
+// buildDriver builds the driver of one run on rung kind from the
+// candidates' ISLE shifts (nil off the isle rung): the QMC scrambles
+// and the shifts compiled into the lane kernel.
+func buildDriver(ms *MultiScenario, o YieldOptions, kind estimator.Kind, shifts [][]float64) *driver {
+	var qshifts [][]uint64
+	if kind == estimator.QMC {
+		qshifts = make([][]uint64, qmcReplicates)
+		for r := range qshifts {
+			qshifts[r] = estimator.SobolShift(o.Seed, uint64(r), Dims)
+		}
+	}
 	d := kernelDriver(newLaneKernel(ms, o, shifts, qshifts), o)
 	if kind == estimator.AIS {
 		// An AIS driver serves one candidate: ms is a single() view.
 		d.lk.ais = getAISState(o.Samples)
 	}
-	return d, nil
+	return d
 }
 
 // kernelDriver builds a driver around a compiled lane kernel.

@@ -7,6 +7,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/estimator"
 	"repro/internal/model"
@@ -125,15 +126,45 @@ func (o YieldOptions) ResolvedSamples() int {
 	return o.withDefaults().Samples
 }
 
+// ISLEShift memoizes the ISLE rung's mean shift of one scenario
+// across the shards collected on it, so a replica searches for the
+// shift once per scenario rather than once per shard. Its fields are
+// unexported and only the search (isleShift) fills them, so no caller
+// can hand the kernel a shift of its own. A search that fails or is
+// cancelled stores nothing, and the next collect searches again. The
+// zero value is empty and ready to use; an ISLEShift belongs to the one
+// scenario it is collected with. Safe for concurrent use: collects that
+// race on an empty memo each search, find the same shift, and the first
+// to finish stores it.
+type ISLEShift struct {
+	found atomic.Pointer[[]float64]
+}
+
+// get returns the memoized shift of sc, searching when the memo is
+// empty. A nil shift (plain Monte Carlo) is a found shift too.
+func (m *ISLEShift) get(ctx context.Context, sc *LinkScenario) ([]float64, error) {
+	if p := m.found.Load(); p != nil {
+		return *p, nil
+	}
+	shift, err := isleShift(ctx, sc)
+	if err != nil {
+		return nil, err
+	}
+	m.found.CompareAndSwap(nil, &shift)
+	return *m.found.Load(), nil
+}
+
 // CollectPartialCtx evaluates the scenario over global sample indices
 // [start, start+count) and returns the shard's sparse contributions,
 // the resolved estimator rung, and whether importance sampling was in
 // effect. The evaluation is the local run's driver (same draws, same
 // kernel, same ISLE shift), so a set of shards covering [0, Samples)
-// reproduces a local run's contributions exactly.
+// reproduces a local run's contributions exactly. An ISLE shard takes
+// its shift from shift, the scenario's memo, which searches only when
+// it is empty.
 // The shard never applies the stopping rule — that is global and
 // belongs to MergePartials.
-func CollectPartialCtx(ctx context.Context, sc *LinkScenario, o YieldOptions, start, count int) (Partial, estimator.Kind, bool, error) {
+func CollectPartialCtx(ctx context.Context, sc *LinkScenario, shift *ISLEShift, o YieldOptions, start, count int) (Partial, estimator.Kind, bool, error) {
 	if err := sc.Validate(); err != nil {
 		return Partial{}, estimator.Auto, false, err
 	}
@@ -159,14 +190,19 @@ func CollectPartialCtx(ctx context.Context, sc *LinkScenario, o YieldOptions, st
 		Specs:  []model.LineSpec{sc.Spec},
 		Target: sc.Target,
 	}
-	// ISLE: every shard places the shift itself (isleShift, 30–40
-	// delay evaluations) — redundant work, but it is what makes
-	// replicas interchangeable (any replica computes the identical
-	// shift from the scenario).
-	d, err := newDriver(ctx, ms, o, kind)
-	if err != nil {
-		return Partial{}, kind, false, err
+	// ISLE: the first shard on a replica places the shift (isleShift,
+	// 30–40 delay evaluations) and later ones read it from the memo.
+	// Replicas stay interchangeable: each computes the identical shift
+	// from the scenario.
+	var shifts [][]float64
+	if kind == estimator.ISLE {
+		sh, err := shift.get(ctx, sc)
+		if err != nil {
+			return Partial{}, kind, false, err
+		}
+		shifts = [][]float64{sh}
 	}
+	d := buildDriver(ms, o, kind, shifts)
 	defer d.close()
 	shifted := d.lk.shiftedC[0]
 

@@ -37,7 +37,7 @@ func FuzzMergePartials(f *testing.F) {
 			var parts []Partial
 			shifted := false
 			for start := 0; start < 1000; start += size {
-				p, _, sh, err := CollectPartialCtx(context.Background(), sc, o, start, min(size, 1000-start))
+				p, _, sh, err := CollectPartialCtx(context.Background(), sc, new(ISLEShift), o, start, min(size, 1000-start))
 				if err != nil {
 					f.Fatal(err)
 				}

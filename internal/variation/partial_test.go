@@ -17,12 +17,13 @@ func collectAll(t *testing.T, sc *LinkScenario, o YieldOptions, sizes []int) ([]
 	samples := o.ResolvedSamples()
 	var parts []Partial
 	shifted := false
+	var shift ISLEShift // one scenario, so its shards share one memo
 	for start, si := 0, 0; start < samples; si++ {
 		count := sizes[si%len(sizes)]
 		if rem := samples - start; rem < count {
 			count = rem
 		}
-		p, _, sh, err := CollectPartialCtx(context.Background(), sc, o, start, count)
+		p, _, sh, err := CollectPartialCtx(context.Background(), sc, &shift, o, start, count)
 		if err != nil {
 			t.Fatalf("CollectPartialCtx(%d,%d): %v", start, count, err)
 		}
@@ -115,7 +116,7 @@ func TestPartialMergeStopsEarly(t *testing.T) {
 	// the merge must report done without the remaining shards.
 	var parts []Partial
 	for start := 0; start < want.Samples+512; start += 512 {
-		p, kind, shifted, err := CollectPartialCtx(context.Background(), sc, o, start, 512)
+		p, kind, shifted, err := CollectPartialCtx(context.Background(), sc, new(ISLEShift), o, start, 512)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,10 +176,10 @@ func TestShardableKind(t *testing.T) {
 	// near-endless shard.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, _, err := CollectPartialCtx(ctx, testScenario(t, 480e-12), YieldOptions{}, 1, math.MaxInt); err == nil || errors.Is(err, context.Canceled) {
+	if _, _, _, err := CollectPartialCtx(ctx, testScenario(t, 480e-12), new(ISLEShift), YieldOptions{}, 1, math.MaxInt); err == nil || errors.Is(err, context.Canceled) {
 		t.Errorf("overflowing shard range: err %v, want a range error", err)
 	}
-	if _, _, _, err := CollectPartialCtx(context.Background(), testScenario(t, 480e-12), YieldOptions{Estimator: estimator.AIS}, 0, 64); err == nil {
+	if _, _, _, err := CollectPartialCtx(context.Background(), testScenario(t, 480e-12), new(ISLEShift), YieldOptions{Estimator: estimator.AIS}, 0, 64); err == nil {
 		t.Error("collecting an AIS shard succeeded, want ErrNotShardable")
 	} else if !errors.Is(err, ErrNotShardable) {
 		t.Errorf("AIS shard error %v does not wrap ErrNotShardable", err)

@@ -190,6 +190,7 @@ type yieldPlan struct {
 	mc      variation.YieldOptions
 	target  float64
 	slew    float64
+	sigma   float64 // the SigmaScale that scaled space
 	yt      *float64
 }
 
@@ -302,6 +303,7 @@ func (req YieldRequest) plan() (*yieldPlan, error) {
 		},
 		target: target,
 		slew:   slew,
+		sigma:  sigma,
 		yt:     req.YieldTarget,
 	}, nil
 }
