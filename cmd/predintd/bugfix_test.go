@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -122,5 +123,49 @@ func TestShardOverCostCeilingRefused(t *testing.T) {
 	}
 	if code, _, body := postJSON(t, ts.URL+"/v1/internal/shard", shard(ceiling)); code != http.StatusOK {
 		t.Fatalf("shard at the ceiling: status %d, body %s; want 200", code, body)
+	}
+}
+
+// TestBatchRepeaterCountBounded: /v1/yield/batch refuses a candidate
+// with more repeaters than the buffering search's own bound
+// (buffering.MaxN, 64) with a 400 naming it, on the degraded path past
+// the cost ceiling and on the sampling path alike, and serves 64.
+// Evaluating a line walks every stage, so an unbounded count ran for
+// seconds with no context check. Each request gets a few seconds to
+// answer.
+func TestBatchRepeaterCountBounded(t *testing.T) {
+	batch := func(repeaters int64, samples int) string {
+		return fmt.Sprintf(`{"tech": "90nm", "length_mm": 5, "samples": %d, "candidates": [{"repeater_size": 8, "repeaters": %d}]}`, samples, repeaters)
+	}
+	for _, c := range []struct {
+		name    string
+		ceiling int
+		body    string
+		status  int
+	}{
+		{"degraded, 1e12 repeaters", 0, batch(1e12, 4096), http.StatusBadRequest},
+		{"degraded, 65 repeaters", 0, batch(65, 4096), http.StatusBadRequest},
+		{"degraded, 64 repeaters", 0, batch(64, 4096), http.StatusOK},
+		{"sampled, 1e7 repeaters", 1 << 20, batch(1e7, 512), http.StatusBadRequest},
+		{"sampled, 64 repeaters", 1 << 20, batch(64, 512), http.StatusOK},
+	} {
+		h := newServer(4, 16, c.ceiling, time.Minute, time.Second).routes()
+		rec := httptest.NewRecorder()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/yield/batch", strings.NewReader(c.body)))
+		}()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: no answer within 5 s", c.name)
+		}
+		if rec.Code != c.status {
+			t.Fatalf("%s: status %d, want %d: %s", c.name, rec.Code, c.status, rec.Body)
+		}
+		if c.status == http.StatusBadRequest && !strings.Contains(rec.Body.String(), "over the bound of 64 (buffering.MaxN)") {
+			t.Errorf("%s: the refusal does not name the bound: %s", c.name, rec.Body)
+		}
 	}
 }

@@ -26,6 +26,7 @@ func FuzzYieldRequestBody(f *testing.F) {
 		`{"tech": "90nm", "length_mm": 5, "importance_sampling": true}`,
 		`{"tech": "90nm", "length_mm": 5, "samples": -1, "sigma_scale": 0, "rel_err": -1}`,
 		`{"tech": "90nm", "length_mm": 5, "target_ps": 1e308, "input_slew_ps": 1e-300, "no_surface": true}`,
+		`{"tech": "90nm", "length_mm": 5, "candidates": [{"repeater_size": 8, "repeaters": 1000000000000}]}`,
 		`{"tech": "90nm",`,
 		`[]`,
 		``,

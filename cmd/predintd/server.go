@@ -82,9 +82,10 @@ type server struct {
 	// coord, when set, fans /v1/yield sample ranges out over the
 	// configured worker replicas; nil serves everything locally.
 	coord *coordinator.Coordinator
-	// plans is this replica's memo of the shard route's designs, per
-	// server like surf.
-	plans *predint.ShardPlans
+	// plans is this replica's plan memo, per server like surf: the
+	// shard route plans through it, and the local yield path reads
+	// each link class's design and sizing candidates from it.
+	plans *predint.PlanMemo
 	// shardFault names the fault point guarding /v1/internal/shard;
 	// tests give each loopback replica its own name to fail workers
 	// selectively.
@@ -99,7 +100,7 @@ func newServer(inflight, queue, maxYieldCost int, reqTimeout, retryAfter time.Du
 		maxBody:      1 << 20,
 		reqTimeout:   reqTimeout,
 		retryAfter:   retryAfter,
-		plans:        predint.NewShardPlans(),
+		plans:        predint.NewPlanMemo(),
 		shardFault:   "predintd.shard",
 	}
 }
@@ -336,7 +337,7 @@ func (s *server) handleYield(ctx context.Context, r *http.Request) (any, error) 
 	if err := s.decodeBody(r, &req); err != nil {
 		return nil, err
 	}
-	sf := predint.Surfaced{Cache: s.surf}
+	sf := predint.Surfaced{Cache: s.surf, Plans: s.plans}
 
 	// Tier 1 — warm surface: consulted before any cost or pressure
 	// decision, because a warm answer is cheaper than even the nominal
@@ -411,7 +412,7 @@ func (s *server) handleYieldBatch(ctx context.Context, r *http.Request) (any, er
 	// numbers already amortize the sweep, and splitting K candidates ×
 	// N samples is a different partitioning problem than the yield
 	// endpoint's.
-	sf := predint.Surfaced{Cache: s.surf}
+	sf := predint.Surfaced{Cache: s.surf, Plans: s.plans}
 	if s.surf != nil && !req.NoSurface {
 		res, ok, err := sf.LinkYieldBatchSurfaceCtx(ctx, req)
 		if err != nil {

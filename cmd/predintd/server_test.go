@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -12,6 +13,7 @@ import (
 
 	predint "repro"
 	"repro/internal/faultinject"
+	"repro/internal/obs"
 	"repro/internal/surface"
 )
 
@@ -369,5 +371,55 @@ func TestNoCSimulateTrafficRejected(t *testing.T) {
 	code, _, body := postJSON(t, ts.URL+"/v1/noc", `{"case": "DVOPD", "tech": "90nm", "simulate_traffic": true}`)
 	if code != http.StatusBadRequest || !strings.Contains(string(body), `unknown field \"simulate_traffic\"`) {
 		t.Fatalf("simulate_traffic: status %d, want a 400 naming the field (body %s)", code, body)
+	}
+}
+
+// TestSizingPlanMemoCounters posts one sizing body whose nominal design
+// misses twice. The first designs the link class and builds its sizing
+// grid; the second reads both from the server's plan memo, moving
+// predint.plan_memo.grid_hits by 1 and grid_misses by 0. Both answers
+// are the uncached path's.
+func TestSizingPlanMemoCounters(t *testing.T) {
+	_, ts := testServer(t, 4, 16, 1<<20, 10*time.Second)
+	nom, err := predint.LinkYieldNominalCtx(context.Background(), predint.YieldRequest{Tech: "90nm", LengthMM: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := predint.YieldRequest{
+		Tech: "90nm", LengthMM: 5, TargetPS: predint.Float(nom.NominalDelay * 1.19e12),
+		Samples: predint.Int(1024), Seed: 1, YieldTarget: predint.Float(0.999),
+	}
+	want, err := predint.Surfaced{}.LinkYieldCtx(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !want.Resized {
+		t.Fatal("the nominal design passes; the fixture lost its teeth")
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"class_hits", "class_misses", "grid_hits", "grid_misses"}
+	for i, moves := range [][4]int64{{0, 1, 0, 1}, {1, 0, 1, 0}} {
+		before := obs.Snapshot()
+		code, _, resp := postJSON(t, ts.URL+"/v1/yield", string(body))
+		if code != http.StatusOK {
+			t.Fatalf("request %d: status %d: %s", i+1, code, resp)
+		}
+		var got predint.YieldResult
+		if err := json.Unmarshal(resp, &got); err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("request %d: served %+v, uncached %+v", i+1, got, want)
+		}
+		after := obs.Snapshot()
+		for j, name := range names {
+			key := "predint.plan_memo." + name
+			if d := after[key] - before[key]; d != moves[j] {
+				t.Errorf("request %d: %s moved by %d, want %d", i+1, key, d, moves[j])
+			}
+		}
 	}
 }

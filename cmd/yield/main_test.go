@@ -102,6 +102,26 @@ func TestRunBadCandidates(t *testing.T) {
 	}
 }
 
+// TestRunCandidatesOverRepeaterBound: a candidate with more repeaters
+// than the buffering search's bound (buffering.MaxN, 64) exits with an
+// error naming the bound, promptly — a line's evaluation walks every
+// stage, so a billion-stage candidate used to sample for minutes.
+func TestRunCandidatesOverRepeaterBound(t *testing.T) {
+	var out, errOut bytes.Buffer
+	done := make(chan error, 1)
+	go func() {
+		done <- run([]string{"-tech", "90nm", "-length", "5", "-n", "512", "-candidates", "8:1000000000"}, &out, &errOut)
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "1000000000 repeaters over the bound of 64 (buffering.MaxN)") {
+			t.Fatalf("err = %v, want the repeater bound named (stdout %q)", err, out.String())
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("-candidates 8:1000000000 gave no answer within 5 s")
+	}
+}
+
 // TestRunBadFlag: a malformed value and the retired -sampler and -is
 // flags are flag errors, not silently ignored (the sampler is not a
 // user choice; the ISLE rung is -estimator isle).

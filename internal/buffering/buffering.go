@@ -32,8 +32,10 @@ import (
 // what makes the search SPICE-free.
 var ExtendedSizes = []float64{4, 6, 8, 12, 16, 20, 30, 40, 60, 80, 120, 160, 240}
 
-// maxN bounds the repeater count of every candidate design.
-const maxN = 64
+// MaxN bounds the repeater count of every candidate design. It is the
+// one repeater bound: the yield facade refuses an explicit candidate
+// with more, since evaluating a line walks every stage.
+const MaxN = 64
 
 // Design is one evaluated buffering solution.
 type Design struct {
@@ -108,7 +110,7 @@ type Search struct {
 	o   Options
 	rc  model.LineRC
 	pp  model.PowerParams
-	// at maps grid cell (k·len(Sizes) + size)·maxN + n−1 to one plus
+	// at maps grid cell (k·len(Sizes) + size)·MaxN + n−1 to one plus
 	// the cell's position in cells; zero means not yet evaluated.
 	at    []int32
 	cells []Design
@@ -135,7 +137,7 @@ func NewSearch(seg wire.Segment, opts Options) (*Search, error) {
 	}
 	s := &Search{
 		seg: seg, o: o, rc: model.SegmentRC(seg), pp: pp,
-		at: make([]int32, len(o.Kinds)*len(o.Sizes)*maxN),
+		at: make([]int32, len(o.Kinds)*len(o.Sizes)*MaxN),
 	}
 	// Room for a quarter of the grid: Optimize's two passes probe about
 	// a fifth of it (160–177 of 832 cells on 90 nm links), so an
@@ -154,7 +156,7 @@ func NewSearch(seg wire.Segment, opts Options) (*Search, error) {
 // o.Kinds[k], size o.Sizes[si] and n repeaters, evaluating it on first
 // use.
 func (s *Search) cell(k, si, n int) (int, error) {
-	idx := (k*len(s.o.Sizes)+si)*maxN + n - 1
+	idx := (k*len(s.o.Sizes)+si)*MaxN + n - 1
 	if s.at[idx] != 0 {
 		return int(s.at[idx]) - 1, nil
 	}
@@ -173,14 +175,14 @@ func (s *Search) cell(k, si, n int) (int, error) {
 	return len(s.cells) - 1, nil
 }
 
-// searchN finds the repeater count in [1, maxN] minimizing cost for
+// searchN finds the repeater count in [1, MaxN] minimizing cost for
 // the repeater (o.Kinds[k], o.Sizes[si]), using the binary
 // (ternary-style) search the paper describes: the objective is
 // unimodal in N for buffered lines — too few repeaters leave quadratic
 // wire delay, too many pay gate delay and power. A final local sweep
 // guards against plateau round-off.
 func (s *Search) searchN(k, si int, cost func(Design) float64) (Design, error) {
-	lo, hi := 1, maxN
+	lo, hi := 1, MaxN
 	eval := func(n int) (Design, float64, error) {
 		j, err := s.cell(k, si, n)
 		if err != nil {
@@ -303,7 +305,7 @@ func (s *Search) Candidates() ([]Design, error) {
 	rank := make([]ranked, 0, len(s.at))
 	for k := range s.o.Kinds {
 		for si := range s.o.Sizes {
-			for n := 1; n <= maxN; n++ {
+			for n := 1; n <= MaxN; n++ {
 				j, err := s.cell(k, si, n)
 				if err != nil {
 					return nil, err

@@ -42,7 +42,7 @@ func evaluate(seg wire.Segment, o Options, kind liberty.CellKind, size float64, 
 func referenceSearchN(seg wire.Segment, o Options, kind liberty.CellKind, size float64,
 	cost func(Design) float64) (Design, error) {
 
-	lo, hi := 1, maxN
+	lo, hi := 1, MaxN
 	eval := func(n int) (Design, float64, error) {
 		d, err := evaluate(seg, o, kind, size, n)
 		if err != nil {
@@ -164,10 +164,10 @@ func referenceCandidates(seg wire.Segment, opts Options) ([]Design, error) {
 		d Design
 		c float64
 	}
-	cands := make([]candidate, 0, len(o.Kinds)*len(o.Sizes)*maxN)
+	cands := make([]candidate, 0, len(o.Kinds)*len(o.Sizes)*MaxN)
 	for _, kind := range o.Kinds {
 		for _, size := range o.Sizes {
-			for n := 1; n <= maxN; n++ {
+			for n := 1; n <= MaxN; n++ {
 				d, err := evaluate(seg, o, kind, size, n)
 				if err != nil {
 					return nil, err

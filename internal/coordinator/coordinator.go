@@ -80,7 +80,7 @@ type Coordinator struct {
 	scratch       sync.Pool // *rpcScratch
 	// plans memoizes the fronted requests' designs, so a repeated link
 	// class and target skips the buffering search here too.
-	plans *predint.ShardPlans
+	plans *predint.PlanMemo
 
 	closeOnce sync.Once
 	stop      chan struct{}
@@ -127,7 +127,7 @@ func New(cfg Config) (*Coordinator, error) {
 		hedgeAfter:    cfg.HedgeAfter,
 		probeInterval: cfg.ProbeInterval,
 		probeTimeout:  cfg.ProbeTimeout,
-		plans:         predint.NewShardPlans(),
+		plans:         predint.NewPlanMemo(),
 		stop:          make(chan struct{}),
 	}
 	if c.probeTimeout <= 0 {

@@ -36,7 +36,7 @@ type ShardRequest struct {
 	// body is. Workers plan it locally — the plan is a pure function of
 	// the request, so every replica derives the identical scenario and
 	// PRNG keying — and design each link class and target once, in
-	// their ShardPlans memo.
+	// their plan memo (predint.PlanMemo).
 	Req predint.YieldRequest `json:"req"`
 	// Start and Count give the sample range.
 	Start int `json:"start,omitempty"`
@@ -95,7 +95,7 @@ var (
 // refused, the call runs behind the server's admission control, and an
 // error — an op other than OpSample among them — comes back as a JSON
 // error document with the status the server gives it.
-func ExecuteShard(ctx context.Context, plans *predint.ShardPlans, sr ShardRequest) (ShardResponse, error) {
+func ExecuteShard(ctx context.Context, plans *predint.PlanMemo, sr ShardRequest) (ShardResponse, error) {
 	if sr.Op != OpSample {
 		return ShardResponse{}, fmt.Errorf("coordinator: unknown shard op %q", sr.Op)
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/buffering"
 	"repro/internal/model"
@@ -16,10 +17,13 @@ import (
 // This file is the yield-aware buffering layer: instead of accepting
 // whatever (repeater size, count) the nominal weighted objective
 // picks, it searches for the cheapest design whose Monte Carlo timing
-// yield meets a target — the titled paper's sizing-for-yield loop,
-// with one buffering.Search supplying the nominal design and the
-// cost-ordered candidate grid, and this package supplying the walk and
-// its statistical feasibility check.
+// yield meets a target — the titled paper's sizing-for-yield loop.
+// The buffering search supplies the nominal design and the cost-ordered
+// candidate grid, and this package the walk and its statistical
+// feasibility check. Both depend on the link class alone, so a caller
+// that sizes a class many times keeps them (SizeClassForYieldCtx, with
+// the grid cut to the cells a walk can reach); a one-shot search runs
+// one buffering.Search for both.
 
 // SizingOptions configures a yield-constrained buffering search.
 type SizingOptions struct {
@@ -98,19 +102,14 @@ const maxCandidates = 48
 // between groups, so a search can be interrupted or deadline-bound; a
 // search that completes under a live context is bit-identical to one
 // under context.Background().
+//
+// It is the one-shot form of SizeClassForYieldCtx: one buffering.Search
+// serves the nominal design and, on a miss, the whole cost-ordered
+// grid, so the grid evaluates only the cells Optimize left untouched.
 func SizeForYieldCtx(ctx context.Context, base *tech.Technology, seg wire.Segment, o SizingOptions) (SizedDesign, error) {
-	if o.Target <= 0 {
-		return SizedDesign{}, fmt.Errorf("variation: non-positive delay target %g", o.Target)
-	}
-	if o.YieldTarget <= 0 || o.YieldTarget >= 1 {
-		return SizedDesign{}, fmt.Errorf("variation: yield target %g outside (0,1)", o.YieldTarget)
-	}
-	if err := o.Space.Validate(); err != nil {
+	if err := o.validate(); err != nil {
 		return SizedDesign{}, err
 	}
-
-	// One search serves the nominal design and, on a miss, the candidate
-	// grid, so the grid evaluates only the cells Optimize left untouched.
 	bs, err := buffering.NewSearch(seg, o.Buffering)
 	if err != nil {
 		return SizedDesign{}, err
@@ -119,6 +118,102 @@ func SizeForYieldCtx(ctx context.Context, base *tech.Technology, seg wire.Segmen
 	if err != nil {
 		return SizedDesign{}, err
 	}
+	// The whole grid holds every cell a reachable list keeps, in the
+	// same order, so the walk reads the same candidates from it.
+	return sizeWalk(ctx, base, seg, o, nominal, func() (*SizingGrid, error) {
+		cands, err := bs.Candidates()
+		return &SizingGrid{cells: cands, size: len(cands)}, err
+	})
+}
+
+// SizeClassForYieldCtx is SizeForYieldCtx for a caller that keeps what
+// depends only on the link class: nominal must be
+// buffering.Optimize(seg, o.Buffering), and grid must return
+// NewSizingGrid(seg, o.Buffering). grid is called at most once, and only
+// when the nominal design misses. The answer is SizeForYieldCtx's, bit
+// for bit.
+func SizeClassForYieldCtx(ctx context.Context, base *tech.Technology, seg wire.Segment, o SizingOptions,
+	nominal buffering.Design, grid func() (*SizingGrid, error)) (SizedDesign, error) {
+	if err := o.validate(); err != nil {
+		return SizedDesign{}, err
+	}
+	return sizeWalk(ctx, base, seg, o, nominal, grid)
+}
+
+// validate checks the search's targets and variation space.
+func (o SizingOptions) validate() error {
+	if o.Target <= 0 {
+		return fmt.Errorf("variation: non-positive delay target %g", o.Target)
+	}
+	if o.YieldTarget <= 0 || o.YieldTarget >= 1 {
+		return fmt.Errorf("variation: yield target %g outside (0,1)", o.YieldTarget)
+	}
+	return o.Space.Validate()
+}
+
+// SizingGrid is a link class's candidate grid as the sizing walk reads
+// it: the cells, in cost order, that some delay target puts among the
+// first maxCandidates+1 whose nominal delay meets it, and the size of
+// the whole grid. It depends on the link class alone — never on the
+// delay or yield target — so a caller that sizes one class many times
+// builds it once. It is read-only once built.
+type SizingGrid struct {
+	cells []buffering.Design
+	size  int
+}
+
+// NewSizingGrid evaluates and cost-orders the whole candidate grid of a
+// link class (buffering.Candidates) and keeps the cells a sizing walk
+// can reach: a cell is kept when fewer than maxCandidates+1 cells before
+// it have a nominal delay at most its own.
+//
+// That is exact. A delay target T admits a cell whose delay is not over
+// T. The k-th admitted cell has k−1 admitted cells before it, and every
+// earlier cell whose delay is at most its own is admitted too, so at
+// most k−1 earlier cells have a delay at most its own: for
+// k ≤ maxCandidates+1 it is kept. So the kept cells that T admits begin
+// with the first maxCandidates+1 cells of the whole grid that T admits,
+// in order — all the walk reads of it: maxCandidates to sample and one
+// more to tell that the budget ran out. A NaN delay, which every target
+// admits, counts as below every other.
+func NewSizingGrid(seg wire.Segment, o buffering.Options) (*SizingGrid, error) {
+	cands, err := buffering.Candidates(seg, o)
+	if err != nil {
+		return nil, err
+	}
+	return &SizingGrid{cells: reachableCells(cands), size: len(cands)}, nil
+}
+
+// reachableCells returns the cells of a cost-ordered list that fewer
+// than maxCandidates+1 earlier cells match or beat on delay, in order;
+// see NewSizingGrid.
+func reachableCells(cands []buffering.Design) []buffering.Design {
+	const reach = maxCandidates + 1
+	low := make([]float64, 0, reach) // the reach lowest delays so far, ascending
+	var kept []buffering.Design
+	for _, d := range cands {
+		delay := d.Delay
+		if math.IsNaN(delay) {
+			delay = math.Inf(-1)
+		}
+		if len(low) == reach {
+			if low[reach-1] <= delay {
+				continue // reach earlier cells match or beat it
+			}
+			low = low[:reach-1]
+		}
+		i, _ := slices.BinarySearch(low, delay)
+		low = slices.Insert(low, i, delay)
+		kept = append(kept, d)
+	}
+	return slices.Clone(kept)
+}
+
+// sizeWalk is the search behind both entries, after their validation:
+// the nominal design's estimate and, when it misses, the walk over the
+// grid's feasible cells.
+func sizeWalk(ctx context.Context, base *tech.Technology, seg wire.Segment, o SizingOptions,
+	nominal buffering.Design, grid func() (*SizingGrid, error)) (SizedDesign, error) {
 	sc := &LinkScenario{
 		Base:   base,
 		Coeffs: o.Buffering.Coeffs,
@@ -161,13 +256,13 @@ func SizeForYieldCtx(ctx context.Context, base *tech.Technology, seg wire.Segmen
 	if err := ctx.Err(); err != nil {
 		return SizedDesign{}, err
 	}
-	cands, err := bs.Candidates()
+	g, err := grid()
 	if err != nil {
 		return SizedDesign{}, err
 	}
 	feasible := make([]buffering.Design, 0, maxCandidates)
 	overBudget := false
-	for _, d := range cands {
+	for _, d := range g.cells {
 		if d.Delay > o.Target {
 			continue
 		}
@@ -178,7 +273,7 @@ func SizeForYieldCtx(ctx context.Context, base *tech.Technology, seg wire.Segmen
 		feasible = append(feasible, d)
 	}
 	if len(feasible) == 0 {
-		return SizedDesign{}, fmt.Errorf("%w (searched %d candidates)", buffering.ErrNoFeasibleDesign, len(cands))
+		return SizedDesign{}, fmt.Errorf("%w (searched %d candidates)", buffering.ErrNoFeasibleDesign, g.size)
 	}
 	// Validate every feasible spec before sampling any, so a bad spec is
 	// reported whichever group would have passed first.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -363,5 +364,73 @@ func TestLinkYieldCtxCancelConcurrent(t *testing.T) {
 	}
 	if after != ref {
 		t.Fatalf("post-hammer run diverged from reference")
+	}
+}
+
+// TestSizingPlanMemoConcurrent sends sizing queries from eight
+// goroutines through one memo-bearing Surfaced: four link classes,
+// targets the nominal design passes and misses, two seeds. Misses on
+// one class race to design it and to build its sizing grid. Every
+// answer must equal the uncached Surfaced{}'s bit for bit. CI runs it
+// under the race detector ten times.
+func TestSizingPlanMemoConcurrent(t *testing.T) {
+	var reqs []YieldRequest
+	for _, link := range []struct {
+		tech       string
+		length     float64
+		missFactor float64 // the nominal design misses, a resized one passes
+	}{{"90nm", 5, 1.19}, {"65nm", 3, 1.22}, {"45nm", 4, 1.17}, {"90nm", 8, 1.19}} {
+		nom, err := LinkYieldNominalCtx(context.Background(), YieldRequest{Tech: link.tech, LengthMM: link.length})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, factor := range []float64{link.missFactor, 1.5} {
+			for seed := uint64(1); seed <= 2; seed++ {
+				reqs = append(reqs, YieldRequest{
+					Tech: link.tech, LengthMM: link.length, TargetPS: Float(nom.NominalDelay * factor * 1e12),
+					Samples: Int(1024), Seed: seed, Workers: 1, YieldTarget: Float(0.999),
+				})
+			}
+		}
+	}
+	want := make([]string, len(reqs))
+	resized := 0
+	for i, req := range reqs {
+		res, err := Surfaced{}.LinkYieldCtx(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Resized {
+			resized++
+		}
+		want[i] = fmt.Sprintf("%#v", res)
+	}
+	if resized != len(reqs)/2 {
+		t.Fatalf("%d of %d queries resized, want the %d missing ones; the fixture lost its teeth", resized, len(reqs), len(reqs)/2)
+	}
+	memo := NewPlanMemo()
+	sf := Surfaced{Plans: memo}
+	const goroutines = 8
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := range reqs {
+				i := (k + 2*g) % len(reqs) // each goroutine starts on its own query
+				res, err := sf.LinkYieldCtx(context.Background(), reqs[i])
+				if err != nil {
+					t.Errorf("goroutine %d, query %d: %v", g, i, err)
+					return
+				}
+				if got := fmt.Sprintf("%#v", res); got != want[i] {
+					t.Errorf("goroutine %d, query %d: memo answer %s, uncached %s", g, i, got, want[i])
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if memo.classes.hits.Load() == 0 || memo.gridHits.Load() == 0 {
+		t.Errorf("the memo served no class entry (%d hits) or no grid (%d hits)", memo.classes.hits.Load(), memo.gridHits.Load())
 	}
 }

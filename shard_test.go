@@ -86,21 +86,25 @@ func mergedResult(t *testing.T, pl *YieldShardPlan) YieldResult {
 }
 
 // TestShardPlansKeyCompleteness changes one keyed field of a base
-// request at a time. Each variant must miss the memo the base filled,
-// and its memo-served plan must equal a fresh YieldShardPlanFor bit for
-// bit, so a key that drops a field fails here. −0 and +0 are two keys.
+// request at a time. Each variant must miss the shard entry the base
+// filled, and its memo-served plan must equal a fresh YieldShardPlanFor
+// bit for bit, so a key that drops a field fails here. A variant of a
+// class field (tech, length, style, power weight, input slew) must miss
+// the class entry too, and one of target or sigma scale must share it.
+// −0 and +0 are two keys of both kinds.
 func TestShardPlansKeyCompleteness(t *testing.T) {
 	variants := []struct {
-		name string
-		edit func(*YieldRequest)
+		name   string
+		edit   func(*YieldRequest)
+		shared bool // the variant shares the base's class entry
 	}{
-		{"tech", func(r *YieldRequest) { r.Tech = "65nm" }},
-		{"length", func(r *YieldRequest) { r.LengthMM = 5.5 }},
-		{"style", func(r *YieldRequest) { r.Style = Shielded }},
-		{"power weight", func(r *YieldRequest) { r.PowerWeight = Float(0.7) }},
-		{"input slew", func(r *YieldRequest) { r.InputSlewPS = Float(150) }},
-		{"target", func(r *YieldRequest) { r.TargetPS = Float(480) }},
-		{"sigma scale", func(r *YieldRequest) { r.SigmaScale = Float(1.3) }},
+		{"tech", func(r *YieldRequest) { r.Tech = "65nm" }, false},
+		{"length", func(r *YieldRequest) { r.LengthMM = 5.5 }, false},
+		{"style", func(r *YieldRequest) { r.Style = Shielded }, false},
+		{"power weight", func(r *YieldRequest) { r.PowerWeight = Float(0.7) }, false},
+		{"input slew", func(r *YieldRequest) { r.InputSlewPS = Float(150) }, false},
+		{"target", func(r *YieldRequest) { r.TargetPS = Float(480) }, true},
+		{"sigma scale", func(r *YieldRequest) { r.SigmaScale = Float(1.3) }, true},
 	}
 	for _, est := range []string{"mc", "isle"} {
 		base := shardBase(est)
@@ -108,7 +112,7 @@ func TestShardPlansKeyCompleteness(t *testing.T) {
 			t.Fatalf("%s: the base shard sees no failure; the fixture lost its teeth", est)
 		}
 		for _, v := range variants {
-			m := NewShardPlans()
+			m := NewPlanMemo()
 			if _, err := m.Plan(base); err != nil {
 				t.Fatal(err)
 			}
@@ -121,11 +125,12 @@ func TestShardPlansKeyCompleteness(t *testing.T) {
 			if hits, misses := m.Stats(); hits != 0 || misses != 2 {
 				t.Errorf("%s/%s: %d hits, %d misses; the variant shared the base's entry", est, v.name, hits, misses)
 			}
+			checkClassEntries(t, est+"/"+v.name, m, v.shared)
 			samePlan(t, est+"/"+v.name, got, req)
 		}
 	}
 	// The floats are keyed by their bits.
-	m := NewShardPlans()
+	m := NewPlanMemo()
 	for _, w := range []float64{0, math.Copysign(0, -1)} {
 		req := shardBase("mc")
 		req.PowerWeight = Float(w)
@@ -135,6 +140,96 @@ func TestShardPlansKeyCompleteness(t *testing.T) {
 	}
 	if hits, misses := m.Stats(); hits != 0 || misses != 2 {
 		t.Errorf("power weights +0 and −0: %d hits, %d misses, want two entries", hits, misses)
+	}
+	checkClassEntries(t, "power weights +0 and −0", m, false)
+}
+
+// checkClassEntries fails unless the memo's class entries saw two
+// requests: two misses, or with shared one miss and one hit.
+func checkClassEntries(t *testing.T, name string, m *PlanMemo, shared bool) {
+	t.Helper()
+	want := [2]int64{0, 2}
+	if shared {
+		want = [2]int64{1, 1}
+	}
+	if got := [2]int64{m.classes.hits.Load(), m.classes.misses.Load()}; got != want {
+		t.Errorf("%s: class entries %d hits, %d misses; want %d, %d", name, got[0], got[1], want[0], want[1])
+	}
+}
+
+// sizingBase is a sizing request on the 90 nm 5 mm link whose nominal
+// design misses its yield target, so the search reads the class's
+// sizing grid, and a resized design passes.
+func sizingBase(t *testing.T) YieldRequest {
+	t.Helper()
+	nom, err := LinkYieldNominalCtx(context.Background(), YieldRequest{Tech: "90nm", LengthMM: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return YieldRequest{
+		Tech:        "90nm",
+		LengthMM:    5,
+		TargetPS:    Float(nom.NominalDelay * 1.19e12),
+		Samples:     Int(1024),
+		Seed:        1,
+		Workers:     1,
+		YieldTarget: Float(0.999),
+	}
+}
+
+// sameSized runs req through sf and through the uncached Surfaced{},
+// and fails unless both give the same answer bit for bit, or the same
+// error.
+func sameSized(t *testing.T, name string, sf Surfaced, req YieldRequest) YieldResult {
+	t.Helper()
+	got, gotErr := sf.LinkYieldCtx(context.Background(), req)
+	want, wantErr := Surfaced{}.LinkYieldCtx(context.Background(), req)
+	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || fmt.Sprintf("%#v", got) != fmt.Sprintf("%#v", want) {
+		t.Errorf("%s: memo answer %+v (%v), uncached %+v (%v)", name, got, gotErr, want, wantErr)
+	}
+	return got
+}
+
+// TestSizingClassKeyCompleteness sizes a base request through a
+// memo-bearing Surfaced, then one variant. A variant of a class field
+// must miss the class entry the base filled; one of a field the search
+// applies afresh — delay target, sigma scale, seed, samples, yield
+// target — must share it, and its grid. Every answer equals the
+// uncached path's bit for bit.
+func TestSizingClassKeyCompleteness(t *testing.T) {
+	variants := []struct {
+		name   string
+		edit   func(*YieldRequest)
+		shared bool
+	}{
+		{"tech", func(r *YieldRequest) { r.Tech = "65nm" }, false},
+		{"length", func(r *YieldRequest) { r.LengthMM = 5.5 }, false},
+		{"style", func(r *YieldRequest) { r.Style = Shielded }, false},
+		{"power weight", func(r *YieldRequest) { r.PowerWeight = Float(0.7) }, false},
+		{"input slew", func(r *YieldRequest) { r.InputSlewPS = Float(150) }, false},
+		{"target", func(r *YieldRequest) { *r.TargetPS *= 1.01 }, true},
+		{"sigma scale", func(r *YieldRequest) { r.SigmaScale = Float(0.9) }, true},
+		{"seed", func(r *YieldRequest) { r.Seed = 2 }, true},
+		{"samples", func(r *YieldRequest) { r.Samples = Int(2048) }, true},
+		{"yield target", func(r *YieldRequest) { r.YieldTarget = Float(0.9999) }, true},
+	}
+	for _, v := range variants {
+		m := NewPlanMemo()
+		sf := Surfaced{Plans: m}
+		base := sizingBase(t)
+		if res := sameSized(t, v.name+" base", sf, base); !res.Resized || m.gridMisses.Load() != 1 {
+			t.Fatalf("%s: the base request did not resize through the grid (resized %v, %d grid misses); the fixture lost its teeth",
+				v.name, res.Resized, m.gridMisses.Load())
+		}
+		req := base
+		target := *base.TargetPS
+		req.TargetPS = &target
+		v.edit(&req)
+		res := sameSized(t, v.name, sf, req)
+		checkClassEntries(t, v.name, m, v.shared)
+		if v.shared && res.Resized && m.gridHits.Load() != 1 {
+			t.Errorf("%s: the resized variant read the grid %d times from the memo, want 1", v.name, m.gridHits.Load())
+		}
 	}
 }
 
@@ -156,7 +251,7 @@ func TestShardPlansSharePerRequestFields(t *testing.T) {
 		{"target_sigma", func(r *YieldRequest) { r.Estimator, r.TargetSigma = "isle", Float(4) }},
 	}
 	base := shardBase("mc")
-	m := NewShardPlans()
+	m := NewPlanMemo()
 	first, err := m.Plan(base)
 	if err != nil {
 		t.Fatal(err)
@@ -190,9 +285,10 @@ func TestShardPlansSharePerRequestFields(t *testing.T) {
 }
 
 // TestShardPlansBounded fills the memo past its capacity: it keeps at
-// most shardPlansCap designs, the newest among them.
+// most shardPlansCap designs, the newest among them, and at most
+// classPlansCap class entries.
 func TestShardPlansBounded(t *testing.T) {
-	m := NewShardPlans()
+	m := NewPlanMemo()
 	req := shardBase("mc")
 	for i := 0; i < shardPlansCap+16; i++ {
 		req.LengthMM = 1 + float64(i)/1000
@@ -200,8 +296,11 @@ func TestShardPlansBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := len(m.designs); n != shardPlansCap {
+	if n := len(m.shards.entries); n != shardPlansCap {
 		t.Fatalf("memo holds %d designs, want the cap %d", n, shardPlansCap)
+	}
+	if n := len(m.classes.entries); n != classPlansCap {
+		t.Fatalf("memo holds %d class entries, want the cap %d", n, classPlansCap)
 	}
 	if _, err := m.Plan(req); err != nil {
 		t.Fatal(err)
@@ -215,7 +314,7 @@ func TestShardPlansBounded(t *testing.T) {
 // shift search fails and stores no shift, so the next request of the
 // same entry searches again and answers exactly as a fresh plan does.
 func TestShardPlansCancelledShift(t *testing.T) {
-	m := NewShardPlans()
+	m := NewPlanMemo()
 	req := shardBase("isle")
 	pl, err := m.Plan(req)
 	if err != nil {

@@ -20,9 +20,10 @@ import (
 // the estimator ladder (mc, qmc, isle, ais, wcd), and yield-aware
 // buffering that resizes the repeaters until a yield target holds.
 // Every entry takes a context. The sampling entries are methods of
-// Surfaced: a zero Surfaced{} is the uncached path, and with
+// Surfaced: a zero Surfaced{} is the uncached path, with
 // Surfaced{Cache: surface.New(...)} every sampled run refreshes that
-// surface, which the probe entries (yieldsurface.go) answer from.
+// surface, which the probe entries (yieldsurface.go) answer from, and
+// with a bound PlanMemo (planmemo.go) the link designs come from it.
 // LinkYieldNominalCtx is the graceful-degradation path the serving
 // layer (cmd/predintd) falls back to when a cost budget or queue
 // pressure won't allow sampling.
@@ -119,7 +120,9 @@ type YieldRequest struct {
 	YieldTarget *float64 `json:"yield_target,omitempty"`
 	// NoSurface bypasses the yield-response-surface cache entirely —
 	// neither consulted nor refreshed — forcing the full sampling path
-	// even through a Surfaced handle with a bound cache.
+	// even through a Surfaced handle with a bound cache. A bound plan
+	// memo still applies: it only skips designing the link again and
+	// never changes an answer.
 	NoSurface bool `json:"no_surface,omitempty"`
 }
 
@@ -396,8 +399,9 @@ func (p *yieldPlan) nominalResult(spec model.LineSpec) (YieldResult, error) {
 // It always samples. With a bound cache the completed run refreshes
 // the warm surface, but reading it is LinkYieldSurfaceCtx's job: a
 // caller that wants a warm answer probes first, so a served miss
-// consults the surface once. The answer is bit-identical to the
-// uncached path.
+// consults the surface once. With a bound plan memo the link's nominal
+// design and, for sizing, its reachable candidates come from the memo.
+// Either way the answer is bit-identical to the uncached path.
 func (sf Surfaced) LinkYieldCtx(ctx context.Context, req YieldRequest) (YieldResult, error) {
 	p, err := req.plan()
 	if err != nil {
@@ -408,19 +412,13 @@ func (sf Surfaced) LinkYieldCtx(ctx context.Context, req YieldRequest) (YieldRes
 	var est variation.Estimate
 	resized := false
 	if p.yt != nil {
-		sized, err := variation.SizeForYieldCtx(ctx, p.tc, p.seg, variation.SizingOptions{
-			Buffering:   p.bufOpts,
-			Space:       p.space,
-			Target:      p.target,
-			YieldTarget: *p.yt,
-			MC:          p.mc,
-		})
+		sized, err := sf.Plans.size(ctx, p)
 		if err != nil {
 			return YieldResult{}, err
 		}
 		des, est, resized = sized.Design, sized.Estimate, sized.Resized
 	} else {
-		des, err = buffering.Optimize(p.seg, p.bufOpts)
+		des, err = sf.Plans.nominal(p)
 		if err != nil {
 			return YieldResult{}, err
 		}
@@ -478,7 +476,8 @@ type YieldCandidate struct {
 	// RepeaterSize is the repeater drive strength in unit-inverter
 	// multiples (required, positive).
 	RepeaterSize float64 `json:"repeater_size"`
-	// Repeaters is the repeater count (required, at least 1).
+	// Repeaters is the repeater count (required, 1 to 64, the
+	// buffering search's own bound).
 	Repeaters int `json:"repeaters"`
 }
 
@@ -519,6 +518,11 @@ func (p *yieldPlan) batchSpecs(cands []YieldCandidate) ([]model.LineSpec, []floa
 		}
 		if cand.Repeaters < 1 {
 			return nil, nil, fmt.Errorf("predint: candidate %d: need at least one repeater, got %d", c, cand.Repeaters)
+		}
+		// Evaluating a line walks every stage, so the count is bounded
+		// like every design the buffering search considers.
+		if cand.Repeaters > buffering.MaxN {
+			return nil, nil, fmt.Errorf("predint: candidate %d: %d repeaters over the bound of %d (buffering.MaxN)", c, cand.Repeaters, buffering.MaxN)
 		}
 		specs[c] = p.line(buffering.Design{Kind: liberty.Inverter, Size: cand.RepeaterSize, N: cand.Repeaters})
 		t, err := p.coeffs.LineDelay(specs[c])

@@ -257,6 +257,7 @@ func TestLinkYieldBatchValidation(t *testing.T) {
 		"no-candidates":  func(r *YieldBatchRequest) { r.Candidates = nil },
 		"zero-size":      func(r *YieldBatchRequest) { r.Candidates = []YieldCandidate{{RepeaterSize: 0, Repeaters: 10}} },
 		"zero-repeaters": func(r *YieldBatchRequest) { r.Candidates = []YieldCandidate{{RepeaterSize: 8, Repeaters: 0}} },
+		"65-repeaters":   func(r *YieldBatchRequest) { r.Candidates = []YieldCandidate{{RepeaterSize: 8, Repeaters: 65}} },
 		"unknown-tech":   func(r *YieldBatchRequest) { r.Tech = "13nm" },
 	} {
 		req := ok

@@ -33,14 +33,19 @@ const (
 	SourceSurface = "surface"
 )
 
-// Surfaced binds the yield facade to a surface cache. A zero
-// Surfaced{} is the uncached path: every query samples and nothing is
-// recorded. With Surfaced{Cache: surface.New(surface.Options{})} the
-// sampling entries refresh that cache and the probe entries answer
-// from it. Each predintd replica owns its own cache, so warm state is
-// per-replica, not a hidden process global.
+// Surfaced binds the yield facade to a replica's caches. A zero
+// Surfaced{} is the uncached path: every query designs its link and
+// samples, and nothing is recorded. With Cache:
+// surface.New(surface.Options{}) the sampling entries refresh that
+// cache and the probe entries answer from it. With Plans:
+// NewPlanMemo() LinkYieldCtx reads each link class's nominal design
+// and, for sizing, its reachable candidates from the memo, with
+// answers bit-identical to the uncached path's. Each predintd replica
+// owns its own cache and memo, so warm state is per-replica, not a
+// hidden process global.
 type Surfaced struct {
 	Cache *surface.Cache
+	Plans *PlanMemo
 }
 
 // RecordYield feeds a completed full-sampling yield result back into
