@@ -42,9 +42,9 @@ type YieldShardPlan struct {
 
 // shardDesign is the part of a shard plan that depends only on the
 // link, the delay target and the sigma scale: the designed link, its
-// variation scenario, and the memo of the scenario's ISLE shift. It never changes once built
-// (the shift memo fills at most once), so plans of many requests share
-// one.
+// variation scenario, and the memo of the scenario's ISLE shift. It
+// never changes once built (the shift memo fills at most once), so
+// plans of many requests share one.
 type shardDesign struct {
 	des   buffering.Design
 	sc    *variation.LinkScenario
