@@ -159,6 +159,28 @@ func (m *PlanMemo) sizingGrid(p *yieldPlan, e *classEntry) (*variation.SizingGri
 	return g, nil
 }
 
+// size runs the plan's sizing search: on the class entry's nominal
+// design and sizing grid, or with no memo the one-shot search.
+func (m *PlanMemo) size(ctx context.Context, p *yieldPlan) (variation.SizedDesign, error) {
+	o := variation.SizingOptions{
+		Buffering:   p.bufOpts,
+		Space:       p.space,
+		Target:      p.target,
+		YieldTarget: *p.yt,
+		MC:          p.mc,
+	}
+	if m == nil {
+		return variation.SizeForYieldCtx(ctx, p.tc, p.seg, o)
+	}
+	e, err := m.class(p)
+	if err != nil {
+		return variation.SizedDesign{}, err
+	}
+	return variation.SizeClassForYieldCtx(ctx, p.tc, p.seg, o, e.nominal, func() (*variation.SizingGrid, error) {
+		return m.sizingGrid(p, e)
+	})
+}
+
 // boundedMemo is one of a PlanMemo's maps. A miss builds without
 // holding the lock, so concurrent misses on one key may each build; the
 // first to store wins. A failed build stores nothing. When full it
@@ -203,26 +225,4 @@ func (b *boundedMemo[K, V]) get(k K, build func() (*V, error)) (*V, error) {
 	}
 	b.entries[k] = v
 	return v, nil
-}
-
-// size runs the plan's sizing search: on the class entry's nominal
-// design and sizing grid, or with no memo the one-shot search.
-func (m *PlanMemo) size(ctx context.Context, p *yieldPlan) (variation.SizedDesign, error) {
-	o := variation.SizingOptions{
-		Buffering:   p.bufOpts,
-		Space:       p.space,
-		Target:      p.target,
-		YieldTarget: *p.yt,
-		MC:          p.mc,
-	}
-	if m == nil {
-		return variation.SizeForYieldCtx(ctx, p.tc, p.seg, o)
-	}
-	e, err := m.class(p)
-	if err != nil {
-		return variation.SizedDesign{}, err
-	}
-	return variation.SizeClassForYieldCtx(ctx, p.tc, p.seg, o, e.nominal, func() (*variation.SizingGrid, error) {
-		return m.sizingGrid(p, e)
-	})
 }
