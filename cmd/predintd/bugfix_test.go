@@ -1,6 +1,8 @@
 package main
 
 import (
+	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -9,7 +11,9 @@ import (
 	"testing"
 	"time"
 
+	predint "repro"
 	"repro/internal/faultinject"
+	"repro/internal/obs"
 	"repro/internal/pool"
 )
 
@@ -166,6 +170,57 @@ func TestBatchRepeaterCountBounded(t *testing.T) {
 		}
 		if c.status == http.StatusBadRequest && !strings.Contains(rec.Body.String(), "over the bound of 64 (buffering.MaxN)") {
 			t.Errorf("%s: the refusal does not name the bound: %s", c.name, rec.Body)
+		}
+	}
+}
+
+// TestBatchCostCountsCandidates: a /v1/yield/batch request costs its
+// samples times its candidates, the candidate-samples the shared kernel
+// evaluates. At a 4 096 ceiling a 512-sample batch of 9 candidates
+// (4 608) gets the nominal answers and one of 8 (4 096) samples. Only
+// the samples counted before, so any number of candidates sampled in
+// full.
+func TestBatchCostCountsCandidates(t *testing.T) {
+	_, ts := testServer(t, 4, 16, 4096, time.Minute)
+	for _, c := range []struct {
+		candidates int
+		degraded   bool
+	}{{9, true}, {8, false}} {
+		req := predint.YieldBatchRequest{YieldRequest: predint.YieldRequest{Tech: "90nm", LengthMM: 5, TargetPS: predint.Float(520), Samples: predint.Int(512), Seed: 1}}
+		for i := 0; i < c.candidates; i++ {
+			req.Candidates = append(req.Candidates, predint.YieldCandidate{RepeaterSize: float64(8 + 4*i), Repeaters: 2 + i%4})
+		}
+		want, err := predint.Surfaced{}.LinkYieldBatchCtx(context.Background(), req)
+		if c.degraded {
+			want, err = predint.LinkYieldBatchNominalCtx(context.Background(), req)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		degraded0 := obs.Snapshot()["predintd.degraded"]
+		code, _, resp := postJSON(t, ts.URL+"/v1/yield/batch", string(body))
+		if code != http.StatusOK {
+			t.Fatalf("%d candidates: status %d: %s", c.candidates, code, resp)
+		}
+		var got predint.YieldBatchResult
+		if err := json.Unmarshal(resp, &got); err != nil {
+			t.Fatal(err)
+		}
+		if moved := obs.Snapshot()["predintd.degraded"] > degraded0; moved != c.degraded {
+			t.Errorf("%d candidates: predintd.degraded moved=%v, want %v", c.candidates, moved, c.degraded)
+		}
+		if len(got.Results) != len(want.Results) || got.Target != want.Target {
+			t.Fatalf("%d candidates: served %+v, want %+v", c.candidates, got, want)
+		}
+		for i := range got.Results {
+			if got.Results[i] != want.Results[i] {
+				t.Errorf("%d candidates, candidate %d: served %+v, want %+v", c.candidates, i, got.Results[i], want.Results[i])
+				break
+			}
 		}
 	}
 }

@@ -9,7 +9,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -529,6 +532,150 @@ func TestCoordinatorPlanMemoConcurrent(t *testing.T) {
 				}
 				if got != want[i] {
 					t.Errorf("goroutine %d, request %d: coordinator %+v != serial %+v", g, i, got, want[i])
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestCoordinatorFrontSharesOneMemo pins that a coordinator front
+// designs each link class once: run hands the server its coordinator's
+// plan memo, so the fan-out, the local path and the degraded path read
+// one class entry. On a front over two loopback workers, an mc body
+// (sharded) and then an ais body (not shardable, so served on the
+// front) of one class move predint.plan_memo.class_misses by 3, the
+// front once and each worker once; a repeat over the front's ceiling,
+// degraded, moves class_hits by 1 and class_misses by 0. The bodies set
+// no_surface, so the warm tier stays out of the count, and every answer
+// is the uncached one.
+func TestCoordinatorFrontSharesOneMemo(t *testing.T) {
+	_, urls := testCluster(t, 2, false)
+	var stderr syncBuf
+	base, done := startServer(t, &stderr, "-addr", "127.0.0.1:0", "-max-yield-cost", "4096",
+		"-workers", strings.Join(urls, ","), "-worker-probe-interval", "0")
+	t.Cleanup(func() {
+		if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Errorf("front after drain: %v", err)
+			}
+		case <-time.After(15 * time.Second):
+			t.Error("front did not exit after SIGTERM")
+		}
+	})
+
+	mc := coordReq("mc", 2048)
+	ais := coordReq("ais", 2048)
+	over := coordReq("mc", 8192)
+	for i, step := range []struct {
+		req                 predint.YieldRequest
+		classHits, classMis int64
+	}{{mc, 0, 3}, {ais, 1, 0}, {over, 1, 0}} {
+		want, err := predint.Surfaced{}.LinkYieldCtx(context.Background(), step.req)
+		if step.req.Samples == over.Samples {
+			want, err = predint.LinkYieldNominalCtx(context.Background(), step.req)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := json.Marshal(step.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := obs.Snapshot()
+		if got := postYield(t, base, string(body)); got != want {
+			t.Errorf("body %d: served %+v, uncached %+v", i+1, got, want)
+		}
+		after := obs.Snapshot()
+		hits := after["predint.plan_memo.class_hits"] - before["predint.plan_memo.class_hits"]
+		misses := after["predint.plan_memo.class_misses"] - before["predint.plan_memo.class_misses"]
+		if hits != step.classHits || misses != step.classMis {
+			t.Errorf("body %d (%s, %d samples): class_hits moved by %d and class_misses by %d; want %d and %d",
+				i+1, step.req.Estimator, *step.req.Samples, hits, misses, step.classHits, step.classMis)
+		}
+	}
+}
+
+// TestCoordinatorFrontMemoConcurrent runs eight goroutines of mc, isle,
+// ais, sizing and over-ceiling bodies through one front that shares its
+// coordinator's plan memo, over two loopback workers, so the fan-out,
+// the local, sizing and degraded paths race on one memo's class
+// entries. Every answer must equal the uncached one: Surfaced{}'s, or
+// LinkYieldNominalCtx's for a degraded body. CI runs it under the race
+// detector ten times.
+func TestCoordinatorFrontMemoConcurrent(t *testing.T) {
+	const ceiling = 1024
+	_, urls := testCluster(t, 2, false)
+	front := newServer(16, 64, ceiling, 30*time.Second, time.Second)
+	coord := testCoordinator(t, urls, 128)
+	front.coord, front.plans = coord, coord.Plans()
+	ts := httptest.NewServer(front.routes())
+	t.Cleanup(ts.Close)
+
+	type body struct {
+		req  predint.YieldRequest
+		want predint.YieldResult
+	}
+	var bodies []body
+	for _, link := range []struct {
+		tech   string
+		length float64
+	}{{"90nm", 5}, {"65nm", 3}} {
+		nom, err := predint.LinkYieldNominalCtx(context.Background(), predint.YieldRequest{Tech: link.tech, LengthMM: link.length})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, kind := range []string{"mc", "isle", "ais", "sizing", "over"} {
+			req := coordReq(kind, 512)
+			req.Tech, req.LengthMM, req.Workers = link.tech, link.length, 1
+			switch kind {
+			case "sizing":
+				req.Estimator = ""
+				req.TargetPS, req.YieldTarget = predint.Float(nom.NominalDelay*1.19e12), predint.Float(0.99)
+			case "over":
+				req.Estimator, req.Samples = "mc", predint.Int(2*ceiling)
+			}
+			want, err := predint.Surfaced{}.LinkYieldCtx(context.Background(), req)
+			if kind == "over" {
+				want, err = predint.LinkYieldNominalCtx(context.Background(), req)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			bodies = append(bodies, body{req, want})
+		}
+	}
+	const goroutines = 8
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := range bodies {
+				b := bodies[(k+g)%len(bodies)] // each goroutine starts on its own body
+				raw, err := json.Marshal(b.req)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				resp, err := http.Post(ts.URL+"/v1/yield", "application/json", bytes.NewReader(raw))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var got predint.YieldResult
+				err = json.NewDecoder(resp.Body).Decode(&got)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK {
+					t.Errorf("goroutine %d, %s: status %d, %v", g, raw, resp.StatusCode, err)
+					return
+				}
+				if got != b.want {
+					t.Errorf("goroutine %d, %s: served %+v, uncached %+v", g, raw, got, b.want)
 				}
 			}
 		}(g)

@@ -12,8 +12,9 @@
 // (-request-timeout, tightened by a ?timeout= query parameter); at
 // most -inflight requests execute at once with at most -queue more
 // waiting, and anything beyond that is shed with 503 + Retry-After;
-// /v1/yield requests whose Monte Carlo budget exceeds -max-yield-cost
-// — or that arrive while the queue is under pressure — degrade to the
+// yield requests whose Monte Carlo cost exceeds -max-yield-cost — the
+// sample budget, times the candidate count for /v1/yield/batch — or
+// that arrive while the queue is under pressure degrade to the
 // closed-form nominal estimate, marked "degraded": true; SIGINT or
 // SIGTERM drains gracefully, finishing in-flight requests (bounded by
 // -drain-timeout) while rejecting new ones.
@@ -33,9 +34,11 @@
 // body carries the /v1/yield body in its own keys, so a front and its
 // workers must run the same build, and a shard longer than the
 // worker's -max-yield-cost is refused. Every replica designs each link
-// class and delay target once, through a bounded memo of shard plans.
-// Failed shards retry against the next replica (-shard-attempts) and
-// degrade to local execution when the worker set is exhausted. The front keeps its own warm surface and
+// class once, in one bounded plan memo: a front's fan-out, its local
+// and sizing paths and its degraded answers all read the class entries
+// of its coordinator's memo. Failed shards retry against the next
+// replica (-shard-attempts) and degrade to local execution when the
+// worker set is exhausted. The front keeps its own warm surface and
 // records its coordinated estimates there; a worker's surface serves
 // only traffic sent to that worker directly.
 //
@@ -89,7 +92,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	queueFlag := fs.Int("queue", 64, "admission queue depth beyond the in-flight cap; excess requests are shed with 503")
 	reqTimeoutFlag := fs.Duration("request-timeout", 30*time.Second, "per-request deadline (a ?timeout= query parameter can tighten it)")
 	drainTimeoutFlag := fs.Duration("drain-timeout", 30*time.Second, "how long a SIGTERM drain waits for in-flight requests")
-	maxYieldCostFlag := fs.Int("max-yield-cost", 65536, "largest Monte Carlo sample budget served in full; costlier /v1/yield requests degrade to the nominal estimate, and longer shards are refused")
+	maxYieldCostFlag := fs.Int("max-yield-cost", 65536, "largest Monte Carlo cost served in full (samples, times candidates for a batch); costlier /v1/yield and /v1/yield/batch requests degrade to the nominal estimate, and longer shards are refused")
 	retryAfterFlag := fs.Duration("retry-after", time.Second, "Retry-After hint on shed responses")
 	noSurfaceFlag := fs.Bool("no-surface", false, "disable the yield-response-surface cache; every /v1/yield query runs the full pipeline")
 	maxBodyFlag := fs.Int64("max-body", 1<<20, "largest accepted request body in bytes; bigger bodies are refused with 413")
@@ -155,7 +158,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 		defer coord.Close()
-		s.coord = coord
+		s.coord, s.plans = coord, coord.Plans()
 	}
 
 	ln, err := net.Listen("tcp", *addrFlag)

@@ -60,15 +60,15 @@ func countServed(results ...predint.YieldResult) {
 
 // server is the hardened HTTP facade over the predint engines. Every
 // v1 request passes admission control (bounded queue + in-flight cap,
-// shedding beyond), runs under a per-request deadline, and /v1/yield
-// additionally degrades to the closed-form nominal estimate when its
-// Monte Carlo budget exceeds the cost ceiling or the queue is under
-// pressure.
+// shedding beyond), runs under a per-request deadline, and the yield
+// endpoints additionally degrade to the closed-form nominal estimate
+// when their Monte Carlo cost exceeds the cost ceiling or the queue is
+// under pressure.
 type server struct {
 	inflight     chan struct{} // slot semaphore; capacity = in-flight cap
 	queued       atomic.Int64  // admitted requests not yet holding a slot
 	queueDepth   int64         // waiting requests beyond which we shed
-	maxYieldCost int           // largest Monte Carlo budget served in full
+	maxYieldCost int           // largest Monte Carlo cost served in full
 	maxBody      int64         // request-body byte cap; overflow is a 413
 	reqTimeout   time.Duration // server-side per-request deadline
 	retryAfter   time.Duration // Retry-After hint on shed responses
@@ -83,8 +83,10 @@ type server struct {
 	// configured worker replicas; nil serves everything locally.
 	coord *coordinator.Coordinator
 	// plans is this replica's plan memo, per server like surf: the
-	// shard route plans through it, and the local yield path reads
-	// each link class's design and sizing candidates from it.
+	// shard route plans through it, and the local and degraded yield
+	// paths read each link class's design and sizing candidates from
+	// it. A coordinator front uses its coordinator's memo, so the
+	// fan-out shares it too.
 	plans *predint.PlanMemo
 	// shardFault names the fault point guarding /v1/internal/shard;
 	// tests give each loopback replica its own name to fail workers
@@ -320,13 +322,16 @@ func (s *server) handleLink(ctx context.Context, r *http.Request) (any, error) {
 // ---- /v1/yield ----
 
 // degradeYield decides the graceful-degradation path from the
-// requested Monte Carlo budget and the admission-time queue pressure.
-func (s *server) degradeYield(ctx context.Context, samplesField *int) bool {
+// requested cost and the admission-time queue pressure. A request costs
+// its Monte Carlo budget times the candidates the shared kernel scores
+// at each sample: 1 for /v1/yield, len(candidates) for a batch.
+func (s *server) degradeYield(ctx context.Context, samplesField *int, candidates int) bool {
 	samples := predint.DefaultYieldSamples
 	if samplesField != nil {
 		samples = *samplesField
 	}
-	return samples > s.maxYieldCost || pressured(ctx)
+	// samples × candidates > ceiling, without the product's overflow.
+	return samples > s.maxYieldCost/max(candidates, 1) || pressured(ctx)
 }
 
 func (s *server) handleYield(ctx context.Context, r *http.Request) (any, error) {
@@ -367,9 +372,9 @@ func (s *server) handleYield(ctx context.Context, r *http.Request) (any, error) 
 	var res predint.YieldResult
 	var err error
 	switch {
-	case s.degradeYield(ctx, req.Samples):
+	case s.degradeYield(ctx, req.Samples, 1):
 		metDegraded.Inc()
-		res, err = predint.LinkYieldNominalCtx(ctx, req)
+		res, err = sf.LinkYieldNominalCtx(ctx, req)
 	case s.coord != nil:
 		res, err = s.coord.Estimate(ctx, req)
 		switch {
@@ -394,9 +399,10 @@ func (s *server) handleYield(ctx context.Context, r *http.Request) (any, error) 
 // handleYieldBatch scores explicit candidate buffering solutions of
 // one link on common random numbers (Surfaced.LinkYieldBatchCtx): one
 // sample stream and one per-sample technology perturbation serve every
-// candidate. The same degradation rule as /v1/yield applies — past the
-// cost ceiling or under queue pressure every candidate gets the
-// closed-form nominal evaluation, marked degraded.
+// candidate. The same degradation rule as /v1/yield applies to the
+// batch's cost, its samples times its candidates — past the cost
+// ceiling or under queue pressure every candidate gets the closed-form
+// nominal evaluation, marked degraded.
 func (s *server) handleYieldBatch(ctx context.Context, r *http.Request) (any, error) {
 	if err := faultinject.Hit("predintd.handle"); err != nil {
 		return nil, err
@@ -428,7 +434,7 @@ func (s *server) handleYieldBatch(ctx context.Context, r *http.Request) (any, er
 
 	var res predint.YieldBatchResult
 	var err error
-	if s.degradeYield(ctx, req.Samples) {
+	if s.degradeYield(ctx, req.Samples, len(req.Candidates)) {
 		metDegraded.Inc()
 		res, err = predint.LinkYieldBatchNominalCtx(ctx, req)
 	} else {

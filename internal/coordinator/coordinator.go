@@ -78,8 +78,7 @@ type Coordinator struct {
 	probeTimeout  time.Duration
 	mem           *membership
 	scratch       sync.Pool // *rpcScratch
-	// plans memoizes the fronted requests' designs, so a repeated link
-	// class and target skips the buffering search here too.
+	// plans is the front's plan memo (see Plans).
 	plans *predint.PlanMemo
 
 	closeOnce sync.Once
@@ -191,6 +190,11 @@ func (c *Coordinator) Close() {
 		}
 	})
 }
+
+// Plans returns the plan memo Estimate plans through. A front serves
+// its local paths and its shard route from the same memo, so it designs
+// each link class once.
+func (c *Coordinator) Plans() *predint.PlanMemo { return c.plans }
 
 // Ready reports whether the coordinator is fit to serve: always with
 // the prober disabled, otherwise only after the first successful

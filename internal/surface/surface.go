@@ -18,15 +18,15 @@
 // else is a miss, and the caller falls back to (and refreshes the
 // surface from) the full Monte Carlo kernel.
 //
-// Keys are value types that include a hash of the full technology
-// descriptor, so two different descriptors can never share a surface.
-// Nothing invalidates an entry: the technology set and the models are
-// fixed for the life of the process, so a recorded point stays valid.
+// A key is the link class and sigma scale by value: a built-in
+// technology's name, the style, length, input slew and power weight, and
+// the sigma scale of the default variation space. Nothing invalidates an
+// entry: the technology set and the models are fixed for the life of the
+// process, so a name stands for one descriptor and a recorded point
+// stays valid.
 package surface
 
 import (
-	"fmt"
-	"hash/fnv"
 	"math"
 	"sort"
 	"sync"
@@ -34,8 +34,6 @@ import (
 
 	"repro/internal/estimator"
 	"repro/internal/obs"
-	"repro/internal/tech"
-	"repro/internal/variation"
 	"repro/internal/wire"
 )
 
@@ -52,69 +50,26 @@ var (
 	metCrossEstimator = obs.NewCounter("surface.cross_estimator_refusals")
 )
 
-// Geometry is the comparable geometric identity of a routed segment:
-// everything wire.Segment carries except the technology pointer (the
-// technology participates in the Key through its hash instead, so
-// identical descriptors share a surface and differing ones never
-// alias).
-type Geometry struct {
-	Layer          tech.WireLayer
-	Style          wire.Style
-	Length         float64
-	Width, Spacing float64
-}
-
-// GeometryOf extracts the comparable geometry of a segment.
-func GeometryOf(seg wire.Segment) Geometry {
-	return Geometry{
-		Layer:   seg.Layer,
-		Style:   seg.Style,
-		Length:  seg.Length,
-		Width:   seg.Width,
-		Spacing: seg.Spacing,
-	}
-}
-
 // Key identifies one response surface: a class of yield queries whose
 // estimates are mutually interpolable. Everything that changes the
-// estimated quantity is part of the key — the technology (by hash),
-// the link geometry and style, the input slew and power weight that
-// shape the designed buffering, and the (scaled) variation space.
+// estimated quantity is part of the key — the technology, the link's
+// style and length (which fix its routed segment), the input slew and
+// power weight that shape the designed buffering, and the sigma scale of
+// the variation space. Fields compare as floats, so −0 and +0 are one
+// key.
 type Key struct {
-	// TechHash fingerprints the full technology descriptor; see
-	// TechHash.
-	TechHash uint64
-	// Geom is the routed segment's comparable geometry.
-	Geom Geometry
+	// Tech is the built-in technology's name.
+	Tech string
+	// Style is the wire design style.
+	Style wire.Style
+	// Length is the routed link length in meters.
+	Length float64
 	// InputSlew is the line input slew in seconds.
 	InputSlew float64
 	// PowerWeight is the buffering objective's power weight.
 	PowerWeight float64
-	// Space is the variation model the estimates were drawn under,
-	// after any sigma scaling.
-	Space variation.Space
-}
-
-// techHashes memoizes TechHash per descriptor pointer: the reflective
-// formatting below costs ~10 µs, which would dominate the warm-query
-// budget if paid per lookup. Descriptors are treated as immutable once
-// hashed — edit via Clone (a fresh pointer hashes fresh), never in
-// place.
-var techHashes sync.Map // *tech.Technology → uint64
-
-// TechHash fingerprints a technology descriptor: FNV-1a over the
-// printed value of every field. Two descriptors hash equal iff their
-// parameters are identical, so an edited Clone keys its own surfaces
-// instead of reading another descriptor's interpolations.
-func TechHash(t *tech.Technology) uint64 {
-	if h, ok := techHashes.Load(t); ok {
-		return h.(uint64)
-	}
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%+v", *t)
-	sum := h.Sum64()
-	techHashes.Store(t, sum)
-	return sum
+	// SigmaScale multiplies every sigma of the default variation space.
+	SigmaScale float64
 }
 
 // DesignKey identifies one buffering solution's curve on a surface.

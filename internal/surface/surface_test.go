@@ -7,43 +7,15 @@ import (
 	"time"
 
 	"repro/internal/estimator"
-	"repro/internal/tech"
-	"repro/internal/variation"
 	"repro/internal/wire"
 )
 
 func testKey(t *testing.T) Key {
 	t.Helper()
-	tc := tech.MustLookup("65nm")
-	seg := wire.NewSegment(tc, 5e-3, wire.SWSS)
-	return Key{
-		TechHash:    TechHash(tc),
-		Geom:        GeometryOf(seg),
-		InputSlew:   100e-12,
-		PowerWeight: 0.5,
-		Space:       variation.DefaultSpace(),
-	}
+	return Key{Tech: "65nm", Style: wire.SWSS, Length: 5e-3, InputSlew: 100e-12, PowerWeight: 0.5, SigmaScale: 1}
 }
 
 var dk = DesignKey{Size: 8, N: 10}
-
-func TestTechHashDistinguishesDescriptors(t *testing.T) {
-	a := tech.MustLookup("65nm")
-	b := tech.MustLookup("45nm")
-	if TechHash(a) == TechHash(b) {
-		t.Fatal("distinct technologies hash equal")
-	}
-	// A private field-level edit moves the hash: the edited descriptor
-	// can never alias the original's surface.
-	c := a.Clone()
-	c.Vdd += 0.01
-	if TechHash(a) != TechHash(a.Clone()) {
-		t.Fatal("identical descriptors hash differently")
-	}
-	if TechHash(a) == TechHash(c) {
-		t.Fatal("edited descriptor reuses the original's hash")
-	}
-}
 
 func TestLookupExactHit(t *testing.T) {
 	c := New(Options{})
@@ -166,9 +138,9 @@ func TestLookupMissesColdKeysAndCurves(t *testing.T) {
 		t.Fatal("unknown curve hit")
 	}
 	other := k
-	other.TechHash++
+	other.Tech = "45nm"
 	if _, ok := c.Lookup(other, dk, 400e-12, Tolerance{}); ok {
-		t.Fatal("different tech hash hit")
+		t.Fatal("different technology hit")
 	}
 }
 
@@ -233,11 +205,11 @@ func TestEntryCapDropsNewKeys(t *testing.T) {
 	s := Sample{Target: 400e-12, FailProb: 0.02, StdErr: 0.002, Samples: 4096, Estimator: estimator.MC}
 	for i := 0; i < maxEntries; i++ {
 		key := k
-		key.TechHash += uint64(i)
+		key.Length += float64(i)
 		c.Record(key, dk, s)
 	}
 	other := k
-	other.TechHash += maxEntries
+	other.Length += maxEntries
 	c.Record(other, dk, s)
 	if st := c.Stats(); st.Entries != maxEntries {
 		t.Fatalf("entry cap not enforced: %+v", st)
@@ -275,7 +247,7 @@ func TestConcurrentRecordLookup(t *testing.T) {
 	k := testKey(t)
 	hot := func(g int) (Key, DesignKey) {
 		key := k
-		key.TechHash += uint64(g % 4)
+		key.Length += float64(g % 4)
 		return key, DesignKey{Size: float64(4 + g%3*4), N: 10}
 	}
 	// The four hot classes exist before the fresh ones can fill the
@@ -295,7 +267,7 @@ func TestConcurrentRecordLookup(t *testing.T) {
 				s := Sample{Target: target, FailProb: 0.02, StdErr: 0.002, Samples: 1024 + i, Estimator: estimator.MC}
 				c.Record(key, d, s)
 				fresh := k
-				fresh.TechHash += uint64(1000 + g*perG + i)
+				fresh.Length += float64(1000 + g*perG + i)
 				c.Record(fresh, d, s)
 				c.Lookup(key, d, target, Tolerance{AbsErr: 0.01})
 				c.Lookup(fresh, d, target, Tolerance{AbsErr: 0.01})

@@ -93,13 +93,13 @@ type planKey struct {
 	target, sigma uint64
 }
 
-func (p *yieldPlan) classKey() classKey {
+func (c *linkClass) classKey() classKey {
 	return classKey{
-		tech:   p.tc.Name,
-		style:  p.seg.Style,
-		length: math.Float64bits(p.seg.Length),
-		weight: math.Float64bits(p.bufOpts.PowerWeight),
-		slew:   math.Float64bits(p.slew),
+		tech:   c.tc.Name,
+		style:  c.seg.Style,
+		length: math.Float64bits(c.seg.Length),
+		weight: math.Float64bits(c.weight),
+		slew:   math.Float64bits(c.slew),
 	}
 }
 

@@ -146,6 +146,65 @@ type LinkResult struct {
 	SpacingMult float64 `json:"spacing_mult"`
 }
 
+// linkClass is a validated link class: a built-in technology with its
+// embedded coefficients, the routed segment, the input slew (s) and the
+// buffering objective's power weight. DesignLinkCtx and
+// YieldRequest.plan both resolve one with resolveClass; a replica's plan
+// memo and warm surface key their entries by its fields.
+type linkClass struct {
+	tc           *tech.Technology
+	coeffs       *model.Coefficients
+	seg          wire.Segment
+	slew, weight float64
+}
+
+// resolveClass validates a request's link-class fields and derives the
+// class; nil weight and slewPS select DefaultPowerWeight and
+// DefaultInputSlewPS.
+func resolveClass(techName string, lengthMM float64, style Style, weight, slewPS *float64) (linkClass, error) {
+	tc, err := tech.Lookup(techName)
+	if err != nil {
+		return linkClass{}, err
+	}
+	if lengthMM <= 0 {
+		return linkClass{}, fmt.Errorf("predint: non-positive length %g mm", lengthMM)
+	}
+	ws, err := style.wireStyle()
+	if err != nil {
+		return linkClass{}, err
+	}
+	w := DefaultPowerWeight
+	if weight != nil {
+		w = *weight
+		if math.IsNaN(w) || w < 0 || w >= 1 {
+			return linkClass{}, fmt.Errorf("predint: power weight %g outside [0,1)", w)
+		}
+	}
+	ps := DefaultInputSlewPS
+	if slewPS != nil {
+		ps = *slewPS
+		if math.IsNaN(ps) || ps <= 0 {
+			return linkClass{}, fmt.Errorf("predint: non-positive input slew %g ps (the timing models need a positive stimulus; omit InputSlewPS for the %g ps default)", ps, DefaultInputSlewPS)
+		}
+	}
+	coeffs, err := model.Default(tc.Name)
+	if err != nil {
+		return linkClass{}, err
+	}
+	return linkClass{tc: tc, coeffs: coeffs, seg: wire.NewSegment(tc, lengthMM*1e-3, ws), slew: ps * 1e-12, weight: w}, nil
+}
+
+// options is the class's buffering search at switching activity
+// activity.
+func (c *linkClass) options(activity float64) buffering.Options {
+	return buffering.Options{
+		Coeffs:      c.coeffs,
+		InputSlew:   c.slew,
+		Power:       model.PowerParams{Activity: activity, Freq: c.tc.Clock},
+		PowerWeight: c.weight,
+	}
+}
+
 // DesignLink designs a buffered link with the paper's calibrated
 // predictive models and buffering optimizer.
 func DesignLink(req LinkRequest) (LinkResult, error) {
@@ -162,14 +221,7 @@ func DesignLinkCtx(ctx context.Context, req LinkRequest) (LinkResult, error) {
 	if err := ctx.Err(); err != nil {
 		return LinkResult{}, err
 	}
-	tc, err := tech.Lookup(req.Tech)
-	if err != nil {
-		return LinkResult{}, err
-	}
-	if req.LengthMM <= 0 {
-		return LinkResult{}, fmt.Errorf("predint: non-positive length %g mm", req.LengthMM)
-	}
-	style, err := req.Style.wireStyle()
+	c, err := resolveClass(req.Tech, req.LengthMM, req.Style, req.PowerWeight, req.InputSlewPS)
 	if err != nil {
 		return LinkResult{}, err
 	}
@@ -187,43 +239,19 @@ func DesignLinkCtx(ctx context.Context, req LinkRequest) (LinkResult, error) {
 			return LinkResult{}, fmt.Errorf("predint: negative activity factor %g", activity)
 		}
 	}
-	slewPS := DefaultInputSlewPS
-	if req.InputSlewPS != nil {
-		slewPS = *req.InputSlewPS
-		if math.IsNaN(slewPS) || slewPS <= 0 {
-			return LinkResult{}, fmt.Errorf("predint: non-positive input slew %g ps (the timing models need a positive stimulus; omit InputSlewPS for the %g ps default)", slewPS, DefaultInputSlewPS)
-		}
-	}
-	slew := slewPS * 1e-12
-	weight := DefaultPowerWeight
-	if req.PowerWeight != nil {
-		weight = *req.PowerWeight
-		if math.IsNaN(weight) || weight < 0 || weight >= 1 {
-			return LinkResult{}, fmt.Errorf("predint: power weight %g outside [0,1)", weight)
-		}
-	}
 	if req.DelayOptimal {
-		weight = 0
+		c.weight = 0
 	}
 
-	coeffs, err := model.Default(tc.Name)
-	if err != nil {
-		return LinkResult{}, err
-	}
-	seg := wire.NewSegment(tc, req.LengthMM*1e-3, style)
-	opts := buffering.Options{
-		Coeffs:      coeffs,
-		InputSlew:   slew,
-		Power:       model.PowerParams{Activity: activity, Freq: tc.Clock},
-		PowerWeight: weight,
-	}
+	seg := c.seg
+	opts := c.options(activity)
 	if req.LibrarySizesOnly {
 		opts.Sizes = liberty.StandardSizes
 	}
 	widthMult, spacingMult := 1.0, 1.0
 	var des buffering.Design
 	if req.OptimizeGeometry {
-		wsDes, err := wiresize.OptimizeCtx(ctx, tc, seg.Length, style, wiresize.Options{
+		wsDes, err := wiresize.OptimizeCtx(ctx, c.tc, seg.Length, seg.Style, wiresize.Options{
 			Buffering:    opts,
 			MaxPitchMult: req.MaxPitchMult,
 		})
@@ -234,19 +262,15 @@ func DesignLinkCtx(ctx context.Context, req LinkRequest) (LinkResult, error) {
 		widthMult, spacingMult = wsDes.WidthMult, wsDes.SpacingMult
 		seg.Width *= widthMult
 		seg.Spacing *= spacingMult
-	} else {
-		var err error
-		des, err = buffering.Optimize(seg, opts)
-		if err != nil {
-			return LinkResult{}, err
-		}
+	} else if des, err = buffering.Optimize(seg, opts); err != nil {
+		return LinkResult{}, err
 	}
-	spec := model.LineSpec{Kind: des.Kind, Size: des.Size, N: des.N, Segment: seg, InputSlew: slew}
-	pow, err := coeffs.LinePower(spec, model.PowerParams{Activity: activity, Freq: tc.Clock})
+	spec := model.LineSpec{Kind: des.Kind, Size: des.Size, N: des.N, Segment: seg, InputSlew: c.slew}
+	pow, err := c.coeffs.LinePower(spec, opts.Power)
 	if err != nil {
 		return LinkResult{}, err
 	}
-	area, err := coeffs.LineArea(spec, bits)
+	area, err := c.coeffs.LineArea(spec, bits)
 	if err != nil {
 		return LinkResult{}, err
 	}

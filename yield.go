@@ -10,9 +10,7 @@ import (
 	"repro/internal/estimator"
 	"repro/internal/liberty"
 	"repro/internal/model"
-	"repro/internal/tech"
 	"repro/internal/variation"
-	"repro/internal/wire"
 )
 
 // This file is the facade over the process-variation engine
@@ -24,9 +22,9 @@ import (
 // Surfaced{Cache: surface.New(...)} every sampled run refreshes that
 // surface, which the probe entries (yieldsurface.go) answer from, and
 // with a bound PlanMemo (planmemo.go) the link designs come from it.
-// LinkYieldNominalCtx is the graceful-degradation path the serving
-// layer (cmd/predintd) falls back to when a cost budget or queue
-// pressure won't allow sampling.
+// Surfaced.LinkYieldNominalCtx is the graceful-degradation path the
+// serving layer (cmd/predintd) falls back to when a cost budget or
+// queue pressure won't allow sampling.
 
 // Defaults applied to unset (nil) optional YieldRequest fields.
 const (
@@ -179,52 +177,28 @@ type YieldResult struct {
 	Source string `json:"source"`
 }
 
-// yieldPlan is a validated, derived YieldRequest: every optional
-// field resolved, the technology and coefficients looked up, and the
-// engine option structs built. Both the full Monte Carlo path and the
-// degraded nominal path start from here, so the two can never drift
-// in how they interpret a request.
+// yieldPlan is a validated, derived YieldRequest: its link class
+// resolved, every other optional field resolved, and the engine option
+// structs built. Both the full Monte Carlo path and the degraded
+// nominal path start from here, so the two can never drift in how they
+// interpret a request.
 type yieldPlan struct {
-	tc      *tech.Technology
-	coeffs  *model.Coefficients
-	seg     wire.Segment
+	linkClass
 	bufOpts buffering.Options
 	space   variation.Space
 	mc      variation.YieldOptions
 	target  float64
-	slew    float64
 	sigma   float64 // the SigmaScale that scaled space
 	yt      *float64
 }
 
 // plan validates the request and derives the evaluation inputs.
 func (req YieldRequest) plan() (*yieldPlan, error) {
-	tc, err := tech.Lookup(req.Tech)
+	c, err := resolveClass(req.Tech, req.LengthMM, req.Style, req.PowerWeight, req.InputSlewPS)
 	if err != nil {
 		return nil, err
 	}
-	if req.LengthMM <= 0 {
-		return nil, fmt.Errorf("predint: non-positive length %g mm", req.LengthMM)
-	}
-	style, err := req.Style.wireStyle()
-	if err != nil {
-		return nil, err
-	}
-	weight := DefaultPowerWeight
-	if req.PowerWeight != nil {
-		weight = *req.PowerWeight
-		if math.IsNaN(weight) || weight < 0 || weight >= 1 {
-			return nil, fmt.Errorf("predint: power weight %g outside [0,1)", weight)
-		}
-	}
-	slewPS := DefaultInputSlewPS
-	if req.InputSlewPS != nil {
-		slewPS = *req.InputSlewPS
-		if math.IsNaN(slewPS) || slewPS <= 0 {
-			return nil, fmt.Errorf("predint: non-positive input slew %g ps", slewPS)
-		}
-	}
-	target := 1 / tc.Clock
+	target := 1 / c.tc.Clock
 	if req.TargetPS != nil {
 		// IsInf matters: +Inf passes a bare <= 0 check and would turn
 		// the estimation into a vacuous always-passes query.
@@ -279,22 +253,10 @@ func (req YieldRequest) plan() (*yieldPlan, error) {
 		}
 	}
 
-	coeffs, err := model.Default(tc.Name)
-	if err != nil {
-		return nil, err
-	}
-	slew := slewPS * 1e-12
 	return &yieldPlan{
-		tc:     tc,
-		coeffs: coeffs,
-		seg:    wire.NewSegment(tc, req.LengthMM*1e-3, style),
-		bufOpts: buffering.Options{
-			Coeffs:      coeffs,
-			InputSlew:   slew,
-			Power:       model.PowerParams{Activity: DefaultActivityFactor, Freq: tc.Clock},
-			PowerWeight: weight,
-		},
-		space: variation.DefaultSpace().Scaled(sigma),
+		linkClass: c,
+		bufOpts:   c.options(DefaultActivityFactor),
+		space:     variation.DefaultSpace().Scaled(sigma),
 		mc: variation.YieldOptions{
 			Samples:     samples,
 			RelErr:      relErr,
@@ -305,7 +267,6 @@ func (req YieldRequest) plan() (*yieldPlan, error) {
 			TargetSigma: targetSigma,
 		},
 		target: target,
-		slew:   slew,
 		sigma:  sigma,
 		yt:     req.YieldTarget,
 	}, nil
@@ -443,18 +404,19 @@ func (sf Surfaced) LinkYieldCtx(ctx context.Context, req YieldRequest) (YieldRes
 
 // LinkYieldNominalCtx is the graceful-degradation fallback for
 // Surfaced.LinkYieldCtx: it validates the request identically, designs
-// the link identically, but replaces the estimation with a single
-// closed-form evaluation at the nominal process corner — microseconds,
-// not milliseconds. The result is marked Degraded, its Yield collapses
-// to a 0/1 step around the target, and FailProbBound carries the
-// (vacuous, and therefore honest) rule-of-three bound for the single
-// evaluation performed. A YieldTarget is validated but not acted on —
-// resizing needs sampling — so Resized is always false. Only an
-// up-front ctx check applies.
+// the link identically (from the bound plan memo's class entry, if
+// any), but replaces the estimation with a single closed-form
+// evaluation at the nominal process corner — microseconds, not
+// milliseconds. The result is marked Degraded, its Yield collapses to a
+// 0/1 step around the target, and FailProbBound carries the (vacuous,
+// and therefore honest) rule-of-three bound for the single evaluation
+// performed. A YieldTarget is validated but not acted on — resizing
+// needs sampling — so Resized is always false. Only an up-front ctx
+// check applies.
 //
 // cmd/predintd serves this path when a request's cost budget or the
 // admission-queue pressure won't allow sampling.
-func LinkYieldNominalCtx(ctx context.Context, req YieldRequest) (YieldResult, error) {
+func (sf Surfaced) LinkYieldNominalCtx(ctx context.Context, req YieldRequest) (YieldResult, error) {
 	if err := ctx.Err(); err != nil {
 		return YieldResult{}, err
 	}
@@ -462,11 +424,17 @@ func LinkYieldNominalCtx(ctx context.Context, req YieldRequest) (YieldResult, er
 	if err != nil {
 		return YieldResult{}, err
 	}
-	des, err := buffering.Optimize(p.seg, p.bufOpts)
+	des, err := sf.Plans.nominal(p)
 	if err != nil {
 		return YieldResult{}, err
 	}
 	return p.nominalResult(p.line(des))
+}
+
+// LinkYieldNominalCtx is Surfaced{}.LinkYieldNominalCtx: the degraded
+// answer with a fresh buffering search.
+func LinkYieldNominalCtx(ctx context.Context, req YieldRequest) (YieldResult, error) {
+	return Surfaced{}.LinkYieldNominalCtx(ctx, req)
 }
 
 // YieldCandidate names one explicit buffering solution of a batch

@@ -2,8 +2,11 @@ package predint
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/surface"
 )
 
 // uncached is the facade with no surface cache bound: every query
@@ -187,39 +190,101 @@ func TestLinkYieldNominalMatchesFullPath(t *testing.T) {
 	}
 }
 
-// TestLinkYieldBatchMatchesSingle pins the batch API's headline
-// guarantee: scoring the single-link path's own designed solution as
-// an explicit batch candidate — alongside a competitor, on shared
-// samples — returns the bit-identical estimate the standalone request
-// produced, for both estimators.
+// TestLinkYieldBatchMatchesSingle pins that a single request is a
+// one-candidate batch of its designed link, whole YieldResult for whole
+// YieldResult, on all three tiers: sampled (LinkYieldCtx and
+// LinkYieldBatchCtx), degraded (LinkYieldNominalCtx and
+// LinkYieldBatchNominalCtx) and warm (LinkYieldSurfaceCtx and
+// LinkYieldBatchSurfaceCtx after one sampled run). It covers every rung
+// and auto routing at target sigma 4, three styles and three
+// technologies, at delay targets 5% and 25% past each link's nominal
+// delay: auto routing certifies some of these analytically and samples
+// ISLE on the rest.
+// The batch's headline guarantee holds with company too: the designed
+// candidate scored beside a competitor on shared samples keeps the
+// standalone estimate.
 func TestLinkYieldBatchMatchesSingle(t *testing.T) {
-	for _, est := range []string{"", "isle"} {
-		req := YieldRequest{Tech: "90nm", LengthMM: 5, Samples: Int(1024), Seed: 1, TargetPS: Float(470), Estimator: est}
-		single, err := uncached.LinkYieldCtx(context.Background(), req)
-		if err != nil {
-			t.Fatal(err)
+	for _, link := range []struct {
+		tech   string
+		length float64
+	}{{"90nm", 5}, {"45nm", 3}, {"16nm", 1}} {
+		for _, style := range []Style{SWSS, Shielded, Staggered} {
+			base := YieldRequest{Tech: link.tech, LengthMM: link.length, Style: style, Samples: Int(512), Seed: 1, TargetSigma: Float(4)}
+			nom, err := LinkYieldNominalCtx(context.Background(), base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, margin := range []float64{1.05, 1.25} {
+				for _, est := range []string{"mc", "qmc", "isle", "ais", "wcd", "auto"} {
+					req := base
+					req.TargetPS = Float(nom.NominalDelay * margin * 1e12)
+					req.Estimator = est
+					checkOneCandidateBatch(t, fmt.Sprintf("%s/%gmm/%s/x%g/%s", link.tech, link.length, style, margin, est), req)
+				}
+			}
 		}
-		batch, err := uncached.LinkYieldBatchCtx(context.Background(), YieldBatchRequest{
-			YieldRequest: req,
-			Candidates: []YieldCandidate{
-				{RepeaterSize: single.RepeaterSize, Repeaters: single.Repeaters},
-				{RepeaterSize: 8, Repeaters: 12},
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(batch.Results) != 2 {
-			t.Fatalf("estimator %q: %d results for 2 candidates", est, len(batch.Results))
-		}
-		got := batch.Results[0]
-		if got.Yield != single.Yield || got.FailProb != single.FailProb || got.StdErr != single.StdErr ||
-			got.Samples != single.Samples || got.NominalDelay != single.NominalDelay || got.Target != single.Target {
-			t.Fatalf("estimator %q: batch candidate 0 diverged from the standalone run:\n got %+v\nwant %+v", est, got, single)
-		}
-		if got.ImportanceSampled != single.ImportanceSampled {
-			t.Fatalf("estimator %q: markers diverged: batch %v, single %v", est, got.ImportanceSampled, single.ImportanceSampled)
-		}
+	}
+}
+
+// checkOneCandidateBatch holds req and the one-candidate batch of its
+// designed link to equal answers on the sampled, degraded and warm
+// tiers.
+func checkOneCandidateBatch(t *testing.T, name string, req YieldRequest) {
+	t.Helper()
+	ctx := context.Background()
+	sf := Surfaced{Cache: surface.New(surface.Options{})}
+	single, err := sf.LinkYieldCtx(ctx, req) // samples and warms the surface
+	if err != nil {
+		t.Fatal(err)
+	}
+	designed := YieldCandidate{RepeaterSize: single.RepeaterSize, Repeaters: single.Repeaters}
+	one := YieldBatchRequest{YieldRequest: req, Candidates: []YieldCandidate{designed}}
+	batch, err := uncached.LinkYieldBatchCtx(ctx, one)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(batch.Results) != 1 || batch.Results[0] != single || batch.Target != single.Target {
+		t.Errorf("%s sampled: batch %+v, single %+v", name, batch, single)
+	}
+
+	degraded, err := LinkYieldNominalCtx(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	degradedBatch, err := LinkYieldBatchNominalCtx(ctx, one)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(degradedBatch.Results) != 1 || degradedBatch.Results[0] != degraded {
+		t.Errorf("%s degraded: batch %+v, single %+v", name, degradedBatch, degraded)
+	}
+
+	warm, hit, err := sf.LinkYieldSurfaceCtx(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warmBatch, batchHit, err := sf.LinkYieldBatchSurfaceCtx(ctx, one)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hit != batchHit || hit && (len(warmBatch.Results) != 1 || warmBatch.Results[0] != warm) {
+		t.Errorf("%s warm: batch %+v (hit %v), single %+v (hit %v)", name, warmBatch, batchHit, warm, hit)
+	}
+	// A run that sampled recorded its point, so both probes hit; an
+	// analytic (wcd) answer records none.
+	if hit != (single.Samples > 0) {
+		t.Errorf("%s warm: probe hit=%v after a %d-sample run", name, hit, single.Samples)
+	}
+
+	// The designed candidate keeps its estimate beside a competitor on
+	// shared samples.
+	one.Candidates = append(one.Candidates, YieldCandidate{RepeaterSize: 8, Repeaters: 12})
+	shared, err := uncached.LinkYieldBatchCtx(ctx, one)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(shared.Results) != 2 || shared.Results[0] != single {
+		t.Errorf("%s beside a competitor: batch %+v, single %+v", name, shared.Results, single)
 	}
 }
 

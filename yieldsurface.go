@@ -38,11 +38,11 @@ const (
 // samples, and nothing is recorded. With Cache:
 // surface.New(surface.Options{}) the sampling entries refresh that
 // cache and the probe entries answer from it. With Plans:
-// NewPlanMemo() LinkYieldCtx reads each link class's nominal design
-// and, for sizing, its reachable candidates from the memo, with
-// answers bit-identical to the uncached path's. Each predintd replica
-// owns its own cache and memo, so warm state is per-replica, not a
-// hidden process global.
+// NewPlanMemo() LinkYieldCtx and LinkYieldNominalCtx read each link
+// class's nominal design and, for sizing, its reachable candidates from
+// the memo, with answers bit-identical to the uncached path's. Each
+// predintd replica owns its own cache and memo, so warm state is
+// per-replica, not a hidden process global.
 type Surfaced struct {
 	Cache *surface.Cache
 	Plans *PlanMemo
@@ -51,15 +51,17 @@ type Surfaced struct {
 // RecordYield feeds a completed full-sampling yield result back into
 // the bound cache, exactly as the local estimation path would have:
 // predintd's front calls it after a coordinated estimate, so its own
-// warm tier learns the answer the workers sampled. Degraded, surface,
-// and resized results are refused — only a fresh Monte Carlo estimate
-// of the nominal design is a valid curve point plus design memo — and
-// so is a result no estimation can produce, which the cache would
-// otherwise serve to later warm queries: a failure probability outside
-// [0, 1] (ISLE's unbiased estimate can exceed 1, but that is no
-// probability the surface can interpolate), a negative standard error,
-// an estimator the ladder does not name, or a design without a
-// positive repeater size, count and nominal delay.
+// warm tier learns the answer the workers sampled. Only a fresh Monte
+// Carlo estimate is a curve point, so degraded and surface results are
+// refused. A resized result records its curve point without the design
+// memo, as the local sizing path does; only a plain request's unresized
+// result also memoizes its design as the class's nominal one. A result
+// no estimation can produce is refused too, since the cache would serve
+// it to later warm queries: a failure probability outside [0, 1]
+// (ISLE's unbiased estimate can exceed 1, but that is no probability
+// the surface can interpolate), a negative standard error, an estimator
+// the ladder does not name, or a design without a positive repeater
+// size, count and nominal delay.
 func (sf Surfaced) RecordYield(req YieldRequest, res YieldResult) error {
 	if sf.Cache == nil {
 		return errors.New("predint: RecordYield needs a bound surface cache")
@@ -94,19 +96,18 @@ func (sf Surfaced) RecordYield(req YieldRequest, res YieldResult) error {
 	return nil
 }
 
-// surfaceKey derives the link-class key of a validated plan: everything
-// that changes the estimated quantity is in it — the technology (by
-// descriptor hash), the routed geometry and style, the slew and power
-// weight shaping the buffering, and the scaled variation space. Seed
-// stays out: it changes the realized draws, not the estimand, and the
-// band gate already bounds a warm answer's error.
+// surfaceKey is the warm-surface key of a validated plan: its link
+// class and sigma scale, everything that changes the estimated
+// quantity. Seed stays out: it changes the realized draws, not the
+// estimand, and the band gate already bounds a warm answer's error.
 func (p *yieldPlan) surfaceKey() surface.Key {
 	return surface.Key{
-		TechHash:    surface.TechHash(p.tc),
-		Geom:        surface.GeometryOf(p.seg),
+		Tech:        p.tc.Name,
+		Style:       p.seg.Style,
+		Length:      p.seg.Length,
 		InputSlew:   p.slew,
-		PowerWeight: p.bufOpts.PowerWeight,
-		Space:       p.space,
+		PowerWeight: p.weight,
+		SigmaScale:  p.sigma,
 	}
 }
 

@@ -70,6 +70,43 @@ func TestSurfaceOffVsMissBitIdentical(t *testing.T) {
 	}
 }
 
+// TestSurfaceKeyCompleteness pins the warm surface's key: after one
+// sampled run, a probe that changes the technology, length, style,
+// power weight, input slew or sigma scale misses, and a probe that
+// changes only the seed or the worker count, or spells out the
+// defaults, hits the recorded point.
+func TestSurfaceKeyCompleteness(t *testing.T) {
+	ctx := context.Background()
+	base := YieldRequest{Tech: "90nm", LengthMM: 5, Samples: Int(512), Seed: 3, TargetPS: Float(520)}
+	sf := Surfaced{Cache: surface.New(surface.Options{})}
+	if _, err := sf.LinkYieldCtx(ctx, base); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		mutate func(*YieldRequest)
+		hit    bool
+	}{
+		{"technology", func(r *YieldRequest) { r.Tech = "65nm" }, false},
+		{"length", func(r *YieldRequest) { r.LengthMM = 5.5 }, false},
+		{"style", func(r *YieldRequest) { r.Style = Shielded }, false},
+		{"power weight", func(r *YieldRequest) { r.PowerWeight = Float(0.3) }, false},
+		{"input slew", func(r *YieldRequest) { r.InputSlewPS = Float(150) }, false},
+		{"sigma scale", func(r *YieldRequest) { r.SigmaScale = Float(1.5) }, false},
+		{"seed", func(r *YieldRequest) { r.Seed = 4 }, true},
+		{"workers", func(r *YieldRequest) { r.Workers = 1 }, true},
+		{"explicit defaults", func(r *YieldRequest) {
+			r.Style, r.PowerWeight, r.InputSlewPS, r.SigmaScale = SWSS, Float(DefaultPowerWeight), Float(DefaultInputSlewPS), Float(1)
+		}, true},
+	} {
+		req := base
+		c.mutate(&req)
+		if _, hit, err := sf.LinkYieldSurfaceCtx(ctx, req); err != nil || hit != c.hit {
+			t.Errorf("%s: probe hit=%v, err %v; want hit=%v", c.name, hit, err, c.hit)
+		}
+	}
+}
+
 // TestRecordYieldRefusesImpossibleResults pins RecordYield's input
 // checks: a result no estimation produces — a failure probability
 // outside [0, 1], a negative standard error, an estimator the ladder
@@ -118,6 +155,49 @@ func TestRecordYieldRefusesImpossibleResults(t *testing.T) {
 				t.Fatalf("impossible result %+v entered the surface: %+v, probe hit=%v", bad, st, hit)
 			}
 		})
+	}
+}
+
+// TestRecordYieldResizedRecordsCurveOnly: RecordYield takes a resized
+// (sizing) result as the local sizing path does, as a curve point
+// without the design memo. A one-candidate batch probe of the sized
+// design then hits with the recorded estimate, and the plain request's
+// probe still misses, since no nominal design was memoized.
+func TestRecordYieldResizedRecordsCurveOnly(t *testing.T) {
+	ctx := context.Background()
+	nom, err := LinkYieldNominalCtx(ctx, YieldRequest{Tech: "90nm", LengthMM: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := YieldRequest{
+		Tech: "90nm", LengthMM: 5, TargetPS: Float(nom.NominalDelay * 1.19e12),
+		Samples: Int(1024), Seed: 1, YieldTarget: Float(0.999),
+	}
+	sized, err := uncached.LinkYieldCtx(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sized.Resized {
+		t.Fatal("the nominal design passes; the fixture lost its teeth")
+	}
+	sf := Surfaced{Cache: surface.New(surface.Options{})}
+	if err := sf.RecordYield(req, sized); err != nil {
+		t.Fatalf("resized result refused: %v", err)
+	}
+	plain := req
+	plain.YieldTarget = nil
+	if res, hit, err := sf.LinkYieldSurfaceCtx(ctx, plain); err != nil || hit {
+		t.Fatalf("plain probe after a resized record: hit=%v, err %v, %+v", hit, err, res)
+	}
+	probe := YieldBatchRequest{YieldRequest: plain, Candidates: []YieldCandidate{{RepeaterSize: sized.RepeaterSize, Repeaters: sized.Repeaters}}}
+	warm, hit, err := sf.LinkYieldBatchSurfaceCtx(ctx, probe)
+	if err != nil || !hit {
+		t.Fatalf("batch probe of the sized design: hit=%v, err %v", hit, err)
+	}
+	want := sized
+	want.Yield, want.VarianceReduction, want.Resized, want.Source = 1-sized.FailProb, 0, false, SourceSurface
+	if warm.Results[0] != want {
+		t.Fatalf("batch probe of the sized design:\n got %+v\nwant %+v", warm.Results[0], want)
 	}
 }
 
